@@ -416,9 +416,6 @@ def _katok_task(payload) -> dict:
     horizon = katok_horizon(system, cfg.n, cfg.eps)
     path = sample_path(process, horizon, seed)
     measure = sample_measure(system, path, cfg.M, seed)
-    stack = None
-    if not system.on_words and measure.M**2 <= cfg.pair_budget:
-        stack = orbit_batch(system, path, measure.samples, max(cfg.n))
     cells = {}
     fits = {}
     for kind in kinds:
@@ -431,7 +428,6 @@ def _katok_task(payload) -> dict:
             kind,
             mass_threshold=cfg.mass_threshold,
             pair_budget=cfg.pair_budget,
-            sample_orbits=stack,
         )
         cells[kind] = table
         fits[kind] = table_slopes(table, cfg.n, cfg.eps)

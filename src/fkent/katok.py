@@ -28,20 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import (
-    BOWEN,
-    FK,
-    _pair_depth,
-    bowen_ball_batch,
-    fk_ball_batch,
-    match_target,
-)
-from .spanning import EntropyEstimate, fit_log_slope, path_seeds
+from .matching import BOWEN, FK, _pair_depth, match_slack
+from .spanning import EntropyEstimate, cover_matrix, fit_log_slope, greedy_cover, path_seeds
 from .systems import (
-    FiberMetric,
     InvariantViolation,
     OmegaPath,
-    OrbitSegment,
     RandomSystemSpec,
     ResourceCapExceeded,
     orbit_batch,
@@ -98,12 +89,6 @@ class KatokCount:
 def _covered_target(mass_threshold: float, M: int) -> int:
     """Samples needed so that covered/M >= mass_threshold, robust to float noise."""
     return max(1, int(math.ceil(mass_threshold * M - 1e-9)))
-
-
-def _sample_segment(system: RandomSystemSpec, stack: np.ndarray, n: int, i: int) -> OrbitSegment:
-    if system.on_words:
-        return OrbitSegment(system.metric, n, word=stack[i])
-    return OrbitSegment(FiberMetric(system.metric.kind), n, points=stack[i])
 
 
 def _word_class_cover(
@@ -178,15 +163,10 @@ def katok_spanning_count(
                 f"sampled words of length {measure.samples.shape[1]} too short "
                 f"for n={n} at radius {eps}"
             )
-        if kind == BOWEN or match_target(n, eps) == n:
+        if kind == BOWEN or match_slack(n, eps) == 0:
             count, covered, centers = _word_class_cover(measure.samples, span, need)
             return KatokCount(n, eps, mass_threshold, kind, count, covered, centers)
 
-    if M * M > pair_budget:
-        raise ResourceCapExceeded(
-            f"cover matrix needs {M * M} ball tests, budget {pair_budget}; "
-            "lower M or raise pair_budget"
-        )
     if system.on_words:
         stack = measure.samples
     elif sample_orbits is not None:
@@ -195,43 +175,9 @@ def katok_spanning_count(
         stack = sample_orbits[:, :n, :]
     else:
         stack = orbit_batch(system, omega, measure.samples, n)
-
-    cover = np.empty((M, M), dtype=bool)
-    for i in range(M):
-        center = _sample_segment(system, stack, n, i)
-        if kind == BOWEN:
-            cover[i] = bowen_ball_batch(center, stack, eps)
-        else:
-            cover[i] = fk_ball_batch(center, stack, eps)
-    # every ball contains its own center (distance 0), so greedy cannot stall
-    np.fill_diagonal(cover, True)
-
-    covered = np.zeros(M, dtype=bool)
-    gains = cover.sum(axis=1).astype(np.int64)
-    picks: list[int] = []
-    total = 0
-    while total < need:
-        i = int(np.argmax(gains))
-        if gains[i] <= 0:
-            raise InvariantViolation("greedy cover stalled below the mass threshold")
-        newly = cover[i] & ~covered
-        covered |= newly
-        total += int(newly.sum())
-        gains -= cover[:, newly].sum(axis=1)
-        picks.append(i)
-    return KatokCount(
-        n,
-        eps,
-        mass_threshold,
-        kind,
-        len(picks),
-        total / M,
-        np.asarray(picks, dtype=np.int64),
-    )
-
-
-def _fk_slack(n: int, eps: float) -> int:
-    return n - match_target(n, eps)
+    cover = cover_matrix(kind, system.metric, n, stack, eps, pair_budget)
+    picks, total = greedy_cover(cover, need)
+    return KatokCount(n, eps, mass_threshold, kind, picks.size, total / M, picks)
 
 
 def validate_katok_counts(cells: dict[tuple[float, int], KatokCount], kind: str) -> None:
@@ -250,7 +196,7 @@ def validate_katok_counts(cells: dict[tuple[float, int], KatokCount], kind: str)
         for (n1, c1), (n2, c2) in zip(
             zip(n_values, col), zip(n_values[1:], col[1:])
         ):
-            if kind == FK and _fk_slack(n1, e) != _fk_slack(n2, e):
+            if kind == FK and match_slack(n1, e) != match_slack(n2, e):
                 continue
             if c2 < c1 - 1:
                 raise InvariantViolation(
@@ -329,7 +275,7 @@ def table_slopes(cells, n_window, eps_list) -> list[tuple[float, float]]:
     out = []
     for eps in eps_list:
         ys = [math.log(cells[(eps, n)].count) for n in n_window]
-        slope, _, rms = fit_log_slope(n_window, ys)
+        slope, rms = fit_log_slope(n_window, ys)
         out.append((slope, rms))
     return out
 

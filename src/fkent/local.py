@@ -41,14 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import (
-    BOWEN,
-    FK,
-    _pair_depth,
-    bowen_ball_batch,
-    fk_ball_batch,
-    match_target,
-)
+from .matching import BOWEN, FK, _pair_depth, ball_batch, match_slack
+from .spanning import fit_log_slope, path_seeds
 from .systems import (
     TORUS,
     InvariantViolation,
@@ -274,11 +268,7 @@ def ball_measure(
     ref = center.prefix(n)
     count = 0
     for stack in _orbit_chunks(system, omega, measure, n, sample_orbits):
-        if kind == BOWEN:
-            inside = bowen_ball_batch(ref, stack, delta)
-        else:
-            inside = fk_ball_batch(ref, stack, delta)
-        count += int(inside.sum())
+        count += int(ball_batch(kind, ref, stack, delta).sum())
     return count / measure.M
 
 
@@ -349,53 +339,6 @@ class LocalEntropyRecord:
         raise KeyError((n, delta))
 
 
-def _stratified_log_slope(ns, ys, bands) -> tuple[float, float]:
-    """Slope of ys on ns with one intercept per band value.
-
-    Pooled within-group least squares: groups are cells sharing a band
-    (matching slack) value, each gets its own intercept, the slope is
-    common.  Groups with a single point pin their intercept and add
-    nothing to the slope.  Returns (slope, within-group residual rms).
-    """
-    xs = np.asarray(ns, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    bands = np.asarray(bands)
-    num = 0.0
-    den = 0.0
-    for b in np.unique(bands):
-        sel = bands == b
-        if sel.sum() < 2:
-            continue
-        xc = xs[sel] - xs[sel].mean()
-        num += float(np.dot(xc, ys[sel] - ys[sel].mean()))
-        den += float(np.dot(xc, xc))
-    if den == 0.0:
-        raise ValueError(
-            "every matching-slack group is a single point; widen the n window"
-        )
-    slope = num / den
-    sq = 0.0
-    for b in np.unique(bands):
-        sel = bands == b
-        resid = ys[sel] - ys[sel].mean() - slope * (xs[sel] - xs[sel].mean())
-        sq += float(np.dot(resid, resid))
-    return slope, math.sqrt(sq / xs.size)
-
-
-def _fk_cells_needing_dp(n_list, delta_list):
-    """Schedule cells where the FK ball differs from the Bowen ball.
-
-    Zero matching slack forces the identity match, which is exactly the
-    Bowen condition, so those cells reuse Bowen counts.
-    """
-    out = []
-    for n in n_list:
-        for delta in delta_list:
-            if match_target(n, delta) < n:
-                out.append((n, delta))
-    return out
-
-
 def _ball_count_table(
     system: RandomSystemSpec,
     omega: OmegaPath,
@@ -408,9 +351,10 @@ def _ball_count_table(
 ) -> dict[tuple[int, float], int]:
     """Ball counts for the whole (n, delta) schedule in one sample pass.
 
-    Bowen counts for every n fall out of one running-max gap profile per
-    chunk; FK counts are needed separately only at cells with matching
-    slack, where the banded DP runs on the chunk.
+    Torus Bowen counts for every n fall out of one running-max gap profile
+    per chunk; FK counts are needed separately only at cells with matching
+    slack, where the banded DP runs on the chunk.  Zero-slack FK cells are
+    Bowen cells and read the profile too.
     """
     n_list = sorted(n_list)
     delta_list = sorted(delta_list)
@@ -418,7 +362,6 @@ def _ball_count_table(
     counts: dict[tuple[int, float], int] = {
         (n, d): 0 for n in n_list for d in delta_list
     }
-    fk_cells = _fk_cells_needing_dp(n_list, delta_list) if kind == FK else []
 
     if system.on_words:
         depth_need = max(
@@ -435,22 +378,18 @@ def _ball_count_table(
             for n in n_list:
                 ref = center.prefix(n)
                 for d in delta_list:
-                    if kind == FK and (n, d) in fk_cells:
-                        inside = fk_ball_batch(ref, stack, d)
-                    else:
-                        inside = bowen_ball_batch(ref, stack, d)
-                    counts[(n, d)] += int(inside.sum())
+                    counts[(n, d)] += int(ball_batch(kind, ref, stack, d).sum())
             continue
         gaps = circle_gap(stack[:, :n_max, :], center.points[None, :n_max, :])
         profile = np.maximum.accumulate(gaps.max(axis=2), axis=1)
         for n in n_list:
             tail = profile[:, n - 1]
             for d in delta_list:
-                if kind == FK and (n, d) in fk_cells:
-                    inside = fk_ball_batch(center.prefix(n), stack[:, :n, :], d)
-                    counts[(n, d)] += int(inside.sum())
+                if kind == FK and match_slack(n, d) > 0:
+                    inside = ball_batch(kind, center.prefix(n), stack[:, :n, :], d)
                 else:
-                    counts[(n, d)] += int((tail < d).sum())
+                    inside = tail < d
+                counts[(n, d)] += int(inside.sum())
     return counts
 
 
@@ -535,11 +474,8 @@ def local_entropy(
         xs = [n for n in n_list if counts[(n, delta_used)] > 0]
         ys = [math.log(counts[(n, delta_used)] / M) for n in xs]
         if len(xs) >= 2:
-            if kind == FK:
-                bands = [n - match_target(n, delta_used) for n in xs]
-            else:
-                bands = [0] * len(xs)
-            slope, rms = _stratified_log_slope(xs, ys, bands)
+            bands = [match_slack(n, delta_used) for n in xs] if kind == FK else None
+            slope, rms = fit_log_slope(xs, ys, bands)
             value = -slope
         else:
             value = -ys[0] / xs[0]
@@ -608,8 +544,6 @@ def partition_entropy_rate(
     negative bias of order (#cells - 1)/(2M), documented rather than
     corrected.  Returns the value at the largest n in the window.
     """
-    from .spanning import path_seeds
-
     n_window = sorted(set(int(n) for n in n_window))
     if not n_window or n_window[0] < 1:
         raise ValueError("n window must be nonempty and positive")

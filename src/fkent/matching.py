@@ -16,10 +16,13 @@ Identity matching gives fk_distance <= bowen_distance always.  On shift
 spaces with the discrete metric and eps in (0, 1) the defect coincides with
 the normalized common-subsequence mismatch of the two symbol words.
 
-Batch kernels evaluate one center against many orbits at once; the banded
-variants exploit that a match of size k never displaces an index by more
-than n - k, so ball tests at threshold delta only need the diagonal band of
-width n - target.
+Batch kernels evaluate one center against many orbits at once, and
+`ball_batch` is the one place that picks the Bowen or the FK kernel.  The
+FK kernel exploits that a match of size k never displaces an index by more
+than n - k, so a ball test at threshold delta only needs the diagonal band
+of width match_slack(n, delta) = n - match_target(n, delta).  At zero
+slack only the identity matching can reach the target, so the FK ball is
+the Bowen ball and fk_ball_batch hands the test to bowen_ball_batch.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ __all__ = [
     "brute_force_match",
     "brute_force_match_matrix",
     "match_target",
+    "match_slack",
     "in_fk_ball",
+    "ball_batch",
     "bowen_ball_batch",
     "fk_ball_batch",
     "max_match_batch",
@@ -70,10 +75,8 @@ FK = "fk"
 class MatchResult:
     """Outcome of a match search.
 
-    k is the exact maximum match size when no target was supplied.  With a
-    target, the search may restrict to the diagonal band and stop early, in
-    which case k is a lower bound that is exact whenever it reaches the
-    target; `reached` reports the target decision, which is always exact.
+    k is the exact maximum match size.  When a target was supplied,
+    `reached` reports k >= target.
     """
 
     k: int
@@ -185,41 +188,12 @@ def max_match_from_matrix(compat: np.ndarray, target: int | None = None) -> Matc
     n, m = compat.shape
     if n != m:
         raise ValueError("compatibility matrix must be square")
-    if target is None:
-        k = int(max_match_batch(compat[None])[0])
-        return MatchResult(k=k, n=n, eps=math.nan)
-    k, reached = _banded_reach_single(compat, target)
-    return MatchResult(k=k, n=n, eps=math.nan, reached=reached)
+    k = int(max_match_batch(compat[None])[0])
+    return MatchResult(k=k, n=n, eps=math.nan, reached=_reached(k, target))
 
 
-def _banded_reach_single(compat: np.ndarray, target: int) -> tuple[int, bool]:
-    """Banded DP with early exit for one matrix; exact target decision."""
-    n = compat.shape[0]
-    if target <= 0:
-        return 0, True
-    if target > n:
-        return 0, False
-    band = n - target
-    ncols = 2 * band + 1
-    offs = np.arange(ncols) - band
-    prev = np.zeros(ncols, dtype=np.int32)
-    best = 0
-    for i in range(n):
-        j = i + offs
-        valid = (j >= 0) & (j < n)
-        c = np.zeros(ncols, dtype=np.int32)
-        c[valid] = compat[i, j[valid]]
-        up = np.concatenate([prev[1:], [0]])
-        a = np.maximum(up, prev + c)
-        a[~valid] = 0
-        np.maximum.accumulate(a, out=a)
-        prev = a
-        best = max(best, int(a[min(ncols - 1, band + (n - 1 - i))]))
-        if best >= target:
-            return best, True
-        if best + (n - 1 - i) < target:
-            return best, False
-    return best, best >= target
+def _reached(k: int, target: int | None) -> bool | None:
+    return None if target is None else k >= target
 
 
 def compat_matrix(a: OrbitSegment, b: OrbitSegment, eps: float) -> np.ndarray:
@@ -238,19 +212,16 @@ def max_match_size(
 
     With `return_pairs` the witness pairs are reconstructed by backtracking
     that prefers the diagonal, then left, then up, making the witness
-    deterministic.  `target` switches to the banded decision search.
+    deterministic.  With `target`, `reached` reports whether k meets it.
     """
     _check_pair(a, b)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     n = a.n
     compat = compat_matrix(a, b, eps)
-    if target is not None:
-        k, reached = _banded_reach_single(compat, target)
-        return MatchResult(k=k, n=n, eps=eps, reached=reached)
     if not return_pairs:
         k = int(max_match_batch(compat[None])[0])
-        return MatchResult(k=k, n=n, eps=eps)
+        return MatchResult(k=k, n=n, eps=eps, reached=_reached(k, target))
     table = np.zeros((n + 1, n + 1), dtype=np.int32)
     for i in range(1, n + 1):
         table[i, 1:] = np.maximum(
@@ -269,7 +240,8 @@ def max_match_size(
         else:
             i -= 1
     pairs.reverse()
-    return MatchResult(k=int(table[n, n]), n=n, eps=eps, pairs=tuple(pairs))
+    k = int(table[n, n])
+    return MatchResult(k=k, n=n, eps=eps, pairs=tuple(pairs), reached=_reached(k, target))
 
 
 def mismatch_fraction(a: OrbitSegment, b: OrbitSegment, eps: float) -> float:
@@ -285,6 +257,15 @@ def match_target(n: int, delta: float) -> int:
     integer products on the strict side of float rounding.
     """
     return int(math.floor(n * (1.0 - delta) + 1e-9)) + 1
+
+
+def match_slack(n: int, delta: float) -> int:
+    """Steps an (n, delta) ball test may leave unmatched: n - match_target.
+
+    At slack 0 only the identity matching reaches the target, so the FK
+    ball is exactly the Bowen ball.
+    """
+    return n - match_target(n, delta)
 
 
 def fk_distance_from_matrix(dist: np.ndarray, diameter: float, tol: float) -> FkDistance:
@@ -498,24 +479,42 @@ def bowen_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, clo
 
 
 def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed: bool = False) -> np.ndarray:
-    """FK ball test defect(delta) < delta for a batch, via the banded DP.
+    """FK ball test defect(delta) < delta for a batch.
 
-    With `closed`, matched pairs are allowed at distance exactly delta.  The
-    complement of the closed variant is the strict separation relation, the
-    one under which a full Bowen-ball inclusion survives boundary ties.
+    With positive matching slack the banded DP decides the target; at zero
+    slack the identity matching is the only candidate, so the test is the
+    Bowen ball test with the same `closed` convention.  With `closed`,
+    matched pairs are allowed at distance exactly delta.  The complement of
+    the closed variant is the strict separation relation, the one under
+    which a full Bowen-ball inclusion survives boundary ties.
     """
     n = center.n
-    target = match_target(n, delta)
-    if target > n:
+    band = match_slack(n, delta)
+    if band < 0:
         return np.zeros(others.shape[0], dtype=bool)
-    if target <= 0:
+    if band >= n:
         return np.ones(others.shape[0], dtype=bool)
-    band = n - target
+    if band == 0:
+        return bowen_ball_batch(center, others, delta, closed=closed)
     if center.metric.kind == TORUS:
         compat = _torus_band_compat(center.points[:n], others[:, :n, :], delta, band, closed)
     else:
         compat = _word_band_compat(center.word, others, delta, band, center.metric.kind, n, closed)
-    return _banded_reach_batch(compat, band, target)
+    return _banded_reach_batch(compat, band, n - band)
+
+
+def ball_batch(kind: str, center: OrbitSegment, others: np.ndarray, eps: float, closed: bool = False) -> np.ndarray:
+    """Membership of many orbits in the time-n ball of the given metric kind.
+
+    The only place that chooses between the Bowen and the FK kernel; the
+    kernels are looked up at call time, so wrapping either one from
+    outside also wraps the calls made here.
+    """
+    if kind == BOWEN:
+        return bowen_ball_batch(center, others, eps, closed=closed)
+    if kind == FK:
+        return fk_ball_batch(center, others, eps, closed=closed)
+    raise ValueError(f"unknown orbit metric: {kind!r}")
 
 
 def in_fk_ball(center: OrbitSegment, other: OrbitSegment, delta: float) -> bool:

@@ -25,7 +25,6 @@ import numpy as np
 
 from .systems import (
     CYLINDER,
-    TORUS,
     FiberMetric,
     InvariantViolation,
     OmegaPath,
@@ -38,7 +37,7 @@ from .systems import (
     orbit_batch,
     sample_path,
 )
-from .matching import BOWEN, FK, bowen_ball_batch, fk_ball_batch, match_target
+from .matching import BOWEN, FK, ball_batch, match_slack
 
 __all__ = [
     "GRID",
@@ -53,8 +52,10 @@ __all__ = [
     "EntropyEstimate",
     "IntegratedEstimate",
     "count_table",
+    "cover_matrix",
     "entropy_from_counts",
     "fit_log_slope",
+    "greedy_cover",
     "greedy_separated",
     "greedy_spanning",
     "integrated_entropy",
@@ -216,15 +217,12 @@ class DynamicalDistance:
             return candidates.points
         return orbit_batch(self.system, self.path, candidates.points, self.n)
 
-    def segment(self, stack: np.ndarray, i: int) -> OrbitSegment:
-        if self.system.on_words:
-            return OrbitSegment(self.system.metric, self.n, word=stack[i])
-        return OrbitSegment(FiberMetric(TORUS), self.n, points=stack[i])
 
-    def members(self, center: OrbitSegment, others: np.ndarray, eps: float, closed: bool) -> np.ndarray:
-        if self.metric == BOWEN:
-            return bowen_ball_batch(center, others, eps, closed=closed)
-        return fk_ball_batch(center, others, eps, closed=closed)
+def _segment(metric: FiberMetric, n: int, row: np.ndarray) -> OrbitSegment:
+    """The time-n orbit segment stored in one row of an orbit stack."""
+    if metric.on_words:
+        return OrbitSegment(metric, n, word=row)
+    return OrbitSegment(metric, n, points=row)
 
 
 def _scan_separated(dist: DynamicalDistance, stack: np.ndarray, eps: float) -> np.ndarray:
@@ -246,11 +244,10 @@ def _scan_separated(dist: DynamicalDistance, stack: np.ndarray, eps: float) -> n
         if p >= idx.size:
             break
         kept.append(int(idx[p]))
-        center = dist.segment(cur, p)
+        center = _segment(dist.system.metric, dist.n, cur[p])
         dead[p] = True
         if p + 1 < idx.size:
-            members = dist.members(center, cur[p + 1 :], eps, closed=True)
-            dead[p + 1 :] |= members
+            dead[p + 1 :] |= ball_batch(dist.metric, center, cur[p + 1 :], eps, closed=True)
         # compact once the tail is mostly dead; total copying stays O(M)
         tail = idx.size - p - 1
         if tail > 64 and dead[p + 1 :].sum() > tail // 2:
@@ -263,46 +260,65 @@ def _scan_separated(dist: DynamicalDistance, stack: np.ndarray, eps: float) -> n
     return np.asarray(kept, dtype=np.int64)
 
 
-def greedy_separated(candidates: CandidateSet, dist, eps: float) -> tuple[int, np.ndarray]:
+def greedy_separated(candidates: CandidateSet, dist: DynamicalDistance, eps: float) -> tuple[int, np.ndarray]:
     """Maximal eps-separated subset by a fixed-index greedy scan.
 
-    dist is a DynamicalDistance for the vectorized engines, or a plain
-    callable d(row_a, row_b) for static/small inputs.  A point is kept iff
-    its distance to every kept point exceeds eps; the kept set is maximal
-    and therefore also eps-covers the candidates.
+    A point is kept iff its distance to every kept point exceeds eps; the
+    kept set is maximal and therefore also eps-covers the candidates.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if candidates.count < 1:
         raise ValueError("empty candidate set")
-    if callable(dist):
-        kept: list[int] = []
-        pts = candidates.points
-        for i in range(pts.shape[0]):
-            if all(dist(pts[i], pts[k]) > eps for k in kept):
-                kept.append(i)
-        sel = np.asarray(kept, dtype=np.int64)
-        return len(kept), sel
-    stack = dist.orbit_stack(candidates)
-    sel = _scan_separated(dist, stack, eps)
+    sel = _scan_separated(dist, dist.orbit_stack(candidates), eps)
     return int(sel.size), sel
 
 
-def _cover_matrix(dist: DynamicalDistance, stack: np.ndarray, eps: float, pair_budget: int) -> np.ndarray:
+def cover_matrix(
+    kind: str, metric: FiberMetric, n: int, stack: np.ndarray, eps: float, pair_budget: int
+) -> np.ndarray:
+    """(M, M) open-ball membership: row i is the time-n ball around stack[i].
+
+    Every ball contains its own center (distance 0), whatever the threshold.
+    M^2 ball tests must fit the pair budget.
+    """
     m = stack.shape[0]
     if m * m > pair_budget:
         raise ResourceCapExceeded(
-            f"cover matrix needs {m * m} pair tests, budget {pair_budget}"
+            f"cover matrix needs {m * m} ball tests, budget {pair_budget}; "
+            "lower the sample count or raise pair_budget"
         )
     cover = np.empty((m, m), dtype=bool)
     for i in range(m):
-        cover[i] = dist.members(dist.segment(stack, i), stack, eps, closed=False)
-        cover[i, i] = True  # zero self-distance regardless of threshold
+        cover[i] = ball_batch(kind, _segment(metric, n, stack[i]), stack, eps)
+    np.fill_diagonal(cover, True)
     return cover
 
 
+def greedy_cover(cover: np.ndarray, need: int) -> tuple[np.ndarray, int]:
+    """Greedy picks of cover rows until at least `need` points are covered.
+
+    Each pick is the row covering the most uncovered points, lowest index
+    on ties.  Returns the picks in order and the number of points covered.
+    """
+    gains = cover.sum(axis=1).astype(np.int64)
+    covered = np.zeros(cover.shape[1], dtype=bool)
+    picks: list[int] = []
+    total = 0
+    while total < need:
+        i = int(np.argmax(gains))
+        if gains[i] <= 0:
+            raise InvariantViolation("greedy cover stalled below its target")
+        newly = cover[i] & ~covered
+        covered |= newly
+        total += int(newly.sum())
+        gains -= cover[:, newly].sum(axis=1)
+        picks.append(i)
+    return np.asarray(picks, dtype=np.int64), total
+
+
 def greedy_spanning(
-    candidates: CandidateSet, dist, eps: float, pair_budget: int = 20_000_000
+    candidates: CandidateSet, dist: DynamicalDistance, eps: float, pair_budget: int = 20_000_000
 ) -> tuple[int, np.ndarray]:
     """Greedy cover of the candidates by open eps-balls centered on them.
 
@@ -315,31 +331,10 @@ def greedy_spanning(
         raise ValueError("eps must be positive")
     if candidates.count < 1:
         raise ValueError("empty candidate set")
-    if callable(dist):
-        pts = candidates.points
-        m = pts.shape[0]
-        if m * m > pair_budget:
-            raise ResourceCapExceeded(f"cover matrix needs {m * m} pair tests")
-        cover = np.empty((m, m), dtype=bool)
-        for i in range(m):
-            cover[i] = np.array([dist(pts[i], pts[j]) < eps for j in range(m)])
-            cover[i, i] = True
-    else:
-        stack = dist.orbit_stack(candidates)
-        cover = _cover_matrix(dist, stack, eps, pair_budget)
-    m = cover.shape[0]
-    gains = cover.sum(axis=1).astype(np.int64)
-    uncovered = np.ones(m, dtype=bool)
-    chosen: list[int] = []
-    while uncovered.any():
-        c = int(np.argmax(gains))
-        if gains[c] <= 0:
-            raise InvariantViolation("cover stalled with uncovered candidates")
-        newly = uncovered & cover[c]
-        chosen.append(c)
-        uncovered &= ~cover[c]
-        gains -= cover[:, newly].sum(axis=1)
-    return len(chosen), np.asarray(chosen, dtype=np.int64)
+    stack = dist.orbit_stack(candidates)
+    cover = cover_matrix(dist.metric, dist.system.metric, dist.n, stack, eps, pair_budget)
+    chosen, _ = greedy_cover(cover, candidates.count)
+    return int(chosen.size), chosen
 
 
 @dataclass(frozen=True)
@@ -448,19 +443,34 @@ class CountTable:
                         )
 
 
-def fit_log_slope(ns, ys) -> tuple[float, float, float]:
-    """Least-squares slope/intercept/rms-residual of ys against ns."""
+def fit_log_slope(ns, ys, bands=None) -> tuple[float, float]:
+    """Least-squares slope of ys against ns, one intercept per band value.
+
+    Pooled within-group least squares: cells sharing a band (matching
+    slack) value form a group with its own intercept, and the slope is
+    common.  A group with a single point pins its intercept and adds
+    nothing to the slope.  Without bands all points form one group, which
+    is plain least squares.  Returns (slope, within-group residual rms).
+    """
     x = np.asarray(ns, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ValueError("need at least two points to fit")
-    if np.ptp(x) == 0.0:
-        raise ValueError("degenerate window: all n equal")
-    xc = x - x.mean()
-    slope = float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (slope * x + intercept)
-    return slope, intercept, float(np.sqrt(np.mean(resid**2)))
+    groups = [slice(None)] if bands is None else [np.asarray(bands) == b for b in np.unique(bands)]
+    num = 0.0
+    den = 0.0
+    for g in groups:
+        xc = x[g] - x[g].mean()
+        if xc.size >= 2:
+            num += float(np.dot(xc, y[g] - y[g].mean()))
+            den += float(np.dot(xc, xc))
+    if den == 0.0:
+        raise ValueError("degenerate fit: every band group has a single n value")
+    slope = num / den
+    resid = np.empty_like(y)
+    for g in groups:
+        resid[g] = y[g] - (slope * x[g] + (y[g].mean() - slope * x[g].mean()))
+    return slope, float(np.sqrt(np.mean(resid**2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,7 +520,7 @@ def entropy_from_counts(
             continue
         xs = [n for n, _ in pts]
         ys = [math.log(e.count) - math.log(e.window) for _, e in pts]
-        slope, _, rms = fit_log_slope(xs, ys)
+        slope, rms = fit_log_slope(xs, ys)
         kept_eps.append(eps)
         slopes.append(slope)
         residuals.append(rms)
@@ -582,8 +592,8 @@ def count_table(
             cell_counts: dict[tuple[str, str], int] = {}
             for metric in metrics:
                 dist = DynamicalDistance(system, path, n, metric)
-                # a full-size match target makes the FK ball the Bowen ball
-                if metric == FK and (BOWEN, SEPARATED) in cell_counts and match_target(n, eps) == n:
+                # at zero matching slack the FK ball is the Bowen ball
+                if metric == FK and (BOWEN, SEPARATED) in cell_counts and match_slack(n, eps) == 0:
                     cell_counts[(FK, SEPARATED)] = cell_counts[(BOWEN, SEPARATED)]
                     if (BOWEN, SPANNING) in cell_counts:
                         cell_counts[(FK, SPANNING)] = cell_counts[(BOWEN, SPANNING)]

@@ -21,7 +21,9 @@ from fkent.systems import (
     OrbitSegment,
     ResourceCapExceeded,
     bernoulli_process,
+    circle_gap,
     expanding_system,
+    orbit_batch,
     sample_path,
     shift_system,
 )
@@ -66,34 +68,50 @@ def test_pair_budget_gates_dense_path():
 
 def test_word_fast_path_equals_dense_greedy():
     # prefix classes are disjoint, so heaviest-first is the exact optimum
-    # and must agree with the literal gain-greedy on the membership matrix
+    # and must agree with the literal gain-greedy on the membership matrix;
+    # torus cases hold the dense cover path to the same literal greedy, on
+    # a membership matrix built from pairwise orbit gaps without any ball
+    # kernel (eps = 0.1 at n = 4 has zero matching slack, so FK = Bowen)
+    threshold = 0.85
     system = shift_system((2, 2))
     path = sample_path(bernoulli_process((0.5, 0.5)), 9, 3)
     mu = sample_measure(system, path, 500, 3)
-    n, eps, threshold = 4, 0.3, 0.85
-    cell = katok_spanning_count(mu, path, system, n, eps, threshold, BOWEN)
-
-    M = mu.M
-    cover = np.empty((M, M), dtype=bool)
-    for i in range(M):
+    n, eps = 4, 0.3
+    word_cover = np.empty((mu.M, mu.M), dtype=bool)
+    for i in range(mu.M):
         center = OrbitSegment(system.metric, n, word=mu.samples[i])
-        cover[i] = bowen_ball_batch(center, mu.samples, eps)
-        cover[i, i] = True
-    need = max(1, math.ceil(threshold * M - 1e-9))
-    gains = cover.sum(axis=1).astype(np.int64)
-    uncovered = np.ones(M, dtype=bool)
-    chosen = []
-    while M - int(uncovered.sum()) < need:
-        c = int(np.argmax(gains))
-        newly = uncovered & cover[c]
-        chosen.append(c)
-        uncovered &= ~cover[c]
-        gains -= cover[:, newly].sum(axis=1)
-    assert cell.count == len(chosen)
-    assert list(cell.centers) == chosen
+        word_cover[i] = bowen_ball_batch(center, mu.samples, eps)
+    cases = [(system, path, mu, n, eps, BOWEN, word_cover)]
+
+    torus = expanding_system((2,))
+    torus_path = sample_path(bernoulli_process((1.0,)), 6, 3)
+    torus_mu = sample_measure(torus, torus_path, 300, 3)
+    orbits = orbit_batch(torus, torus_path, torus_mu.samples, 4)
+    gaps = circle_gap(orbits[:, None], orbits[None]).max(axis=(2, 3))
+    assert match_target(4, 0.1) == 4
+    for kind in (BOWEN, FK):
+        cases.append((torus, torus_path, torus_mu, 4, 0.1, kind, gaps < 0.1))
+
+    for sys_, path_, mu_, n_, eps_, kind, cover in cases:
+        cell = katok_spanning_count(mu_, path_, sys_, n_, eps_, threshold, kind)
+        M = mu_.M
+        np.fill_diagonal(cover, True)
+        need = max(1, math.ceil(threshold * M - 1e-9))
+        gains = cover.sum(axis=1).astype(np.int64)
+        uncovered = np.ones(M, dtype=bool)
+        chosen = []
+        while M - int(uncovered.sum()) < need:
+            c = int(np.argmax(gains))
+            newly = uncovered & cover[c]
+            chosen.append(c)
+            uncovered &= ~cover[c]
+            gains -= cover[:, newly].sum(axis=1)
+        assert cell.count == len(chosen) > 1
+        assert list(cell.centers) == chosen
     # the greedy count respects the 1 + ln(M) factor over the exact optimum
-    exact = min_cover_exact(cover[np.asarray(chosen)], mass_threshold=threshold)
-    assert cell.count <= (1.0 + math.log(M)) * exact
+    word_cell = katok_spanning_count(mu, path, system, n, eps, threshold, BOWEN)
+    exact = min_cover_exact(word_cover[word_cell.centers], mass_threshold=threshold)
+    assert word_cell.count <= (1.0 + math.log(mu.M)) * exact
 
 
 def test_fk_band_zero_equals_bowen_counts():

@@ -12,9 +12,9 @@ from fkent.local import (
     partition_entropy_rate,
     sample_measure,
     smb_estimate,
-    _stratified_log_slope,
 )
 from fkent.matching import BOWEN, FK, match_target
+from fkent.spanning import fit_log_slope
 from fkent.systems import (
     CYLINDER,
     TORUS,
@@ -218,7 +218,7 @@ def test_stratified_slope_removes_band_offsets():
     bands = np.array([0, 0, 0, 1, 1])
     slope_true = -0.69
     ys = slope_true * ns + 2.0 * bands
-    slope, rms = _stratified_log_slope(ns, ys, bands)
+    slope, rms = fit_log_slope(ns, ys, bands)
     assert slope == pytest.approx(slope_true, abs=1e-12)
     assert rms == pytest.approx(0.0, abs=1e-12)
     # plain fit across the jump would be badly biased
@@ -230,13 +230,13 @@ def test_stratified_slope_equals_plain_fit_for_one_band():
     rng = np.random.default_rng(8)
     ns = np.array([4.0, 6.0, 8.0, 10.0])
     ys = -0.7 * ns + rng.normal(0, 0.05, size=4)
-    slope, _ = _stratified_log_slope(ns, ys, np.zeros(4, dtype=int))
+    slope, _ = fit_log_slope(ns, ys, np.zeros(4, dtype=int))
     assert slope == pytest.approx(float(np.polyfit(ns, ys, 1)[0]), abs=1e-12)
 
 
 def test_stratified_slope_rejects_all_singletons():
     with pytest.raises(ValueError):
-        _stratified_log_slope(np.array([4.0, 6.0]), np.array([1.0, 2.0]), np.array([0, 1]))
+        fit_log_slope(np.array([4.0, 6.0]), np.array([1.0, 2.0]), np.array([0, 1]))
 
 
 def test_tent_local_entropy_near_log2():

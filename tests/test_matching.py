@@ -14,9 +14,11 @@ from fkent.matching import (
     in_fk_ball,
     lcs_mismatch,
     match_target,
+    max_match_batch,
     max_match_from_matrix,
     max_match_size,
     mismatch_fraction,
+    pair_distance_matrix,
 )
 from fkent.systems import CYLINDER, DISCRETE, TORUS, FiberMetric, OrbitSegment
 
@@ -203,13 +205,39 @@ def test_fk_ball_contains_bowen_ball():
 
 
 def test_fk_ball_equals_bowen_ball_at_zero_slack():
-    # match target n forces the identity matching
+    # match target n forces the identity matching; both kernels must agree
+    # with a full-size match on the pairwise distance matrix.  Grid points
+    # (multiples of 1/64) and dyadic cylinder radii put pairs exactly at
+    # delta, so the open and closed conventions both get boundary ties.
     rng = np.random.default_rng(111)
-    n, delta = 8, 0.1
-    assert match_target(n, delta) == n
-    center = torus_segment(rng.random(n))
-    others = rng.random((512, n, 1))
-    assert (fk_ball_batch(center, others, delta) == bowen_ball_batch(center, others, delta)).all()
+    n = 8
+    grid = rng.integers(0, 64, size=n)
+    near = (grid[None, :] + rng.integers(-9, 10, size=(300, n))) % 64
+    far = rng.integers(0, 64, size=(200, n))
+    torus_others = (np.concatenate([near, far]) / 64.0)[:, :, None]
+    cases = [(torus_segment(grid / 64.0), torus_others, 0.125)]
+    for kind, delta, length in [(DISCRETE, 0.1, n), (CYLINDER, 0.125, n + 2), (CYLINDER, 0.125, n + 5)]:
+        word = rng.integers(0, 2, size=length)
+        flips = rng.random((400, length)) < rng.uniform(0.0, 0.15, size=(400, 1))
+        others = np.where(flips, 1 - word[None, :], word[None, :])
+        cases.append((word_segment(word, n=n, kind=kind), others, delta))
+    for center, others, delta in cases:
+        assert match_target(n, delta) == n
+        for closed in (False, True):
+            fk = fk_ball_batch(center, others, delta, closed=closed)
+            bowen = bowen_ball_batch(center, others, delta, closed=closed)
+            want = np.empty(others.shape[0], dtype=bool)
+            for i, row in enumerate(others):
+                if center.on_words:
+                    other = OrbitSegment(center.metric, n, word=row)
+                else:
+                    other = OrbitSegment(center.metric, n, points=row)
+                dist = pair_distance_matrix(center, other)
+                compat = dist <= delta if closed else dist < delta
+                want[i] = max_match_batch(compat)[0] >= n
+            assert 0 < want.sum() < want.size
+            assert (fk == want).all()
+            assert (bowen == want).all()
 
 
 def test_closed_ball_includes_boundary():
