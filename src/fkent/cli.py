@@ -16,8 +16,6 @@ import numpy as np
 
 from .harness import _PARSERS, EXPERIMENTS, load_config, run_experiment
 from .matching import (
-    BOWEN,
-    FK,
     bowen_distance,
     brute_force_match,
     brute_force_match_matrix,

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .katok import katok_horizon, katok_table, table_slopes
 from .local import local_entropy, sample_measure
-from .matching import BOWEN, FK
+from .matching import BOWEN, FK, MAX_MATCH_STEPS
 from .oracles import expected_entropy
 from .spanning import count_table, entropy_from_counts, path_seeds
 from .systems import (
@@ -151,6 +151,10 @@ class ExperimentConfig:
                 raise ValueError(f"schedule {label} is empty")
         if any(v < 1 for v in self.n):
             raise ValueError("n schedule must be positive integers")
+        if any(v > MAX_MATCH_STEPS for v in self.n):
+            raise ValueError(
+                f"n schedule exceeds {MAX_MATCH_STEPS}, the longest segment the packed match masks hold"
+            )
         if any(v <= 0.0 for v in self.eps) or any(v <= 0.0 for v in self.delta):
             raise ValueError("eps and delta schedules must be positive")
         for label, v in (

@@ -353,8 +353,8 @@ def _ball_count_table(
 
     Torus Bowen counts for every n fall out of one running-max gap profile
     per chunk; FK counts are needed separately only at cells with matching
-    slack, where the banded DP runs on the chunk.  Zero-slack FK cells are
-    Bowen cells and read the profile too.
+    slack, where the FK ball kernel runs on the chunk.  Zero-slack FK cells
+    are Bowen cells and read the profile too.
     """
     n_list = sorted(n_list)
     delta_list = sorted(delta_list)

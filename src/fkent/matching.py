@@ -16,13 +16,20 @@ Identity matching gives fk_distance <= bowen_distance always.  On shift
 spaces with the discrete metric and eps in (0, 1) the defect coincides with
 the normalized common-subsequence mismatch of the two symbol words.
 
+Every match size comes from one bit-parallel recurrence: each row of a
+compatibility matrix is packed into a uint64 mask (so n, m <= 64) and the
+bit-vector LCS update (Allison & Dix 1986; Hyyro 2004) advances the DP one
+row at a time across a whole batch.  Only `max_match_size(return_pairs=True)`
+keeps the full DP table, for backtracking.
+
 Batch kernels evaluate one center against many orbits at once, and
 `ball_batch` is the one place that picks the Bowen or the FK kernel.  The
 FK kernel exploits that a match of size k never displaces an index by more
 than n - k, so a ball test at threshold delta only needs the diagonal band
-of width match_slack(n, delta) = n - match_target(n, delta).  At zero
-slack only the identity matching can reach the target, so the FK ball is
-the Bowen ball and fk_ball_batch hands the test to bowen_ball_batch.
+of width match_slack(n, delta) = n - match_target(n, delta): its masks are
+built one diagonal slice at a time.  At zero slack only the identity
+matching can reach the target, so the FK ball is the Bowen ball and
+fk_ball_batch hands the test to bowen_ball_batch.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ import math
 import numpy as np
 
 from .systems import (
-    CYLINDER,
     DISCRETE,
     TORUS,
     OrbitSegment,
@@ -45,6 +51,7 @@ from .systems import (
 __all__ = [
     "BOWEN",
     "FK",
+    "MAX_MATCH_STEPS",
     "MatchResult",
     "FkDistance",
     "bowen_distance",
@@ -69,6 +76,11 @@ __all__ = [
 # labels for the two orbit distances the counting layers switch between
 BOWEN = "bowen"
 FK = "fk"
+
+# columns of one packed match-mask row: the longest segment any match DP takes
+MAX_MATCH_STEPS = 64
+# rows per FK ball block; keeps the mask-build temporaries cache-resident
+_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -165,21 +177,41 @@ def pair_distance_matrix(a: OrbitSegment, b: OrbitSegment) -> np.ndarray:
 def max_match_batch(compat: np.ndarray) -> np.ndarray:
     """Maximum match sizes for a (B, n, m) stack of compatibility matrices.
 
-    Row-sweep formulation of the standard DP: with A[j] = max(M[i-1][j],
-    M[i-1][j-1] + C[i][j]), row i is the running maximum of A, which
-    vectorizes across the batch via cumulative maximum.
+    Each row is packed into one uint64 mask over its m <= 64 columns and
+    the stack runs through the bit-parallel match recurrence.
     """
     compat = np.asarray(compat, dtype=bool)
     if compat.ndim == 2:
         compat = compat[None]
-    bsz, n, m = compat.shape
-    row = np.zeros((bsz, m + 1), dtype=np.int32)
-    for i in range(n):
-        c = compat[:, i, :]
-        a = np.maximum(row[:, 1:], row[:, :-1] + c)
-        np.maximum.accumulate(a, axis=1, out=a)
-        row[:, 1:] = a
-    return row[:, -1].astype(np.int64)
+    m = compat.shape[2]
+    pm = np.bitwise_or.reduce(compat * _bit_weights(m), axis=2)
+    return _match_sizes(pm, m)
+
+
+def _bit_weights(m: int) -> np.ndarray:
+    """uint64 weights 1 << j for the m columns of a packed mask row."""
+    if m > MAX_MATCH_STEPS:
+        raise ValueError(f"packed match masks hold at most {MAX_MATCH_STEPS} columns, got {m}")
+    return np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
+
+
+def _match_sizes(pm: np.ndarray, m: int) -> np.ndarray:
+    """Maximum match sizes from a (B, n) stack of packed row masks.
+
+    Bit j of pm[:, i] marks row i compatible with column j.  The bit-vector
+    LCS recurrence (Allison & Dix 1986; Hyyro 2004) advances the match DP
+    one row in a few word operations: the zero bits of v mark the columns
+    where the DP value steps up, so the match size is m - popcount(v).  It
+    only uses the unit-step structure of the DP, so it holds for any
+    boolean compatibility matrix.  At m = 64 the carry out of the top bit
+    is dropped by uint64 wraparound, which is what the mask does below it.
+    """
+    full = np.uint64((1 << m) - 1)
+    v = np.full(pm.shape[0], full, dtype=np.uint64)
+    for i in range(pm.shape[1]):
+        u = v & pm[:, i]
+        v = ((v + u) | (v - u)) & full
+    return m - np.bitwise_count(v).astype(np.int64)
 
 
 def max_match_from_matrix(compat: np.ndarray, target: int | None = None) -> MatchResult:
@@ -253,7 +285,7 @@ def match_target(n: int, delta: float) -> int:
     """Smallest integer k with k > n * (1 - delta).
 
     defect(delta) < delta is equivalent to reaching this target, so ball
-    tests reduce to one banded decision.  The 1e-9 nudge keeps exact
+    tests reduce to one match-size decision.  The 1e-9 nudge keeps exact
     integer products on the strict side of float rounding.
     """
     return int(math.floor(n * (1.0 - delta) + 1e-9)) + 1
@@ -375,22 +407,6 @@ def brute_force_match(a: OrbitSegment, b: OrbitSegment, eps: float) -> int:
 # batch kernels: one center orbit against many orbits
 # ---------------------------------------------------------------------------
 
-def _torus_band_compat(
-    center_pts: np.ndarray, batch: np.ndarray, delta: float, band: int, closed: bool = False
-) -> np.ndarray:
-    """(M, n, 2*band+1) compat tensor; invalid band cells are False."""
-    n = center_pts.shape[0]
-    offs = np.arange(2 * band + 1) - band
-    cols = np.arange(n)[:, None] + offs[None, :]
-    valid = (cols >= 0) & (cols < n)
-    safe = np.clip(cols, 0, n - 1)
-    gathered = batch[:, safe, :]                       # (M, n, ncols, d)
-    gaps = circle_gap(center_pts[None, :, None, :], gathered).max(axis=3)
-    compat = gaps <= delta if closed else gaps < delta
-    compat &= valid[None, :, :]
-    return compat
-
-
 def _pair_depth(delta: float, kind: str, closed: bool) -> int:
     """Agreement depth that decides d(pair) < delta (or <= delta when closed)."""
     if kind == DISCRETE:
@@ -403,60 +419,44 @@ def _pair_depth(delta: float, kind: str, closed: bool) -> int:
     return depth
 
 
-def _word_band_compat(
-    center_word: np.ndarray,
-    batch: np.ndarray,
-    delta: float,
-    band: int,
-    kind: str,
-    n: int,
-    closed: bool = False,
+def _word_diagonal(
+    center_word: np.ndarray, others: np.ndarray, depth: int, i0: int, i1: int, offset: int
 ) -> np.ndarray:
-    depth = _pair_depth(delta, kind, closed)
-    ncols = 2 * band + 1
-    offs = np.arange(ncols) - band
-    cols = np.arange(n)[:, None] + offs[None, :]        # batch suffix starts j
-    valid = (cols >= 0) & (cols < n)
-    m = batch.shape[0]
-    if depth == 0:
-        return np.broadcast_to(valid[None], (m, n, ncols)).copy()
-    lu, lb = len(center_word), batch.shape[1]
-    j_safe = np.clip(cols, 0, n - 1)
-    compat = np.ones((m, n, ncols), dtype=bool)
-    # positions past either stored word contribute agreement by convention
+    """(M, i1 - i0) agreement of center steps i with sample steps i + offset.
+
+    A pair agrees when the suffixes agree on `depth` symbols; positions
+    past either stored word count as agreement by convention.
+    """
+    lu, lb = len(center_word), others.shape[1]
+    ok = np.ones((others.shape[0], i1 - i0), dtype=bool)
     for t in range(depth):
-        ui = np.minimum(np.arange(n) + t, lu - 1)
-        cw = center_word[ui]
-        jj = np.minimum(j_safe + t, lb - 1)
-        both = ((np.arange(n)[:, None] + t) < lu) & ((j_safe + t) < lb)
-        agree = batch[:, jj] == cw[None, :, None]
-        compat &= agree | ~both[None]
-    compat &= valid[None]
-    return compat
+        ui = np.arange(i0 + t, i1 + t)
+        jj = ui + offset
+        agree = others[:, np.minimum(jj, lb - 1)] == center_word[np.minimum(ui, lu - 1)]
+        ok &= agree | ~((ui < lu) & (jj < lb))
+    return ok
 
 
-def _banded_reach_batch(compat: np.ndarray, band: int, target: int) -> np.ndarray:
-    """Vector of target decisions for a (M, n, ncols) band-compat tensor."""
-    m, n, ncols = compat.shape
-    offs = np.arange(ncols) - band
-    prev = np.zeros((m, ncols), dtype=np.int32)
-    reached = np.zeros(m, dtype=bool)
-    for i in range(n):
-        j = i + offs
-        valid = (j >= 0) & (j < n)
-        c = np.where(valid[None, :], compat[:, i, :], False).astype(np.int32)
-        up = np.concatenate([prev[:, 1:], np.zeros((m, 1), np.int32)], axis=1)
-        a = np.maximum(up, prev + c)
-        a[:, ~valid] = 0
-        np.maximum.accumulate(a, axis=1, out=a)
-        prev = a
-        top = a[:, min(ncols - 1, band + (n - 1 - i))]
-        reached |= top >= target
-        if np.all(reached):
-            break
-        if np.all(reached | (top + (n - 1 - i) < target)):
-            break
-    return reached
+def _band_masks(center: OrbitSegment, others: np.ndarray, delta: float, band: int, closed: bool) -> np.ndarray:
+    """(M, n) packed match masks over the diagonal band |i - j| <= band.
+
+    Bit j of row i is set when center step i and sample step j are within
+    delta (at most delta when closed).  Each diagonal offset is one slice
+    of `others`; cells off the band stay clear.
+    """
+    n = center.n
+    weights = _bit_weights(n)
+    pm = np.zeros((others.shape[0], n), dtype=np.uint64)
+    for offset in range(-band, band + 1):
+        i0, i1 = max(0, -offset), min(n, n - offset)
+        if center.metric.kind == TORUS:
+            gaps = circle_gap(others[:, i0 + offset : i1 + offset, :], center.points[i0:i1])
+            ok = (gaps <= delta if closed else gaps < delta).all(axis=2)
+        else:
+            depth = _pair_depth(delta, center.metric.kind, closed)
+            ok = _word_diagonal(center.word, others, depth, i0, i1, offset)
+        pm[:, i0:i1] |= ok * weights[i0 + offset : i1 + offset]
+    return pm
 
 
 def bowen_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed: bool = False) -> np.ndarray:
@@ -481,7 +481,8 @@ def bowen_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, clo
 def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed: bool = False) -> np.ndarray:
     """FK ball test defect(delta) < delta for a batch.
 
-    With positive matching slack the banded DP decides the target; at zero
+    With positive matching slack the band's packed masks go through the
+    bit recurrence, and a match of size n - band decides the test; at zero
     slack the identity matching is the only candidate, so the test is the
     Bowen ball test with the same `closed` convention.  With `closed`,
     matched pairs are allowed at distance exactly delta.  The complement of
@@ -496,11 +497,11 @@ def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed
         return np.ones(others.shape[0], dtype=bool)
     if band == 0:
         return bowen_ball_batch(center, others, delta, closed=closed)
-    if center.metric.kind == TORUS:
-        compat = _torus_band_compat(center.points[:n], others[:, :n, :], delta, band, closed)
-    else:
-        compat = _word_band_compat(center.word, others, delta, band, center.metric.kind, n, closed)
-    return _banded_reach_batch(compat, band, n - band)
+    inside = np.empty(others.shape[0], dtype=bool)
+    for lo in range(0, others.shape[0], _BLOCK_ROWS):
+        pm = _band_masks(center, others[lo : lo + _BLOCK_ROWS], delta, band, closed)
+        inside[lo : lo + len(pm)] = _match_sizes(pm, n) >= n - band
+    return inside
 
 
 def ball_batch(kind: str, center: OrbitSegment, others: np.ndarray, eps: float, closed: bool = False) -> np.ndarray:

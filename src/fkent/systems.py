@@ -16,7 +16,7 @@ abstract measurable-space machinery is modeled beyond that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np

@@ -104,6 +104,9 @@ def test_validate_rejects_bad_fields():
         ExperimentConfig(workers=0).validate()
     with pytest.raises(ValueError, match="mass_threshold"):
         ExperimentConfig(mass_threshold=1.5).validate()
+    with pytest.raises(ValueError, match="n schedule exceeds 64"):
+        ExperimentConfig(n=(8, 65)).validate()
+    ExperimentConfig(n=(8, 64)).validate()
 
 
 def test_parsers_cover_every_field():
@@ -226,6 +229,13 @@ def test_cli_bad_override(tmp_path, capsys):
     path = write_config(tmp_path, TINY.format(out=tmp_path / "out"))
     assert main(["estimate-top", "--config", path, "--M", "many"]) == 2
     assert "bad value for --M" in capsys.readouterr().err
+
+
+def test_cli_rejects_n_beyond_mask_width(tmp_path, capsys):
+    path = write_config(tmp_path, TINY.format(out=tmp_path / "out"))
+    assert main(["estimate-top", "--config", path, "--n", "8,65"]) == 2
+    assert "n schedule exceeds 64" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config(capsys):

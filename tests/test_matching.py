@@ -13,6 +13,7 @@ from fkent.matching import (
     fk_distance,
     in_fk_ball,
     lcs_mismatch,
+    match_slack,
     match_target,
     max_match_batch,
     max_match_from_matrix,
@@ -31,6 +32,30 @@ def torus_segment(points):
 def word_segment(symbols, n=None, kind=DISCRETE):
     w = np.asarray(symbols, dtype=np.int64)
     return OrbitSegment(FiberMetric(kind), n if n is not None else w.size, word=w)
+
+
+def reference_match(compat) -> int:
+    """Textbook O(n * m) match DP in plain Python, independent of the kernels."""
+    rows = [[bool(c) for c in row] for row in np.asarray(compat)]
+    m = len(rows[0]) if rows else 0
+    prev = [0] * (m + 1)
+    for row in rows:
+        cur = [0] * (m + 1)
+        for j in range(m):
+            cur[j + 1] = max(prev[j + 1], cur[j], prev[j] + row[j])
+        prev = cur
+    return prev[m]
+
+
+def shuffled_copies(rng, base, count, edits):
+    """Copies of `base` with a few steps moved: delete one, insert it elsewhere."""
+    out = np.repeat(base[None], count, axis=0)
+    for row in out:
+        for _ in range(int(rng.integers(0, edits + 1))):
+            src, dst = rng.integers(0, len(base), size=2)
+            moved = row[src].copy()
+            row[:] = np.insert(np.delete(row, src, axis=0), dst, moved, axis=0)
+    return out
 
 
 @pytest.mark.parametrize(
@@ -278,3 +303,85 @@ def test_segment_validation():
         max_match_size(torus_segment([0.1, 0.2]), torus_segment([0.1, 0.2, 0.3]), 0.1)
     with pytest.raises(ValueError):
         max_match_size(torus_segment([0.1]), word_segment([0]), 0.1)
+
+
+def test_fk_ball_batch_matches_reference_lcs():
+    # The batch kernel against the plain-Python DP on the pairwise distance
+    # matrix, at bands 1-4 and n up to 40.  Samples are center orbits with a
+    # few steps moved, so off-diagonal matches decide membership; torus
+    # points and radii sit on the 1/64 grid and cylinder radii are dyadic,
+    # so pairs land exactly on delta and the open/closed conventions differ.
+    rng = np.random.default_rng(113)
+    radii = {TORUS: np.arange(1, 33) / 64.0, DISCRETE: [0.3, 0.5, 1.0], CYLINDER: [0.0625, 0.125, 0.25, 0.5]}
+    checked = {kind: 0 for kind in radii}
+    members = 0
+    ties = 0
+    for trial in range(60):
+        kind = (TORUS, DISCRETE, CYLINDER)[trial % 3]
+        while True:
+            n = int(rng.integers(5, 41))
+            delta = float(rng.choice(radii[kind]))
+            if 1 <= match_slack(n, delta) <= 4:
+                break
+        if kind == TORUS:
+            base = rng.integers(0, 64, size=(n, 1))
+            jitter = rng.integers(-2, 3, size=(24, n, 1)) * (rng.random((24, n, 1)) < 0.4)
+            grid = (shuffled_copies(rng, base, 24, 3) + jitter) % 64
+            center = torus_segment(base[:, 0] / 64.0)
+            others = grid / 64.0
+        else:
+            length = n + (int(rng.integers(0, 4)) if kind == CYLINDER else 0)
+            word = rng.integers(0, 2, size=length)
+            flips = rng.random((24, length)) < 0.05
+            others = np.where(flips, 1 - word, shuffled_copies(rng, word, 24, 3))
+            center = word_segment(word, n=n, kind=kind)
+        target = n - match_slack(n, delta)
+        for closed in (False, True):
+            got = fk_ball_batch(center, others, delta, closed=closed)
+            for i, row in enumerate(others):
+                if kind == TORUS:
+                    other = OrbitSegment(center.metric, n, points=row)
+                else:
+                    other = OrbitSegment(center.metric, n, word=row)
+                dist = pair_distance_matrix(center, other)
+                ties += int((dist == delta).sum())
+                compat = dist <= delta if closed else dist < delta
+                assert got[i] == (reference_match(compat) >= target)
+            members += int(got.sum())
+        checked[kind] += 1
+    assert all(count >= 15 for count in checked.values())
+    assert 0 < members < 60 * 2 * 24
+    assert ties > 0
+
+
+def test_max_match_batch_matches_reference_lcs():
+    # rectangular stacks, plus n = m = 64 where the full mask carries out of
+    # the top bit on every row
+    rng = np.random.default_rng(114)
+    for _ in range(60):
+        n, m = (int(v) for v in rng.integers(1, 65, size=2))
+        compat = rng.random((3, n, m)) < rng.uniform(0.02, 0.6)
+        want = [reference_match(c) for c in compat]
+        assert max_match_batch(compat).tolist() == want
+    full = np.ones((2, 64, 64), dtype=bool)
+    full[1, ::2, ::3] = False
+    dense = rng.random((4, 64, 64)) < 0.9
+    for compat in (full, dense):
+        assert max_match_batch(compat).tolist() == [reference_match(c) for c in compat]
+    assert max_match_batch(np.ones((64, 64), dtype=bool)).tolist() == [64]
+
+
+def test_packed_masks_reject_more_than_64_steps():
+    with pytest.raises(ValueError, match="at most 64"):
+        max_match_batch(np.ones((1, 3, 65), dtype=bool))
+    with pytest.raises(ValueError, match="at most 64"):
+        lcs_mismatch(np.zeros(65), np.zeros(65))
+    rng = np.random.default_rng(115)
+    center = torus_segment(rng.random(65))
+    others = rng.random((4, 65, 1))
+    assert match_slack(65, 0.05) > 0
+    with pytest.raises(ValueError, match="at most 64"):
+        fk_ball_batch(center, others, 0.05)
+    word = rng.integers(0, 2, size=65)
+    with pytest.raises(ValueError, match="at most 64"):
+        fk_ball_batch(word_segment(word), word[None], 0.5)
