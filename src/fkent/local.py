@@ -351,10 +351,12 @@ def _ball_count_table(
 ) -> dict[tuple[int, float], int]:
     """Ball counts for the whole (n, delta) schedule in one sample pass.
 
-    Torus Bowen counts for every n fall out of one running-max gap profile
-    per chunk; FK counts are needed separately only at cells with matching
-    slack, where the FK ball kernel runs on the chunk.  Zero-slack FK cells
-    are Bowen cells and read the profile too.
+    Torus Bowen counts for every n fall out of one forward pass per chunk
+    that keeps each row's worst gap so far and drops a row as soon as that
+    gap reaches the largest delta, since it can enter no ball after that.
+    FK counts are needed separately only at cells with matching slack,
+    where the FK ball kernel runs on the chunk.  Zero-slack FK cells are
+    Bowen cells and are counted in the same pass.
     """
     n_list = sorted(n_list)
     delta_list = sorted(delta_list)
@@ -380,15 +382,20 @@ def _ball_count_table(
                 for d in delta_list:
                     counts[(n, d)] += int(ball_batch(kind, ref, stack, d).sum())
             continue
-        gaps = circle_gap(stack[:, :n_max, :], center.points[None, :n_max, :])
-        profile = np.maximum.accumulate(gaps.max(axis=2), axis=1)
-        for n in n_list:
-            tail = profile[:, n - 1]
+        live = np.arange(stack.shape[0])
+        worst = np.zeros(stack.shape[0])
+        for n in range(1, n_max + 1):
+            gap = circle_gap(stack[live, n - 1, :], center.points[n - 1]).max(axis=1)
+            worst = np.maximum(worst, gap)
+            keep = worst < delta_list[-1]
+            live, worst = live[keep], worst[keep]
+            if n not in n_list:
+                continue
             for d in delta_list:
                 if kind == FK and match_slack(n, d) > 0:
                     inside = ball_batch(kind, center.prefix(n), stack[:, :n, :], d)
                 else:
-                    inside = tail < d
+                    inside = worst < d
                 counts[(n, d)] += int(inside.sum())
     return counts
 

@@ -29,7 +29,9 @@ than n - k, so a ball test at threshold delta only needs the diagonal band
 of width match_slack(n, delta) = n - match_target(n, delta): its masks are
 built one diagonal slice at a time.  At zero slack only the identity
 matching can reach the target, so the FK ball is the Bowen ball and
-fk_ball_batch hands the test to bowen_ball_batch.
+fk_ball_batch hands the test to bowen_ball_batch.  The torus Bowen kernel
+screens every row on the last, most expanded step and compares the
+remaining steps only on the rows that pass.
 """
 
 from __future__ import annotations
@@ -80,7 +82,9 @@ FK = "fk"
 # columns of one packed match-mask row: the longest segment any match DP takes
 MAX_MATCH_STEPS = 64
 # rows per FK ball block; keeps the mask-build temporaries cache-resident
-_BLOCK_ROWS = 8192
+# and small enough that the allocator reuses them instead of mapping and
+# faulting in fresh pages for every block
+_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -459,17 +463,37 @@ def _band_masks(center: OrbitSegment, others: np.ndarray, delta: float, band: in
     return pm
 
 
+def _check_torus_stack(center: OrbitSegment, others: np.ndarray) -> None:
+    """Reject a torus orbit stack with fewer steps than the center orbit."""
+    if center.metric.kind == TORUS and others.shape[1] < center.n:
+        raise ValueError(
+            f"orbit stack has {others.shape[1]} steps, the center orbit {center.n}"
+        )
+
+
 def bowen_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed: bool = False) -> np.ndarray:
     """Membership of many orbits in the time-n Bowen ball around a center.
 
-    `others` is an (M, n, d) orbit stack for torus systems, or an (M, L)
-    word matrix for shift systems.  Open ball by default; `closed` switches
-    to d <= delta (the complement of the strict separation test).
+    `others` is an (M, n', d) orbit stack with n' >= n for torus systems,
+    or an (M, L) word matrix for shift systems.  Open ball by default;
+    `closed` switches to d <= delta (the complement of the strict
+    separation test).
+
+    On the torus the last step, the most expanded one, screens every row
+    first, and only its survivors have their other n - 1 steps compared.
+    Membership is a conjunction over steps, so the screen changes no
+    result.
     """
     n = center.n
     if center.metric.kind == TORUS:
-        gaps = circle_gap(center.points[None, :n, :], others[:, :n, :]).max(axis=(1, 2))
-        return gaps <= delta if closed else gaps < delta
+        _check_torus_stack(center, others)
+        last = circle_gap(others[:, n - 1, :], center.points[n - 1]).max(axis=1)
+        inside = last <= delta if closed else last < delta
+        live = np.flatnonzero(inside)
+        if n > 1 and live.size:
+            gaps = circle_gap(others[live, : n - 1, :], center.points[: n - 1]).max(axis=(1, 2))
+            inside[live] = gaps <= delta if closed else gaps < delta
+        return inside
     u = center.word
     depth = _pair_depth(delta, center.metric.kind, closed)
     if depth == 0:
@@ -489,6 +513,7 @@ def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed
     the closed variant is the strict separation relation, the one under
     which a full Bowen-ball inclusion survives boundary ties.
     """
+    _check_torus_stack(center, others)
     n = center.n
     band = match_slack(n, delta)
     if band < 0:

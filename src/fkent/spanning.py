@@ -280,17 +280,21 @@ def cover_matrix(
     """(M, M) open-ball membership: row i is the time-n ball around stack[i].
 
     Every ball contains its own center (distance 0), whatever the threshold.
-    M^2 ball tests must fit the pair budget.
+    Ball membership is symmetric for both metrics, so row i tests only the
+    later points and fills its column from the same result.  The M^2 pairs
+    must fit the pair budget.
     """
     m = stack.shape[0]
     if m * m > pair_budget:
         raise ResourceCapExceeded(
-            f"cover matrix needs {m * m} ball tests, budget {pair_budget}; "
+            f"cover matrix needs {m * m} pairs, budget {pair_budget}; "
             "lower the sample count or raise pair_budget"
         )
     cover = np.empty((m, m), dtype=bool)
-    for i in range(m):
-        cover[i] = ball_batch(kind, _segment(metric, n, stack[i]), stack, eps)
+    for i in range(m - 1):
+        inside = ball_batch(kind, _segment(metric, n, stack[i]), stack[i + 1 :], eps)
+        cover[i, i + 1 :] = inside
+        cover[i + 1 :, i] = inside
     np.fill_diagonal(cover, True)
     return cover
 

@@ -71,7 +71,9 @@ def test_word_fast_path_equals_dense_greedy():
     # and must agree with the literal gain-greedy on the membership matrix;
     # torus cases hold the dense cover path to the same literal greedy, on
     # a membership matrix built from pairwise orbit gaps without any ball
-    # kernel (eps = 0.1 at n = 4 has zero matching slack, so FK = Bowen)
+    # kernel (eps = 0.1 at n = 4 has zero matching slack, so FK = Bowen;
+    # eps = 0.25 at n = 5 has slack 1, and a textbook match DP over every
+    # pair decides the FK balls)
     threshold = 0.85
     system = shift_system((2, 2))
     path = sample_path(bernoulli_process((0.5, 0.5)), 9, 3)
@@ -91,6 +93,19 @@ def test_word_fast_path_equals_dense_greedy():
     assert match_target(4, 0.1) == 4
     for kind in (BOWEN, FK):
         cases.append((torus, torus_path, torus_mu, 4, 0.1, kind, gaps < 0.1))
+    orbits = orbit_batch(torus, torus_path, torus_mu.samples, 5)[:, :, 0]
+    compat = circle_gap(orbits[:, None, :, None], orbits[None, :, None, :]) < 0.25
+    table = np.zeros((6, 6) + compat.shape[:2], dtype=np.int64)
+    for a in range(1, 6):
+        for b in range(1, 6):
+            table[a, b] = np.maximum(
+                np.maximum(table[a - 1, b], table[a, b - 1]),
+                table[a - 1, b - 1] + compat[:, :, a - 1, b - 1],
+            )
+    assert match_target(5, 0.25) == 4
+    fk_cover = table[5, 5] >= 4
+    assert (fk_cover & ~np.diagonal(compat, axis1=2, axis2=3).all(axis=2)).any()
+    cases.append((torus, torus_path, torus_mu, 5, 0.25, FK, fk_cover))
 
     for sys_, path_, mu_, n_, eps_, kind, cover in cases:
         cell = katok_spanning_count(mu_, path_, sys_, n_, eps_, threshold, kind)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fkent import local
 from fkent.local import (
     EmpiricalMeasure,
     GridPartition,
@@ -13,7 +14,7 @@ from fkent.local import (
     sample_measure,
     smb_estimate,
 )
-from fkent.matching import BOWEN, FK, match_target
+from fkent.matching import BOWEN, FK, match_slack, match_target
 from fkent.spanning import fit_log_slope
 from fkent.systems import (
     CYLINDER,
@@ -98,6 +99,36 @@ def test_fk_mass_dominates_bowen_mass():
         b = ball_measure(mu, seg, n, delta, BOWEN, system, path, sample_orbits=stack)
         f = ball_measure(mu, seg, n, delta, FK, system, path, sample_orbits=stack)
         assert f >= b
+
+
+def test_ball_count_table_matches_ball_measure(monkeypatch):
+    # the table's one-pass counts must equal one ball kernel call per cell.
+    # The base point 5/64 has a grid orbit, and the sample stack is that
+    # orbit moved by multiples of 1/64 at random steps, so gaps tie with
+    # both radii and a row's worst gap can come before its last step.
+    # Small chunks make the pass run over several chunks, the last one short.
+    monkeypatch.setattr(local, "_CHUNK_ROWS", 700)
+    system = expanding_system((2, 3))
+    path = sample_path(bernoulli_process((0.5, 0.5)), 12, 6)
+    M = 3_000
+    mu = sample_measure(system, path, M, 6)
+    center = orbit(system, path, 5 / 64, 11)
+    rng = np.random.default_rng(6)
+    moves = rng.choice([-17, -16, -15, -9, -8, -7, 7, 8, 9, 15, 16, 17], size=(M, 11, 1))
+    moved = rng.random((M, 11, 1)) < 0.08
+    stack = ((np.round(center.points * 64) + np.where(moved, moves, 0)) % 64) / 64
+    n_list, delta_list = [3, 5, 8], [0.125, 0.25]
+    assert {match_slack(n, d) for n in n_list for d in delta_list} == {0, 1}
+    tables = {}
+    for kind in (BOWEN, FK):
+        rec = local_entropy(system, path, 5 / 64, n_list, delta_list, M, kind, measure=mu, sample_orbits=stack)
+        for e in rec.entries:
+            mass = ball_measure(mu, center.prefix(e.n), e.n, e.delta, kind, system, path, sample_orbits=stack)
+            assert e.count == round(mass * M)
+        tables[kind] = {(e.n, e.delta): e.count for e in rec.entries}
+    assert min(tables[BOWEN].values()) > 0
+    assert tables[FK][(8, 0.25)] > tables[BOWEN][(8, 0.25)]
+    assert tables[FK][(8, 0.125)] == tables[BOWEN][(8, 0.125)]
 
 
 def test_ball_measure_trivial_above_diameter():

@@ -207,6 +207,53 @@ def test_bowen_ball_batch_matches_pairwise():
             assert members[i] == (bowen_distance(center, other) < delta)
 
 
+def test_bowen_ball_batch_matches_reference_distance():
+    # grid points (multiples of 1/64) put pair gaps exactly at delta = 1/8,
+    # so open and closed balls differ; stacks run past n, and steps past n
+    # are perturbed too, so they must not count
+    rng = np.random.default_rng(113)
+    delta = 0.125
+    shifts = np.array([-9, -8, -7, 7, 8, 9])
+    differ = 0
+    for d in (1, 2):
+        for n in range(1, 21):
+            steps = n + int(rng.integers(0, 4))
+            center = rng.integers(0, 64, size=(steps, d))
+            near = np.repeat(center[None], 40, axis=0)
+            for row in near:
+                for _ in range(int(rng.integers(0, 3))):
+                    row[rng.integers(0, steps), rng.integers(0, d)] += rng.choice(shifts)
+            far = rng.integers(0, 64, size=(10, steps, d))
+            others = (np.concatenate([near, far]) % 64) / 64.0
+            seg = OrbitSegment(FiberMetric(TORUS), n, points=center[:n] / 64.0)
+            for closed in (False, True):
+                members = bowen_ball_batch(seg, others, delta, closed=closed)
+                want = []
+                for row in others:
+                    dist = bowen_distance(seg, OrbitSegment(FiberMetric(TORUS), n, points=row[:n]))
+                    want.append(dist <= delta if closed else dist < delta)
+                assert members.tolist() == want
+                assert 0 < sum(want) < len(want)
+            differ += int((bowen_ball_batch(seg, others, delta) != bowen_ball_batch(seg, others, delta, closed=True)).sum())
+            # an empty batch, and one whose last step puts every row out
+            assert bowen_ball_batch(seg, others[:0], delta).shape == (0,)
+            last_out = np.repeat(center[None], 5, axis=0)
+            last_out[:, n - 1, 0] += 8
+            last_out = (last_out % 64) / 64.0
+            assert not bowen_ball_batch(seg, last_out, delta).any()
+            assert bowen_ball_batch(seg, last_out, delta, closed=True).all()
+    assert differ > 0
+
+
+def test_ball_kernels_reject_short_torus_stacks():
+    center = torus_segment([0.1, 0.2, 0.3, 0.4, 0.5])
+    others = np.full((3, 1, 1), 0.1)
+    for kernel in (bowen_ball_batch, fk_ball_batch):
+        for delta in (0.1, 0.4):
+            with pytest.raises(ValueError, match="orbit stack has 1 steps"):
+                kernel(center, others, delta)
+
+
 def test_fk_ball_batch_matches_single_test():
     rng = np.random.default_rng(109)
     n = 9
