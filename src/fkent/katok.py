@@ -101,6 +101,10 @@ def _word_class_cover(
     the lowest member index.  For disjoint sets this greedy is the exact
     minimum: any cover reaching the mass with k classes is dominated by
     the k heaviest ones.
+
+    One mixed-radix pack (row_codes) and one sort per cell: np.unique
+    over the packed prefix codes yields the classes, their sizes and
+    each row's class.
     """
     M = words.shape[0]
     codes = row_codes(words[:, :span])

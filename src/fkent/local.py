@@ -131,7 +131,10 @@ def sample_measure(system: RandomSystemSpec, omega: OmegaPath, M: int, seed: int
             raise ValueError("path horizon must be >= 1 to sample word measures")
         sizes = system.factor_along(omega, length)
         u = rng.random((M, length))
-        words = np.minimum((u * sizes[None, :]).astype(np.int64), sizes[None, :] - 1)
+        u *= sizes[None, :]
+        words = u.astype(np.int64)
+        del u
+        np.minimum(words, sizes[None, :] - 1, out=words)
         return EmpiricalMeasure(words, seed, on_words=True)
     if system.metric.kind == TORUS:
         return EmpiricalMeasure(rng.random((M, 1)), seed)

@@ -496,18 +496,60 @@ def expansion_product(system: RandomSystemSpec, path: OmegaPath, n: int) -> floa
     return float(np.prod(system.factor_along(path, n - 1), dtype=float))
 
 
-def row_codes(labels: np.ndarray) -> np.ndarray:
-    """Collapse (M, k) integer rows to one code per row, equal iff rows equal.
+_CODE_LIMIT = 2**62
 
-    Re-ranks through np.unique after every column, so intermediate codes
-    stay below M and cannot overflow regardless of label magnitude or k.
+
+def row_codes(labels: np.ndarray) -> np.ndarray:
+    """Collapse (M, k) label rows to int64 codes, equal iff rows equal.
+
+    Labels must be nonnegative integers that fit int64.  Codes also keep
+    the lexicographic order of the rows (column 0 most significant).
+
+    Column j has radix r_j = max(labels[:, j]) + 1.  With cap = 2^62 // M,
+    the columns are walked in blocks, each the longest run of consecutive
+    columns whose radix product stays <= cap, and a block packs in mixed
+    radix with one int64 matmul.  Blocks combine as codes * size + block;
+    before a combine whose code range would pass 2^62, the codes are
+    re-ranked through np.unique, which leaves at most M distinct values.
+    A column whose radix alone passes cap is re-ranked on its own (at most
+    M values).  So every factor product is at most M * cap <= 2^62 and no
+    step overflows int64; small alphabets take one matmul and no sort.
     """
     labels = np.asarray(labels)
     if labels.ndim != 2 or labels.shape[1] < 1:
         raise ValueError("row_codes expects a nonempty 2-d label array")
-    codes = labels[:, 0].astype(np.int64, copy=True)
-    for i in range(1, labels.shape[1]):
-        col = labels[:, i].astype(np.int64, copy=False)
-        span = int(col.max()) + 1 if col.size else 1
-        _, codes = np.unique(codes * span + col, return_inverse=True)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"row_codes expects integer labels, got {labels.dtype}")
+    M, k = labels.shape
+    if M == 0:
+        return np.zeros(0, dtype=np.int64)
+    if M * M > _CODE_LIMIT:
+        raise ValueError(f"row_codes handles at most 2^31 rows, got {M}")
+    if int(labels.min()) < 0:
+        raise ValueError("row_codes expects nonnegative labels")
+    radix = [int(r) + 1 for r in labels.max(axis=0)]
+    if max(radix) > 2**63:
+        raise ValueError("row_codes labels must fit int64")
+    cap = _CODE_LIMIT // M
+    codes, bound = np.zeros(M, dtype=np.int64), 1
+    i = 0
+    while i < k:
+        if radix[i] > cap:
+            values, block = np.unique(labels[:, i], return_inverse=True)
+            size, i = values.size, i + 1
+        else:
+            j, size = i + 1, radix[i]
+            while j < k and size * radix[j] <= cap:
+                size *= radix[j]
+                j += 1
+            place = np.ones(j - i, dtype=np.int64)
+            for t in range(j - i - 2, -1, -1):
+                place[t] = place[t + 1] * radix[i + t + 1]
+            block = labels[:, i:j].astype(np.int64, copy=False) @ place
+            i = j
+        if bound * size > _CODE_LIMIT:
+            values, codes = np.unique(codes, return_inverse=True)
+            bound = values.size
+        codes = codes * size + block
+        bound *= size
     return codes

@@ -14,7 +14,7 @@ from fkent.katok import (
     validate_katok_counts,
 )
 from fkent.local import sample_measure
-from fkent.matching import BOWEN, FK, bowen_ball_batch, match_target
+from fkent.matching import BOWEN, FK, bowen_ball_batch, match_slack, match_target
 from fkent.oracles import exhaustive_partial_cover
 from fkent.systems import (
     InvariantViolation,
@@ -84,6 +84,18 @@ def test_word_fast_path_equals_dense_greedy():
         center = OrbitSegment(system.metric, n, word=mu.samples[i])
         word_cover[i] = bowen_ball_batch(center, mu.samples, eps)
     cases = [(system, path, mu, n, eps, BOWEN, word_cover)]
+
+    # mixed alphabets (3 and 5 letters per step) over a 6-symbol prefix,
+    # with balls taken as literal prefix equality
+    mixed = shift_system((3, 5))
+    mixed_path = sample_path(bernoulli_process((0.5, 0.5)), 9, 3)
+    mixed_mu = sample_measure(mixed, mixed_path, 1200, 3)
+    assert set(mixed.factor_along(mixed_path, 6)) == {3, 5}
+    assert match_slack(4, 0.2) == 0
+    prefix = mixed_mu.samples[:, :6]
+    prefix_cover = (prefix[:, None, :] == prefix[None, :, :]).all(axis=2)
+    for kind in (BOWEN, FK):
+        cases.append((mixed, mixed_path, mixed_mu, 4, 0.2, kind, prefix_cover.copy()))
 
     torus = expanding_system((2,))
     torus_path = sample_path(bernoulli_process((1.0,)), 6, 3)

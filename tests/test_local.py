@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fkent.local import (
     smb_estimate,
 )
 from fkent.matching import BOWEN, FK, match_slack, match_target
-from fkent.spanning import fit_log_slope
+from fkent.spanning import fit_log_slope, path_seeds
 from fkent.systems import (
     CYLINDER,
     TORUS,
@@ -197,6 +198,26 @@ def test_partition_entropy_rate_bounded_by_cell_log():
     proc = bernoulli_process((1.0,))
     rate = partition_entropy_rate(system, proc, GridPartition(TORUS, 1.0), [3, 4], 2_000, 1)
     assert rate == pytest.approx(0.0, abs=1e-12)
+
+
+def test_partition_entropy_rate_words_matches_prefix_counts():
+    # a depth-m cylinder itinerary of length n is the word prefix of
+    # n + m - 1 symbols, so the plug-in entropy is that of prefix counts
+    system = shift_system((2, 3))
+    proc = bernoulli_process((0.5, 0.5))
+    partition = GridPartition(CYLINDER, 0.25)
+    n_max, M, paths, seed = 5, 3000, 2, 4
+    rate = partition_entropy_rate(system, proc, partition, [3, n_max], M, paths, master_seed=seed)
+    span = n_max + partition.depth - 1
+    rates = []
+    for s in path_seeds(seed, paths):
+        path = sample_path(proc, n_max + partition.depth, s)
+        words = sample_measure(system, path, M, s).samples
+        assert set(system.factor_along(path, span)) == {2, 3}
+        counts = Counter(map(tuple, words[:, :span].tolist()))
+        p = np.array(list(counts.values())) / M
+        rates.append(float(-(p * np.log(p)).sum()) / n_max)
+    assert rate == pytest.approx(np.mean(rates), rel=1e-12)
 
 
 def test_local_entropy_record_shape_and_value():
