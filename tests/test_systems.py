@@ -216,8 +216,21 @@ def _row_code_inputs():
     ]
 
 
+def test_row_codes_collapse_equal_rows_only():
+    rng = np.random.default_rng(11)
+    labels = rng.integers(0, 3, size=(60, 5))
+    labels[10] = labels[3]
+    labels[42] = labels[3]
+    codes = row_codes(labels)
+    assert codes.shape == (60,)
+    assert codes[10] == codes[3] == codes[42]
+    same = codes[:, None] == codes[None, :]
+    truth = (labels[:, None, :] == labels[None, :, :]).all(axis=2)
+    assert (same == truth).all()
+
+
 @pytest.mark.parametrize("labels", _row_code_inputs())
-def test_row_codes_collapse_equal_rows_only(labels):
+def test_row_codes_collapse_equal_rows_and_keep_order(labels):
     M = labels.shape[0]
     codes = row_codes(labels)
     assert codes.shape == (M,) and codes.dtype == np.int64
