@@ -29,7 +29,7 @@ for n in (2, 4, 6, 8):
     print(f"{n:<4d} {mb:<11.6f} {exact:<11.6f} {mf:.6f}")
 
 print()
-for kind in ("bowen", "fk"):
-    rec = local_entropy(system, path, x, [4, 6, 8, 10], [0.2, 0.1], 300_000, kind, measure=mu)
+records = local_entropy(system, path, x, [4, 6, 8, 10], [0.2, 0.1], 300_000, ("bowen", "fk"), measure=mu)
+for kind, rec in records.items():
     print(f"{kind} local entropy at x: {rec.value:.4f}")
 print(f"expected:                {math.log(2):.4f}")

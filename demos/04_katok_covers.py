@@ -31,7 +31,7 @@ for n in (4, 6, 8):
     rough = 0.9 / (0.1 * 2.0 ** (2 - n))
     print(f"{n:<4d} {cell.count:<6d} {cell.covered_mass:.4f}    {rough:.0f}")
 
-cells = katok_table(mu, path, system, [4, 6, 8], [0.1], "bowen", pair_budget=10**8)
+cells = katok_table(mu, path, system, [4, 6, 8], [0.1], ("bowen",), pair_budget=10**8)["bowen"]
 (slope, rms), = table_slopes(cells, [4, 6, 8], [0.1])
 print(f"slope {slope:.4f} (rms {rms:.3f}), expected {math.log(2):.4f}")
 

@@ -7,10 +7,13 @@ a JSON document plus one CSV per experiment; CSV comment lines (prefixed
 '#') carry the timestamp and version so the body stays byte-reproducible
 for a fixed config, including across worker counts.
 
-Worker processes recompute their own path, measure, and orbit stack from
-seeds carried in the payload.  That trades a little redundant work for
-results that cannot depend on scheduling: every task is a pure function
-of (config, seed, task index), and reduction happens in task order.
+Worker tasks recompute their own path, measure, and orbit stack from
+seeds carried in the payload: one task per path, and for local runs one
+task per contiguous group of base points (one group per worker), so each
+task builds them once.  That trades a little redundant work for results
+that cannot depend on scheduling: every task is a pure function of
+(config, seed, its paths or base points), and reduction happens in task
+order.
 """
 
 from __future__ import annotations
@@ -386,8 +389,8 @@ def _top_task(payload) -> dict:
     }
 
 
-def _local_task(payload) -> dict:
-    cfg, path_seed, x, kinds = payload
+def _local_task(payload) -> list[dict]:
+    cfg, path_seed, points, kinds = payload
     system = cfg.system()
     process = cfg.process()
     horizon = katok_horizon(system, cfg.n, cfg.delta)
@@ -396,21 +399,24 @@ def _local_task(payload) -> dict:
     stack = None
     if not system.on_words:
         stack = orbit_batch(system, path, measure.samples, max(cfg.n))
-    records = {}
-    for kind in kinds:
-        records[kind] = local_entropy(
-            system,
-            path,
-            x,
-            cfg.n,
-            cfg.delta,
-            cfg.M,
-            kind,
-            omega_seed=path_seed,
-            measure=measure,
-            sample_orbits=stack,
-        )
-    return {"x": np.asarray(x), "records": records}
+    return [
+        {
+            "x": np.asarray(x),
+            "records": local_entropy(
+                system,
+                path,
+                x,
+                cfg.n,
+                cfg.delta,
+                cfg.M,
+                kinds,
+                omega_seed=path_seed,
+                measure=measure,
+                sample_orbits=stack,
+            ),
+        }
+        for x in points
+    ]
 
 
 def _katok_task(payload) -> dict:
@@ -420,21 +426,17 @@ def _katok_task(payload) -> dict:
     horizon = katok_horizon(system, cfg.n, cfg.eps)
     path = sample_path(process, horizon, seed)
     measure = sample_measure(system, path, cfg.M, seed)
-    cells = {}
-    fits = {}
-    for kind in kinds:
-        table = katok_table(
-            measure,
-            path,
-            system,
-            cfg.n,
-            cfg.eps,
-            kind,
-            mass_threshold=cfg.mass_threshold,
-            pair_budget=cfg.pair_budget,
-        )
-        cells[kind] = table
-        fits[kind] = table_slopes(table, cfg.n, cfg.eps)
+    cells = katok_table(
+        measure,
+        path,
+        system,
+        cfg.n,
+        cfg.eps,
+        kinds,
+        mass_threshold=cfg.mass_threshold,
+        pair_budget=cfg.pair_budget,
+    )
+    fits = {kind: table_slopes(cells[kind], cfg.n, cfg.eps) for kind in kinds}
     return {"seed": seed, "cells": cells, "fits": fits}
 
 
@@ -500,9 +502,10 @@ def _run_local(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
     else:
         base = rng.random((cfg.base_points, 1))
 
-    payloads = [(cfg, path_seed, base[i], kinds) for i in range(cfg.base_points)]
-    workers = _effective_workers(cfg, len(payloads))
-    results = _ordered_map(_local_task, payloads, workers)
+    workers = _effective_workers(cfg, cfg.base_points)
+    groups = np.array_split(base, workers)
+    payloads = [(cfg, path_seed, points, kinds) for points in groups]
+    results = [res for group in _ordered_map(_local_task, payloads, workers) for res in group]
 
     rows = []
     alphabet = system.space_alphabet if system.on_words else 0

@@ -24,7 +24,7 @@ fall back to a dense cover matrix guarded by a pair budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -234,13 +234,17 @@ def katok_table(
     system: RandomSystemSpec,
     n_window,
     eps_list,
-    kind: str,
+    kinds,
     mass_threshold: float | None = None,
     pair_budget: int = 20_000_000,
     sample_orbits: np.ndarray | None = None,
-) -> dict[tuple[float, int], KatokCount]:
-    """All (eps, n) cover counts for one path and measure, validated.
+) -> dict[str, dict[tuple[float, int], KatokCount]]:
+    """All (eps, n) cover counts of each kind for one path and measure, validated.
 
+    kinds is a tuple of orbit metrics; the result maps each to its table,
+    built and validated in the order given.  At zero matching slack the FK
+    ball is the Bowen ball, so such a cell is covered once and later kinds
+    take a copy with their own kind.
     mass_threshold None selects the one-parameter convention, threshold
     1 - eps per column; a float fixes one threshold for every column.
     """
@@ -250,26 +254,36 @@ def katok_table(
         raise ValueError("n and eps schedules must be nonempty")
     if mass_threshold is not None and not 0.0 < mass_threshold < 1.0:
         raise ValueError("mass threshold must lie in (0, 1)")
+    for kind in kinds:
+        if kind not in (BOWEN, FK):
+            raise ValueError(f"unknown orbit metric: {kind!r}")
     n_max = n_window[-1]
     if not system.on_words and sample_orbits is None and measure.M**2 <= pair_budget:
         sample_orbits = orbit_batch(system, omega, measure.samples, n_max)
-    cells: dict[tuple[float, int], KatokCount] = {}
-    for eps in eps_list:
-        threshold = mass_threshold if mass_threshold is not None else 1.0 - eps
-        for n in n_window:
-            cells[(eps, n)] = katok_spanning_count(
-                measure,
-                omega,
-                system,
-                n,
-                eps,
-                threshold,
-                kind,
-                pair_budget=pair_budget,
-                sample_orbits=sample_orbits,
-            )
-    validate_katok_counts(cells, kind)
-    return cells
+    tables: dict[str, dict[tuple[float, int], KatokCount]] = {}
+    for kind in kinds:
+        shared = next(iter(tables.values()), None)
+        cells: dict[tuple[float, int], KatokCount] = {}
+        for eps in eps_list:
+            threshold = mass_threshold if mass_threshold is not None else 1.0 - eps
+            for n in n_window:
+                if shared is not None and match_slack(n, eps) == 0:
+                    cells[(eps, n)] = replace(shared[(eps, n)], kind=kind)
+                    continue
+                cells[(eps, n)] = katok_spanning_count(
+                    measure,
+                    omega,
+                    system,
+                    n,
+                    eps,
+                    threshold,
+                    kind,
+                    pair_budget=pair_budget,
+                    sample_orbits=sample_orbits,
+                )
+        validate_katok_counts(cells, kind)
+        tables[kind] = cells
+    return tables
 
 
 def table_slopes(cells, n_window, eps_list) -> list[tuple[float, float]]:
@@ -323,10 +337,10 @@ def katok_entropy(
             system,
             n_window,
             eps_list,
-            kind,
+            (kind,),
             mass_threshold=mass_threshold,
             pair_budget=pair_budget,
-        )
+        )[kind]
         for k, (slope, rms) in enumerate(table_slopes(cells, n_window, eps_list)):
             slopes_per_path[j, k] = slope
             rms_per_path[j, k] = rms

@@ -5,7 +5,8 @@ fiber measure (Lebesgue for the circle families, the per-step uniform
 word measure for shifts), iterate all of them along the path once, and
 estimate the mass of a time-n ball about a base point as the fraction of
 sample orbits that stay delta-close in the chosen orbit metric.  Orbit
-prefixes nest, so one stack of length max(n) serves the whole schedule.
+prefixes nest, so one stack of length max(n) serves the whole schedule,
+and one pass over it counts every cell of both orbit metrics.
 
 The reported local entropy is a slope, not a single-entry value: the
 least-squares fit of -log(mass) against n at the smallest usable delta.
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import BOWEN, FK, _pair_depth, ball_batch, match_slack
+from .matching import BOWEN, FK, _fk_members, _pair_depth, ball_batch, match_slack
 from .spanning import fit_log_slope, path_seeds
 from .systems import (
     TORUS,
@@ -349,24 +350,27 @@ def _ball_count_table(
     center: OrbitSegment,
     n_list,
     delta_list,
-    kind: str,
+    kinds,
     sample_orbits: np.ndarray | None,
-) -> dict[tuple[int, float], int]:
-    """Ball counts for the whole (n, delta) schedule in one sample pass.
+) -> dict[str, dict[tuple[int, float], int]]:
+    """Ball counts of every kind for the whole (n, delta) schedule in one sample pass.
 
     Torus Bowen counts for every n fall out of one forward pass per chunk
     that keeps each row's worst gap so far and drops a row as soon as that
     gap reaches the largest delta, since it can enter no ball after that.
-    FK counts are needed separately only at cells with matching slack,
-    where the FK ball kernel runs on the chunk.  Zero-slack FK cells are
-    Bowen cells and are counted in the same pass.
+    Zero-slack FK cells are Bowen cells and take the Bowen counts.  The FK
+    cells with matching slack share one pass over the diagonals per row
+    block (`matching._fk_members`): at the largest n, each diagonal's gaps
+    are computed once and thresholded into one packed mask per delta at
+    its widest band, and each n reads its prefix of that mask.
     """
     n_list = sorted(n_list)
     delta_list = sorted(delta_list)
     n_max = n_list[-1]
-    counts: dict[tuple[int, float], int] = {
-        (n, d): 0 for n in n_list for d in delta_list
-    }
+    cells = [(n, d) for n in n_list for d in delta_list]
+    bowen = dict.fromkeys(cells, 0)
+    slack_cells = [(n, d) for n, d in cells if match_slack(n, d) > 0] if FK in kinds else []
+    fk = dict.fromkeys(slack_cells, 0)
 
     if system.on_words:
         depth_need = max(
@@ -383,70 +387,38 @@ def _ball_count_table(
             for n in n_list:
                 ref = center.prefix(n)
                 for d in delta_list:
-                    counts[(n, d)] += int(ball_batch(kind, ref, stack, d).sum())
-            continue
-        live = np.arange(stack.shape[0])
-        worst = np.zeros(stack.shape[0])
-        for n in range(1, n_max + 1):
-            gap = circle_gap(stack[live, n - 1, :], center.points[n - 1]).max(axis=1)
-            worst = np.maximum(worst, gap)
-            keep = worst < delta_list[-1]
-            live, worst = live[keep], worst[keep]
-            if n not in n_list:
-                continue
-            for d in delta_list:
-                if kind == FK and match_slack(n, d) > 0:
-                    inside = ball_batch(kind, center.prefix(n), stack[:, :n, :], d)
-                else:
-                    inside = worst < d
-                counts[(n, d)] += int(inside.sum())
-    return counts
+                    bowen[(n, d)] += int(ball_batch(BOWEN, ref, stack, d).sum())
+        else:
+            live = np.arange(stack.shape[0])
+            worst = np.zeros(stack.shape[0])
+            for n in range(1, n_max + 1):
+                gap = circle_gap(stack[live, n - 1, :], center.points[n - 1]).max(axis=1)
+                worst = np.maximum(worst, gap)
+                keep = worst < delta_list[-1]
+                live, worst = live[keep], worst[keep]
+                if n in n_list:
+                    for d in delta_list:
+                        bowen[(n, d)] += int((worst < d).sum())
+        if slack_cells:
+            for _, hits in _fk_members(center, stack, slack_cells):
+                for cell, hit in zip(slack_cells, hits):
+                    fk[cell] += int(hit.sum())
+    return {
+        kind: bowen if kind == BOWEN else {c: fk.get(c, bowen[c]) for c in cells}
+        for kind in kinds
+    }
 
 
-def local_entropy(
-    system: RandomSystemSpec,
-    omega: OmegaPath,
-    x,
-    n_list,
-    delta_list,
-    M: int,
+def _local_record(
     kind: str,
-    seed: int = 0,
-    omega_seed: int | None = None,
-    measure: EmpiricalMeasure | None = None,
-    sample_orbits: np.ndarray | None = None,
+    counts: dict[tuple[int, float], int],
+    n_list: list[int],
+    delta_list: list[float],
+    M: int,
+    base: np.ndarray,
+    omega_seed: int | None,
 ) -> LocalEntropyRecord:
-    """Fill the (n, delta) local entropy table for one base point.
-
-    Preflight: before trusting the largest n, the count there is
-    predicted by geometric extrapolation from the two previous n's at the
-    largest delta; a prediction below 10 means M is too small for the
-    schedule and raises.  Zero counts inside the table are flagged
-    entries, not errors.
-
-    measure/sample_orbits let callers share one sampled measure and one
-    orbit stack across base points and metric kinds.
-    """
-    n_list = sorted(set(int(n) for n in n_list))
-    delta_list = sorted(set(float(d) for d in delta_list))
-    if not n_list or not delta_list:
-        raise ValueError("n and delta schedules must be nonempty")
-    if n_list[0] < 1:
-        raise ValueError("n schedule must be positive")
-    if delta_list[0] <= 0.0:
-        raise ValueError("delta schedule must be positive")
-    if kind not in (BOWEN, FK):
-        raise ValueError(f"unknown orbit metric: {kind!r}")
-    if measure is None:
-        measure = sample_measure(system, omega, M, seed)
-    if measure.M != M:
-        raise ValueError(f"measure has M={measure.M}, schedule says {M}")
-
-    center = orbit(system, omega, x, n_list[-1])
-    counts = _ball_count_table(
-        system, omega, measure, center, n_list, delta_list, kind, sample_orbits
-    )
-
+    """Preflight one kind's counts (see local_entropy) and fit its record."""
     d_top = delta_list[-1]
     if len(n_list) >= 3:
         c2 = counts[(n_list[-3], d_top)]
@@ -490,10 +462,9 @@ def local_entropy(
         else:
             value = -ys[0] / xs[0]
 
-    base = center.points[0] if not system.on_words else center.word
     return LocalEntropyRecord(
         kind=kind,
-        base_point=np.asarray(base),
+        base_point=base,
         omega_seed=omega_seed,
         M=M,
         entries=entries,
@@ -502,6 +473,59 @@ def local_entropy(
         n_window=tuple(n_list),
         residual_rms=rms,
     )
+
+
+def local_entropy(
+    system: RandomSystemSpec,
+    omega: OmegaPath,
+    x,
+    n_list,
+    delta_list,
+    M: int,
+    kinds,
+    seed: int = 0,
+    omega_seed: int | None = None,
+    measure: EmpiricalMeasure | None = None,
+    sample_orbits: np.ndarray | None = None,
+) -> dict[str, LocalEntropyRecord]:
+    """Fill the (n, delta) local entropy table of each kind for one base point.
+
+    kinds is a tuple of orbit metrics; the result maps each to its record.
+    One sample pass counts every kind (see _ball_count_table).  Each kind
+    is then preflighted in the order given: the count at the largest n is
+    predicted by geometric extrapolation from the two previous n's at the
+    largest delta, and a prediction below 10 means M is too small for the
+    schedule and raises.  Zero counts inside the table are flagged
+    entries, not errors.
+
+    measure/sample_orbits let callers share one sampled measure and one
+    orbit stack across base points.
+    """
+    n_list = sorted(set(int(n) for n in n_list))
+    delta_list = sorted(set(float(d) for d in delta_list))
+    if not n_list or not delta_list:
+        raise ValueError("n and delta schedules must be nonempty")
+    if n_list[0] < 1:
+        raise ValueError("n schedule must be positive")
+    if delta_list[0] <= 0.0:
+        raise ValueError("delta schedule must be positive")
+    for kind in kinds:
+        if kind not in (BOWEN, FK):
+            raise ValueError(f"unknown orbit metric: {kind!r}")
+    if measure is None:
+        measure = sample_measure(system, omega, M, seed)
+    if measure.M != M:
+        raise ValueError(f"measure has M={measure.M}, schedule says {M}")
+
+    center = orbit(system, omega, x, n_list[-1])
+    tables = _ball_count_table(
+        system, omega, measure, center, n_list, delta_list, kinds, sample_orbits
+    )
+    base = np.asarray(center.points[0] if not system.on_words else center.word)
+    return {
+        kind: _local_record(kind, tables[kind], n_list, delta_list, M, base, omega_seed)
+        for kind in kinds
+    }
 
 
 def smb_estimate(

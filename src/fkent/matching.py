@@ -19,15 +19,17 @@ the normalized common-subsequence mismatch of the two symbol words.
 Every match size comes from one bit-parallel recurrence: each row of a
 compatibility matrix is packed into a uint64 mask (so n, m <= 64) and the
 bit-vector LCS update (Allison & Dix 1986; Hyyro 2004) advances the DP one
-row at a time across a whole batch.  Only `max_match_size(return_pairs=True)`
-keeps the full DP table, for backtracking.
+row at a time across a whole batch.  No other match DP exists.
 
 Batch kernels evaluate one center against many orbits at once, and
 `ball_batch` is the one place that picks the Bowen or the FK kernel.  The
 FK kernel exploits that a match of size k never displaces an index by more
 than n - k, so a ball test at threshold delta only needs the diagonal band
 of width match_slack(n, delta) = n - match_target(n, delta): its masks are
-built one diagonal slice at a time.  At zero slack only the identity
+built one diagonal slice at a time.  The same bound lets one mask per
+radius, built at the longest n and widest band, decide the FK ball of
+every shorter prefix and narrower band (`_fk_members`), which is how the
+local tables count all their FK cells in one pass.  At zero slack only the identity
 matching can reach the target, so the FK ball is the Bowen ball and
 fk_ball_batch hands the test to bowen_ball_batch.  The torus Bowen kernel
 screens every row on the last, most expanded step and compares the
@@ -98,7 +100,6 @@ class MatchResult:
     k: int
     n: int
     eps: float
-    pairs: tuple | None = None
     reached: bool | None = None
 
     def __post_init__(self) -> None:
@@ -209,6 +210,9 @@ def _match_sizes(pm: np.ndarray, m: int) -> np.ndarray:
     only uses the unit-step structure of the DP, so it holds for any
     boolean compatibility matrix.  At m = 64 the carry out of the top bit
     is dropped by uint64 wraparound, which is what the mask does below it.
+    v never holds a bit at column m or above, so such bits of pm are
+    ignored: masks built for a longer segment serve its prefixes as they
+    are.
     """
     full = np.uint64((1 << m) - 1)
     v = np.full(pm.shape[0], full, dtype=np.uint64)
@@ -242,42 +246,16 @@ def max_match_size(
     b: OrbitSegment,
     eps: float,
     target: int | None = None,
-    return_pairs: bool = False,
 ) -> MatchResult:
     """Largest (n, eps)-match between two orbits.
 
-    With `return_pairs` the witness pairs are reconstructed by backtracking
-    that prefers the diagonal, then left, then up, making the witness
-    deterministic.  With `target`, `reached` reports whether k meets it.
+    With `target`, `reached` reports whether k meets it.
     """
     _check_pair(a, b)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    n = a.n
-    compat = compat_matrix(a, b, eps)
-    if not return_pairs:
-        k = int(max_match_batch(compat[None])[0])
-        return MatchResult(k=k, n=n, eps=eps, reached=_reached(k, target))
-    table = np.zeros((n + 1, n + 1), dtype=np.int32)
-    for i in range(1, n + 1):
-        table[i, 1:] = np.maximum(
-            table[i - 1, 1:], table[i - 1, :-1] + compat[i - 1]
-        )
-        np.maximum.accumulate(table[i, 1:], out=table[i, 1:])
-    pairs = []
-    i, j = n, n
-    while i > 0 and j > 0:
-        if compat[i - 1, j - 1] and table[i, j] == table[i - 1, j - 1] + 1:
-            pairs.append((i - 1, j - 1))
-            i -= 1
-            j -= 1
-        elif table[i, j] == table[i, j - 1]:
-            j -= 1
-        else:
-            i -= 1
-    pairs.reverse()
-    k = int(table[n, n])
-    return MatchResult(k=k, n=n, eps=eps, pairs=tuple(pairs), reached=_reached(k, target))
+    k = int(max_match_batch(compat_matrix(a, b, eps)[None])[0])
+    return MatchResult(k=k, n=a.n, eps=eps, reached=_reached(k, target))
 
 
 def mismatch_fraction(a: OrbitSegment, b: OrbitSegment, eps: float) -> float:
@@ -441,26 +419,58 @@ def _word_diagonal(
     return ok
 
 
-def _band_masks(center: OrbitSegment, others: np.ndarray, delta: float, band: int, closed: bool) -> np.ndarray:
-    """(M, n) packed match masks over the diagonal band |i - j| <= band.
+def _band_masks(
+    center: OrbitSegment, others: np.ndarray, bands: dict[float, int], closed: bool
+) -> dict[float, np.ndarray]:
+    """(M, n) packed match masks over the diagonal band |i - j| <= bands[delta], per delta.
 
-    Bit j of row i is set when center step i and sample step j are within
-    delta (at most delta when closed).  Each diagonal offset is one slice
-    of `others`; cells off the band stay clear.
+    Bit j of row i of a delta's mask is set when center step i and sample
+    step j are within delta (at most delta when closed); cells off its
+    band stay clear.  Each diagonal offset is one slice of `others`; on
+    the torus its gaps are computed once and thresholded for every delta
+    whose band reaches it.
     """
     n = center.n
+    torus = center.metric.kind == TORUS
     weights = _bit_weights(n)
-    pm = np.zeros((others.shape[0], n), dtype=np.uint64)
-    for offset in range(-band, band + 1):
+    masks = {d: np.zeros((others.shape[0], n), dtype=np.uint64) for d in bands}
+    reach = max(bands.values())
+    for offset in range(-reach, reach + 1):
         i0, i1 = max(0, -offset), min(n, n - offset)
-        if center.metric.kind == TORUS:
+        if torus:
             gaps = circle_gap(others[:, i0 + offset : i1 + offset, :], center.points[i0:i1])
-            ok = (gaps <= delta if closed else gaps < delta).all(axis=2)
-        else:
-            depth = _pair_depth(delta, center.metric.kind, closed)
-            ok = _word_diagonal(center.word, others, depth, i0, i1, offset)
-        pm[:, i0:i1] |= ok * weights[i0 + offset : i1 + offset]
-    return pm
+        for d, band in bands.items():
+            if abs(offset) > band:
+                continue
+            if torus:
+                ok = (gaps <= d if closed else gaps < d).all(axis=2)
+            else:
+                depth = _pair_depth(d, center.metric.kind, closed)
+                ok = _word_diagonal(center.word, others, depth, i0, i1, offset)
+            masks[d][:, i0:i1] |= ok * weights[i0 + offset : i1 + offset]
+    return masks
+
+
+def _fk_members(center: OrbitSegment, others: np.ndarray, cells, closed: bool = False):
+    """FK ball membership for (n, delta) cells with positive slack, block by block.
+
+    Yields (lo, hits) per block of `_BLOCK_ROWS` rows starting at row lo,
+    where hits lists one bool array per cell in the order given.  The
+    center orbit covers the longest n.  Per block each delta gets one
+    packed mask at the center's length and its widest band, all built
+    from one pass over the diagonals, and each n runs the match
+    recurrence on the first n rows of its delta's mask (the columns past
+    n are ignored) with target n - match_slack(n, delta).  Bits in a
+    wider band cannot change the test: a match of size at least n - b
+    pairs no index with one more than b steps away.
+    """
+    slacks = [match_slack(n, d) for n, d in cells]
+    widest: dict[float, int] = {}
+    for (_, d), b in zip(cells, slacks):
+        widest[d] = min(max(widest.get(d, 0), b), center.n - 1)
+    for lo in range(0, others.shape[0], _BLOCK_ROWS):
+        masks = _band_masks(center, others[lo : lo + _BLOCK_ROWS], widest, closed)
+        yield lo, [_match_sizes(masks[d][:, :n], n) >= n - b for (n, d), b in zip(cells, slacks)]
 
 
 def _check_torus_stack(center: OrbitSegment, others: np.ndarray) -> None:
@@ -523,9 +533,8 @@ def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed
     if band == 0:
         return bowen_ball_batch(center, others, delta, closed=closed)
     inside = np.empty(others.shape[0], dtype=bool)
-    for lo in range(0, others.shape[0], _BLOCK_ROWS):
-        pm = _band_masks(center, others[lo : lo + _BLOCK_ROWS], delta, band, closed)
-        inside[lo : lo + len(pm)] = _match_sizes(pm, n) >= n - band
+    for lo, (hit,) in _fk_members(center, others, [(n, delta)], closed):
+        inside[lo : lo + hit.size] = hit
     return inside
 
 

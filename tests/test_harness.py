@@ -192,6 +192,32 @@ def test_csv_bodies_reproducible(tmp_path):
     assert bodies[0] == bodies[1]
 
 
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [
+        ("compare-local", {"M": 20_000, "base_points": 3}),
+        ("compare-katok", {"M": 300, "paths": 3}),
+    ],
+)
+def test_csv_bodies_identical_across_worker_counts(tmp_path, monkeypatch, experiment, overrides):
+    # local runs hand each worker one contiguous group of base points and
+    # katok runs one path per task; the pooled run must match byte for byte
+    monkeypatch.delenv("FKENT_THREADS", raising=False)
+    bodies, results = [], []
+    for workers in (1, 2):
+        cfg = load_config(
+            write_config(tmp_path, TINY.format(out=tmp_path / f"w{workers}")),
+            dict(overrides, workers=workers),
+        )
+        report = run_experiment(experiment, cfg)
+        assert report["meta"]["workers_used"] == workers
+        bodies.append(strip_comments(report["files"]["csv"]))
+        results.append(report["results"])
+    assert len(bodies[0]) > 1
+    assert bodies[0] == bodies[1]
+    assert results[0] == results[1]
+
+
 def test_compare_local_gap_zero_on_band_zero(tmp_path):
     # n <= 8 with delta in {0.2, 0.1} keeps every (n, delta) cell at slack
     # band 0, where the fk ball is identical to the bowen ball

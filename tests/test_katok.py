@@ -150,6 +150,35 @@ def test_fk_band_zero_equals_bowen_counts():
         assert b.count == f.count
 
 
+def test_katok_table_both_kinds_equals_single_kind_tables():
+    # one table call serves both kinds: a zero-slack FK cell is the Bowen
+    # cell with kind FK, on the word-class path and on the dense path
+    # alike, while cells with slack still get their own FK covers
+    words = shift_system((2, 2))
+    words_path = sample_path(bernoulli_process((0.5, 0.5)), 6, 4)
+    words_mu = sample_measure(words, words_path, 400, 4)
+    torus, torus_path, torus_mu = doubling_measure(M=300, horizon=10, seed=4)
+    cases = [
+        (words, words_path, words_mu, [3, 4, 5], [0.3], [[0, 1, 1]]),
+        (torus, torus_path, torus_mu, [4, 6, 8, 10], [0.1, 0.25], [[0, 0, 0, 0], [0, 1, 1, 2]]),
+    ]
+    for system, path, mu, n_window, eps_list, bands in cases:
+        assert [[match_slack(n, e) for n in n_window] for e in eps_list] == bands
+        both = katok_table(mu, path, system, n_window, eps_list, (BOWEN, FK))
+        assert list(both) == [BOWEN, FK]
+        for kind in (BOWEN, FK):
+            single = katok_table(mu, path, system, n_window, eps_list, (kind,))[kind]
+            assert both[kind].keys() == single.keys()
+            for key, cell in single.items():
+                shared = both[kind][key]
+                assert shared.kind == cell.kind == kind
+                assert shared.count == cell.count
+                assert shared.covered_mass == cell.covered_mass
+                assert np.array_equal(shared.centers, cell.centers)
+        slack_cells = [(e, n) for e in eps_list for n in n_window if match_slack(n, e) > 0]
+        assert any(both[FK][key].count != both[BOWEN][key].count for key in slack_cells)
+
+
 def test_fk_needs_fewer_covers_at_coarse_eps():
     # slack band 2 at n=10, eps=0.25: FK balls are much fatter
     system, path, mu = doubling_measure(M=2000, horizon=12)
@@ -170,7 +199,7 @@ def test_katok_table_and_entropy_doubling():
 
 def test_table_slopes_order():
     system, path, mu = doubling_measure()
-    cells = katok_table(mu, path, system, [4, 6, 8], [0.2, 0.1], BOWEN)
+    cells = katok_table(mu, path, system, [4, 6, 8], [0.2, 0.1], (BOWEN,))[BOWEN]
     fits = table_slopes(cells, [4, 6, 8], [0.2, 0.1])
     assert len(fits) == 2
     for slope, rms in fits:
@@ -180,7 +209,7 @@ def test_table_slopes_order():
 
 def test_validate_accepts_real_table_and_rejects_doctored():
     system, path, mu = doubling_measure()
-    cells = katok_table(mu, path, system, [4, 6], [0.2, 0.1], BOWEN)
+    cells = katok_table(mu, path, system, [4, 6], [0.2, 0.1], (BOWEN,))[BOWEN]
     validate_katok_counts(cells, BOWEN)
 
     def fake(n, eps, count):

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fkent import local
+from fkent import local, matching
 from fkent.local import (
     EmpiricalMeasure,
     GridPartition,
@@ -122,7 +122,7 @@ def test_ball_count_table_matches_ball_measure(monkeypatch):
     assert {match_slack(n, d) for n in n_list for d in delta_list} == {0, 1}
     tables = {}
     for kind in (BOWEN, FK):
-        rec = local_entropy(system, path, 5 / 64, n_list, delta_list, M, kind, measure=mu, sample_orbits=stack)
+        rec = local_entropy(system, path, 5 / 64, n_list, delta_list, M, (kind,), measure=mu, sample_orbits=stack)[kind]
         for e in rec.entries:
             mass = ball_measure(mu, center.prefix(e.n), e.n, e.delta, kind, system, path, sample_orbits=stack)
             assert e.count == round(mass * M)
@@ -130,6 +130,52 @@ def test_ball_count_table_matches_ball_measure(monkeypatch):
     assert min(tables[BOWEN].values()) > 0
     assert tables[FK][(8, 0.25)] > tables[BOWEN][(8, 0.25)]
     assert tables[FK][(8, 0.125)] == tables[BOWEN][(8, 0.125)]
+
+
+def test_shared_local_pass_matches_ball_measure(monkeypatch):
+    # one local_entropy call counts both kinds in one pass: the FK cells
+    # with slack share diagonal gaps built at the largest n and masks built
+    # at each delta's widest band, and each n reads its prefix.  Bands 0, 1
+    # and 2 meet at delta = 1/4, bands 0 and 1 at delta = 1/8.  Rows are the
+    # grid orbit of 5/64 (odd factors permute the grid, so it never
+    # collapses to 0) shifted by up to two steps and then moved by
+    # multiples of 1/64 at random steps, so gaps tie with both radii and
+    # off-diagonal matches decide FK membership.  Small chunks and blocks
+    # make the pass split both.
+    monkeypatch.setattr(local, "_CHUNK_ROWS", 700)
+    monkeypatch.setattr(matching, "_BLOCK_ROWS", 256)
+    system = expanding_system((3, 5))
+    path = sample_path(bernoulli_process((0.5, 0.5)), 14, 9)
+    M, steps = 3_000, 12
+    mu = sample_measure(system, path, M, 9)
+    center = orbit(system, path, 5 / 64, steps + 2)
+    rng = np.random.default_rng(9)
+    grid = np.concatenate([rng.integers(0, 64, 2), np.round(center.points[:, 0] * 64).astype(np.int64)])
+    shifts = rng.integers(-2, 3, size=M)
+    rows = np.stack([grid[2 - s : 2 - s + steps] for s in shifts])
+    moves = rng.choice([-17, -16, -15, -9, -8, -7, 7, 8, 9, 15, 16, 17], size=(M, steps))
+    moved = rng.random((M, steps)) < 0.06
+    stack = (((rows + np.where(moved, moves, 0)) % 64) / 64)[:, :, None]
+    n_list, delta_list = [3, 5, 7, 9, 10], [0.125, 0.25]
+    assert [match_slack(n, 0.25) for n in n_list] == [0, 1, 1, 2, 2]
+    assert [match_slack(n, 0.125) for n in n_list] == [0, 0, 0, 1, 1]
+    records = local_entropy(
+        system, path, 5 / 64, n_list, delta_list, M, (BOWEN, FK), measure=mu, sample_orbits=stack
+    )
+    assert list(records) == [BOWEN, FK]
+    tables = {}
+    for kind, rec in records.items():
+        assert rec.kind == kind
+        for e in rec.entries:
+            mass = ball_measure(mu, center.prefix(e.n), e.n, e.delta, kind, system, path, sample_orbits=stack)
+            assert e.count == round(mass * M)
+        tables[kind] = {(e.n, e.delta): e.count for e in rec.entries}
+    assert min(tables[BOWEN].values()) > 0
+    for n, d in tables[FK]:
+        if match_slack(n, d) == 0:
+            assert tables[FK][(n, d)] == tables[BOWEN][(n, d)]
+        else:
+            assert tables[FK][(n, d)] > tables[BOWEN][(n, d)]
 
 
 def test_ball_measure_trivial_above_diameter():
@@ -222,7 +268,7 @@ def test_partition_entropy_rate_words_matches_prefix_counts():
 
 def test_local_entropy_record_shape_and_value():
     system, path, mu = doubling_setup(M=150_000)
-    rec = local_entropy(system, path, 0.3, [4, 6, 8, 10], [0.2, 0.1], 150_000, BOWEN, measure=mu, omega_seed=4)
+    rec = local_entropy(system, path, 0.3, [4, 6, 8, 10], [0.2, 0.1], 150_000, (BOWEN,), measure=mu, omega_seed=4)[BOWEN]
     assert rec.kind == BOWEN
     assert rec.omega_seed == 4
     assert rec.n_window == (4, 6, 8, 10)
@@ -239,8 +285,8 @@ def test_local_entropy_fk_close_to_bowen_with_band_fit():
     system, path, mu = doubling_setup(M=200_000)
     stack = orbit_batch(system, path, mu.samples, 12)
     kw = dict(measure=mu, sample_orbits=stack)
-    bowen = local_entropy(system, path, 0.3, [4, 6, 8, 10, 12], [0.1], 200_000, BOWEN, **kw)
-    fk = local_entropy(system, path, 0.3, [4, 6, 8, 10, 12], [0.1], 200_000, FK, **kw)
+    bowen = local_entropy(system, path, 0.3, [4, 6, 8, 10, 12], [0.1], 200_000, (BOWEN,), **kw)[BOWEN]
+    fk = local_entropy(system, path, 0.3, [4, 6, 8, 10, 12], [0.1], 200_000, (FK,), **kw)[FK]
     # slack bands 0 and 1 both appear in this window
     bands = {n - match_target(n, 0.1) for n in (4, 6, 8, 10, 12)}
     assert bands == {0, 1}
@@ -261,7 +307,7 @@ def test_local_entry_flags_zero_count():
 def test_local_entropy_preflight_rejects_small_budget():
     system, path, _ = doubling_setup(M=50)
     with pytest.raises(ValueError, match="raise M"):
-        local_entropy(system, path, 0.3, [4, 6], [0.1], 50, BOWEN)
+        local_entropy(system, path, 0.3, [4, 6], [0.1], 50, (BOWEN,))
 
 
 def test_stratified_slope_removes_band_offsets():
@@ -295,5 +341,5 @@ def test_tent_local_entropy_near_log2():
     system = tent_system((2,))
     path = sample_path(bernoulli_process((1.0,)), 10, 5)
     mu = sample_measure(system, path, 150_000, 5)
-    rec = local_entropy(system, path, 0.37, [4, 6, 8, 10], [0.1], 150_000, BOWEN, measure=mu)
+    rec = local_entropy(system, path, 0.37, [4, 6, 8, 10], [0.1], 150_000, (BOWEN,), measure=mu)[BOWEN]
     assert rec.value == pytest.approx(math.log(2.0), abs=0.12)
