@@ -8,12 +8,15 @@ a JSON document plus one CSV per experiment; CSV comment lines (prefixed
 for a fixed config, including across worker counts.
 
 Worker tasks recompute their own path, measure, and orbit stack from
-seeds carried in the payload: one task per path, and for local runs one
-task per contiguous group of base points (one group per worker), so each
-task builds them once.  That trades a little redundant work for results
-that cannot depend on scheduling: every task is a pure function of
-(config, seed, its paths or base points), and reduction happens in task
-order.
+seeds carried in the payload.  Top and katok runs have one task per path,
+and each task only maps the config onto its estimator's per-path routine
+(`spanning.path_entropy`, `katok.katok_path_entropy`), the same routine
+the library averagers call.  Local runs have one task per contiguous
+group of base points (one group per worker), which builds the path,
+measure and orbit stack once.  That trades a little redundant work for
+results that cannot depend on scheduling: every task is a pure function
+of (config, seed, its paths or base points), and reduction happens in
+task order.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .katok import katok_horizon, katok_table, table_slopes
+from .katok import katok_horizon, katok_path_entropy
 from .local import local_entropy, sample_measure
 from .matching import BOWEN, FK, MAX_MATCH_STEPS
 from .oracles import expected_entropy
-from .spanning import count_table, entropy_from_counts, path_seeds
+from .spanning import path_entropy, path_seeds
 from .systems import (
     InvariantViolation,
     RandomSystemSpec,
@@ -358,35 +361,10 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
 
 def _top_task(payload) -> dict:
     cfg, seed, metrics = payload
-    system = cfg.system()
-    process = cfg.process()
-    horizon = katok_horizon(system, cfg.n, cfg.eps)
-    path = sample_path(process, horizon, seed)
-    table = count_table(
-        system,
-        path,
-        cfg.n,
-        cfg.eps,
-        metrics=metrics,
-        count_target=cfg.candidate_target,
-        budget=cfg.candidate_budget,
-        pair_budget=cfg.pair_budget,
+    table, fits = path_entropy(
+        cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, metrics, cfg.candidate_target, cfg.candidate_budget
     )
-    values = {}
-    slopes = {}
-    residuals = {}
-    for metric in metrics:
-        est = entropy_from_counts(table, metric)
-        values[metric] = est.value
-        slopes[metric] = list(est.slopes)
-        residuals[metric] = list(est.residuals)
-    return {
-        "seed": seed,
-        "entries": list(table.entries),
-        "values": values,
-        "slopes": slopes,
-        "residuals": residuals,
-    }
+    return {"seed": seed, "entries": list(table.entries), "fits": fits}
 
 
 def _local_task(payload) -> list[dict]:
@@ -421,22 +399,9 @@ def _local_task(payload) -> list[dict]:
 
 def _katok_task(payload) -> dict:
     cfg, seed, kinds = payload
-    system = cfg.system()
-    process = cfg.process()
-    horizon = katok_horizon(system, cfg.n, cfg.eps)
-    path = sample_path(process, horizon, seed)
-    measure = sample_measure(system, path, cfg.M, seed)
-    cells = katok_table(
-        measure,
-        path,
-        system,
-        cfg.n,
-        cfg.eps,
-        kinds,
-        mass_threshold=cfg.mass_threshold,
-        pair_budget=cfg.pair_budget,
+    cells, fits = katok_path_entropy(
+        cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, cfg.M, kinds, cfg.mass_threshold, cfg.pair_budget
     )
-    fits = {kind: table_slopes(cells[kind], cfg.n, cfg.eps) for kind in kinds}
     return {"seed": seed, "cells": cells, "fits": fits}
 
 
@@ -457,14 +422,15 @@ def _run_top(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
 
     estimates = {}
     for metric in metrics:
-        per_path = [res["values"][metric] for res in results]
+        fits = [res["fits"][metric] for res in results]
+        per_path = [est.value for est in fits]
         mean, stderr = _mean_stderr(per_path)
         estimates[metric] = {
             "mean": mean,
             "stderr": stderr,
             "per_path": per_path,
-            "slopes_per_path": [res["slopes"][metric] for res in results],
-            "fit_rms_per_path": [res["residuals"][metric] for res in results],
+            "slopes_per_path": [list(est.slopes) for est in fits],
+            "fit_rms_per_path": [list(est.residuals) for est in fits],
         }
     oracle = expected_entropy(cfg.system(), cfg.process())
     report = {
@@ -473,7 +439,7 @@ def _run_top(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
         "path_seeds": seeds,
     }
     if compare:
-        gaps = [res["values"][FK] - res["values"][BOWEN] for res in results]
+        gaps = [res["fits"][FK].value - res["fits"][BOWEN].value for res in results]
         report["gap"] = {
             "per_path": gaps,
             "mean": float(np.mean(gaps)),

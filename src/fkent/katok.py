@@ -19,6 +19,10 @@ word-class counting: every ball is exactly one prefix class, classes are
 disjoint, and greedy (heaviest class first) is provably the true minimum.
 That fast path handles million-sample runs; overlapping-ball instances
 fall back to a dense cover matrix guarded by a pair budget.
+
+`katok_path_entropy` computes the per-path quantity the fiber entropy
+averages (draw the path and measure, cover, fit per kind); the experiment
+harness and `katok_entropy` both call it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .matching import BOWEN, FK, _pair_depth, match_slack
-from .spanning import EntropyEstimate, cover_matrix, fit_log_slope, greedy_cover, path_seeds
+from .spanning import (
+    EntropyEstimate,
+    cover_matrix,
+    fit_log_slope,
+    greedy_cover,
+    katok_horizon,
+    path_seeds,
+)
 from .systems import (
     InvariantViolation,
     OmegaPath,
@@ -48,6 +59,7 @@ __all__ = [
     "katok_horizon",
     "katok_table",
     "table_slopes",
+    "katok_path_entropy",
     "katok_entropy",
     "validate_katok_counts",
     "min_cover_exact",
@@ -219,15 +231,6 @@ def validate_katok_counts(cells: dict[tuple[float, int], KatokCount], kind: str)
                 )
 
 
-def katok_horizon(system: RandomSystemSpec, n_window, eps_list) -> int:
-    """Path length covering every (n, eps) cell of the schedules."""
-    n_max = max(int(n) for n in n_window)
-    if not system.on_words:
-        return n_max
-    depth_max = max(_pair_depth(float(e), system.metric.kind, False) for e in eps_list)
-    return n_max + max(depth_max, 1) - 1
-
-
 def katok_table(
     measure: EmpiricalMeasure,
     omega: OmegaPath,
@@ -298,6 +301,38 @@ def table_slopes(cells, n_window, eps_list) -> list[tuple[float, float]]:
     return out
 
 
+def katok_path_entropy(
+    system: RandomSystemSpec,
+    process,
+    seed: int,
+    n_window,
+    eps_list,
+    M: int,
+    kinds,
+    mass_threshold: float | None,
+    pair_budget: int,
+) -> tuple[dict[str, dict[tuple[float, int], KatokCount]], dict[str, list[tuple[float, float]]]]:
+    """One driving path's cover tables and per-eps (slope, rms) fits per kind.
+
+    The path is drawn from `seed` at the schedules' horizon and the
+    measure from the same seed; katok_table covers it once for all kinds
+    and table_slopes fits each kind's table.
+    """
+    path = sample_path(process, katok_horizon(system, n_window, eps_list), seed)
+    measure = sample_measure(system, path, M, seed)
+    cells = katok_table(
+        measure,
+        path,
+        system,
+        n_window,
+        eps_list,
+        kinds,
+        mass_threshold=mass_threshold,
+        pair_budget=pair_budget,
+    )
+    return cells, {kind: table_slopes(cells[kind], n_window, eps_list) for kind in kinds}
+
+
 def katok_entropy(
     system: RandomSystemSpec,
     process,
@@ -322,31 +357,16 @@ def katok_entropy(
         raise ValueError("need at least two n values for a slope")
     if not eps_list or eps_list[0] <= 0.0:
         raise ValueError("eps schedule must be nonempty and positive")
-    if num_paths < 1:
-        raise ValueError("need at least one path sample")
-    horizon = katok_horizon(system, n_window, eps_list)
-
-    slopes_per_path = np.empty((num_paths, len(eps_list)))
-    rms_per_path = np.empty((num_paths, len(eps_list)))
-    for j, seed in enumerate(path_seeds(master_seed, num_paths)):
-        path = sample_path(process, horizon, int(seed))
-        measure = sample_measure(system, path, M, int(seed))
-        cells = katok_table(
-            measure,
-            path,
-            system,
-            n_window,
-            eps_list,
-            (kind,),
-            mass_threshold=mass_threshold,
-            pair_budget=pair_budget,
-        )[kind]
-        for k, (slope, rms) in enumerate(table_slopes(cells, n_window, eps_list)):
-            slopes_per_path[j, k] = slope
-            rms_per_path[j, k] = rms
-
-    slopes = tuple(float(s) for s in slopes_per_path.mean(axis=0))
-    residuals = tuple(float(r) for r in rms_per_path.mean(axis=0))
+    fits = np.asarray(
+        [
+            katok_path_entropy(
+                system, process, seed, n_window, eps_list, M, (kind,), mass_threshold, pair_budget
+            )[1][kind]
+            for seed in path_seeds(master_seed, num_paths)
+        ]
+    )
+    slopes = tuple(float(s) for s in fits[:, :, 0].mean(axis=0))
+    residuals = tuple(float(r) for r in fits[:, :, 1].mean(axis=0))
     return EntropyEstimate(
         value=slopes[0],
         metric=kind,

@@ -64,7 +64,6 @@ __all__ = [
     "max_match_from_matrix",
     "mismatch_fraction",
     "fk_distance",
-    "fk_distance_from_matrix",
     "lcs_mismatch",
     "brute_force_match",
     "brute_force_match_matrix",
@@ -282,11 +281,6 @@ def match_slack(n: int, delta: float) -> int:
     return n - match_target(n, delta)
 
 
-def fk_distance_from_matrix(dist: np.ndarray, diameter: float, tol: float) -> FkDistance:
-    values, w_eps, w_def = _bisect_fk(dist[None], diameter, tol)
-    return FkDistance(float(values[0]), tol, float(w_eps[0]), float(w_def[0]))
-
-
 def _bisect_fk(dist: np.ndarray, diameter: float, tol: float):
     """Vectorized bisection on g(eps) = defect(eps) - eps for (B, n, n) stacks."""
     bsz, n, _ = dist.shape
@@ -343,7 +337,8 @@ def fk_distance(a: OrbitSegment, b: OrbitSegment, tol: float | None = None) -> F
         tol = 1e-6
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    return fk_distance_from_matrix(dist, a.metric.diameter, tol)
+    values, w_eps, w_def = _bisect_fk(dist[None], a.metric.diameter, tol)
+    return FkDistance(float(values[0]), tol, float(w_eps[0]), float(w_def[0]))
 
 
 def lcs_mismatch(u, v) -> float:

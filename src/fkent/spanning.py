@@ -4,8 +4,8 @@ The textbook quantities are suprema over all separated subsets of the space
 and infima over all covers, in a double limit (time horizon up, radius
 down).  Here both are replaced by greedy certificates on finite candidate
 ensembles and finite schedules.  The greedy maximal separated set is the
-primary estimator: it is simultaneously an eps-cover of the candidates, so
-one scan certifies both directions.
+estimator: it is simultaneously an eps-cover of the candidates, so one
+scan certifies both directions.
 
 Candidate ensembles for expanding torus systems would need about
 (expansion product)/eps points to cover the whole circle at the density the
@@ -14,6 +14,10 @@ Each (n, eps) cell therefore counts inside a subinterval window [0, w)
 sized so the kept set lands near `count_target`, and slope fits consume the
 window-adjusted density log(count / window).  Shrinking the window scales
 the expected count linearly and leaves the growth rate in n untouched.
+
+The fiber entropy is an average over driving paths of a per-path slope.
+`path_entropy` computes that per-path quantity (draw the path, count,
+fit); the experiment harness and `integrated_entropy` both call it.
 """
 
 from __future__ import annotations
@@ -37,18 +41,16 @@ from .systems import (
     orbit_batch,
     sample_path,
 )
-from .matching import BOWEN, FK, ball_batch, match_slack
+from .matching import BOWEN, FK, _pair_depth, ball_batch, match_slack
 
 __all__ = [
     "GRID",
     "IID",
     "ENUMERATION",
     "SEPARATED",
-    "SPANNING",
     "CandidateSet",
     "CountEntry",
     "CountTable",
-    "DynamicalDistance",
     "EntropyEstimate",
     "IntegratedEstimate",
     "count_table",
@@ -57,8 +59,8 @@ __all__ = [
     "fit_log_slope",
     "greedy_cover",
     "greedy_separated",
-    "greedy_spanning",
     "integrated_entropy",
+    "path_entropy",
     "path_seeds",
     "torus_grid_candidates",
     "word_candidates",
@@ -69,7 +71,6 @@ IID = "iid"
 ENUMERATION = "enumeration"
 
 SEPARATED = "greedy-separated"
-SPANNING = "greedy-spanning"
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,34 +189,21 @@ def word_candidates(
     return CandidateSet(words, True, IID, seed=seed)
 
 
-@dataclass(frozen=True, eq=False)
-class DynamicalDistance:
-    """Selects which orbit distance drives a greedy scan.
+def _orbit_stack(
+    system: RandomSystemSpec, path: OmegaPath, n: int, candidates: CandidateSet
+) -> np.ndarray:
+    """Time-n orbits of the candidates along the path, one row each.
 
-    metric is "bowen" or "fk"; the scan evaluates time-n balls of that kind
-    along the given path.  Also owns the orbit precomputation so a count
-    cell pays for iteration once per candidate.
+    Word candidates are their own orbits; torus candidates are iterated
+    once here, so a count cell pays for iteration once per candidate.
     """
-
-    system: RandomSystemSpec
-    path: OmegaPath
-    n: int
-    metric: str
-
-    def __post_init__(self) -> None:
-        if self.metric not in (BOWEN, FK):
-            raise ValueError(f"unknown orbit metric: {self.metric!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-
-    def orbit_stack(self, candidates: CandidateSet) -> np.ndarray:
-        if candidates.on_words != self.system.on_words:
-            raise ValueError("candidate kind does not match the system")
-        if candidates.on_words:
-            if candidates.points.shape[1] < self.n:
-                raise ValueError("candidate words shorter than the horizon")
-            return candidates.points
-        return orbit_batch(self.system, self.path, candidates.points, self.n)
+    if candidates.on_words != system.on_words:
+        raise ValueError("candidate kind does not match the system")
+    if candidates.on_words:
+        if candidates.points.shape[1] < n:
+            raise ValueError("candidate words shorter than the horizon")
+        return candidates.points
+    return orbit_batch(system, path, candidates.points, n)
 
 
 def _segment(metric: FiberMetric, n: int, row: np.ndarray) -> OrbitSegment:
@@ -225,7 +213,9 @@ def _segment(metric: FiberMetric, n: int, row: np.ndarray) -> OrbitSegment:
     return OrbitSegment(metric, n, points=row)
 
 
-def _scan_separated(dist: DynamicalDistance, stack: np.ndarray, eps: float) -> np.ndarray:
+def _scan_separated(
+    kind: str, metric: FiberMetric, n: int, stack: np.ndarray, eps: float
+) -> np.ndarray:
     """Fixed-order greedy scan; returns kept original indices, ascending.
 
     Killing uses closed-threshold balls so kept points are pairwise farther
@@ -244,10 +234,10 @@ def _scan_separated(dist: DynamicalDistance, stack: np.ndarray, eps: float) -> n
         if p >= idx.size:
             break
         kept.append(int(idx[p]))
-        center = _segment(dist.system.metric, dist.n, cur[p])
+        center = _segment(metric, n, cur[p])
         dead[p] = True
         if p + 1 < idx.size:
-            dead[p + 1 :] |= ball_batch(dist.metric, center, cur[p + 1 :], eps, closed=True)
+            dead[p + 1 :] |= ball_batch(kind, center, cur[p + 1 :], eps, closed=True)
         # compact once the tail is mostly dead; total copying stays O(M)
         tail = idx.size - p - 1
         if tail > 64 and dead[p + 1 :].sum() > tail // 2:
@@ -260,17 +250,28 @@ def _scan_separated(dist: DynamicalDistance, stack: np.ndarray, eps: float) -> n
     return np.asarray(kept, dtype=np.int64)
 
 
-def greedy_separated(candidates: CandidateSet, dist: DynamicalDistance, eps: float) -> tuple[int, np.ndarray]:
+def greedy_separated(
+    candidates: CandidateSet,
+    system: RandomSystemSpec,
+    path: OmegaPath,
+    n: int,
+    kind: str,
+    eps: float,
+) -> tuple[int, np.ndarray]:
     """Maximal eps-separated subset by a fixed-index greedy scan.
 
-    A point is kept iff its distance to every kept point exceeds eps; the
-    kept set is maximal and therefore also eps-covers the candidates.
+    Distances are time-n orbit distances of the given kind ("bowen" or
+    "fk") along the path.  A point is kept iff its distance to every kept
+    point exceeds eps; the kept set is maximal and therefore also
+    eps-covers the candidates.
     """
+    if kind not in (BOWEN, FK):
+        raise ValueError(f"unknown orbit metric: {kind!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if candidates.count < 1:
-        raise ValueError("empty candidate set")
-    sel = _scan_separated(dist, dist.orbit_stack(candidates), eps)
+    sel = _scan_separated(kind, system.metric, n, _orbit_stack(system, path, n, candidates), eps)
     return int(sel.size), sel
 
 
@@ -321,26 +322,6 @@ def greedy_cover(cover: np.ndarray, need: int) -> tuple[np.ndarray, int]:
     return np.asarray(picks, dtype=np.int64), total
 
 
-def greedy_spanning(
-    candidates: CandidateSet, dist: DynamicalDistance, eps: float, pair_budget: int = 20_000_000
-) -> tuple[int, np.ndarray]:
-    """Greedy cover of the candidates by open eps-balls centered on them.
-
-    Repeatedly picks the candidate whose ball covers the most uncovered
-    points (ties to the lowest index) until everything is covered.  The
-    result upper-bounds the candidate-set minimum cover within the usual
-    1 + ln(M) greedy factor.
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if candidates.count < 1:
-        raise ValueError("empty candidate set")
-    stack = dist.orbit_stack(candidates)
-    cover = cover_matrix(dist.metric, dist.system.metric, dist.n, stack, eps, pair_budget)
-    chosen, _ = greedy_cover(cover, candidates.count)
-    return int(chosen.size), chosen
-
-
 @dataclass(frozen=True)
 class CountEntry:
     n: int
@@ -358,13 +339,13 @@ class CountEntry:
 
 @dataclass(frozen=True, eq=False)
 class CountTable:
-    """(n, eps, metric, estimator) -> greedy count, plus its window."""
+    """(n, eps, metric) -> greedy separated count, plus its window."""
 
     entries: tuple[CountEntry, ...]
 
-    def lookup(self, n: int, eps: float, metric: str, estimator: str = SEPARATED) -> CountEntry | None:
+    def lookup(self, n: int, eps: float, metric: str) -> CountEntry | None:
         for e in self.entries:
-            if e.n == n and e.eps == eps and e.metric == metric and e.estimator == estimator:
+            if e.n == n and e.eps == eps and e.metric == metric:
                 return e
         return None
 
@@ -389,62 +370,38 @@ class CountTable:
         ns = self.axis("n")
         eps_axis = self.axis("eps")
         metrics = self.axis("metric")
-        kinds = self.axis("estimator")
         for metric in metrics:
-            for kind in kinds:
-                for eps in eps_axis:
-                    if metric != BOWEN:
-                        continue
-                    col = [self.lookup(n, eps, metric, kind) for n in ns]
-                    col = [e for e in col if e is not None]
-                    for a, b in zip(col, col[1:]):
-                        if dens(b) < dens(a, drop=1) * (1.0 - slack):
-                            raise InvariantViolation(
-                                f"count density fell from n={a.n} to n={b.n} "
-                                f"at eps={eps} {metric}/{kind}"
-                            )
-                for n in ns:
-                    row = [self.lookup(n, eps, metric, kind) for eps in eps_axis]
-                    row = [e for e in row if e is not None]
-                    for a, b in zip(row, row[1:]):  # eps ascending
-                        if dens(b, drop=1) * (1.0 - slack) > dens(a):
-                            raise InvariantViolation(
-                                f"count density rose from eps={a.eps} to eps={b.eps} "
-                                f"at n={n} {metric}/{kind}"
-                            )
+            for eps in eps_axis:
+                if metric != BOWEN:
+                    continue
+                col = [self.lookup(n, eps, metric) for n in ns]
+                col = [e for e in col if e is not None]
+                for a, b in zip(col, col[1:]):
+                    if dens(b) < dens(a, drop=1) * (1.0 - slack):
+                        raise InvariantViolation(
+                            f"count density fell from n={a.n} to n={b.n} "
+                            f"at eps={eps} {metric}"
+                        )
+            for n in ns:
+                row = [self.lookup(n, eps, metric) for eps in eps_axis]
+                row = [e for e in row if e is not None]
+                for a, b in zip(row, row[1:]):  # eps ascending
+                    if dens(b, drop=1) * (1.0 - slack) > dens(a):
+                        raise InvariantViolation(
+                            f"count density rose from eps={a.eps} to eps={b.eps} "
+                            f"at n={n} {metric}"
+                        )
         # FK balls contain Bowen balls, so FK counts never exceed Bowen counts
         if BOWEN in metrics and FK in metrics:
             for e in self.entries:
                 if e.metric != BOWEN:
                     continue
-                other = self.lookup(e.n, e.eps, FK, e.estimator)
+                other = self.lookup(e.n, e.eps, FK)
                 if other is not None and other.window == e.window and other.count > e.count:
                     raise InvariantViolation(
                         f"fk count {other.count} exceeds bowen count {e.count} "
-                        f"at n={e.n} eps={e.eps} {e.estimator}"
+                        f"at n={e.n} eps={e.eps}"
                     )
-        # cover chain: spanning(eps) <= separated(eps) <= spanning(eps/2)
-        if SPANNING in kinds:
-            for e in self.entries:
-                if e.estimator != SEPARATED:
-                    continue
-                span = self.lookup(e.n, e.eps, e.metric, SPANNING)
-                if span is not None and span.window == e.window and span.count > e.count:
-                    raise InvariantViolation(
-                        f"spanning count {span.count} exceeds separated count "
-                        f"{e.count} at n={e.n} eps={e.eps} {e.metric}"
-                    )
-                half = self.lookup(e.n, e.eps / 2.0, e.metric, SPANNING)
-                if half is not None:
-                    if half.window == e.window:
-                        ok = e.count <= half.count
-                    else:
-                        ok = dens(e, drop=1) * (1.0 - slack) <= dens(half)
-                    if not ok:
-                        raise InvariantViolation(
-                            f"separated count at eps={e.eps} exceeds spanning "
-                            f"count at eps/2, n={e.n} {e.metric}"
-                        )
 
 
 def fit_log_slope(ns, ys, bands=None) -> tuple[float, float]:
@@ -504,14 +461,9 @@ class EntropyEstimate:
             raise InvariantViolation("value must be the slope at the smallest eps")
 
 
-def entropy_from_counts(
-    table: CountTable,
-    metric: str = BOWEN,
-    estimator: str = SEPARATED,
-    n_window=None,
-) -> EntropyEstimate:
-    """Per-eps slope of window-adjusted log counts over the n window."""
-    ns = [n for n in table.axis("n") if n_window is None or n in n_window]
+def entropy_from_counts(table: CountTable, metric: str = BOWEN) -> EntropyEstimate:
+    """Per-eps slope of window-adjusted log counts over the table's n axis."""
+    ns = table.axis("n")
     if len(ns) < 3:
         raise ValueError("need at least 3 n values in the window")
     eps_axis = table.axis("eps")
@@ -519,7 +471,7 @@ def entropy_from_counts(
     residuals = []
     kept_eps = []
     for eps in eps_axis:
-        pts = [(n, e) for n in ns for e in [table.lookup(n, eps, metric, estimator)] if e is not None]
+        pts = [(n, e) for n in ns for e in [table.lookup(n, eps, metric)] if e is not None]
         if len(pts) < 3:
             continue
         xs = [n for n, _ in pts]
@@ -533,12 +485,26 @@ def entropy_from_counts(
     return EntropyEstimate(
         value=slopes[0],
         metric=metric,
-        estimator=estimator,
+        estimator=SEPARATED,
         n_window=tuple(ns),
         eps_list=tuple(kept_eps),
         slopes=tuple(slopes),
         residuals=tuple(residuals),
     )
+
+
+def katok_horizon(system: RandomSystemSpec, n_window, eps_list) -> int:
+    """Path length covering every (n, eps) cell of the schedules.
+
+    On words a radius-eps ball reads the symbols up to its cylinder depth
+    past the last step, so the path runs that many steps past the largest
+    n.  Every per-path routine sizes its path with this rule.
+    """
+    n_max = max(int(n) for n in n_window)
+    if not system.on_words:
+        return n_max
+    depth_max = max(_pair_depth(float(e), system.metric.kind, False) for e in eps_list)
+    return n_max + max(depth_max, 1) - 1
 
 
 def count_table(
@@ -547,20 +513,14 @@ def count_table(
     n_list,
     eps_list,
     metrics=(BOWEN, FK),
-    candidates: CandidateSet | None = None,
-    include_spanning: bool = False,
     count_target: int = 2000,
-    subdivisions: int = 4,
     budget: int = 200_000,
-    pair_budget: int = 20_000_000,
-    validate: bool = True,
 ) -> CountTable:
-    """Greedy counts for every (n, eps, metric) cell of the schedules.
+    """Greedy separated counts for every (n, eps, metric) cell, validated.
 
-    With explicit `candidates` every cell shares them (orbits computed once
-    per n); otherwise each cell builds its own windowed grid or word
-    enumeration.  Within a cell all metrics and estimators see identical
-    candidates, which is what makes the cross-metric inequalities exact.
+    Each cell builds its own windowed grid or word enumeration; within a
+    cell all metrics see identical candidates, which is what makes the
+    cross-metric inequalities exact.
     """
     n_list = sorted(set(int(n) for n in n_list))
     eps_list = sorted(set(float(e) for e in eps_list))
@@ -577,45 +537,44 @@ def count_table(
             raise ValueError(f"unknown orbit metric: {m!r}")
     entries: list[CountEntry] = []
     for n in n_list:
-        shared_stack = None
-        if candidates is not None:
-            shared_stack = DynamicalDistance(system, path, n, BOWEN).orbit_stack(candidates)
         for eps in eps_list:
-            if candidates is not None:
-                cell = candidates
-                stack = shared_stack
+            if system.on_words:
+                cell = word_candidates(system, path, n, eps, budget=budget)
             else:
-                if system.on_words:
-                    cell = word_candidates(system, path, n, eps, budget=budget)
-                else:
-                    cell = torus_grid_candidates(
-                        system, path, n, eps, count_target=count_target,
-                        subdivisions=subdivisions, budget=budget,
-                    )
-                stack = DynamicalDistance(system, path, n, BOWEN).orbit_stack(cell)
-            cell_counts: dict[tuple[str, str], int] = {}
+                cell = torus_grid_candidates(system, path, n, eps, count_target=count_target, budget=budget)
+            stack = _orbit_stack(system, path, n, cell)
+            counts: dict[str, int] = {}
             for metric in metrics:
-                dist = DynamicalDistance(system, path, n, metric)
                 # at zero matching slack the FK ball is the Bowen ball
-                if metric == FK and (BOWEN, SEPARATED) in cell_counts and match_slack(n, eps) == 0:
-                    cell_counts[(FK, SEPARATED)] = cell_counts[(BOWEN, SEPARATED)]
-                    if (BOWEN, SPANNING) in cell_counts:
-                        cell_counts[(FK, SPANNING)] = cell_counts[(BOWEN, SPANNING)]
-                    continue
-                sel = _scan_separated(dist, stack, eps)
-                cell_counts[(metric, SEPARATED)] = int(sel.size)
-                if include_spanning:
-                    cnt, _ = greedy_spanning(cell, dist, eps, pair_budget=pair_budget)
-                    # the separated set is itself a cover; keep the better certificate
-                    cell_counts[(metric, SPANNING)] = min(cnt, int(sel.size))
-            for (metric, kind), cnt in cell_counts.items():
-                entries.append(
-                    CountEntry(n, eps, metric, kind, cnt, cell.window, cell.count)
-                )
+                if metric == FK and BOWEN in counts and match_slack(n, eps) == 0:
+                    counts[FK] = counts[BOWEN]
+                else:
+                    counts[metric] = int(_scan_separated(metric, system.metric, n, stack, eps).size)
+            for metric, cnt in counts.items():
+                entries.append(CountEntry(n, eps, metric, SEPARATED, cnt, cell.window, cell.count))
     table = CountTable(tuple(entries))
-    if validate:
-        table.validate()
+    table.validate()
     return table
+
+
+def path_entropy(
+    system: RandomSystemSpec,
+    process,
+    seed: int,
+    n_list,
+    eps_list,
+    metrics,
+    count_target: int,
+    budget: int,
+) -> tuple[CountTable, dict[str, EntropyEstimate]]:
+    """One driving path's count table and its entropy estimate per metric.
+
+    The path is drawn from `seed` at the schedules' horizon; each metric's
+    estimate is entropy_from_counts on the shared table.
+    """
+    path = sample_path(process, katok_horizon(system, n_list, eps_list), seed)
+    table = count_table(system, path, n_list, eps_list, metrics, count_target, budget)
+    return table, {metric: entropy_from_counts(table, metric) for metric in metrics}
 
 
 _PATH_STREAM = 11  # fixed stream tag separating path seeds from other draws
@@ -652,22 +611,16 @@ def integrated_entropy(
     num_paths: int = 8,
     master_seed: int = 0,
     count_target: int = 2000,
-    subdivisions: int = 4,
     budget: int = 200_000,
 ) -> IntegratedEstimate:
-    """Monte Carlo average over driving paths of entropy_from_counts."""
+    """Monte Carlo average over driving paths of path_entropy's value."""
     seeds = path_seeds(master_seed, num_paths)
-    horizon = max(int(n) for n in n_list)
     values = []
     for seed in seeds:
-        path = sample_path(process, horizon, seed)
-        table = count_table(
-            system, path, n_list, eps_list, metrics=(metric,),
-            count_target=count_target, subdivisions=subdivisions, budget=budget,
-        )
-        values.append(entropy_from_counts(table, metric=metric).value)
+        _, fits = path_entropy(system, process, seed, n_list, eps_list, (metric,), count_target, budget)
+        values.append(fits[metric].value)
     arr = np.asarray(values, dtype=float)
-    stderr = float(arr.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     return IntegratedEstimate(
         value=float(arr.mean()),
         stderr=stderr,

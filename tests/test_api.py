@@ -1,0 +1,49 @@
+"""The package's public names resolve, and no module imports a name it never uses.
+
+Deleting a function should take its exports and its imports with it; these
+checks catch the leftovers a deletion leaves behind.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import fkent
+
+SRC = Path(fkent.__file__).resolve().parent
+# submodules only: __init__.py imports names in order to re-export them
+MODULES = [info.name for info in pkgutil.iter_modules([str(SRC)]) if info.name != "__main__"]
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((SRC / f"{name}.py").read_text())
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    return names
+
+
+def test_public_names_resolve():
+    assert MODULES
+    for name in MODULES:
+        module = importlib.import_module(f"fkent.{name}")
+        for public in getattr(module, "__all__", ()):
+            assert hasattr(module, public), f"fkent.{name}.__all__ names missing {public!r}"
+    for public in _imported_names(_tree("__init__")):
+        assert hasattr(fkent, public), f"fkent does not export {public!r}"
+
+
+def test_no_unused_imports():
+    unused = []
+    for name in MODULES:
+        tree = _tree(name)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"fkent.{name}: {imported}" for imported in _imported_names(tree) if imported not in used]
+    assert unused == []

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -5,6 +6,9 @@ import numpy as np
 import pytest
 
 from fkent.cli import main
+from fkent.katok import katok_entropy
+from fkent.matching import BOWEN, FK, match_slack
+from fkent.spanning import integrated_entropy
 from fkent.harness import (
     _PARSERS,
     ExperimentConfig,
@@ -218,9 +222,51 @@ def test_csv_bodies_identical_across_worker_counts(tmp_path, monkeypatch, experi
     assert results[0] == results[1]
 
 
+def test_library_averagers_match_harness(tmp_path):
+    # the library averagers and the harness tasks share one per-path
+    # routine per estimator, so their per-path values agree exactly
+    torus = {"M": 300, "candidate_target": 150, "candidate_budget": 6000}
+    shift = {"family": "shift", "m": (2, 2), "p": (0.5, 0.5), "n": (3, 4, 5), "eps": (0.4, 0.2), "M": 400}
+    for overrides in (torus, shift):
+        cfg = load_config(
+            write_config(tmp_path, TINY.format(out=tmp_path / "out")), dict(overrides, workers=1)
+        )
+        system, process = cfg.system(), cfg.process()
+        top = run_experiment("estimate-top", cfg)["results"]["estimates"]
+        katok = run_experiment("estimate-katok", cfg)["results"]["estimates"]
+        for metric in cfg.metrics:
+            est = integrated_entropy(
+                system,
+                process,
+                cfg.n,
+                cfg.eps,
+                metric=metric,
+                num_paths=cfg.paths,
+                master_seed=cfg.seed,
+                count_target=cfg.candidate_target,
+                budget=cfg.candidate_budget,
+            )
+            assert list(est.per_path) == top[metric]["per_path"]
+            kest = katok_entropy(
+                system,
+                process,
+                cfg.n,
+                cfg.eps,
+                cfg.M,
+                metric,
+                mass_threshold=cfg.mass_threshold,
+                num_paths=cfg.paths,
+                master_seed=cfg.seed,
+                pair_budget=cfg.pair_budget,
+            )
+            assert kest.slopes == pytest.approx(tuple(katok[metric]["slopes_per_eps"]), abs=1e-12)
+
+
 def test_compare_local_gap_zero_on_band_zero(tmp_path):
-    # n <= 8 with delta in {0.2, 0.1} keeps every (n, delta) cell at slack
-    # band 0, where the fk ball is identical to the bowen ball
+    # both kinds fit at delta_used = 0.1, where every n <= 8 has slack band
+    # 0 and the fk ball is identical to the bowen ball, so the gap is 0;
+    # at delta = 0.2, n = 6 and 8 have slack 1 and fk counts may exceed
+    # bowen's, but that column is not fitted
     cfg = load_config(
         write_config(tmp_path, TINY.format(out=tmp_path / "out")),
         {"n": (4, 6, 8), "M": 5000, "base_points": 2},
@@ -228,8 +274,24 @@ def test_compare_local_gap_zero_on_band_zero(tmp_path):
     report = run_experiment("compare-local", cfg)
     gap = report["results"]["gap"]
     assert gap["max_abs"] == 0.0
+    estimates = report["results"]["estimates"]
+    for kind in (BOWEN, FK):
+        assert estimates[kind]["delta_used"] == [0.1, 0.1]
+    assert [match_slack(n, 0.1) for n in cfg.n] == [0, 0, 0]
+    assert [match_slack(n, 0.2) for n in cfg.n] == [0, 1, 1]
     body = strip_comments(report["files"]["csv"])
     assert body[0].rstrip("\n") == "omega_seed,x,n,delta,kind,ball_count,M,estimate,flagged"
+    counts = {}
+    for row in csv.DictReader(body):
+        counts[(row["x"], int(row["n"]), float(row["delta"]), row["kind"])] = int(row["ball_count"])
+    cells = {key[:3] for key in counts}
+    assert len(cells) == 2 * 3 * 2
+    for x, n, delta in cells:
+        bowen, fk = counts[(x, n, delta, BOWEN)], counts[(x, n, delta, FK)]
+        if match_slack(n, delta) == 0:
+            assert fk == bowen
+        else:
+            assert fk >= bowen
 
 
 def test_run_experiment_rejects_unknown_name():

@@ -11,13 +11,11 @@ from fkent.spanning import (
     CandidateSet,
     CountEntry,
     CountTable,
-    DynamicalDistance,
     EntropyEstimate,
     count_table,
     entropy_from_counts,
     fit_log_slope,
     greedy_separated,
-    greedy_spanning,
     integrated_entropy,
     path_seeds,
     torus_grid_candidates,
@@ -42,8 +40,7 @@ def test_separated_scan_circle_hand_value():
     # 10 equispaced points, eps = 0.15: the scan kills both 0.1-neighbors
     # of each keeper, leaving every other point
     system = expanding_system((2,))
-    dist = DynamicalDistance(system, path_from_symbols([0]), 1, BOWEN)
-    count, kept = greedy_separated(circle_candidates(10), dist, 0.15)
+    count, kept = greedy_separated(circle_candidates(10), system, path_from_symbols([0]), 1, BOWEN, 0.15)
     assert count == 5
     assert np.allclose(circle_candidates(10).points[kept].ravel(), [0.0, 0.2, 0.4, 0.6, 0.8])
 
@@ -53,11 +50,11 @@ def test_separated_kill_is_closed():
     # killed (closed rule), leaving the antipodal pair; just under the
     # gap everything survives
     system = expanding_system((2,))
-    dist = DynamicalDistance(system, path_from_symbols([0]), 1, BOWEN)
-    count, kept = greedy_separated(circle_candidates(4), dist, 0.25)
+    path = path_from_symbols([0])
+    count, kept = greedy_separated(circle_candidates(4), system, path, 1, BOWEN, 0.25)
     assert count == 2
     assert np.allclose(circle_candidates(4).points[kept].ravel(), [0.0, 0.5])
-    count, _ = greedy_separated(circle_candidates(4), dist, 0.24)
+    count, _ = greedy_separated(circle_candidates(4), system, path, 1, BOWEN, 0.24)
     assert count == 4
 
 
@@ -67,21 +64,9 @@ def test_shift_separated_counts_grow_like_words(n):
     system = shift_system((2, 2))
     path = sample_path(bernoulli_process((0.5, 0.5)), 10, 1)
     cand = word_candidates(system, path, n, 0.4)
-    dist = DynamicalDistance(system, path, n, BOWEN)
-    count, _ = greedy_separated(cand, dist, 0.4)
+    count, _ = greedy_separated(cand, system, path, n, BOWEN, 0.4)
     assert count == 2 ** (n + 1)
     assert cand.provenance == ENUMERATION
-
-
-def test_spanning_separated_chain():
-    system = expanding_system((2,))
-    path = path_from_symbols([0] * 8)
-    cand = torus_grid_candidates(system, path, 6, 0.1, count_target=400)
-    dist = DynamicalDistance(system, path, 6, BOWEN)
-    span, _ = greedy_spanning(cand, dist, 0.1)
-    sep, _ = greedy_separated(cand, dist, 0.1)
-    span_half, _ = greedy_spanning(cand, dist, 0.05)
-    assert span <= sep <= span_half
 
 
 def test_grid_candidates_fields():
@@ -181,3 +166,15 @@ def test_integrated_entropy_reduces_per_path():
     assert est.value == pytest.approx(float(np.mean(est.per_path)), abs=1e-12)
     assert len(est.per_path) == len(est.seeds) == 3
     assert est.stderr >= 0.0
+
+
+def test_integrated_entropy_on_word_systems():
+    # eps = 0.4 reads cylinder depth 2, so each path must run one step past
+    # max(n); the enumerated Bowen counts are exactly 2^(n+1) and every
+    # per-path slope is log 2
+    system = shift_system((2, 2))
+    proc = bernoulli_process((0.5, 0.5))
+    est = integrated_entropy(system, proc, [3, 4, 5], [0.4], num_paths=2)
+    assert len(est.per_path) == 2
+    for value in est.per_path:
+        assert value == pytest.approx(math.log(2.0), abs=1e-12)
