@@ -7,16 +7,16 @@ a JSON document plus one CSV per experiment; CSV comment lines (prefixed
 '#') carry the timestamp and version so the body stays byte-reproducible
 for a fixed config, including across worker counts.
 
-Worker tasks recompute their own path, measure, and orbit stack from
-seeds carried in the payload.  Top and katok runs have one task per path,
-and each task only maps the config onto its estimator's per-path routine
-(`spanning.path_entropy`, `katok.katok_path_entropy`), the same routine
-the library averagers call.  Local runs have one task per contiguous
-group of base points (one group per worker), which builds the path,
-measure and orbit stack once.  That trades a little redundant work for
-results that cannot depend on scheduling: every task is a pure function
-of (config, seed, its paths or base points), and reduction happens in
-task order.
+Worker tasks recompute their own path and measure (which holds the
+samples' orbit stack) from seeds carried in the payload.  Top and katok
+runs have one task per path, and each task only maps the config onto its
+estimator's per-path routine (`spanning.path_entropy`,
+`katok.katok_path_entropy`), the same routine the library averagers
+call.  Local runs have one task per contiguous group of base points (one
+group per worker), which builds the path and measure once.  That trades
+a little redundant work for results that cannot depend on scheduling:
+every task is a pure function of (config, seed, its paths or base
+points), and reduction happens in task order.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .systems import (
     child_rng,
     expanding_system,
     markov_process,
-    orbit_batch,
     sample_path,
     shift_system,
     tent_system,
@@ -374,9 +373,6 @@ def _local_task(payload) -> list[dict]:
     horizon = katok_horizon(system, cfg.n, cfg.delta)
     path = sample_path(process, horizon, path_seed)
     measure = sample_measure(system, path, cfg.M, path_seed)
-    stack = None
-    if not system.on_words:
-        stack = orbit_batch(system, path, measure.samples, max(cfg.n))
     return [
         {
             "x": np.asarray(x),
@@ -390,7 +386,6 @@ def _local_task(payload) -> list[dict]:
                 kinds,
                 omega_seed=path_seed,
                 measure=measure,
-                sample_orbits=stack,
             ),
         }
         for x in points

@@ -46,7 +46,6 @@ from .systems import (
     OmegaPath,
     RandomSystemSpec,
     ResourceCapExceeded,
-    orbit_batch,
     row_codes,
     sample_path,
 )
@@ -139,14 +138,15 @@ def katok_spanning_count(
     mass_threshold: float,
     kind: str,
     pair_budget: int = 20_000_000,
-    sample_orbits: np.ndarray | None = None,
 ) -> KatokCount:
     """Greedy count of (n, eps)-balls covering mass_threshold of the sample.
 
-    Ball membership uses the open conventions of ball_measure.  The
-    general path materializes the center-by-sample cover matrix, so M^2
-    must fit the pair budget; shift systems with zero matching slack take
-    the exact word-class route instead and have no such cap.
+    Ball membership uses the open conventions of ball_measure, on the
+    measure's own orbit stack (see EmpiricalMeasure.orbit_stack for the
+    kind, path and length checks).  The general path materializes the
+    center-by-sample cover matrix, so M^2 must fit the pair budget; shift
+    systems with zero matching slack take the exact word-class route
+    instead and have no such cap.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -154,43 +154,19 @@ def katok_spanning_count(
         raise ValueError("mass threshold must lie in (0, 1)")
     if kind not in (BOWEN, FK):
         raise ValueError(f"unknown orbit metric: {kind!r}")
-    if measure.on_words != system.on_words:
-        raise ValueError("measure kind does not match the system")
     if n < 1:
         raise ValueError("n must be >= 1")
+    # a word ball reads depth - 1 symbols past step n, a torus ball n steps
+    depth = _pair_depth(eps, system.metric.kind, False) if system.on_words else 1
+    span = n + depth - 1
+    stack = measure.orbit_stack(system, omega, span)
     M = measure.M
     need = _covered_target(mass_threshold, M)
-
-    def trivial() -> KatokCount:
-        return KatokCount(
-            n, eps, mass_threshold, kind, 1, 1.0, np.zeros(1, dtype=np.int64)
-        )
-
-    if eps > system.metric.diameter:
-        return trivial()
-
-    if system.on_words:
-        depth = _pair_depth(eps, system.metric.kind, False)
-        if depth == 0:
-            return trivial()
-        span = n + depth - 1
-        if measure.samples.shape[1] < span:
-            raise ValueError(
-                f"sampled words of length {measure.samples.shape[1]} too short "
-                f"for n={n} at radius {eps}"
-            )
-        if kind == BOWEN or match_slack(n, eps) == 0:
-            count, covered, centers = _word_class_cover(measure.samples, span, need)
-            return KatokCount(n, eps, mass_threshold, kind, count, covered, centers)
-
-    if system.on_words:
-        stack = measure.samples
-    elif sample_orbits is not None:
-        if sample_orbits.shape[0] != M or sample_orbits.shape[1] < n:
-            raise ValueError("precomputed sample orbits do not cover the schedule")
-        stack = sample_orbits[:, :n, :]
-    else:
-        stack = orbit_batch(system, omega, measure.samples, n)
+    if eps > system.metric.diameter or depth == 0:
+        return KatokCount(n, eps, mass_threshold, kind, 1, 1.0, np.zeros(1, dtype=np.int64))
+    if system.on_words and (kind == BOWEN or match_slack(n, eps) == 0):
+        count, covered, centers = _word_class_cover(stack, span, need)
+        return KatokCount(n, eps, mass_threshold, kind, count, covered, centers)
     cover = cover_matrix(kind, system.metric, n, stack, eps, pair_budget)
     picks, total = greedy_cover(cover, need)
     return KatokCount(n, eps, mass_threshold, kind, picks.size, total / M, picks)
@@ -240,14 +216,14 @@ def katok_table(
     kinds,
     mass_threshold: float | None = None,
     pair_budget: int = 20_000_000,
-    sample_orbits: np.ndarray | None = None,
 ) -> dict[str, dict[tuple[float, int], KatokCount]]:
     """All (eps, n) cover counts of each kind for one path and measure, validated.
 
     kinds is a tuple of orbit metrics; the result maps each to its table,
     built and validated in the order given.  At zero matching slack the FK
     ball is the Bowen ball, so such a cell is covered once and later kinds
-    take a copy with their own kind.
+    take a copy with their own kind.  Every cell reads the measure's own
+    orbit stack, built once by sample_measure.
     mass_threshold None selects the one-parameter convention, threshold
     1 - eps per column; a float fixes one threshold for every column.
     """
@@ -260,9 +236,6 @@ def katok_table(
     for kind in kinds:
         if kind not in (BOWEN, FK):
             raise ValueError(f"unknown orbit metric: {kind!r}")
-    n_max = n_window[-1]
-    if not system.on_words and sample_orbits is None and measure.M**2 <= pair_budget:
-        sample_orbits = orbit_batch(system, omega, measure.samples, n_max)
     tables: dict[str, dict[tuple[float, int], KatokCount]] = {}
     for kind in kinds:
         shared = next(iter(tables.values()), None)
@@ -282,7 +255,6 @@ def katok_table(
                     threshold,
                     kind,
                     pair_budget=pair_budget,
-                    sample_orbits=sample_orbits,
                 )
         validate_katok_counts(cells, kind)
         tables[kind] = cells

@@ -4,9 +4,12 @@ The estimators here share one recipe: draw M points from the reference
 fiber measure (Lebesgue for the circle families, the per-step uniform
 word measure for shifts), iterate all of them along the path once, and
 estimate the mass of a time-n ball about a base point as the fraction of
-sample orbits that stay delta-close in the chosen orbit metric.  Orbit
-prefixes nest, so one stack of length max(n) serves the whole schedule,
-and one pass over it counts every cell of both orbit metrics.
+sample orbits that stay delta-close in the chosen orbit metric.  The
+sampled measure owns that orbit stack: `sample_measure` builds it once
+over the path's horizon, and every consumer reads it through
+`EmpiricalMeasure.orbit_stack`, which checks the system kind, the path
+and the step count.  Orbit prefixes nest, so one stack serves the whole
+schedule, and one pass over it counts every cell of both orbit metrics.
 
 The reported local entropy is a slope, not a single-entry value: the
 least-squares fit of -log(mass) against n at the smallest usable delta.
@@ -70,10 +73,6 @@ __all__ = [
     "partition_entropy_rate",
 ]
 
-# Rows per chunk when streaming sample orbits; keeps peak memory near
-# chunk * n * 8 bytes per live array regardless of M.
-_CHUNK_ROWS = 200_000
-
 # Stream id for measure sampling under child_rng, distinct from the path
 # stream (0) and the candidate stream (3).
 _MEASURE_STREAM = 5
@@ -81,64 +80,90 @@ _MEASURE_STREAM = 5
 
 @dataclass
 class EmpiricalMeasure:
-    """M i.i.d. draws from a reference fiber measure.
+    """M i.i.d. draws from a reference fiber measure, with their orbits along omega.
 
-    samples is (M, d) floats in [0, 1) for circle families or an (M, L)
-    int64 word matrix for shifts.  Set membership is always estimated as
-    count/M, so M >= 1 is required up front.
+    orbits is the samples' orbit stack along the path omega they were
+    drawn along: (M, H, d) floats in [0, 1) for circle families, step 0
+    being the draws, or an (M, L) int64 word matrix for shifts, where a
+    word is its own orbit.  samples reads the draws back as (M, d) or
+    (M, L).  Set membership is always estimated as count/M, so M >= 1 is
+    required up front.
     """
 
-    samples: np.ndarray
+    orbits: np.ndarray
+    omega: OmegaPath
     seed: int
     on_words: bool = False
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.samples)
-        if arr.ndim != 2:
-            raise ValueError("samples must be a 2-d array")
+        arr = np.asarray(self.orbits)
+        if arr.ndim != (2 if self.on_words else 3) or 0 in arr.shape[1:]:
+            raise ValueError("orbits must be an (M, L) word matrix or an (M, H, d) orbit stack")
         if arr.shape[0] < 1:
             raise ValueError("empirical measure needs M >= 1 samples")
         if self.on_words:
             arr = arr.astype(np.int64, copy=False)
-            if arr.size and arr.min() < 0:
+            if arr.min() < 0:
                 raise ValueError("word samples must be nonnegative symbols")
         else:
             arr = arr.astype(float, copy=False)
-            if arr.size and (arr.min() < 0.0 or arr.max() >= 1.0):
+            draws = arr[:, 0, :]
+            if draws.min() < 0.0 or draws.max() >= 1.0:
                 raise ValueError("torus samples must lie in [0, 1)")
-        self.samples = arr
+        self.orbits = arr
 
     @property
     def M(self) -> int:
-        return int(self.samples.shape[0])
+        return int(self.orbits.shape[0])
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self.orbits if self.on_words else self.orbits[:, 0, :]
+
+    def orbit_stack(self, system: RandomSystemSpec, omega: OmegaPath, steps: int) -> np.ndarray:
+        """The sample orbits, once they are known to fit the request.
+
+        The system must be of the measure's kind, omega must carry the
+        measure's path symbols over its horizon, and the stack must hold
+        `steps` steps (orbit points on the torus, symbols on words).
+        """
+        if self.on_words != system.on_words:
+            raise ValueError("measure kind does not match the system")
+        horizon = self.omega.horizon
+        if omega.horizon < horizon or not np.array_equal(omega.window(horizon), self.omega.window(horizon)):
+            raise ValueError("omega is not the path the measure was drawn along")
+        if self.orbits.shape[1] < steps:
+            raise ValueError(f"sample orbits hold {self.orbits.shape[1]} steps, {steps} needed")
+        return self.orbits
 
 
 def sample_measure(system: RandomSystemSpec, omega: OmegaPath, M: int, seed: int) -> EmpiricalMeasure:
-    """Draw M samples from the reference measure of the system's fiber.
+    """Draw M samples from the reference measure of the system's fiber, with their orbits.
 
     Circle families get Lebesgue, which every expanding map and every
-    full-branch tent preserves.  Shift systems get the product measure
-    whose step-i marginal is uniform on the alphabet of the step-i fiber,
-    the family the shift cocycle pushes forward onto itself.  Word samples
-    carry one symbol per path step, so the path horizon bounds the usable
-    n + depth - 1 downstream.
+    full-branch tent preserves; the draws are iterated once along omega,
+    so the stack holds omega.horizon steps.  Shift systems get the product
+    measure whose step-i marginal is uniform on the alphabet of the step-i
+    fiber, the family the shift cocycle pushes forward onto itself.  Word
+    samples carry one symbol per path step and are their own orbit stack,
+    so the path horizon bounds the usable n + depth - 1 downstream.
     """
     if M < 1:
         raise ValueError("sample count M must be >= 1")
+    if omega.horizon < 1:
+        raise ValueError("path horizon must be >= 1 to sample a measure")
     rng = child_rng(seed, _MEASURE_STREAM)
     if system.on_words:
         length = omega.horizon
-        if length < 1:
-            raise ValueError("path horizon must be >= 1 to sample word measures")
         sizes = system.factor_along(omega, length)
         u = rng.random((M, length))
         u *= sizes[None, :]
         words = u.astype(np.int64)
         del u
         np.minimum(words, sizes[None, :] - 1, out=words)
-        return EmpiricalMeasure(words, seed, on_words=True)
+        return EmpiricalMeasure(words, omega, seed, on_words=True)
     if system.metric.kind == TORUS:
-        return EmpiricalMeasure(rng.random((M, 1)), seed)
+        return EmpiricalMeasure(orbit_batch(system, omega, rng.random((M, 1)), omega.horizon), omega, seed)
     raise ValueError(f"no reference measure for family {system.family!r}")
 
 
@@ -212,27 +237,6 @@ class GridPartition:
         return labels
 
 
-def _orbit_chunks(
-    system: RandomSystemSpec,
-    omega: OmegaPath,
-    measure: EmpiricalMeasure,
-    n: int,
-    sample_orbits: np.ndarray | None,
-):
-    """Yield orbit stacks of the samples in fixed chunk order."""
-    if system.on_words:
-        yield measure.samples
-        return
-    if sample_orbits is not None:
-        if sample_orbits.shape[0] != measure.M or sample_orbits.shape[1] < n:
-            raise ValueError("precomputed sample orbits do not cover the schedule")
-        for lo in range(0, measure.M, _CHUNK_ROWS):
-            yield sample_orbits[lo : lo + _CHUNK_ROWS, :n, :]
-        return
-    for lo in range(0, measure.M, _CHUNK_ROWS):
-        yield orbit_batch(system, omega, measure.samples[lo : lo + _CHUNK_ROWS], n)
-
-
 def ball_measure(
     measure: EmpiricalMeasure,
     center: OrbitSegment,
@@ -241,7 +245,6 @@ def ball_measure(
     kind: str,
     system: RandomSystemSpec,
     omega: OmegaPath,
-    sample_orbits: np.ndarray | None = None,
 ) -> float:
     """Empirical mass of the open time-n ball of radius delta at the center.
 
@@ -250,30 +253,17 @@ def ball_measure(
     with pair distances < delta).  The center is never added to the
     sample set, so small masses stay unbiased at the 1/M scale.
     """
-    if measure.M < 1:
-        raise ValueError("ball_measure needs a nonempty sample set")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if kind not in (BOWEN, FK):
         raise ValueError(f"unknown orbit metric: {kind!r}")
     if n < 1 or center.n < n:
         raise ValueError("center orbit shorter than the requested n")
-    if measure.on_words != system.on_words:
-        raise ValueError("measure kind does not match the system")
+    steps = n + _pair_depth(delta, system.metric.kind, False) - 1 if system.on_words else n
+    stack = measure.orbit_stack(system, omega, steps)
     if delta > system.metric.diameter:
         return 1.0
-    if system.on_words:
-        depth = _pair_depth(delta, system.metric.kind, False)
-        if measure.samples.shape[1] < n + depth - 1:
-            raise ValueError(
-                f"sampled words of length {measure.samples.shape[1]} too short "
-                f"for n={n} at radius {delta}"
-            )
-    ref = center.prefix(n)
-    count = 0
-    for stack in _orbit_chunks(system, omega, measure, n, sample_orbits):
-        count += int(ball_batch(kind, ref, stack, delta).sum())
-    return count / measure.M
+    return int(ball_batch(kind, center.prefix(n), stack, delta).sum()) / measure.M
 
 
 @dataclass(frozen=True)
@@ -351,18 +341,18 @@ def _ball_count_table(
     n_list,
     delta_list,
     kinds,
-    sample_orbits: np.ndarray | None,
 ) -> dict[str, dict[tuple[int, float], int]]:
     """Ball counts of every kind for the whole (n, delta) schedule in one sample pass.
 
-    Torus Bowen counts for every n fall out of one forward pass per chunk
-    that keeps each row's worst gap so far and drops a row as soon as that
-    gap reaches the largest delta, since it can enter no ball after that.
-    Zero-slack FK cells are Bowen cells and take the Bowen counts.  The FK
-    cells with matching slack share one pass over the diagonals per row
-    block (`matching._fk_members`): at the largest n, each diagonal's gaps
-    are computed once and thresholded into one packed mask per delta at
-    its widest band, and each n reads its prefix of that mask.
+    Torus Bowen counts for every n fall out of one forward pass over the
+    sample orbits that keeps each row's worst gap so far and drops a row
+    as soon as that gap reaches the largest delta, since it can enter no
+    ball after that.  Zero-slack FK cells are Bowen cells and take the
+    Bowen counts.  The FK cells with matching slack share one pass over
+    the diagonals per row block (`matching._fk_members`): at the largest
+    n, each diagonal's gaps are computed once and thresholded into one
+    packed mask per delta at its widest band, and each n reads its prefix
+    of that mask.
     """
     n_list = sorted(n_list)
     delta_list = sorted(delta_list)
@@ -373,36 +363,28 @@ def _ball_count_table(
     fk = dict.fromkeys(slack_cells, 0)
 
     if system.on_words:
-        depth_need = max(
-            _pair_depth(d, system.metric.kind, False) for d in delta_list
-        )
-        if measure.samples.shape[1] < n_max + depth_need - 1:
-            raise ValueError(
-                f"sampled words of length {measure.samples.shape[1]} too short "
-                f"for n={n_max} at radius {min(delta_list)}"
-            )
-
-    for stack in _orbit_chunks(system, omega, measure, n_max, sample_orbits):
-        if system.on_words:
-            for n in n_list:
-                ref = center.prefix(n)
+        depth_need = max(_pair_depth(d, system.metric.kind, False) for d in delta_list)
+        stack = measure.orbit_stack(system, omega, n_max + depth_need - 1)
+        for n in n_list:
+            ref = center.prefix(n)
+            for d in delta_list:
+                bowen[(n, d)] = int(ball_batch(BOWEN, ref, stack, d).sum())
+    else:
+        stack = measure.orbit_stack(system, omega, n_max)
+        live = np.arange(stack.shape[0])
+        worst = np.zeros(stack.shape[0])
+        for n in range(1, n_max + 1):
+            gap = circle_gap(stack[live, n - 1, :], center.points[n - 1]).max(axis=1)
+            worst = np.maximum(worst, gap)
+            keep = worst < delta_list[-1]
+            live, worst = live[keep], worst[keep]
+            if n in n_list:
                 for d in delta_list:
-                    bowen[(n, d)] += int(ball_batch(BOWEN, ref, stack, d).sum())
-        else:
-            live = np.arange(stack.shape[0])
-            worst = np.zeros(stack.shape[0])
-            for n in range(1, n_max + 1):
-                gap = circle_gap(stack[live, n - 1, :], center.points[n - 1]).max(axis=1)
-                worst = np.maximum(worst, gap)
-                keep = worst < delta_list[-1]
-                live, worst = live[keep], worst[keep]
-                if n in n_list:
-                    for d in delta_list:
-                        bowen[(n, d)] += int((worst < d).sum())
-        if slack_cells:
-            for _, hits in _fk_members(center, stack, slack_cells):
-                for cell, hit in zip(slack_cells, hits):
-                    fk[cell] += int(hit.sum())
+                    bowen[(n, d)] = int((worst < d).sum())
+    if slack_cells:
+        for _, hits in _fk_members(center, stack, slack_cells):
+            for cell, hit in zip(slack_cells, hits):
+                fk[cell] += int(hit.sum())
     return {
         kind: bowen if kind == BOWEN else {c: fk.get(c, bowen[c]) for c in cells}
         for kind in kinds
@@ -486,7 +468,6 @@ def local_entropy(
     seed: int = 0,
     omega_seed: int | None = None,
     measure: EmpiricalMeasure | None = None,
-    sample_orbits: np.ndarray | None = None,
 ) -> dict[str, LocalEntropyRecord]:
     """Fill the (n, delta) local entropy table of each kind for one base point.
 
@@ -498,8 +479,9 @@ def local_entropy(
     schedule and raises.  Zero counts inside the table are flagged
     entries, not errors.
 
-    measure/sample_orbits let callers share one sampled measure and one
-    orbit stack across base points.
+    The counts read the orbit stack of `measure` (drawn from `seed` when
+    None), so a measure of the other kind, one drawn along another path
+    or one whose stack is shorter than the largest n raises ValueError.
     """
     n_list = sorted(set(int(n) for n in n_list))
     delta_list = sorted(set(float(d) for d in delta_list))
@@ -518,9 +500,7 @@ def local_entropy(
         raise ValueError(f"measure has M={measure.M}, schedule says {M}")
 
     center = orbit(system, omega, x, n_list[-1])
-    tables = _ball_count_table(
-        system, omega, measure, center, n_list, delta_list, kinds, sample_orbits
-    )
+    tables = _ball_count_table(system, omega, measure, center, n_list, delta_list, kinds)
     base = np.asarray(center.points[0] if not system.on_words else center.word)
     return {
         kind: _local_record(kind, tables[kind], n_list, delta_list, M, base, omega_seed)
@@ -545,17 +525,13 @@ def smb_estimate(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if measure.on_words != system.on_words:
-        raise ValueError("measure kind does not match the system")
+    stack = measure.orbit_stack(system, omega, n)
     center = orbit(system, omega, x, n)
     if system.on_words:
         ref = partition.itinerary(system, center.word[None, :], n)[0]
     else:
         ref = partition.itinerary(system, center.points[None, :, :], n)[0]
-    count = 0
-    for stack in _orbit_chunks(system, omega, measure, n, None):
-        labels = partition.itinerary(system, stack, n)
-        count += int((labels == ref[None, :]).all(axis=1).sum())
+    count = int((partition.itinerary(system, stack, n) == ref[None, :]).all(axis=1).sum())
     if count == 0:
         return math.nan
     return -math.log(count / measure.M) / n + 0.0
@@ -589,11 +565,7 @@ def partition_entropy_rate(
     for seed in path_seeds(master_seed, omega_samples):
         path = sample_path(process, horizon, int(seed))
         measure = sample_measure(system, path, M, int(seed))
-        if system.on_words:
-            stack = measure.samples
-        else:
-            stack = orbit_batch(system, path, measure.samples, n_max)
-        labels = partition.itinerary(system, stack, n_max)
+        labels = partition.itinerary(system, measure.orbit_stack(system, path, n_max), n_max)
         for n in n_window:
             codes = row_codes(labels[:, :n])
             _, cell_counts = np.unique(codes, return_counts=True)

@@ -72,6 +72,13 @@ ENUMERATION = "enumeration"
 
 SEPARATED = "greedy-separated"
 
+# Seed of the i.i.d. word fallback in word_candidates, drawn on child_rng
+# stream 3 (the path stream is 0, the measure stream 5).
+_WORD_SEED = 0
+
+# Multiplicative slack of CountTable.validate's cross-window density laws.
+_DENSITY_SLACK = 0.05
+
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
@@ -153,7 +160,6 @@ def word_candidates(
     n: int,
     eps: float,
     budget: int = 200_000,
-    seed: int = 0,
 ) -> CandidateSet:
     """All admissible itineraries long enough to decide eps-closeness.
 
@@ -182,11 +188,11 @@ def word_candidates(
             place //= int(r)
             words[:, i] = (idx // place) % int(r)
         return CandidateSet(words, True, ENUMERATION)
-    rng = child_rng(seed, 3, n)
+    rng = child_rng(_WORD_SEED, 3, n)
     words = np.empty((budget, length), dtype=np.int64)
     for i, r in enumerate(radices):
         words[:, i] = rng.integers(0, int(r), size=budget)
-    return CandidateSet(words, True, IID, seed=seed)
+    return CandidateSet(words, True, IID, seed=_WORD_SEED)
 
 
 def _orbit_stack(
@@ -352,7 +358,7 @@ class CountTable:
     def axis(self, field_name: str) -> list:
         return sorted({getattr(e, field_name) for e in self.entries})
 
-    def validate(self, slack: float = 0.05) -> None:
+    def validate(self) -> None:
         """Asserts the count laws, on densities when windows differ.
 
         Same-window comparisons are exact up to one count of greedy-boundary
@@ -377,7 +383,7 @@ class CountTable:
                 col = [self.lookup(n, eps, metric) for n in ns]
                 col = [e for e in col if e is not None]
                 for a, b in zip(col, col[1:]):
-                    if dens(b) < dens(a, drop=1) * (1.0 - slack):
+                    if dens(b) < dens(a, drop=1) * (1.0 - _DENSITY_SLACK):
                         raise InvariantViolation(
                             f"count density fell from n={a.n} to n={b.n} "
                             f"at eps={eps} {metric}"
@@ -386,7 +392,7 @@ class CountTable:
                 row = [self.lookup(n, eps, metric) for eps in eps_axis]
                 row = [e for e in row if e is not None]
                 for a, b in zip(row, row[1:]):  # eps ascending
-                    if dens(b, drop=1) * (1.0 - slack) > dens(a):
+                    if dens(b, drop=1) * (1.0 - _DENSITY_SLACK) > dens(a):
                         raise InvariantViolation(
                             f"count density rose from eps={a.eps} to eps={b.eps} "
                             f"at n={n} {metric}"

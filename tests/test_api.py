@@ -1,7 +1,9 @@
-"""The package's public names resolve, and no module imports a name it never uses.
+"""The package's public names resolve, no module imports a name it never
+uses, and no function takes a parameter it never reads.
 
-Deleting a function should take its exports and its imports with it; these
-checks catch the leftovers a deletion leaves behind.
+Deleting a function or a code path should take its exports, its imports
+and its arguments with it; these checks catch the leftovers a deletion
+leaves behind.
 """
 
 import ast
@@ -47,3 +49,22 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"fkent.{name}: {imported}" for imported in _imported_names(tree) if imported not in used]
     assert unused == []
+
+
+def test_no_unread_parameters():
+    unread = []
+    for name in MODULES + ["__init__"]:
+        for node in ast.walk(_tree(name)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            label = getattr(node, "name", "<lambda>")
+            unread += [f"fkent.{name}.{label}: {p}" for p in params if p not in ("self", "cls") and p not in read]
+    assert unread == []

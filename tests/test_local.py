@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fkent import local, matching
+from fkent import matching
 from fkent.local import (
     EmpiricalMeasure,
     GridPartition,
@@ -15,6 +15,7 @@ from fkent.local import (
     sample_measure,
     smb_estimate,
 )
+from fkent.katok import katok_spanning_count
 from fkent.matching import BOWEN, FK, match_slack, match_target
 from fkent.spanning import fit_log_slope, path_seeds
 from fkent.systems import (
@@ -69,11 +70,56 @@ def test_sample_measure_deterministic_in_seed():
     assert not np.array_equal(a.samples, c.samples)
 
 
+def test_sample_measure_orbit_stack():
+    # the measure holds its samples' orbits along the path it was drawn
+    # along: one orbit_batch over the horizon on the torus, the word
+    # matrix itself on shifts; an equal path rebuilt from its seed passes
+    proc = bernoulli_process((0.5, 0.5))
+    path = sample_path(proc, 9, 3)
+    torus = expanding_system((2, 3))
+    mu = sample_measure(torus, path, 500, 3)
+    stack = mu.orbit_stack(torus, sample_path(proc, 9, 3), 9)
+    expect = orbit_batch(torus, path, mu.samples, path.horizon)
+    assert stack.shape == expect.shape and stack.tobytes() == expect.tobytes()
+    words = shift_system((2, 3))
+    word_mu = sample_measure(words, path, 500, 3)
+    word_stack = word_mu.orbit_stack(words, path, 9)
+    assert np.shares_memory(word_stack, word_mu.samples)
+    assert stack.shape[1] == word_stack.shape[1] == path.horizon
+
+
+def test_measure_consumers_reject_wrong_kind_path_or_length():
+    # a word measure handed to a torus local table used to be iterated as
+    # torus points, so every sample fell in every ball (20000/20000,
+    # entropy 0); now the kind, the path and the stack length are checked
+    doubling = expanding_system((2,))
+    zeros = sample_path(bernoulli_process((1.0,)), 4, 1)
+    words = sample_measure(shift_system((2, 2)), zeros, 20_000, 1)
+    with pytest.raises(ValueError, match="measure kind does not match the system"):
+        local_entropy(doubling, zeros, 0.01, [2, 3, 4], [0.1, 0.2], 20_000, (BOWEN,), measure=words)
+
+    mixed = expanding_system((2, 3))
+    proc = bernoulli_process((0.5, 0.5))
+    path_a, path_b = sample_path(proc, 6, 1), sample_path(proc, 6, 2)
+    assert not np.array_equal(path_a.symbols, path_b.symbols)
+    mu_a = sample_measure(mixed, path_a, 2_000, 1)
+    with pytest.raises(ValueError, match="drawn along"):
+        local_entropy(mixed, path_b, 0.3, [2, 4, 6], [0.2], 2_000, (BOWEN,), measure=mu_a)
+    with pytest.raises(ValueError, match="drawn along"):
+        katok_spanning_count(mu_a, path_b, mixed, 4, 0.1, 0.9, BOWEN)
+
+    short = sample_path(bernoulli_process((1.0,)), 3, 1)
+    mu_short = sample_measure(doubling, short, 20_000, 1)
+    with pytest.raises(ValueError, match="steps"):
+        local_entropy(doubling, short, 0.01, [2, 3, 4], [0.1, 0.2], 20_000, (BOWEN,), measure=mu_short)
+
+
 def test_empirical_measure_validation():
+    path = path_from_symbols([0, 0])
     with pytest.raises(ValueError):
-        EmpiricalMeasure(samples=np.zeros(3), seed=0)
+        EmpiricalMeasure(np.zeros(3), path, seed=0)
     with pytest.raises(ValueError):
-        EmpiricalMeasure(samples=np.array([[1.5]]), seed=0)
+        EmpiricalMeasure(np.array([[[1.5]]]), path, seed=0)
 
 
 def test_ball_mass_doubling_hand_values():
@@ -90,41 +136,38 @@ def test_ball_mass_doubling_hand_values():
 
 def test_fk_mass_dominates_bowen_mass():
     system, path, mu = doubling_setup(M=20_000)
-    stack = orbit_batch(system, path, mu.samples, 12)
     rng = np.random.default_rng(3)
     for _ in range(6):
         x = float(rng.random())
         n = int(rng.integers(2, 13))
         delta = float(rng.choice([0.05, 0.1, 0.2]))
         seg = orbit(system, path, x, n)
-        b = ball_measure(mu, seg, n, delta, BOWEN, system, path, sample_orbits=stack)
-        f = ball_measure(mu, seg, n, delta, FK, system, path, sample_orbits=stack)
+        b = ball_measure(mu, seg, n, delta, BOWEN, system, path)
+        f = ball_measure(mu, seg, n, delta, FK, system, path)
         assert f >= b
 
 
-def test_ball_count_table_matches_ball_measure(monkeypatch):
+def test_ball_count_table_matches_ball_measure():
     # the table's one-pass counts must equal one ball kernel call per cell.
     # The base point 5/64 has a grid orbit, and the sample stack is that
     # orbit moved by multiples of 1/64 at random steps, so gaps tie with
     # both radii and a row's worst gap can come before its last step.
-    # Small chunks make the pass run over several chunks, the last one short.
-    monkeypatch.setattr(local, "_CHUNK_ROWS", 700)
     system = expanding_system((2, 3))
     path = sample_path(bernoulli_process((0.5, 0.5)), 12, 6)
     M = 3_000
-    mu = sample_measure(system, path, M, 6)
     center = orbit(system, path, 5 / 64, 11)
     rng = np.random.default_rng(6)
     moves = rng.choice([-17, -16, -15, -9, -8, -7, 7, 8, 9, 15, 16, 17], size=(M, 11, 1))
     moved = rng.random((M, 11, 1)) < 0.08
     stack = ((np.round(center.points * 64) + np.where(moved, moves, 0)) % 64) / 64
+    mu = EmpiricalMeasure(stack, path, seed=6)
     n_list, delta_list = [3, 5, 8], [0.125, 0.25]
     assert {match_slack(n, d) for n in n_list for d in delta_list} == {0, 1}
     tables = {}
     for kind in (BOWEN, FK):
-        rec = local_entropy(system, path, 5 / 64, n_list, delta_list, M, (kind,), measure=mu, sample_orbits=stack)[kind]
+        rec = local_entropy(system, path, 5 / 64, n_list, delta_list, M, (kind,), measure=mu)[kind]
         for e in rec.entries:
-            mass = ball_measure(mu, center.prefix(e.n), e.n, e.delta, kind, system, path, sample_orbits=stack)
+            mass = ball_measure(mu, center.prefix(e.n), e.n, e.delta, kind, system, path)
             assert e.count == round(mass * M)
         tables[kind] = {(e.n, e.delta): e.count for e in rec.entries}
     assert min(tables[BOWEN].values()) > 0
@@ -140,14 +183,12 @@ def test_shared_local_pass_matches_ball_measure(monkeypatch):
     # grid orbit of 5/64 (odd factors permute the grid, so it never
     # collapses to 0) shifted by up to two steps and then moved by
     # multiples of 1/64 at random steps, so gaps tie with both radii and
-    # off-diagonal matches decide FK membership.  Small chunks and blocks
-    # make the pass split both.
-    monkeypatch.setattr(local, "_CHUNK_ROWS", 700)
+    # off-diagonal matches decide FK membership.  Small blocks make the
+    # pass split the rows.
     monkeypatch.setattr(matching, "_BLOCK_ROWS", 256)
     system = expanding_system((3, 5))
     path = sample_path(bernoulli_process((0.5, 0.5)), 14, 9)
     M, steps = 3_000, 12
-    mu = sample_measure(system, path, M, 9)
     center = orbit(system, path, 5 / 64, steps + 2)
     rng = np.random.default_rng(9)
     grid = np.concatenate([rng.integers(0, 64, 2), np.round(center.points[:, 0] * 64).astype(np.int64)])
@@ -156,18 +197,19 @@ def test_shared_local_pass_matches_ball_measure(monkeypatch):
     moves = rng.choice([-17, -16, -15, -9, -8, -7, 7, 8, 9, 15, 16, 17], size=(M, steps))
     moved = rng.random((M, steps)) < 0.06
     stack = (((rows + np.where(moved, moves, 0)) % 64) / 64)[:, :, None]
+    mu = EmpiricalMeasure(stack, path, seed=9)
     n_list, delta_list = [3, 5, 7, 9, 10], [0.125, 0.25]
     assert [match_slack(n, 0.25) for n in n_list] == [0, 1, 1, 2, 2]
     assert [match_slack(n, 0.125) for n in n_list] == [0, 0, 0, 1, 1]
     records = local_entropy(
-        system, path, 5 / 64, n_list, delta_list, M, (BOWEN, FK), measure=mu, sample_orbits=stack
+        system, path, 5 / 64, n_list, delta_list, M, (BOWEN, FK), measure=mu
     )
     assert list(records) == [BOWEN, FK]
     tables = {}
     for kind, rec in records.items():
         assert rec.kind == kind
         for e in rec.entries:
-            mass = ball_measure(mu, center.prefix(e.n), e.n, e.delta, kind, system, path, sample_orbits=stack)
+            mass = ball_measure(mu, center.prefix(e.n), e.n, e.delta, kind, system, path)
             assert e.count == round(mass * M)
         tables[kind] = {(e.n, e.delta): e.count for e in rec.entries}
     assert min(tables[BOWEN].values()) > 0
@@ -226,7 +268,7 @@ def test_smb_estimate_matches_dyadic_mass():
 
 def test_smb_estimate_flags_empty_cell():
     system, path, _ = doubling_setup()
-    tiny = EmpiricalMeasure(samples=np.full((4, 1), 0.9), seed=0)
+    tiny = EmpiricalMeasure(orbit_batch(system, path, np.full((4, 1), 0.9), path.horizon), path, seed=0)
     part = GridPartition(TORUS, 0.5)
     assert math.isnan(smb_estimate(system, path, 0.01, part, 6, tiny))
 
@@ -283,8 +325,7 @@ def test_local_entropy_record_shape_and_value():
 
 def test_local_entropy_fk_close_to_bowen_with_band_fit():
     system, path, mu = doubling_setup(M=200_000)
-    stack = orbit_batch(system, path, mu.samples, 12)
-    kw = dict(measure=mu, sample_orbits=stack)
+    kw = dict(measure=mu)
     bowen = local_entropy(system, path, 0.3, [4, 6, 8, 10, 12], [0.1], 200_000, (BOWEN,), **kw)[BOWEN]
     fk = local_entropy(system, path, 0.3, [4, 6, 8, 10, 12], [0.1], 200_000, (FK,), **kw)[FK]
     # slack bands 0 and 1 both appear in this window
