@@ -23,13 +23,13 @@ print(f"ball masses around x={x}, delta={delta}, M={mu.M} samples")
 print("n    bowen mass  exact       fk mass")
 for n in (2, 4, 6, 8):
     center = orbit(system, path, x, n)
-    mb = ball_measure(mu, center, n, delta, "bowen", system, path)
-    mf = ball_measure(mu, center, n, delta, "fk", system, path)
+    mb = ball_measure(mu, center, n, delta, "bowen")
+    mf = ball_measure(mu, center, n, delta, "fk")
     exact = delta * 2.0 ** (2 - n)
     print(f"{n:<4d} {mb:<11.6f} {exact:<11.6f} {mf:.6f}")
 
 print()
-records = local_entropy(system, path, x, [4, 6, 8, 10], [0.2, 0.1], 300_000, ("bowen", "fk"), measure=mu)
+records = local_entropy(mu, x, [4, 6, 8, 10], [0.2, 0.1], ("bowen", "fk"))
 for kind, rec in records.items():
     print(f"{kind} local entropy at x: {rec.value:.4f}")
 print(f"expected:                {math.log(2):.4f}")

@@ -27,11 +27,11 @@ print("n    balls  covered   expected-ish")
 for n in (4, 6, 8):
     # dense cover pairs scale as M^2; the default budget stops casual
     # runs at M ~ 4500, so opt in for 10^8 pair tests
-    cell = katok_spanning_count(mu, path, system, n, 0.1, 0.9, "bowen", pair_budget=10**8)
+    cell = katok_spanning_count(mu, n, 0.1, 0.9, "bowen", pair_budget=10**8)
     rough = 0.9 / (0.1 * 2.0 ** (2 - n))
     print(f"{n:<4d} {cell.count:<6d} {cell.covered_mass:.4f}    {rough:.0f}")
 
-cells = katok_table(mu, path, system, [4, 6, 8], [0.1], ("bowen",), pair_budget=10**8)["bowen"]
+cells = katok_table(mu, [4, 6, 8], [0.1], ("bowen",), pair_budget=10**8)["bowen"]
 (slope, rms), = table_slopes(cells, [4, 6, 8], [0.1])
 print(f"slope {slope:.4f} (rms {rms:.3f}), expected {math.log(2):.4f}")
 

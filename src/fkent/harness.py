@@ -369,27 +369,9 @@ def _top_task(payload) -> dict:
 def _local_task(payload) -> list[dict]:
     cfg, path_seed, points, kinds = payload
     system = cfg.system()
-    process = cfg.process()
-    horizon = katok_horizon(system, cfg.n, cfg.delta)
-    path = sample_path(process, horizon, path_seed)
+    path = sample_path(cfg.process(), katok_horizon(system, cfg.n, cfg.delta), path_seed)
     measure = sample_measure(system, path, cfg.M, path_seed)
-    return [
-        {
-            "x": np.asarray(x),
-            "records": local_entropy(
-                system,
-                path,
-                x,
-                cfg.n,
-                cfg.delta,
-                cfg.M,
-                kinds,
-                omega_seed=path_seed,
-                measure=measure,
-            ),
-        }
-        for x in points
-    ]
+    return [{"x": np.asarray(x), "records": local_entropy(measure, x, cfg.n, cfg.delta, kinds)} for x in points]
 
 
 def _katok_task(payload) -> dict:

@@ -14,6 +14,9 @@ one-parameter form ties the mass threshold to the radius (threshold
 Comparison experiments run the one-parameter form for both orbit metrics
 so the columns share schedules.
 
+Every count takes only the sampled measure, which carries the system
+and the driving path of its samples.
+
 Counts from shift systems with zero matching slack collapse to weighted
 word-class counting: every ball is exactly one prefix class, classes are
 disjoint, and greedy (heaviest class first) is provably the true minimum.
@@ -32,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matching import BOWEN, FK, _pair_depth, match_slack
+from .matching import BOWEN, FK, ball_steps, match_slack
 from .spanning import (
     EntropyEstimate,
     cover_matrix,
@@ -43,7 +46,6 @@ from .spanning import (
 )
 from .systems import (
     InvariantViolation,
-    OmegaPath,
     RandomSystemSpec,
     ResourceCapExceeded,
     row_codes,
@@ -131,8 +133,6 @@ def _word_class_cover(
 
 def katok_spanning_count(
     measure: EmpiricalMeasure,
-    omega: OmegaPath,
-    system: RandomSystemSpec,
     n: int,
     eps: float,
     mass_threshold: float,
@@ -142,11 +142,11 @@ def katok_spanning_count(
     """Greedy count of (n, eps)-balls covering mass_threshold of the sample.
 
     Ball membership uses the open conventions of ball_measure, on the
-    measure's own orbit stack (see EmpiricalMeasure.orbit_stack for the
-    kind, path and length checks).  The general path materializes the
-    center-by-sample cover matrix, so M^2 must fit the pair budget; shift
-    systems with zero matching slack take the exact word-class route
-    instead and have no such cap.
+    orbit stack of the measure's own system and path, which must hold
+    the steps the ball reads (matching.ball_steps).  The general path
+    materializes the center-by-sample cover matrix, so M^2 must fit the
+    pair budget; shift systems with zero matching slack take the exact
+    word-class route instead and have no such cap.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -156,13 +156,12 @@ def katok_spanning_count(
         raise ValueError(f"unknown orbit metric: {kind!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    # a word ball reads depth - 1 symbols past step n, a torus ball n steps
-    depth = _pair_depth(eps, system.metric.kind, False) if system.on_words else 1
-    span = n + depth - 1
-    stack = measure.orbit_stack(system, omega, span)
+    system = measure.system
+    span = ball_steps(system.metric, n, eps)
+    stack = measure.orbit_stack(span)
     M = measure.M
     need = _covered_target(mass_threshold, M)
-    if eps > system.metric.diameter or depth == 0:
+    if eps > system.metric.diameter:
         return KatokCount(n, eps, mass_threshold, kind, 1, 1.0, np.zeros(1, dtype=np.int64))
     if system.on_words and (kind == BOWEN or match_slack(n, eps) == 0):
         count, covered, centers = _word_class_cover(stack, span, need)
@@ -209,15 +208,13 @@ def validate_katok_counts(cells: dict[tuple[float, int], KatokCount], kind: str)
 
 def katok_table(
     measure: EmpiricalMeasure,
-    omega: OmegaPath,
-    system: RandomSystemSpec,
     n_window,
     eps_list,
     kinds,
     mass_threshold: float | None = None,
     pair_budget: int = 20_000_000,
 ) -> dict[str, dict[tuple[float, int], KatokCount]]:
-    """All (eps, n) cover counts of each kind for one path and measure, validated.
+    """All (eps, n) cover counts of each kind for one measure along its path, validated.
 
     kinds is a tuple of orbit metrics; the result maps each to its table,
     built and validated in the order given.  At zero matching slack the FK
@@ -247,14 +244,7 @@ def katok_table(
                     cells[(eps, n)] = replace(shared[(eps, n)], kind=kind)
                     continue
                 cells[(eps, n)] = katok_spanning_count(
-                    measure,
-                    omega,
-                    system,
-                    n,
-                    eps,
-                    threshold,
-                    kind,
-                    pair_budget=pair_budget,
+                    measure, n, eps, threshold, kind, pair_budget=pair_budget
                 )
         validate_katok_counts(cells, kind)
         tables[kind] = cells
@@ -293,14 +283,7 @@ def katok_path_entropy(
     path = sample_path(process, katok_horizon(system, n_window, eps_list), seed)
     measure = sample_measure(system, path, M, seed)
     cells = katok_table(
-        measure,
-        path,
-        system,
-        n_window,
-        eps_list,
-        kinds,
-        mass_threshold=mass_threshold,
-        pair_budget=pair_budget,
+        measure, n_window, eps_list, kinds, mass_threshold=mass_threshold, pair_budget=pair_budget
     )
     return cells, {kind: table_slopes(cells[kind], n_window, eps_list) for kind in kinds}
 

@@ -5,11 +5,12 @@ fiber measure (Lebesgue for the circle families, the per-step uniform
 word measure for shifts), iterate all of them along the path once, and
 estimate the mass of a time-n ball about a base point as the fraction of
 sample orbits that stay delta-close in the chosen orbit metric.  The
-sampled measure owns that orbit stack: `sample_measure` builds it once
-over the path's horizon, and every consumer reads it through
-`EmpiricalMeasure.orbit_stack`, which checks the system kind, the path
-and the step count.  Orbit prefixes nest, so one stack serves the whole
-schedule, and one pass over it counts every cell of both orbit metrics.
+sampled measure carries its system, its path and that orbit stack:
+`sample_measure` builds the stack once over the path's horizon, every
+consumer takes only the measure, and `EmpiricalMeasure.orbit_stack`
+checks that the stack holds the steps a request reads.  Orbit prefixes
+nest, so one stack serves the whole schedule, and one pass over it
+counts every cell of both orbit metrics.
 
 The reported local entropy is a slope, not a single-entry value: the
 least-squares fit of -log(mass) against n at the smallest usable delta.
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import BOWEN, FK, _fk_members, _pair_depth, ball_batch, match_slack
+from .matching import BOWEN, FK, _fk_members, ball_batch, ball_steps, match_slack
 from .spanning import fit_log_slope, path_seeds
 from .systems import (
     TORUS,
@@ -80,20 +81,21 @@ _MEASURE_STREAM = 5
 
 @dataclass
 class EmpiricalMeasure:
-    """M i.i.d. draws from a reference fiber measure, with their orbits along omega.
+    """M i.i.d. draws from the reference measure on one fiber, with their orbits.
 
-    orbits is the samples' orbit stack along the path omega they were
-    drawn along: (M, H, d) floats in [0, 1) for circle families, step 0
-    being the draws, or an (M, L) int64 word matrix for shifts, where a
-    word is its own orbit.  samples reads the draws back as (M, d) or
-    (M, L).  Set membership is always estimated as count/M, so M >= 1 is
-    required up front.
+    The measure lives on the fiber over one driving path of one system,
+    so it carries both, and consumers take it alone.  orbits is the
+    samples' orbit stack along omega: (M, H, d) floats in [0, 1) for
+    circle families, step 0 being the draws, or an (M, L) int64 word
+    matrix for shifts, where a word is its own orbit; the system's kind
+    decides which shape is accepted.  samples reads the draws back as
+    (M, d) or (M, L).  Set membership is always estimated as count/M, so
+    M >= 1 is required up front.
     """
 
-    orbits: np.ndarray
+    system: RandomSystemSpec
     omega: OmegaPath
-    seed: int
-    on_words: bool = False
+    orbits: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.orbits)
@@ -113,6 +115,10 @@ class EmpiricalMeasure:
         self.orbits = arr
 
     @property
+    def on_words(self) -> bool:
+        return self.system.on_words
+
+    @property
     def M(self) -> int:
         return int(self.orbits.shape[0])
 
@@ -120,18 +126,11 @@ class EmpiricalMeasure:
     def samples(self) -> np.ndarray:
         return self.orbits if self.on_words else self.orbits[:, 0, :]
 
-    def orbit_stack(self, system: RandomSystemSpec, omega: OmegaPath, steps: int) -> np.ndarray:
-        """The sample orbits, once they are known to fit the request.
+    def orbit_stack(self, steps: int) -> np.ndarray:
+        """The sample orbits, once they are known to hold `steps` steps.
 
-        The system must be of the measure's kind, omega must carry the
-        measure's path symbols over its horizon, and the stack must hold
-        `steps` steps (orbit points on the torus, symbols on words).
+        Steps are orbit points on the torus and symbols on words.
         """
-        if self.on_words != system.on_words:
-            raise ValueError("measure kind does not match the system")
-        horizon = self.omega.horizon
-        if omega.horizon < horizon or not np.array_equal(omega.window(horizon), self.omega.window(horizon)):
-            raise ValueError("omega is not the path the measure was drawn along")
         if self.orbits.shape[1] < steps:
             raise ValueError(f"sample orbits hold {self.orbits.shape[1]} steps, {steps} needed")
         return self.orbits
@@ -161,9 +160,9 @@ def sample_measure(system: RandomSystemSpec, omega: OmegaPath, M: int, seed: int
         words = u.astype(np.int64)
         del u
         np.minimum(words, sizes[None, :] - 1, out=words)
-        return EmpiricalMeasure(words, omega, seed, on_words=True)
+        return EmpiricalMeasure(system, omega, words)
     if system.metric.kind == TORUS:
-        return EmpiricalMeasure(orbit_batch(system, omega, rng.random((M, 1)), omega.horizon), omega, seed)
+        return EmpiricalMeasure(system, omega, orbit_batch(system, omega, rng.random((M, 1)), omega.horizon))
     raise ValueError(f"no reference measure for family {system.family!r}")
 
 
@@ -228,12 +227,15 @@ class GridPartition:
             return labels
         if stack.ndim != 3 or stack.shape[1] < n:
             raise ValueError("orbit stack too short for the requested n")
+        # one step and one coordinate at a time, so no temporary is
+        # larger than one column of the stack
         boxes = self.boxes_per_axis
-        digits = np.floor(stack[:, :n, :] * boxes).astype(np.int64)
-        np.clip(digits, 0, boxes - 1, out=digits)
         labels = np.zeros(stack.shape[:1] + (n,), dtype=np.int64)
-        for j in range(stack.shape[2]):
-            labels = labels * boxes + digits[:, :, j]
+        for t in range(n):
+            for j in range(stack.shape[2]):
+                digit = np.floor(stack[:, t, j] * boxes).astype(np.int64)
+                np.clip(digit, 0, boxes - 1, out=digit)
+                labels[:, t] = labels[:, t] * boxes + digit
         return labels
 
 
@@ -243,8 +245,6 @@ def ball_measure(
     n: int,
     delta: float,
     kind: str,
-    system: RandomSystemSpec,
-    omega: OmegaPath,
 ) -> float:
     """Empirical mass of the open time-n ball of radius delta at the center.
 
@@ -259,9 +259,9 @@ def ball_measure(
         raise ValueError(f"unknown orbit metric: {kind!r}")
     if n < 1 or center.n < n:
         raise ValueError("center orbit shorter than the requested n")
-    steps = n + _pair_depth(delta, system.metric.kind, False) - 1 if system.on_words else n
-    stack = measure.orbit_stack(system, omega, steps)
-    if delta > system.metric.diameter:
+    metric = measure.system.metric
+    stack = measure.orbit_stack(ball_steps(metric, n, delta))
+    if delta > metric.diameter:
         return 1.0
     return int(ball_batch(kind, center.prefix(n), stack, delta).sum()) / measure.M
 
@@ -334,8 +334,6 @@ class LocalEntropyRecord:
 
 
 def _ball_count_table(
-    system: RandomSystemSpec,
-    omega: OmegaPath,
     measure: EmpiricalMeasure,
     center: OrbitSegment,
     n_list,
@@ -362,15 +360,13 @@ def _ball_count_table(
     slack_cells = [(n, d) for n, d in cells if match_slack(n, d) > 0] if FK in kinds else []
     fk = dict.fromkeys(slack_cells, 0)
 
-    if system.on_words:
-        depth_need = max(_pair_depth(d, system.metric.kind, False) for d in delta_list)
-        stack = measure.orbit_stack(system, omega, n_max + depth_need - 1)
+    stack = measure.orbit_stack(max(ball_steps(measure.system.metric, n_max, d) for d in delta_list))
+    if measure.on_words:
         for n in n_list:
             ref = center.prefix(n)
             for d in delta_list:
                 bowen[(n, d)] = int(ball_batch(BOWEN, ref, stack, d).sum())
     else:
-        stack = measure.orbit_stack(system, omega, n_max)
         live = np.arange(stack.shape[0])
         worst = np.zeros(stack.shape[0])
         for n in range(1, n_max + 1):
@@ -458,16 +454,11 @@ def _local_record(
 
 
 def local_entropy(
-    system: RandomSystemSpec,
-    omega: OmegaPath,
+    measure: EmpiricalMeasure,
     x,
     n_list,
     delta_list,
-    M: int,
     kinds,
-    seed: int = 0,
-    omega_seed: int | None = None,
-    measure: EmpiricalMeasure | None = None,
 ) -> dict[str, LocalEntropyRecord]:
     """Fill the (n, delta) local entropy table of each kind for one base point.
 
@@ -479,9 +470,10 @@ def local_entropy(
     schedule and raises.  Zero counts inside the table are flagged
     entries, not errors.
 
-    The counts read the orbit stack of `measure` (drawn from `seed` when
-    None), so a measure of the other kind, one drawn along another path
-    or one whose stack is shorter than the largest n raises ValueError.
+    The base point's orbit runs along the measure's own system and path,
+    and the counts read the measure's orbit stack, so a stack shorter
+    than the largest n raises ValueError.  Records take M from the
+    measure and omega_seed from its path.
     """
     n_list = sorted(set(int(n) for n in n_list))
     delta_list = sorted(set(float(d) for d in delta_list))
@@ -494,27 +486,21 @@ def local_entropy(
     for kind in kinds:
         if kind not in (BOWEN, FK):
             raise ValueError(f"unknown orbit metric: {kind!r}")
-    if measure is None:
-        measure = sample_measure(system, omega, M, seed)
-    if measure.M != M:
-        raise ValueError(f"measure has M={measure.M}, schedule says {M}")
 
-    center = orbit(system, omega, x, n_list[-1])
-    tables = _ball_count_table(system, omega, measure, center, n_list, delta_list, kinds)
-    base = np.asarray(center.points[0] if not system.on_words else center.word)
+    center = orbit(measure.system, measure.omega, x, n_list[-1])
+    tables = _ball_count_table(measure, center, n_list, delta_list, kinds)
+    base = np.asarray(center.word if measure.on_words else center.points[0])
     return {
-        kind: _local_record(kind, tables[kind], n_list, delta_list, M, base, omega_seed)
+        kind: _local_record(kind, tables[kind], n_list, delta_list, measure.M, base, measure.omega.seed)
         for kind in kinds
     }
 
 
 def smb_estimate(
-    system: RandomSystemSpec,
-    omega: OmegaPath,
+    measure: EmpiricalMeasure,
     x,
     partition: GridPartition,
     n: int,
-    measure: EmpiricalMeasure,
 ) -> float:
     """-(1/n) log of the empirical mass of the dynamical partition cell.
 
@@ -525,8 +511,9 @@ def smb_estimate(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    stack = measure.orbit_stack(system, omega, n)
-    center = orbit(system, omega, x, n)
+    system = measure.system
+    stack = measure.orbit_stack(n)
+    center = orbit(system, measure.omega, x, n)
     if system.on_words:
         ref = partition.itinerary(system, center.word[None, :], n)[0]
     else:
@@ -565,7 +552,7 @@ def partition_entropy_rate(
     for seed in path_seeds(master_seed, omega_samples):
         path = sample_path(process, horizon, int(seed))
         measure = sample_measure(system, path, M, int(seed))
-        labels = partition.itinerary(system, measure.orbit_stack(system, path, n_max), n_max)
+        labels = partition.itinerary(system, measure.orbit_stack(n_max), n_max)
         for n in n_window:
             codes = row_codes(labels[:, :n])
             _, cell_counts = np.unique(codes, return_counts=True)

@@ -47,6 +47,7 @@ import numpy as np
 from .systems import (
     DISCRETE,
     TORUS,
+    FiberMetric,
     OrbitSegment,
     circle_gap,
     cylinder_depth,
@@ -69,6 +70,7 @@ __all__ = [
     "brute_force_match_matrix",
     "match_target",
     "match_slack",
+    "ball_steps",
     "in_fk_ball",
     "ball_batch",
     "bowen_ball_batch",
@@ -394,6 +396,18 @@ def _pair_depth(delta: float, kind: str, closed: bool) -> int:
     if closed and depth >= 1 and 2.0 ** (-(depth - 1)) == delta:
         depth -= 1
     return depth
+
+
+def ball_steps(metric: FiberMetric, n: int, eps: float) -> int:
+    """Orbit steps an open time-n ball of radius eps reads.
+
+    A torus ball reads its n orbit points.  A word ball reads the symbols
+    up to its cylinder depth past step n, and at least n of them; every
+    path horizon, candidate length and stack check is sized by this rule.
+    """
+    if not metric.on_words:
+        return n
+    return n + max(_pair_depth(eps, metric.kind, False), 1) - 1
 
 
 def _word_diagonal(

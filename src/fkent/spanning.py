@@ -28,7 +28,6 @@ import math
 import numpy as np
 
 from .systems import (
-    CYLINDER,
     FiberMetric,
     InvariantViolation,
     OmegaPath,
@@ -36,12 +35,11 @@ from .systems import (
     RandomSystemSpec,
     ResourceCapExceeded,
     child_rng,
-    cylinder_depth,
     expansion_product,
     orbit_batch,
     sample_path,
 )
-from .matching import BOWEN, FK, _pair_depth, ball_batch, match_slack
+from .matching import BOWEN, FK, ball_batch, ball_steps, match_slack
 
 __all__ = [
     "GRID",
@@ -171,9 +169,7 @@ def word_candidates(
         raise ValueError("word candidates apply to shift families")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    depth = cylinder_depth(eps) if system.metric.kind == CYLINDER else 1
-    depth = max(depth, 1)
-    length = n + depth - 1
+    length = ball_steps(system.metric, n, eps)
     radices = system.factor_along(path, length)
     total = 1
     for r in radices:
@@ -195,7 +191,7 @@ def word_candidates(
     return CandidateSet(words, True, IID, seed=_WORD_SEED)
 
 
-def _orbit_stack(
+def _candidate_orbits(
     system: RandomSystemSpec, path: OmegaPath, n: int, candidates: CandidateSet
 ) -> np.ndarray:
     """Time-n orbits of the candidates along the path, one row each.
@@ -277,7 +273,7 @@ def greedy_separated(
         raise ValueError("n must be >= 1")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    sel = _scan_separated(kind, system.metric, n, _orbit_stack(system, path, n, candidates), eps)
+    sel = _scan_separated(kind, system.metric, n, _candidate_orbits(system, path, n, candidates), eps)
     return int(sel.size), sel
 
 
@@ -502,15 +498,12 @@ def entropy_from_counts(table: CountTable, metric: str = BOWEN) -> EntropyEstima
 def katok_horizon(system: RandomSystemSpec, n_window, eps_list) -> int:
     """Path length covering every (n, eps) cell of the schedules.
 
-    On words a radius-eps ball reads the symbols up to its cylinder depth
-    past the last step, so the path runs that many steps past the largest
-    n.  Every per-path routine sizes its path with this rule.
+    The path runs as many steps as the largest-n ball of the smallest
+    radius reads (matching.ball_steps).  Every per-path routine sizes its
+    path with this rule.
     """
     n_max = max(int(n) for n in n_window)
-    if not system.on_words:
-        return n_max
-    depth_max = max(_pair_depth(float(e), system.metric.kind, False) for e in eps_list)
-    return n_max + max(depth_max, 1) - 1
+    return max(ball_steps(system.metric, n_max, float(e)) for e in eps_list)
 
 
 def count_table(
@@ -548,7 +541,7 @@ def count_table(
                 cell = word_candidates(system, path, n, eps, budget=budget)
             else:
                 cell = torus_grid_candidates(system, path, n, eps, count_target=count_target, budget=budget)
-            stack = _orbit_stack(system, path, n, cell)
+            stack = _candidate_orbits(system, path, n, cell)
             counts: dict[str, int] = {}
             for metric in metrics:
                 # at zero matching slack the FK ball is the Bowen ball

@@ -233,7 +233,7 @@ def test_5_smb_cell_mass(capsys):
     system = expanding_system((2,))
     path = sample_path(bernoulli_process((1.0,)), 12, 9)
     mu = sample_measure(system, path, 1_000_000, 9)
-    est = smb_estimate(system, path, 0.3, GridPartition(TORUS, 0.5), 12, mu)
+    est = smb_estimate(mu, 0.3, GridPartition(TORUS, 0.5), 12)
     p = 2.0**-12
     band = 3 * math.sqrt((1 - p) / (p * mu.M)) / 12
     dev = abs(est - LOG2)
@@ -258,7 +258,7 @@ def test_6_katok_counts(capsys):
         depth = 1
         while 2.0**-depth > eps:
             depth += 1
-        cell = katok_spanning_count(mu, path, sh, 8, eps, 1 - eps, BOWEN)
+        cell = katok_spanning_count(mu, 8, eps, 1 - eps, BOWEN)
         classes, counts = np.unique(mu.samples[:, : 8 + depth - 1], axis=0, return_counts=True)
         exact = min_cover_exact(
             np.eye(len(classes), dtype=bool), counts / counts.sum(), mass_threshold=1 - eps
@@ -275,8 +275,8 @@ def test_6_katok_counts(capsys):
     strict = False
     for n in (4, 6, 8, 10):
         for eps in (0.25, 0.1):
-            b = katok_spanning_count(dmu, dpath, system, n, eps, 1 - eps, BOWEN)
-            f = katok_spanning_count(dmu, dpath, system, n, eps, 1 - eps, FK)
+            b = katok_spanning_count(dmu, n, eps, 1 - eps, BOWEN)
+            f = katok_spanning_count(dmu, n, eps, 1 - eps, FK)
             if f.count > b.count:
                 fk_excess += 1
             if f.count < b.count and n - match_target(n, eps) > 0:

@@ -1,5 +1,6 @@
 """The package's public names resolve, no module imports a name it never
-uses, and no function takes a parameter it never reads.
+uses, no function takes a parameter it never reads, and no function
+takes a sampled measure next to the system or path the measure carries.
 
 Deleting a function or a code path should take its exports, its imports
 and its arguments with it; these checks catch the leftovers a deletion
@@ -68,3 +69,18 @@ def test_no_unread_parameters():
             label = getattr(node, "name", "<lambda>")
             unread += [f"fkent.{name}.{label}: {p}" for p in params if p not in ("self", "cls") and p not in read]
     assert unread == []
+
+
+def test_measure_carries_system_and_path():
+    # an EmpiricalMeasure holds its system and driving path, so a second
+    # copy of either beside it could only disagree with the measure
+    doubled = []
+    for name in MODULES + ["__init__"]:
+        for node in ast.walk(_tree(name)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if "measure" in params and params & {"system", "omega"}:
+                doubled.append(f"fkent.{name}.{node.name}")
+    assert doubled == []

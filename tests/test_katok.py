@@ -39,7 +39,7 @@ def test_count_matches_interval_heuristic():
     # time-4 balls are intervals of length 0.1 * 2^-2 = 0.025, so covering
     # 90% of the circle takes about 36 of them
     system, path, mu = doubling_measure()
-    cell = katok_spanning_count(mu, path, system, 4, 0.1, 0.9, BOWEN)
+    cell = katok_spanning_count(mu, 4, 0.1, 0.9, BOWEN)
     assert 33 <= cell.count <= 40
     assert cell.covered_mass >= 0.9
     assert cell.count == len(cell.centers)
@@ -47,15 +47,15 @@ def test_count_matches_interval_heuristic():
 
 def test_count_scales_with_threshold():
     system, path, mu = doubling_measure()
-    half = katok_spanning_count(mu, path, system, 4, 0.1, 0.5, BOWEN)
-    most = katok_spanning_count(mu, path, system, 4, 0.1, 0.9, BOWEN)
+    half = katok_spanning_count(mu, 4, 0.1, 0.5, BOWEN)
+    most = katok_spanning_count(mu, 4, 0.1, 0.9, BOWEN)
     assert half.count < most.count
     assert half.covered_mass >= 0.5
 
 
 def test_count_trivial_above_diameter():
     system, path, mu = doubling_measure(M=64)
-    cell = katok_spanning_count(mu, path, system, 3, 0.8, 0.9, BOWEN)
+    cell = katok_spanning_count(mu, 3, 0.8, 0.9, BOWEN)
     assert cell.count == 1
     assert cell.covered_mass == 1.0
 
@@ -63,7 +63,7 @@ def test_count_trivial_above_diameter():
 def test_pair_budget_gates_dense_path():
     system, path, mu = doubling_measure(M=200)
     with pytest.raises(ResourceCapExceeded):
-        katok_spanning_count(mu, path, system, 4, 0.1, 0.9, BOWEN, pair_budget=100)
+        katok_spanning_count(mu, 4, 0.1, 0.9, BOWEN, pair_budget=100)
 
 
 def test_word_fast_path_equals_dense_greedy():
@@ -83,7 +83,7 @@ def test_word_fast_path_equals_dense_greedy():
     for i in range(mu.M):
         center = OrbitSegment(system.metric, n, word=mu.samples[i])
         word_cover[i] = bowen_ball_batch(center, mu.samples, eps)
-    cases = [(system, path, mu, n, eps, BOWEN, word_cover)]
+    cases = [(mu, n, eps, BOWEN, word_cover)]
 
     # mixed alphabets (3 and 5 letters per step) over a 6-symbol prefix,
     # with balls taken as literal prefix equality
@@ -95,7 +95,7 @@ def test_word_fast_path_equals_dense_greedy():
     prefix = mixed_mu.samples[:, :6]
     prefix_cover = (prefix[:, None, :] == prefix[None, :, :]).all(axis=2)
     for kind in (BOWEN, FK):
-        cases.append((mixed, mixed_path, mixed_mu, 4, 0.2, kind, prefix_cover.copy()))
+        cases.append((mixed_mu, 4, 0.2, kind, prefix_cover.copy()))
 
     torus = expanding_system((2,))
     torus_path = sample_path(bernoulli_process((1.0,)), 6, 3)
@@ -104,7 +104,7 @@ def test_word_fast_path_equals_dense_greedy():
     gaps = circle_gap(orbits[:, None], orbits[None]).max(axis=(2, 3))
     assert match_target(4, 0.1) == 4
     for kind in (BOWEN, FK):
-        cases.append((torus, torus_path, torus_mu, 4, 0.1, kind, gaps < 0.1))
+        cases.append((torus_mu, 4, 0.1, kind, gaps < 0.1))
     orbits = orbit_batch(torus, torus_path, torus_mu.samples, 5)[:, :, 0]
     compat = circle_gap(orbits[:, None, :, None], orbits[None, :, None, :]) < 0.25
     table = np.zeros((6, 6) + compat.shape[:2], dtype=np.int64)
@@ -117,10 +117,10 @@ def test_word_fast_path_equals_dense_greedy():
     assert match_target(5, 0.25) == 4
     fk_cover = table[5, 5] >= 4
     assert (fk_cover & ~np.diagonal(compat, axis1=2, axis2=3).all(axis=2)).any()
-    cases.append((torus, torus_path, torus_mu, 5, 0.25, FK, fk_cover))
+    cases.append((torus_mu, 5, 0.25, FK, fk_cover))
 
-    for sys_, path_, mu_, n_, eps_, kind, cover in cases:
-        cell = katok_spanning_count(mu_, path_, sys_, n_, eps_, threshold, kind)
+    for mu_, n_, eps_, kind, cover in cases:
+        cell = katok_spanning_count(mu_, n_, eps_, threshold, kind)
         M = mu_.M
         np.fill_diagonal(cover, True)
         need = max(1, math.ceil(threshold * M - 1e-9))
@@ -136,7 +136,7 @@ def test_word_fast_path_equals_dense_greedy():
         assert cell.count == len(chosen) > 1
         assert list(cell.centers) == chosen
     # the greedy count respects the 1 + ln(M) factor over the exact optimum
-    word_cell = katok_spanning_count(mu, path, system, n, eps, threshold, BOWEN)
+    word_cell = katok_spanning_count(mu, n, eps, threshold, BOWEN)
     exact = min_cover_exact(word_cover[word_cell.centers], mass_threshold=threshold)
     assert word_cell.count <= (1.0 + math.log(mu.M)) * exact
 
@@ -145,8 +145,8 @@ def test_fk_band_zero_equals_bowen_counts():
     system, path, mu = doubling_measure()
     for n in (4, 6, 8):
         assert match_target(n, 0.1) == n
-        b = katok_spanning_count(mu, path, system, n, 0.1, 0.9, BOWEN)
-        f = katok_spanning_count(mu, path, system, n, 0.1, 0.9, FK)
+        b = katok_spanning_count(mu, n, 0.1, 0.9, BOWEN)
+        f = katok_spanning_count(mu, n, 0.1, 0.9, FK)
         assert b.count == f.count
 
 
@@ -164,10 +164,10 @@ def test_katok_table_both_kinds_equals_single_kind_tables():
     ]
     for system, path, mu, n_window, eps_list, bands in cases:
         assert [[match_slack(n, e) for n in n_window] for e in eps_list] == bands
-        both = katok_table(mu, path, system, n_window, eps_list, (BOWEN, FK))
+        both = katok_table(mu, n_window, eps_list, (BOWEN, FK))
         assert list(both) == [BOWEN, FK]
         for kind in (BOWEN, FK):
-            single = katok_table(mu, path, system, n_window, eps_list, (kind,))[kind]
+            single = katok_table(mu, n_window, eps_list, (kind,))[kind]
             assert both[kind].keys() == single.keys()
             for key, cell in single.items():
                 shared = both[kind][key]
@@ -182,8 +182,8 @@ def test_katok_table_both_kinds_equals_single_kind_tables():
 def test_fk_needs_fewer_covers_at_coarse_eps():
     # slack band 2 at n=10, eps=0.25: FK balls are much fatter
     system, path, mu = doubling_measure(M=2000, horizon=12)
-    b = katok_spanning_count(mu, path, system, 10, 0.25, 0.75, BOWEN)
-    f = katok_spanning_count(mu, path, system, 10, 0.25, 0.75, FK)
+    b = katok_spanning_count(mu, 10, 0.25, 0.75, BOWEN)
+    f = katok_spanning_count(mu, 10, 0.25, 0.75, FK)
     assert f.count < b.count
 
 
@@ -199,7 +199,7 @@ def test_katok_table_and_entropy_doubling():
 
 def test_table_slopes_order():
     system, path, mu = doubling_measure()
-    cells = katok_table(mu, path, system, [4, 6, 8], [0.2, 0.1], (BOWEN,))[BOWEN]
+    cells = katok_table(mu, [4, 6, 8], [0.2, 0.1], (BOWEN,))[BOWEN]
     fits = table_slopes(cells, [4, 6, 8], [0.2, 0.1])
     assert len(fits) == 2
     for slope, rms in fits:
@@ -209,7 +209,7 @@ def test_table_slopes_order():
 
 def test_validate_accepts_real_table_and_rejects_doctored():
     system, path, mu = doubling_measure()
-    cells = katok_table(mu, path, system, [4, 6], [0.2, 0.1], (BOWEN,))[BOWEN]
+    cells = katok_table(mu, [4, 6], [0.2, 0.1], (BOWEN,))[BOWEN]
     validate_katok_counts(cells, BOWEN)
 
     def fake(n, eps, count):

@@ -15,7 +15,6 @@ from fkent.local import (
     sample_measure,
     smb_estimate,
 )
-from fkent.katok import katok_spanning_count
 from fkent.matching import BOWEN, FK, match_slack, match_target
 from fkent.spanning import fit_log_slope, path_seeds
 from fkent.systems import (
@@ -73,53 +72,45 @@ def test_sample_measure_deterministic_in_seed():
 def test_sample_measure_orbit_stack():
     # the measure holds its samples' orbits along the path it was drawn
     # along: one orbit_batch over the horizon on the torus, the word
-    # matrix itself on shifts; an equal path rebuilt from its seed passes
+    # matrix itself on shifts
     proc = bernoulli_process((0.5, 0.5))
     path = sample_path(proc, 9, 3)
     torus = expanding_system((2, 3))
     mu = sample_measure(torus, path, 500, 3)
-    stack = mu.orbit_stack(torus, sample_path(proc, 9, 3), 9)
+    stack = mu.orbit_stack(9)
     expect = orbit_batch(torus, path, mu.samples, path.horizon)
     assert stack.shape == expect.shape and stack.tobytes() == expect.tobytes()
     words = shift_system((2, 3))
     word_mu = sample_measure(words, path, 500, 3)
-    word_stack = word_mu.orbit_stack(words, path, 9)
+    word_stack = word_mu.orbit_stack(9)
     assert np.shares_memory(word_stack, word_mu.samples)
     assert stack.shape[1] == word_stack.shape[1] == path.horizon
 
 
 def test_measure_consumers_reject_wrong_kind_path_or_length():
-    # a word measure handed to a torus local table used to be iterated as
-    # torus points, so every sample fell in every ball (20000/20000,
-    # entropy 0); now the kind, the path and the stack length are checked
+    # a word matrix given for a torus system used to be iterated as torus
+    # points, so every sample fell in every ball (20000/20000, entropy 0);
+    # the measure now carries its system and path, so its constructor
+    # rejects the kind mismatch and only the stack length is checked
     doubling = expanding_system((2,))
     zeros = sample_path(bernoulli_process((1.0,)), 4, 1)
     words = sample_measure(shift_system((2, 2)), zeros, 20_000, 1)
-    with pytest.raises(ValueError, match="measure kind does not match the system"):
-        local_entropy(doubling, zeros, 0.01, [2, 3, 4], [0.1, 0.2], 20_000, (BOWEN,), measure=words)
-
-    mixed = expanding_system((2, 3))
-    proc = bernoulli_process((0.5, 0.5))
-    path_a, path_b = sample_path(proc, 6, 1), sample_path(proc, 6, 2)
-    assert not np.array_equal(path_a.symbols, path_b.symbols)
-    mu_a = sample_measure(mixed, path_a, 2_000, 1)
-    with pytest.raises(ValueError, match="drawn along"):
-        local_entropy(mixed, path_b, 0.3, [2, 4, 6], [0.2], 2_000, (BOWEN,), measure=mu_a)
-    with pytest.raises(ValueError, match="drawn along"):
-        katok_spanning_count(mu_a, path_b, mixed, 4, 0.1, 0.9, BOWEN)
+    with pytest.raises(ValueError):
+        EmpiricalMeasure(doubling, zeros, words.orbits)
 
     short = sample_path(bernoulli_process((1.0,)), 3, 1)
     mu_short = sample_measure(doubling, short, 20_000, 1)
     with pytest.raises(ValueError, match="steps"):
-        local_entropy(doubling, short, 0.01, [2, 3, 4], [0.1, 0.2], 20_000, (BOWEN,), measure=mu_short)
+        local_entropy(mu_short, 0.01, [2, 3, 4], [0.1, 0.2], (BOWEN,))
 
 
 def test_empirical_measure_validation():
+    system = expanding_system((2,))
     path = path_from_symbols([0, 0])
     with pytest.raises(ValueError):
-        EmpiricalMeasure(np.zeros(3), path, seed=0)
+        EmpiricalMeasure(system, path, np.zeros(3))
     with pytest.raises(ValueError):
-        EmpiricalMeasure(np.array([[[1.5]]]), path, seed=0)
+        EmpiricalMeasure(system, path, np.array([[[1.5]]]))
 
 
 def test_ball_mass_doubling_hand_values():
@@ -130,7 +121,7 @@ def test_ball_mass_doubling_hand_values():
     for n, delta in [(1, 0.1), (4, 0.1), (6, 0.2)]:
         p = min(delta * 2.0 ** (2 - n), 1.0)
         sd = math.sqrt(p * (1 - p) / mu.M)
-        mass = ball_measure(mu, seg, n, delta, BOWEN, system, path)
+        mass = ball_measure(mu, seg, n, delta, BOWEN)
         assert abs(mass - p) <= 4 * sd
 
 
@@ -142,8 +133,8 @@ def test_fk_mass_dominates_bowen_mass():
         n = int(rng.integers(2, 13))
         delta = float(rng.choice([0.05, 0.1, 0.2]))
         seg = orbit(system, path, x, n)
-        b = ball_measure(mu, seg, n, delta, BOWEN, system, path)
-        f = ball_measure(mu, seg, n, delta, FK, system, path)
+        b = ball_measure(mu, seg, n, delta, BOWEN)
+        f = ball_measure(mu, seg, n, delta, FK)
         assert f >= b
 
 
@@ -160,14 +151,14 @@ def test_ball_count_table_matches_ball_measure():
     moves = rng.choice([-17, -16, -15, -9, -8, -7, 7, 8, 9, 15, 16, 17], size=(M, 11, 1))
     moved = rng.random((M, 11, 1)) < 0.08
     stack = ((np.round(center.points * 64) + np.where(moved, moves, 0)) % 64) / 64
-    mu = EmpiricalMeasure(stack, path, seed=6)
+    mu = EmpiricalMeasure(system, path, stack)
     n_list, delta_list = [3, 5, 8], [0.125, 0.25]
     assert {match_slack(n, d) for n in n_list for d in delta_list} == {0, 1}
     tables = {}
     for kind in (BOWEN, FK):
-        rec = local_entropy(system, path, 5 / 64, n_list, delta_list, M, (kind,), measure=mu)[kind]
+        rec = local_entropy(mu, 5 / 64, n_list, delta_list, (kind,))[kind]
         for e in rec.entries:
-            mass = ball_measure(mu, center.prefix(e.n), e.n, e.delta, kind, system, path)
+            mass = ball_measure(mu, center.prefix(e.n), e.n, e.delta, kind)
             assert e.count == round(mass * M)
         tables[kind] = {(e.n, e.delta): e.count for e in rec.entries}
     assert min(tables[BOWEN].values()) > 0
@@ -197,19 +188,17 @@ def test_shared_local_pass_matches_ball_measure(monkeypatch):
     moves = rng.choice([-17, -16, -15, -9, -8, -7, 7, 8, 9, 15, 16, 17], size=(M, steps))
     moved = rng.random((M, steps)) < 0.06
     stack = (((rows + np.where(moved, moves, 0)) % 64) / 64)[:, :, None]
-    mu = EmpiricalMeasure(stack, path, seed=9)
+    mu = EmpiricalMeasure(system, path, stack)
     n_list, delta_list = [3, 5, 7, 9, 10], [0.125, 0.25]
     assert [match_slack(n, 0.25) for n in n_list] == [0, 1, 1, 2, 2]
     assert [match_slack(n, 0.125) for n in n_list] == [0, 0, 0, 1, 1]
-    records = local_entropy(
-        system, path, 5 / 64, n_list, delta_list, M, (BOWEN, FK), measure=mu
-    )
+    records = local_entropy(mu, 5 / 64, n_list, delta_list, (BOWEN, FK))
     assert list(records) == [BOWEN, FK]
     tables = {}
     for kind, rec in records.items():
         assert rec.kind == kind
         for e in rec.entries:
-            mass = ball_measure(mu, center.prefix(e.n), e.n, e.delta, kind, system, path)
+            mass = ball_measure(mu, center.prefix(e.n), e.n, e.delta, kind)
             assert e.count == round(mass * M)
         tables[kind] = {(e.n, e.delta): e.count for e in rec.entries}
     assert min(tables[BOWEN].values()) > 0
@@ -223,7 +212,7 @@ def test_shared_local_pass_matches_ball_measure(monkeypatch):
 def test_ball_measure_trivial_above_diameter():
     system, path, mu = doubling_setup(M=100)
     seg = orbit(system, path, 0.3, 3)
-    assert ball_measure(mu, seg, 3, 0.75, BOWEN, system, path) == 1.0
+    assert ball_measure(mu, seg, 3, 0.75, BOWEN) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -260,7 +249,7 @@ def test_smb_estimate_matches_dyadic_mass():
     system, path, mu = doubling_setup(M=200_000)
     part = GridPartition(TORUS, 0.5)
     n = 8
-    est = smb_estimate(system, path, 0.3, part, n, mu)
+    est = smb_estimate(mu, 0.3, part, n)
     p = 2.0**-n
     sd = math.sqrt((1 - p) / (p * mu.M)) / n
     assert abs(est - math.log(2.0)) <= 3 * sd
@@ -268,9 +257,9 @@ def test_smb_estimate_matches_dyadic_mass():
 
 def test_smb_estimate_flags_empty_cell():
     system, path, _ = doubling_setup()
-    tiny = EmpiricalMeasure(orbit_batch(system, path, np.full((4, 1), 0.9), path.horizon), path, seed=0)
+    tiny = EmpiricalMeasure(system, path, orbit_batch(system, path, np.full((4, 1), 0.9), path.horizon))
     part = GridPartition(TORUS, 0.5)
-    assert math.isnan(smb_estimate(system, path, 0.01, part, 6, tiny))
+    assert math.isnan(smb_estimate(tiny, 0.01, part, 6))
 
 
 def test_partition_entropy_rate_doubling():
@@ -310,7 +299,7 @@ def test_partition_entropy_rate_words_matches_prefix_counts():
 
 def test_local_entropy_record_shape_and_value():
     system, path, mu = doubling_setup(M=150_000)
-    rec = local_entropy(system, path, 0.3, [4, 6, 8, 10], [0.2, 0.1], 150_000, (BOWEN,), measure=mu, omega_seed=4)[BOWEN]
+    rec = local_entropy(mu, 0.3, [4, 6, 8, 10], [0.2, 0.1], (BOWEN,))[BOWEN]
     assert rec.kind == BOWEN
     assert rec.omega_seed == 4
     assert rec.n_window == (4, 6, 8, 10)
@@ -325,9 +314,8 @@ def test_local_entropy_record_shape_and_value():
 
 def test_local_entropy_fk_close_to_bowen_with_band_fit():
     system, path, mu = doubling_setup(M=200_000)
-    kw = dict(measure=mu)
-    bowen = local_entropy(system, path, 0.3, [4, 6, 8, 10, 12], [0.1], 200_000, (BOWEN,), **kw)[BOWEN]
-    fk = local_entropy(system, path, 0.3, [4, 6, 8, 10, 12], [0.1], 200_000, (FK,), **kw)[FK]
+    bowen = local_entropy(mu, 0.3, [4, 6, 8, 10, 12], [0.1], (BOWEN,))[BOWEN]
+    fk = local_entropy(mu, 0.3, [4, 6, 8, 10, 12], [0.1], (FK,))[FK]
     # slack bands 0 and 1 both appear in this window
     bands = {n - match_target(n, 0.1) for n in (4, 6, 8, 10, 12)}
     assert bands == {0, 1}
@@ -348,7 +336,7 @@ def test_local_entry_flags_zero_count():
 def test_local_entropy_preflight_rejects_small_budget():
     system, path, _ = doubling_setup(M=50)
     with pytest.raises(ValueError, match="raise M"):
-        local_entropy(system, path, 0.3, [4, 6], [0.1], 50, (BOWEN,))
+        local_entropy(sample_measure(system, path, 50, 0), 0.3, [4, 6], [0.1], (BOWEN,))
 
 
 def test_stratified_slope_removes_band_offsets():
@@ -382,5 +370,5 @@ def test_tent_local_entropy_near_log2():
     system = tent_system((2,))
     path = sample_path(bernoulli_process((1.0,)), 10, 5)
     mu = sample_measure(system, path, 150_000, 5)
-    rec = local_entropy(system, path, 0.37, [4, 6, 8, 10], [0.1], 150_000, (BOWEN,), measure=mu)[BOWEN]
+    rec = local_entropy(mu, 0.37, [4, 6, 8, 10], [0.1], (BOWEN,))[BOWEN]
     assert rec.value == pytest.approx(math.log(2.0), abs=0.12)

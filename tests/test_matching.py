@@ -4,6 +4,7 @@ import pytest
 from fkent.matching import (
     BOWEN,
     FK,
+    ball_steps,
     bowen_ball_batch,
     bowen_distance,
     brute_force_match,
@@ -71,6 +72,20 @@ def shuffled_copies(rng, base, count, edits):
 )
 def test_match_target(n, delta, target):
     assert match_target(n, delta) == target
+
+
+@pytest.mark.parametrize("eps", [2.0, 1.5, 1.0, 0.75, 0.5, 0.3, 0.25, 0.2, 0.125, 0.1, 2.0**-10])
+@pytest.mark.parametrize("n", [1, 5])
+def test_ball_steps(n, eps):
+    # a cylinder ball of radius eps reads the symbols of the smallest t
+    # with 2^-t < eps, at least one per step; a discrete ball reads one
+    # symbol per step and a torus ball one point per step
+    t = 0
+    while not 2.0**-t < eps:
+        t += 1
+    assert ball_steps(FiberMetric(CYLINDER), n, eps) == n + max(t, 1) - 1
+    assert ball_steps(FiberMetric(DISCRETE), n, eps) == n
+    assert ball_steps(FiberMetric(TORUS), n, eps) == n
 
 
 def test_fk_distance_hand_values():
