@@ -31,8 +31,8 @@ print(f"fk distance over {n} steps:    {d_fk:.6f}")
 # the expansion stretches the gap step by step; the worst step dominates
 # the bowen value while fk may drop the few blown-up steps
 for eps in (0.3, 0.1, 0.03):
-    m = max_match_size(a, b, eps)
-    print(f"eps={eps}: {m.k}/{n} steps matched within eps")
+    k = max_match_size(a, b, eps)
+    print(f"eps={eps}: {k}/{n} steps matched within eps")
 
 # how many steps an fk ball of radius delta may ignore
 print("\nsteps an fk ball may drop (slack band):")

@@ -14,7 +14,6 @@ from .systems import (
     InvariantViolation,
     OmegaPath,
     OrbitSegment,
-    PhasePoint,
     RandomSystemSpec,
     ResourceCapExceeded,
     bernoulli_process,
@@ -32,7 +31,6 @@ from .matching import (
     BOWEN,
     FK,
     FkDistance,
-    MatchResult,
     bowen_distance,
     fk_distance,
     lcs_mismatch,

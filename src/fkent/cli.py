@@ -20,7 +20,7 @@ from .matching import (
     brute_force_match,
     brute_force_match_matrix,
     fk_distance,
-    max_match_from_matrix,
+    max_match_batch,
     max_match_size,
 )
 from .oracles import (
@@ -167,7 +167,7 @@ def _selftest() -> int:
     for trial in range(150):
         n = int(rng.integers(1, 8))
         compat = rng.random((n, n)) < rng.uniform(0.1, 0.9)
-        got = max_match_from_matrix(compat).k
+        got = int(max_match_batch(compat)[0])
         want = brute_force_match_matrix(compat)
         if got != want:
             raise InvariantViolation(f"match DP {got} != brute force {want} on matrix {trial}")
@@ -178,7 +178,7 @@ def _selftest() -> int:
         a = _segment(rng.random(n))
         b = _segment(rng.random(n))
         eps = float(rng.uniform(0.05, 0.6))
-        got = max_match_size(a, b, eps).k
+        got = max_match_size(a, b, eps)
         want = brute_force_match(a, b, eps)
         if got != want:
             raise InvariantViolation(f"match DP {got} != brute force {want} on orbit pair {trial}")

@@ -5,12 +5,13 @@ fiber measure (Lebesgue for the circle families, the per-step uniform
 word measure for shifts), iterate all of them along the path once, and
 estimate the mass of a time-n ball about a base point as the fraction of
 sample orbits that stay delta-close in the chosen orbit metric.  The
-sampled measure carries its system, its path and that orbit stack:
-`sample_measure` builds the stack once over the path's horizon, every
-consumer takes only the measure, and `EmpiricalMeasure.orbit_stack`
-checks that the stack holds the steps a request reads.  Orbit prefixes
-nest, so one stack serves the whole schedule, and one pass over it
-counts every cell of both orbit metrics.
+sampled measure (`systems.EmpiricalMeasure`, the type the separated-set
+candidates of `spanning` also are) carries its system, its path and that
+orbit stack: `sample_measure` builds the stack once over the path's
+horizon, every consumer takes only the measure, and
+`EmpiricalMeasure.orbit_stack` checks that the stack holds the steps a
+request reads.  Orbit prefixes nest, so one stack serves the whole
+schedule, and one pass over it counts every cell of both orbit metrics.
 
 The reported local entropy is a slope, not a single-entry value: the
 least-squares fit of -log(mass) against n at the smallest usable delta.
@@ -50,6 +51,7 @@ from .matching import BOWEN, FK, _fk_members, ball_batch, ball_steps, match_slac
 from .spanning import fit_log_slope, path_seeds
 from .systems import (
     TORUS,
+    EmpiricalMeasure,
     InvariantViolation,
     OmegaPath,
     OrbitSegment,
@@ -79,63 +81,6 @@ __all__ = [
 _MEASURE_STREAM = 5
 
 
-@dataclass
-class EmpiricalMeasure:
-    """M i.i.d. draws from the reference measure on one fiber, with their orbits.
-
-    The measure lives on the fiber over one driving path of one system,
-    so it carries both, and consumers take it alone.  orbits is the
-    samples' orbit stack along omega: (M, H, d) floats in [0, 1) for
-    circle families, step 0 being the draws, or an (M, L) int64 word
-    matrix for shifts, where a word is its own orbit; the system's kind
-    decides which shape is accepted.  samples reads the draws back as
-    (M, d) or (M, L).  Set membership is always estimated as count/M, so
-    M >= 1 is required up front.
-    """
-
-    system: RandomSystemSpec
-    omega: OmegaPath
-    orbits: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.orbits)
-        if arr.ndim != (2 if self.on_words else 3) or 0 in arr.shape[1:]:
-            raise ValueError("orbits must be an (M, L) word matrix or an (M, H, d) orbit stack")
-        if arr.shape[0] < 1:
-            raise ValueError("empirical measure needs M >= 1 samples")
-        if self.on_words:
-            arr = arr.astype(np.int64, copy=False)
-            if arr.min() < 0:
-                raise ValueError("word samples must be nonnegative symbols")
-        else:
-            arr = arr.astype(float, copy=False)
-            draws = arr[:, 0, :]
-            if draws.min() < 0.0 or draws.max() >= 1.0:
-                raise ValueError("torus samples must lie in [0, 1)")
-        self.orbits = arr
-
-    @property
-    def on_words(self) -> bool:
-        return self.system.on_words
-
-    @property
-    def M(self) -> int:
-        return int(self.orbits.shape[0])
-
-    @property
-    def samples(self) -> np.ndarray:
-        return self.orbits if self.on_words else self.orbits[:, 0, :]
-
-    def orbit_stack(self, steps: int) -> np.ndarray:
-        """The sample orbits, once they are known to hold `steps` steps.
-
-        Steps are orbit points on the torus and symbols on words.
-        """
-        if self.orbits.shape[1] < steps:
-            raise ValueError(f"sample orbits hold {self.orbits.shape[1]} steps, {steps} needed")
-        return self.orbits
-
-
 def sample_measure(system: RandomSystemSpec, omega: OmegaPath, M: int, seed: int) -> EmpiricalMeasure:
     """Draw M samples from the reference measure of the system's fiber, with their orbits.
 
@@ -161,9 +106,7 @@ def sample_measure(system: RandomSystemSpec, omega: OmegaPath, M: int, seed: int
         del u
         np.minimum(words, sizes[None, :] - 1, out=words)
         return EmpiricalMeasure(system, omega, words)
-    if system.metric.kind == TORUS:
-        return EmpiricalMeasure(system, omega, orbit_batch(system, omega, rng.random((M, 1)), omega.horizon))
-    raise ValueError(f"no reference measure for family {system.family!r}")
+    return EmpiricalMeasure(system, omega, orbit_batch(system, omega, rng.random((M, 1)), omega.horizon))
 
 
 @dataclass(frozen=True)
@@ -196,13 +139,6 @@ class GridPartition:
         if self.mesh >= 1.0:
             return 0
         return max(1, int(math.ceil(-math.log2(self.mesh) - 1e-12)))
-
-    def cell_count_per_step(self, system: RandomSystemSpec) -> int:
-        """Upper bound on distinct labels a single step can produce."""
-        if self.on_words:
-            return int(system.space_alphabet) ** self.depth if self.depth else 1
-        dim = 1
-        return self.boxes_per_axis**dim
 
     def itinerary(self, system: RandomSystemSpec, stack: np.ndarray, n: int) -> np.ndarray:
         """Cell labels of the first n orbit points for a whole stack.

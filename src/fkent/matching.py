@@ -57,12 +57,10 @@ __all__ = [
     "BOWEN",
     "FK",
     "MAX_MATCH_STEPS",
-    "MatchResult",
     "FkDistance",
     "bowen_distance",
     "pair_distance_matrix",
     "max_match_size",
-    "max_match_from_matrix",
     "mismatch_fraction",
     "fk_distance",
     "lcs_mismatch",
@@ -88,28 +86,6 @@ MAX_MATCH_STEPS = 64
 # and small enough that the allocator reuses them instead of mapping and
 # faulting in fresh pages for every block
 _BLOCK_ROWS = 2048
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Outcome of a match search.
-
-    k is the exact maximum match size.  When a target was supplied,
-    `reached` reports k >= target.
-    """
-
-    k: int
-    n: int
-    eps: float
-    reached: bool | None = None
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.k <= self.n:
-            raise ValueError("match size out of range")
-
-    @property
-    def defect(self) -> float:
-        return 1.0 - self.k / self.n
 
 
 @dataclass(frozen=True)
@@ -223,45 +199,22 @@ def _match_sizes(pm: np.ndarray, m: int) -> np.ndarray:
     return m - np.bitwise_count(v).astype(np.int64)
 
 
-def max_match_from_matrix(compat: np.ndarray, target: int | None = None) -> MatchResult:
-    """Match search on a raw compatibility matrix (synthetic instances)."""
-    compat = np.asarray(compat, dtype=bool)
-    n, m = compat.shape
-    if n != m:
-        raise ValueError("compatibility matrix must be square")
-    k = int(max_match_batch(compat[None])[0])
-    return MatchResult(k=k, n=n, eps=math.nan, reached=_reached(k, target))
-
-
-def _reached(k: int, target: int | None) -> bool | None:
-    return None if target is None else k >= target
-
-
 def compat_matrix(a: OrbitSegment, b: OrbitSegment, eps: float) -> np.ndarray:
     """Boolean matrix of d(a_i, b_j) < eps (strict)."""
     return pair_distance_matrix(a, b) < eps
 
 
-def max_match_size(
-    a: OrbitSegment,
-    b: OrbitSegment,
-    eps: float,
-    target: int | None = None,
-) -> MatchResult:
-    """Largest (n, eps)-match between two orbits.
-
-    With `target`, `reached` reports whether k meets it.
-    """
+def max_match_size(a: OrbitSegment, b: OrbitSegment, eps: float) -> int:
+    """Largest (n, eps)-match size between two orbits."""
     _check_pair(a, b)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    k = int(max_match_batch(compat_matrix(a, b, eps)[None])[0])
-    return MatchResult(k=k, n=a.n, eps=eps, reached=_reached(k, target))
+    return int(max_match_batch(compat_matrix(a, b, eps)[None])[0])
 
 
 def mismatch_fraction(a: OrbitSegment, b: OrbitSegment, eps: float) -> float:
     """Match defect 1 - k/n at threshold eps; nonincreasing in eps."""
-    return max_match_size(a, b, eps).defect
+    return 1.0 - max_match_size(a, b, eps) / a.n
 
 
 def match_target(n: int, delta: float) -> int:
@@ -563,6 +516,4 @@ def ball_batch(kind: str, center: OrbitSegment, others: np.ndarray, eps: float, 
 
 def in_fk_ball(center: OrbitSegment, other: OrbitSegment, delta: float) -> bool:
     """Single-pair FK ball test: defect(delta) < delta."""
-    _check_pair(center, other)
-    res = max_match_size(center, other, delta, target=match_target(center.n, delta))
-    return bool(res.reached)
+    return max_match_size(center, other, delta) >= match_target(center.n, delta)

@@ -7,6 +7,12 @@ ensembles and finite schedules.  The greedy maximal separated set is the
 estimator: it is simultaneously an eps-cover of the candidates, so one
 scan certifies both directions.
 
+A candidate ensemble is an `EmpiricalMeasure`, the type the local and
+katok estimators sample i.i.d.: a windowed grid or a word enumeration is
+a quasi-uniform sample of the same reference measure.  The measure
+carries its system, its path and its points' orbit stack, so
+`greedy_separated` takes one alone.
+
 Candidate ensembles for expanding torus systems would need about
 (expansion product)/eps points to cover the whole circle at the density the
 count requires, which overruns any fixed budget once the horizon grows.
@@ -28,6 +34,7 @@ import math
 import numpy as np
 
 from .systems import (
+    EmpiricalMeasure,
     FiberMetric,
     InvariantViolation,
     OmegaPath,
@@ -42,11 +49,7 @@ from .systems import (
 from .matching import BOWEN, FK, ball_batch, ball_steps, match_slack
 
 __all__ = [
-    "GRID",
-    "IID",
-    "ENUMERATION",
     "SEPARATED",
-    "CandidateSet",
     "CountEntry",
     "CountTable",
     "EntropyEstimate",
@@ -64,10 +67,6 @@ __all__ = [
     "word_candidates",
 ]
 
-GRID = "grid"
-IID = "iid"
-ENUMERATION = "enumeration"
-
 SEPARATED = "greedy-separated"
 
 # Seed of the i.i.d. word fallback in word_candidates, drawn on child_rng
@@ -77,36 +76,9 @@ _WORD_SEED = 0
 # Multiplicative slack of CountTable.validate's cross-window density laws.
 _DENSITY_SLACK = 0.05
 
-
-@dataclass(frozen=True, eq=False)
-class CandidateSet:
-    """A finite stand-in for the space being counted.
-
-    points is an (M, d) float array of torus starts or an (M, L) int word
-    matrix.  window is the fraction of the space the ensemble represents
-    (1.0 for full enumerations); counts divided by it are densities.
-    """
-
-    points: np.ndarray
-    on_words: bool
-    provenance: str
-    window: float = 1.0
-    mesh: float = 0.0
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.points.ndim != 2 or self.points.shape[0] < 1:
-            raise ValueError("candidate set must be a nonempty 2-d array")
-        if self.provenance not in (GRID, IID, ENUMERATION):
-            raise ValueError(f"unknown provenance: {self.provenance!r}")
-        if not 0.0 < self.window <= 1.0:
-            raise ValueError("window must lie in (0, 1]")
-        if self.provenance == GRID and self.mesh <= 0.0:
-            raise ValueError("grid candidates need a positive mesh")
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
+# torus_grid_candidates lays _SUBDIVISIONS + 0.5 grid steps per ball
+# radius, which keeps the mesh well under the eps/2 density counts need.
+_SUBDIVISIONS = 4
 
 
 def torus_grid_candidates(
@@ -115,28 +87,26 @@ def torus_grid_candidates(
     n: int,
     eps: float,
     count_target: int = 2000,
-    subdivisions: int = 4,
     budget: int = 200_000,
-) -> CandidateSet:
+) -> tuple[EmpiricalMeasure, float]:
     """Uniform grid inside a window sized for roughly count_target keepers.
 
     The time-n ball of radius eps has diameter ~ 2*eps/expansion, so the
-    grid uses `subdivisions + 0.5` steps per ball radius (mesh well under
-    the eps/2 density the counts need) and the window is chosen so a
-    maximal separated set inside it has about count_target points.
+    grid uses `_SUBDIVISIONS + 0.5` steps per ball radius and the window
+    is chosen so a maximal separated set inside it has about count_target
+    points.  Returns the grid's measure, with its n-step orbits, and the
+    window: the fraction of the circle the grid covers.
     """
     if system.on_words:
         raise ValueError("grid candidates apply to torus families")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if subdivisions < 2:
-        raise ValueError("subdivisions must be >= 2 to keep the grid eps/2-dense")
     if count_target < 1:
         raise ValueError("count_target must be >= 1")
     growth = expansion_product(system, path, n)
     radius = eps / growth
-    mesh = radius / (subdivisions + 0.5)
-    per_kept = subdivisions + 1  # grid steps a kept center consumes
+    mesh = radius / (_SUBDIVISIONS + 0.5)
+    per_kept = _SUBDIVISIONS + 1  # grid steps a kept center consumes
     m = count_target * per_kept
     window = m * mesh
     if window >= 1.0:
@@ -149,7 +119,7 @@ def torus_grid_candidates(
             "lower count_target or raise the budget"
         )
     starts = ((np.arange(m) + 0.5) * mesh) % 1.0
-    return CandidateSet(starts[:, None], False, GRID, window=window, mesh=mesh)
+    return EmpiricalMeasure(system, path, orbit_batch(system, path, starts[:, None], n)), window
 
 
 def word_candidates(
@@ -158,12 +128,14 @@ def word_candidates(
     n: int,
     eps: float,
     budget: int = 200_000,
-) -> CandidateSet:
+) -> tuple[EmpiricalMeasure, float]:
     """All admissible itineraries long enough to decide eps-closeness.
 
     Enumerates every word whose position-i symbol ranges over the alphabet
     the path prescribes there; falls back to an i.i.d. sample of `budget`
-    words when the enumeration would exceed the budget.
+    words when the enumeration would exceed the budget.  Returns the
+    words' measure and the window 1.0: either way the words stand for the
+    whole fiber.
     """
     if not system.on_words:
         raise ValueError("word candidates apply to shift families")
@@ -183,29 +155,12 @@ def word_candidates(
         for i, r in enumerate(radices):
             place //= int(r)
             words[:, i] = (idx // place) % int(r)
-        return CandidateSet(words, True, ENUMERATION)
+        return EmpiricalMeasure(system, path, words), 1.0
     rng = child_rng(_WORD_SEED, 3, n)
     words = np.empty((budget, length), dtype=np.int64)
     for i, r in enumerate(radices):
         words[:, i] = rng.integers(0, int(r), size=budget)
-    return CandidateSet(words, True, IID, seed=_WORD_SEED)
-
-
-def _candidate_orbits(
-    system: RandomSystemSpec, path: OmegaPath, n: int, candidates: CandidateSet
-) -> np.ndarray:
-    """Time-n orbits of the candidates along the path, one row each.
-
-    Word candidates are their own orbits; torus candidates are iterated
-    once here, so a count cell pays for iteration once per candidate.
-    """
-    if candidates.on_words != system.on_words:
-        raise ValueError("candidate kind does not match the system")
-    if candidates.on_words:
-        if candidates.points.shape[1] < n:
-            raise ValueError("candidate words shorter than the horizon")
-        return candidates.points
-    return orbit_batch(system, path, candidates.points, n)
+    return EmpiricalMeasure(system, path, words), 1.0
 
 
 def _segment(metric: FiberMetric, n: int, row: np.ndarray) -> OrbitSegment:
@@ -252,20 +207,13 @@ def _scan_separated(
     return np.asarray(kept, dtype=np.int64)
 
 
-def greedy_separated(
-    candidates: CandidateSet,
-    system: RandomSystemSpec,
-    path: OmegaPath,
-    n: int,
-    kind: str,
-    eps: float,
-) -> tuple[int, np.ndarray]:
+def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float) -> tuple[int, np.ndarray]:
     """Maximal eps-separated subset by a fixed-index greedy scan.
 
     Distances are time-n orbit distances of the given kind ("bowen" or
-    "fk") along the path.  A point is kept iff its distance to every kept
-    point exceeds eps; the kept set is maximal and therefore also
-    eps-covers the candidates.
+    "fk") along the candidates' path.  A point is kept iff its distance
+    to every kept point exceeds eps; the kept set is maximal and
+    therefore also eps-covers the candidates.
     """
     if kind not in (BOWEN, FK):
         raise ValueError(f"unknown orbit metric: {kind!r}")
@@ -273,7 +221,8 @@ def greedy_separated(
         raise ValueError("n must be >= 1")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    sel = _scan_separated(kind, system.metric, n, _candidate_orbits(system, path, n, candidates), eps)
+    metric = candidates.system.metric
+    sel = _scan_separated(kind, metric, n, candidates.orbit_stack(ball_steps(metric, n, eps)), eps)
     return int(sel.size), sel
 
 
@@ -333,10 +282,6 @@ class CountEntry:
     count: int
     window: float
     candidates: int
-
-    @property
-    def density(self) -> float:
-        return self.count / self.window
 
 
 @dataclass(frozen=True, eq=False)
@@ -538,10 +483,10 @@ def count_table(
     for n in n_list:
         for eps in eps_list:
             if system.on_words:
-                cell = word_candidates(system, path, n, eps, budget=budget)
+                cell, window = word_candidates(system, path, n, eps, budget=budget)
             else:
-                cell = torus_grid_candidates(system, path, n, eps, count_target=count_target, budget=budget)
-            stack = _candidate_orbits(system, path, n, cell)
+                cell, window = torus_grid_candidates(system, path, n, eps, count_target=count_target, budget=budget)
+            stack = cell.orbit_stack(ball_steps(system.metric, n, eps))
             counts: dict[str, int] = {}
             for metric in metrics:
                 # at zero matching slack the FK ball is the Bowen ball
@@ -550,7 +495,7 @@ def count_table(
                 else:
                     counts[metric] = int(_scan_separated(metric, system.metric, n, stack, eps).size)
             for metric, cnt in counts.items():
-                entries.append(CountEntry(n, eps, metric, SEPARATED, cnt, cell.window, cell.count))
+                entries.append(CountEntry(n, eps, metric, SEPARATED, cnt, window, cell.M))
     table = CountTable(tuple(entries))
     table.validate()
     return table

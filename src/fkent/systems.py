@@ -92,26 +92,6 @@ class FiberMetric:
     def on_words(self) -> bool:
         return self.kind in (DISCRETE, CYLINDER)
 
-    def distance(self, a, b) -> float:
-        """Distance between two phase points (arrays or PhasePoints)."""
-        a = a.value if isinstance(a, PhasePoint) else np.asarray(a)
-        b = b.value if isinstance(b, PhasePoint) else np.asarray(b)
-        if self.kind == TORUS:
-            return float(np.max(circle_gap(np.atleast_1d(a), np.atleast_1d(b))))
-        if self.kind == DISCRETE:
-            return 0.0 if a.reshape(-1)[0] == b.reshape(-1)[0] else 1.0
-        return cylinder_distance(a.reshape(-1), b.reshape(-1))
-
-
-def cylinder_distance(u: np.ndarray, v: np.ndarray) -> float:
-    overlap = min(len(u), len(v))
-    if overlap == 0:
-        return 0.0
-    diff = np.nonzero(u[:overlap] != v[:overlap])[0]
-    if len(diff) == 0:
-        return 0.0
-    return float(2.0 ** (-int(diff[0])))
-
 
 def cylinder_depth(eps: float) -> int:
     """Number of leading symbols two words must share so that d < eps.
@@ -128,35 +108,6 @@ def cylinder_depth(eps: float) -> int:
     while not 2.0 ** (-depth) < eps:
         depth += 1
     return depth
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point of the phase space: torus coordinates or a symbol word."""
-
-    value: np.ndarray
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind == TORUS:
-            v = np.asarray(self.value, dtype=float).reshape(-1)
-            if v.size == 0 or np.any(v < 0.0) or np.any(v >= 1.0):
-                raise ValueError("torus coordinates must lie in [0, 1)")
-        elif self.kind == "word":
-            v = np.asarray(self.value, dtype=np.int64).reshape(-1)
-            if v.size == 0 or np.any(v < 0):
-                raise ValueError("word symbols must be nonnegative integers")
-        else:
-            raise ValueError(f"unknown point kind: {self.kind!r}")
-        object.__setattr__(self, "value", v)
-
-    @staticmethod
-    def torus(coords) -> "PhasePoint":
-        return PhasePoint(np.asarray(coords, dtype=float).reshape(-1), TORUS)
-
-    @staticmethod
-    def word(symbols) -> "PhasePoint":
-        return PhasePoint(np.asarray(symbols, dtype=np.int64).reshape(-1), "word")
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,25 +339,6 @@ class OrbitSegment:
     def on_words(self) -> bool:
         return self.word is not None
 
-    @staticmethod
-    def from_points(points) -> "OrbitSegment":
-        arr = np.asarray(points, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        return OrbitSegment(metric=FiberMetric(TORUS), n=arr.shape[0], points=arr)
-
-    @staticmethod
-    def from_word(word, n: int | None = None, metric_kind: str = DISCRETE) -> "OrbitSegment":
-        arr = np.asarray(word, dtype=np.int64).reshape(-1)
-        return OrbitSegment(metric=FiberMetric(metric_kind), n=len(arr) if n is None else n, word=arr)
-
-    def point(self, i: int) -> PhasePoint:
-        if not 0 <= i < self.n:
-            raise IndexError("orbit index out of range")
-        if self.on_words:
-            return PhasePoint.word(self.word[i:])
-        return PhasePoint.torus(self.points[i])
-
     def prefix(self, n: int) -> "OrbitSegment":
         """The same orbit truncated to its first n points."""
         if not 1 <= n <= self.n:
@@ -419,10 +351,6 @@ class OrbitSegment:
 
 
 def _coerce_torus_start(x) -> np.ndarray:
-    if isinstance(x, PhasePoint):
-        if x.kind != TORUS:
-            raise ValueError("torus family needs a torus point")
-        return x.value
     arr = np.asarray(x, dtype=float).reshape(-1)
     if np.any(arr < 0.0) or np.any(arr >= 1.0):
         raise ValueError("torus coordinates must lie in [0, 1)")
@@ -430,10 +358,10 @@ def _coerce_torus_start(x) -> np.ndarray:
 
 
 def _coerce_word_start(system: RandomSystemSpec, x) -> np.ndarray:
-    arr = x.value if isinstance(x, PhasePoint) else np.asarray(x, dtype=np.int64).reshape(-1)
+    arr = np.asarray(x, dtype=np.int64).reshape(-1)
     if np.any(arr < 0) or np.any(arr >= system.space_alphabet):
         raise ValueError("word symbols outside the space alphabet")
-    return np.asarray(arr, dtype=np.int64)
+    return arr
 
 
 def orbit(system: RandomSystemSpec, path: OmegaPath, x, n: int) -> OrbitSegment:
@@ -478,6 +406,64 @@ def orbit_batch(system: RandomSystemSpec, path: OmegaPath, xs: np.ndarray, n: in
     for i in range(1, n):
         out[:, i, :] = apply_fiber_map(system, path.symbol(i - 1), out[:, i - 1, :])
     return out
+
+
+@dataclass
+class EmpiricalMeasure:
+    """M points of one fiber standing in for its reference measure, with their orbits.
+
+    The points are i.i.d. draws from the reference measure, a grid or a
+    word enumeration.  The measure lives on the fiber over one driving
+    path of one system, so it carries both, and consumers take it alone.
+    orbits is the points' orbit stack along omega: (M, H, d) floats in
+    [0, 1) for circle families, step 0 being the points, or an (M, L)
+    int64 word matrix for shifts, where a word is its own orbit; the
+    system's kind decides which shape is accepted.  samples reads the
+    points back as (M, d) or (M, L).  Set membership is always estimated
+    as count/M, so M >= 1 is required up front.
+    """
+
+    system: RandomSystemSpec
+    omega: OmegaPath
+    orbits: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.orbits)
+        if arr.ndim != (2 if self.on_words else 3) or 0 in arr.shape[1:]:
+            raise ValueError("orbits must be an (M, L) word matrix or an (M, H, d) orbit stack")
+        if arr.shape[0] < 1:
+            raise ValueError("empirical measure needs M >= 1 samples")
+        if self.on_words:
+            arr = arr.astype(np.int64, copy=False)
+            if arr.min() < 0:
+                raise ValueError("word samples must be nonnegative symbols")
+        else:
+            arr = arr.astype(float, copy=False)
+            draws = arr[:, 0, :]
+            if draws.min() < 0.0 or draws.max() >= 1.0:
+                raise ValueError("torus samples must lie in [0, 1)")
+        self.orbits = arr
+
+    @property
+    def on_words(self) -> bool:
+        return self.system.on_words
+
+    @property
+    def M(self) -> int:
+        return int(self.orbits.shape[0])
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self.orbits if self.on_words else self.orbits[:, 0, :]
+
+    def orbit_stack(self, steps: int) -> np.ndarray:
+        """The sample orbits, once they are known to hold `steps` steps.
+
+        Steps are orbit points on the torus and symbols on words.
+        """
+        if self.orbits.shape[1] < steps:
+            raise ValueError(f"sample orbits hold {self.orbits.shape[1]} steps, {steps} needed")
+        return self.orbits
 
 
 def expansion_product(system: RandomSystemSpec, path: OmegaPath, n: int) -> float:

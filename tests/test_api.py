@@ -1,6 +1,7 @@
 """The package's public names resolve, no module imports a name it never
-uses, no function takes a parameter it never reads, and no function
-takes a sampled measure next to the system or path the measure carries.
+uses, no function takes a parameter it never reads, every function and
+class is named somewhere besides its own definition, and no function
+takes a measure next to the system or path the measure carries.
 
 Deleting a function or a code path should take its exports, its imports
 and its arguments with it; these checks catch the leftovers a deletion
@@ -15,6 +16,8 @@ from pathlib import Path
 import fkent
 
 SRC = Path(fkent.__file__).resolve().parent
+# every tree that may call into the package
+CALLERS = [SRC.parent.parent / d for d in ("src", "tests", "demos", "bench")]
 # submodules only: __init__.py imports names in order to re-export them
 MODULES = [info.name for info in pkgutil.iter_modules([str(SRC)]) if info.name != "__main__"]
 
@@ -71,6 +74,54 @@ def test_no_unread_parameters():
     assert unread == []
 
 
+def _docstrings(tree: ast.AST) -> set[int]:
+    ids = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                ids.add(id(first.value))
+    return ids
+
+
+def _named(tree: ast.AST) -> set[str]:
+    """Names a tree uses: names, attributes, import aliases and the dotted
+    segments of space-free string constants (docstrings excluded)."""
+    docs = _docstrings(tree)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+            if node.asname:
+                names.add(node.asname)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+            if not any(c.isspace() for c in node.value):
+                names.update(node.value.split("."))
+    return names
+
+
+def test_every_definition_is_named_elsewhere():
+    # a function, method or class whose name nothing mentions is dead code
+    named = set()
+    for root in CALLERS:
+        for path in root.rglob("*.py"):
+            named |= _named(ast.parse(path.read_text()))
+    unnamed = []
+    for name in MODULES + ["__init__"]:
+        for node in ast.walk(_tree(name)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if node.name not in named:
+                unnamed.append(f"fkent.{name}.{node.name}")
+    assert unnamed == []
+
+
 def test_measure_carries_system_and_path():
     # an EmpiricalMeasure holds its system and driving path, so a second
     # copy of either beside it could only disagree with the measure
@@ -79,8 +130,9 @@ def test_measure_carries_system_and_path():
         for node in ast.walk(_tree(name)):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            args = node.args
-            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
-            if "measure" in params and params & {"system", "omega"}:
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            params = {a.arg for a in args}
+            typed = any(isinstance(a.annotation, ast.Name) and a.annotation.id == "EmpiricalMeasure" for a in args)
+            if ("measure" in params and params & {"system", "omega"}) or (typed and params & {"system", "omega", "path"}):
                 doubled.append(f"fkent.{name}.{node.name}")
     assert doubled == []

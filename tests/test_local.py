@@ -111,6 +111,8 @@ def test_empirical_measure_validation():
         EmpiricalMeasure(system, path, np.zeros(3))
     with pytest.raises(ValueError):
         EmpiricalMeasure(system, path, np.array([[[1.5]]]))
+    with pytest.raises(ValueError):
+        EmpiricalMeasure(system, path, np.empty((0, 1, 1)))
 
 
 def test_ball_mass_doubling_hand_values():

@@ -17,7 +17,6 @@ from fkent.matching import (
     match_slack,
     match_target,
     max_match_batch,
-    max_match_from_matrix,
     max_match_size,
     mismatch_fraction,
     pair_distance_matrix,
@@ -133,7 +132,7 @@ def test_match_dp_equals_brute_force_on_matrices():
     for _ in range(300):
         n = int(rng.integers(1, 9))
         compat = rng.random((n, n)) < rng.uniform(0.1, 0.9)
-        assert max_match_from_matrix(compat).k == brute_force_match_matrix(compat)
+        assert int(max_match_batch(compat)[0]) == brute_force_match_matrix(compat)
 
 
 def test_match_dp_equals_brute_force_on_orbit_pairs():
@@ -143,20 +142,7 @@ def test_match_dp_equals_brute_force_on_orbit_pairs():
         a = torus_segment(rng.random(n))
         b = torus_segment(rng.random(n))
         eps = float(rng.uniform(0.05, 0.6))
-        assert max_match_size(a, b, eps).k == brute_force_match(a, b, eps)
-
-
-def test_targeted_search_decision_is_exact():
-    rng = np.random.default_rng(103)
-    for _ in range(200):
-        n = int(rng.integers(2, 9))
-        a = torus_segment(rng.random(n))
-        b = torus_segment(rng.random(n))
-        eps = float(rng.uniform(0.05, 0.6))
-        truth = brute_force_match(a, b, eps)
-        for target in (1, n // 2 + 1, n):
-            res = max_match_size(a, b, eps, target=target)
-            assert res.reached == (truth >= target)
+        assert max_match_size(a, b, eps) == brute_force_match(a, b, eps)
 
 
 def test_fk_never_exceeds_bowen():

@@ -5,10 +5,7 @@ import pytest
 
 from fkent.matching import BOWEN, FK
 from fkent.spanning import (
-    ENUMERATION,
-    IID,
     SEPARATED,
-    CandidateSet,
     CountEntry,
     CountTable,
     EntropyEstimate,
@@ -22,6 +19,7 @@ from fkent.spanning import (
     word_candidates,
 )
 from fkent.systems import (
+    EmpiricalMeasure,
     InvariantViolation,
     bernoulli_process,
     expanding_system,
@@ -32,29 +30,26 @@ from fkent.systems import (
 
 
 def circle_candidates(k):
-    pts = (np.arange(k) / float(k)).reshape(-1, 1)
-    return CandidateSet(points=pts, on_words=False, provenance=IID, seed=0)
+    pts = (np.arange(k) / float(k)).reshape(-1, 1, 1)
+    return EmpiricalMeasure(expanding_system((2,)), path_from_symbols([0]), pts)
 
 
 def test_separated_scan_circle_hand_value():
     # 10 equispaced points, eps = 0.15: the scan kills both 0.1-neighbors
     # of each keeper, leaving every other point
-    system = expanding_system((2,))
-    count, kept = greedy_separated(circle_candidates(10), system, path_from_symbols([0]), 1, BOWEN, 0.15)
+    count, kept = greedy_separated(circle_candidates(10), 1, BOWEN, 0.15)
     assert count == 5
-    assert np.allclose(circle_candidates(10).points[kept].ravel(), [0.0, 0.2, 0.4, 0.6, 0.8])
+    assert np.allclose(circle_candidates(10).samples[kept].ravel(), [0.0, 0.2, 0.4, 0.6, 0.8])
 
 
 def test_separated_kill_is_closed():
     # 4 equispaced points, neighbor gap exactly 0.25: boundary pairs are
     # killed (closed rule), leaving the antipodal pair; just under the
     # gap everything survives
-    system = expanding_system((2,))
-    path = path_from_symbols([0])
-    count, kept = greedy_separated(circle_candidates(4), system, path, 1, BOWEN, 0.25)
+    count, kept = greedy_separated(circle_candidates(4), 1, BOWEN, 0.25)
     assert count == 2
-    assert np.allclose(circle_candidates(4).points[kept].ravel(), [0.0, 0.5])
-    count, _ = greedy_separated(circle_candidates(4), system, path, 1, BOWEN, 0.24)
+    assert np.allclose(circle_candidates(4).samples[kept].ravel(), [0.0, 0.5])
+    count, _ = greedy_separated(circle_candidates(4), 1, BOWEN, 0.24)
     assert count == 4
 
 
@@ -63,27 +58,19 @@ def test_shift_separated_counts_grow_like_words(n):
     # eps = 0.4 resolves cylinder depth 2, so distinct (n+1)-prefixes separate
     system = shift_system((2, 2))
     path = sample_path(bernoulli_process((0.5, 0.5)), 10, 1)
-    cand = word_candidates(system, path, n, 0.4)
-    count, _ = greedy_separated(cand, system, path, n, BOWEN, 0.4)
+    cand, window = word_candidates(system, path, n, 0.4)
+    count, _ = greedy_separated(cand, n, BOWEN, 0.4)
     assert count == 2 ** (n + 1)
-    assert cand.provenance == ENUMERATION
+    assert cand.M == 2 ** (n + 1) and window == 1.0
 
 
 def test_grid_candidates_fields():
     system = expanding_system((2,))
     path = path_from_symbols([0] * 10)
-    cand = torus_grid_candidates(system, path, 8, 0.1, count_target=300)
-    assert cand.count >= 300
-    assert 0.0 < cand.window <= 1.0
-    assert cand.mesh > 0.0
-    assert (cand.points >= 0.0).all() and (cand.points < 1.0).all()
-
-
-def test_candidate_set_validation():
-    with pytest.raises(ValueError):
-        CandidateSet(points=np.empty((0, 1)), on_words=False, provenance=IID)
-    with pytest.raises(ValueError):
-        CandidateSet(points=np.zeros((3, 1)), on_words=False, provenance="magic")
+    cand, window = torus_grid_candidates(system, path, 8, 0.1, count_target=300)
+    assert cand.M >= 300
+    assert 0.0 < window <= 1.0
+    assert (cand.samples >= 0.0).all() and (cand.samples < 1.0).all()
 
 
 def test_fit_log_slope_recovers_line():

@@ -10,7 +10,6 @@ from fkent.systems import (
     InvariantViolation,
     OmegaPath,
     OrbitSegment,
-    PhasePoint,
     bernoulli_process,
     child_rng,
     circle_gap,
@@ -114,17 +113,6 @@ def test_expansion_product_is_factor_product():
     system = expanding_system((2, 3))
     path = path_from_symbols([0, 1, 0])
     assert expansion_product(system, path, 3) == pytest.approx(6.0)
-
-
-def test_phase_point_validation():
-    p = PhasePoint.torus([0.25])
-    assert p.value.shape == (1,)
-    with pytest.raises(ValueError):
-        PhasePoint.torus([1.5])
-    w = PhasePoint.word([0, 1, 1])
-    assert w.value.dtype == np.int64
-    with pytest.raises(ValueError):
-        PhasePoint.word([-1, 0])
 
 
 def test_omega_path_window_and_shift():
