@@ -22,7 +22,6 @@ from .systems import (
     markov_process,
     orbit,
     orbit_batch,
-    path_from_symbols,
     sample_path,
     shift_system,
     tent_system,
@@ -35,7 +34,6 @@ from .matching import (
     fk_distance,
     lcs_mismatch,
     max_match_size,
-    mismatch_fraction,
 )
 from .oracles import OracleValue, expected_entropy, match_count_bound, stirling_rate
 from .spanning import (
@@ -43,7 +41,6 @@ from .spanning import (
     EntropyEstimate,
     count_table,
     entropy_from_counts,
-    integrated_entropy,
     path_seeds,
 )
 from .local import (
@@ -52,7 +49,6 @@ from .local import (
     LocalEntropyRecord,
     ball_measure,
     local_entropy,
-    partition_entropy_rate,
     sample_measure,
     smb_estimate,
 )

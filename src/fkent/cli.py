@@ -44,7 +44,6 @@ __all__ = ["main"]
 _FLAG_HELP = {
     "family": "expanding | tent | shift",
     "m": "comma list of per-letter branch factors or alphabet sizes",
-    "word_length": "stored word length for shift orbits",
     "law": "bernoulli | markov",
     "p": "comma list of letter weights (bernoulli)",
     "rows": "semicolon-separated transition rows (markov)",

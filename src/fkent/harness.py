@@ -11,12 +11,12 @@ Worker tasks recompute their own path and measure (which holds the
 samples' orbit stack) from seeds carried in the payload.  Top and katok
 runs have one task per path, and each task only maps the config onto its
 estimator's per-path routine (`spanning.path_entropy`,
-`katok.katok_path_entropy`), the same routine the library averagers
-call.  Local runs have one task per contiguous group of base points (one
-group per worker), which builds the path and measure once.  That trades
-a little redundant work for results that cannot depend on scheduling:
-every task is a pure function of (config, seed, its paths or base
-points), and reduction happens in task order.
+`katok.katok_path_entropy`, which the library averager `katok_entropy`
+also calls).  Local runs have one task per contiguous group of base
+points (one group per worker), which builds the path and measure once.
+That trades a little redundant work for results that cannot depend on
+scheduling: every task is a pure function of (config, seed, its paths or
+base points), and reduction happens in task order.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .katok import katok_horizon, katok_path_entropy
 from .local import local_entropy, sample_measure
-from .matching import BOWEN, FK, MAX_MATCH_STEPS
+from .matching import BOWEN, FK, KINDS, MAX_MATCH_STEPS, check_kinds
 from .oracles import expected_entropy
 from .spanning import path_entropy, path_seeds
 from .systems import (
@@ -72,7 +72,7 @@ EXPERIMENTS = (
 _BASE_STREAM = 7
 
 _SCHEMA = {
-    "system": ("family", "m", "word_length"),
+    "system": ("family", "m"),
     "driving": ("law", "p", "rows"),
     "schedules": ("n", "eps", "delta"),
     "budgets": (
@@ -119,7 +119,6 @@ class ExperimentConfig:
 
     family: str = "expanding"
     m: tuple[int, ...] = (2, 3)
-    word_length: int = 32
     law: str = "bernoulli"
     p: tuple[float, ...] = (0.5, 0.5)
     rows: tuple[tuple[float, ...], ...] = ()
@@ -133,7 +132,7 @@ class ExperimentConfig:
     candidate_budget: int = 200_000
     pair_budget: int = 20_000_000
     seed: int = 0
-    metrics: tuple[str, ...] = (BOWEN, FK)
+    metrics: tuple[str, ...] = KINDS
     outdir: str = "out"
     workers: int = 1
     mass_threshold: float | None = None
@@ -170,15 +169,12 @@ class ExperimentConfig:
             ("candidate_budget", self.candidate_budget),
             ("pair_budget", self.pair_budget),
             ("workers", self.workers),
-            ("word_length", self.word_length),
         ):
             if int(v) < 1:
                 raise ValueError(f"{label} must be >= 1, got {v}")
         if not self.metrics:
             raise ValueError("metrics is empty")
-        for metric in self.metrics:
-            if metric not in (BOWEN, FK):
-                raise ValueError(f"unknown metric {metric!r}")
+        check_kinds(self.metrics)
         if self.mass_threshold is not None and not 0.0 < self.mass_threshold < 1.0:
             raise ValueError("mass_threshold must lie in (0, 1)")
 
@@ -187,7 +183,7 @@ class ExperimentConfig:
             return expanding_system(self.m)
         if self.family == "tent":
             return tent_system(self.m)
-        return shift_system(self.m, word_length=self.word_length)
+        return shift_system(self.m)
 
     def process(self):
         if self.law == "bernoulli":
@@ -213,7 +209,6 @@ class ExperimentConfig:
 _PARSERS = {
     "family": lambda v: str(v).strip(),
     "m": lambda v: _parse_ints(v, "m"),
-    "word_length": lambda v: int(v),
     "law": lambda v: str(v).strip(),
     "p": lambda v: _parse_floats(v, "p"),
     "rows": _parse_rows,
@@ -387,7 +382,7 @@ def _katok_task(payload) -> dict:
 
 
 def _run_top(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
-    metrics = (BOWEN, FK) if compare else cfg.metrics
+    metrics = KINDS if compare else cfg.metrics
     seeds = [int(s) for s in path_seeds(cfg.seed, cfg.paths)]
     workers = _effective_workers(cfg, len(seeds))
     results = _ordered_map(_top_task, [(cfg, s, metrics) for s in seeds], workers)
@@ -431,7 +426,7 @@ def _run_top(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
 
 
 def _run_local(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
-    kinds = (BOWEN, FK) if compare else cfg.metrics
+    kinds = KINDS if compare else cfg.metrics
     system = cfg.system()
     path_seed = int(path_seeds(cfg.seed, 1)[0])
     rng = child_rng(cfg.seed, _BASE_STREAM)
@@ -485,7 +480,7 @@ def _run_local(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
         for res in results:
             by_kind = {
                 kind: {(e.n, e.delta): e.count for e in res["records"][kind].entries}
-                for kind in (BOWEN, FK)
+                for kind in KINDS
             }
             for key, bowen_count in by_kind[BOWEN].items():
                 if by_kind[FK][key] < bowen_count:
@@ -509,7 +504,7 @@ def _run_local(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
 
 
 def _run_katok(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
-    kinds = (BOWEN, FK) if compare else cfg.metrics
+    kinds = KINDS if compare else cfg.metrics
     seeds = [int(s) for s in path_seeds(cfg.seed, cfg.paths)]
     workers = _effective_workers(cfg, len(seeds))
     results = _ordered_map(_katok_task, [(cfg, s, kinds) for s in seeds], workers)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matching import BOWEN, FK, ball_steps, match_slack
+from .matching import BOWEN, FK, ball_steps, check_kinds, match_slack
 from .spanning import (
     EntropyEstimate,
     cover_matrix,
@@ -152,8 +152,7 @@ def katok_spanning_count(
         raise ValueError("eps must be positive")
     if not 0.0 < mass_threshold < 1.0:
         raise ValueError("mass threshold must lie in (0, 1)")
-    if kind not in (BOWEN, FK):
-        raise ValueError(f"unknown orbit metric: {kind!r}")
+    check_kinds((kind,))
     if n < 1:
         raise ValueError("n must be >= 1")
     system = measure.system
@@ -230,9 +229,7 @@ def katok_table(
         raise ValueError("n and eps schedules must be nonempty")
     if mass_threshold is not None and not 0.0 < mass_threshold < 1.0:
         raise ValueError("mass threshold must lie in (0, 1)")
-    for kind in kinds:
-        if kind not in (BOWEN, FK):
-            raise ValueError(f"unknown orbit metric: {kind!r}")
+    check_kinds(kinds)
     tables: dict[str, dict[tuple[float, int], KatokCount]] = {}
     for kind in kinds:
         shared = next(iter(tables.values()), None)

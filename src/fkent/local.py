@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import BOWEN, FK, _fk_members, ball_batch, ball_steps, match_slack
-from .spanning import fit_log_slope, path_seeds
+from .matching import BOWEN, FK, _fk_members, ball_batch, ball_steps, check_kinds, match_slack
+from .spanning import fit_log_slope
 from .systems import (
     TORUS,
     EmpiricalMeasure,
@@ -60,8 +60,6 @@ from .systems import (
     circle_gap,
     orbit,
     orbit_batch,
-    row_codes,
-    sample_path,
 )
 
 __all__ = [
@@ -73,7 +71,6 @@ __all__ = [
     "ball_measure",
     "local_entropy",
     "smb_estimate",
-    "partition_entropy_rate",
 ]
 
 # Stream id for measure sampling under child_rng, distinct from the path
@@ -191,8 +188,7 @@ def ball_measure(
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    if kind not in (BOWEN, FK):
-        raise ValueError(f"unknown orbit metric: {kind!r}")
+    check_kinds((kind,))
     if n < 1 or center.n < n:
         raise ValueError("center orbit shorter than the requested n")
     metric = measure.system.metric
@@ -261,12 +257,6 @@ class LocalEntropyRecord:
                         raise InvariantViolation(
                             f"Bowen ball count grew from n={a.n} to n={b.n}"
                         )
-
-    def entry(self, n: int, delta: float) -> LocalEntry:
-        for e in self.entries:
-            if e.n == n and e.delta == delta:
-                return e
-        raise KeyError((n, delta))
 
 
 def _ball_count_table(
@@ -419,9 +409,7 @@ def local_entropy(
         raise ValueError("n schedule must be positive")
     if delta_list[0] <= 0.0:
         raise ValueError("delta schedule must be positive")
-    for kind in kinds:
-        if kind not in (BOWEN, FK):
-            raise ValueError(f"unknown orbit metric: {kind!r}")
+    check_kinds(kinds)
 
     center = orbit(measure.system, measure.omega, x, n_list[-1])
     tables = _ball_count_table(measure, center, n_list, delta_list, kinds)
@@ -458,46 +446,3 @@ def smb_estimate(
     if count == 0:
         return math.nan
     return -math.log(count / measure.M) / n + 0.0
-
-
-def partition_entropy_rate(
-    system: RandomSystemSpec,
-    process,
-    partition: GridPartition,
-    n_window,
-    M: int,
-    omega_samples: int,
-    master_seed: int = 0,
-) -> float:
-    """Plug-in entropy rate H_n/n of itinerary frequencies, path-averaged.
-
-    H_n is the Shannon entropy of the empirical distribution over occupied
-    time-n itinerary cells, which never exceeds log(#occupied cells); that
-    bound is asserted for every window entry.  The plug-in form has a
-    negative bias of order (#cells - 1)/(2M), documented rather than
-    corrected.  Returns the value at the largest n in the window.
-    """
-    n_window = sorted(set(int(n) for n in n_window))
-    if not n_window or n_window[0] < 1:
-        raise ValueError("n window must be nonempty and positive")
-    if omega_samples < 1:
-        raise ValueError("need at least one path sample")
-    n_max = n_window[-1]
-    horizon = n_max + max(partition.depth, 1)
-    top_rates = []
-    for seed in path_seeds(master_seed, omega_samples):
-        path = sample_path(process, horizon, int(seed))
-        measure = sample_measure(system, path, M, int(seed))
-        labels = partition.itinerary(system, measure.orbit_stack(n_max), n_max)
-        for n in n_window:
-            codes = row_codes(labels[:, :n])
-            _, cell_counts = np.unique(codes, return_counts=True)
-            p = cell_counts / M
-            entropy = float(-(p * np.log(p)).sum())
-            if entropy > math.log(len(cell_counts)) + 1e-9:
-                raise InvariantViolation(
-                    "plug-in entropy exceeded log of the occupied cell count"
-                )
-            if n == n_max:
-                top_rates.append(entropy / n)
-    return float(np.mean(top_rates))

@@ -56,12 +56,13 @@ from .systems import (
 __all__ = [
     "BOWEN",
     "FK",
+    "KINDS",
+    "check_kinds",
     "MAX_MATCH_STEPS",
     "FkDistance",
     "bowen_distance",
     "pair_distance_matrix",
     "max_match_size",
-    "mismatch_fraction",
     "fk_distance",
     "lcs_mismatch",
     "brute_force_match",
@@ -79,6 +80,7 @@ __all__ = [
 # labels for the two orbit distances the counting layers switch between
 BOWEN = "bowen"
 FK = "fk"
+KINDS = (BOWEN, FK)
 
 # columns of one packed match-mask row: the longest segment any match DP takes
 MAX_MATCH_STEPS = 64
@@ -107,6 +109,13 @@ class FkDistance:
             raise ValueError("distance must be nonnegative")
         if not self.witness_defect < self.witness_eps:
             raise ValueError("witness does not certify the crossing")
+
+
+def check_kinds(kinds) -> None:
+    """Raise ValueError unless every entry of kinds is an orbit metric in KINDS."""
+    for kind in kinds:
+        if kind not in KINDS:
+            raise ValueError(f"unknown orbit metric: {kind!r}")
 
 
 def _check_pair(a: OrbitSegment, b: OrbitSegment) -> None:
@@ -210,11 +219,6 @@ def max_match_size(a: OrbitSegment, b: OrbitSegment, eps: float) -> int:
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     return int(max_match_batch(compat_matrix(a, b, eps)[None])[0])
-
-
-def mismatch_fraction(a: OrbitSegment, b: OrbitSegment, eps: float) -> float:
-    """Match defect 1 - k/n at threshold eps; nonincreasing in eps."""
-    return 1.0 - max_match_size(a, b, eps) / a.n
 
 
 def match_target(n: int, delta: float) -> int:

@@ -1,9 +1,10 @@
 """Closed-form oracles the estimators are validated against.
 
-Nothing here touches the match DP or the greedy nets: branch counts come
-from products of per-step factors, match-count bounds from binomial
-coefficients, and entropy rates from the law of the driving process.  Tests
-freeze these values and require the numerical estimators to reproduce them.
+Nothing here touches the match DP or the greedy nets: match-count bounds
+come from binomial coefficients, entropy rates from the per-letter factors
+and the law of the driving process, and partial-cover sizes from brute
+subset enumeration.  Tests freeze these values and require the numerical
+estimators to reproduce them.
 """
 
 from __future__ import annotations
@@ -14,27 +15,15 @@ import math
 
 import numpy as np
 
-from .systems import (
-    EXPANDING,
-    FULL_SHIFT,
-    TENT,
-    DrivingProcess,
-    OmegaPath,
-    RandomSystemSpec,
-)
+from .systems import EXPANDING, TENT, DrivingProcess, RandomSystemSpec
 
 __all__ = [
     "OracleValue",
-    "branch_count",
-    "word_count",
     "match_count_bound",
-    "log_match_count_bound",
-    "enumerated_match_count",
     "stirling_rate",
     "log_binomial",
     "binomial_rate",
     "mismatch_entropy_budget",
-    "pick_mismatch_fraction",
     "expected_entropy",
     "exhaustive_partial_cover",
 ]
@@ -54,74 +43,14 @@ class OracleValue:
             raise ValueError("oracle value must be finite")
 
 
-def branch_count(system: RandomSystemSpec, path: OmegaPath, n: int) -> int:
-    """Number of full monotone branches of the n-step composed map.
-
-    Exact for expanding and tent families with all factors >= 2: each step
-    multiplies the branch count by its factor, so the result is the product
-    of the first n factors along the path.
-    """
-    if system.family not in (EXPANDING, TENT):
-        raise ValueError("branch_count needs a piecewise-linear torus family")
-    if any(f < 2 for f in system.factors):
-        raise ValueError("branch_count needs expanding factors >= 2")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1
-    factors = system.factor_along(path, n)
-    out = 1
-    for f in factors:
-        out *= int(f)
-    return out
-
-
-def word_count(system: RandomSystemSpec, path: OmegaPath, n: int) -> int:
-    """Distinct positive-probability length-n itineraries of a full shift."""
-    if system.family != FULL_SHIFT:
-        raise ValueError("word_count applies to shift systems")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1
-    factors = system.factor_along(path, n)
-    out = 1
-    for f in factors:
-        out *= int(f)
-    return out
-
-
 def match_count_bound(n: int, k: int) -> int:
     """Number of order-preserving partial bijections of size k: C(n, k)^2.
 
-    Exact arbitrary-precision integer; use log_match_count_bound for rate
-    computations at large n.
+    Exact arbitrary-precision integer.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     return math.comb(n, k) ** 2
-
-
-def log_match_count_bound(n: int, k: int) -> float:
-    """log of match_count_bound via lgamma, safe for n ~ 10^4 and beyond."""
-    return 2.0 * log_binomial(n, k)
-
-
-def enumerated_match_count(n: int, k: int) -> int:
-    """Brute enumeration of the size-k matches; independent check, n <= 10.
-
-    A size-k order-preserving partial bijection is determined by its domain
-    and range subsets, so counting subset pairs is the enumeration.
-    """
-    if n > 10:
-        raise ValueError("enumeration capped at n = 10")
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    count = 0
-    for _dom in combinations(range(n), k):
-        for _rng in combinations(range(n), k):
-            count += 1
-    return count
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -167,20 +96,6 @@ def mismatch_entropy_budget(kappa: float, cells: int) -> float:
         - 4.0 * kappa * math.log(kappa)
         - 4.0 * (1.0 - kappa) * math.log(1.0 - kappa)
     )
-
-
-def pick_mismatch_fraction(eps: float, cells: int, ratio: float = 0.5, floor: float = 1e-12) -> float:
-    """Largest kappa on the geometric grid {ratio^j} with budget < eps/2."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must lie in (0, 1)")
-    kappa = ratio
-    while kappa >= floor:
-        if mismatch_entropy_budget(kappa, cells) < eps / 2.0:
-            return kappa
-        kappa *= ratio
-    raise ValueError("no kappa above the floor satisfies the budget")
 
 
 def expected_entropy(system: RandomSystemSpec, process: DrivingProcess) -> OracleValue:

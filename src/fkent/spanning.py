@@ -23,7 +23,7 @@ the expected count linearly and leaves the growth rate in n untouched.
 
 The fiber entropy is an average over driving paths of a per-path slope.
 `path_entropy` computes that per-path quantity (draw the path, count,
-fit); the experiment harness and `integrated_entropy` both call it.
+fit); the experiment harness averages it over paths.
 """
 
 from __future__ import annotations
@@ -46,21 +46,19 @@ from .systems import (
     orbit_batch,
     sample_path,
 )
-from .matching import BOWEN, FK, ball_batch, ball_steps, match_slack
+from .matching import BOWEN, FK, KINDS, ball_batch, ball_steps, check_kinds, match_slack
 
 __all__ = [
     "SEPARATED",
     "CountEntry",
     "CountTable",
     "EntropyEstimate",
-    "IntegratedEstimate",
     "count_table",
     "cover_matrix",
     "entropy_from_counts",
     "fit_log_slope",
     "greedy_cover",
     "greedy_separated",
-    "integrated_entropy",
     "path_entropy",
     "path_seeds",
     "torus_grid_candidates",
@@ -170,19 +168,29 @@ def _segment(metric: FiberMetric, n: int, row: np.ndarray) -> OrbitSegment:
     return OrbitSegment(metric, n, points=row)
 
 
-def _scan_separated(
-    kind: str, metric: FiberMetric, n: int, stack: np.ndarray, eps: float
-) -> np.ndarray:
-    """Fixed-order greedy scan; returns kept original indices, ascending.
+def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float) -> tuple[int, np.ndarray]:
+    """Maximal eps-separated subset by a fixed-index greedy scan.
+
+    Distances are time-n orbit distances of the given kind ("bowen" or
+    "fk") along the candidates' path.  A point is kept iff its distance
+    to every kept point exceeds eps; the kept set is maximal and
+    therefore also eps-covers the candidates.  Returns the count and the
+    kept original indices, ascending.
 
     Killing uses closed-threshold balls so kept points are pairwise farther
     than eps apart (Bowen) or fail the closed match target (FK); under that
     convention every Bowen kill is an FK kill and the FK count can never
     exceed the Bowen count on the same candidates.
     """
-    cur = stack
-    idx = np.arange(stack.shape[0])
-    dead = np.zeros(stack.shape[0], dtype=bool)
+    check_kinds((kind,))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    metric = candidates.system.metric
+    cur = candidates.orbit_stack(ball_steps(metric, n, eps))
+    idx = np.arange(cur.shape[0])
+    dead = np.zeros(cur.shape[0], dtype=bool)
     kept: list[int] = []
     p = 0
     while True:
@@ -204,26 +212,7 @@ def _scan_separated(
             idx = idx[keep_mask]
             dead = np.zeros(idx.size, dtype=bool)
             p = 0
-    return np.asarray(kept, dtype=np.int64)
-
-
-def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float) -> tuple[int, np.ndarray]:
-    """Maximal eps-separated subset by a fixed-index greedy scan.
-
-    Distances are time-n orbit distances of the given kind ("bowen" or
-    "fk") along the candidates' path.  A point is kept iff its distance
-    to every kept point exceeds eps; the kept set is maximal and
-    therefore also eps-covers the candidates.
-    """
-    if kind not in (BOWEN, FK):
-        raise ValueError(f"unknown orbit metric: {kind!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    metric = candidates.system.metric
-    sel = _scan_separated(kind, metric, n, candidates.orbit_stack(ball_steps(metric, n, eps)), eps)
-    return int(sel.size), sel
+    return len(kept), np.asarray(kept, dtype=np.int64)
 
 
 def cover_matrix(
@@ -386,7 +375,7 @@ class EntropyEstimate:
     """Entropy slope with its schedule and convergence diagnostics.
 
     value is the slope at the smallest eps in the schedule; the per-eps
-    slopes and their spread stand in for the radius limit.
+    slopes stand in for the radius limit.
     """
 
     value: float
@@ -396,10 +385,6 @@ class EntropyEstimate:
     eps_list: tuple[float, ...]
     slopes: tuple[float, ...]
     residuals: tuple[float, ...]
-
-    @property
-    def slope_spread(self) -> float:
-        return max(self.slopes) - min(self.slopes)
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(r) for r in self.residuals):
@@ -456,7 +441,7 @@ def count_table(
     path: OmegaPath,
     n_list,
     eps_list,
-    metrics=(BOWEN, FK),
+    metrics=KINDS,
     count_target: int = 2000,
     budget: int = 200_000,
 ) -> CountTable:
@@ -476,9 +461,7 @@ def count_table(
         raise ValueError("eps must be positive")
     if path.horizon < n_list[-1] - 1:
         raise ValueError(f"path horizon {path.horizon} < n - 1 = {n_list[-1] - 1}")
-    for m in metrics:
-        if m not in (BOWEN, FK):
-            raise ValueError(f"unknown orbit metric: {m!r}")
+    check_kinds(metrics)
     entries: list[CountEntry] = []
     for n in n_list:
         for eps in eps_list:
@@ -486,14 +469,13 @@ def count_table(
                 cell, window = word_candidates(system, path, n, eps, budget=budget)
             else:
                 cell, window = torus_grid_candidates(system, path, n, eps, count_target=count_target, budget=budget)
-            stack = cell.orbit_stack(ball_steps(system.metric, n, eps))
             counts: dict[str, int] = {}
             for metric in metrics:
                 # at zero matching slack the FK ball is the Bowen ball
                 if metric == FK and BOWEN in counts and match_slack(n, eps) == 0:
                     counts[FK] = counts[BOWEN]
                 else:
-                    counts[metric] = int(_scan_separated(metric, system.metric, n, stack, eps).size)
+                    counts[metric] = greedy_separated(cell, n, metric, eps)[0]
             for metric, cnt in counts.items():
                 entries.append(CountEntry(n, eps, metric, SEPARATED, cnt, window, cell.M))
     table = CountTable(tuple(entries))
@@ -533,42 +515,3 @@ def path_seeds(master_seed: int, num_paths: int) -> tuple[int, ...]:
         ss = np.random.SeedSequence([int(master_seed), _PATH_STREAM, j])
         out.append(int(ss.generate_state(1, np.uint64)[0]))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class IntegratedEstimate:
-    """Average of per-path entropy slopes with its Monte Carlo error."""
-
-    value: float
-    stderr: float
-    per_path: tuple[float, ...]
-    seeds: tuple[int, ...]
-    metric: str
-
-
-def integrated_entropy(
-    system: RandomSystemSpec,
-    process,
-    n_list,
-    eps_list,
-    metric: str = BOWEN,
-    num_paths: int = 8,
-    master_seed: int = 0,
-    count_target: int = 2000,
-    budget: int = 200_000,
-) -> IntegratedEstimate:
-    """Monte Carlo average over driving paths of path_entropy's value."""
-    seeds = path_seeds(master_seed, num_paths)
-    values = []
-    for seed in seeds:
-        _, fits = path_entropy(system, process, seed, n_list, eps_list, (metric,), count_target, budget)
-        values.append(fits[metric].value)
-    arr = np.asarray(values, dtype=float)
-    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return IntegratedEstimate(
-        value=float(arr.mean()),
-        stderr=stderr,
-        per_path=tuple(float(v) for v in arr),
-        seeds=seeds,
-        metric=metric,
-    )

@@ -112,46 +112,34 @@ def cylinder_depth(eps: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class OmegaPath:
-    """A realized driving path: a finite symbol sequence plus a shift offset.
+    """A realized driving path: a finite symbol sequence.
 
-    Shifting is O(1); the underlying symbol array is shared.  `seed` records
-    the sampling seed for provenance (None for hand-built paths).
+    `seed` records the sampling seed for provenance (None for hand-built
+    paths).
     """
 
     symbols: np.ndarray
     seed: int | None = None
-    offset: int = 0
 
     def __post_init__(self) -> None:
         sym = np.asarray(self.symbols, dtype=np.int64).reshape(-1)
         if np.any(sym < 0):
             raise ValueError("path symbols must be nonnegative")
-        if not 0 <= self.offset <= len(sym):
-            raise ValueError("offset out of range")
         object.__setattr__(self, "symbols", sym)
 
     @property
     def horizon(self) -> int:
-        return len(self.symbols) - self.offset
+        return len(self.symbols)
 
     def symbol(self, i: int) -> int:
         if not 0 <= i < self.horizon:
             raise IndexError("path index beyond horizon")
-        return int(self.symbols[self.offset + i])
+        return int(self.symbols[i])
 
     def window(self, n: int) -> np.ndarray:
         if n > self.horizon:
             raise ValueError(f"window {n} exceeds horizon {self.horizon}")
-        return self.symbols[self.offset : self.offset + n]
-
-    def shifted(self, i: int) -> "OmegaPath":
-        if not 0 <= i <= self.horizon:
-            raise ValueError("shift beyond horizon")
-        return OmegaPath(self.symbols, self.seed, self.offset + i)
-
-
-def path_from_symbols(symbols) -> OmegaPath:
-    return OmegaPath(np.asarray(symbols, dtype=np.int64))
+        return self.symbols[:n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +238,6 @@ class RandomSystemSpec:
     family: str
     factors: tuple
     metric: FiberMetric
-    word_length: int = 0
 
     def __post_init__(self) -> None:
         if self.family not in (EXPANDING, TENT, FULL_SHIFT):
@@ -262,8 +249,6 @@ class RandomSystemSpec:
         if self.family == FULL_SHIFT:
             if not self.metric.on_words:
                 raise ValueError("shift systems need the discrete or cylinder metric")
-            if self.word_length < 1:
-                raise ValueError("shift systems need word_length >= 1")
         else:
             if self.metric.kind != TORUS:
                 raise ValueError(f"{self.family} systems use the torus metric")
@@ -293,8 +278,8 @@ def expanding_system(factors) -> RandomSystemSpec:
 def tent_system(factors) -> RandomSystemSpec:
     return RandomSystemSpec(TENT, tuple(factors), FiberMetric(TORUS))
 
-def shift_system(factors, metric_kind: str = CYLINDER, word_length: int = 32) -> RandomSystemSpec:
-    return RandomSystemSpec(FULL_SHIFT, tuple(factors), FiberMetric(metric_kind), word_length)
+def shift_system(factors, metric_kind: str = CYLINDER) -> RandomSystemSpec:
+    return RandomSystemSpec(FULL_SHIFT, tuple(factors), FiberMetric(metric_kind))
 
 
 def apply_fiber_map(system: RandomSystemSpec, symbol: int, x: np.ndarray) -> np.ndarray:
@@ -368,8 +353,9 @@ def orbit(system: RandomSystemSpec, path: OmegaPath, x, n: int) -> OrbitSegment:
     """Compute the n-point orbit of x along the path (horizon >= n - 1).
 
     The cocycle property holds exactly in floating point: point i + j of
-    this orbit equals point j of the orbit of point i along the i-shifted
-    path, because both are produced by the identical operation sequence.
+    this orbit equals point j of the orbit of point i along the path with
+    its first i symbols dropped, because both are produced by the identical
+    operation sequence.
     """
     if n < 1:
         raise ValueError("orbit length must be >= 1")

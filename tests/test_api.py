@@ -1,11 +1,15 @@
 """The package's public names resolve, no module imports a name it never
 uses, no function takes a parameter it never reads, every function and
-class is named somewhere besides its own definition, and no function
-takes a measure next to the system or path the measure carries.
+class has a caller besides its own unit tests, and no function takes a
+measure next to the system or path the measure carries.
 
 Deleting a function or a code path should take its exports, its imports
 and its arguments with it; these checks catch the leftovers a deletion
-leaves behind.
+leaves behind.  A caller is the package itself, a demo, a bench script or
+an acceptance check.  A unit test does not count: a definition that only
+its own test reaches serves no estimator, command or report.  Neither does
+a package `__init__` re-export or an `__all__` entry, which name a
+definition without using it.
 """
 
 import ast
@@ -16,8 +20,21 @@ from pathlib import Path
 import fkent
 
 SRC = Path(fkent.__file__).resolve().parent
-# every tree that may call into the package
-CALLERS = [SRC.parent.parent / d for d in ("src", "tests", "demos", "bench")]
+ROOT = SRC.parent.parent
+# every file whose names count as a use: the package, demos, bench scripts
+# and the acceptance checks, but no unit test and no re-export
+CALLERS = [
+    path
+    for d in ("src", "demos", "bench")
+    for path in (ROOT / d).rglob("*.py")
+    if path != SRC / "__init__.py"
+] + [ROOT / "tests" / "test_acceptance.py"]
+# definitions kept although only unit tests call them: each is the
+# independent reference another definition is checked against
+REFERENCE_ORACLES = {
+    "in_fk_ball": "tests compare the batch FK ball kernel against this single-pair test",
+    "mismatch_entropy_budget": "the FK-vs-Bowen comparison reports this bound beside each gap",
+}
 # submodules only: __init__.py imports names in order to re-export them
 MODULES = [info.name for info in pkgutil.iter_modules([str(SRC)]) if info.name != "__main__"]
 
@@ -74,20 +91,24 @@ def test_no_unread_parameters():
     assert unread == []
 
 
-def _docstrings(tree: ast.AST) -> set[int]:
+def _unused_strings(tree: ast.AST) -> set[int]:
+    """ids of the string constants that name nothing: docstrings and `__all__` entries."""
     ids = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
             first = node.body[0]
             if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
                 ids.add(id(first.value))
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            ids.update(id(c) for c in ast.walk(node.value) if isinstance(c, ast.Constant))
     return ids
 
 
 def _named(tree: ast.AST) -> set[str]:
     """Names a tree uses: names, attributes, import aliases and the dotted
-    segments of space-free string constants (docstrings excluded)."""
-    docs = _docstrings(tree)
+    segments of space-free string constants (docstrings and `__all__`
+    entries excluded)."""
+    docs = _unused_strings(tree)
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -105,11 +126,10 @@ def _named(tree: ast.AST) -> set[str]:
 
 
 def test_every_definition_is_named_elsewhere():
-    # a function, method or class whose name nothing mentions is dead code
-    named = set()
-    for root in CALLERS:
-        for path in root.rglob("*.py"):
-            named |= _named(ast.parse(path.read_text()))
+    # a function, method or class whose name no caller mentions is dead code
+    named = set(REFERENCE_ORACLES)
+    for path in CALLERS:
+        named |= _named(ast.parse(path.read_text()))
     unnamed = []
     for name in MODULES + ["__init__"]:
         for node in ast.walk(_tree(name)):

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,21 +10,20 @@ from fkent.local import (
     LocalEntry,
     ball_measure,
     local_entropy,
-    partition_entropy_rate,
     sample_measure,
     smb_estimate,
 )
 from fkent.matching import BOWEN, FK, match_slack, match_target
-from fkent.spanning import fit_log_slope, path_seeds
+from fkent.spanning import fit_log_slope
 from fkent.systems import (
     CYLINDER,
     TORUS,
     InvariantViolation,
+    OmegaPath,
     bernoulli_process,
     expanding_system,
     orbit,
     orbit_batch,
-    path_from_symbols,
     sample_path,
     shift_system,
     tent_system,
@@ -49,7 +47,7 @@ def test_sample_measure_torus_uniform():
 
 def test_sample_measure_words_respect_alphabets():
     system = shift_system((2, 3))
-    path = path_from_symbols([1, 0, 1, 1, 0])
+    path = OmegaPath([1, 0, 1, 1, 0])
     mu = sample_measure(system, path, 5_000, 7)
     assert mu.on_words
     assert mu.samples.shape == (5_000, 5)
@@ -106,7 +104,7 @@ def test_measure_consumers_reject_wrong_kind_path_or_length():
 
 def test_empirical_measure_validation():
     system = expanding_system((2,))
-    path = path_from_symbols([0, 0])
+    path = OmegaPath([0, 0])
     with pytest.raises(ValueError):
         EmpiricalMeasure(system, path, np.zeros(3))
     with pytest.raises(ValueError):
@@ -174,7 +172,7 @@ def test_shared_local_pass_matches_ball_measure(monkeypatch):
     # at each delta's widest band, and each n reads its prefix.  Bands 0, 1
     # and 2 meet at delta = 1/4, bands 0 and 1 at delta = 1/8.  Rows are the
     # grid orbit of 5/64 (odd factors permute the grid, so it never
-    # collapses to 0) shifted by up to two steps and then moved by
+    # collapses to 0) delayed by up to two steps and then moved by
     # multiples of 1/64 at random steps, so gaps tie with both radii and
     # off-diagonal matches decide FK membership.  Small blocks make the
     # pass split the rows.
@@ -264,41 +262,6 @@ def test_smb_estimate_flags_empty_cell():
     assert math.isnan(smb_estimate(tiny, 0.01, part, 6))
 
 
-def test_partition_entropy_rate_doubling():
-    system = expanding_system((2,))
-    proc = bernoulli_process((1.0,))
-    rate = partition_entropy_rate(system, proc, GridPartition(TORUS, 0.5), [4, 6, 8], 40_000, 2, master_seed=6)
-    assert rate == pytest.approx(math.log(2.0), abs=0.01)
-
-
-def test_partition_entropy_rate_bounded_by_cell_log():
-    # one-cell partition carries no information
-    system = expanding_system((2,))
-    proc = bernoulli_process((1.0,))
-    rate = partition_entropy_rate(system, proc, GridPartition(TORUS, 1.0), [3, 4], 2_000, 1)
-    assert rate == pytest.approx(0.0, abs=1e-12)
-
-
-def test_partition_entropy_rate_words_matches_prefix_counts():
-    # a depth-m cylinder itinerary of length n is the word prefix of
-    # n + m - 1 symbols, so the plug-in entropy is that of prefix counts
-    system = shift_system((2, 3))
-    proc = bernoulli_process((0.5, 0.5))
-    partition = GridPartition(CYLINDER, 0.25)
-    n_max, M, paths, seed = 5, 3000, 2, 4
-    rate = partition_entropy_rate(system, proc, partition, [3, n_max], M, paths, master_seed=seed)
-    span = n_max + partition.depth - 1
-    rates = []
-    for s in path_seeds(seed, paths):
-        path = sample_path(proc, n_max + partition.depth, s)
-        words = sample_measure(system, path, M, s).samples
-        assert set(system.factor_along(path, span)) == {2, 3}
-        counts = Counter(map(tuple, words[:, :span].tolist()))
-        p = np.array(list(counts.values())) / M
-        rates.append(float(-(p * np.log(p)).sum()) / n_max)
-    assert rate == pytest.approx(np.mean(rates), rel=1e-12)
-
-
 def test_local_entropy_record_shape_and_value():
     system, path, mu = doubling_setup(M=150_000)
     rec = local_entropy(mu, 0.3, [4, 6, 8, 10], [0.2, 0.1], (BOWEN,))[BOWEN]
@@ -309,8 +272,9 @@ def test_local_entropy_record_shape_and_value():
     assert rec.delta_used in (0.1, 0.2)
     assert rec.value == pytest.approx(math.log(2.0), abs=0.08)
     # counts fall monotonically in n at fixed delta for synchronized balls
+    by_cell = {(e.n, e.delta): e.count for e in rec.entries}
     for delta in (0.1, 0.2):
-        counts = [rec.entry(n, delta).count for n in (4, 6, 8, 10)]
+        counts = [by_cell[(n, delta)] for n in (4, 6, 8, 10)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
@@ -322,8 +286,9 @@ def test_local_entropy_fk_close_to_bowen_with_band_fit():
     bands = {n - match_target(n, 0.1) for n in (4, 6, 8, 10, 12)}
     assert bands == {0, 1}
     assert abs(fk.value - bowen.value) <= 0.1
-    for n in (4, 6, 8, 10, 12):
-        assert fk.entry(n, 0.1).count >= bowen.entry(n, 0.1).count
+    for b, f in zip(bowen.entries, fk.entries):
+        assert (f.n, f.delta) == (b.n, b.delta)
+        assert f.count >= b.count
 
 
 def test_local_entry_flags_zero_count():

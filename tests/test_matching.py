@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from fkent.harness import load_config
+from fkent.katok import katok_spanning_count, katok_table
+from fkent.local import ball_measure, local_entropy
 from fkent.matching import (
     BOWEN,
     FK,
+    ball_batch,
     ball_steps,
     bowen_ball_batch,
     bowen_distance,
@@ -18,10 +22,21 @@ from fkent.matching import (
     match_target,
     max_match_batch,
     max_match_size,
-    mismatch_fraction,
     pair_distance_matrix,
 )
-from fkent.systems import CYLINDER, DISCRETE, TORUS, FiberMetric, OrbitSegment
+from fkent.spanning import count_table, greedy_separated
+from fkent.systems import (
+    CYLINDER,
+    DISCRETE,
+    TORUS,
+    EmpiricalMeasure,
+    FiberMetric,
+    OmegaPath,
+    OrbitSegment,
+    expanding_system,
+    orbit,
+    orbit_batch,
+)
 
 
 def torus_segment(points):
@@ -94,7 +109,7 @@ def test_fk_distance_hand_values():
     assert res.value == pytest.approx(0.5, abs=1e-12)
     assert bowen_distance(a, b) == 1.0
     # one swap out of two symbols: best match keeps one pair
-    assert mismatch_fraction(a, b, 0.5) == pytest.approx(0.5)
+    assert max_match_size(a, b, 0.5) == 1
 
 
 def test_fk_distance_cylinder_hand_value():
@@ -331,19 +346,19 @@ def test_word_ball_batch_prefix_semantics():
         dtype=np.int64,
     )
     # eps = 0.4: cylinder depth 2, so membership needs agreement on
-    # symbols 0..n for every shifted window
+    # symbols 0..n at every window offset
     members = bowen_ball_batch(center, others, 0.4)
     assert members.tolist() == [True, False, False]
 
 
-def test_mismatch_fraction_monotone_in_eps():
+def test_match_size_monotone_in_eps():
     rng = np.random.default_rng(112)
     for _ in range(50):
         n = int(rng.integers(2, 10))
         a = torus_segment(rng.random(n))
         b = torus_segment(rng.random(n))
-        defects = [mismatch_fraction(a, b, e) for e in (0.05, 0.1, 0.2, 0.4)]
-        assert all(x >= y - 1e-12 for x, y in zip(defects, defects[1:]))
+        sizes = [max_match_size(a, b, e) for e in (0.05, 0.1, 0.2, 0.4)]
+        assert all(x <= y for x, y in zip(sizes, sizes[1:]))
 
 
 def test_segment_validation():
@@ -433,3 +448,37 @@ def test_packed_masks_reject_more_than_64_steps():
     word = rng.integers(0, 2, size=65)
     with pytest.raises(ValueError, match="at most 64"):
         fk_ball_batch(word_segment(word), word[None], 0.5)
+
+
+_SYSTEM = expanding_system((2,))
+_PATH = OmegaPath([0, 0, 0, 0])
+_MEASURE = EmpiricalMeasure(_SYSTEM, _PATH, orbit_batch(_SYSTEM, _PATH, np.array([[0.1], [0.3], [0.7]]), 4))
+_CENTER = orbit(_SYSTEM, _PATH, 0.3, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: greedy_separated(_MEASURE, 2, "hamming", 0.1),
+        lambda: count_table(_SYSTEM, _PATH, [2], [0.1], metrics=("hamming",)),
+        lambda: katok_spanning_count(_MEASURE, 2, 0.1, 0.9, "hamming"),
+        lambda: katok_table(_MEASURE, [2], [0.1], ("hamming",)),
+        lambda: ball_measure(_MEASURE, _CENTER, 2, 0.1, "hamming"),
+        lambda: local_entropy(_MEASURE, 0.3, [2], [0.1], ("hamming",)),
+        lambda: ball_batch("hamming", _CENTER, _MEASURE.orbits, 0.1),
+        lambda: load_config(None, {"metrics": ("hamming",)}),
+    ],
+    ids=[
+        "greedy_separated",
+        "count_table",
+        "katok_spanning_count",
+        "katok_table",
+        "ball_measure",
+        "local_entropy",
+        "ball_batch",
+        "load_config",
+    ],
+)
+def test_unknown_orbit_metric_is_rejected(call):
+    with pytest.raises(ValueError, match="unknown orbit metric"):
+        call()

@@ -6,25 +6,18 @@ import pytest
 from fkent.oracles import (
     OracleValue,
     binomial_rate,
-    branch_count,
-    enumerated_match_count,
     exhaustive_partial_cover,
     expected_entropy,
     log_binomial,
-    log_match_count_bound,
     match_count_bound,
     mismatch_entropy_budget,
-    pick_mismatch_fraction,
     stirling_rate,
-    word_count,
 )
 from fkent.systems import (
     bernoulli_process,
     expanding_system,
     markov_process,
-    path_from_symbols,
     shift_system,
-    tent_system,
 )
 
 
@@ -52,34 +45,6 @@ def test_log_binomial_matches_comb():
 def test_match_count_bound_hand_value():
     # C(4,2)^2 = 36 order-preserving partial bijections of size 2
     assert match_count_bound(4, 2) == 36
-    assert enumerated_match_count(4, 2) == 36
-
-
-def test_match_count_bound_equals_enumeration():
-    for n in range(1, 9):
-        for k in range(0, n + 1):
-            assert match_count_bound(n, k) == enumerated_match_count(n, k)
-
-
-def test_log_match_count_bound_large_n():
-    n, k = 10_000, 3_000
-    want = 2.0 * (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
-    assert log_match_count_bound(n, k) == pytest.approx(want, rel=1e-12)
-
-
-def test_branch_count_is_factor_product():
-    system = expanding_system((2, 3))
-    path = path_from_symbols([0, 1, 1, 0])
-    assert branch_count(system, path, 0) == 1
-    assert branch_count(system, path, 3) == 2 * 3 * 3
-    tent = tent_system((2,))
-    assert branch_count(tent, path_from_symbols([0, 0]), 2) == 4
-
-
-def test_word_count_matches_shift_alphabets():
-    system = shift_system((2, 3))
-    path = path_from_symbols([1, 0, 1])
-    assert word_count(system, path, 3) == 3 * 2 * 3
 
 
 def test_expected_entropy_hand_values():
@@ -111,9 +76,6 @@ def test_mismatch_budget_properties():
     # vanishes with kappa and grows with the cell count
     assert mismatch_entropy_budget(1e-12, 2) == pytest.approx(0.0, abs=1e-9)
     assert mismatch_entropy_budget(0.05, 8) > mismatch_entropy_budget(0.05, 2)
-    kappa = pick_mismatch_fraction(0.05, 2)
-    assert 0.0 < kappa < 0.05
-    assert mismatch_entropy_budget(kappa, 2) <= 0.5 * 0.05 + 1e-12
 
 
 def test_oracle_value_validation():

@@ -13,7 +13,7 @@ from fkent.spanning import (
     entropy_from_counts,
     fit_log_slope,
     greedy_separated,
-    integrated_entropy,
+    path_entropy,
     path_seeds,
     torus_grid_candidates,
     word_candidates,
@@ -21,9 +21,9 @@ from fkent.spanning import (
 from fkent.systems import (
     EmpiricalMeasure,
     InvariantViolation,
+    OmegaPath,
     bernoulli_process,
     expanding_system,
-    path_from_symbols,
     sample_path,
     shift_system,
 )
@@ -31,7 +31,7 @@ from fkent.systems import (
 
 def circle_candidates(k):
     pts = (np.arange(k) / float(k)).reshape(-1, 1, 1)
-    return EmpiricalMeasure(expanding_system((2,)), path_from_symbols([0]), pts)
+    return EmpiricalMeasure(expanding_system((2,)), OmegaPath([0]), pts)
 
 
 def test_separated_scan_circle_hand_value():
@@ -66,7 +66,7 @@ def test_shift_separated_counts_grow_like_words(n):
 
 def test_grid_candidates_fields():
     system = expanding_system((2,))
-    path = path_from_symbols([0] * 10)
+    path = OmegaPath([0] * 10)
     cand, window = torus_grid_candidates(system, path, 8, 0.1, count_target=300)
     assert cand.M >= 300
     assert 0.0 < window <= 1.0
@@ -92,7 +92,6 @@ def test_entropy_estimate_invariants():
         slopes=(0.5, 0.6),
         residuals=(0.0, 0.0),
     )
-    assert est.slope_spread == pytest.approx(0.1)
     with pytest.raises(InvariantViolation):
         EntropyEstimate(
             value=0.6,
@@ -146,22 +145,12 @@ def test_path_seeds_deterministic_and_distinct():
     assert path_seeds(10, 6) != a
 
 
-def test_integrated_entropy_reduces_per_path():
-    system = expanding_system((2, 3))
-    proc = bernoulli_process((0.5, 0.5))
-    est = integrated_entropy(system, proc, [4, 5, 6], [0.2], num_paths=3, master_seed=5, count_target=200)
-    assert est.value == pytest.approx(float(np.mean(est.per_path)), abs=1e-12)
-    assert len(est.per_path) == len(est.seeds) == 3
-    assert est.stderr >= 0.0
-
-
-def test_integrated_entropy_on_word_systems():
+def test_path_entropy_on_word_systems():
     # eps = 0.4 reads cylinder depth 2, so each path must run one step past
     # max(n); the enumerated Bowen counts are exactly 2^(n+1) and every
     # per-path slope is log 2
     system = shift_system((2, 2))
     proc = bernoulli_process((0.5, 0.5))
-    est = integrated_entropy(system, proc, [3, 4, 5], [0.4], num_paths=2)
-    assert len(est.per_path) == 2
-    for value in est.per_path:
-        assert value == pytest.approx(math.log(2.0), abs=1e-12)
+    for seed in path_seeds(0, 2):
+        _, fits = path_entropy(system, proc, seed, [3, 4, 5], [0.4], (BOWEN,), 2000, 200_000)
+        assert fits[BOWEN].value == pytest.approx(math.log(2.0), abs=1e-12)

@@ -19,7 +19,6 @@ from fkent.systems import (
     markov_process,
     orbit,
     orbit_batch,
-    path_from_symbols,
     row_codes,
     sample_path,
     shift_system,
@@ -70,7 +69,7 @@ def test_cylinder_depth(eps, depth):
 def test_orbit_hand_values(factors, symbols, x, family, expected):
     build = expanding_system if family == "expanding" else tent_system
     system = build(factors)
-    path = path_from_symbols(symbols)
+    path = OmegaPath(symbols)
     seg = orbit(system, path, x, len(expected))
     assert np.allclose(seg.points.ravel(), expected)
     assert seg.n == len(expected)
@@ -78,7 +77,7 @@ def test_orbit_hand_values(factors, symbols, x, family, expected):
 
 def test_orbit_batch_matches_orbit():
     system = expanding_system((2, 3))
-    path = path_from_symbols([0, 1, 1, 0, 1, 0, 0])
+    path = OmegaPath([0, 1, 1, 0, 1, 0, 0])
     rng = np.random.default_rng(5)
     xs = rng.random((40, 1))
     stack = orbit_batch(system, path, xs, 6)
@@ -90,7 +89,7 @@ def test_orbit_batch_matches_orbit():
 
 def test_shift_orbit_keeps_full_word():
     system = shift_system((2, 2))
-    path = path_from_symbols([0, 1, 0, 1])
+    path = OmegaPath([0, 1, 0, 1])
     seg = orbit(system, path, [1, 0, 1, 1, 0], 3)
     assert seg.on_words
     assert seg.n == 3
@@ -111,18 +110,14 @@ def test_orbit_segment_prefix():
 
 def test_expansion_product_is_factor_product():
     system = expanding_system((2, 3))
-    path = path_from_symbols([0, 1, 0])
+    path = OmegaPath([0, 1, 0])
     assert expansion_product(system, path, 3) == pytest.approx(6.0)
 
 
 def test_omega_path_window_and_shift():
-    path = path_from_symbols([3, 1, 4, 1, 5])
+    path = OmegaPath([3, 1, 4, 1, 5])
     assert path.horizon == 5
     assert list(path.window(3)) == [3, 1, 4]
-    shifted = path.shifted(2)
-    assert shifted.horizon == 3
-    assert list(shifted.window(3)) == [4, 1, 5]
-    assert shifted.symbol(0) == 4
     with pytest.raises(ValueError):
         path.window(6)
 
