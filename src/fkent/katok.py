@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matching import BOWEN, FK, ball_steps, check_kinds, match_slack
+from .matching import BOWEN, ball_kind, ball_steps, check_kinds, slack_band
 from .spanning import (
     EntropyEstimate,
     cover_matrix,
@@ -54,7 +54,6 @@ from .systems import (
 from .local import EmpiricalMeasure, sample_measure
 
 __all__ = [
-    "KATOK",
     "KatokCount",
     "katok_spanning_count",
     "katok_horizon",
@@ -65,9 +64,6 @@ __all__ = [
     "validate_katok_counts",
     "min_cover_exact",
 ]
-
-KATOK = "greedy-katok"
-
 
 @dataclass(frozen=True)
 class KatokCount:
@@ -162,7 +158,7 @@ def katok_spanning_count(
     need = _covered_target(mass_threshold, M)
     if eps > system.metric.diameter:
         return KatokCount(n, eps, mass_threshold, kind, 1, 1.0, np.zeros(1, dtype=np.int64))
-    if system.on_words and (kind == BOWEN or match_slack(n, eps) == 0):
+    if system.on_words and ball_kind(kind, n, eps) == BOWEN:
         count, covered, centers = _word_class_cover(stack, span, need)
         return KatokCount(n, eps, mass_threshold, kind, count, covered, centers)
     cover = cover_matrix(kind, system.metric, n, stack, eps, pair_budget)
@@ -186,7 +182,7 @@ def validate_katok_counts(cells: dict[tuple[float, int], KatokCount], kind: str)
         for (n1, c1), (n2, c2) in zip(
             zip(n_values, col), zip(n_values[1:], col[1:])
         ):
-            if kind == FK and match_slack(n1, e) != match_slack(n2, e):
+            if slack_band(kind, n1, e) != slack_band(kind, n2, e):
                 continue
             if c2 < c1 - 1:
                 raise InvariantViolation(
@@ -216,10 +212,10 @@ def katok_table(
     """All (eps, n) cover counts of each kind for one measure along its path, validated.
 
     kinds is a tuple of orbit metrics; the result maps each to its table,
-    built and validated in the order given.  At zero matching slack the FK
-    ball is the Bowen ball, so such a cell is covered once and later kinds
-    take a copy with their own kind.  Every cell reads the measure's own
-    orbit stack, built once by sample_measure.
+    built and validated in the order given.  Each cell is covered once
+    per kernel (matching.ball_kind): a kind whose ball runs the same
+    kernel as an earlier one takes a copy under its own kind.  Every cell
+    reads the measure's own orbit stack, built once by sample_measure.
     mass_threshold None selects the one-parameter convention, threshold
     1 - eps per column; a float fixes one threshold for every column.
     """
@@ -231,18 +227,18 @@ def katok_table(
         raise ValueError("mass threshold must lie in (0, 1)")
     check_kinds(kinds)
     tables: dict[str, dict[tuple[float, int], KatokCount]] = {}
+    covers: dict[tuple[str, float, int], KatokCount] = {}
     for kind in kinds:
-        shared = next(iter(tables.values()), None)
         cells: dict[tuple[float, int], KatokCount] = {}
         for eps in eps_list:
             threshold = mass_threshold if mass_threshold is not None else 1.0 - eps
             for n in n_window:
-                if shared is not None and match_slack(n, eps) == 0:
-                    cells[(eps, n)] = replace(shared[(eps, n)], kind=kind)
-                    continue
-                cells[(eps, n)] = katok_spanning_count(
-                    measure, n, eps, threshold, kind, pair_budget=pair_budget
-                )
+                kernel = ball_kind(kind, n, eps)
+                if (kernel, eps, n) not in covers:
+                    covers[(kernel, eps, n)] = katok_spanning_count(
+                        measure, n, eps, threshold, kernel, pair_budget=pair_budget
+                    )
+                cells[(eps, n)] = replace(covers[(kernel, eps, n)], kind=kind)
         validate_katok_counts(cells, kind)
         tables[kind] = cells
     return tables
@@ -319,15 +315,7 @@ def katok_entropy(
     )
     slopes = tuple(float(s) for s in fits[:, :, 0].mean(axis=0))
     residuals = tuple(float(r) for r in fits[:, :, 1].mean(axis=0))
-    return EntropyEstimate(
-        value=slopes[0],
-        metric=kind,
-        estimator=KATOK,
-        n_window=tuple(n_window),
-        eps_list=tuple(eps_list),
-        slopes=slopes,
-        residuals=residuals,
-    )
+    return EntropyEstimate(value=slopes[0], slopes=slopes, residuals=residuals)
 
 
 def min_cover_exact(

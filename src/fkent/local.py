@@ -47,7 +47,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import BOWEN, FK, _fk_members, ball_batch, ball_steps, check_kinds, match_slack
+from .matching import (
+    BOWEN,
+    FK,
+    _fk_members,
+    ball_batch,
+    ball_kind,
+    ball_steps,
+    check_kinds,
+    inclusion_violations,
+    slack_band,
+)
 from .spanning import fit_log_slope
 from .systems import (
     TORUS,
@@ -231,14 +241,9 @@ class LocalEntropyRecord:
     """
 
     kind: str
-    base_point: np.ndarray
-    omega_seed: int | None
-    M: int
     entries: tuple[LocalEntry, ...]
     value: float
     delta_used: float
-    n_window: tuple[int, ...]
-    residual_rms: float
 
     def __post_init__(self) -> None:
         for e in self.entries:
@@ -271,19 +276,20 @@ def _ball_count_table(
     Torus Bowen counts for every n fall out of one forward pass over the
     sample orbits that keeps each row's worst gap so far and drops a row
     as soon as that gap reaches the largest delta, since it can enter no
-    ball after that.  Zero-slack FK cells are Bowen cells and take the
-    Bowen counts.  The FK cells with matching slack share one pass over
-    the diagonals per row block (`matching._fk_members`): at the largest
-    n, each diagonal's gaps are computed once and thresholded into one
-    packed mask per delta at its widest band, and each n reads its prefix
-    of that mask.
+    ball after that.  The FK cells whose ball runs the FK kernel
+    (matching.ball_kind) share one pass over the diagonals per row block
+    (`matching._fk_members`): at the largest n, each diagonal's gaps are
+    computed once and thresholded into one packed mask per delta at its
+    widest band, and each n reads its prefix of that mask.  Every kind
+    reads each cell's count from its kernel's table, so zero-slack FK
+    cells take the Bowen counts.
     """
     n_list = sorted(n_list)
     delta_list = sorted(delta_list)
     n_max = n_list[-1]
     cells = [(n, d) for n in n_list for d in delta_list]
     bowen = dict.fromkeys(cells, 0)
-    slack_cells = [(n, d) for n, d in cells if match_slack(n, d) > 0] if FK in kinds else []
+    slack_cells = [(n, d) for n, d in cells if ball_kind(FK, n, d) == FK] if FK in kinds else []
     fk = dict.fromkeys(slack_cells, 0)
 
     stack = measure.orbit_stack(max(ball_steps(measure.system.metric, n_max, d) for d in delta_list))
@@ -307,10 +313,8 @@ def _ball_count_table(
         for _, hits in _fk_members(center, stack, slack_cells):
             for cell, hit in zip(slack_cells, hits):
                 fk[cell] += int(hit.sum())
-    return {
-        kind: bowen if kind == BOWEN else {c: fk.get(c, bowen[c]) for c in cells}
-        for kind in kinds
-    }
+    counts = {BOWEN: bowen, FK: fk}
+    return {kind: {c: counts[ball_kind(kind, *c)][c] for c in cells} for kind in kinds}
 
 
 def _local_record(
@@ -319,8 +323,6 @@ def _local_record(
     n_list: list[int],
     delta_list: list[float],
     M: int,
-    base: np.ndarray,
-    omega_seed: int | None,
 ) -> LocalEntropyRecord:
     """Preflight one kind's counts (see local_entropy) and fit its record."""
     d_top = delta_list[-1]
@@ -351,7 +353,6 @@ def _local_record(
 
     delta_used = math.nan
     value = math.nan
-    rms = math.nan
     for d in delta_list:
         if counts[(n_list[-1], d)] > 0:
             delta_used = d
@@ -360,23 +361,12 @@ def _local_record(
         xs = [n for n in n_list if counts[(n, delta_used)] > 0]
         ys = [math.log(counts[(n, delta_used)] / M) for n in xs]
         if len(xs) >= 2:
-            bands = [match_slack(n, delta_used) for n in xs] if kind == FK else None
-            slope, rms = fit_log_slope(xs, ys, bands)
-            value = -slope
+            bands = [slack_band(kind, n, delta_used) for n in xs]
+            value = -fit_log_slope(xs, ys, bands)[0]
         else:
             value = -ys[0] / xs[0]
 
-    return LocalEntropyRecord(
-        kind=kind,
-        base_point=base,
-        omega_seed=omega_seed,
-        M=M,
-        entries=entries,
-        value=value,
-        delta_used=delta_used,
-        n_window=tuple(n_list),
-        residual_rms=rms,
-    )
+    return LocalEntropyRecord(kind=kind, entries=entries, value=value, delta_used=delta_used)
 
 
 def local_entropy(
@@ -398,8 +388,10 @@ def local_entropy(
 
     The base point's orbit runs along the measure's own system and path,
     and the counts read the measure's orbit stack, so a stack shorter
-    than the largest n raises ValueError.  Records take M from the
-    measure and omega_seed from its path.
+    than the largest n raises ValueError.  Entries take M from the
+    measure.  The Bowen ball lies inside the FK ball, so with both kinds
+    an FK count below the Bowen count in any cell raises
+    InvariantViolation (matching.inclusion_violations).
     """
     n_list = sorted(set(int(n) for n in n_list))
     delta_list = sorted(set(float(d) for d in delta_list))
@@ -413,11 +405,14 @@ def local_entropy(
 
     center = orbit(measure.system, measure.omega, x, n_list[-1])
     tables = _ball_count_table(measure, center, n_list, delta_list, kinds)
-    base = np.asarray(center.word if measure.on_words else center.points[0])
-    return {
-        kind: _local_record(kind, tables[kind], n_list, delta_list, measure.M, base, measure.omega.seed)
-        for kind in kinds
-    }
+    bad = inclusion_violations(tables, balls=True)
+    if bad:
+        small, large, cell = bad[0]
+        raise InvariantViolation(
+            f"{large} ball count {tables[large][cell]} fell below the {small} ball count "
+            f"{tables[small][cell]} at (n, delta) = {cell}"
+        )
+    return {kind: _local_record(kind, tables[kind], n_list, delta_list, measure.M) for kind in kinds}
 
 
 def smb_estimate(

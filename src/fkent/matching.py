@@ -21,19 +21,24 @@ compatibility matrix is packed into a uint64 mask (so n, m <= 64) and the
 bit-vector LCS update (Allison & Dix 1986; Hyyro 2004) advances the DP one
 row at a time across a whole batch.  No other match DP exists.
 
-Batch kernels evaluate one center against many orbits at once, and
-`ball_batch` is the one place that picks the Bowen or the FK kernel.  The
-FK kernel exploits that a match of size k never displaces an index by more
+Batch kernels evaluate one center against many orbits at once.  The FK
+kernel exploits that a match of size k never displaces an index by more
 than n - k, so a ball test at threshold delta only needs the diagonal band
 of width match_slack(n, delta) = n - match_target(n, delta): its masks are
 built one diagonal slice at a time.  The same bound lets one mask per
 radius, built at the longest n and widest band, decide the FK ball of
 every shorter prefix and narrower band (`_fk_members`), which is how the
-local tables count all their FK cells in one pass.  At zero slack only the identity
-matching can reach the target, so the FK ball is the Bowen ball and
-fk_ball_batch hands the test to bowen_ball_batch.  The torus Bowen kernel
+local tables count all their FK cells in one pass.  The torus Bowen kernel
 screens every row on the last, most expanded step and compares the
 remaining steps only on the rows that pass.
+
+How the two metrics relate is decided here and nowhere else.  KINDS runs
+from the smaller ball to the larger: the Bowen ball lies inside the FK
+ball, and `inclusion_violations` checks counts against that order.  At
+zero slack only the identity matching reaches the target, so the FK ball
+is the Bowen ball: `ball_kind` names the kernel a ball test runs, and
+`ball_batch` and every table that reuses one kind's work for another key
+by it.  `slack_band` is the band a kind's fit stratifies by: 0 for Bowen.
 """
 
 from __future__ import annotations
@@ -69,6 +74,9 @@ __all__ = [
     "brute_force_match_matrix",
     "match_target",
     "match_slack",
+    "ball_kind",
+    "slack_band",
+    "inclusion_violations",
     "ball_steps",
     "in_fk_ball",
     "ball_batch",
@@ -77,7 +85,8 @@ __all__ = [
     "max_match_batch",
 ]
 
-# labels for the two orbit distances the counting layers switch between
+# labels for the two orbit distances the counting layers switch between,
+# ordered by ball size: the Bowen ball lies inside the FK ball
 BOWEN = "bowen"
 FK = "fk"
 KINDS = (BOWEN, FK)
@@ -238,6 +247,41 @@ def match_slack(n: int, delta: float) -> int:
     ball is exactly the Bowen ball.
     """
     return n - match_target(n, delta)
+
+
+def ball_kind(kind: str, n: int, eps: float) -> str:
+    """The kernel a time-n, radius-eps ball of the given kind runs.
+
+    An FK ball with zero matching slack is exactly the Bowen ball, so
+    BOWEN is returned for it; every other ball runs its own kind.
+    """
+    return BOWEN if kind == FK and match_slack(n, eps) == 0 else kind
+
+
+def slack_band(kind: str, n: int, eps: float) -> int:
+    """Slack band of a kind's (n, eps) cell: 0 for Bowen, match_slack for FK."""
+    return 0 if kind == BOWEN else match_slack(n, eps)
+
+
+def inclusion_violations(counts: dict, balls: bool) -> list[tuple[str, str, object]]:
+    """Cells whose counts contradict the ball inclusion KINDS is ordered by.
+
+    counts maps kinds to {cell: count} on one sample; kinds it lacks are
+    skipped.  A larger ball holds at least as many sample points, so a
+    ball count (balls=True) may not fall from one kind to the next, and
+    it separates and covers with at most as many, so a separated or
+    cover count may not rise.  Returns (smaller kind, larger kind, cell)
+    for every cell where the larger-ball kind's count falls on the wrong
+    side, in the smaller kind's cell order.
+    """
+    present = [kind for kind in KINDS if kind in counts]
+    bad = []
+    for small, large in zip(present, present[1:]):
+        for cell, count in counts[small].items():
+            other = counts[large].get(cell)
+            if other is not None and (other < count if balls else other > count):
+                bad.append((small, large, cell))
+    return bad
 
 
 def _bisect_fk(dist: np.ndarray, diameter: float, tol: float):
@@ -481,10 +525,10 @@ def bowen_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, clo
 def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed: bool = False) -> np.ndarray:
     """FK ball test defect(delta) < delta for a batch.
 
-    With positive matching slack the band's packed masks go through the
-    bit recurrence, and a match of size n - band decides the test; at zero
-    slack the identity matching is the only candidate, so the test is the
-    Bowen ball test with the same `closed` convention.  With `closed`,
+    The band's packed masks go through the bit recurrence, and a match of
+    size n - band decides the test; at band 0 that is the banded DP on the
+    main diagonal alone (`ball_batch` sends such balls to the Bowen
+    kernel instead, see `ball_kind`).  With `closed`,
     matched pairs are allowed at distance exactly delta.  The complement of
     the closed variant is the strict separation relation, the one under
     which a full Bowen-ball inclusion survives boundary ties.
@@ -496,8 +540,6 @@ def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed
         return np.zeros(others.shape[0], dtype=bool)
     if band >= n:
         return np.ones(others.shape[0], dtype=bool)
-    if band == 0:
-        return bowen_ball_batch(center, others, delta, closed=closed)
     inside = np.empty(others.shape[0], dtype=bool)
     for lo, (hit,) in _fk_members(center, others, [(n, delta)], closed):
         inside[lo : lo + hit.size] = hit
@@ -507,13 +549,14 @@ def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed
 def ball_batch(kind: str, center: OrbitSegment, others: np.ndarray, eps: float, closed: bool = False) -> np.ndarray:
     """Membership of many orbits in the time-n ball of the given metric kind.
 
-    The only place that chooses between the Bowen and the FK kernel; the
-    kernels are looked up at call time, so wrapping either one from
-    outside also wraps the calls made here.
+    The only place that chooses between the Bowen and the FK kernel, by
+    `ball_kind`; the kernels are looked up at call time, so wrapping
+    either one from outside also wraps the calls made here.
     """
-    if kind == BOWEN:
+    kernel = ball_kind(kind, center.n, eps)
+    if kernel == BOWEN:
         return bowen_ball_batch(center, others, eps, closed=closed)
-    if kind == FK:
+    if kernel == FK:
         return fk_ball_batch(center, others, eps, closed=closed)
     raise ValueError(f"unknown orbit metric: {kind!r}")
 

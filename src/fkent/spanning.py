@@ -46,7 +46,7 @@ from .systems import (
     orbit_batch,
     sample_path,
 )
-from .matching import BOWEN, FK, KINDS, ball_batch, ball_steps, check_kinds, match_slack
+from .matching import BOWEN, KINDS, ball_batch, ball_kind, ball_steps, check_kinds, inclusion_violations
 
 __all__ = [
     "SEPARATED",
@@ -327,17 +327,18 @@ class CountTable:
                             f"count density rose from eps={a.eps} to eps={b.eps} "
                             f"at n={n} {metric}"
                         )
-        # FK balls contain Bowen balls, so FK counts never exceed Bowen counts
-        if BOWEN in metrics and FK in metrics:
-            for e in self.entries:
-                if e.metric != BOWEN:
-                    continue
-                other = self.lookup(e.n, e.eps, FK)
-                if other is not None and other.window == e.window and other.count > e.count:
-                    raise InvariantViolation(
-                        f"fk count {other.count} exceeds bowen count {e.count} "
-                        f"at n={e.n} eps={e.eps}"
-                    )
+        # larger balls separate fewer candidates, compared within one window
+        counts = {
+            metric: {(e.n, e.eps, e.window): e.count for e in self.entries if e.metric == metric}
+            for metric in metrics
+        }
+        bad = inclusion_violations(counts, balls=False)
+        if bad:
+            small, large, cell = bad[0]
+            raise InvariantViolation(
+                f"{large} count {counts[large][cell]} exceeds {small} count "
+                f"{counts[small][cell]} at n={cell[0]} eps={cell[1]}"
+            )
 
 
 def fit_log_slope(ns, ys, bands=None) -> tuple[float, float]:
@@ -372,17 +373,13 @@ def fit_log_slope(ns, ys, bands=None) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class EntropyEstimate:
-    """Entropy slope with its schedule and convergence diagnostics.
+    """Entropy slope with its convergence diagnostics.
 
     value is the slope at the smallest eps in the schedule; the per-eps
-    slopes stand in for the radius limit.
+    slopes, eps ascending, stand in for the radius limit.
     """
 
     value: float
-    metric: str
-    estimator: str
-    n_window: tuple[int, ...]
-    eps_list: tuple[float, ...]
     slopes: tuple[float, ...]
     residuals: tuple[float, ...]
 
@@ -398,31 +395,16 @@ def entropy_from_counts(table: CountTable, metric: str = BOWEN) -> EntropyEstima
     ns = table.axis("n")
     if len(ns) < 3:
         raise ValueError("need at least 3 n values in the window")
-    eps_axis = table.axis("eps")
+    if metric not in table.axis("metric"):
+        raise ValueError(f"the table holds no {metric!r} counts")
     slopes = []
     residuals = []
-    kept_eps = []
-    for eps in eps_axis:
-        pts = [(n, e) for n in ns for e in [table.lookup(n, eps, metric)] if e is not None]
-        if len(pts) < 3:
-            continue
-        xs = [n for n, _ in pts]
-        ys = [math.log(e.count) - math.log(e.window) for _, e in pts]
-        slope, rms = fit_log_slope(xs, ys)
-        kept_eps.append(eps)
+    for eps in table.axis("eps"):
+        cells = [table.lookup(n, eps, metric) for n in ns]
+        slope, rms = fit_log_slope(ns, [math.log(e.count) - math.log(e.window) for e in cells])
         slopes.append(slope)
         residuals.append(rms)
-    if not slopes:
-        raise ValueError("no eps column has 3 usable entries")
-    return EntropyEstimate(
-        value=slopes[0],
-        metric=metric,
-        estimator=SEPARATED,
-        n_window=tuple(ns),
-        eps_list=tuple(kept_eps),
-        slopes=tuple(slopes),
-        residuals=tuple(residuals),
-    )
+    return EntropyEstimate(value=slopes[0], slopes=tuple(slopes), residuals=tuple(residuals))
 
 
 def katok_horizon(system: RandomSystemSpec, n_window, eps_list) -> int:
@@ -449,7 +431,8 @@ def count_table(
 
     Each cell builds its own windowed grid or word enumeration; within a
     cell all metrics see identical candidates, which is what makes the
-    cross-metric inequalities exact.
+    cross-metric inequalities exact.  Metrics whose balls run the same
+    kernel (matching.ball_kind) share one scan per cell.
     """
     n_list = sorted(set(int(n) for n in n_list))
     eps_list = sorted(set(float(e) for e in eps_list))
@@ -471,13 +454,10 @@ def count_table(
                 cell, window = torus_grid_candidates(system, path, n, eps, count_target=count_target, budget=budget)
             counts: dict[str, int] = {}
             for metric in metrics:
-                # at zero matching slack the FK ball is the Bowen ball
-                if metric == FK and BOWEN in counts and match_slack(n, eps) == 0:
-                    counts[FK] = counts[BOWEN]
-                else:
-                    counts[metric] = greedy_separated(cell, n, metric, eps)[0]
-            for metric, cnt in counts.items():
-                entries.append(CountEntry(n, eps, metric, SEPARATED, cnt, window, cell.M))
+                kernel = ball_kind(metric, n, eps)
+                if kernel not in counts:
+                    counts[kernel] = greedy_separated(cell, n, kernel, eps)[0]
+                entries.append(CountEntry(n, eps, metric, SEPARATED, counts[kernel], window, cell.M))
     table = CountTable(tuple(entries))
     table.validate()
     return table

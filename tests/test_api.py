@@ -142,6 +142,18 @@ def test_every_definition_is_named_elsewhere():
     assert unnamed == []
 
 
+def test_only_matching_names_the_slack_rule():
+    # how FK relates to Bowen is decided in matching (ball_kind,
+    # slack_band, inclusion_violations); a module that names the slack
+    # rule itself decides it for itself
+    deciders = [
+        f"fkent.{name}"
+        for name in MODULES + ["__init__"]
+        if name != "matching" and _named(_tree(name)) & {"match_slack", "match_target"}
+    ]
+    assert deciders == []
+
+
 def test_measure_carries_system_and_path():
     # an EmpiricalMeasure holds its system and driving path, so a second
     # copy of either beside it could only disagree with the measure

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fkent.katok import (
-    KATOK,
     KatokCount,
     katok_entropy,
     katok_spanning_count,
@@ -192,7 +191,6 @@ def test_katok_table_and_entropy_doubling():
     proc = bernoulli_process((1.0,))
     est = katok_entropy(system, proc, [4, 6, 8], [0.1], 3000, BOWEN, master_seed=2)
     assert est.value == pytest.approx(math.log(2.0), abs=0.1)
-    assert est.estimator == KATOK
     est_fk = katok_entropy(system, proc, [4, 6, 8], [0.1], 3000, FK, master_seed=2)
     assert est_fk.value == est.value  # every cell is band 0
 

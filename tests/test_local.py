@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fkent import matching
+from fkent import local, matching
 from fkent.local import (
     EmpiricalMeasure,
     GridPartition,
@@ -262,12 +262,27 @@ def test_smb_estimate_flags_empty_cell():
     assert math.isnan(smb_estimate(tiny, 0.01, part, 6))
 
 
+def test_local_entropy_rejects_fk_count_below_bowen(monkeypatch):
+    # the FK ball contains the Bowen ball, so a table breaking that
+    # inclusion is an invariant violation, raised by the library itself
+    _, _, mu = doubling_setup(M=20_000)
+    true_table = local._ball_count_table
+
+    def doctored(*args):
+        tables = true_table(*args)
+        tables[FK][(6, 0.2)] = tables[BOWEN][(6, 0.2)] - 1
+        return tables
+
+    assert local_entropy(mu, 0.3, [4, 6, 8], [0.2, 0.1], (BOWEN, FK))
+    monkeypatch.setattr(local, "_ball_count_table", doctored)
+    with pytest.raises(InvariantViolation, match=r"fk ball count \d+ fell below the bowen ball count"):
+        local_entropy(mu, 0.3, [4, 6, 8], [0.2, 0.1], (BOWEN, FK))
+
+
 def test_local_entropy_record_shape_and_value():
     system, path, mu = doubling_setup(M=150_000)
     rec = local_entropy(mu, 0.3, [4, 6, 8, 10], [0.2, 0.1], (BOWEN,))[BOWEN]
     assert rec.kind == BOWEN
-    assert rec.omega_seed == 4
-    assert rec.n_window == (4, 6, 8, 10)
     assert {(e.n, e.delta) for e in rec.entries} == {(n, d) for n in (4, 6, 8, 10) for d in (0.1, 0.2)}
     assert rec.delta_used in (0.1, 0.2)
     assert rec.value == pytest.approx(math.log(2.0), abs=0.08)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from fkent import matching
 from fkent.harness import load_config
 from fkent.katok import katok_spanning_count, katok_table
-from fkent.local import ball_measure, local_entropy
+from fkent.local import ball_measure, local_entropy, sample_measure
 from fkent.matching import (
     BOWEN,
     FK,
@@ -33,9 +34,11 @@ from fkent.systems import (
     FiberMetric,
     OmegaPath,
     OrbitSegment,
+    bernoulli_process,
     expanding_system,
     orbit,
     orbit_batch,
+    sample_path,
 )
 
 
@@ -326,6 +329,33 @@ def test_fk_ball_equals_bowen_ball_at_zero_slack():
             assert 0 < want.sum() < want.size
             assert (fk == want).all()
             assert (bowen == want).all()
+
+
+def test_zero_slack_fk_tables_never_run_the_fk_kernel(monkeypatch):
+    # a zero-slack FK ball is the Bowen ball (ball_kind), so FK-only
+    # tables and masses take the Bowen kernel's answers without calling
+    # the FK kernel at all
+    system = expanding_system((2,))
+    path = sample_path(bernoulli_process((1.0,)), 10, 2)
+    mu = sample_measure(system, path, 300, 2)
+    center = orbit(system, path, 0.3, 8)
+    ns, eps = [4, 6, 8], 0.1
+    assert all(match_slack(n, eps) == 0 for n in ns)
+    bowen_counts = count_table(system, path, ns, [eps], metrics=(BOWEN,), count_target=200)
+    bowen_covers = katok_table(mu, ns, [eps], (BOWEN,))[BOWEN]
+    bowen_mass = ball_measure(mu, center, 8, eps, BOWEN)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fk_ball_batch ran on a zero-slack cell")
+
+    monkeypatch.setattr(matching, "fk_ball_batch", refuse)
+    fk_counts = count_table(system, path, ns, [eps], metrics=(FK,), count_target=200)
+    assert [e.count for e in fk_counts.entries] == [e.count for e in bowen_counts.entries]
+    assert {e.metric for e in fk_counts.entries} == {FK}
+    fk_covers = katok_table(mu, ns, [eps], (FK,))[FK]
+    assert {k: c.count for k, c in fk_covers.items()} == {k: c.count for k, c in bowen_covers.items()}
+    assert all(c.kind == FK for c in fk_covers.values())
+    assert ball_measure(mu, center, 8, eps, FK) == bowen_mass
 
 
 def test_closed_ball_includes_boundary():

@@ -83,25 +83,9 @@ def test_fit_log_slope_recovers_line():
 
 
 def test_entropy_estimate_invariants():
-    est = EntropyEstimate(
-        value=0.5,
-        metric=BOWEN,
-        estimator=SEPARATED,
-        n_window=(4, 6),
-        eps_list=(0.1, 0.2),
-        slopes=(0.5, 0.6),
-        residuals=(0.0, 0.0),
-    )
+    est = EntropyEstimate(value=0.5, slopes=(0.5, 0.6), residuals=(0.0, 0.0))
     with pytest.raises(InvariantViolation):
-        EntropyEstimate(
-            value=0.6,
-            metric=BOWEN,
-            estimator=SEPARATED,
-            n_window=(4, 6),
-            eps_list=(0.1,),
-            slopes=(0.5,),
-            residuals=(0.0,),
-        )
+        EntropyEstimate(value=0.6, slopes=(0.5,), residuals=(0.0,))
 
 
 def test_count_table_metric_inequality_and_lookup():
@@ -119,13 +103,24 @@ def test_count_table_metric_inequality_and_lookup():
     table.validate()
 
 
+def test_count_table_rejects_fk_count_above_bowen():
+    # larger FK balls separate fewer candidates, compared within one window
+    def table(fk_window):
+        entries = [CountEntry(n, 0.1, BOWEN, SEPARATED, 2**n, 1.0, 1000) for n in (4, 6, 8)]
+        entries += [CountEntry(n, 0.1, FK, SEPARATED, 2**n + (n == 6), fk_window, 1000) for n in (4, 6, 8)]
+        return CountTable(tuple(entries))
+
+    with pytest.raises(InvariantViolation, match="fk count 65 exceeds bowen count 64 at n=6 eps=0.1"):
+        table(1.0).validate()
+    table(0.5).validate()
+
+
 def test_count_table_doubling_slope_near_log2():
     system = expanding_system((2,))
     path = sample_path(bernoulli_process((1.0,)), 12, 3)
     table = count_table(system, path, [6, 8, 10], [0.1], metrics=(BOWEN,), count_target=500)
     est = entropy_from_counts(table, BOWEN)
     assert est.value == pytest.approx(math.log(2.0), abs=0.1)
-    assert est.estimator == SEPARATED
 
 
 def test_entropy_from_counts_needs_three_points():
@@ -135,6 +130,11 @@ def test_entropy_from_counts_needs_three_points():
     )
     with pytest.raises(ValueError):
         entropy_from_counts(CountTable(entries=entries))
+    # three n values, but none of them counted under the asked metric
+    entries += (CountEntry(n=8, eps=0.1, metric=BOWEN, estimator=SEPARATED, count=256, window=1.0, candidates=1000),)
+    assert entropy_from_counts(CountTable(entries=entries)).value == pytest.approx(math.log(2.0))
+    with pytest.raises(ValueError, match="no 'fk' counts"):
+        entropy_from_counts(CountTable(entries=entries), FK)
 
 
 def test_path_seeds_deterministic_and_distinct():
