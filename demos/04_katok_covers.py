@@ -32,8 +32,8 @@ for n in (4, 6, 8):
     print(f"{n:<4d} {cell.count:<6d} {cell.covered_mass:.4f}    {rough:.0f}")
 
 cells = katok_table(mu, [4, 6, 8], [0.1], ("bowen",), pair_budget=10**8)["bowen"]
-(slope, rms), = table_slopes(cells, [4, 6, 8], [0.1])
-print(f"slope {slope:.4f} (rms {rms:.3f}), expected {math.log(2):.4f}")
+fit = table_slopes(cells, [4, 6, 8], [0.1])
+print(f"slope {fit.value:.4f} (rms {fit.residuals[0]:.3f}), expected {math.log(2):.4f}")
 
 print()
 print("full 2-shift, word fast path at M = 10^6")

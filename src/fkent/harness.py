@@ -11,8 +11,9 @@ Worker tasks recompute their own path and measure (which holds the
 samples' orbit stack) from seeds carried in the payload.  Top and katok
 runs have one task per path, and each task only maps the config onto its
 estimator's per-path routine (`spanning.path_entropy`,
-`katok.katok_path_entropy`, which the library averager `katok_entropy`
-also calls).  Local runs have one task per contiguous group of base
+`katok.katok_path_entropy`).  Averaging over paths happens here and
+nowhere else: the library's `katok_entropy` is path 0 of an
+estimate-katok run.  Local runs have one task per contiguous group of base
 points (one group per worker), which builds the path and measure once.
 That trades a little redundant work for results that cannot depend on
 scheduling: every task is a pure function of (config, seed, its paths or
@@ -34,7 +35,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .katok import katok_horizon, katok_path_entropy
+from .katok import PAIR_BUDGET, katok_horizon, katok_path_entropy
 from .local import local_entropy, sample_measure
 from .matching import BOWEN, FK, KINDS, MAX_MATCH_STEPS, check_kinds, inclusion_violations
 from .oracles import expected_entropy
@@ -129,7 +130,7 @@ class ExperimentConfig:
     base_points: int = 20
     candidate_target: int = 2000
     candidate_budget: int = 200_000
-    pair_budget: int = 20_000_000
+    pair_budget: int = PAIR_BUDGET
     seed: int = 0
     metrics: tuple[str, ...] = KINDS
     outdir: str = "out"
@@ -493,7 +494,7 @@ def _run_katok(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
 
     estimates = {}
     for kind in kinds:
-        slopes = np.asarray([[s for s, _ in res["fits"][kind]] for res in results])
+        slopes = np.asarray([res["fits"][kind].slopes for res in results])
         per_eps = slopes.mean(axis=0)
         per_path = slopes[:, 0]
         mean, stderr = _mean_stderr([float(v) for v in per_path])

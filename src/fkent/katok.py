@@ -24,14 +24,15 @@ That fast path handles million-sample runs; overlapping-ball instances
 fall back to a dense cover matrix guarded by a pair budget.
 
 `katok_path_entropy` computes the per-path quantity the fiber entropy
-averages (draw the path and measure, cover, fit per kind); the experiment
-harness and `katok_entropy` both call it.
+averages (draw the path and measure, cover, fit per kind).  The experiment
+harness averages it over paths; `katok_entropy` is one call of it, on one
+path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,6 +66,12 @@ __all__ = [
     "min_cover_exact",
 ]
 
+# dense cover matrices hold at most this many (center, sample) pairs
+PAIR_BUDGET = 20_000_000
+# branch-and-bound nodes min_cover_exact visits before it gives up
+_NODE_CAP = 200_000
+
+
 @dataclass(frozen=True)
 class KatokCount:
     """Greedy almost-cover certificate for one (n, eps) cell.
@@ -74,10 +81,7 @@ class KatokCount:
     the mass threshold.
     """
 
-    n: int
-    eps: float
     mass_threshold: float
-    kind: str
     count: int
     covered_mass: float
     centers: np.ndarray
@@ -133,7 +137,7 @@ def katok_spanning_count(
     eps: float,
     mass_threshold: float,
     kind: str,
-    pair_budget: int = 20_000_000,
+    pair_budget: int = PAIR_BUDGET,
 ) -> KatokCount:
     """Greedy count of (n, eps)-balls covering mass_threshold of the sample.
 
@@ -157,13 +161,12 @@ def katok_spanning_count(
     M = measure.M
     need = _covered_target(mass_threshold, M)
     if eps > system.metric.diameter:
-        return KatokCount(n, eps, mass_threshold, kind, 1, 1.0, np.zeros(1, dtype=np.int64))
+        return KatokCount(mass_threshold, 1, 1.0, np.zeros(1, dtype=np.int64))
     if system.on_words and ball_kind(kind, n, eps) == BOWEN:
-        count, covered, centers = _word_class_cover(stack, span, need)
-        return KatokCount(n, eps, mass_threshold, kind, count, covered, centers)
+        return KatokCount(mass_threshold, *_word_class_cover(stack, span, need))
     cover = cover_matrix(kind, system.metric, n, stack, eps, pair_budget)
     picks, total = greedy_cover(cover, need)
-    return KatokCount(n, eps, mass_threshold, kind, picks.size, total / M, picks)
+    return KatokCount(mass_threshold, picks.size, total / M, picks)
 
 
 def validate_katok_counts(cells: dict[tuple[float, int], KatokCount], kind: str) -> None:
@@ -207,14 +210,14 @@ def katok_table(
     eps_list,
     kinds,
     mass_threshold: float | None = None,
-    pair_budget: int = 20_000_000,
+    pair_budget: int = PAIR_BUDGET,
 ) -> dict[str, dict[tuple[float, int], KatokCount]]:
     """All (eps, n) cover counts of each kind for one measure along its path, validated.
 
     kinds is a tuple of orbit metrics; the result maps each to its table,
     built and validated in the order given.  Each cell is covered once
     per kernel (matching.ball_kind): a kind whose ball runs the same
-    kernel as an earlier one takes a copy under its own kind.  Every cell
+    kernel as an earlier one shares that cover.  Every cell
     reads the measure's own orbit stack, built once by sample_measure.
     mass_threshold None selects the one-parameter convention, threshold
     1 - eps per column; a float fixes one threshold for every column.
@@ -233,27 +236,24 @@ def katok_table(
         for eps in eps_list:
             threshold = mass_threshold if mass_threshold is not None else 1.0 - eps
             for n in n_window:
-                kernel = ball_kind(kind, n, eps)
-                if (kernel, eps, n) not in covers:
-                    covers[(kernel, eps, n)] = katok_spanning_count(
-                        measure, n, eps, threshold, kernel, pair_budget=pair_budget
-                    )
-                cells[(eps, n)] = replace(covers[(kernel, eps, n)], kind=kind)
+                key = (ball_kind(kind, n, eps), eps, n)
+                if key not in covers:
+                    covers[key] = katok_spanning_count(measure, n, eps, threshold, key[0], pair_budget=pair_budget)
+                cells[(eps, n)] = covers[key]
         validate_katok_counts(cells, kind)
         tables[kind] = cells
     return tables
 
 
-def table_slopes(cells, n_window, eps_list) -> list[tuple[float, float]]:
-    """Per-eps (slope, rms) of log count against n, eps ascending."""
+def table_slopes(cells, n_window, eps_list) -> EntropyEstimate:
+    """Per-eps slope of log count against n, eps ascending, valued at the smallest eps."""
     n_window = sorted(set(int(n) for n in n_window))
-    eps_list = sorted(set(float(e) for e in eps_list))
-    out = []
-    for eps in eps_list:
-        ys = [math.log(cells[(eps, n)].count) for n in n_window]
-        slope, rms = fit_log_slope(n_window, ys)
-        out.append((slope, rms))
-    return out
+    fits = [
+        fit_log_slope(n_window, [math.log(cells[(eps, n)].count) for n in n_window])
+        for eps in sorted(set(float(e) for e in eps_list))
+    ]
+    slopes = tuple(slope for slope, _ in fits)
+    return EntropyEstimate(value=slopes[0], slopes=slopes, residuals=tuple(rms for _, rms in fits))
 
 
 def katok_path_entropy(
@@ -266,8 +266,8 @@ def katok_path_entropy(
     kinds,
     mass_threshold: float | None,
     pair_budget: int,
-) -> tuple[dict[str, dict[tuple[float, int], KatokCount]], dict[str, list[tuple[float, float]]]]:
-    """One driving path's cover tables and per-eps (slope, rms) fits per kind.
+) -> tuple[dict[str, dict[tuple[float, int], KatokCount]], dict[str, EntropyEstimate]]:
+    """One driving path's cover tables and each kind's entropy estimate.
 
     The path is drawn from `seed` at the schedules' horizon and the
     measure from the same seed; katok_table covers it once for all kinds
@@ -288,41 +288,24 @@ def katok_entropy(
     eps_list,
     M: int,
     kind: str,
-    mass_threshold: float | None = None,
-    num_paths: int = 1,
     master_seed: int = 0,
-    pair_budget: int = 20_000_000,
 ) -> EntropyEstimate:
-    """Entropy from the growth of almost-cover counts in n.
+    """Entropy from the growth of almost-cover counts in n, on one driving path.
 
-    Per eps, the slope of log count against n; the value is the slope at
-    the smallest eps, averaged over sampled paths.  The threshold
-    convention is katok_table's.
+    Per eps, the slope of log count against n, with the one-parameter mass
+    threshold 1 - eps; the value is the slope at the smallest eps.  The
+    path and its measure come from the first of path_seeds(master_seed),
+    so this is path 0 of an estimate-katok run; averaging over paths is
+    the harness's job.
     """
-    n_window = sorted(set(int(n) for n in n_window))
-    eps_list = sorted(set(float(e) for e in eps_list))
-    if len(n_window) < 2:
-        raise ValueError("need at least two n values for a slope")
-    if not eps_list or eps_list[0] <= 0.0:
-        raise ValueError("eps schedule must be nonempty and positive")
-    fits = np.asarray(
-        [
-            katok_path_entropy(
-                system, process, seed, n_window, eps_list, M, (kind,), mass_threshold, pair_budget
-            )[1][kind]
-            for seed in path_seeds(master_seed, num_paths)
-        ]
-    )
-    slopes = tuple(float(s) for s in fits[:, :, 0].mean(axis=0))
-    residuals = tuple(float(r) for r in fits[:, :, 1].mean(axis=0))
-    return EntropyEstimate(value=slopes[0], slopes=slopes, residuals=residuals)
+    seed = path_seeds(master_seed, 1)[0]
+    return katok_path_entropy(system, process, seed, n_window, eps_list, M, (kind,), None, PAIR_BUDGET)[1][kind]
 
 
 def min_cover_exact(
     membership: np.ndarray,
     weights: np.ndarray | None = None,
     mass_threshold: float = 0.95,
-    node_cap: int = 200_000,
 ) -> int:
     """Exact minimum number of the given sets covering the mass threshold.
 
@@ -380,9 +363,9 @@ def min_cover_exact(
     def descend(start: int, chosen: int, covered: np.ndarray, got: float) -> None:
         nonlocal best, nodes
         nodes += 1
-        if nodes > node_cap:
+        if nodes > _NODE_CAP:
             raise ResourceCapExceeded(
-                f"cover search exceeded {node_cap} nodes; shrink the instance"
+                f"cover search exceeded {_NODE_CAP} nodes; shrink the instance"
             )
         if got >= need:
             best = min(best, chosen)

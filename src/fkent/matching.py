@@ -13,7 +13,8 @@ strictly decreasing and the infimum is found by bisection; the returned value
 carries a witness threshold with defect(witness) < witness.
 
 Identity matching gives fk_distance <= bowen_distance always.  On shift
-spaces with the discrete metric and eps in (0, 1) the defect coincides with
+spaces with the cylinder metric and eps in (1/2, 1] two steps are within
+eps exactly when their leading symbols agree, so the defect coincides with
 the normalized common-subsequence mismatch of the two symbol words.
 
 Every match size comes from one bit-parallel recurrence: each row of a
@@ -49,14 +50,7 @@ import math
 
 import numpy as np
 
-from .systems import (
-    DISCRETE,
-    TORUS,
-    FiberMetric,
-    OrbitSegment,
-    circle_gap,
-    cylinder_depth,
-)
+from .systems import TORUS, FiberMetric, OrbitSegment, circle_gap, cylinder_depth
 
 __all__ = [
     "BOWEN",
@@ -144,11 +138,9 @@ def bowen_distance(a: OrbitSegment, b: OrbitSegment) -> float:
     u, v = a.word, b.word
     overlap = min(len(u), len(v))
     diff = np.nonzero(u[:overlap] != v[:overlap])[0]
-    first = int(diff[0]) if len(diff) else None
-    if a.metric.kind == DISCRETE:
-        return 1.0 if (first is not None and first < n) else 0.0
-    if first is None:
+    if not len(diff):
         return 0.0
+    first = int(diff[0])
     return 1.0 if first < n else 2.0 ** (-(first - n + 1))
 
 
@@ -160,8 +152,6 @@ def pair_distance_matrix(a: OrbitSegment, b: OrbitSegment) -> np.ndarray:
         gaps = circle_gap(a.points[:n, None, :], b.points[None, :n, :])
         return gaps.max(axis=2)
     u, v = a.word, b.word
-    if a.metric.kind == DISCRETE:
-        return np.where(u[:n, None] == v[None, :n], 0.0, 1.0)
     # cylinder: longest common extension of every suffix pair, swept bottom-up
     eq = u[:, None] == v[None, :]
     la, lb = len(u), len(v)
@@ -231,13 +221,16 @@ def max_match_size(a: OrbitSegment, b: OrbitSegment, eps: float) -> int:
 
 
 def match_target(n: int, delta: float) -> int:
-    """Smallest integer k with k > n * (1 - delta).
+    """Smallest integer k with k > n * (1 - delta), at most n.
 
     defect(delta) < delta is equivalent to reaching this target, so ball
     tests reduce to one match-size decision.  The 1e-9 nudge keeps exact
-    integer products on the strict side of float rounding.
+    integer products on the strict side of float rounding; it would ask
+    for n + 1 matches once n * delta < 1e-9, so the target is capped at n,
+    the identity matching every point has with itself, and the slack is
+    never negative.
     """
-    return int(math.floor(n * (1.0 - delta) + 1e-9)) + 1
+    return min(n, int(math.floor(n * (1.0 - delta) + 1e-9)) + 1)
 
 
 def match_slack(n: int, delta: float) -> int:
@@ -387,12 +380,8 @@ def brute_force_match(a: OrbitSegment, b: OrbitSegment, eps: float) -> int:
 # batch kernels: one center orbit against many orbits
 # ---------------------------------------------------------------------------
 
-def _pair_depth(delta: float, kind: str, closed: bool) -> int:
-    """Agreement depth that decides d(pair) < delta (or <= delta when closed)."""
-    if kind == DISCRETE:
-        if delta > 1.0 or (closed and delta >= 1.0):
-            return 0
-        return 1
+def _pair_depth(delta: float, closed: bool) -> int:
+    """Cylinder agreement depth that decides d(pair) < delta (or <= delta when closed)."""
     depth = cylinder_depth(delta)
     if closed and depth >= 1 and 2.0 ** (-(depth - 1)) == delta:
         depth -= 1
@@ -408,7 +397,7 @@ def ball_steps(metric: FiberMetric, n: int, eps: float) -> int:
     """
     if not metric.on_words:
         return n
-    return n + max(_pair_depth(eps, metric.kind, False), 1) - 1
+    return n + max(_pair_depth(eps, False), 1) - 1
 
 
 def _word_diagonal(
@@ -455,7 +444,7 @@ def _band_masks(
             if torus:
                 ok = (gaps <= d if closed else gaps < d).all(axis=2)
             else:
-                depth = _pair_depth(d, center.metric.kind, closed)
+                depth = _pair_depth(d, closed)
                 ok = _word_diagonal(center.word, others, depth, i0, i1, offset)
             masks[d][:, i0:i1] |= ok * weights[i0 + offset : i1 + offset]
     return masks
@@ -515,7 +504,7 @@ def bowen_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, clo
             inside[live] = gaps <= delta if closed else gaps < delta
         return inside
     u = center.word
-    depth = _pair_depth(delta, center.metric.kind, closed)
+    depth = _pair_depth(delta, closed)
     if depth == 0:
         return np.ones(others.shape[0], dtype=bool)
     span = min(n + depth - 1, len(u), others.shape[1])
@@ -536,8 +525,6 @@ def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed
     _check_torus_stack(center, others)
     n = center.n
     band = match_slack(n, delta)
-    if band < 0:
-        return np.zeros(others.shape[0], dtype=bool)
     if band >= n:
         return np.ones(others.shape[0], dtype=bool)
     inside = np.empty(others.shape[0], dtype=bool)

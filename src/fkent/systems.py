@@ -16,13 +16,12 @@ abstract measurable-space machinery is modeled beyond that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
 
 TORUS = "torus"
-DISCRETE = "discrete"
 CYLINDER = "cylinder"
 
 EXPANDING = "expanding"
@@ -55,9 +54,6 @@ def child_rng(master_seed: int, *stream: int) -> np.random.Generator:
 def wrap_unit(values: np.ndarray) -> np.ndarray:
     """Reduce mod 1 onto [0, 1), snapping values within 1e-15 of 1 to 0."""
     out = np.mod(values, 1.0)
-    if np.isscalar(out):
-        return 0.0 if out > 1.0 - _WRAP_TOL else out
-    out = np.asarray(out)
     out[out > 1.0 - _WRAP_TOL] = 0.0
     return out
 
@@ -70,10 +66,9 @@ def circle_gap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FiberMetric:
-    """Metric on the phase space, one of three kinds.
+    """Metric on the phase space, one of two kinds.
 
     torus     max over coordinates of the circle arc distance; diameter 1/2.
-    discrete  0/1 comparison of the leading symbol of a word; diameter 1.
     cylinder  2^(-t) where t is the first index at which two words disagree
               (agreement over the full stored overlap gives 0); diameter 1.
     """
@@ -81,7 +76,7 @@ class FiberMetric:
     kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in (TORUS, DISCRETE, CYLINDER):
+        if self.kind not in (TORUS, CYLINDER):
             raise ValueError(f"unknown metric kind: {self.kind!r}")
 
     @property
@@ -90,7 +85,7 @@ class FiberMetric:
 
     @property
     def on_words(self) -> bool:
-        return self.kind in (DISCRETE, CYLINDER)
+        return self.kind == CYLINDER
 
 
 def cylinder_depth(eps: float) -> int:
@@ -192,19 +187,15 @@ class DrivingProcess:
 
 
 def bernoulli_process(p) -> DrivingProcess:
-    """I.i.d. symbols with weight vector p; a scalar p means (p, 1 - p)."""
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim == 0:
-        arr = np.array([float(arr), 1.0 - float(arr)])
-    return DrivingProcess("bernoulli", arr)
+    """I.i.d. symbols with weight vector p."""
+    return DrivingProcess("bernoulli", p)
 
 
-def markov_process(rows, initial=None) -> DrivingProcess:
+def markov_process(rows) -> DrivingProcess:
+    """Markov symbols with the given transition rows, started from their stationary law."""
     rows = np.asarray(rows, dtype=float)
-    if initial is None:
-        probe = DrivingProcess("markov", np.full(len(rows), 1.0 / len(rows)), rows)
-        initial = probe.stationary()
-    return DrivingProcess("markov", np.asarray(initial, dtype=float), rows)
+    probe = DrivingProcess("markov", np.full(len(rows), 1.0 / len(rows)), rows)
+    return DrivingProcess("markov", probe.stationary(), rows)
 
 
 def sample_path(process: DrivingProcess, length: int, seed: int) -> OmegaPath:
@@ -227,17 +218,19 @@ def sample_path(process: DrivingProcess, length: int, seed: int) -> OmegaPath:
 
 @dataclass(frozen=True, eq=False)
 class RandomSystemSpec:
-    """A built-in family plus its per-letter parameters and fiber metric.
+    """A built-in family plus its per-letter parameters.
 
     factors[s] is the expansion factor (expanding), branch count (tent), or
     alphabet size (full shift) used when the driving path emits letter s.
     Factor 1 is accepted so identity fibers are constructible; entropy
-    oracles that need expansion impose their own >= 2 precondition.
+    oracles that need expansion impose their own >= 2 precondition.  The
+    fiber metric follows from the family: torus for the circle families,
+    cylinder for shifts.
     """
 
     family: str
     factors: tuple
-    metric: FiberMetric
+    metric: FiberMetric = field(init=False)
 
     def __post_init__(self) -> None:
         if self.family not in (EXPANDING, TENT, FULL_SHIFT):
@@ -246,12 +239,7 @@ class RandomSystemSpec:
         if len(factors) == 0 or any(f < 1 for f in factors):
             raise ValueError("factors must be integers >= 1")
         object.__setattr__(self, "factors", factors)
-        if self.family == FULL_SHIFT:
-            if not self.metric.on_words:
-                raise ValueError("shift systems need the discrete or cylinder metric")
-        else:
-            if self.metric.kind != TORUS:
-                raise ValueError(f"{self.family} systems use the torus metric")
+        object.__setattr__(self, "metric", FiberMetric(CYLINDER if self.family == FULL_SHIFT else TORUS))
 
     @property
     def on_words(self) -> bool:
@@ -273,13 +261,13 @@ class RandomSystemSpec:
 
 
 def expanding_system(factors) -> RandomSystemSpec:
-    return RandomSystemSpec(EXPANDING, tuple(factors), FiberMetric(TORUS))
+    return RandomSystemSpec(EXPANDING, tuple(factors))
 
 def tent_system(factors) -> RandomSystemSpec:
-    return RandomSystemSpec(TENT, tuple(factors), FiberMetric(TORUS))
+    return RandomSystemSpec(TENT, tuple(factors))
 
-def shift_system(factors, metric_kind: str = CYLINDER) -> RandomSystemSpec:
-    return RandomSystemSpec(FULL_SHIFT, tuple(factors), FiberMetric(metric_kind))
+def shift_system(factors) -> RandomSystemSpec:
+    return RandomSystemSpec(FULL_SHIFT, tuple(factors))
 
 
 def apply_fiber_map(system: RandomSystemSpec, symbol: int, x: np.ndarray) -> np.ndarray:

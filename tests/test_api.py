@@ -1,7 +1,8 @@
 """The package's public names resolve, no module imports a name it never
 uses, no function takes a parameter it never reads, every function and
-class has a caller besides its own unit tests, and no function takes a
-measure next to the system or path the measure carries.
+class has a caller besides its own unit tests, every parameter with a
+default is set by such a caller, and no function takes a measure next to
+the system or path the measure carries.
 
 Deleting a function or a code path should take its exports, its imports
 and its arguments with it; these checks catch the leftovers a deletion
@@ -34,6 +35,12 @@ CALLERS = [
 REFERENCE_ORACLES = {
     "in_fk_ball": "tests compare the batch FK ball kernel against this single-pair test",
     "mismatch_entropy_budget": "the FK-vs-Bowen comparison reports this bound beside each gap",
+}
+# parameters with a default kept although no caller sets them
+UNSET_OPTIONS = {
+    "exhaustive_partial_cover.weights": (
+        "the reference min_cover_exact's weighted search is tested against; check 6 runs that search"
+    ),
 }
 # submodules only: __init__.py imports names in order to re-export them
 MODULES = [info.name for info in pkgutil.iter_modules([str(SRC)]) if info.name != "__main__"]
@@ -140,6 +147,50 @@ def test_every_definition_is_named_elsewhere():
             if node.name not in named:
                 unnamed.append(f"fkent.{name}.{node.name}")
     assert unnamed == []
+
+
+def _option_settings() -> tuple[dict[str, set[str]], dict[str, int], set[str]]:
+    """What the callers pass, per called name: the keywords, the most
+    positional arguments, and whether any call spreads *args or **kwargs."""
+    keywords: dict[str, set[str]] = {}
+    positions: dict[str, int] = {}
+    spread: set[str] = set()
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+                spread.add(name)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords if k.arg)
+            positions[name] = max(positions.get(name, 0), len(node.args))
+    return keywords, positions, spread
+
+
+def test_every_option_is_set_by_a_caller():
+    # a parameter with a default that no caller sets is a knob with one
+    # value in use: that value belongs in the code, and the branches only
+    # other values reach are dead
+    keywords, positions, spread = _option_settings()
+    unset = []
+    for name in MODULES:
+        for node in ast.walk(_tree(name)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name in spread:
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args if a.arg not in ("self", "cls")]
+            first = len(positional) - len(args.defaults)
+            options = [(i, p) for i, p in enumerate(positional) if i >= first]
+            options += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for index, param in options:
+                label = f"{node.name}.{param}"
+                by_position = index is not None and positions.get(node.name, 0) > index
+                if label not in UNSET_OPTIONS and not by_position and param not in keywords.get(node.name, ()):
+                    unset.append(f"fkent.{name}.{label}")
+    assert unset == []
 
 
 def test_only_matching_names_the_slack_rule():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fkent.cli import main
-from fkent.katok import katok_entropy
+from fkent.katok import katok_entropy, katok_path_entropy
 from fkent.matching import BOWEN, FK, match_slack
 from fkent.harness import (
     _PARSERS,
@@ -17,6 +17,7 @@ from fkent.harness import (
     load_config,
     run_experiment,
 )
+from fkent.spanning import path_seeds
 from fkent.systems import InvariantViolation
 
 
@@ -51,6 +52,9 @@ candidate_budget = 20000
 seed = 5
 outdir = {out}
 """
+
+# a (2, 2) full shift on short schedules, for the word paths of every experiment
+SHIFT = {"family": "shift", "m": (2, 2), "p": (0.5, 0.5), "n": (3, 4, 5), "eps": (0.4, 0.2), "delta": (0.4, 0.2)}
 
 
 def test_defaults_validate():
@@ -200,6 +204,8 @@ def test_csv_bodies_reproducible(tmp_path):
     [
         ("compare-local", {"M": 20_000, "base_points": 3}),
         ("compare-katok", {"M": 300, "paths": 3}),
+        ("compare-local", dict(SHIFT, M=20_000, base_points=3)),
+        ("compare-top", dict(SHIFT, paths=3)),
     ],
 )
 def test_csv_bodies_identical_across_worker_counts(tmp_path, monkeypatch, experiment, overrides):
@@ -222,30 +228,26 @@ def test_csv_bodies_identical_across_worker_counts(tmp_path, monkeypatch, experi
 
 
 def test_library_averagers_match_harness(tmp_path):
-    # katok_entropy and the harness katok task share one per-path
-    # routine, so their per-eps slopes agree exactly
-    torus = {"M": 300}
-    shift = {"family": "shift", "m": (2, 2), "p": (0.5, 0.5), "n": (3, 4, 5), "eps": (0.4, 0.2), "M": 400}
-    for overrides in (torus, shift):
+    # the harness averages the per-path routine over paths, and the
+    # library's katok_entropy is path 0 of the same run
+    for overrides in ({"M": 300}, dict(SHIFT, M=400)):
         cfg = load_config(
             write_config(tmp_path, TINY.format(out=tmp_path / "out")), dict(overrides, workers=1)
         )
+        assert cfg.paths == 2
         system, process = cfg.system(), cfg.process()
         katok = run_experiment("estimate-katok", cfg)["results"]["estimates"]
+        fits = [
+            katok_path_entropy(
+                system, process, seed, cfg.n, cfg.eps, cfg.M, cfg.metrics, cfg.mass_threshold, cfg.pair_budget
+            )[1]
+            for seed in path_seeds(cfg.seed, cfg.paths)
+        ]
         for metric in cfg.metrics:
-            kest = katok_entropy(
-                system,
-                process,
-                cfg.n,
-                cfg.eps,
-                cfg.M,
-                metric,
-                mass_threshold=cfg.mass_threshold,
-                num_paths=cfg.paths,
-                master_seed=cfg.seed,
-                pair_budget=cfg.pair_budget,
-            )
-            assert kest.slopes == pytest.approx(tuple(katok[metric]["slopes_per_eps"]), abs=1e-12)
+            mean = np.mean([fit[metric].slopes for fit in fits], axis=0)
+            assert tuple(mean) == pytest.approx(tuple(katok[metric]["slopes_per_eps"]), abs=1e-12)
+            one = katok_entropy(system, process, cfg.n, cfg.eps, cfg.M, metric, master_seed=cfg.seed)
+            assert one.slopes == fits[0][metric].slopes
 
 
 def test_compare_local_gap_zero_on_band_zero(tmp_path):

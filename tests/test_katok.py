@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fkent import katok
 from fkent.katok import (
     KatokCount,
     katok_entropy,
@@ -151,7 +152,7 @@ def test_fk_band_zero_equals_bowen_counts():
 
 def test_katok_table_both_kinds_equals_single_kind_tables():
     # one table call serves both kinds: a zero-slack FK cell is the Bowen
-    # cell with kind FK, on the word-class path and on the dense path
+    # cell, on the word-class path and on the dense path
     # alike, while cells with slack still get their own FK covers
     words = shift_system((2, 2))
     words_path = sample_path(bernoulli_process((0.5, 0.5)), 6, 4)
@@ -170,7 +171,6 @@ def test_katok_table_both_kinds_equals_single_kind_tables():
             assert both[kind].keys() == single.keys()
             for key, cell in single.items():
                 shared = both[kind][key]
-                assert shared.kind == cell.kind == kind
                 assert shared.count == cell.count
                 assert shared.covered_mass == cell.covered_mass
                 assert np.array_equal(shared.centers, cell.centers)
@@ -198,9 +198,10 @@ def test_katok_table_and_entropy_doubling():
 def test_table_slopes_order():
     system, path, mu = doubling_measure()
     cells = katok_table(mu, [4, 6, 8], [0.2, 0.1], (BOWEN,))[BOWEN]
-    fits = table_slopes(cells, [4, 6, 8], [0.2, 0.1])
-    assert len(fits) == 2
-    for slope, rms in fits:
+    fit = table_slopes(cells, [4, 6, 8], [0.2, 0.1])
+    assert len(fit.slopes) == len(fit.residuals) == 2
+    assert fit.value == fit.slopes[0]
+    for slope, rms in zip(fit.slopes, fit.residuals):
         assert slope == pytest.approx(math.log(2.0), abs=0.15)
         assert rms < 0.2
 
@@ -210,23 +211,15 @@ def test_validate_accepts_real_table_and_rejects_doctored():
     cells = katok_table(mu, [4, 6], [0.2, 0.1], (BOWEN,))[BOWEN]
     validate_katok_counts(cells, BOWEN)
 
-    def fake(n, eps, count):
-        return KatokCount(
-            n=n,
-            eps=eps,
-            mass_threshold=1 - eps,
-            kind=BOWEN,
-            count=count,
-            covered_mass=1.0,
-            centers=np.arange(count),
-        )
+    def fake(eps, count):
+        return KatokCount(mass_threshold=1 - eps, count=count, covered_mass=1.0, centers=np.arange(count))
 
     # counts must not fall as n grows (beyond greedy jitter of one)
-    bad_n = {(0.1, 4): fake(4, 0.1, 40), (0.1, 6): fake(6, 0.1, 10)}
+    bad_n = {(0.1, 4): fake(0.1, 40), (0.1, 6): fake(0.1, 10)}
     with pytest.raises(InvariantViolation):
         validate_katok_counts(bad_n, BOWEN)
     # counts must not grow as eps grows
-    bad_eps = {(0.1, 4): fake(4, 0.1, 10), (0.2, 4): fake(4, 0.2, 40)}
+    bad_eps = {(0.1, 4): fake(0.1, 10), (0.2, 4): fake(0.2, 40)}
     with pytest.raises(InvariantViolation):
         validate_katok_counts(bad_eps, BOWEN)
 
@@ -234,31 +227,23 @@ def test_validate_accepts_real_table_and_rejects_doctored():
 def test_validate_fk_skips_band_jump_steps():
     # slack jumps between n=8 (band 0) and n=12 (band 1) at eps=0.1, so a
     # dip there is legal for FK but the equal-band step 12 -> 14 is not
-    def fake(n, count):
-        return KatokCount(
-            n=n,
-            eps=0.1,
-            mass_threshold=0.9,
-            kind=FK,
-            count=count,
-            covered_mass=1.0,
-            centers=np.arange(count),
-        )
+    def fake(count):
+        return KatokCount(mass_threshold=0.9, count=count, covered_mass=1.0, centers=np.arange(count))
 
-    dip_at_jump = {(0.1, 8): fake(8, 100), (0.1, 12): fake(12, 30), (0.1, 14): fake(14, 50)}
+    dip_at_jump = {(0.1, 8): fake(100), (0.1, 12): fake(30), (0.1, 14): fake(50)}
     validate_katok_counts(dip_at_jump, FK)
     bands = {n: n - match_target(n, 0.1) for n in (8, 12, 14)}
     assert bands == {8: 0, 12: 1, 14: 1}
-    dip_in_band = {(0.1, 8): fake(8, 100), (0.1, 12): fake(12, 30), (0.1, 14): fake(14, 10)}
+    dip_in_band = {(0.1, 8): fake(100), (0.1, 12): fake(30), (0.1, 14): fake(10)}
     with pytest.raises(InvariantViolation):
         validate_katok_counts(dip_in_band, FK)
 
 
 def test_katok_count_validation():
     with pytest.raises(InvariantViolation):
-        KatokCount(n=4, eps=0.1, mass_threshold=0.9, kind=BOWEN, count=3, covered_mass=0.5, centers=np.arange(3))
+        KatokCount(mass_threshold=0.9, count=3, covered_mass=0.5, centers=np.arange(3))
     with pytest.raises(InvariantViolation):
-        KatokCount(n=4, eps=0.1, mass_threshold=0.9, kind=BOWEN, count=2, covered_mass=0.95, centers=np.arange(3))
+        KatokCount(mass_threshold=0.9, count=2, covered_mass=0.95, centers=np.arange(3))
 
 
 def test_min_cover_exact_matches_exhaustive():
@@ -277,13 +262,14 @@ def test_min_cover_exact_matches_exhaustive():
         assert got == want, f"instance {trial}"
 
 
-def test_min_cover_exact_node_cap():
+def test_min_cover_exact_node_cap(monkeypatch):
     rng = np.random.default_rng(32)
     membership = rng.random((14, 40)) < 0.3
     membership[:, ~membership.any(axis=0)] = True
     assert min_cover_exact(membership, mass_threshold=0.999) == 6
+    monkeypatch.setattr(katok, "_NODE_CAP", 3)
     with pytest.raises(ResourceCapExceeded):
-        min_cover_exact(membership, mass_threshold=0.999, node_cap=3)
+        min_cover_exact(membership, mass_threshold=0.999)
 
 
 def test_min_cover_exact_infeasible():
@@ -299,5 +285,6 @@ def test_katok_entropy_validation():
         katok_entropy(system, proc, [4], [0.1], 100, BOWEN)
     with pytest.raises(ValueError):
         katok_entropy(system, proc, [4, 6], [], 100, BOWEN)
+    _, _, mu = doubling_measure(M=100)
     with pytest.raises(ValueError):
-        katok_entropy(system, proc, [4, 6], [0.1], 100, BOWEN, mass_threshold=1.5)
+        katok_table(mu, [4, 6], [0.1], (BOWEN,), mass_threshold=1.5)

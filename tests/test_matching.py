@@ -28,7 +28,6 @@ from fkent.matching import (
 from fkent.spanning import count_table, greedy_separated
 from fkent.systems import (
     CYLINDER,
-    DISCRETE,
     TORUS,
     EmpiricalMeasure,
     FiberMetric,
@@ -47,9 +46,9 @@ def torus_segment(points):
     return OrbitSegment(FiberMetric(TORUS), pts.shape[0], points=pts)
 
 
-def word_segment(symbols, n=None, kind=DISCRETE):
+def word_segment(symbols, n=None):
     w = np.asarray(symbols, dtype=np.int64)
-    return OrbitSegment(FiberMetric(kind), n if n is not None else w.size, word=w)
+    return OrbitSegment(FiberMetric(CYLINDER), n if n is not None else w.size, word=w)
 
 
 def reference_match(compat) -> int:
@@ -95,13 +94,12 @@ def test_match_target(n, delta, target):
 @pytest.mark.parametrize("n", [1, 5])
 def test_ball_steps(n, eps):
     # a cylinder ball of radius eps reads the symbols of the smallest t
-    # with 2^-t < eps, at least one per step; a discrete ball reads one
-    # symbol per step and a torus ball one point per step
+    # with 2^-t < eps, at least one per step; a torus ball reads one point
+    # per step
     t = 0
     while not 2.0**-t < eps:
         t += 1
     assert ball_steps(FiberMetric(CYLINDER), n, eps) == n + max(t, 1) - 1
-    assert ball_steps(FiberMetric(DISCRETE), n, eps) == n
     assert ball_steps(FiberMetric(TORUS), n, eps) == n
 
 
@@ -116,8 +114,8 @@ def test_fk_distance_hand_values():
 
 
 def test_fk_distance_cylinder_hand_value():
-    a = word_segment([0, 1, 1], n=2, kind=CYLINDER)
-    b = word_segment([1, 1, 0], n=2, kind=CYLINDER)
+    a = word_segment([0, 1, 1], n=2)
+    b = word_segment([1, 1, 0], n=2)
     assert fk_distance(a, b).value == pytest.approx(0.5, abs=1e-12)
     assert bowen_distance(a, b) == 1.0
 
@@ -307,11 +305,11 @@ def test_fk_ball_equals_bowen_ball_at_zero_slack():
     far = rng.integers(0, 64, size=(200, n))
     torus_others = (np.concatenate([near, far]) / 64.0)[:, :, None]
     cases = [(torus_segment(grid / 64.0), torus_others, 0.125)]
-    for kind, delta, length in [(DISCRETE, 0.1, n), (CYLINDER, 0.125, n + 2), (CYLINDER, 0.125, n + 5)]:
+    for length in (n + 2, n + 5):
         word = rng.integers(0, 2, size=length)
         flips = rng.random((400, length)) < rng.uniform(0.0, 0.15, size=(400, 1))
         others = np.where(flips, 1 - word[None, :], word[None, :])
-        cases.append((word_segment(word, n=n, kind=kind), others, delta))
+        cases.append((word_segment(word, n=n), others, 0.125))
     for center, others, delta in cases:
         assert match_target(n, delta) == n
         for closed in (False, True):
@@ -329,6 +327,22 @@ def test_fk_ball_equals_bowen_ball_at_zero_slack():
             assert 0 < want.sum() < want.size
             assert (fk == want).all()
             assert (bowen == want).all()
+
+
+def test_every_ball_contains_its_center():
+    # at n * delta < 1e-9 the float nudge in match_target would ask for
+    # n + 1 matches; the target is capped at n, so the identity matching
+    # keeps the center inside its FK ball as it is inside its Bowen ball
+    n, delta = 4, 1e-12
+    centers = [torus_segment([0.1, 0.3, 0.6, 0.2]), word_segment([0, 1, 1, 0, 1, 0], n=n)]
+    assert match_slack(n, delta) == 0
+    for center in centers:
+        others = (center.word if center.on_words else center.points)[None]
+        for closed in (False, True):
+            assert ball_batch(BOWEN, center, others, delta, closed=closed).tolist() == [True]
+            assert ball_batch(FK, center, others, delta, closed=closed).tolist() == [True]
+            assert fk_ball_batch(center, others, delta, closed=closed).tolist() == [True]
+        assert in_fk_ball(center, center, delta)
 
 
 def test_zero_slack_fk_tables_never_run_the_fk_kernel(monkeypatch):
@@ -354,7 +368,6 @@ def test_zero_slack_fk_tables_never_run_the_fk_kernel(monkeypatch):
     assert {e.metric for e in fk_counts.entries} == {FK}
     fk_covers = katok_table(mu, ns, [eps], (FK,))[FK]
     assert {k: c.count for k, c in fk_covers.items()} == {k: c.count for k, c in bowen_covers.items()}
-    assert all(c.kind == FK for c in fk_covers.values())
     assert ball_measure(mu, center, 8, eps, FK) == bowen_mass
 
 
@@ -366,7 +379,7 @@ def test_closed_ball_includes_boundary():
 
 
 def test_word_ball_batch_prefix_semantics():
-    center = word_segment([0, 1, 0, 1], n=3, kind=CYLINDER)
+    center = word_segment([0, 1, 0, 1], n=3)
     others = np.array(
         [
             [0, 1, 0, 1],  # identical
@@ -404,16 +417,21 @@ def test_fk_ball_batch_matches_reference_lcs():
     # few steps moved, so off-diagonal matches decide membership; torus
     # points and radii sit on the 1/64 grid and cylinder radii are dyadic,
     # so pairs land exactly on delta and the open/closed conventions differ.
+    # Cylinder radii above 1/2 make the pair test symbol equality.
     rng = np.random.default_rng(113)
-    radii = {TORUS: np.arange(1, 33) / 64.0, DISCRETE: [0.3, 0.5, 1.0], CYLINDER: [0.0625, 0.125, 0.25, 0.5]}
-    checked = {kind: 0 for kind in radii}
+    slots = [
+        (TORUS, np.arange(1, 33) / 64.0),
+        (CYLINDER, [0.75, 1.0]),
+        (CYLINDER, [0.0625, 0.125, 0.25, 0.5]),
+    ]
+    checked = [0] * len(slots)
     members = 0
     ties = 0
     for trial in range(60):
-        kind = (TORUS, DISCRETE, CYLINDER)[trial % 3]
+        kind, radii = slots[trial % 3]
         while True:
             n = int(rng.integers(5, 41))
-            delta = float(rng.choice(radii[kind]))
+            delta = float(rng.choice(radii))
             if 1 <= match_slack(n, delta) <= 4:
                 break
         if kind == TORUS:
@@ -423,11 +441,11 @@ def test_fk_ball_batch_matches_reference_lcs():
             center = torus_segment(base[:, 0] / 64.0)
             others = grid / 64.0
         else:
-            length = n + (int(rng.integers(0, 4)) if kind == CYLINDER else 0)
+            length = n + int(rng.integers(0, 4))
             word = rng.integers(0, 2, size=length)
             flips = rng.random((24, length)) < 0.05
             others = np.where(flips, 1 - word, shuffled_copies(rng, word, 24, 3))
-            center = word_segment(word, n=n, kind=kind)
+            center = word_segment(word, n=n)
         target = n - match_slack(n, delta)
         for closed in (False, True):
             got = fk_ball_batch(center, others, delta, closed=closed)
@@ -441,8 +459,8 @@ def test_fk_ball_batch_matches_reference_lcs():
                 compat = dist <= delta if closed else dist < delta
                 assert got[i] == (reference_match(compat) >= target)
             members += int(got.sum())
-        checked[kind] += 1
-    assert all(count >= 15 for count in checked.values())
+        checked[trial % 3] += 1
+    assert all(count >= 15 for count in checked)
     assert 0 < members < 60 * 2 * 24
     assert ties > 0
 

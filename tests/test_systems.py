@@ -3,7 +3,6 @@ import pytest
 
 from fkent.systems import (
     CYLINDER,
-    DISCRETE,
     TORUS,
     DrivingProcess,
     FiberMetric,
@@ -101,7 +100,7 @@ def test_orbit_segment_prefix():
     assert seg.prefix(4) is seg
     short = seg.prefix(2)
     assert short.n == 2 and short.points.shape == (2, 1)
-    word = OrbitSegment(FiberMetric(DISCRETE), 4, word=np.array([0, 1, 1, 0]))
+    word = OrbitSegment(FiberMetric(CYLINDER), 4, word=np.array([0, 1, 1, 0]))
     assert word.prefix(2).n == 2
     assert list(word.prefix(2).word) == [0, 1, 1, 0]  # word storage is not cut
     with pytest.raises(ValueError):
