@@ -1,6 +1,8 @@
 """Experiment orchestration: config files, seeding, workers, reports.
 
-One ExperimentConfig drives every experiment kind.  Configs load from INI
+One ExperimentConfig drives every experiment.  Every experiment is a
+comparison: it runs one estimator under both orbit metrics on the same
+schedules and reports the FK minus Bowen gap.  Configs load from INI
 files with a strict schema (unknown sections or keys are errors, so typos
 fail loudly) and command-line overrides are applied on top.  Reports are
 a JSON document plus one CSV per experiment; CSV comment lines (prefixed
@@ -12,8 +14,8 @@ samples' orbit stack) from seeds carried in the payload.  Top and katok
 runs have one task per path, and each task only maps the config onto its
 estimator's per-path routine (`spanning.path_entropy`,
 `katok.katok_path_entropy`).  Averaging over paths happens here and
-nowhere else: the library's `katok_entropy` is path 0 of an
-estimate-katok run.  Local runs have one task per contiguous group of base
+nowhere else: the library's `katok_entropy` is path 0 of a
+compare-katok run.  Local runs have one task per contiguous group of base
 points (one group per worker), which builds the path and measure once.
 That trades a little redundant work for results that cannot depend on
 scheduling: every task is a pure function of (config, seed, its paths or
@@ -37,7 +39,7 @@ import numpy as np
 from . import __version__
 from .katok import PAIR_BUDGET, katok_horizon, katok_path_entropy
 from .local import local_entropy, sample_measure
-from .matching import BOWEN, FK, KINDS, MAX_MATCH_STEPS, check_kinds, inclusion_violations
+from .matching import BOWEN, FK, KINDS, MAX_MATCH_STEPS, inclusion_violations
 from .oracles import expected_entropy
 from .spanning import path_entropy, path_seeds
 from .systems import (
@@ -58,14 +60,7 @@ __all__ = [
     "EXPERIMENTS",
 ]
 
-EXPERIMENTS = (
-    "estimate-top",
-    "estimate-local",
-    "estimate-katok",
-    "compare-top",
-    "compare-local",
-    "compare-katok",
-)
+EXPERIMENTS = ("compare-top", "compare-local", "compare-katok")
 
 # base points for local experiments come from their own seed stream so
 # changing the schedule never reshuffles the path or measure draws
@@ -83,7 +78,7 @@ _SCHEMA = {
         "candidate_budget",
         "pair_budget",
     ),
-    "run": ("seed", "metrics", "outdir", "workers", "mass_threshold"),
+    "run": ("seed", "outdir", "workers"),
 }
 
 _FAMILIES = ("expanding", "tent", "shift")
@@ -132,10 +127,8 @@ class ExperimentConfig:
     candidate_budget: int = 200_000
     pair_budget: int = PAIR_BUDGET
     seed: int = 0
-    metrics: tuple[str, ...] = KINDS
     outdir: str = "out"
     workers: int = 1
-    mass_threshold: float | None = None
 
     def validate(self) -> None:
         if self.family not in _FAMILIES:
@@ -172,11 +165,6 @@ class ExperimentConfig:
         ):
             if int(v) < 1:
                 raise ValueError(f"{label} must be >= 1, got {v}")
-        if not self.metrics:
-            raise ValueError("metrics is empty")
-        check_kinds(self.metrics)
-        if self.mass_threshold is not None and not 0.0 < self.mass_threshold < 1.0:
-            raise ValueError("mass_threshold must lie in (0, 1)")
 
     def system(self) -> RandomSystemSpec:
         if self.family == "expanding":
@@ -211,10 +199,8 @@ _PARSERS = {
     "candidate_budget": lambda v: int(v),
     "pair_budget": lambda v: int(v),
     "seed": lambda v: int(v),
-    "metrics": lambda v: tuple(s.strip() for s in str(v).split(",") if s.strip()),
     "outdir": lambda v: str(v).strip(),
     "workers": lambda v: int(v),
-    "mass_threshold": lambda v: None if str(v).strip() == "" else float(v),
 }
 
 
@@ -343,25 +329,25 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
 
 
 def _top_task(payload) -> dict:
-    cfg, seed, metrics = payload
+    cfg, seed = payload
     table, fits = path_entropy(
-        cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, metrics, cfg.candidate_target, cfg.candidate_budget
+        cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, KINDS, cfg.candidate_target, cfg.candidate_budget
     )
     return {"seed": seed, "entries": list(table.entries), "fits": fits}
 
 
 def _local_task(payload) -> list[dict]:
-    cfg, path_seed, points, kinds = payload
+    cfg, path_seed, points = payload
     system = cfg.system()
     path = sample_path(cfg.process(), katok_horizon(system, cfg.n, cfg.delta), path_seed)
     measure = sample_measure(system, path, cfg.M, path_seed)
-    return [{"x": np.asarray(x), "records": local_entropy(measure, x, cfg.n, cfg.delta, kinds)} for x in points]
+    return [{"x": np.asarray(x), "records": local_entropy(measure, x, cfg.n, cfg.delta, KINDS)} for x in points]
 
 
 def _katok_task(payload) -> dict:
-    cfg, seed, kinds = payload
+    cfg, seed = payload
     cells, fits = katok_path_entropy(
-        cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, cfg.M, kinds, cfg.mass_threshold, cfg.pair_budget
+        cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, cfg.M, KINDS, cfg.pair_budget
     )
     return {"seed": seed, "cells": cells, "fits": fits}
 
@@ -376,11 +362,10 @@ def _gap(estimates: dict, key: str) -> dict:
     return {key: gaps, "mean": float(np.mean(gaps)), "max_abs": float(np.max(np.abs(gaps)))}
 
 
-def _run_top(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
-    metrics = KINDS if compare else cfg.metrics
+def _run_top(cfg: ExperimentConfig) -> tuple[dict, dict]:
     seeds = [int(s) for s in path_seeds(cfg.seed, cfg.paths)]
     workers = _effective_workers(cfg, len(seeds))
-    results = _ordered_map(_top_task, [(cfg, s, metrics) for s in seeds], workers)
+    results = _ordered_map(_top_task, [(cfg, s) for s in seeds], workers)
 
     rows = []
     for res in results:
@@ -388,7 +373,7 @@ def _run_top(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
             rows.append((res["seed"], e.n, e.eps, e.metric, e.estimator, e.count, e.window, e.candidates))
 
     estimates = {}
-    for metric in metrics:
+    for metric in KINDS:
         fits = [res["fits"][metric] for res in results]
         per_path = [est.value for est in fits]
         mean, stderr = _mean_stderr(per_path)
@@ -404,9 +389,8 @@ def _run_top(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
         "estimates": estimates,
         "oracle": {"value": oracle.value, "derivation": oracle.derivation},
         "path_seeds": seeds,
+        "gap": _gap(estimates, "per_path"),
     }
-    if compare:
-        report["gap"] = _gap(estimates, "per_path")
     csv_payload = {
         "name": "counts.csv",
         "header": ["omega_seed", "n", "eps", "metric", "estimator", "count", "window", "candidates"],
@@ -415,8 +399,7 @@ def _run_top(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
     return report, csv_payload
 
 
-def _run_local(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
-    kinds = KINDS if compare else cfg.metrics
+def _run_local(cfg: ExperimentConfig) -> tuple[dict, dict]:
     system = cfg.system()
     path_seed = int(path_seeds(cfg.seed, 1)[0])
     rng = child_rng(cfg.seed, _BASE_STREAM)
@@ -432,20 +415,20 @@ def _run_local(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
 
     workers = _effective_workers(cfg, cfg.base_points)
     groups = np.array_split(base, workers)
-    payloads = [(cfg, path_seed, points, kinds) for points in groups]
+    payloads = [(cfg, path_seed, points) for points in groups]
     results = [res for group in _ordered_map(_local_task, payloads, workers) for res in group]
 
     rows = []
     alphabet = system.space_alphabet if system.on_words else 0
     for res in results:
         label = _point_label(res["x"], system.on_words, alphabet)
-        for kind in kinds:
+        for kind in KINDS:
             rec = res["records"][kind]
             for e in rec.entries:
                 rows.append((path_seed, label, e.n, e.delta, kind, e.count, e.M, e.estimate, e.flagged))
 
     estimates = {}
-    for kind in kinds:
+    for kind in KINDS:
         values = [res["records"][kind].value for res in results]
         mean, stderr = _mean_stderr(values)
         estimates[kind] = {
@@ -463,9 +446,8 @@ def _run_local(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
         "base_points": [
             _point_label(res["x"], system.on_words, alphabet) for res in results
         ],
+        "gap": _gap(estimates, "per_point"),
     }
-    if compare:
-        report["gap"] = _gap(estimates, "per_point")
     csv_payload = {
         "name": "local.csv",
         "header": ["omega_seed", "x", "n", "delta", "kind", "ball_count", "M", "estimate", "flagged"],
@@ -474,17 +456,16 @@ def _run_local(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
     return report, csv_payload
 
 
-def _run_katok(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
-    kinds = KINDS if compare else cfg.metrics
+def _run_katok(cfg: ExperimentConfig) -> tuple[dict, dict]:
     seeds = [int(s) for s in path_seeds(cfg.seed, cfg.paths)]
     workers = _effective_workers(cfg, len(seeds))
-    results = _ordered_map(_katok_task, [(cfg, s, kinds) for s in seeds], workers)
+    results = _ordered_map(_katok_task, [(cfg, s) for s in seeds], workers)
 
     eps_sorted = sorted(set(cfg.eps))
     n_sorted = sorted(set(cfg.n))
     rows = []
     for res in results:
-        for kind in kinds:
+        for kind in KINDS:
             for eps in eps_sorted:
                 for n in n_sorted:
                     cell = res["cells"][kind][(eps, n)]
@@ -493,7 +474,7 @@ def _run_katok(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
                     )
 
     estimates = {}
-    for kind in kinds:
+    for kind in KINDS:
         slopes = np.asarray([res["fits"][kind].slopes for res in results])
         per_eps = slopes.mean(axis=0)
         per_path = slopes[:, 0]
@@ -505,15 +486,11 @@ def _run_katok(cfg: ExperimentConfig, compare: bool) -> tuple[dict, dict]:
             "slopes_per_eps": [float(v) for v in per_eps],
             "eps_order": eps_sorted,
         }
-    report = {
-        "estimates": estimates,
-        "path_seeds": seeds,
-    }
-    if compare:
-        # greedy covers need not follow ball inclusion: breaches are counted, not raised
-        counts = [{k: {c: v.count for c, v in res["cells"][k].items()} for k in KINDS} for res in results]
-        report["gap"] = _gap(estimates, "per_path")
-        report["gap"]["cells_fk_above_bowen"] = sum(len(inclusion_violations(c, balls=False)) for c in counts)
+    # greedy covers need not follow ball inclusion: breaches are counted, not raised
+    counts = [{k: {c: v.count for c, v in res["cells"][k].items()} for k in KINDS} for res in results]
+    gap = _gap(estimates, "per_path")
+    gap["cells_fk_above_bowen"] = sum(len(inclusion_violations(c, balls=False)) for c in counts)
+    report = {"estimates": estimates, "path_seeds": seeds, "gap": gap}
     csv_payload = {
         "name": "katok.csv",
         "header": ["omega_seed", "n", "eps", "mass_threshold", "kind", "count", "covered_mass"],
@@ -528,10 +505,9 @@ def run_experiment(experiment: str, cfg: ExperimentConfig) -> dict:
         raise ValueError(f"unknown experiment {experiment!r}")
     cfg.validate()
     started = time.time()
-    compare = experiment.startswith("compare-")
     kind = experiment.split("-", 1)[1]
     runner = {"top": _run_top, "local": _run_local, "katok": _run_katok}[kind]
-    results, csv_payload = runner(cfg, compare)
+    results, csv_payload = runner(cfg)
 
     os.makedirs(cfg.outdir, exist_ok=True)
     csv_path = os.path.join(cfg.outdir, csv_payload["name"])

@@ -8,11 +8,10 @@ covered fraction reaches the mass threshold.  Restricting centers to
 sample points leaves the exponential growth rate intact, which is the
 only thing the entropy slope consumes.
 
-Two threshold conventions are exposed through one parameter: the
-one-parameter form ties the mass threshold to the radius (threshold
-1 - eps), the two-parameter form takes an independent mass level.
-Comparison experiments run the one-parameter form for both orbit metrics
-so the columns share schedules.
+Tables tie the mass threshold to the radius (threshold 1 - eps per eps
+column) for both orbit metrics, so the columns share schedules; the
+paper's Katok formula holds at every mass level, and a single count
+(`katok_spanning_count`) takes any level in (0, 1).
 
 Every count takes only the sampled measure, which carries the system
 and the driving path of its samples.
@@ -209,7 +208,6 @@ def katok_table(
     n_window,
     eps_list,
     kinds,
-    mass_threshold: float | None = None,
     pair_budget: int = PAIR_BUDGET,
 ) -> dict[str, dict[tuple[float, int], KatokCount]]:
     """All (eps, n) cover counts of each kind for one measure along its path, validated.
@@ -219,22 +217,19 @@ def katok_table(
     per kernel (matching.ball_kind): a kind whose ball runs the same
     kernel as an earlier one shares that cover.  Every cell
     reads the measure's own orbit stack, built once by sample_measure.
-    mass_threshold None selects the one-parameter convention, threshold
-    1 - eps per column; a float fixes one threshold for every column.
+    Every column covers mass threshold 1 - eps.
     """
     n_window = sorted(set(int(n) for n in n_window))
     eps_list = sorted(set(float(e) for e in eps_list))
     if not n_window or not eps_list:
         raise ValueError("n and eps schedules must be nonempty")
-    if mass_threshold is not None and not 0.0 < mass_threshold < 1.0:
-        raise ValueError("mass threshold must lie in (0, 1)")
     check_kinds(kinds)
     tables: dict[str, dict[tuple[float, int], KatokCount]] = {}
     covers: dict[tuple[str, float, int], KatokCount] = {}
     for kind in kinds:
         cells: dict[tuple[float, int], KatokCount] = {}
         for eps in eps_list:
-            threshold = mass_threshold if mass_threshold is not None else 1.0 - eps
+            threshold = 1.0 - eps
             for n in n_window:
                 key = (ball_kind(kind, n, eps), eps, n)
                 if key not in covers:
@@ -264,20 +259,17 @@ def katok_path_entropy(
     eps_list,
     M: int,
     kinds,
-    mass_threshold: float | None,
     pair_budget: int,
 ) -> tuple[dict[str, dict[tuple[float, int], KatokCount]], dict[str, EntropyEstimate]]:
     """One driving path's cover tables and each kind's entropy estimate.
 
     The path is drawn from `seed` at the schedules' horizon and the
-    measure from the same seed; katok_table covers it once for all kinds
-    and table_slopes fits each kind's table.
+    measure from the same seed; katok_table covers it once for all kinds,
+    at mass threshold 1 - eps, and table_slopes fits each kind's table.
     """
     path = sample_path(process, katok_horizon(system, n_window, eps_list), seed)
     measure = sample_measure(system, path, M, seed)
-    cells = katok_table(
-        measure, n_window, eps_list, kinds, mass_threshold=mass_threshold, pair_budget=pair_budget
-    )
+    cells = katok_table(measure, n_window, eps_list, kinds, pair_budget=pair_budget)
     return cells, {kind: table_slopes(cells[kind], n_window, eps_list) for kind in kinds}
 
 
@@ -292,14 +284,14 @@ def katok_entropy(
 ) -> EntropyEstimate:
     """Entropy from the growth of almost-cover counts in n, on one driving path.
 
-    Per eps, the slope of log count against n, with the one-parameter mass
-    threshold 1 - eps; the value is the slope at the smallest eps.  The
-    path and its measure come from the first of path_seeds(master_seed),
-    so this is path 0 of an estimate-katok run; averaging over paths is
-    the harness's job.
+    Per eps, the slope of log count against n, with mass threshold
+    1 - eps; the value is the slope at the smallest eps.  The path and
+    its measure come from the first of path_seeds(master_seed), so this
+    is path 0 of a compare-katok run; averaging over paths is the
+    harness's job.
     """
     seed = path_seeds(master_seed, 1)[0]
-    return katok_path_entropy(system, process, seed, n_window, eps_list, M, (kind,), None, PAIR_BUDGET)[1][kind]
+    return katok_path_entropy(system, process, seed, n_window, eps_list, M, (kind,), PAIR_BUDGET)[1][kind]
 
 
 def min_cover_exact(

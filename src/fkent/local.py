@@ -60,7 +60,6 @@ from .matching import (
 )
 from .spanning import fit_log_slope
 from .systems import (
-    TORUS,
     EmpiricalMeasure,
     InvariantViolation,
     OmegaPath,
@@ -120,22 +119,18 @@ def sample_measure(system: RandomSystemSpec, omega: OmegaPath, M: int, seed: int
 class GridPartition:
     """Finite partition of the fiber with cell diameter <= mesh.
 
-    Circle families use boxes of side 1/ceil(1/mesh) per coordinate, so
-    the sup-metric diameter of a cell is at most the mesh (dimension
-    factor 1).  Shifts use cylinder sets of the smallest depth whose
-    diameter 2^-depth is <= mesh; mesh >= 1 yields the one-cell partition.
+    The system handed to itinerary picks the cells.  Circle families use
+    boxes of side 1/ceil(1/mesh) per coordinate, so the sup-metric
+    diameter of a cell is at most the mesh (dimension factor 1).  Shifts
+    use cylinder sets of the smallest depth whose diameter 2^-depth is
+    <= mesh; mesh >= 1 yields the one-cell partition.
     """
 
-    kind: str
     mesh: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mesh <= 1.0:
             raise ValueError("partition mesh must lie in (0, 1]")
-
-    @property
-    def on_words(self) -> bool:
-        return self.kind != TORUS
 
     @property
     def boxes_per_axis(self) -> int:
@@ -153,9 +148,7 @@ class GridPartition:
         stack is (M, n', d) orbit points with n' >= n, or an (M, L) word
         matrix with L >= n + depth - 1.  Labels are ints, unique per cell.
         """
-        if self.on_words != system.on_words:
-            raise ValueError("partition kind does not match the system")
-        if self.on_words:
+        if system.on_words:
             m = self.depth
             if m == 0:
                 return np.zeros((stack.shape[0], n), dtype=np.int64)

@@ -30,7 +30,6 @@ from fkent.matching import (
 )
 from fkent.oracles import binomial_rate, match_count_bound, stirling_rate
 from fkent.systems import (
-    TORUS,
     OrbitSegment,
     bernoulli_process,
     expanding_system,
@@ -233,7 +232,7 @@ def test_5_smb_cell_mass(capsys):
     system = expanding_system((2,))
     path = sample_path(bernoulli_process((1.0,)), 12, 9)
     mu = sample_measure(system, path, 1_000_000, 9)
-    est = smb_estimate(mu, 0.3, GridPartition(TORUS, 0.5), 12)
+    est = smb_estimate(mu, 0.3, GridPartition(0.5), 12)
     p = 2.0**-12
     band = 3 * math.sqrt((1 - p) / (p * mu.M)) / 12
     dev = abs(est - LOG2)

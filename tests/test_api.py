@@ -1,8 +1,9 @@
 """The package's public names resolve, no module imports a name it never
 uses, no function takes a parameter it never reads, every function and
 class has a caller besides its own unit tests, every parameter with a
-default is set by such a caller, and no function takes a measure next to
-the system or path the measure carries.
+default is set by such a caller, every experiment is run and every config
+field set by a caller outside the package, and no function takes a
+measure next to the system or path the measure carries.
 
 Deleting a function or a code path should take its exports, its imports
 and its arguments with it; these checks catch the leftovers a deletion
@@ -14,11 +15,14 @@ definition without using it.
 """
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import fkent
+from fkent.harness import EXPERIMENTS, ExperimentConfig
 
 SRC = Path(fkent.__file__).resolve().parent
 ROOT = SRC.parent.parent
@@ -41,6 +45,11 @@ UNSET_OPTIONS = {
     "exhaustive_partial_cover.weights": (
         "the reference min_cover_exact's weighted search is tested against; check 6 runs that search"
     ),
+}
+# config fields kept although no caller sets them
+UNSET_FIELDS = {
+    "rows": "the transition matrix law = markov needs",
+    "pair_budget": "the larger explicit budget exit code 4 asks for",
 }
 # submodules only: __init__.py imports names in order to re-export them
 MODULES = [info.name for info in pkgutil.iter_modules([str(SRC)]) if info.name != "__main__"]
@@ -191,6 +200,40 @@ def test_every_option_is_set_by_a_caller():
                 if label not in UNSET_OPTIONS and not by_position and param not in keywords.get(node.name, ()):
                     unset.append(f"fkent.{name}.{label}")
     assert unset == []
+
+
+def _caller_strings_and_fields() -> tuple[set[str], set[str]]:
+    """The string constants the callers hold, and the config fields they
+    set: keywords of ExperimentConfig, dict, replace and load_config calls,
+    `key =` lines of INI text, and `--flag` strings."""
+    strings: set[str] = set()
+    fields: set[str] = set()
+    for path in CALLERS:
+        if path.is_relative_to(SRC):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("ExperimentConfig", "dict", "replace", "load_config"):
+                    fields.update(k.arg for k in node.keywords if k.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+                fields.update(re.findall(r"^\s*(\w+)\s*=", node.value, flags=re.MULTILINE))
+                if node.value.startswith("--"):
+                    fields.add(node.value[2:].replace("-", "_"))
+    return strings, fields
+
+
+def test_every_experiment_and_config_field_has_a_caller():
+    # an experiment no caller runs, or a config field no caller sets, is a
+    # second path through the harness that only its unit tests exercise
+    strings, fields = _caller_strings_and_fields()
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert set(UNSET_FIELDS) <= set(names)
+    unrun = [f"experiment {e}" for e in EXPERIMENTS if e not in strings]
+    unset = [f"field {f}" for f in names if f not in fields and f not in UNSET_FIELDS]
+    assert unrun + unset == []
 
 
 def test_only_matching_names_the_slack_rule():

@@ -7,7 +7,7 @@ import pytest
 
 from fkent.cli import main
 from fkent.katok import katok_entropy, katok_path_entropy
-from fkent.matching import BOWEN, FK, match_slack
+from fkent.matching import BOWEN, FK, KINDS, match_slack
 from fkent.harness import (
     _PARSERS,
     ExperimentConfig,
@@ -60,8 +60,6 @@ SHIFT = {"family": "shift", "m": (2, 2), "p": (0.5, 0.5), "n": (3, 4, 5), "eps":
 def test_defaults_validate():
     cfg = ExperimentConfig()
     cfg.validate()
-    assert cfg.metrics == ("bowen", "fk")
-    assert cfg.mass_threshold is None
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -88,6 +86,9 @@ def test_load_config_errors(tmp_path):
     # keys are case-sensitive: lowercase m belongs to [system], not [budgets]
     with pytest.raises(ValueError, match=r"unknown key 'm' in section \[budgets\]"):
         load_config(write_config(tmp_path, "[budgets]\nm = 10\n"))
+    # every run measures both orbit metrics, so there is no metrics key
+    with pytest.raises(ValueError, match=r"unknown key 'metrics' in section \[run\]"):
+        load_config(write_config(tmp_path, "[run]\nmetrics = fk\n"))
     with pytest.raises(ValueError, match="config file not found"):
         load_config(str(tmp_path / "missing.ini"))
 
@@ -109,8 +110,6 @@ def test_validate_rejects_bad_fields():
         ExperimentConfig(eps=()).validate()
     with pytest.raises(ValueError, match="workers"):
         ExperimentConfig(workers=0).validate()
-    with pytest.raises(ValueError, match="mass_threshold"):
-        ExperimentConfig(mass_threshold=1.5).validate()
     with pytest.raises(ValueError, match="n schedule exceeds 64"):
         ExperimentConfig(n=(8, 65)).validate()
     ExperimentConfig(n=(8, 64)).validate()
@@ -121,9 +120,6 @@ def test_parsers_cover_every_field():
         assert name in _PARSERS
     assert _PARSERS["m"]("2, 3") == (2, 3)
     assert _PARSERS["eps"]("0.2,0.1") == (0.2, 0.1)
-    assert _PARSERS["metrics"]("fk") == ("fk",)
-    assert _PARSERS["mass_threshold"]("") is None
-    assert _PARSERS["mass_threshold"]("0.8") == 0.8
     assert _PARSERS["rows"]("0.9,0.1; 0.2,0.8") == ((0.9, 0.1), (0.2, 0.8))
 
 
@@ -167,10 +163,10 @@ def test_estimate_top_writes_artifacts(tmp_path):
         write_config(tmp_path, TINY.format(out=tmp_path / "out")),
         {"paths": 1, "M": 1000, "candidate_target": 200, "candidate_budget": 8000},
     )
-    report_path = run_experiment("estimate-top", cfg)["files"]["report"]
+    report_path = run_experiment("compare-top", cfg)["files"]["report"]
     with open(report_path) as fh:
         report = json.load(fh)
-    assert report["experiment"] == "estimate-top"
+    assert report["experiment"] == "compare-top"
     assert report["config"]["M"] == 1000
     assert report["meta"]["config_digest"] == cfg.digest()
     for metric in ("bowen", "fk"):
@@ -236,14 +232,12 @@ def test_library_averagers_match_harness(tmp_path):
         )
         assert cfg.paths == 2
         system, process = cfg.system(), cfg.process()
-        katok = run_experiment("estimate-katok", cfg)["results"]["estimates"]
+        katok = run_experiment("compare-katok", cfg)["results"]["estimates"]
         fits = [
-            katok_path_entropy(
-                system, process, seed, cfg.n, cfg.eps, cfg.M, cfg.metrics, cfg.mass_threshold, cfg.pair_budget
-            )[1]
+            katok_path_entropy(system, process, seed, cfg.n, cfg.eps, cfg.M, KINDS, cfg.pair_budget)[1]
             for seed in path_seeds(cfg.seed, cfg.paths)
         ]
-        for metric in cfg.metrics:
+        for metric in KINDS:
             mean = np.mean([fit[metric].slopes for fit in fits], axis=0)
             assert tuple(mean) == pytest.approx(tuple(katok[metric]["slopes_per_eps"]), abs=1e-12)
             one = katok_entropy(system, process, cfg.n, cfg.eps, cfg.M, metric, master_seed=cfg.seed)
@@ -285,6 +279,8 @@ def test_compare_local_gap_zero_on_band_zero(tmp_path):
 def test_run_experiment_rejects_unknown_name():
     with pytest.raises(ValueError, match="experiment"):
         run_experiment("estimate-everything", ExperimentConfig())
+    with pytest.raises(ValueError, match="experiment"):
+        run_experiment("estimate-top", ExperimentConfig())
 
 
 def test_cli_oracle_values(capsys):
@@ -303,19 +299,19 @@ def test_cli_oracle_missing_flag(capsys):
 
 def test_cli_bad_override(tmp_path, capsys):
     path = write_config(tmp_path, TINY.format(out=tmp_path / "out"))
-    assert main(["estimate-top", "--config", path, "--M", "many"]) == 2
+    assert main(["compare-top", "--config", path, "--M", "many"]) == 2
     assert "bad value for --M" in capsys.readouterr().err
 
 
 def test_cli_rejects_n_beyond_mask_width(tmp_path, capsys):
     path = write_config(tmp_path, TINY.format(out=tmp_path / "out"))
-    assert main(["estimate-top", "--config", path, "--n", "8,65"]) == 2
+    assert main(["compare-top", "--config", path, "--n", "8,65"]) == 2
     assert "n schedule exceeds 64" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config(capsys):
-    assert main(["estimate-top", "--config", "/nonexistent/run.ini"]) == 2
+    assert main(["compare-top", "--config", "/nonexistent/run.ini"]) == 2
 
 
 def test_cli_maps_invariant_violation(tmp_path, capsys, monkeypatch):
@@ -332,7 +328,7 @@ def test_cli_maps_invariant_violation(tmp_path, capsys, monkeypatch):
 
 def test_cli_resource_cap(tmp_path, capsys):
     path = write_config(tmp_path, TINY.format(out=tmp_path / "out"))
-    code = main(["estimate-katok", "--config", path, "--M", "4000", "--pair-budget", "1000"])
+    code = main(["compare-katok", "--config", path, "--M", "4000", "--pair-budget", "1000"])
     assert code == 4
     assert "pair" in capsys.readouterr().err
 
@@ -341,7 +337,7 @@ def test_cli_estimate_top_end_to_end(tmp_path, capsys):
     path = write_config(tmp_path, TINY.format(out=tmp_path / "out"))
     code = main(
         [
-            "estimate-top",
+            "compare-top",
             "--config",
             path,
             "--paths",
@@ -356,4 +352,9 @@ def test_cli_estimate_top_end_to_end(tmp_path, capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "bowen:" in out and "fk:" in out and "wrote" in out
+    assert "bowen:" in out and "fk:" in out and "gap fk-bowen:" in out and "wrote" in out
+
+
+def test_cli_selftest(capsys):
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out.rstrip("\n").endswith("selftest passed (5 checks)")

@@ -287,4 +287,4 @@ def test_katok_entropy_validation():
         katok_entropy(system, proc, [4, 6], [], 100, BOWEN)
     _, _, mu = doubling_measure(M=100)
     with pytest.raises(ValueError):
-        katok_table(mu, [4, 6], [0.1], (BOWEN,), mass_threshold=1.5)
+        katok_spanning_count(mu, 4, 0.1, 1.5, BOWEN)

@@ -16,8 +16,6 @@ from fkent.local import (
 from fkent.matching import BOWEN, FK, match_slack, match_target
 from fkent.spanning import fit_log_slope
 from fkent.systems import (
-    CYLINDER,
-    TORUS,
     InvariantViolation,
     OmegaPath,
     bernoulli_process,
@@ -220,26 +218,26 @@ def test_ball_measure_trivial_above_diameter():
     [(1.0, 1), (0.5, 2), (0.3, 4), (0.25, 4), (0.1, 10)],
 )
 def test_grid_partition_torus_boxes(mesh, boxes):
-    assert GridPartition(TORUS, mesh).boxes_per_axis == boxes
+    assert GridPartition(mesh).boxes_per_axis == boxes
 
 
 @pytest.mark.parametrize("mesh, depth", [(1.0, 0), (0.5, 1), (0.3, 2), (0.25, 2), (0.2, 3)])
 def test_grid_partition_word_depth(mesh, depth):
     # smallest k with cylinder diameter 2^-k <= mesh
-    assert GridPartition(CYLINDER, mesh).depth == depth
+    assert GridPartition(mesh).depth == depth
 
 
 def test_grid_partition_rejects_bad_mesh():
     with pytest.raises(ValueError):
-        GridPartition(TORUS, 0.0)
+        GridPartition(0.0)
     with pytest.raises(ValueError):
-        GridPartition(TORUS, 1.5)
+        GridPartition(1.5)
 
 
 def test_itinerary_doubling_is_binary_expansion():
     system = expanding_system((2,))
     stack = np.array([[[0.3], [0.6], [0.2], [0.4]]])
-    labels = GridPartition(TORUS, 0.5).itinerary(system, stack, 4)
+    labels = GridPartition(0.5).itinerary(system, stack, 4)
     assert labels.tolist() == [[0, 1, 0, 0]]
 
 
@@ -247,9 +245,24 @@ def test_smb_estimate_matches_dyadic_mass():
     # doubling with the halves partition: the time-n cell of x is a
     # dyadic interval of mass 2^-n, so the estimate concentrates at log 2
     system, path, mu = doubling_setup(M=200_000)
-    part = GridPartition(TORUS, 0.5)
+    part = GridPartition(0.5)
     n = 8
     est = smb_estimate(mu, 0.3, part, n)
+    p = 2.0**-n
+    sd = math.sqrt((1 - p) / (p * mu.M)) / n
+    assert abs(est - math.log(2.0)) <= 3 * sd
+
+
+def test_smb_estimate_words_match_cylinder_mass():
+    # the (2, 2) full shift with mesh 0.5: cells are first symbols, so the
+    # time-n cell of a word is a depth-n cylinder of mass 2^-n
+    system = shift_system((2, 2))
+    path = sample_path(bernoulli_process((0.5, 0.5)), 24, 3)
+    mu = sample_measure(system, path, 200_000, 3)
+    word = np.random.default_rng(11).integers(0, 2, size=24)
+    assert not (mu.samples == word).all(axis=1).any()
+    n = 10
+    est = smb_estimate(mu, word, GridPartition(0.5), n)
     p = 2.0**-n
     sd = math.sqrt((1 - p) / (p * mu.M)) / n
     assert abs(est - math.log(2.0)) <= 3 * sd
@@ -258,7 +271,7 @@ def test_smb_estimate_matches_dyadic_mass():
 def test_smb_estimate_flags_empty_cell():
     system, path, _ = doubling_setup()
     tiny = EmpiricalMeasure(system, path, orbit_batch(system, path, np.full((4, 1), 0.9), path.horizon))
-    part = GridPartition(TORUS, 0.5)
+    part = GridPartition(0.5)
     assert math.isnan(smb_estimate(tiny, 0.01, part, 6))
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fkent import matching
-from fkent.harness import load_config
 from fkent.katok import katok_spanning_count, katok_table
 from fkent.local import ball_measure, local_entropy, sample_measure
 from fkent.matching import (
@@ -514,7 +513,6 @@ _CENTER = orbit(_SYSTEM, _PATH, 0.3, 2)
         lambda: ball_measure(_MEASURE, _CENTER, 2, 0.1, "hamming"),
         lambda: local_entropy(_MEASURE, 0.3, [2], [0.1], ("hamming",)),
         lambda: ball_batch("hamming", _CENTER, _MEASURE.orbits, 0.1),
-        lambda: load_config(None, {"metrics": ("hamming",)}),
     ],
     ids=[
         "greedy_separated",
@@ -524,7 +522,6 @@ _CENTER = orbit(_SYSTEM, _PATH, 0.3, 2)
         "ball_measure",
         "local_entropy",
         "ball_batch",
-        "load_config",
     ],
 )
 def test_unknown_orbit_metric_is_rejected(call):
