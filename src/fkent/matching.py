@@ -22,16 +22,19 @@ compatibility matrix is packed into a uint64 mask (so n, m <= 64) and the
 bit-vector LCS update (Allison & Dix 1986; Hyyro 2004) advances the DP one
 row at a time across a whole batch.  No other match DP exists.
 
-Batch kernels evaluate one center against many orbits at once.  The FK
-kernel exploits that a match of size k never displaces an index by more
+Batch kernels evaluate one center, or a stack of C centers, against many
+orbits at once: a center without a leading axis gives an (M,) membership
+row, a stack of C centers a (C, M) matrix, and one call builds
+temporaries for at most BLOCK_PAIRS (center, orbit) pairs at a time.  The
+FK kernel exploits that a match of size k never displaces an index by more
 than n - k, so a ball test at threshold delta only needs the diagonal band
 of width match_slack(n, delta) = n - match_target(n, delta): its masks are
 built one diagonal slice at a time.  The same bound lets one mask per
 radius, built at the longest n and widest band, decide the FK ball of
 every shorter prefix and narrower band (`_fk_members`), which is how the
 local tables count all their FK cells in one pass.  The torus Bowen kernel
-screens every row on the last, most expanded step and compares the
-remaining steps only on the rows that pass.
+screens every (center, orbit) pair on the last, most expanded step and
+compares the remaining steps only on the pairs that pass.
 
 How the two metrics relate is decided here and nowhere else.  KINDS runs
 from the smaller ball to the larger: the Bowen ball lies inside the FK
@@ -58,6 +61,7 @@ __all__ = [
     "KINDS",
     "check_kinds",
     "MAX_MATCH_STEPS",
+    "BLOCK_PAIRS",
     "FkDistance",
     "bowen_distance",
     "pair_distance_matrix",
@@ -87,10 +91,11 @@ KINDS = (BOWEN, FK)
 
 # columns of one packed match-mask row: the longest segment any match DP takes
 MAX_MATCH_STEPS = 64
-# rows per FK ball block; keeps the mask-build temporaries cache-resident
-# and small enough that the allocator reuses them instead of mapping and
-# faulting in fresh pages for every block
-_BLOCK_ROWS = 2048
+# (center, orbit) pairs one kernel call builds temporaries for: FK row
+# blocks and dense cover blocks are sized by it, which keeps the mask-build
+# temporaries cache-resident and of one size, so the allocator reuses them
+# instead of mapping and faulting in fresh pages for every block
+BLOCK_PAIRS = 2048
 
 
 @dataclass(frozen=True)
@@ -186,9 +191,9 @@ def _bit_weights(m: int) -> np.ndarray:
 
 
 def _match_sizes(pm: np.ndarray, m: int) -> np.ndarray:
-    """Maximum match sizes from a (B, n) stack of packed row masks.
+    """Maximum match sizes from a (..., n) stack of packed row masks.
 
-    Bit j of pm[:, i] marks row i compatible with column j.  The bit-vector
+    Bit j of pm[..., i] marks row i compatible with column j.  The bit-vector
     LCS recurrence (Allison & Dix 1986; Hyyro 2004) advances the match DP
     one row in a few word operations: the zero bits of v mark the columns
     where the DP value steps up, so the match size is m - popcount(v).  It
@@ -200,9 +205,9 @@ def _match_sizes(pm: np.ndarray, m: int) -> np.ndarray:
     are.
     """
     full = np.uint64((1 << m) - 1)
-    v = np.full(pm.shape[0], full, dtype=np.uint64)
-    for i in range(pm.shape[1]):
-        u = v & pm[:, i]
+    v = np.full(pm.shape[:-1], full, dtype=np.uint64)
+    for i in range(pm.shape[-1]):
+        u = v & pm[..., i]
         v = ((v + u) | (v - u)) & full
     return m - np.bitwise_count(v).astype(np.int64)
 
@@ -377,7 +382,7 @@ def brute_force_match(a: OrbitSegment, b: OrbitSegment, eps: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# batch kernels: one center orbit against many orbits
+# batch kernels: one center orbit, or a stack of them, against many orbits
 # ---------------------------------------------------------------------------
 
 def _pair_depth(delta: float, closed: bool) -> int:
@@ -403,17 +408,18 @@ def ball_steps(metric: FiberMetric, n: int, eps: float) -> int:
 def _word_diagonal(
     center_word: np.ndarray, others: np.ndarray, depth: int, i0: int, i1: int, offset: int
 ) -> np.ndarray:
-    """(M, i1 - i0) agreement of center steps i with sample steps i + offset.
+    """(..., M, i1 - i0) agreement of center steps i with sample steps i + offset.
 
-    A pair agrees when the suffixes agree on `depth` symbols; positions
-    past either stored word count as agreement by convention.
+    center_word is one word (L,) or a (C, L) stack, which leads the
+    result.  A pair agrees when the suffixes agree on `depth` symbols;
+    positions past either stored word count as agreement by convention.
     """
-    lu, lb = len(center_word), others.shape[1]
-    ok = np.ones((others.shape[0], i1 - i0), dtype=bool)
+    lu, lb = center_word.shape[-1], others.shape[1]
+    ok = np.ones(center_word.shape[:-1] + (others.shape[0], i1 - i0), dtype=bool)
     for t in range(depth):
         ui = np.arange(i0 + t, i1 + t)
         jj = ui + offset
-        agree = others[:, np.minimum(jj, lb - 1)] == center_word[np.minimum(ui, lu - 1)]
+        agree = others[:, np.minimum(jj, lb - 1)] == center_word[..., None, np.minimum(ui, lu - 1)]
         ok &= agree | ~((ui < lu) & (jj < lb))
     return ok
 
@@ -421,41 +427,45 @@ def _word_diagonal(
 def _band_masks(
     center: OrbitSegment, others: np.ndarray, bands: dict[float, int], closed: bool
 ) -> dict[float, np.ndarray]:
-    """(M, n) packed match masks over the diagonal band |i - j| <= bands[delta], per delta.
+    """(..., M, n) packed match masks over the diagonal band |i - j| <= bands[delta], per delta.
 
-    Bit j of row i of a delta's mask is set when center step i and sample
-    step j are within delta (at most delta when closed); cells off its
-    band stay clear.  Each diagonal offset is one slice of `others`; on
-    the torus its gaps are computed once and thresholded for every delta
-    whose band reaches it.
+    The center's stack shape leads each mask.  Bit j of row i of a
+    delta's mask is set when center step i and sample step j are within
+    delta (at most delta when closed); cells off its band stay clear.
+    Each diagonal offset is one slice of `others`; on the torus its gaps
+    are computed once and thresholded for every delta whose band reaches
+    it.
     """
     n = center.n
     torus = center.metric.kind == TORUS
     weights = _bit_weights(n)
-    masks = {d: np.zeros((others.shape[0], n), dtype=np.uint64) for d in bands}
+    shape = center.stack_shape + (others.shape[0], n)
+    masks = {d: np.zeros(shape, dtype=np.uint64) for d in bands}
     reach = max(bands.values())
     for offset in range(-reach, reach + 1):
         i0, i1 = max(0, -offset), min(n, n - offset)
         if torus:
-            gaps = circle_gap(others[:, i0 + offset : i1 + offset, :], center.points[i0:i1])
+            gaps = circle_gap(others[:, i0 + offset : i1 + offset, :], center.points[..., None, i0:i1, :])
         for d, band in bands.items():
             if abs(offset) > band:
                 continue
             if torus:
-                ok = (gaps <= d if closed else gaps < d).all(axis=2)
+                ok = (gaps <= d if closed else gaps < d).all(axis=-1)
             else:
                 depth = _pair_depth(d, closed)
                 ok = _word_diagonal(center.word, others, depth, i0, i1, offset)
-            masks[d][:, i0:i1] |= ok * weights[i0 + offset : i1 + offset]
+            masks[d][..., i0:i1] |= ok * weights[i0 + offset : i1 + offset]
     return masks
 
 
 def _fk_members(center: OrbitSegment, others: np.ndarray, cells, closed: bool = False):
     """FK ball membership for (n, delta) cells with positive slack, block by block.
 
-    Yields (lo, hits) per block of `_BLOCK_ROWS` rows starting at row lo,
-    where hits lists one bool array per cell in the order given.  The
-    center orbit covers the longest n.  Per block each delta gets one
+    Yields (lo, hits) per block of rows starting at row lo, where hits
+    lists one bool array per cell in the order given, shaped like the
+    center's stack followed by the block's rows.  A block holds
+    BLOCK_PAIRS // C rows for a stack of C centers (at least one row).
+    The center orbit covers the longest n.  Per block each delta gets one
     packed mask at the center's length and its widest band, all built
     from one pass over the diagonals, and each n runs the match
     recurrence on the first n rows of its delta's mask (the columns past
@@ -467,9 +477,10 @@ def _fk_members(center: OrbitSegment, others: np.ndarray, cells, closed: bool = 
     widest: dict[float, int] = {}
     for (_, d), b in zip(cells, slacks):
         widest[d] = min(max(widest.get(d, 0), b), center.n - 1)
-    for lo in range(0, others.shape[0], _BLOCK_ROWS):
-        masks = _band_masks(center, others[lo : lo + _BLOCK_ROWS], widest, closed)
-        yield lo, [_match_sizes(masks[d][:, :n], n) >= n - b for (n, d), b in zip(cells, slacks)]
+    rows = max(1, BLOCK_PAIRS // math.prod(center.stack_shape))
+    for lo in range(0, others.shape[0], rows):
+        masks = _band_masks(center, others[lo : lo + rows], widest, closed)
+        yield lo, [_match_sizes(masks[d][..., :n], n) >= n - b for (n, d), b in zip(cells, slacks)]
 
 
 def _check_torus_stack(center: OrbitSegment, others: np.ndarray) -> None:
@@ -484,59 +495,73 @@ def bowen_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, clo
     """Membership of many orbits in the time-n Bowen ball around a center.
 
     `others` is an (M, n', d) orbit stack with n' >= n for torus systems,
-    or an (M, L) word matrix for shift systems.  Open ball by default;
-    `closed` switches to d <= delta (the complement of the strict
-    separation test).
+    or an (M, L) word matrix for shift systems.  The center is one orbit,
+    giving an (M,) result, or a stack of C orbits, giving (C, M) with row
+    c the ball around center c.  Open ball by default; `closed` switches
+    to d <= delta (the complement of the strict separation test).
 
-    On the torus the last step, the most expanded one, screens every row
-    first, and only its survivors have their other n - 1 steps compared.
-    Membership is a conjunction over steps, so the screen changes no
-    result.
+    On the torus the last step, the most expanded one, screens every
+    (center, orbit) pair first, and only its survivors have their other
+    n - 1 steps compared.  Membership is a conjunction over steps, so the
+    screen changes no result.  One center is compared with its survivors
+    by broadcasting; a stack gathers each survivor's center row.
     """
     n = center.n
     if center.metric.kind == TORUS:
         _check_torus_stack(center, others)
-        last = circle_gap(others[:, n - 1, :], center.points[n - 1]).max(axis=1)
+        points = center.points
+        last = circle_gap(others[:, n - 1, :], points[..., None, n - 1, :]).max(axis=-1)
         inside = last <= delta if closed else last < delta
         live = np.flatnonzero(inside)
         if n > 1 and live.size:
-            gaps = circle_gap(others[live, : n - 1, :], center.points[: n - 1]).max(axis=(1, 2))
-            inside[live] = gaps <= delta if closed else gaps < delta
+            if center.stack_shape:
+                # survivor (c, j) compares center c's row with orbit j
+                hit = np.divmod(live, others.shape[0])
+                live_rows, near = hit[1], points[hit[0], : n - 1]
+            else:
+                hit = live_rows = live
+                near = points[: n - 1]
+            gaps = circle_gap(others[live_rows, : n - 1, :], near).max(axis=(1, 2))
+            inside[hit] = gaps <= delta if closed else gaps < delta
         return inside
-    u = center.word
+    word = center.word
     depth = _pair_depth(delta, closed)
     if depth == 0:
-        return np.ones(others.shape[0], dtype=bool)
-    span = min(n + depth - 1, len(u), others.shape[1])
-    return (others[:, :span] == u[None, :span]).all(axis=1)
+        return np.ones(center.stack_shape + (others.shape[0],), dtype=bool)
+    span = min(n + depth - 1, word.shape[-1], others.shape[1])
+    return (others[:, :span] == word[..., None, :span]).all(axis=-1)
 
 
 def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed: bool = False) -> np.ndarray:
     """FK ball test defect(delta) < delta for a batch.
 
-    The band's packed masks go through the bit recurrence, and a match of
-    size n - band decides the test; at band 0 that is the banded DP on the
-    main diagonal alone (`ball_batch` sends such balls to the Bowen
-    kernel instead, see `ball_kind`).  With `closed`,
-    matched pairs are allowed at distance exactly delta.  The complement of
-    the closed variant is the strict separation relation, the one under
-    which a full Bowen-ball inclusion survives boundary ties.
+    Arguments and result shapes are those of `bowen_ball_batch`: one
+    center gives (M,), a stack of C centers (C, M).  The band's packed
+    masks go through the bit recurrence, and a match of size n - band
+    decides the test; at band 0 that is the banded DP on the main
+    diagonal alone (`ball_batch` sends such balls to the Bowen kernel
+    instead, see `ball_kind`).  With `closed`, matched pairs are allowed
+    at distance exactly delta.  The complement of the closed variant is
+    the strict separation relation, the one under which a full
+    Bowen-ball inclusion survives boundary ties.
     """
     _check_torus_stack(center, others)
     n = center.n
     band = match_slack(n, delta)
+    shape = center.stack_shape + (others.shape[0],)
     if band >= n:
-        return np.ones(others.shape[0], dtype=bool)
-    inside = np.empty(others.shape[0], dtype=bool)
+        return np.ones(shape, dtype=bool)
+    inside = np.empty(shape, dtype=bool)
     for lo, (hit,) in _fk_members(center, others, [(n, delta)], closed):
-        inside[lo : lo + hit.size] = hit
+        inside[..., lo : lo + hit.shape[-1]] = hit
     return inside
 
 
 def ball_batch(kind: str, center: OrbitSegment, others: np.ndarray, eps: float, closed: bool = False) -> np.ndarray:
     """Membership of many orbits in the time-n ball of the given metric kind.
 
-    The only place that chooses between the Bowen and the FK kernel, by
+    The center may be one orbit or a stack of them, with the kernels'
+    result shapes.  The only place that chooses between the Bowen and the FK kernel, by
     `ball_kind`; the kernels are looked up at call time, so wrapping
     either one from outside also wraps the calls made here.
     """

@@ -46,7 +46,16 @@ from .systems import (
     orbit_batch,
     sample_path,
 )
-from .matching import BOWEN, KINDS, ball_batch, ball_kind, ball_steps, check_kinds, inclusion_violations
+from .matching import (
+    BLOCK_PAIRS,
+    BOWEN,
+    KINDS,
+    ball_batch,
+    ball_kind,
+    ball_steps,
+    check_kinds,
+    inclusion_violations,
+)
 
 __all__ = [
     "SEPARATED",
@@ -161,11 +170,12 @@ def word_candidates(
     return EmpiricalMeasure(system, path, words), 1.0
 
 
-def _segment(metric: FiberMetric, n: int, row: np.ndarray) -> OrbitSegment:
-    """The time-n orbit segment stored in one row of an orbit stack."""
+def _segment(metric: FiberMetric, n: int, rows: np.ndarray) -> OrbitSegment:
+    """The time-n orbit segment stored in one row of an orbit stack, or
+    the stacked segments of a block of its rows."""
     if metric.on_words:
-        return OrbitSegment(metric, n, word=row)
-    return OrbitSegment(metric, n, points=row)
+        return OrbitSegment(metric, n, word=rows)
+    return OrbitSegment(metric, n, points=rows)
 
 
 def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float) -> tuple[int, np.ndarray]:
@@ -221,9 +231,12 @@ def cover_matrix(
     """(M, M) open-ball membership: row i is the time-n ball around stack[i].
 
     Every ball contains its own center (distance 0), whatever the threshold.
-    Ball membership is symmetric for both metrics, so row i tests only the
-    later points and fills its column from the same result.  The M^2 pairs
-    must fit the pair budget.
+    Ball membership is symmetric for both metrics, so only the upper
+    triangle is tested and the lower one mirrors it.  Consecutive centers
+    go to the kernel as one stack, as many as keep a call within
+    BLOCK_PAIRS pairs (at least one): the block starting at center i0 is
+    tested against every point after i0, and each center keeps the
+    columns after itself.  The M^2 pairs must fit the pair budget.
     """
     m = stack.shape[0]
     if m * m > pair_budget:
@@ -231,11 +244,16 @@ def cover_matrix(
             f"cover matrix needs {m * m} pairs, budget {pair_budget}; "
             "lower the sample count or raise pair_budget"
         )
-    cover = np.empty((m, m), dtype=bool)
-    for i in range(m - 1):
-        inside = ball_batch(kind, _segment(metric, n, stack[i]), stack[i + 1 :], eps)
-        cover[i, i + 1 :] = inside
-        cover[i + 1 :, i] = inside
+    cover = np.zeros((m, m), dtype=bool)
+    i0 = 0
+    while i0 < m - 1:
+        i1 = min(m - 1, i0 + max(1, BLOCK_PAIRS // (m - i0 - 1)))
+        block = ball_batch(kind, _segment(metric, n, stack[i0:i1]), stack[i0 + 1 :], eps)
+        # row k of the block is center i0 + k against points i0 + 1 on; it keeps the points after itself
+        inside = np.triu(block)
+        cover[i0:i1, i0 + 1 :] = inside
+        cover[i0 + 1 :, i0:i1] |= inside.T
+        i0 = i1
     np.fill_diagonal(cover, True)
     return cover
 

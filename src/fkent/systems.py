@@ -288,11 +288,17 @@ def apply_fiber_map(system: RandomSystemSpec, symbol: int, x: np.ndarray) -> np.
 
 @dataclass(frozen=True, eq=False)
 class OrbitSegment:
-    """The first n points of an orbit along a path.
+    """The first n points of an orbit along a path, or of a stack of orbits.
 
     Torus families store the points as an (n, d) float array.  Shift
     families store the base word once; the i-th orbit point is the suffix
     starting at i, referenced by index without copying.
+
+    A stack of C orbits along the same path stores (C, n, d) points or a
+    (C, L) word matrix; the leading axis indexes the orbits.  Only the
+    batch ball kernels (`matching.bowen_ball_batch`, `fk_ball_batch`) read
+    stacks, as a block of ball centers; every other consumer takes one
+    orbit.
     """
 
     metric: FiberMetric
@@ -305,12 +311,17 @@ class OrbitSegment:
             raise ValueError("orbit length must be >= 1")
         if (self.points is None) == (self.word is None):
             raise ValueError("exactly one of points/word must be set")
-        if self.word is not None and len(self.word) < self.n:
+        if self.word is not None and self.word.shape[-1] < self.n:
             raise ValueError("stored word shorter than the orbit length")
 
     @property
     def on_words(self) -> bool:
         return self.word is not None
+
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        """() for one orbit, (C,) for a stack of C orbits."""
+        return self.word.shape[:-1] if self.on_words else self.points.shape[:-2]
 
     def prefix(self, n: int) -> "OrbitSegment":
         """The same orbit truncated to its first n points."""

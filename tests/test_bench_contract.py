@@ -1,15 +1,23 @@
-"""The bench tracer wraps fkent functions by name; each name must resolve.
+"""The bench tracer wraps fkent functions by name; each name must resolve,
+and a traced run must read the ball kernels' arguments and results.
 
-bench/spans.py lists `<module>.<function>` names in TRACED.  A rename in
-fkent that leaves one dangling would break every traced bench run, so it
-fails here instead.
+bench/spans.py lists `<module>.<function>` names in TRACED and reads
+`center.n`, `others.shape` and `delta` from every ball kernel call.  A
+rename in fkent that leaves one dangling, or a kernel change that breaks
+those reads, would break every traced bench run, so it fails here
+instead.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def _traced_names() -> tuple[str, ...]:
@@ -26,3 +34,23 @@ def test_traced_names_resolve_to_fkent_callables():
         module_name, func_name = qual.split(".")
         module = importlib.import_module(f"fkent.{module_name}")
         assert callable(getattr(module, func_name, None)), qual
+
+
+def test_traced_worker_counts_both_ball_kernels(monkeypatch, tmp_path):
+    # one traced katok-dense run at smoke-test size, as bench/run.py spawns it
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    experiment, _, toy = run.WORKLOADS["katok-dense"]
+    overrides = dict(toy, seed=1, workers=1, outdir=str(tmp_path))
+    job = {"experiment": experiment, "overrides": overrides, "trace": True, "run": 0}
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "worker.py"), json.dumps(job)],
+        capture_output=True, text=True, timeout=120, env=run.child_env(str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    for qual in run.BALL_KERNELS:
+        assert report["layers"][qual]["calls"] > 0, qual
+        assert report["counters"][f"{qual}.hits"] > 0, qual

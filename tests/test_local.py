@@ -174,7 +174,7 @@ def test_shared_local_pass_matches_ball_measure(monkeypatch):
     # multiples of 1/64 at random steps, so gaps tie with both radii and
     # off-diagonal matches decide FK membership.  Small blocks make the
     # pass split the rows.
-    monkeypatch.setattr(matching, "_BLOCK_ROWS", 256)
+    monkeypatch.setattr(matching, "BLOCK_PAIRS", 256)
     system = expanding_system((3, 5))
     path = sample_path(bernoulli_process((0.5, 0.5)), 14, 9)
     M, steps = 3_000, 12

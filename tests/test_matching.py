@@ -464,6 +464,52 @@ def test_fk_ball_batch_matches_reference_lcs():
     assert ties > 0
 
 
+def test_stacked_centers_equal_per_center_calls():
+    # row c of a call on a stack of centers is the call on center c alone,
+    # for both kernels on torus and word stacks, open and closed balls, and
+    # FK at band 0, bands 1-2 and band >= n.  C x M exceeds BLOCK_PAIRS, so
+    # the stacked FK call splits its rows across blocks while each
+    # single-center call runs one.  Centers are sample rows, so they carry
+    # the samples' extra steps; grid points and dyadic radii put pairs
+    # exactly on delta.
+    rng = np.random.default_rng(116)
+    n, C, M = 8, 24, 120
+    near, far = M - M // 4, M // 4
+    base = rng.integers(0, 64, size=(n + 2, 1))
+    jitter = rng.integers(-2, 3, size=(near, n + 2, 1)) * (rng.random((near, n + 2, 1)) < 0.3)
+    copies = shuffled_copies(rng, base, near, 2) + jitter
+    torus_others = (np.concatenate([copies, rng.integers(0, 64, size=(far, n + 2, 1))]) % 64) / 64.0
+    word = rng.integers(0, 2, size=n + 3)
+    flips = rng.random((near, n + 3)) < 0.04
+    copies = np.where(flips, 1 - word, shuffled_copies(rng, word, near, 2))
+    word_others = np.concatenate([copies, rng.integers(0, 2, size=(far, n + 3))])
+    centers = np.arange(0, M, M // C)
+    radii = (0.125, 0.25, 0.375, 1.5)
+    assert [match_slack(n, r) for r in radii[:3]] == [0, 1, 2] and match_slack(n, radii[3]) >= n
+    assert C * M > matching.BLOCK_PAIRS
+    for others, field in ((torus_others, "points"), (word_others, "word")):
+        metric = FiberMetric(TORUS if field == "points" else CYLINDER)
+
+        def segment(rows):
+            return OrbitSegment(metric, n, **{field: rows})
+
+        stack = segment(others[centers])
+        for kernel in (bowen_ball_batch, fk_ball_batch):
+            for delta in radii:
+                for closed in (False, True):
+                    got = kernel(stack, others, delta, closed=closed)
+                    assert got.shape == (C, M)
+                    for row, c in zip(got, centers):
+                        assert (row == kernel(segment(others[c]), others, delta, closed=closed)).all()
+                    if delta < 1.0:
+                        assert 0 < got.sum() < got.size
+                    one = kernel(segment(others[:1]), others, delta, closed=closed)
+                    assert one.shape == (1, M)
+                    assert (one[0] == kernel(segment(others[0]), others, delta, closed=closed)).all()
+                    assert kernel(stack, others[:0], delta, closed=closed).shape == (C, 0)
+                    assert kernel(segment(others[0]), others[:0], delta, closed=closed).shape == (0,)
+
+
 def test_max_match_batch_matches_reference_lcs():
     # rectangular stacks, plus n = m = 64 where the full mask carries out of
     # the top bit on every row

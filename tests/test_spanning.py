@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fkent.matching import BOWEN, FK
+from fkent import matching, spanning
+from fkent.matching import BOWEN, FK, ball_batch, ball_kind, ball_steps, bowen_distance, in_fk_ball
 from fkent.spanning import (
     SEPARATED,
     CountEntry,
     CountTable,
     EntropyEstimate,
     count_table,
+    cover_matrix,
     entropy_from_counts,
     fit_log_slope,
     greedy_separated,
@@ -22,8 +24,10 @@ from fkent.systems import (
     EmpiricalMeasure,
     InvariantViolation,
     OmegaPath,
+    OrbitSegment,
     bernoulli_process,
     expanding_system,
+    orbit_batch,
     sample_path,
     shift_system,
 )
@@ -154,3 +158,60 @@ def test_path_entropy_on_word_systems():
     for seed in path_seeds(0, 2):
         _, fits = path_entropy(system, proc, seed, [3, 4, 5], [0.4], (BOWEN,), 2000, 200_000)
         assert fits[BOWEN].value == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+def _clustered_measure(on_words: bool, M: int, rng) -> EmpiricalMeasure:
+    """M samples around five cluster centers, so that balls hold some of them."""
+    path = OmegaPath([0] * 12)
+    cluster = rng.integers(0, 5, size=M)
+    if on_words:
+        system = shift_system((2,))
+        base = rng.integers(0, 2, size=(5, 12))
+        flips = rng.random((M, 12)) < 0.08
+        return EmpiricalMeasure(system, path, np.where(flips, 1 - base[cluster], base[cluster]))
+    system = expanding_system((2,))
+    starts = (rng.random(5)[cluster] + rng.normal(0.0, 0.004, size=M)) % 1.0
+    return EmpiricalMeasure(system, path, orbit_batch(system, path, starts[:, None], 12))
+
+
+def _row_by_row_cover(kind, metric, n, stack, eps):
+    """One kernel call per center against the later points, mirrored."""
+    m = stack.shape[0]
+    field = "word" if metric.on_words else "points"
+    cover = np.empty((m, m), dtype=bool)
+    for i in range(m - 1):
+        inside = ball_batch(kind, OrbitSegment(metric, n, **{field: stack[i]}), stack[i + 1 :], eps)
+        cover[i, i + 1 :] = inside
+        cover[i + 1 :, i] = inside
+    np.fill_diagonal(cover, True)
+    return cover
+
+
+@pytest.mark.parametrize("on_words", [False, True], ids=["torus", "words"])
+def test_cover_matrix_blocks_match_pairwise_reference(monkeypatch, on_words):
+    # small blocks: the cover stacks 2 to 10 centers per call over M = 70
+    # points, and its last block is cut short at the last center (10 of
+    # the 15 centers its 10 columns allow); the FK kernel splits each
+    # stacked call into row blocks of its own
+    monkeypatch.setattr(spanning, "BLOCK_PAIRS", 150)
+    monkeypatch.setattr(matching, "BLOCK_PAIRS", 32)
+    rng = np.random.default_rng(31)
+    M, n, eps = 70, 6, 0.25
+    measure = _clustered_measure(on_words, M, rng)
+    metric = measure.system.metric
+    stack = measure.orbit_stack(ball_steps(metric, n, eps))
+    field = "word" if on_words else "points"
+    segments = [OrbitSegment(metric, n, **{field: row}) for row in stack]
+    for kind in (BOWEN, FK):
+        assert ball_kind(kind, n, eps) == kind
+        cover = cover_matrix(kind, metric, n, stack, eps, M * M)
+        want = np.ones((M, M), dtype=bool)
+        for i in range(M):
+            for j in range(M):
+                if i != j:
+                    a, b = segments[i], segments[j]
+                    want[i, j] = bowen_distance(a, b) < eps if kind == BOWEN else in_fk_ball(a, b, eps)
+        assert M < (cover.sum() - M) < M * (M - 1)
+        assert (cover == want).all()
+        assert (cover == cover.T).all() and cover.diagonal().all()
+        assert (cover == _row_by_row_cover(kind, metric, n, stack, eps)).all()
