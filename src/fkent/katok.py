@@ -47,7 +47,6 @@ from .spanning import (
 from .systems import (
     InvariantViolation,
     RandomSystemSpec,
-    ResourceCapExceeded,
     row_codes,
     sample_path,
 )
@@ -62,13 +61,10 @@ __all__ = [
     "katok_path_entropy",
     "katok_entropy",
     "validate_katok_counts",
-    "min_cover_exact",
 ]
 
 # dense cover matrices hold at most this many (center, sample) pairs
 PAIR_BUDGET = 20_000_000
-# branch-and-bound nodes min_cover_exact visits before it gives up
-_NODE_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -292,89 +288,3 @@ def katok_entropy(
     """
     seed = path_seeds(master_seed, 1)[0]
     return katok_path_entropy(system, process, seed, n_window, eps_list, M, (kind,), PAIR_BUDGET)[1][kind]
-
-
-def min_cover_exact(
-    membership: np.ndarray,
-    weights: np.ndarray | None = None,
-    mass_threshold: float = 0.95,
-) -> int:
-    """Exact minimum number of the given sets covering the mass threshold.
-
-    membership is (S, U) bool, sets by universe points; weights default
-    to uniform.  Branch and bound over sets in descending static-weight
-    order: a branch dies when even the heaviest remaining sets cannot
-    reach the residual mass within the incumbent count.  Intended as an
-    oracle for small instances; the node cap turns runaway search into
-    ResourceCapExceeded instead of an open-ended stall.
-    """
-    cover = np.asarray(membership, dtype=bool)
-    if cover.ndim != 2 or cover.shape[0] < 1:
-        raise ValueError("membership must be a nonempty (S, U) bool array")
-    S, U = cover.shape
-    w = np.ones(U) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (U,) or (w < 0).any():
-        raise ValueError("weights must be nonnegative, one per universe point")
-    total = float(w.sum())
-    if total <= 0.0:
-        raise ValueError("total weight must be positive")
-    if not 0.0 < mass_threshold < 1.0:
-        raise ValueError("mass threshold must lie in (0, 1)")
-    need = mass_threshold * total - 1e-9 * total
-
-    static = cover @ w
-    order = np.argsort(-static, kind="stable")
-    cover = cover[order]
-    static = static[order]
-    if float(w[cover.any(axis=0)].sum()) + 1e-12 < need:
-        raise ValueError("the union of the given sets cannot reach the mass threshold")
-
-    # greedy incumbent
-    covered = np.zeros(U, dtype=bool)
-    ub = 0
-    got = 0.0
-    while got < need:
-        gains = (cover & ~covered[None, :]) @ w
-        i = int(np.argmax(gains))
-        if gains[i] <= 0:
-            ub = S + 1
-            break
-        covered |= cover[i]
-        got = float(w[covered].sum())
-        ub += 1
-
-    # prefix sums of static weights from every suffix start, for the bound
-    suffix_prefix = [None] * (S + 1)
-    for start in range(S + 1):
-        tail = np.sort(static[start:])[::-1]
-        suffix_prefix[start] = np.concatenate(([0.0], np.cumsum(tail)))
-
-    best = ub
-    nodes = 0
-
-    def descend(start: int, chosen: int, covered: np.ndarray, got: float) -> None:
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > _NODE_CAP:
-            raise ResourceCapExceeded(
-                f"cover search exceeded {_NODE_CAP} nodes; shrink the instance"
-            )
-        if got >= need:
-            best = min(best, chosen)
-            return
-        remaining = need - got
-        for i in range(start, S):
-            # sets are sorted by static weight, so once the optimistic
-            # completion from suffix i cannot beat the incumbent, no
-            # later suffix can either
-            pref = suffix_prefix[i]
-            k = int(np.searchsorted(pref, remaining))
-            if k >= pref.size or chosen + k >= best:
-                return
-            gain = float(w[cover[i] & ~covered].sum())
-            if gain <= 0.0:
-                continue
-            descend(i + 1, chosen + 1, covered | cover[i], got + gain)
-
-    descend(0, 0, np.zeros(U, dtype=bool), 0.0)
-    return best

@@ -83,7 +83,7 @@ __all__ = [
 ]
 
 # Stream id for measure sampling under child_rng, distinct from the path
-# stream (0) and the candidate stream (3).
+# stream (0).
 _MEASURE_STREAM = 5
 
 

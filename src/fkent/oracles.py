@@ -1,16 +1,14 @@
 """Closed-form oracles the estimators are validated against.
 
 Nothing here touches the match DP or the greedy nets: match-count bounds
-come from binomial coefficients, entropy rates from the per-letter factors
-and the law of the driving process, and partial-cover sizes from brute
-subset enumeration.  Tests freeze these values and require the numerical
-estimators to reproduce them.
+come from binomial coefficients, and entropy rates from the per-letter
+factors and the law of the driving process.  Tests freeze these values and
+require the numerical estimators to reproduce them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 import math
 
 import numpy as np
@@ -25,7 +23,6 @@ __all__ = [
     "binomial_rate",
     "mismatch_entropy_budget",
     "expected_entropy",
-    "exhaustive_partial_cover",
 ]
 
 
@@ -115,34 +112,3 @@ def expected_entropy(system: RandomSystemSpec, process: DrivingProcess) -> Oracl
         tag = "word-count"
     value = float(np.dot(weights, np.log(np.asarray(system.factors, dtype=float))))
     return OracleValue(value=value, derivation=tag)
-
-
-def exhaustive_partial_cover(membership, weights=None, mass_threshold: float = 0.95) -> int:
-    """Minimum sets reaching the mass threshold, by brute subset enumeration.
-
-    Independent of any search heuristic: tries all subsets in increasing
-    size, so it is the ground truth for small instances (at most 20 sets).
-    """
-    cover = np.asarray(membership, dtype=bool)
-    if cover.ndim != 2 or cover.shape[0] < 1:
-        raise ValueError("membership must be a nonempty (S, U) bool array")
-    if cover.shape[0] > 20:
-        raise ValueError("exhaustive cover is capped at 20 sets")
-    S, U = cover.shape
-    w = np.ones(U) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (U,) or (w < 0).any():
-        raise ValueError("weights must be nonnegative, one per universe point")
-    total = float(w.sum())
-    if total <= 0.0:
-        raise ValueError("total weight must be positive")
-    if not 0.0 < mass_threshold < 1.0:
-        raise ValueError("mass threshold must lie in (0, 1)")
-    need = mass_threshold * total - 1e-9 * total
-    if float(w[cover.any(axis=0)].sum()) + 1e-12 < need:
-        raise ValueError("the union of the given sets cannot reach the mass threshold")
-    for size in range(1, S + 1):
-        for combo in combinations(range(S), size):
-            got = float(w[cover[list(combo)].any(axis=0)].sum())
-            if got >= need:
-                return size
-    raise AssertionError("unreachable: full union reaches the threshold")

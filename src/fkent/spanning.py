@@ -41,7 +41,6 @@ from .systems import (
     OrbitSegment,
     RandomSystemSpec,
     ResourceCapExceeded,
-    child_rng,
     expansion_product,
     orbit_batch,
     sample_path,
@@ -76,11 +75,8 @@ __all__ = [
 
 SEPARATED = "greedy-separated"
 
-# Seed of the i.i.d. word fallback in word_candidates, drawn on child_rng
-# stream 3 (the path stream is 0, the measure stream 5).
-_WORD_SEED = 0
-
-# Multiplicative slack of CountTable.validate's cross-window density laws.
+# Multiplicative slack of CountTable.validate's density laws in n and eps,
+# applied to every comparison on top of one count of jitter.
 _DENSITY_SLACK = 0.05
 
 # torus_grid_candidates lays _SUBDIVISIONS + 0.5 grid steps per ball
@@ -139,34 +135,28 @@ def word_candidates(
     """All admissible itineraries long enough to decide eps-closeness.
 
     Enumerates every word whose position-i symbol ranges over the alphabet
-    the path prescribes there; falls back to an i.i.d. sample of `budget`
-    words when the enumeration would exceed the budget.  Returns the
-    words' measure and the window 1.0: either way the words stand for the
-    whole fiber.
+    the path prescribes there, and raises ResourceCapExceeded when there
+    are more than `budget` of them.  Returns the words' measure and the
+    window 1.0: the words are the whole fiber.
     """
     if not system.on_words:
         raise ValueError("word candidates apply to shift families")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     length = ball_steps(system.metric, n, eps)
-    radices = system.factor_along(path, length)
-    total = 1
-    for r in radices:
-        total *= int(r)
-        if total > budget:
-            break
-    if total <= budget:
-        idx = np.arange(total, dtype=np.int64)
-        words = np.empty((total, length), dtype=np.int64)
-        place = total
-        for i, r in enumerate(radices):
-            place //= int(r)
-            words[:, i] = (idx // place) % int(r)
-        return EmpiricalMeasure(system, path, words), 1.0
-    rng = child_rng(_WORD_SEED, 3, n)
-    words = np.empty((budget, length), dtype=np.int64)
+    radices = [int(r) for r in system.factor_along(path, length)]
+    total = math.prod(radices)
+    if total > budget:
+        raise ResourceCapExceeded(
+            f"word enumeration needs {total} words, budget {budget}; "
+            "lower n, raise eps or raise the budget"
+        )
+    idx = np.arange(total, dtype=np.int64)
+    words = np.empty((total, length), dtype=np.int64)
+    place = total
     for i, r in enumerate(radices):
-        words[:, i] = rng.integers(0, int(r), size=budget)
+        place //= r
+        words[:, i] = (idx // place) % r
     return EmpiricalMeasure(system, path, words), 1.0
 
 
@@ -307,14 +297,18 @@ class CountTable:
         return sorted({getattr(e, field_name) for e in self.entries})
 
     def validate(self) -> None:
-        """Asserts the count laws, on densities when windows differ.
+        """Asserts the count laws on densities, count / window.
 
-        Same-window comparisons are exact up to one count of greedy-boundary
-        jitter; cross-window comparisons get a multiplicative slack on top.
-        The growth-in-n law is asserted for the Bowen metric only: the FK
-        match target is quantized, so when n*eps crosses an integer the FK
-        balls jump in size and FK counts can genuinely dip before the
-        exponential growth resumes.  Raises InvariantViolation on failure.
+        Along n a density may not fall, and along eps (ascending) it may
+        not rise, by more than one count of greedy-boundary jitter plus
+        the multiplicative _DENSITY_SLACK.  Both allowances apply to every
+        comparison, within one window or across windows (word tables all
+        share window 1.0).  The growth-in-n law is asserted for the Bowen
+        metric only: the FK match target is quantized, so when n*eps
+        crosses an integer the FK balls jump in size and FK counts can
+        genuinely dip before the exponential growth resumes.  Within one
+        (n, eps, window) cell the FK count may not exceed the Bowen count,
+        with no slack.  Raises InvariantViolation on failure.
         """
         for e in self.entries:
             if e.count < 1:

@@ -333,6 +333,16 @@ def test_cli_resource_cap(tmp_path, capsys):
     assert "pair" in capsys.readouterr().err
 
 
+def test_cli_word_enumeration_cap(tmp_path, capsys):
+    # on the (2, 2) shift, n = 5 at eps = 0.1 enumerates 2^8 = 256 words
+    text = TINY.replace("family = expanding", "family = shift").replace("m = 2", "m = 2, 2")
+    text = text.replace("p = 1.0", "p = 0.5, 0.5").replace("n = 4, 6, 8", "n = 3, 4, 5")
+    path = write_config(tmp_path, text.format(out=tmp_path / "out"))
+    code = main(["compare-top", "--config", path, "--paths", "1", "--candidate-budget", "100"])
+    assert code == 4
+    assert "budget 100" in capsys.readouterr().err
+
+
 def test_cli_estimate_top_end_to_end(tmp_path, capsys):
     path = write_config(tmp_path, TINY.format(out=tmp_path / "out"))
     code = main(
@@ -357,4 +367,4 @@ def test_cli_estimate_top_end_to_end(tmp_path, capsys):
 
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
-    assert capsys.readouterr().out.rstrip("\n").endswith("selftest passed (5 checks)")
+    assert capsys.readouterr().out.rstrip("\n").endswith("selftest passed (4 checks)")

@@ -1,12 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 
 from fkent.oracles import (
     OracleValue,
     binomial_rate,
-    exhaustive_partial_cover,
     expected_entropy,
     log_binomial,
     match_count_bound,
@@ -83,24 +81,3 @@ def test_oracle_value_validation():
     assert v.value == 1.0
     with pytest.raises(ValueError):
         OracleValue(value=float("nan"), derivation="branch-count")
-
-
-def test_exhaustive_partial_cover_hand_instance():
-    # two sets cover {0,1,2,3}; one set alone reaches 0.5 of the mass
-    membership = np.array(
-        [
-            [True, True, False, False],
-            [False, False, True, True],
-            [True, False, False, True],
-        ]
-    )
-    assert exhaustive_partial_cover(membership, mass_threshold=0.5) == 1
-    assert exhaustive_partial_cover(membership, mass_threshold=0.95) == 2
-
-
-def test_exhaustive_partial_cover_weights_and_feasibility():
-    membership = np.array([[True, False], [False, False]])
-    weights = np.array([0.2, 0.8])
-    assert exhaustive_partial_cover(membership, weights, mass_threshold=0.2) == 1
-    with pytest.raises(ValueError):
-        exhaustive_partial_cover(membership, weights, mass_threshold=0.5)

@@ -59,13 +59,19 @@ def test_separated_kill_is_closed():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_shift_separated_counts_grow_like_words(n):
-    # eps = 0.4 resolves cylinder depth 2, so distinct (n+1)-prefixes separate
+    # open balls at eps = 0.4 and 0.5 read cylinder depth 2, so the
+    # enumeration holds the 2^(n+1) words of n + 1 symbols; at eps = 0.25
+    # they read depth 3, 2^(n+2) words.  Killing is closed, and at a
+    # power-of-two eps the closed depth is one less, so eps = 0.4
+    # separates every word and 0.5 and 0.25 keep half of them
     system = shift_system((2, 2))
     path = sample_path(bernoulli_process((0.5, 0.5)), 10, 1)
-    cand, window = word_candidates(system, path, n, 0.4)
-    count, _ = greedy_separated(cand, n, BOWEN, 0.4)
-    assert count == 2 ** (n + 1)
-    assert cand.M == 2 ** (n + 1) and window == 1.0
+    cases = [(0.4, 2 ** (n + 1), 2 ** (n + 1)), (0.5, 2 ** (n + 1), 2**n), (0.25, 2 ** (n + 2), 2 ** (n + 1))]
+    for eps, words, kept in cases:
+        cand, window = word_candidates(system, path, n, eps)
+        count, _ = greedy_separated(cand, n, BOWEN, eps)
+        assert count == kept, eps
+        assert cand.M == words and window == 1.0, eps
 
 
 def test_grid_candidates_fields():
