@@ -32,7 +32,7 @@ for n in (4, 6, 8):
     print(f"{n:<4d} {cell.count:<6d} {cell.covered_mass:.4f}    {rough:.0f}")
 
 cells = katok_table(mu, [4, 6, 8], [0.1], ("bowen",), pair_budget=10**8)["bowen"]
-fit = table_slopes(cells, [4, 6, 8], [0.1])
+fit = table_slopes(cells)
 print(f"slope {fit.value:.4f} (rms {fit.residuals[0]:.3f}), expected {math.log(2):.4f}")
 
 print()

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .harness import _PARSERS, EXPERIMENTS, load_config, run_experiment
+from .harness import EXPERIMENTS, ExperimentConfig, load_config, run_experiment
 from .matching import (
     bowen_distance,
     brute_force_match,
@@ -39,25 +40,12 @@ from .systems import (
 
 __all__ = ["main"]
 
-_FLAG_HELP = {
-    "family": "expanding | tent | shift",
-    "m": "comma list of per-letter branch factors or alphabet sizes",
-    "law": "bernoulli | markov",
-    "p": "comma list of letter weights (bernoulli)",
-    "rows": "semicolon-separated transition rows (markov)",
-    "n": "comma list of time horizons",
-    "eps": "comma list of resolutions",
-    "delta": "comma list of ball radii (local experiments)",
-    "M": "sample count for empirical measures",
-    "paths": "number of driving paths",
-    "base_points": "number of base points (local experiments)",
-    "candidate_target": "separated-set size the candidate window aims for",
-    "candidate_budget": "max candidates per cell",
-    "pair_budget": "max pairwise tests per cover matrix",
-    "seed": "master seed; all other seeds derive from it",
-    "outdir": "output directory for report.json and CSVs",
-    "workers": "worker processes (FKENT_THREADS caps this)",
-}
+# the config fields `oracle expected-entropy` reads: the system and its driving law
+_ORACLE_FIELDS = [f for f in fields(ExperimentConfig) if f.metadata["section"] in ("system", "driving")]
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,9 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         sp.add_argument("--config", metavar="FILE", help="INI config file")
-        for key in _PARSERS:
-            flag = "--" + key.replace("_", "-")
-            sp.add_argument(flag, dest=key, metavar="V", help=_FLAG_HELP.get(key, ""))
+        for f in fields(ExperimentConfig):
+            sp.add_argument(_flag(f.name), dest=f.name, metavar="V", help=f.metadata["help"])
 
     orc = sub.add_parser("oracle", help="print a closed-form reference value")
     orc.add_argument(
@@ -82,26 +69,24 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--eps", metavar="V")
     orc.add_argument("--n", metavar="V")
     orc.add_argument("--k", metavar="V")
-    orc.add_argument("--family", metavar="V")
-    orc.add_argument("--m", metavar="V")
-    orc.add_argument("--p", metavar="V")
-    orc.add_argument("--law", metavar="V")
-    orc.add_argument("--rows", metavar="V")
+    for f in _ORACLE_FIELDS:
+        orc.add_argument(_flag(f.name), dest=f.name, metavar="V")
 
     sub.add_parser("selftest", help="fast exactness checks; exit 0 when all hold")
     return parser
 
 
-def _overrides(args: argparse.Namespace) -> dict:
+def _overrides(args: argparse.Namespace, config_fields) -> dict:
+    """The given config fields' flag values, parsed by their declared parsers."""
     out = {}
-    for key in _PARSERS:
-        raw = getattr(args, key, None)
+    for f in config_fields:
+        raw = getattr(args, f.name)
         if raw is None:
             continue
         try:
-            out[key] = _PARSERS[key](raw)
+            out[f.name] = f.metadata["parse"](raw)
         except ValueError as exc:
-            raise ValueError(f"bad value for --{key.replace('_', '-')}: {exc}") from None
+            raise ValueError(f"bad value for {_flag(f.name)}: {exc}") from None
     return out
 
 
@@ -140,12 +125,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
         n, k = _require(args, kind, "n", "k")
         print(match_count_bound(int(n), int(k)))
     else:
-        overrides = {
-            key: _PARSERS[key](getattr(args, key))
-            for key in ("family", "m", "p", "law", "rows")
-            if getattr(args, key, None) is not None
-        }
-        cfg = load_config(None, overrides)
+        cfg = load_config(None, _overrides(args, _ORACLE_FIELDS))
         oracle = expected_entropy(cfg.system(), cfg.process())
         print("%.4f" % oracle.value)
     return 0
@@ -209,7 +189,7 @@ def main(argv=None) -> int:
             return _run_oracle(args)
         if args.command == "selftest":
             return _selftest()
-        cfg = load_config(args.config, _overrides(args))
+        cfg = load_config(args.config, _overrides(args, fields(ExperimentConfig)))
         report = run_experiment(args.command, cfg)
         _print_report(report)
         return 0

@@ -2,24 +2,28 @@
 
 One ExperimentConfig drives every experiment.  Every experiment is a
 comparison: it runs one estimator under both orbit metrics on the same
-schedules and reports the FK minus Bowen gap.  Configs load from INI
-files with a strict schema (unknown sections or keys are errors, so typos
-fail loudly) and command-line overrides are applied on top.  Reports are
+schedules and reports the FK minus Bowen gap.  Each config field is
+declared once, in ExperimentConfig, with its default, INI section, value
+parser and flag help; the INI keys, the CLI flags and their help all come
+from those declarations.  Configs load from INI files checked against
+them (unknown sections or keys are errors, so typos fail loudly) and
+command-line overrides are applied on top.  Reports are
 a JSON document plus one CSV per experiment; CSV comment lines (prefixed
 '#') carry the timestamp and version so the body stays byte-reproducible
 for a fixed config, including across worker counts.
 
-Worker tasks recompute their own path and measure (which holds the
-samples' orbit stack) from seeds carried in the payload.  Top and katok
-runs have one task per path, and each task only maps the config onto its
+Worker tasks recompute their own measure (which holds the samples'
+orbit stack) from seeds carried in the payload.  Top and katok runs have
+one task per path, and each task only maps the config onto its
 estimator's per-path routine (`spanning.path_entropy`,
-`katok.katok_path_entropy`).  Averaging over paths happens here and
-nowhere else: the library's `katok_entropy` is path 0 of a
-compare-katok run.  Local runs have one task per contiguous group of base
-points (one group per worker), which builds the path and measure once.
-That trades a little redundant work for results that cannot depend on
-scheduling: every task is a pure function of (config, seed, its paths or
-base points), and reduction happens in task order.
+`katok.katok_path_entropy`), which draws the path too.  Averaging over
+paths happens here and nowhere else: the library's `katok_entropy` is
+path 0 of a compare-katok run.  Local runs draw their one path here,
+since the base points are drawn along it, and have one task per
+contiguous group of base points (one group per worker), which builds the
+measure once.  That trades a little redundant work for results that
+cannot depend on scheduling: every task is a pure function of (config,
+seed, its paths or base points), and reduction happens in task order.
 """
 
 from __future__ import annotations
@@ -32,13 +36,13 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
 from .katok import PAIR_BUDGET, katok_horizon, katok_path_entropy
-from .local import local_entropy, sample_measure
+from .local import local_entropy, reference_points, sample_measure
 from .matching import BOWEN, FK, KINDS, MAX_MATCH_STEPS, inclusion_violations
 from .oracles import expected_entropy
 from .spanning import path_entropy, path_seeds
@@ -60,75 +64,67 @@ __all__ = [
     "EXPERIMENTS",
 ]
 
-EXPERIMENTS = ("compare-top", "compare-local", "compare-katok")
-
 # base points for local experiments come from their own seed stream so
 # changing the schedule never reshuffles the path or measure draws
 _BASE_STREAM = 7
-
-_SCHEMA = {
-    "system": ("family", "m"),
-    "driving": ("law", "p", "rows"),
-    "schedules": ("n", "eps", "delta"),
-    "budgets": (
-        "M",
-        "paths",
-        "base_points",
-        "candidate_target",
-        "candidate_budget",
-        "pair_budget",
-    ),
-    "run": ("seed", "outdir", "workers"),
-}
 
 _FAMILIES = ("expanding", "tent", "shift")
 _LAWS = ("bernoulli", "markov")
 
 
-def _parse_ints(text: str, name: str) -> tuple[int, ...]:
+def _text(text: str) -> str:
+    return str(text).strip()
+
+
+def _ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in str(text).split(",") if part.strip() != "")
     except ValueError:
-        raise ValueError(f"{name} must be a comma list of integers, got {text!r}") from None
+        raise ValueError(f"must be a comma list of integers, got {text!r}") from None
 
 
-def _parse_floats(text: str, name: str) -> tuple[float, ...]:
+def _floats(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in str(text).split(",") if part.strip() != "")
     except ValueError:
-        raise ValueError(f"{name} must be a comma list of numbers, got {text!r}") from None
+        raise ValueError(f"must be a comma list of numbers, got {text!r}") from None
 
 
-def _parse_rows(text: str) -> tuple[tuple[float, ...], ...]:
-    rows = []
-    for chunk in str(text).split(";"):
-        if chunk.strip() == "":
-            continue
-        rows.append(_parse_floats(chunk, "rows"))
-    return tuple(rows)
+def _rows(text: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(_floats(chunk) for chunk in str(text).split(";") if chunk.strip() != "")
+
+
+def _option(default, section: str, parse, help: str):
+    """A config field with its INI section, value parser and flag help."""
+    return field(default=default, metadata={"section": section, "parse": parse, "help": help})
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs, with defaults sized for a quick desk run."""
+    """Everything a run needs, with defaults sized for a quick desk run.
 
-    family: str = "expanding"
-    m: tuple[int, ...] = (2, 3)
-    law: str = "bernoulli"
-    p: tuple[float, ...] = (0.5, 0.5)
-    rows: tuple[tuple[float, ...], ...] = ()
-    n: tuple[int, ...] = (8, 10, 12, 14)
-    eps: tuple[float, ...] = (0.2, 0.1, 0.05)
-    delta: tuple[float, ...] = (0.2, 0.1)
-    M: int = 100_000
-    paths: int = 8
-    base_points: int = 20
-    candidate_target: int = 2000
-    candidate_budget: int = 200_000
-    pair_budget: int = PAIR_BUDGET
-    seed: int = 0
-    outdir: str = "out"
-    workers: int = 1
+    Each field declares its INI section, its value parser (raw text to
+    value, ValueError on bad text) and its flag help in its metadata;
+    load_config and the CLI read every key, flag and help line from there.
+    """
+
+    family: str = _option("expanding", "system", _text, " | ".join(_FAMILIES))
+    m: tuple[int, ...] = _option((2, 3), "system", _ints, "comma list of per-letter branch factors or alphabet sizes")
+    law: str = _option("bernoulli", "driving", _text, " | ".join(_LAWS))
+    p: tuple[float, ...] = _option((0.5, 0.5), "driving", _floats, "comma list of letter weights (bernoulli)")
+    rows: tuple[tuple[float, ...], ...] = _option((), "driving", _rows, "semicolon-separated transition rows (markov)")
+    n: tuple[int, ...] = _option((8, 10, 12, 14), "schedules", _ints, "comma list of time horizons")
+    eps: tuple[float, ...] = _option((0.2, 0.1, 0.05), "schedules", _floats, "comma list of resolutions")
+    delta: tuple[float, ...] = _option((0.2, 0.1), "schedules", _floats, "comma list of ball radii (local experiments)")
+    M: int = _option(100_000, "budgets", int, "sample count for empirical measures")
+    paths: int = _option(8, "budgets", int, "number of driving paths")
+    base_points: int = _option(20, "budgets", int, "number of base points (local experiments)")
+    candidate_target: int = _option(2000, "budgets", int, "separated-set size the candidate window aims for")
+    candidate_budget: int = _option(200_000, "budgets", int, "max candidates per cell")
+    pair_budget: int = _option(PAIR_BUDGET, "budgets", int, "max pairwise tests per cover matrix")
+    seed: int = _option(0, "run", int, "master seed; all other seeds derive from it")
+    outdir: str = _option("out", "run", _text, "output directory for report.json and CSVs")
+    workers: int = _option(1, "run", int, "worker processes (FKENT_THREADS caps this)")
 
     def validate(self) -> None:
         if self.family not in _FAMILIES:
@@ -183,29 +179,8 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-_PARSERS = {
-    "family": lambda v: str(v).strip(),
-    "m": lambda v: _parse_ints(v, "m"),
-    "law": lambda v: str(v).strip(),
-    "p": lambda v: _parse_floats(v, "p"),
-    "rows": _parse_rows,
-    "n": lambda v: _parse_ints(v, "n"),
-    "eps": lambda v: _parse_floats(v, "eps"),
-    "delta": lambda v: _parse_floats(v, "delta"),
-    "M": lambda v: int(v),
-    "paths": lambda v: int(v),
-    "base_points": lambda v: int(v),
-    "candidate_target": lambda v: int(v),
-    "candidate_budget": lambda v: int(v),
-    "pair_budget": lambda v: int(v),
-    "seed": lambda v: int(v),
-    "outdir": lambda v: str(v).strip(),
-    "workers": lambda v: int(v),
-}
-
-
 def load_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
-    """INI file (optional) plus override mapping, schema-checked.
+    """INI file (optional) plus override mapping, checked against the field declarations.
 
     Unknown sections, unknown keys, and malformed values raise ValueError
     naming the offending field.  Overrides use dataclass field names and
@@ -219,20 +194,22 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
         if not read:
             raise ValueError(f"config file not found: {path}")
         for section in parser.sections():
-            if section not in _SCHEMA:
+            keys = {f.name: f for f in fields(ExperimentConfig) if f.metadata["section"] == section}
+            if not keys:
                 raise ValueError(f"unknown config section [{section}]")
             for key, raw in parser.items(section):
-                if key not in _SCHEMA[section]:
+                if key not in keys:
                     raise ValueError(f"unknown key {key!r} in section [{section}]")
                 if raw.strip() == "":
                     continue
                 try:
-                    value = _PARSERS[key](raw)
+                    value = keys[key].metadata["parse"](raw)
                 except ValueError as exc:
                     raise ValueError(f"bad value for [{section}] {key}: {exc}") from None
                 cfg = replace(cfg, **{key: value})
+    names = {f.name for f in fields(ExperimentConfig)}
     for key, value in (overrides or {}).items():
-        if key not in _PARSERS:
+        if key not in names:
             raise ValueError(f"unknown config field {key!r}")
         if value is None:
             continue
@@ -337,10 +314,8 @@ def _top_task(payload) -> dict:
 
 
 def _local_task(payload) -> list[dict]:
-    cfg, path_seed, points = payload
-    system = cfg.system()
-    path = sample_path(cfg.process(), katok_horizon(system, cfg.n, cfg.delta), path_seed)
-    measure = sample_measure(system, path, cfg.M, path_seed)
+    cfg, path, points = payload
+    measure = sample_measure(cfg.system(), path, cfg.M, path.seed)
     return [{"x": np.asarray(x), "records": local_entropy(measure, x, cfg.n, cfg.delta, KINDS)} for x in points]
 
 
@@ -402,20 +377,12 @@ def _run_top(cfg: ExperimentConfig) -> tuple[dict, dict]:
 def _run_local(cfg: ExperimentConfig) -> tuple[dict, dict]:
     system = cfg.system()
     path_seed = int(path_seeds(cfg.seed, 1)[0])
-    rng = child_rng(cfg.seed, _BASE_STREAM)
-    horizon = katok_horizon(system, cfg.n, cfg.delta)
-    if system.on_words:
-        process = cfg.process()
-        path = sample_path(process, horizon, path_seed)
-        sizes = system.factor_along(path, horizon).astype(float)
-        u = rng.random((cfg.base_points, horizon))
-        base = np.minimum(np.floor(u * sizes), sizes - 1.0).astype(np.int64)
-    else:
-        base = rng.random((cfg.base_points, 1))
+    path = sample_path(cfg.process(), katok_horizon(system, cfg.n, cfg.delta), path_seed)
+    base = reference_points(system, path, cfg.base_points, child_rng(cfg.seed, _BASE_STREAM))
 
     workers = _effective_workers(cfg, cfg.base_points)
     groups = np.array_split(base, workers)
-    payloads = [(cfg, path_seed, points) for points in groups]
+    payloads = [(cfg, path, points) for points in groups]
     results = [res for group in _ordered_map(_local_task, payloads, workers) for res in group]
 
     rows = []
@@ -499,15 +466,16 @@ def _run_katok(cfg: ExperimentConfig) -> tuple[dict, dict]:
     return report, csv_payload
 
 
+EXPERIMENTS = {"compare-top": _run_top, "compare-local": _run_local, "compare-katok": _run_katok}
+
+
 def run_experiment(experiment: str, cfg: ExperimentConfig) -> dict:
     """Run one experiment, write report.json and its CSV, return the report."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
     cfg.validate()
     started = time.time()
-    kind = experiment.split("-", 1)[1]
-    runner = {"top": _run_top, "local": _run_local, "katok": _run_katok}[kind]
-    results, csv_payload = runner(cfg)
+    results, csv_payload = EXPERIMENTS[experiment](cfg)
 
     os.makedirs(cfg.outdir, exist_ok=True)
     csv_path = os.path.join(cfg.outdir, csv_payload["name"])
@@ -523,7 +491,7 @@ def run_experiment(experiment: str, cfg: ExperimentConfig) -> dict:
             "elapsed_s": round(time.time() - started, 3),
             "config_digest": cfg.digest(),
             "workers_used": _effective_workers(
-                cfg, cfg.base_points if kind == "local" else cfg.paths
+                cfg, cfg.base_points if experiment == "compare-local" else cfg.paths
             ),
         },
         "files": {"csv": csv_path},

@@ -39,7 +39,7 @@ from .matching import BOWEN, ball_kind, ball_steps, check_kinds, slack_band
 from .spanning import (
     EntropyEstimate,
     cover_matrix,
-    fit_log_slope,
+    eps_slopes,
     greedy_cover,
     katok_horizon,
     path_seeds,
@@ -236,15 +236,9 @@ def katok_table(
     return tables
 
 
-def table_slopes(cells, n_window, eps_list) -> EntropyEstimate:
+def table_slopes(cells: dict[tuple[float, int], KatokCount]) -> EntropyEstimate:
     """Per-eps slope of log count against n, eps ascending, valued at the smallest eps."""
-    n_window = sorted(set(int(n) for n in n_window))
-    fits = [
-        fit_log_slope(n_window, [math.log(cells[(eps, n)].count) for n in n_window])
-        for eps in sorted(set(float(e) for e in eps_list))
-    ]
-    slopes = tuple(slope for slope, _ in fits)
-    return EntropyEstimate(value=slopes[0], slopes=slopes, residuals=tuple(rms for _, rms in fits))
+    return eps_slopes({key: math.log(cell.count) for key, cell in cells.items()})
 
 
 def katok_path_entropy(
@@ -266,7 +260,7 @@ def katok_path_entropy(
     path = sample_path(process, katok_horizon(system, n_window, eps_list), seed)
     measure = sample_measure(system, path, M, seed)
     cells = katok_table(measure, n_window, eps_list, kinds, pair_budget=pair_budget)
-    return cells, {kind: table_slopes(cells[kind], n_window, eps_list) for kind in kinds}
+    return cells, {kind: table_slopes(cells[kind]) for kind in kinds}
 
 
 def katok_entropy(

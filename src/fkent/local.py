@@ -76,6 +76,7 @@ __all__ = [
     "GridPartition",
     "LocalEntry",
     "LocalEntropyRecord",
+    "reference_points",
     "sample_measure",
     "ball_measure",
     "local_entropy",
@@ -87,32 +88,42 @@ __all__ = [
 _MEASURE_STREAM = 5
 
 
+def reference_points(system: RandomSystemSpec, omega: OmegaPath, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count draws from the reference measure of the system's fiber along omega.
+
+    Circle families get Lebesgue, which every expanding map and every
+    full-branch tent preserves: a (count, 1) array of points.  Shift
+    systems get the product measure whose step-i marginal is uniform on
+    the alphabet of the step-i fiber, the family the shift cocycle pushes
+    forward onto itself: a (count, omega.horizon) word matrix.
+    """
+    if not system.on_words:
+        return rng.random((count, 1))
+    sizes = system.factor_along(omega, omega.horizon)
+    u = rng.random((count, omega.horizon))
+    u *= sizes[None, :]
+    words = u.astype(np.int64)
+    del u
+    np.minimum(words, sizes[None, :] - 1, out=words)
+    return words
+
+
 def sample_measure(system: RandomSystemSpec, omega: OmegaPath, M: int, seed: int) -> EmpiricalMeasure:
     """Draw M samples from the reference measure of the system's fiber, with their orbits.
 
-    Circle families get Lebesgue, which every expanding map and every
-    full-branch tent preserves; the draws are iterated once along omega,
-    so the stack holds omega.horizon steps.  Shift systems get the product
-    measure whose step-i marginal is uniform on the alphabet of the step-i
-    fiber, the family the shift cocycle pushes forward onto itself.  Word
-    samples carry one symbol per path step and are their own orbit stack,
-    so the path horizon bounds the usable n + depth - 1 downstream.
+    The draws come from reference_points.  Circle draws are iterated once
+    along omega, so the stack holds omega.horizon steps.  Word samples
+    carry one symbol per path step and are their own orbit stack, so the
+    path horizon bounds the usable n + depth - 1 downstream.
     """
     if M < 1:
         raise ValueError("sample count M must be >= 1")
     if omega.horizon < 1:
         raise ValueError("path horizon must be >= 1 to sample a measure")
-    rng = child_rng(seed, _MEASURE_STREAM)
+    points = reference_points(system, omega, M, child_rng(seed, _MEASURE_STREAM))
     if system.on_words:
-        length = omega.horizon
-        sizes = system.factor_along(omega, length)
-        u = rng.random((M, length))
-        u *= sizes[None, :]
-        words = u.astype(np.int64)
-        del u
-        np.minimum(words, sizes[None, :] - 1, out=words)
-        return EmpiricalMeasure(system, omega, words)
-    return EmpiricalMeasure(system, omega, orbit_batch(system, omega, rng.random((M, 1)), omega.horizon))
+        return EmpiricalMeasure(system, omega, points)
+    return EmpiricalMeasure(system, omega, orbit_batch(system, omega, points, omega.horizon))
 
 
 @dataclass(frozen=True)
@@ -244,17 +255,16 @@ class LocalEntropyRecord:
                 raise InvariantViolation("mixed metric kinds in one record")
             if not e.flagged and e.estimate < -1e-12:
                 raise InvariantViolation("negative local entropy entry")
-        if self.kind == BOWEN:
-            by_delta: dict[float, list[LocalEntry]] = {}
-            for e in self.entries:
-                by_delta.setdefault(e.delta, []).append(e)
-            for col in by_delta.values():
-                col.sort(key=lambda e: e.n)
-                for a, b in zip(col, col[1:]):
-                    if b.count > a.count:
-                        raise InvariantViolation(
-                            f"Bowen ball count grew from n={a.n} to n={b.n}"
-                        )
+        by_n = sorted(self.entries, key=lambda e: (e.n, e.delta))
+        for a, b in zip(by_n, by_n[1:]):
+            if a.n == b.n and b.count < a.count:
+                raise InvariantViolation(
+                    f"{self.kind} ball count fell from delta={a.delta} to delta={b.delta} at n={a.n}"
+                )
+        by_delta = sorted(self.entries, key=lambda e: (e.delta, e.n))
+        for a, b in zip(by_delta, by_delta[1:]):
+            if self.kind == BOWEN and a.delta == b.delta and b.count > a.count:
+                raise InvariantViolation(f"Bowen ball count grew from n={a.n} to n={b.n}")
 
 
 def _ball_count_table(
@@ -318,24 +328,11 @@ def _local_record(
     M: int,
 ) -> LocalEntropyRecord:
     """Preflight one kind's counts (see local_entropy) and fit its record."""
-    d_top = delta_list[-1]
-    if len(n_list) >= 3:
-        c2 = counts[(n_list[-3], d_top)]
-        c1 = counts[(n_list[-2], d_top)]
-        if c2 == 0 or c1 == 0:
-            predicted = 0.0
-        else:
-            step = (n_list[-1] - n_list[-2]) / (n_list[-2] - n_list[-3])
-            predicted = c1 * (c1 / c2) ** step
-    elif len(n_list) == 2:
-        predicted = float(counts[(n_list[-2], d_top)])
-    else:
-        predicted = float(counts[(n_list[0], d_top)])
-    if predicted < 10.0:
+    top = counts[(n_list[-1], delta_list[-1])]
+    if top < 10:
         raise ValueError(
-            f"sample budget too small: predicted count {predicted:.1f} < 10 "
-            f"at n={n_list[-1]}, delta={d_top}; raise M above "
-            f"{int(math.ceil(10 * M / max(predicted, 1e-3)))}"
+            f"sample budget too small: count {top} < 10 at n={n_list[-1]}, delta={delta_list[-1]}; "
+            f"raise M above {10 * M // max(top, 1)}"
         )
 
     entries = tuple(
@@ -373,11 +370,9 @@ def local_entropy(
 
     kinds is a tuple of orbit metrics; the result maps each to its record.
     One sample pass counts every kind (see _ball_count_table).  Each kind
-    is then preflighted in the order given: the count at the largest n is
-    predicted by geometric extrapolation from the two previous n's at the
-    largest delta, and a prediction below 10 means M is too small for the
-    schedule and raises.  Zero counts inside the table are flagged
-    entries, not errors.
+    is then preflighted in the order given: a count below 10 at the
+    largest n and largest delta means M is too small for the schedule and
+    raises.  Zero counts inside the table are flagged entries, not errors.
 
     The base point's orbit runs along the measure's own system and path,
     and the counts read the measure's orbit stack, so a stack shorter

@@ -64,6 +64,7 @@ __all__ = [
     "count_table",
     "cover_matrix",
     "entropy_from_counts",
+    "eps_slopes",
     "fit_log_slope",
     "greedy_cover",
     "greedy_separated",
@@ -387,36 +388,40 @@ def fit_log_slope(ns, ys, bands=None) -> tuple[float, float]:
 class EntropyEstimate:
     """Entropy slope with its convergence diagnostics.
 
-    value is the slope at the smallest eps in the schedule; the per-eps
-    slopes, eps ascending, stand in for the radius limit.
+    The per-eps slopes, eps ascending, stand in for the radius limit;
+    value is the slope at the smallest eps.
     """
 
-    value: float
     slopes: tuple[float, ...]
     residuals: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(r) for r in self.residuals):
             raise InvariantViolation("non-finite fit residual")
-        if self.value != self.slopes[0]:
-            raise InvariantViolation("value must be the slope at the smallest eps")
+
+    @property
+    def value(self) -> float:
+        return self.slopes[0]
+
+
+def eps_slopes(log_sizes: dict[tuple[float, int], float]) -> EntropyEstimate:
+    """Per-eps slope of log size against n, eps ascending, from {(eps, n): log size}."""
+    fits = []
+    for eps in sorted({eps for eps, _ in log_sizes}):
+        ns = sorted(n for e, n in log_sizes if e == eps)
+        fits.append(fit_log_slope(ns, [log_sizes[(eps, n)] for n in ns]))
+    return EntropyEstimate(slopes=tuple(slope for slope, _ in fits), residuals=tuple(rms for _, rms in fits))
 
 
 def entropy_from_counts(table: CountTable, metric: str = BOWEN) -> EntropyEstimate:
     """Per-eps slope of window-adjusted log counts over the table's n axis."""
-    ns = table.axis("n")
-    if len(ns) < 3:
+    if len(table.axis("n")) < 3:
         raise ValueError("need at least 3 n values in the window")
     if metric not in table.axis("metric"):
         raise ValueError(f"the table holds no {metric!r} counts")
-    slopes = []
-    residuals = []
-    for eps in table.axis("eps"):
-        cells = [table.lookup(n, eps, metric) for n in ns]
-        slope, rms = fit_log_slope(ns, [math.log(e.count) - math.log(e.window) for e in cells])
-        slopes.append(slope)
-        residuals.append(rms)
-    return EntropyEstimate(value=slopes[0], slopes=tuple(slopes), residuals=tuple(residuals))
+    return eps_slopes(
+        {(e.eps, e.n): math.log(e.count) - math.log(e.window) for e in table.entries if e.metric == metric}
+    )
 
 
 def katok_horizon(system: RandomSystemSpec, n_window, eps_list) -> int:

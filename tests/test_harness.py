@@ -1,15 +1,18 @@
 import csv
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fkent.cli import main
+from fkent.cli import _build_parser, main
 from fkent.katok import katok_entropy, katok_path_entropy
 from fkent.matching import BOWEN, FK, KINDS, match_slack
 from fkent.harness import (
-    _PARSERS,
+    EXPERIMENTS,
     ExperimentConfig,
     _effective_workers,
     _fmt,
@@ -115,12 +118,40 @@ def test_validate_rejects_bad_fields():
     ExperimentConfig(n=(8, 64)).validate()
 
 
-def test_parsers_cover_every_field():
-    for name in (f.name for f in ExperimentConfig.__dataclass_fields__.values()):
-        assert name in _PARSERS
-    assert _PARSERS["m"]("2, 3") == (2, 3)
-    assert _PARSERS["eps"]("0.2,0.1") == (0.2, 0.1)
-    assert _PARSERS["rows"]("0.9,0.1; 0.2,0.8") == ((0.9, 0.1), (0.2, 0.8))
+SECTIONS = ("system", "driving", "schedules", "budgets", "run")
+
+
+def test_fields_declare_section_parser_and_help():
+    for f in dataclasses.fields(ExperimentConfig):
+        assert f.metadata["section"] in SECTIONS, f.name
+        assert callable(f.metadata["parse"]), f.name
+        assert f.metadata["help"].strip(), f.name
+    parse = {f.name: f.metadata["parse"] for f in dataclasses.fields(ExperimentConfig)}
+    assert parse["m"]("2, 3") == (2, 3)
+    assert parse["eps"]("0.2,0.1") == (0.2, 0.1)
+    assert parse["rows"]("0.9,0.1; 0.2,0.8") == ((0.9, 0.1), (0.2, 0.8))
+    assert parse["M"]("4000") == 4000
+    assert parse["outdir"](" out ") == "out"
+
+
+def test_every_experiment_offers_every_field_flag():
+    parser = _build_parser()
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    argv = [arg for i, name in enumerate(names) for arg in ("--" + name.replace("_", "-"), str(i))]
+    for experiment in EXPERIMENTS:
+        args = vars(parser.parse_args([experiment] + argv))
+        assert {name: args[name] for name in names} == {name: str(i) for i, name in enumerate(names)}
+
+
+def test_readme_ini_example_names_every_field(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    cfg = load_config(write_config(tmp_path, block))
+    assert cfg.M == 100_000 and cfg.seed == 7
+    # rows only applies to law = markov, so the example names it on a commented line
+    keys = set(re.findall(r"^(?:# )?(\w+) =", block, flags=re.MULTILINE))
+    assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert re.search(r"^# rows =", block, flags=re.MULTILINE)
 
 
 def test_digest_tracks_content_not_formatting(tmp_path):

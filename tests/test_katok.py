@@ -198,7 +198,7 @@ def test_katok_table_and_entropy_doubling():
 def test_table_slopes_order():
     system, path, mu = doubling_measure()
     cells = katok_table(mu, [4, 6, 8], [0.2, 0.1], (BOWEN,))[BOWEN]
-    fit = table_slopes(cells, [4, 6, 8], [0.2, 0.1])
+    fit = table_slopes(cells)
     assert len(fit.slopes) == len(fit.residuals) == 2
     assert fit.value == fit.slopes[0]
     for slope, rms in zip(fit.slopes, fit.residuals):

@@ -7,6 +7,7 @@ from fkent import local, matching
 from fkent.local import (
     EmpiricalMeasure,
     GridPartition,
+    LocalEntropyRecord,
     LocalEntry,
     ball_measure,
     local_entropy,
@@ -326,6 +327,16 @@ def test_local_entry_flags_zero_count():
     live = LocalEntry(n=4, delta=0.1, kind=BOWEN, count=25, M=1000)
     assert not live.flagged
     assert live.estimate == pytest.approx(-math.log(25 / 1000) / 4)
+
+
+@pytest.mark.parametrize("kind", [BOWEN, FK])
+def test_local_record_rejects_count_falling_in_delta(kind):
+    # a ball count is nondecreasing in delta for both kinds, exactly, on a
+    # fixed sample; a record whose count falls as delta grows is corrupt
+    low = LocalEntry(n=6, delta=0.1, kind=kind, count=40, M=1000)
+    with pytest.raises(InvariantViolation, match="fell from delta=0.1 to delta=0.2 at n=6"):
+        LocalEntropyRecord(kind, (low, LocalEntry(n=6, delta=0.2, kind=kind, count=30, M=1000)), 0.5, 0.1)
+    LocalEntropyRecord(kind, (low, LocalEntry(n=6, delta=0.2, kind=kind, count=40, M=1000)), 0.5, 0.1)
 
 
 def test_local_entropy_preflight_rejects_small_budget():

@@ -93,9 +93,10 @@ def test_fit_log_slope_recovers_line():
 
 
 def test_entropy_estimate_invariants():
-    est = EntropyEstimate(value=0.5, slopes=(0.5, 0.6), residuals=(0.0, 0.0))
+    est = EntropyEstimate(slopes=(0.5, 0.6), residuals=(0.0, 0.0))
+    assert est.value == 0.5
     with pytest.raises(InvariantViolation):
-        EntropyEstimate(value=0.6, slopes=(0.5,), residuals=(0.0,))
+        EntropyEstimate(slopes=(0.5,), residuals=(math.nan,))
 
 
 def test_count_table_metric_inequality_and_lookup():
