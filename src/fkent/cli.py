@@ -30,13 +30,7 @@ from .oracles import (
     match_count_bound,
     stirling_rate,
 )
-from .systems import (
-    TORUS,
-    FiberMetric,
-    InvariantViolation,
-    OrbitSegment,
-    ResourceCapExceeded,
-)
+from .systems import InvariantViolation, OrbitSegment, ResourceCapExceeded
 
 __all__ = ["main"]
 
@@ -132,7 +126,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
 
 
 def _segment(points: np.ndarray) -> OrbitSegment:
-    return OrbitSegment(FiberMetric(TORUS), points.shape[0], points=points.reshape(-1, 1))
+    return OrbitSegment(points.shape[0], points=points.reshape(-1, 1))
 
 
 def _selftest() -> int:

@@ -45,7 +45,7 @@ from .katok import PAIR_BUDGET, katok_horizon, katok_path_entropy
 from .local import local_entropy, reference_points, sample_measure
 from .matching import BOWEN, FK, KINDS, MAX_MATCH_STEPS, inclusion_violations
 from .oracles import expected_entropy
-from .spanning import path_entropy, path_seeds
+from .spanning import CANDIDATE_BUDGET, CANDIDATE_TARGET, path_entropy, path_seeds
 from .systems import (
     RandomSystemSpec,
     bernoulli_process,
@@ -94,9 +94,9 @@ def _rows(text: str) -> tuple[tuple[float, ...], ...]:
     return tuple(_floats(chunk) for chunk in str(text).split(";") if chunk.strip() != "")
 
 
-def _option(default, section: str, parse, help: str):
-    """A config field with its INI section, value parser and flag help."""
-    return field(default=default, metadata={"section": section, "parse": parse, "help": help})
+def _option(default, section: str, parse, help: str, count: bool = False):
+    """A config field with its INI section, value parser and flag help; a count must be >= 1."""
+    return field(default=default, metadata={"section": section, "parse": parse, "help": help, "count": count})
 
 
 @dataclass
@@ -104,8 +104,9 @@ class ExperimentConfig:
     """Everything a run needs, with defaults sized for a quick desk run.
 
     Each field declares its INI section, its value parser (raw text to
-    value, ValueError on bad text) and its flag help in its metadata;
-    load_config and the CLI read every key, flag and help line from there.
+    value, ValueError on bad text), its flag help and whether it is a
+    count in its metadata; load_config and the CLI read every key, flag
+    and help line from there, and validate checks every count is >= 1.
     """
 
     family: str = _option("expanding", "system", _text, " | ".join(_FAMILIES))
@@ -116,15 +117,17 @@ class ExperimentConfig:
     n: tuple[int, ...] = _option((8, 10, 12, 14), "schedules", _ints, "comma list of time horizons")
     eps: tuple[float, ...] = _option((0.2, 0.1, 0.05), "schedules", _floats, "comma list of resolutions")
     delta: tuple[float, ...] = _option((0.2, 0.1), "schedules", _floats, "comma list of ball radii (local experiments)")
-    M: int = _option(100_000, "budgets", int, "sample count for empirical measures")
-    paths: int = _option(8, "budgets", int, "number of driving paths")
-    base_points: int = _option(20, "budgets", int, "number of base points (local experiments)")
-    candidate_target: int = _option(2000, "budgets", int, "separated-set size the candidate window aims for")
-    candidate_budget: int = _option(200_000, "budgets", int, "max candidates per cell")
-    pair_budget: int = _option(PAIR_BUDGET, "budgets", int, "max pairwise tests per cover matrix")
+    M: int = _option(100_000, "budgets", int, "sample count for empirical measures", count=True)
+    paths: int = _option(8, "budgets", int, "number of driving paths", count=True)
+    base_points: int = _option(20, "budgets", int, "number of base points (local experiments)", count=True)
+    candidate_target: int = _option(
+        CANDIDATE_TARGET, "budgets", int, "separated-set size the candidate window aims for", count=True
+    )
+    candidate_budget: int = _option(CANDIDATE_BUDGET, "budgets", int, "max candidates per cell", count=True)
+    pair_budget: int = _option(PAIR_BUDGET, "budgets", int, "max pairwise tests per cover matrix", count=True)
     seed: int = _option(0, "run", int, "master seed; all other seeds derive from it")
     outdir: str = _option("out", "run", _text, "output directory for report.json and CSVs")
-    workers: int = _option(1, "run", int, "worker processes (FKENT_THREADS caps this)")
+    workers: int = _option(1, "run", int, "worker processes (FKENT_THREADS caps this)", count=True)
 
     def validate(self) -> None:
         if self.family not in _FAMILIES:
@@ -150,17 +153,10 @@ class ExperimentConfig:
             )
         if any(v <= 0.0 for v in self.eps) or any(v <= 0.0 for v in self.delta):
             raise ValueError("eps and delta schedules must be positive")
-        for label, v in (
-            ("M", self.M),
-            ("paths", self.paths),
-            ("base_points", self.base_points),
-            ("candidate_target", self.candidate_target),
-            ("candidate_budget", self.candidate_budget),
-            ("pair_budget", self.pair_budget),
-            ("workers", self.workers),
-        ):
-            if int(v) < 1:
-                raise ValueError(f"{label} must be >= 1, got {v}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.metadata["count"] and int(v) < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {v}")
 
     def system(self) -> RandomSystemSpec:
         if self.family == "expanding":

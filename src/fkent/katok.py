@@ -47,6 +47,7 @@ from .spanning import (
 from .systems import (
     InvariantViolation,
     RandomSystemSpec,
+    diameter,
     row_codes,
     sample_path,
 )
@@ -151,15 +152,15 @@ def katok_spanning_count(
     if n < 1:
         raise ValueError("n must be >= 1")
     system = measure.system
-    span = ball_steps(system.metric, n, eps)
+    span = ball_steps(system, n, eps)
     stack = measure.orbit_stack(span)
     M = measure.M
     need = _covered_target(mass_threshold, M)
-    if eps > system.metric.diameter:
+    if eps > diameter(system.on_words):
         return KatokCount(mass_threshold, 1, 1.0, np.zeros(1, dtype=np.int64))
     if system.on_words and ball_kind(kind, n, eps) == BOWEN:
         return KatokCount(mass_threshold, *_word_class_cover(stack, span, need))
-    cover = cover_matrix(kind, system.metric, n, stack, eps, pair_budget)
+    cover = cover_matrix(kind, measure, n, eps, pair_budget)
     picks, total = greedy_cover(cover, need)
     return KatokCount(mass_threshold, picks.size, total / M, picks)
 

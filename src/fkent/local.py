@@ -67,6 +67,7 @@ from .systems import (
     RandomSystemSpec,
     child_rng,
     circle_gap,
+    diameter,
     orbit,
     orbit_batch,
 )
@@ -205,9 +206,8 @@ def ball_measure(
     check_kinds((kind,))
     if n < 1 or center.n < n:
         raise ValueError("center orbit shorter than the requested n")
-    metric = measure.system.metric
-    stack = measure.orbit_stack(ball_steps(metric, n, delta))
-    if delta > metric.diameter:
+    stack = measure.orbit_stack(ball_steps(measure.system, n, delta))
+    if delta > diameter(measure.on_words):
         return 1.0
     return int(ball_batch(kind, center.prefix(n), stack, delta).sum()) / measure.M
 
@@ -295,7 +295,7 @@ def _ball_count_table(
     slack_cells = [(n, d) for n, d in cells if ball_kind(FK, n, d) == FK] if FK in kinds else []
     fk = dict.fromkeys(slack_cells, 0)
 
-    stack = measure.orbit_stack(max(ball_steps(measure.system.metric, n_max, d) for d in delta_list))
+    stack = measure.orbit_stack(max(ball_steps(measure.system, n_max, d) for d in delta_list))
     if measure.on_words:
         for n in n_list:
             ref = center.prefix(n)

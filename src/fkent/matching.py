@@ -1,10 +1,13 @@
 """Orbit matching: Bowen distance, match DP, and the Feldman-Katok metric.
 
 The time-n Bowen distance between two orbits is the max of the fiber metric
-over synchronized steps.  The Feldman-Katok (FK) distance relaxes the
-synchronization: an (n, eps)-match is an order-preserving partial bijection
-between time indices whose paired orbit points are within eps, the match
-defect is 1 - (best match size)/n, and
+over synchronized steps.  The fiber is the one the segments live on: every
+function here branches on a segment's `on_words`, which it reads from the
+array it stores, and a pair from different fibers raises ValueError.  The
+Feldman-Katok (FK) distance relaxes the synchronization: an (n, eps)-match
+is an order-preserving partial bijection between time indices whose paired
+orbit points are within eps, the match defect is 1 - (best match size)/n,
+and
 
     fk_distance = inf { eps > 0 : defect(eps) < eps }.
 
@@ -53,7 +56,7 @@ import math
 
 import numpy as np
 
-from .systems import TORUS, FiberMetric, OrbitSegment, circle_gap, cylinder_depth
+from .systems import OrbitSegment, RandomSystemSpec, circle_gap, cylinder_depth, diameter
 
 __all__ = [
     "BOWEN",
@@ -127,8 +130,8 @@ def check_kinds(kinds) -> None:
 
 
 def _check_pair(a: OrbitSegment, b: OrbitSegment) -> None:
-    if a.metric.kind != b.metric.kind:
-        raise ValueError("orbit segments use different metrics")
+    if a.on_words != b.on_words:
+        raise ValueError("orbit segments live on different fibers")
     if a.n != b.n:
         raise ValueError("orbit segments have different lengths")
 
@@ -137,7 +140,7 @@ def bowen_distance(a: OrbitSegment, b: OrbitSegment) -> float:
     """max over i < n of the fiber distance between synchronized points."""
     _check_pair(a, b)
     n = a.n
-    if a.metric.kind == TORUS:
+    if not a.on_words:
         gaps = circle_gap(a.points[:n], b.points[:n])
         return float(np.max(gaps))
     u, v = a.word, b.word
@@ -153,7 +156,7 @@ def pair_distance_matrix(a: OrbitSegment, b: OrbitSegment) -> np.ndarray:
     """d(a_i, b_j) for all i, j < n as an (n, n) float matrix."""
     _check_pair(a, b)
     n = a.n
-    if a.metric.kind == TORUS:
+    if not a.on_words:
         gaps = circle_gap(a.points[:n, None, :], b.points[None, :n, :])
         return gaps.max(axis=2)
     u, v = a.word, b.word
@@ -302,43 +305,17 @@ def _bisect_fk(dist: np.ndarray, diameter: float, tol: float):
     return np.minimum(hi, diameter), hi, defect
 
 
-def _exact_fk_words(dist: np.ndarray, n: int) -> FkDistance:
-    """Exact FK value when the pair distances take finitely many values.
+def fk_distance(a: OrbitSegment, b: OrbitSegment, tol: float = 1e-6) -> FkDistance:
+    """FK distance, bisected to tol on either fiber.
 
-    On the half-open interval between consecutive distinct distance values
-    the defect is constant, so the crossing of defect(eps) against eps is
-    either a defect level (a multiple of 1/n) or one of the distance values.
-    One DP per distinct value resolves it; tol is reported as 0.
-    """
-    levels = [0.0] + [float(v) for v in np.unique(dist) if v > 0.0]
-    for i, t in enumerate(levels):
-        k = int(max_match_batch((dist <= t)[None])[0])
-        defect = 1.0 - k / n
-        nxt = levels[i + 1] if i + 1 < len(levels) else math.inf
-        if defect <= t:
-            return FkDistance(t, 0.0, float(np.nextafter(t, np.inf)), defect)
-        if defect < nxt:
-            return FkDistance(defect, 0.0, float(np.nextafter(defect, np.inf)), defect)
-    raise AssertionError("full compatibility must give zero defect")
-
-
-def fk_distance(a: OrbitSegment, b: OrbitSegment, tol: float | None = None) -> FkDistance:
-    """FK distance, exact on word metrics, bisected to tol on the torus.
-
-    Word pair distances take finitely many values, so the crossing is found
-    exactly by scanning them.  On the torus the value is certified from
-    above by a witness threshold and lies within tol (default 1e-6) of the
-    infimum.
+    The value is certified from above by a witness threshold and lies
+    within tol of the infimum.
     """
     _check_pair(a, b)
-    dist = pair_distance_matrix(a, b)
-    if a.metric.on_words and tol is None:
-        return _exact_fk_words(dist, a.n)
-    if tol is None:
-        tol = 1e-6
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    values, w_eps, w_def = _bisect_fk(dist[None], a.metric.diameter, tol)
+    dist = pair_distance_matrix(a, b)
+    values, w_eps, w_def = _bisect_fk(dist[None], diameter(a.on_words), tol)
     return FkDistance(float(values[0]), tol, float(w_eps[0]), float(w_def[0]))
 
 
@@ -393,14 +370,14 @@ def _pair_depth(delta: float, closed: bool) -> int:
     return depth
 
 
-def ball_steps(metric: FiberMetric, n: int, eps: float) -> int:
-    """Orbit steps an open time-n ball of radius eps reads.
+def ball_steps(system: RandomSystemSpec, n: int, eps: float) -> int:
+    """Orbit steps an open time-n ball of radius eps reads on the system's fiber.
 
     A torus ball reads its n orbit points.  A word ball reads the symbols
     up to its cylinder depth past step n, and at least n of them; every
     path horizon, candidate length and stack check is sized by this rule.
     """
-    if not metric.on_words:
+    if not system.on_words:
         return n
     return n + max(_pair_depth(eps, False), 1) - 1
 
@@ -437,7 +414,7 @@ def _band_masks(
     it.
     """
     n = center.n
-    torus = center.metric.kind == TORUS
+    torus = not center.on_words
     weights = _bit_weights(n)
     shape = center.stack_shape + (others.shape[0], n)
     masks = {d: np.zeros(shape, dtype=np.uint64) for d in bands}
@@ -485,7 +462,7 @@ def _fk_members(center: OrbitSegment, others: np.ndarray, cells, closed: bool = 
 
 def _check_torus_stack(center: OrbitSegment, others: np.ndarray) -> None:
     """Reject a torus orbit stack with fewer steps than the center orbit."""
-    if center.metric.kind == TORUS and others.shape[1] < center.n:
+    if not center.on_words and others.shape[1] < center.n:
         raise ValueError(
             f"orbit stack has {others.shape[1]} steps, the center orbit {center.n}"
         )
@@ -507,7 +484,7 @@ def bowen_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, clo
     by broadcasting; a stack gathers each survivor's center row.
     """
     n = center.n
-    if center.metric.kind == TORUS:
+    if not center.on_words:
         _check_torus_stack(center, others)
         points = center.points
         last = circle_gap(others[:, n - 1, :], points[..., None, n - 1, :]).max(axis=-1)

@@ -35,7 +35,6 @@ import numpy as np
 
 from .systems import (
     EmpiricalMeasure,
-    FiberMetric,
     InvariantViolation,
     OmegaPath,
     OrbitSegment,
@@ -84,14 +83,19 @@ _DENSITY_SLACK = 0.05
 # radius, which keeps the mesh well under the eps/2 density counts need.
 _SUBDIVISIONS = 4
 
+# default separated-set size a grid window aims for, and default cap on
+# the candidates one (n, eps) cell builds
+CANDIDATE_TARGET = 2000
+CANDIDATE_BUDGET = 200_000
+
 
 def torus_grid_candidates(
     system: RandomSystemSpec,
     path: OmegaPath,
     n: int,
     eps: float,
-    count_target: int = 2000,
-    budget: int = 200_000,
+    count_target: int = CANDIDATE_TARGET,
+    budget: int = CANDIDATE_BUDGET,
 ) -> tuple[EmpiricalMeasure, float]:
     """Uniform grid inside a window sized for roughly count_target keepers.
 
@@ -131,7 +135,7 @@ def word_candidates(
     path: OmegaPath,
     n: int,
     eps: float,
-    budget: int = 200_000,
+    budget: int = CANDIDATE_BUDGET,
 ) -> tuple[EmpiricalMeasure, float]:
     """All admissible itineraries long enough to decide eps-closeness.
 
@@ -144,7 +148,7 @@ def word_candidates(
         raise ValueError("word candidates apply to shift families")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    length = ball_steps(system.metric, n, eps)
+    length = ball_steps(system, n, eps)
     radices = [int(r) for r in system.factor_along(path, length)]
     total = math.prod(radices)
     if total > budget:
@@ -161,12 +165,12 @@ def word_candidates(
     return EmpiricalMeasure(system, path, words), 1.0
 
 
-def _segment(metric: FiberMetric, n: int, rows: np.ndarray) -> OrbitSegment:
+def _segment(on_words: bool, n: int, rows: np.ndarray) -> OrbitSegment:
     """The time-n orbit segment stored in one row of an orbit stack, or
     the stacked segments of a block of its rows."""
-    if metric.on_words:
-        return OrbitSegment(metric, n, word=rows)
-    return OrbitSegment(metric, n, points=rows)
+    if on_words:
+        return OrbitSegment(n, word=rows)
+    return OrbitSegment(n, points=rows)
 
 
 def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float) -> tuple[int, np.ndarray]:
@@ -188,8 +192,7 @@ def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float
         raise ValueError("n must be >= 1")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    metric = candidates.system.metric
-    cur = candidates.orbit_stack(ball_steps(metric, n, eps))
+    cur = candidates.orbit_stack(ball_steps(candidates.system, n, eps))
     idx = np.arange(cur.shape[0])
     dead = np.zeros(cur.shape[0], dtype=bool)
     kept: list[int] = []
@@ -200,7 +203,7 @@ def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float
         if p >= idx.size:
             break
         kept.append(int(idx[p]))
-        center = _segment(metric, n, cur[p])
+        center = _segment(candidates.on_words, n, cur[p])
         dead[p] = True
         if p + 1 < idx.size:
             dead[p + 1 :] |= ball_batch(kind, center, cur[p + 1 :], eps, closed=True)
@@ -216,10 +219,8 @@ def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float
     return len(kept), np.asarray(kept, dtype=np.int64)
 
 
-def cover_matrix(
-    kind: str, metric: FiberMetric, n: int, stack: np.ndarray, eps: float, pair_budget: int
-) -> np.ndarray:
-    """(M, M) open-ball membership: row i is the time-n ball around stack[i].
+def cover_matrix(kind: str, measure: EmpiricalMeasure, n: int, eps: float, pair_budget: int) -> np.ndarray:
+    """(M, M) open-ball membership: row i is the time-n ball around sample i.
 
     Every ball contains its own center (distance 0), whatever the threshold.
     Ball membership is symmetric for both metrics, so only the upper
@@ -227,9 +228,11 @@ def cover_matrix(
     go to the kernel as one stack, as many as keep a call within
     BLOCK_PAIRS pairs (at least one): the block starting at center i0 is
     tested against every point after i0, and each center keeps the
-    columns after itself.  The M^2 pairs must fit the pair budget.
+    columns after itself.  The M^2 pairs must fit the pair budget, and
+    the measure's orbit stack must hold the steps the ball reads.
     """
-    m = stack.shape[0]
+    stack = measure.orbit_stack(ball_steps(measure.system, n, eps))
+    m = measure.M
     if m * m > pair_budget:
         raise ResourceCapExceeded(
             f"cover matrix needs {m * m} pairs, budget {pair_budget}; "
@@ -239,7 +242,7 @@ def cover_matrix(
     i0 = 0
     while i0 < m - 1:
         i1 = min(m - 1, i0 + max(1, BLOCK_PAIRS // (m - i0 - 1)))
-        block = ball_batch(kind, _segment(metric, n, stack[i0:i1]), stack[i0 + 1 :], eps)
+        block = ball_batch(kind, _segment(measure.on_words, n, stack[i0:i1]), stack[i0 + 1 :], eps)
         # row k of the block is center i0 + k against points i0 + 1 on; it keeps the points after itself
         inside = np.triu(block)
         cover[i0:i1, i0 + 1 :] = inside
@@ -432,7 +435,7 @@ def katok_horizon(system: RandomSystemSpec, n_window, eps_list) -> int:
     path with this rule.
     """
     n_max = max(int(n) for n in n_window)
-    return max(ball_steps(system.metric, n_max, float(e)) for e in eps_list)
+    return max(ball_steps(system, n_max, float(e)) for e in eps_list)
 
 
 def count_table(
@@ -441,8 +444,8 @@ def count_table(
     n_list,
     eps_list,
     metrics=KINDS,
-    count_target: int = 2000,
-    budget: int = 200_000,
+    count_target: int = CANDIDATE_TARGET,
+    budget: int = CANDIDATE_BUDGET,
 ) -> CountTable:
     """Greedy separated counts for every (n, eps, metric) cell, validated.
 

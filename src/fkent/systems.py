@@ -12,17 +12,22 @@ slope tent maps preserve Lebesgue measure, and full shifts with per-letter
 alphabet sizes preserve the matching product of uniform distributions.
 Driving laws are Bernoulli or stationary Markov over a finite alphabet; no
 abstract measurable-space machinery is modeled beyond that.
+
+The family fixes the fiber and its metric, and `on_words` is the one fact
+that records which.  The circle families live on the torus, with the max
+over coordinates of the circle arc distance; shifts live on words, with
+the cylinder metric 2^(-t), t the first index at which two words disagree
+(agreement over the full stored overlap gives 0).  `diameter` gives each
+metric's diameter.  A system reads `on_words` from its family, a measure
+from its system, and an orbit segment from the array it stores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
-
-TORUS = "torus"
-CYLINDER = "cylinder"
 
 EXPANDING = "expanding"
 TENT = "tent"
@@ -64,28 +69,9 @@ def circle_gap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.minimum(raw, 1.0 - raw)
 
 
-@dataclass(frozen=True)
-class FiberMetric:
-    """Metric on the phase space, one of two kinds.
-
-    torus     max over coordinates of the circle arc distance; diameter 1/2.
-    cylinder  2^(-t) where t is the first index at which two words disagree
-              (agreement over the full stored overlap gives 0); diameter 1.
-    """
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in (TORUS, CYLINDER):
-            raise ValueError(f"unknown metric kind: {self.kind!r}")
-
-    @property
-    def diameter(self) -> float:
-        return 0.5 if self.kind == TORUS else 1.0
-
-    @property
-    def on_words(self) -> bool:
-        return self.kind == CYLINDER
+def diameter(on_words: bool) -> float:
+    """Diameter of the fiber metric: 1 on words, 1/2 on the circle."""
+    return 1.0 if on_words else 0.5
 
 
 def cylinder_depth(eps: float) -> int:
@@ -224,13 +210,12 @@ class RandomSystemSpec:
     alphabet size (full shift) used when the driving path emits letter s.
     Factor 1 is accepted so identity fibers are constructible; entropy
     oracles that need expansion impose their own >= 2 precondition.  The
-    fiber metric follows from the family: torus for the circle families,
-    cylinder for shifts.
+    family fixes the fiber: `on_words` is true for shifts and false for
+    the circle families.
     """
 
     family: str
     factors: tuple
-    metric: FiberMetric = field(init=False)
 
     def __post_init__(self) -> None:
         if self.family not in (EXPANDING, TENT, FULL_SHIFT):
@@ -239,7 +224,6 @@ class RandomSystemSpec:
         if len(factors) == 0 or any(f < 1 for f in factors):
             raise ValueError("factors must be integers >= 1")
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "metric", FiberMetric(CYLINDER if self.family == FULL_SHIFT else TORUS))
 
     @property
     def on_words(self) -> bool:
@@ -292,7 +276,9 @@ class OrbitSegment:
 
     Torus families store the points as an (n, d) float array.  Shift
     families store the base word once; the i-th orbit point is the suffix
-    starting at i, referenced by index without copying.
+    starting at i, referenced by index without copying.  The stored field
+    tells which fiber the segment lives on: `on_words` is true when it
+    holds a word.
 
     A stack of C orbits along the same path stores (C, n, d) points or a
     (C, L) word matrix; the leading axis indexes the orbits.  Only the
@@ -301,7 +287,6 @@ class OrbitSegment:
     orbit.
     """
 
-    metric: FiberMetric
     n: int
     points: np.ndarray | None = None
     word: np.ndarray | None = None
@@ -330,8 +315,8 @@ class OrbitSegment:
         if n == self.n:
             return self
         if self.on_words:
-            return OrbitSegment(self.metric, n, word=self.word)
-        return OrbitSegment(self.metric, n, points=self.points[:n])
+            return OrbitSegment(n, word=self.word)
+        return OrbitSegment(n, points=self.points[:n])
 
 
 def _coerce_torus_start(x) -> np.ndarray:
@@ -364,13 +349,13 @@ def orbit(system: RandomSystemSpec, path: OmegaPath, x, n: int) -> OrbitSegment:
         word = _coerce_word_start(system, x)
         if len(word) < n:
             raise ValueError("stored word shorter than requested orbit")
-        return OrbitSegment(system.metric, n, word=word)
+        return OrbitSegment(n, word=word)
     start = _coerce_torus_start(x)
     pts = np.empty((n, start.size), dtype=float)
     pts[0] = start
     for i in range(1, n):
         pts[i] = apply_fiber_map(system, path.symbol(i - 1), pts[i - 1])
-    return OrbitSegment(system.metric, n, points=pts)
+    return OrbitSegment(n, points=pts)
 
 
 def orbit_batch(system: RandomSystemSpec, path: OmegaPath, xs: np.ndarray, n: int) -> np.ndarray:

@@ -104,8 +104,8 @@ def random_pairs(rng, count, n_max=12):
     for _ in range(count - 3 * per):
         n = int(rng.integers(2, n_max + 1))
         yield (
-            OrbitSegment(sh.metric, n, word=mu.samples[i]),
-            OrbitSegment(sh.metric, n, word=mu.samples[i + 1]),
+            OrbitSegment(n, word=mu.samples[i]),
+            OrbitSegment(n, word=mu.samples[i + 1]),
         )
         i += 2
 
@@ -123,7 +123,7 @@ def random_triples(rng, per_family=250, n_max=12):
     i = 0
     for _ in range(per_family):
         n = int(rng.integers(2, n_max + 1))
-        yield tuple(OrbitSegment(sh.metric, n, word=mu.samples[i + j]) for j in range(3))
+        yield tuple(OrbitSegment(n, word=mu.samples[i + j]) for j in range(3))
         i += 3
 
 

@@ -118,6 +118,14 @@ def test_validate_rejects_bad_fields():
     ExperimentConfig(n=(8, 64)).validate()
 
 
+@pytest.mark.parametrize(
+    "name", ["M", "paths", "base_points", "candidate_target", "candidate_budget", "pair_budget", "workers"]
+)
+def test_validate_rejects_zero_counts(name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+        ExperimentConfig(**{name: 0}).validate()
+
+
 SECTIONS = ("system", "driving", "schedules", "budgets", "run")
 
 

@@ -78,7 +78,7 @@ def test_word_fast_path_equals_dense_greedy():
     n, eps = 4, 0.3
     word_cover = np.empty((mu.M, mu.M), dtype=bool)
     for i in range(mu.M):
-        center = OrbitSegment(system.metric, n, word=mu.samples[i])
+        center = OrbitSegment(n, word=mu.samples[i])
         word_cover[i] = bowen_ball_batch(center, mu.samples, eps)
     cases = [(mu, n, eps, BOWEN, word_cover)]
 

@@ -181,13 +181,13 @@ def _clustered_measure(on_words: bool, M: int, rng) -> EmpiricalMeasure:
     return EmpiricalMeasure(system, path, orbit_batch(system, path, starts[:, None], 12))
 
 
-def _row_by_row_cover(kind, metric, n, stack, eps):
+def _row_by_row_cover(kind, on_words, n, stack, eps):
     """One kernel call per center against the later points, mirrored."""
     m = stack.shape[0]
-    field = "word" if metric.on_words else "points"
+    field = "word" if on_words else "points"
     cover = np.empty((m, m), dtype=bool)
     for i in range(m - 1):
-        inside = ball_batch(kind, OrbitSegment(metric, n, **{field: stack[i]}), stack[i + 1 :], eps)
+        inside = ball_batch(kind, OrbitSegment(n, **{field: stack[i]}), stack[i + 1 :], eps)
         cover[i, i + 1 :] = inside
         cover[i + 1 :, i] = inside
     np.fill_diagonal(cover, True)
@@ -205,13 +205,12 @@ def test_cover_matrix_blocks_match_pairwise_reference(monkeypatch, on_words):
     rng = np.random.default_rng(31)
     M, n, eps = 70, 6, 0.25
     measure = _clustered_measure(on_words, M, rng)
-    metric = measure.system.metric
-    stack = measure.orbit_stack(ball_steps(metric, n, eps))
+    stack = measure.orbit_stack(ball_steps(measure.system, n, eps))
     field = "word" if on_words else "points"
-    segments = [OrbitSegment(metric, n, **{field: row}) for row in stack]
+    segments = [OrbitSegment(n, **{field: row}) for row in stack]
     for kind in (BOWEN, FK):
         assert ball_kind(kind, n, eps) == kind
-        cover = cover_matrix(kind, metric, n, stack, eps, M * M)
+        cover = cover_matrix(kind, measure, n, eps, M * M)
         want = np.ones((M, M), dtype=bool)
         for i in range(M):
             for j in range(M):
@@ -221,4 +220,4 @@ def test_cover_matrix_blocks_match_pairwise_reference(monkeypatch, on_words):
         assert M < (cover.sum() - M) < M * (M - 1)
         assert (cover == want).all()
         assert (cover == cover.T).all() and cover.diagonal().all()
-        assert (cover == _row_by_row_cover(kind, metric, n, stack, eps)).all()
+        assert (cover == _row_by_row_cover(kind, on_words, n, stack, eps)).all()

@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from fkent.systems import (
-    CYLINDER,
-    TORUS,
     DrivingProcess,
-    FiberMetric,
     InvariantViolation,
     OmegaPath,
     OrbitSegment,
@@ -96,11 +93,11 @@ def test_shift_orbit_keeps_full_word():
 
 
 def test_orbit_segment_prefix():
-    seg = OrbitSegment(FiberMetric(TORUS), 4, points=np.arange(4.0).reshape(4, 1) / 4)
+    seg = OrbitSegment(4, points=np.arange(4.0).reshape(4, 1) / 4)
     assert seg.prefix(4) is seg
     short = seg.prefix(2)
     assert short.n == 2 and short.points.shape == (2, 1)
-    word = OrbitSegment(FiberMetric(CYLINDER), 4, word=np.array([0, 1, 1, 0]))
+    word = OrbitSegment(4, word=np.array([0, 1, 1, 0]))
     assert word.prefix(2).n == 2
     assert list(word.prefix(2).word) == [0, 1, 1, 0]  # word storage is not cut
     with pytest.raises(ValueError):
