@@ -19,6 +19,8 @@ and the driving path of its samples.
 Counts from shift systems with zero matching slack collapse to weighted
 word-class counting: every ball is exactly one prefix class, classes are
 disjoint, and greedy (heaviest class first) is provably the true minimum.
+A word measure is packed and sorted once (its prefix_index), however many
+(n, eps) cells read it: every cell's classes are runs of that one sort.
 That fast path handles million-sample runs; overlapping-ball instances
 fall back to a dense cover matrix guarded by a pair budget.
 
@@ -48,7 +50,6 @@ from .systems import (
     InvariantViolation,
     RandomSystemSpec,
     diameter,
-    row_codes,
     sample_path,
 )
 from .local import EmpiricalMeasure, sample_measure
@@ -101,7 +102,7 @@ def _covered_target(mass_threshold: float, M: int) -> int:
 
 
 def _word_class_cover(
-    words: np.ndarray, span: int, need: int
+    measure: EmpiricalMeasure, span: int, need: int
 ) -> tuple[int, float, np.ndarray]:
     """Greedy cover when every ball is exactly one word-prefix class.
 
@@ -111,19 +112,19 @@ def _word_class_cover(
     minimum: any cover reaching the mass with k classes is dominated by
     the k heaviest ones.
 
-    One mixed-radix pack (row_codes) and one sort per cell: np.unique
-    over the packed prefix codes yields the classes, their sizes and
-    each row's class.
+    The classes are runs of the measure's prefix_index, the one pack and
+    one sort of its word matrix that every cell reads: a run ends
+    wherever the next sorted row shares fewer than span symbols.
     """
-    M = words.shape[0]
-    codes = row_codes(words[:, :span])
-    _, inverse, sizes = np.unique(codes, return_inverse=True, return_counts=True)
-    first_index = np.full(sizes.size, M, dtype=np.int64)
-    np.minimum.at(first_index, inverse, np.arange(M, dtype=np.int64))
-    order = np.lexsort((first_index, -sizes))
-    cum = np.cumsum(sizes[order])
+    order, shared = measure.prefix_index
+    M = order.size
+    starts = np.concatenate(([0], np.flatnonzero(shared < span) + 1))
+    sizes = np.diff(starts, append=M)
+    first_index = np.minimum.reduceat(order, starts)
+    picks = np.lexsort((first_index, -sizes))
+    cum = np.cumsum(sizes[picks])
     k = int(np.searchsorted(cum, need, side="left")) + 1
-    centers = first_index[order[:k]]
+    centers = first_index[picks[:k]]
     return k, float(cum[k - 1] / M), centers
 
 
@@ -153,13 +154,13 @@ def katok_spanning_count(
         raise ValueError("n must be >= 1")
     system = measure.system
     span = ball_steps(system, n, eps)
-    stack = measure.orbit_stack(span)
+    measure.orbit_stack(span)
     M = measure.M
     need = _covered_target(mass_threshold, M)
     if eps > diameter(system.on_words):
         return KatokCount(mass_threshold, 1, 1.0, np.zeros(1, dtype=np.int64))
     if system.on_words and ball_kind(kind, n, eps) == BOWEN:
-        return KatokCount(mass_threshold, *_word_class_cover(stack, span, need))
+        return KatokCount(mass_threshold, *_word_class_cover(measure, span, need))
     cover = cover_matrix(kind, measure, n, eps, pair_budget)
     picks, total = greedy_cover(cover, need)
     return KatokCount(mass_threshold, picks.size, total / M, picks)

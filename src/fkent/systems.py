@@ -25,6 +25,7 @@ from its system, and an orbit segment from the array it stores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -64,9 +65,10 @@ def wrap_unit(values: np.ndarray) -> np.ndarray:
 
 
 def circle_gap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Arc distance on the unit circle, elementwise."""
-    raw = np.abs(np.asarray(u, dtype=float) - np.asarray(v, dtype=float))
-    return np.minimum(raw, 1.0 - raw)
+    """Arc distance on the unit circle, elementwise, computed in one buffer."""
+    raw = np.asarray(np.subtract(u, v, dtype=float))
+    np.abs(raw, out=raw)
+    return np.minimum(raw, 1.0 - raw, out=raw)
 
 
 def diameter(on_words: bool) -> float:
@@ -298,6 +300,8 @@ class OrbitSegment:
             raise ValueError("exactly one of points/word must be set")
         if self.word is not None and self.word.shape[-1] < self.n:
             raise ValueError("stored word shorter than the orbit length")
+        if self.points is not None and self.points.shape[-2] < self.n:
+            raise ValueError("stored points shorter than the orbit length")
 
     @property
     def on_words(self) -> bool:
@@ -378,6 +382,10 @@ def orbit_batch(system: RandomSystemSpec, path: OmegaPath, xs: np.ndarray, n: in
     return out
 
 
+# sorted word rows compared per block when EmpiricalMeasure.prefix_index is built
+_INDEX_BLOCK = 4096
+
+
 @dataclass
 class EmpiricalMeasure:
     """M points of one fiber standing in for its reference measure, with their orbits.
@@ -390,7 +398,10 @@ class EmpiricalMeasure:
     int64 word matrix for shifts, where a word is its own orbit; the
     system's kind decides which shape is accepted.  samples reads the
     points back as (M, d) or (M, L).  Set membership is always estimated
-    as count/M, so M >= 1 is required up front.
+    as count/M, so M >= 1 is required up front.  A word measure packs
+    and sorts its word matrix once, the first time a cover reads its
+    prefix_index; every prefix length then reads its classes from that
+    one sort.
     """
 
     system: RandomSystemSpec
@@ -434,6 +445,32 @@ class EmpiricalMeasure:
         if self.orbits.shape[1] < steps:
             raise ValueError(f"sample orbits hold {self.orbits.shape[1]} steps, {steps} needed")
         return self.orbits
+
+    @cached_property
+    def prefix_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, shared): a word measure's rows sorted once, for every prefix length.
+
+        order sorts the rows by row_codes, which keeps their lexicographic
+        order, so for every span <= L the rows sharing a span-prefix form
+        one contiguous run of order.  shared[t] is the number of leading
+        symbols sorted row t + 1 shares with sorted row t (L when the rows
+        are equal), so a span-prefix run ends after sorted row t exactly
+        when shared[t] < span.  shared is compared in blocks of
+        _INDEX_BLOCK sorted rows, so no sorted copy of the whole matrix is
+        held.
+        """
+        words = self.orbits
+        M, L = words.shape
+        order = np.argsort(row_codes(words))
+        shared = np.empty(M - 1, dtype=np.int64)
+        # column L is a sentinel that always differs, so equal rows share L
+        differ = np.ones((min(_INDEX_BLOCK, M - 1), L + 1), dtype=bool)
+        for lo in range(0, M - 1, _INDEX_BLOCK):
+            hi = min(lo + _INDEX_BLOCK, M - 1)
+            block = np.take(words, order[lo : hi + 1], axis=0)
+            np.not_equal(block[1:], block[:-1], out=differ[: hi - lo, :L])
+            shared[lo:hi] = differ[: hi - lo].argmax(axis=1)
+        return order, shared
 
 
 def expansion_product(system: RandomSystemSpec, path: OmegaPath, n: int) -> float:

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from fkent import systems
 from fkent.katok import (
     KatokCount,
+    _word_class_cover,
     katok_entropy,
+    katok_horizon,
     katok_spanning_count,
     katok_table,
     table_slopes,
@@ -14,13 +17,16 @@ from fkent.katok import (
 from fkent.local import sample_measure
 from fkent.matching import BOWEN, FK, bowen_ball_batch, match_slack, match_target
 from fkent.systems import (
+    EmpiricalMeasure,
     InvariantViolation,
+    OmegaPath,
     OrbitSegment,
     ResourceCapExceeded,
     bernoulli_process,
     circle_gap,
     expanding_system,
     orbit_batch,
+    row_codes,
     sample_path,
     shift_system,
 )
@@ -176,6 +182,78 @@ def test_katok_table_both_kinds_equals_single_kind_tables():
                 assert np.array_equal(shared.centers, cell.centers)
         slack_cells = [(e, n) for e in eps_list for n in n_window if match_slack(n, e) > 0]
         assert any(both[FK][key].count != both[BOWEN][key].count for key in slack_cells)
+
+
+def _cell_word_cover(words, span, need):
+    """Reference word-class cover: one pack and one np.unique per cell."""
+    M = words.shape[0]
+    codes = row_codes(words[:, :span])
+    _, inverse, sizes = np.unique(codes, return_inverse=True, return_counts=True)
+    first_index = np.full(sizes.size, M, dtype=np.int64)
+    np.minimum.at(first_index, inverse, np.arange(M, dtype=np.int64))
+    order = np.lexsort((first_index, -sizes))
+    cum = np.cumsum(sizes[order])
+    k = int(np.searchsorted(cum, need, side="left")) + 1
+    return k, float(cum[k - 1] / M), first_index[order[:k]]
+
+
+def _word_cover_inputs():
+    rng = np.random.default_rng(19)
+    # 3000 binary words of length 6 (64 classes at full span): many
+    # duplicates, and classes of equal size, so ties fall to the first member
+    binary = rng.integers(0, 2, size=(3000, 6))
+    binary[:40] = [0, 1, 1, 0, 1, 0]
+    binary[40:80] = [1, 0, 0, 1, 0, 1]
+    ternary = rng.integers(0, 3, size=(2000, 7))
+    # 130 binary columns: row_codes re-ranks before its second and third blocks
+    wide = rng.integers(0, 2, size=(60, 130))
+    wide[10] = wide[3]
+    wide[51] = wide[50]
+    wide[51, 0] ^= 1
+    return [
+        pytest.param(binary, 2, id="binary-duplicates"),
+        pytest.param(ternary, 3, id="ternary"),
+        pytest.param(wide, 2, id="re-rank"),
+        pytest.param(np.array([[1, 0, 1]]), 2, id="one-row"),
+        pytest.param(np.array([[1, 0, 1], [1, 1, 0]]), 2, id="two-rows"),
+    ]
+
+
+@pytest.mark.parametrize("words, alphabet", _word_cover_inputs())
+def test_word_class_cover_from_shared_index_equals_cell_sort(words, alphabet):
+    # every span reads the runs of the measure's one sort; each must give
+    # the classes, sizes and first members a sort of its own prefix gives
+    M, L = words.shape
+    mu = EmpiricalMeasure(shift_system((alphabet,)), OmegaPath(np.zeros(L, dtype=np.int64)), words)
+    order, shared = mu.prefix_index
+    assert np.array_equal(np.sort(order), np.arange(M)) and shared.shape == (M - 1,)
+    for span in range(1, L + 1):
+        for need in sorted({1, (M + 1) // 2, M - M // 10, M}):
+            k, mass, centers = _word_class_cover(mu, span, need)
+            ref_k, ref_mass, ref_centers = _cell_word_cover(words, span, need)
+            assert k == ref_k and mass == ref_mass
+            assert centers.dtype == ref_centers.dtype
+            assert np.array_equal(centers, ref_centers)
+    assert mu.prefix_index is mu.prefix_index
+
+
+def test_katok_table_packs_word_measure_once(monkeypatch):
+    # five n-cells of two kinds read one pack and one sort of the words
+    system = shift_system((2, 2))
+    n_window, eps_list = [4, 5, 6, 7, 8], [0.05]
+    path = sample_path(bernoulli_process((0.5, 0.5)), katok_horizon(system, n_window, eps_list), 3)
+    mu = sample_measure(system, path, 2000, 3)
+    calls = []
+    pack = systems.row_codes
+
+    def counting_row_codes(labels):
+        calls.append(labels.shape)
+        return pack(labels)
+
+    monkeypatch.setattr(systems, "row_codes", counting_row_codes)
+    tables = katok_table(mu, n_window, eps_list, (BOWEN, FK))
+    assert len(tables[BOWEN]) == 5
+    assert calls == [mu.orbits.shape]
 
 
 def test_fk_needs_fewer_covers_at_coarse_eps():

@@ -104,6 +104,16 @@ def test_orbit_segment_prefix():
         seg.prefix(5)
 
 
+def test_orbit_segment_rejects_points_shorter_than_n():
+    # stored points must cover n steps, for one orbit and for a stack
+    with pytest.raises(ValueError, match="shorter than the orbit length"):
+        OrbitSegment(4, points=np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="shorter than the orbit length"):
+        OrbitSegment(4, points=np.zeros((3, 2, 1)))
+    assert OrbitSegment(4, points=np.zeros((4, 1))).stack_shape == ()
+    assert OrbitSegment(4, points=np.zeros((3, 6, 1))).stack_shape == (3,)
+
+
 def test_expansion_product_is_factor_product():
     system = expanding_system((2, 3))
     path = OmegaPath([0, 1, 0])
