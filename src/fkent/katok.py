@@ -121,7 +121,9 @@ def _word_class_cover(
     starts = np.concatenate(([0], np.flatnonzero(shared < span) + 1))
     sizes = np.diff(starts, append=M)
     first_index = np.minimum.reduceat(order, starts)
-    picks = np.lexsort((first_index, -sizes))
+    # heaviest first, lowest first member on ties: first members are
+    # distinct and row_codes caps M at 2^31, so one int64 key orders both
+    picks = np.argsort((M - sizes) * M + first_index)
     cum = np.cumsum(sizes[picks])
     k = int(np.searchsorted(cum, need, side="left")) + 1
     centers = first_index[picks[:k]]

@@ -70,6 +70,7 @@ from .systems import (
     diameter,
     orbit,
     orbit_batch,
+    word_dtype,
 )
 
 __all__ = [
@@ -88,6 +89,9 @@ __all__ = [
 # stream (0).
 _MEASURE_STREAM = 5
 
+# uniforms drawn per block when reference_points fills a word matrix
+_DRAW_BLOCK = 1 << 16
+
 
 def reference_points(system: RandomSystemSpec, omega: OmegaPath, count: int, rng: np.random.Generator) -> np.ndarray:
     """count draws from the reference measure of the system's fiber along omega.
@@ -96,16 +100,27 @@ def reference_points(system: RandomSystemSpec, omega: OmegaPath, count: int, rng
     full-branch tent preserves: a (count, 1) array of points.  Shift
     systems get the product measure whose step-i marginal is uniform on
     the alphabet of the step-i fiber, the family the shift cocycle pushes
-    forward onto itself: a (count, omega.horizon) word matrix.
+    forward onto itself: a (count, omega.horizon) word matrix in the
+    system's word_dtype.
+
+    Symbol i of a word is floor(u * sizes[i]) for a uniform u, clipped to
+    sizes[i] - 1.  The uniforms are drawn in blocks of about _DRAW_BLOCK
+    values, each scaled, clipped and cast into its rows of the word
+    matrix, so no float or int64 copy of the whole matrix is held.
+    Consecutive blocks read the generator's stream in the order one full
+    draw would, so the words do not depend on the block size.
     """
     if not system.on_words:
         return rng.random((count, 1))
-    sizes = system.factor_along(omega, omega.horizon)
-    u = rng.random((count, omega.horizon))
-    u *= sizes[None, :]
-    words = u.astype(np.int64)
-    del u
-    np.minimum(words, sizes[None, :] - 1, out=words)
+    L = omega.horizon
+    sizes = system.factor_along(omega, L).astype(float)
+    words = np.empty((count, L), dtype=word_dtype(system))
+    rows = max(1, _DRAW_BLOCK // L)
+    for lo in range(0, count, rows):
+        u = rng.random((min(rows, count - lo), L))
+        u *= sizes
+        np.minimum(u, sizes - 1.0, out=u)
+        words[lo : lo + u.shape[0]] = u
     return words
 
 

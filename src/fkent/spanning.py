@@ -43,6 +43,7 @@ from .systems import (
     expansion_product,
     orbit_batch,
     sample_path,
+    word_dtype,
 )
 from .matching import (
     BLOCK_PAIRS,
@@ -141,8 +142,8 @@ def word_candidates(
 
     Enumerates every word whose position-i symbol ranges over the alphabet
     the path prescribes there, and raises ResourceCapExceeded when there
-    are more than `budget` of them.  Returns the words' measure and the
-    window 1.0: the words are the whole fiber.
+    are more than `budget` of them, in the system's word_dtype.  Returns
+    the words' measure and the window 1.0: the words are the whole fiber.
     """
     if not system.on_words:
         raise ValueError("word candidates apply to shift families")
@@ -157,7 +158,7 @@ def word_candidates(
             "lower n, raise eps or raise the budget"
         )
     idx = np.arange(total, dtype=np.int64)
-    words = np.empty((total, length), dtype=np.int64)
+    words = np.empty((total, length), dtype=word_dtype(system))
     place = total
     for i, r in enumerate(radices):
         place //= r

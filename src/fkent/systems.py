@@ -256,6 +256,15 @@ def shift_system(factors) -> RandomSystemSpec:
     return RandomSystemSpec(FULL_SHIFT, tuple(factors))
 
 
+def word_dtype(system: RandomSystemSpec) -> np.dtype:
+    """The one dtype of every stored word of a shift system.
+
+    The smallest unsigned integer type that holds every symbol of the
+    space alphabet: uint8 for alphabets of at most 256 symbols.
+    """
+    return np.min_scalar_type(system.space_alphabet - 1)
+
+
 def apply_fiber_map(system: RandomSystemSpec, symbol: int, x: np.ndarray) -> np.ndarray:
     """One step of the fiber map for a driving letter; torus families only.
 
@@ -334,7 +343,7 @@ def _coerce_word_start(system: RandomSystemSpec, x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.int64).reshape(-1)
     if np.any(arr < 0) or np.any(arr >= system.space_alphabet):
         raise ValueError("word symbols outside the space alphabet")
-    return arr
+    return arr.astype(word_dtype(system))
 
 
 def orbit(system: RandomSystemSpec, path: OmegaPath, x, n: int) -> OrbitSegment:
@@ -395,8 +404,11 @@ class EmpiricalMeasure:
     path of one system, so it carries both, and consumers take it alone.
     orbits is the points' orbit stack along omega: (M, H, d) floats in
     [0, 1) for circle families, step 0 being the points, or an (M, L)
-    int64 word matrix for shifts, where a word is its own orbit; the
-    system's kind decides which shape is accepted.  samples reads the
+    word matrix for shifts, where a word is its own orbit, stored in the
+    system's word_dtype (one byte per symbol for alphabets of at most 256
+    letters); the system's kind decides which shape is accepted.  Word
+    samples must be integer symbols of the space alphabet, checked before
+    the cast, so the cast never wraps.  samples reads the
     points back as (M, d) or (M, L).  Set membership is always estimated
     as count/M, so M >= 1 is required up front.  A word measure packs
     and sorts its word matrix once, the first time a cover reads its
@@ -415,9 +427,11 @@ class EmpiricalMeasure:
         if arr.shape[0] < 1:
             raise ValueError("empirical measure needs M >= 1 samples")
         if self.on_words:
-            arr = arr.astype(np.int64, copy=False)
-            if arr.min() < 0:
-                raise ValueError("word samples must be nonnegative symbols")
+            if not np.issubdtype(arr.dtype, np.integer):
+                raise ValueError(f"word samples must be integer symbols, got {arr.dtype}")
+            if arr.min() < 0 or arr.max() >= self.system.space_alphabet:
+                raise ValueError("word samples outside the space alphabet")
+            arr = arr.astype(word_dtype(self.system), copy=False)
         else:
             arr = arr.astype(float, copy=False)
             draws = arr[:, 0, :]
@@ -455,14 +469,15 @@ class EmpiricalMeasure:
         one contiguous run of order.  shared[t] is the number of leading
         symbols sorted row t + 1 shares with sorted row t (L when the rows
         are equal), so a span-prefix run ends after sorted row t exactly
-        when shared[t] < span.  shared is compared in blocks of
-        _INDEX_BLOCK sorted rows, so no sorted copy of the whole matrix is
-        held.
+        when shared[t] < span.  shared holds only 0..L, so it is stored in
+        the smallest unsigned type that fits L.  It is compared in blocks
+        of _INDEX_BLOCK sorted rows, so no sorted copy of the whole matrix
+        is held.
         """
         words = self.orbits
         M, L = words.shape
         order = np.argsort(row_codes(words))
-        shared = np.empty(M - 1, dtype=np.int64)
+        shared = np.empty(M - 1, dtype=np.min_scalar_type(L))
         # column L is a sentinel that always differs, so equal rows share L
         differ = np.ones((min(_INDEX_BLOCK, M - 1), L + 1), dtype=bool)
         for lo in range(0, M - 1, _INDEX_BLOCK):
@@ -501,12 +516,14 @@ def row_codes(labels: np.ndarray) -> np.ndarray:
     Column j has radix r_j = max(labels[:, j]) + 1.  With cap = 2^62 // M,
     the columns are walked in blocks, each the longest run of consecutive
     columns whose radix product stays <= cap, and a block packs in mixed
-    radix with one int64 matmul.  Blocks combine as codes * size + block;
+    radix by Horner's rule over its columns (block * r_t + labels[:, t]),
+    so no int64 copy of the labels is made: the only int64 arrays are the
+    (M,) block and codes.  Blocks combine as codes * size + block;
     before a combine whose code range would pass 2^62, the codes are
     re-ranked through np.unique, which leaves at most M distinct values.
     A column whose radix alone passes cap is re-ranked on its own (at most
     M values).  So every factor product is at most M * cap <= 2^62 and no
-    step overflows int64; small alphabets take one matmul and no sort.
+    step overflows int64; small alphabets take one block and no sort.
     """
     labels = np.asarray(labels)
     if labels.ndim != 2 or labels.shape[1] < 1:
@@ -535,10 +552,10 @@ def row_codes(labels: np.ndarray) -> np.ndarray:
             while j < k and size * radix[j] <= cap:
                 size *= radix[j]
                 j += 1
-            place = np.ones(j - i, dtype=np.int64)
-            for t in range(j - i - 2, -1, -1):
-                place[t] = place[t + 1] * radix[i + t + 1]
-            block = labels[:, i:j].astype(np.int64, copy=False) @ place
+            block = labels[:, i].astype(np.int64)
+            for t in range(i + 1, j):
+                block *= radix[t]
+                np.add(block, labels[:, t], out=block, dtype=np.int64)
             i = j
         if bound * size > _CODE_LIMIT:
             values, codes = np.unique(codes, return_inverse=True)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fkent.local import (
     LocalEntry,
     ball_measure,
     local_entropy,
+    reference_points,
     sample_measure,
     smb_estimate,
 )
@@ -20,6 +22,7 @@ from fkent.systems import (
     InvariantViolation,
     OmegaPath,
     bernoulli_process,
+    child_rng,
     expanding_system,
     orbit,
     orbit_batch,
@@ -84,6 +87,39 @@ def test_sample_measure_orbit_stack():
     assert stack.shape[1] == word_stack.shape[1] == path.horizon
 
 
+def test_reference_points_word_blocks_equal_one_draw():
+    # words are drawn in row blocks straight into the word dtype; the
+    # blocks read the generator's stream in the order of one full draw,
+    # so every symbol equals the one-shot int64 formula
+    system = shift_system((2, 3))
+    L = 16
+    path = sample_path(bernoulli_process((0.5, 0.5)), L, 3)
+    M = 3 * (local._DRAW_BLOCK // L) + 123
+    words = reference_points(system, path, M, child_rng(7, 5))
+    rng = child_rng(7, 5)
+    sizes = system.factor_along(path, L)
+    expect = np.minimum((rng.random((M, L)) * sizes).astype(np.int64), sizes - 1)
+    assert words.dtype == np.uint8
+    assert np.array_equal(words, expect)
+
+
+def test_word_measure_draw_and_index_hold_no_int64_matrix():
+    # drawing a 200k x 16 binary word measure and sorting it once peaks
+    # below half of one int64 copy of its word matrix
+    system = shift_system((2, 2))
+    M, L = 200_000, 16
+    path = sample_path(bernoulli_process((0.5, 0.5)), L, 1)
+    tracemalloc.start()
+    try:
+        mu = sample_measure(system, path, M, 1)
+        mu.prefix_index
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mu.orbits.dtype == np.uint8 and mu.orbits.shape == (M, L)
+    assert peak < M * L * 8 // 2
+
+
 def test_measure_consumers_reject_wrong_kind_path_or_length():
     # a word matrix given for a torus system used to be iterated as torus
     # points, so every sample fell in every ball (20000/20000, entropy 0);
@@ -110,6 +146,20 @@ def test_empirical_measure_validation():
         EmpiricalMeasure(system, path, np.array([[[1.5]]]))
     with pytest.raises(ValueError):
         EmpiricalMeasure(system, path, np.empty((0, 1, 1)))
+
+
+def test_word_measure_rejects_non_symbols():
+    # word samples are cast to the word dtype only once they are known to
+    # be symbols of the space alphabet, so the cast never wraps
+    system = shift_system((2, 3))
+    path = OmegaPath([1, 1])
+    mu = EmpiricalMeasure(system, path, np.array([[0, 2], [1, 0]]))
+    assert mu.orbits.dtype == np.uint8 and mu.orbits.tolist() == [[0, 2], [1, 0]]
+    with pytest.raises(ValueError, match="integer"):
+        EmpiricalMeasure(system, path, np.array([[0.0, 1.0]]))
+    for bad in ([[0, 3]], [[256, 0]], [[-1, 0]]):
+        with pytest.raises(ValueError, match="alphabet"):
+            EmpiricalMeasure(system, path, np.array(bad))
 
 
 def test_ball_mass_doubling_hand_values():

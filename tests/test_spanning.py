@@ -72,6 +72,7 @@ def test_shift_separated_counts_grow_like_words(n):
         count, _ = greedy_separated(cand, n, BOWEN, eps)
         assert count == kept, eps
         assert cand.M == words and window == 1.0, eps
+        assert cand.samples.dtype == np.uint8, eps
 
 
 def test_grid_candidates_fields():

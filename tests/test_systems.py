@@ -19,6 +19,7 @@ from fkent.systems import (
     sample_path,
     shift_system,
     tent_system,
+    word_dtype,
     wrap_unit,
 )
 
@@ -90,6 +91,15 @@ def test_shift_orbit_keeps_full_word():
     assert seg.on_words
     assert seg.n == 3
     assert list(seg.word) == [1, 0, 1, 1, 0]
+    assert seg.word.dtype == word_dtype(system)
+
+
+def test_word_dtype_is_smallest_unsigned_type():
+    assert word_dtype(shift_system((2,))) == np.uint8
+    assert word_dtype(shift_system((2, 256))) == np.uint8
+    assert word_dtype(shift_system((300, 2))) == np.uint16
+    with pytest.raises(ValueError):
+        word_dtype(expanding_system((2,)))
 
 
 def test_orbit_segment_prefix():
@@ -231,6 +241,28 @@ def test_row_codes_collapse_equal_rows_and_keep_order(labels):
     # codes keep the lexicographic row order, column 0 most significant
     order = np.lexsort(labels.T[::-1])
     assert (np.diff(codes[order]) >= 0).all()
+
+
+@pytest.mark.parametrize(
+    "alphabet, shape",
+    [(2, (500, 40)), (4, (500, 70)), (256, (300, 9)), (2, (60, 130))],
+    ids=["binary", "multi-block", "full-byte", "re-rank"],
+)
+def test_row_codes_of_uint8_equal_codes_of_int64_cast(alphabet, shape):
+    labels = np.random.default_rng(13).integers(0, alphabet, size=shape).astype(np.uint8)
+    labels[7] = labels[2]
+    codes = row_codes(labels)
+    assert np.array_equal(codes, row_codes(labels.astype(np.int64)))
+    assert codes[7] == codes[2]
+
+
+def test_row_codes_pack_one_block_as_mixed_radix_matmul():
+    # one block packs by Horner's rule; its codes are the mixed-radix
+    # place-value sum, bit for bit
+    labels = np.random.default_rng(17).integers(0, 3, size=(400, 12)).astype(np.uint8)
+    labels[0] = 2  # every column has radix 3
+    place = 3 ** np.arange(11, -1, -1, dtype=np.int64)
+    assert np.array_equal(row_codes(labels), labels.astype(np.int64) @ place)
 
 
 @pytest.mark.parametrize(
