@@ -126,7 +126,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
 
 
 def _segment(points: np.ndarray) -> OrbitSegment:
-    return OrbitSegment(points.shape[0], points=points.reshape(-1, 1))
+    return OrbitSegment(points.shape[0], points=points)
 
 
 def _selftest() -> int:

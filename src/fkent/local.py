@@ -97,7 +97,7 @@ def reference_points(system: RandomSystemSpec, omega: OmegaPath, count: int, rng
     """count draws from the reference measure of the system's fiber along omega.
 
     Circle families get Lebesgue, which every expanding map and every
-    full-branch tent preserves: a (count, 1) array of points.  Shift
+    full-branch tent preserves: a (count,) array of points.  Shift
     systems get the product measure whose step-i marginal is uniform on
     the alphabet of the step-i fiber, the family the shift cocycle pushes
     forward onto itself: a (count, omega.horizon) word matrix in the
@@ -111,7 +111,7 @@ def reference_points(system: RandomSystemSpec, omega: OmegaPath, count: int, rng
     draw would, so the words do not depend on the block size.
     """
     if not system.on_words:
-        return rng.random((count, 1))
+        return rng.random(count)
     L = omega.horizon
     sizes = system.factor_along(omega, L).astype(float)
     words = np.empty((count, L), dtype=word_dtype(system))
@@ -128,7 +128,7 @@ def sample_measure(system: RandomSystemSpec, omega: OmegaPath, M: int, seed: int
     """Draw M samples from the reference measure of the system's fiber, with their orbits.
 
     The draws come from reference_points.  Circle draws are iterated once
-    along omega, so the stack holds omega.horizon steps.  Word samples
+    along omega into a step-major (omega.horizon, M) stack.  Word samples
     carry one symbol per path step and are their own orbit stack, so the
     path horizon bounds the usable n + depth - 1 downstream.
     """
@@ -147,8 +147,8 @@ class GridPartition:
     """Finite partition of the fiber with cell diameter <= mesh.
 
     The system handed to itinerary picks the cells.  Circle families use
-    boxes of side 1/ceil(1/mesh) per coordinate, so the sup-metric
-    diameter of a cell is at most the mesh (dimension factor 1).  Shifts
+    arcs of length 1/ceil(1/mesh), so the diameter of a cell is at most
+    the mesh.  Shifts
     use cylinder sets of the smallest depth whose diameter 2^-depth is
     <= mesh; mesh >= 1 yields the one-cell partition.
     """
@@ -170,10 +170,11 @@ class GridPartition:
         return max(1, int(math.ceil(-math.log2(self.mesh) - 1e-12)))
 
     def itinerary(self, system: RandomSystemSpec, stack: np.ndarray, n: int) -> np.ndarray:
-        """Cell labels of the first n orbit points for a whole stack.
+        """Cell labels of the first n orbit points for a whole stack, as (M, n).
 
-        stack is (M, n', d) orbit points with n' >= n, or an (M, L) word
-        matrix with L >= n + depth - 1.  Labels are ints, unique per cell.
+        stack is a step-major (n', M) circle stack with n' >= n, or an
+        (M, L) word matrix with L >= n + depth - 1.  Labels are ints,
+        unique per cell.
         """
         if system.on_words:
             m = self.depth
@@ -188,17 +189,15 @@ class GridPartition:
             for j in range(m):
                 labels = labels * base + stack[:, j : j + n]
             return labels
-        if stack.ndim != 3 or stack.shape[1] < n:
+        if stack.ndim != 2 or stack.shape[0] < n:
             raise ValueError("orbit stack too short for the requested n")
-        # one step and one coordinate at a time, so no temporary is
-        # larger than one column of the stack
+        # one step at a time, so no temporary is larger than one row of the stack
         boxes = self.boxes_per_axis
-        labels = np.zeros(stack.shape[:1] + (n,), dtype=np.int64)
+        labels = np.empty((stack.shape[1], n), dtype=np.int64)
         for t in range(n):
-            for j in range(stack.shape[2]):
-                digit = np.floor(stack[:, t, j] * boxes).astype(np.int64)
-                np.clip(digit, 0, boxes - 1, out=digit)
-                labels[:, t] = labels[:, t] * boxes + digit
+            digit = np.floor(stack[t] * boxes).astype(np.int64)
+            np.clip(digit, 0, boxes - 1, out=digit)
+            labels[:, t] = digit
         return labels
 
 
@@ -317,10 +316,12 @@ def _ball_count_table(
             for d in delta_list:
                 bowen[(n, d)] = int(ball_batch(BOWEN, ref, stack, d).sum())
     else:
-        live = np.arange(stack.shape[0])
-        worst = np.zeros(stack.shape[0])
+        live = np.arange(measure.M)
+        worst = np.zeros(measure.M)
         for n in range(1, n_max + 1):
-            gap = circle_gap(stack[live, n - 1, :], center.points[n - 1]).max(axis=1)
+            row = stack[n - 1]
+            # gather the live samples only once some sample has dropped out
+            gap = circle_gap(row if live.size == row.size else row[live], center.points[n - 1])
             worst = np.maximum(worst, gap)
             keep = worst < delta_list[-1]
             live, worst = live[keep], worst[keep]
@@ -439,7 +440,7 @@ def smb_estimate(
     if system.on_words:
         ref = partition.itinerary(system, center.word[None, :], n)[0]
     else:
-        ref = partition.itinerary(system, center.points[None, :, :], n)[0]
+        ref = partition.itinerary(system, center.points[:, None], n)[0]
     count = int((partition.itinerary(system, stack, n) == ref[None, :]).all(axis=1).sum())
     if count == 0:
         return math.nan

@@ -23,21 +23,26 @@ the normalized common-subsequence mismatch of the two symbol words.
 Every match size comes from one bit-parallel recurrence: each row of a
 compatibility matrix is packed into a uint64 mask (so n, m <= 64) and the
 bit-vector LCS update (Allison & Dix 1986; Hyyro 2004) advances the DP one
-row at a time across a whole batch.  No other match DP exists.
+row at a time across a whole batch.  Masks are step-major, (n, ...): the
+recurrence reads one contiguous plane of the batch per row.  No other
+match DP exists.
 
 Batch kernels evaluate one center, or a stack of C centers, against many
-orbits at once: a center without a leading axis gives an (M,) membership
+orbits at once: a center without a stack axis gives an (M,) membership
 row, a stack of C centers a (C, M) matrix, and one call builds
 temporaries for at most BLOCK_PAIRS (center, orbit) pairs at a time.  The
-FK kernel exploits that a match of size k never displaces an index by more
-than n - k, so a ball test at threshold delta only needs the diagonal band
-of width match_slack(n, delta) = n - match_target(n, delta): its masks are
-built one diagonal slice at a time.  The same bound lets one mask per
-radius, built at the longest n and widest band, decide the FK ball of
-every shorter prefix and narrower band (`_fk_members`), which is how the
-local tables count all their FK cells in one pass.  The torus Bowen kernel
-screens every (center, orbit) pair on the last, most expanded step and
-compares the remaining steps only on the pairs that pass.
+orbits are a step-major (n', M) circle stack or an (M, L) word matrix
+(`systems.sample_axis`).  The FK kernel exploits that a match of size k
+never displaces an index by more than n - k, so a ball test at threshold
+delta only needs the diagonal band of width match_slack(n, delta) =
+n - match_target(n, delta): its masks are built one diagonal slice at a
+time.  The same bound lets one mask per radius, built at the longest n
+and widest band, decide the FK ball of every shorter prefix and narrower
+band, and carries only move up, so one recurrence per radius reads the
+match size of every prefix on its way (`_fk_members`); that is how the
+local tables count all their FK cells in one pass.  The torus Bowen
+kernel screens every (center, orbit) pair on the last, most expanded step
+and compares the remaining steps only on the pairs that pass.
 
 How the two metrics relate is decided here and nowhere else.  KINDS runs
 from the smaller ball to the larger: the Bowen ball lies inside the FK
@@ -56,7 +61,15 @@ import math
 
 import numpy as np
 
-from .systems import OrbitSegment, RandomSystemSpec, circle_gap, cylinder_depth, diameter
+from .systems import (
+    OrbitSegment,
+    RandomSystemSpec,
+    circle_gap,
+    cylinder_depth,
+    diameter,
+    sample_axis,
+    take_samples,
+)
 
 __all__ = [
     "BOWEN",
@@ -157,8 +170,7 @@ def pair_distance_matrix(a: OrbitSegment, b: OrbitSegment) -> np.ndarray:
     _check_pair(a, b)
     n = a.n
     if not a.on_words:
-        gaps = circle_gap(a.points[:n, None, :], b.points[None, :n, :])
-        return gaps.max(axis=2)
+        return circle_gap(a.points[:n, None], b.points[None, :n])
     u, v = a.word, b.word
     # cylinder: longest common extension of every suffix pair, swept bottom-up
     eq = u[:, None] == v[None, :]
@@ -175,15 +187,16 @@ def pair_distance_matrix(a: OrbitSegment, b: OrbitSegment) -> np.ndarray:
 def max_match_batch(compat: np.ndarray) -> np.ndarray:
     """Maximum match sizes for a (B, n, m) stack of compatibility matrices.
 
-    Each row is packed into one uint64 mask over its m <= 64 columns and
-    the stack runs through the bit-parallel match recurrence.
+    Each row is packed into one uint64 mask over its m <= 64 columns, the
+    masks are laid out step-major, (n, B), and the stack runs through the
+    bit-parallel match recurrence.
     """
     compat = np.asarray(compat, dtype=bool)
     if compat.ndim == 2:
         compat = compat[None]
-    m = compat.shape[2]
-    pm = np.bitwise_or.reduce(compat * _bit_weights(m), axis=2)
-    return _match_sizes(pm, m)
+    _, n, m = compat.shape
+    pm = np.ascontiguousarray(np.bitwise_or.reduce(compat * _bit_weights(m), axis=2).T)
+    return _match_sizes(pm, [(n, m)])[0]
 
 
 def _bit_weights(m: int) -> np.ndarray:
@@ -193,26 +206,38 @@ def _bit_weights(m: int) -> np.ndarray:
     return np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
 
 
-def _match_sizes(pm: np.ndarray, m: int) -> np.ndarray:
-    """Maximum match sizes from a (..., n) stack of packed row masks.
+def _match_sizes(pm: np.ndarray, cuts) -> list[np.ndarray]:
+    """Maximum match sizes from a step-major (n, ...) stack of packed row masks.
 
-    Bit j of pm[..., i] marks row i compatible with column j.  The bit-vector
-    LCS recurrence (Allison & Dix 1986; Hyyro 2004) advances the match DP
-    one row in a few word operations: the zero bits of v mark the columns
-    where the DP value steps up, so the match size is m - popcount(v).  It
-    only uses the unit-step structure of the DP, so it holds for any
-    boolean compatibility matrix.  At m = 64 the carry out of the top bit
-    is dropped by uint64 wraparound, which is what the mask does below it.
-    v never holds a bit at column m or above, so such bits of pm are
-    ignored: masks built for a longer segment serve its prefixes as they
-    are.
+    Bit j of pm[i] marks row i compatible with column j, and pm[i] is one
+    contiguous plane over the batch.  For each (rows, cols) in cuts the
+    result holds, shaped pm.shape[1:], the match size of the first rows
+    rows against the columns below cols.  The bit-vector LCS recurrence
+    (Allison & Dix 1986; Hyyro 2004) advances the match DP one row in a
+    few word operations: the zero bits of v mark the columns where the DP
+    value steps up, so the match size is cols - popcount(v) over the
+    columns below cols.  It only uses the unit-step structure of the DP,
+    so it holds for any boolean compatibility matrix.  Carries and borrows
+    only move up, so the low bits of v evolve as they would with no
+    columns above them: one run over the widest cut reads every narrower
+    cut on its way, after its last row, and bits of pm at or above the
+    widest column are ignored.  At 64 columns the carry out of the top
+    bit is dropped by uint64 wraparound, which is what the mask does
+    below it.
     """
-    full = np.uint64((1 << m) - 1)
-    v = np.full(pm.shape[:-1], full, dtype=np.uint64)
-    for i in range(pm.shape[-1]):
-        u = v & pm[..., i]
-        v = ((v + u) | (v - u)) & full
-    return m - np.bitwise_count(v).astype(np.int64)
+    last = max(rows for rows, _ in cuts)
+    full = np.uint64((1 << max(cols for _, cols in cuts)) - 1)
+    v = np.full(pm.shape[1:], full, dtype=np.uint64)
+    sizes: list[np.ndarray] = [None] * len(cuts)
+    for i in range(last + 1):
+        for k, (rows, cols) in enumerate(cuts):
+            if rows == i:
+                low = v & np.uint64((1 << cols) - 1)
+                sizes[k] = cols - np.bitwise_count(low).astype(np.int64)
+        if i < last:
+            u = v & pm[i]
+            v = ((v + u) | (v - u)) & full
+    return sizes
 
 
 def compat_matrix(a: OrbitSegment, b: OrbitSegment, eps: float) -> np.ndarray:
@@ -385,120 +410,145 @@ def ball_steps(system: RandomSystemSpec, n: int, eps: float) -> int:
 def _word_diagonal(
     center_word: np.ndarray, others: np.ndarray, depth: int, i0: int, i1: int, offset: int
 ) -> np.ndarray:
-    """(..., M, i1 - i0) agreement of center steps i with sample steps i + offset.
+    """Step-major (i1 - i0, ..., M) agreement of center steps i with sample steps i + offset.
 
-    center_word is one word (L,) or a (C, L) stack, which leads the
-    result.  A pair agrees when the suffixes agree on `depth` symbols;
-    positions past either stored word count as agreement by convention.
+    center_word is one word (L,) or a (C, L) stack, whose stack axis
+    follows the steps.  A pair agrees when the suffixes agree on `depth`
+    symbols; positions past either stored word count as agreement by
+    convention.
     """
     lu, lb = center_word.shape[-1], others.shape[1]
-    ok = np.ones(center_word.shape[:-1] + (others.shape[0], i1 - i0), dtype=bool)
+    lead = center_word.ndim - 1
+    ok = np.ones((i1 - i0,) + center_word.shape[:-1] + (others.shape[0],), dtype=bool)
     for t in range(depth):
         ui = np.arange(i0 + t, i1 + t)
         jj = ui + offset
-        agree = others[:, np.minimum(jj, lb - 1)] == center_word[..., None, np.minimum(ui, lu - 1)]
-        ok &= agree | ~((ui < lu) & (jj < lb))
+        sample = np.expand_dims(others.T[np.minimum(jj, lb - 1)], tuple(range(1, 1 + lead)))
+        center = np.moveaxis(center_word[..., np.minimum(ui, lu - 1)], -1, 0)[..., None]
+        past = ~((ui < lu) & (jj < lb))
+        ok &= (sample == center) | past.reshape((-1,) + (1,) * (lead + 1))
     return ok
 
 
 def _band_masks(
     center: OrbitSegment, others: np.ndarray, bands: dict[float, int], closed: bool
 ) -> dict[float, np.ndarray]:
-    """(..., M, n) packed match masks over the diagonal band |i - j| <= bands[delta], per delta.
+    """Step-major (n, ..., M) packed match masks over the band |i - j| <= bands[delta], per delta.
 
-    The center's stack shape leads each mask.  Bit j of row i of a
+    Axis 0 is the center's step i and the center's stack shape follows
+    it, so row i of a mask is one contiguous plane.  Bit j of row i of a
     delta's mask is set when center step i and sample step j are within
     delta (at most delta when closed); cells off its band stay clear.
-    Each diagonal offset is one slice of `others`; on the torus its gaps
-    are computed once and thresholded for every delta whose band reaches
-    it.
+    Each diagonal offset reads one slice of `others`, steps i0 + offset to
+    i1 + offset of every sample (a step-major (n', M) circle stack or an
+    (M, L) word matrix); on the torus its gaps are computed once and
+    thresholded for every delta whose band reaches it.
     """
     n = center.n
     torus = not center.on_words
+    lead = center.stack_shape
     weights = _bit_weights(n)
-    shape = center.stack_shape + (others.shape[0], n)
+    shape = (n,) + lead + (others.shape[sample_axis(center.on_words)],)
     masks = {d: np.zeros(shape, dtype=np.uint64) for d in bands}
     reach = max(bands.values())
+    if torus:
+        # a stack axis on the samples broadcasts them against every center
+        samples = np.expand_dims(others, tuple(range(1, 1 + len(lead))))
+        points = center.points[..., None]
     for offset in range(-reach, reach + 1):
         i0, i1 = max(0, -offset), min(n, n - offset)
+        bits = weights[i0 + offset : i1 + offset].reshape((-1,) + (1,) * (len(lead) + 1))
         if torus:
-            gaps = circle_gap(others[:, i0 + offset : i1 + offset, :], center.points[..., None, i0:i1, :])
+            gaps = circle_gap(samples[i0 + offset : i1 + offset], points[i0:i1])
         for d, band in bands.items():
             if abs(offset) > band:
                 continue
             if torus:
-                ok = (gaps <= d if closed else gaps < d).all(axis=-1)
+                ok = gaps <= d if closed else gaps < d
             else:
                 depth = _pair_depth(d, closed)
                 ok = _word_diagonal(center.word, others, depth, i0, i1, offset)
-            masks[d][..., i0:i1] |= ok * weights[i0 + offset : i1 + offset]
+            masks[d][i0:i1] |= ok * bits
     return masks
 
 
 def _fk_members(center: OrbitSegment, others: np.ndarray, cells, closed: bool = False):
     """FK ball membership for (n, delta) cells with positive slack, block by block.
 
-    Yields (lo, hits) per block of rows starting at row lo, where hits
-    lists one bool array per cell in the order given, shaped like the
-    center's stack followed by the block's rows.  A block holds
-    BLOCK_PAIRS // C rows for a stack of C centers (at least one row).
-    The center orbit covers the longest n.  Per block each delta gets one
-    packed mask at the center's length and its widest band, all built
-    from one pass over the diagonals, and each n runs the match
-    recurrence on the first n rows of its delta's mask (the columns past
-    n are ignored) with target n - match_slack(n, delta).  Bits in a
-    wider band cannot change the test: a match of size at least n - b
-    pairs no index with one more than b steps away.
+    Yields (lo, hits) per block of samples starting at sample lo, where
+    hits lists one bool array per cell in the order given, shaped like
+    the center's stack followed by the block's samples.  A block holds
+    BLOCK_PAIRS // C samples for a stack of C centers (at least one),
+    sliced along the samples' axis (`systems.take_samples`).  The center
+    orbit covers the longest n.  Per block each delta gets one packed
+    mask at the center's length and its widest band, all built from one
+    pass over the diagonals, and one match recurrence per delta runs to
+    its longest n, reading the size of each shorter n's leading n x n
+    block after row n - 1 (`_match_sizes`); each n tests it against the
+    target n - match_slack(n, delta).  Bits in a wider band cannot change
+    the test: a match of size at least n - b pairs no index with one more
+    than b steps away.
     """
     slacks = [match_slack(n, d) for n, d in cells]
     widest: dict[float, int] = {}
     for (_, d), b in zip(cells, slacks):
         widest[d] = min(max(widest.get(d, 0), b), center.n - 1)
+    lengths = {d: sorted({n for n, e in cells if e == d}) for d in widest}
+    on_words = center.on_words
     rows = max(1, BLOCK_PAIRS // math.prod(center.stack_shape))
-    for lo in range(0, others.shape[0], rows):
-        masks = _band_masks(center, others[lo : lo + rows], widest, closed)
-        yield lo, [_match_sizes(masks[d][..., :n], n) >= n - b for (n, d), b in zip(cells, slacks)]
+    for lo in range(0, others.shape[sample_axis(on_words)], rows):
+        masks = _band_masks(center, take_samples(others, on_words, slice(lo, lo + rows)), widest, closed)
+        sizes = {
+            (n, d): size
+            for d, ns in lengths.items()
+            for n, size in zip(ns, _match_sizes(masks[d], [(n, n) for n in ns]))
+        }
+        yield lo, [sizes[cell] >= cell[0] - b for cell, b in zip(cells, slacks)]
 
 
 def _check_torus_stack(center: OrbitSegment, others: np.ndarray) -> None:
     """Reject a torus orbit stack with fewer steps than the center orbit."""
-    if not center.on_words and others.shape[1] < center.n:
+    if not center.on_words and others.shape[0] < center.n:
         raise ValueError(
-            f"orbit stack has {others.shape[1]} steps, the center orbit {center.n}"
+            f"orbit stack has {others.shape[0]} steps, the center orbit {center.n}"
         )
 
 
 def bowen_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed: bool = False) -> np.ndarray:
     """Membership of many orbits in the time-n Bowen ball around a center.
 
-    `others` is an (M, n', d) orbit stack with n' >= n for torus systems,
-    or an (M, L) word matrix for shift systems.  The center is one orbit,
-    giving an (M,) result, or a stack of C orbits, giving (C, M) with row
-    c the ball around center c.  Open ball by default; `closed` switches
-    to d <= delta (the complement of the strict separation test).
+    `others` is a step-major (n', M) orbit stack with n' >= n for torus
+    systems, or an (M, L) word matrix for shift systems.  The center is
+    one orbit, giving an (M,) result, or a stack of C orbits, giving
+    (C, M) with row c the ball around center c.  Open ball by default;
+    `closed` switches to d <= delta (the complement of the strict
+    separation test).
 
     On the torus the last step, the most expanded one, screens every
-    (center, orbit) pair first, and only its survivors have their other
-    n - 1 steps compared.  Membership is a conjunction over steps, so the
-    screen changes no result.  One center is compared with its survivors
-    by broadcasting; a stack gathers each survivor's center row.
+    (center, orbit) pair first on the contiguous row others[n - 1], into
+    a (C, M) screen for a stack, and only its survivors have their other
+    n - 1 steps compared: those steps are gathered column-wise into an
+    (n - 1, survivors) block and the gap max runs over its steps.
+    Membership is a conjunction over steps, so the screen changes no
+    result.  One center is compared with its survivors by broadcasting; a
+    stack splits each survivor into its center and orbit by divmod.
     """
     n = center.n
     if not center.on_words:
         _check_torus_stack(center, others)
         points = center.points
-        last = circle_gap(others[:, n - 1, :], points[..., None, n - 1, :]).max(axis=-1)
+        last = circle_gap(others[n - 1], points[n - 1, ..., None])
         inside = last <= delta if closed else last < delta
         live = np.flatnonzero(inside)
         if n > 1 and live.size:
             if center.stack_shape:
-                # survivor (c, j) compares center c's row with orbit j
-                hit = np.divmod(live, others.shape[0])
-                live_rows, near = hit[1], points[hit[0], : n - 1]
+                # survivor (c, j) compares center c's steps with orbit j's
+                hit = np.divmod(live, others.shape[1])
+                live_rows, near = hit[1], points[: n - 1, hit[0]]
             else:
                 hit = live_rows = live
-                near = points[: n - 1]
-            gaps = circle_gap(others[live_rows, : n - 1, :], near).max(axis=(1, 2))
+                near = points[: n - 1, None]
+            gaps = circle_gap(np.take(others[: n - 1], live_rows, axis=1), near).max(axis=0)
             inside[hit] = gaps <= delta if closed else gaps < delta
         return inside
     word = center.word
@@ -525,7 +575,7 @@ def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed
     _check_torus_stack(center, others)
     n = center.n
     band = match_slack(n, delta)
-    shape = center.stack_shape + (others.shape[0],)
+    shape = center.stack_shape + (others.shape[sample_axis(center.on_words)],)
     if band >= n:
         return np.ones(shape, dtype=bool)
     inside = np.empty(shape, dtype=bool)

@@ -43,6 +43,7 @@ from .systems import (
     expansion_product,
     orbit_batch,
     sample_path,
+    take_samples,
     word_dtype,
 )
 from .matching import (
@@ -128,7 +129,7 @@ def torus_grid_candidates(
             "lower count_target or raise the budget"
         )
     starts = ((np.arange(m) + 0.5) * mesh) % 1.0
-    return EmpiricalMeasure(system, path, orbit_batch(system, path, starts[:, None], n)), window
+    return EmpiricalMeasure(system, path, orbit_batch(system, path, starts, n)), window
 
 
 def word_candidates(
@@ -166,12 +167,13 @@ def word_candidates(
     return EmpiricalMeasure(system, path, words), 1.0
 
 
-def _segment(on_words: bool, n: int, rows: np.ndarray) -> OrbitSegment:
-    """The time-n orbit segment stored in one row of an orbit stack, or
-    the stacked segments of a block of its rows."""
+def _centers(stack: np.ndarray, on_words: bool, n: int, index) -> OrbitSegment:
+    """The time-n orbit segment of sample `index` of an orbit stack, or the
+    stacked segments of a slice of its samples (`systems.take_samples`)."""
+    orbits = take_samples(stack, on_words, index)
     if on_words:
-        return OrbitSegment(n, word=rows)
-    return OrbitSegment(n, points=rows)
+        return OrbitSegment(n, word=orbits)
+    return OrbitSegment(n, points=orbits)
 
 
 def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float) -> tuple[int, np.ndarray]:
@@ -193,9 +195,10 @@ def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float
         raise ValueError("n must be >= 1")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    on_words = candidates.on_words
     cur = candidates.orbit_stack(ball_steps(candidates.system, n, eps))
-    idx = np.arange(cur.shape[0])
-    dead = np.zeros(cur.shape[0], dtype=bool)
+    idx = np.arange(candidates.M)
+    dead = np.zeros(idx.size, dtype=bool)
     kept: list[int] = []
     p = 0
     while True:
@@ -204,16 +207,17 @@ def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float
         if p >= idx.size:
             break
         kept.append(int(idx[p]))
-        center = _segment(candidates.on_words, n, cur[p])
+        center = _centers(cur, on_words, n, p)
         dead[p] = True
         if p + 1 < idx.size:
-            dead[p + 1 :] |= ball_batch(kind, center, cur[p + 1 :], eps, closed=True)
+            rest = take_samples(cur, on_words, slice(p + 1, None))
+            dead[p + 1 :] |= ball_batch(kind, center, rest, eps, closed=True)
         # compact once the tail is mostly dead; total copying stays O(M)
         tail = idx.size - p - 1
         if tail > 64 and dead[p + 1 :].sum() > tail // 2:
             keep_mask = ~dead
             keep_mask[: p + 1] = False
-            cur = cur[keep_mask]
+            cur = take_samples(cur, on_words, keep_mask)
             idx = idx[keep_mask]
             dead = np.zeros(idx.size, dtype=bool)
             p = 0
@@ -243,7 +247,8 @@ def cover_matrix(kind: str, measure: EmpiricalMeasure, n: int, eps: float, pair_
     i0 = 0
     while i0 < m - 1:
         i1 = min(m - 1, i0 + max(1, BLOCK_PAIRS // (m - i0 - 1)))
-        block = ball_batch(kind, _segment(measure.on_words, n, stack[i0:i1]), stack[i0 + 1 :], eps)
+        others = take_samples(stack, measure.on_words, slice(i0 + 1, None))
+        block = ball_batch(kind, _centers(stack, measure.on_words, n, slice(i0, i1)), others, eps)
         # row k of the block is center i0 + k against points i0 + 1 on; it keeps the points after itself
         inside = np.triu(block)
         cover[i0:i1, i0 + 1 :] = inside

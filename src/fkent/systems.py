@@ -14,12 +14,19 @@ Driving laws are Bernoulli or stationary Markov over a finite alphabet; no
 abstract measurable-space machinery is modeled beyond that.
 
 The family fixes the fiber and its metric, and `on_words` is the one fact
-that records which.  The circle families live on the torus, with the max
-over coordinates of the circle arc distance; shifts live on words, with
-the cylinder metric 2^(-t), t the first index at which two words disagree
-(agreement over the full stored overlap gives 0).  `diameter` gives each
-metric's diameter.  A system reads `on_words` from its family, a measure
-from its system, and an orbit segment from the array it stores.
+that records which.  The circle families live on the circle, with the arc
+distance; shifts live on words, with the cylinder metric 2^(-t), t the
+first index at which two words disagree (agreement over the full stored
+overlap gives 0).  `diameter` gives each metric's diameter.  A system
+reads `on_words` from its family, a measure from its system, and an orbit
+segment from the array it stores.
+
+The circle has one coordinate, so circle orbits carry no coordinate axis,
+and a stack of circle orbits is step-major: row i holds step i of every
+orbit, so a kernel that walks the steps reads one contiguous row per
+step.  A stack of words is sample-major, one word per row.
+`sample_axis` names the axis that indexes the samples of either stack,
+and `take_samples` slices along it.
 """
 
 from __future__ import annotations
@@ -268,8 +275,8 @@ def word_dtype(system: RandomSystemSpec) -> np.dtype:
 def apply_fiber_map(system: RandomSystemSpec, symbol: int, x: np.ndarray) -> np.ndarray:
     """One step of the fiber map for a driving letter; torus families only.
 
-    Accepts any array whose last axis is the coordinate axis and applies the
-    map elementwise, so batched orbits reuse the same kernel.
+    Applies the map elementwise to an array of circle points, so one orbit
+    and a row of many orbits run the same kernel.
     """
     m = system.factors[int(symbol)]
     x = np.asarray(x, dtype=float)
@@ -285,17 +292,18 @@ def apply_fiber_map(system: RandomSystemSpec, symbol: int, x: np.ndarray) -> np.
 class OrbitSegment:
     """The first n points of an orbit along a path, or of a stack of orbits.
 
-    Torus families store the points as an (n, d) float array.  Shift
+    Torus families store the points as an (n,) float array.  Shift
     families store the base word once; the i-th orbit point is the suffix
     starting at i, referenced by index without copying.  The stored field
     tells which fiber the segment lives on: `on_words` is true when it
     holds a word.
 
-    A stack of C orbits along the same path stores (C, n, d) points or a
-    (C, L) word matrix; the leading axis indexes the orbits.  Only the
-    batch ball kernels (`matching.bowen_ball_batch`, `fk_ball_batch`) read
-    stacks, as a block of ball centers; every other consumer takes one
-    orbit.
+    A stack of C orbits along the same path stores step-major (n, C)
+    points, axis 0 the steps as for one orbit, or a (C, L) word matrix,
+    axis 0 the orbits; `stack_shape` is (C,) either way.  Points may hold
+    more than n steps.  Only the batch ball kernels
+    (`matching.bowen_ball_batch`, `fk_ball_batch`) read stacks, as a block
+    of ball centers; every other consumer takes one orbit.
     """
 
     n: int
@@ -309,7 +317,7 @@ class OrbitSegment:
             raise ValueError("exactly one of points/word must be set")
         if self.word is not None and self.word.shape[-1] < self.n:
             raise ValueError("stored word shorter than the orbit length")
-        if self.points is not None and self.points.shape[-2] < self.n:
+        if self.points is not None and self.points.shape[0] < self.n:
             raise ValueError("stored points shorter than the orbit length")
 
     @property
@@ -319,7 +327,7 @@ class OrbitSegment:
     @property
     def stack_shape(self) -> tuple[int, ...]:
         """() for one orbit, (C,) for a stack of C orbits."""
-        return self.word.shape[:-1] if self.on_words else self.points.shape[:-2]
+        return self.word.shape[:-1] if self.on_words else self.points.shape[1:]
 
     def prefix(self, n: int) -> "OrbitSegment":
         """The same orbit truncated to its first n points."""
@@ -334,15 +342,37 @@ class OrbitSegment:
 
 def _coerce_torus_start(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float).reshape(-1)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise ValueError("torus coordinates must lie in [0, 1)")
+    if arr.size != 1:
+        raise ValueError(f"a circle point has one coordinate, got {arr.size}")
+    if arr[0] < 0.0 or arr[0] >= 1.0:
+        raise ValueError("circle points must lie in [0, 1)")
     return arr
 
 
-def _coerce_word_start(system: RandomSystemSpec, x) -> np.ndarray:
+def _check_word_symbols(system: RandomSystemSpec, path: OmegaPath, words: np.ndarray) -> None:
+    """Raise ValueError unless symbol i of every word (the last axis) lies in
+    the alphabet path step i prescribes, factor_along(path, L).
+
+    Symbols past the path's horizon have no step to prescribe theirs, so
+    they are checked against the space alphabet.
+    """
+    if words.size == 0:
+        return
+    L = words.shape[-1]
+    sizes = np.full(L, system.space_alphabet, dtype=np.int64)
+    steps = min(L, path.horizon)
+    sizes[:steps] = system.factor_along(path, steps)
+    flat = words.reshape(-1, L)
+    # the per-column maxima are read only when some symbol reaches the
+    # smallest alphabet, since one reduction over the whole matrix is
+    # many times cheaper than a reduction per column
+    if flat.min() < 0 or (flat.max() >= sizes.min() and (flat.max(axis=0) >= sizes).any()):
+        raise ValueError("word symbols outside the alphabets of their path steps")
+
+
+def _coerce_word_start(system: RandomSystemSpec, path: OmegaPath, x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.int64).reshape(-1)
-    if np.any(arr < 0) or np.any(arr >= system.space_alphabet):
-        raise ValueError("word symbols outside the space alphabet")
+    _check_word_symbols(system, path, arr)
     return arr.astype(word_dtype(system))
 
 
@@ -359,36 +389,57 @@ def orbit(system: RandomSystemSpec, path: OmegaPath, x, n: int) -> OrbitSegment:
     if path.horizon < n - 1:
         raise ValueError(f"path horizon {path.horizon} < n - 1 = {n - 1}")
     if system.on_words:
-        word = _coerce_word_start(system, x)
+        word = _coerce_word_start(system, path, x)
         if len(word) < n:
             raise ValueError("stored word shorter than requested orbit")
         return OrbitSegment(n, word=word)
-    start = _coerce_torus_start(x)
-    pts = np.empty((n, start.size), dtype=float)
-    pts[0] = start
+    pts = np.empty(n, dtype=float)
+    pts[:1] = _coerce_torus_start(x)
+    # one-element slices, since the fiber maps work on arrays, not scalars
     for i in range(1, n):
-        pts[i] = apply_fiber_map(system, path.symbol(i - 1), pts[i - 1])
+        pts[i : i + 1] = apply_fiber_map(system, path.symbol(i - 1), pts[i - 1 : i])
     return OrbitSegment(n, points=pts)
 
 
 def orbit_batch(system: RandomSystemSpec, path: OmegaPath, xs: np.ndarray, n: int) -> np.ndarray:
-    """Orbits of many torus starts at once: (M, d) -> (M, n, d).
+    """Orbits of many circle starts at once: (M,) starts -> an (n, M) stack.
 
-    Shift systems have no work to do here (orbit points are suffixes of the
-    stored words), so this path is torus-only.
+    The stack is step-major: row i is step i of every orbit, computed from
+    row i - 1 in one contiguous pass, so every kernel that walks the steps
+    reads one contiguous row per step.  Shift systems have no work to do
+    here (orbit points are suffixes of the stored words), so this path is
+    torus-only.
     """
     if system.on_words:
         raise ValueError("orbit_batch applies to torus families")
     if path.horizon < n - 1:
         raise ValueError(f"path horizon {path.horizon} < n - 1 = {n - 1}")
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    out = np.empty((xs.shape[0], n, xs.shape[1]), dtype=float)
-    out[:, 0, :] = xs
+    if xs.ndim != 1:
+        raise ValueError(f"orbit_batch takes an (M,) array of circle points, got shape {xs.shape}")
+    out = np.empty((n, xs.size), dtype=float)
+    out[0] = xs
     for i in range(1, n):
-        out[:, i, :] = apply_fiber_map(system, path.symbol(i - 1), out[:, i - 1, :])
+        out[i] = apply_fiber_map(system, path.symbol(i - 1), out[i - 1])
     return out
+
+
+def sample_axis(on_words: bool) -> int:
+    """The axis of an orbit stack that indexes its samples.
+
+    0 for an (M, L) word matrix, 1 for a step-major (H, M) circle stack;
+    the other axis holds the steps.
+    """
+    return 0 if on_words else 1
+
+
+def take_samples(stack: np.ndarray, on_words: bool, index) -> np.ndarray:
+    """The samples at index (an int, a slice or a mask) of an orbit stack.
+
+    Slices along `sample_axis`: rows of a word matrix, columns of a circle
+    stack, so an int gives one sample's orbit and a slice a view.
+    """
+    return stack[index] if on_words else stack[:, index]
 
 
 # sorted word rows compared per block when EmpiricalMeasure.prefix_index is built
@@ -402,18 +453,19 @@ class EmpiricalMeasure:
     The points are i.i.d. draws from the reference measure, a grid or a
     word enumeration.  The measure lives on the fiber over one driving
     path of one system, so it carries both, and consumers take it alone.
-    orbits is the points' orbit stack along omega: (M, H, d) floats in
-    [0, 1) for circle families, step 0 being the points, or an (M, L)
-    word matrix for shifts, where a word is its own orbit, stored in the
-    system's word_dtype (one byte per symbol for alphabets of at most 256
-    letters); the system's kind decides which shape is accepted.  Word
-    samples must be integer symbols of the space alphabet, checked before
-    the cast, so the cast never wraps.  samples reads the
-    points back as (M, d) or (M, L).  Set membership is always estimated
-    as count/M, so M >= 1 is required up front.  A word measure packs
-    and sorts its word matrix once, the first time a cover reads its
-    prefix_index; every prefix length then reads its classes from that
-    one sort.
+    orbits is the points' orbit stack along omega: a step-major (H, M)
+    float stack in [0, 1) for circle families, row 0 being the points,
+    or an (M, L) word matrix for shifts, where a word is its own orbit,
+    stored in the system's word_dtype (one byte per symbol for alphabets
+    of at most 256 letters); the system's kind decides which shape is
+    accepted, and `sample_axis` which axis counts M.  Symbol i of every
+    word must be an integer symbol of the alphabet path step i
+    prescribes (`factor_along`), checked before the cast, so the cast
+    never wraps.  samples reads the points back as (M,) or (M, L).  Set
+    membership is always estimated as count/M, so M >= 1 is required up
+    front.  A word measure packs and sorts its word matrix once, the
+    first time a cover reads its prefix_index; every prefix length then
+    reads its classes from that one sort.
     """
 
     system: RandomSystemSpec
@@ -422,20 +474,19 @@ class EmpiricalMeasure:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.orbits)
-        if arr.ndim != (2 if self.on_words else 3) or 0 in arr.shape[1:]:
-            raise ValueError("orbits must be an (M, L) word matrix or an (M, H, d) orbit stack")
-        if arr.shape[0] < 1:
+        axis = sample_axis(self.on_words)
+        if arr.ndim != 2 or arr.shape[1 - axis] == 0:
+            raise ValueError("orbits must be an (M, L) word matrix or an (H, M) orbit stack")
+        if arr.shape[axis] < 1:
             raise ValueError("empirical measure needs M >= 1 samples")
         if self.on_words:
             if not np.issubdtype(arr.dtype, np.integer):
                 raise ValueError(f"word samples must be integer symbols, got {arr.dtype}")
-            if arr.min() < 0 or arr.max() >= self.system.space_alphabet:
-                raise ValueError("word samples outside the space alphabet")
+            _check_word_symbols(self.system, self.omega, arr)
             arr = arr.astype(word_dtype(self.system), copy=False)
         else:
             arr = arr.astype(float, copy=False)
-            draws = arr[:, 0, :]
-            if draws.min() < 0.0 or draws.max() >= 1.0:
+            if arr[0].min() < 0.0 or arr[0].max() >= 1.0:
                 raise ValueError("torus samples must lie in [0, 1)")
         self.orbits = arr
 
@@ -445,19 +496,20 @@ class EmpiricalMeasure:
 
     @property
     def M(self) -> int:
-        return int(self.orbits.shape[0])
+        return int(self.orbits.shape[sample_axis(self.on_words)])
 
     @property
     def samples(self) -> np.ndarray:
-        return self.orbits if self.on_words else self.orbits[:, 0, :]
+        return self.orbits if self.on_words else self.orbits[0]
 
     def orbit_stack(self, steps: int) -> np.ndarray:
         """The sample orbits, once they are known to hold `steps` steps.
 
         Steps are orbit points on the torus and symbols on words.
         """
-        if self.orbits.shape[1] < steps:
-            raise ValueError(f"sample orbits hold {self.orbits.shape[1]} steps, {steps} needed")
+        held = self.orbits.shape[1 - sample_axis(self.on_words)]
+        if held < steps:
+            raise ValueError(f"sample orbits hold {held} steps, {steps} needed")
         return self.orbits
 
     @cached_property

@@ -103,12 +103,13 @@ def test_word_fast_path_equals_dense_greedy():
     torus = expanding_system((2,))
     torus_path = sample_path(bernoulli_process((1.0,)), 6, 3)
     torus_mu = sample_measure(torus, torus_path, 300, 3)
-    orbits = orbit_batch(torus, torus_path, torus_mu.samples, 4)
-    gaps = circle_gap(orbits[:, None], orbits[None]).max(axis=(2, 3))
+    # the reference reads one (M, n) row per sample: the stacks are step-major
+    orbits = orbit_batch(torus, torus_path, torus_mu.samples, 4).T
+    gaps = circle_gap(orbits[:, None], orbits[None]).max(axis=2)
     assert match_target(4, 0.1) == 4
     for kind in (BOWEN, FK):
         cases.append((torus_mu, 4, 0.1, kind, gaps < 0.1))
-    orbits = orbit_batch(torus, torus_path, torus_mu.samples, 5)[:, :, 0]
+    orbits = orbit_batch(torus, torus_path, torus_mu.samples, 5).T
     compat = circle_gap(orbits[:, None, :, None], orbits[None, :, None, :]) < 0.25
     table = np.zeros((6, 6) + compat.shape[:2], dtype=np.int64)
     for a in range(1, 6):

@@ -41,7 +41,7 @@ def doubling_setup(M=50_000, horizon=12, seed=4):
 
 def test_sample_measure_torus_uniform():
     system, path, mu = doubling_setup(M=100_000)
-    assert mu.samples.shape == (100_000, 1)
+    assert mu.samples.shape == (100_000,)
     assert (mu.samples >= 0.0).all() and (mu.samples < 1.0).all()
     # mean of U[0,1) has sd 1/sqrt(12 M); allow 4 sigma
     assert abs(mu.samples.mean() - 0.5) <= 4.0 / math.sqrt(12 * 100_000)
@@ -71,8 +71,8 @@ def test_sample_measure_deterministic_in_seed():
 
 def test_sample_measure_orbit_stack():
     # the measure holds its samples' orbits along the path it was drawn
-    # along: one orbit_batch over the horizon on the torus, the word
-    # matrix itself on shifts
+    # along: one step-major orbit_batch over the horizon on the torus, the
+    # word matrix itself on shifts
     proc = bernoulli_process((0.5, 0.5))
     path = sample_path(proc, 9, 3)
     torus = expanding_system((2, 3))
@@ -84,7 +84,7 @@ def test_sample_measure_orbit_stack():
     word_mu = sample_measure(words, path, 500, 3)
     word_stack = word_mu.orbit_stack(9)
     assert np.shares_memory(word_stack, word_mu.samples)
-    assert stack.shape[1] == word_stack.shape[1] == path.horizon
+    assert stack.shape == (path.horizon, 500) and word_stack.shape == (500, path.horizon)
 
 
 def test_reference_points_word_blocks_equal_one_draw():
@@ -143,9 +143,13 @@ def test_empirical_measure_validation():
     with pytest.raises(ValueError):
         EmpiricalMeasure(system, path, np.zeros(3))
     with pytest.raises(ValueError):
-        EmpiricalMeasure(system, path, np.array([[[1.5]]]))
+        EmpiricalMeasure(system, path, np.array([[1.5]]))
     with pytest.raises(ValueError):
-        EmpiricalMeasure(system, path, np.empty((0, 1, 1)))
+        EmpiricalMeasure(system, path, np.empty((0, 1)))
+    with pytest.raises(ValueError):
+        EmpiricalMeasure(system, path, np.empty((1, 0)))
+    with pytest.raises(ValueError):
+        EmpiricalMeasure(system, path, np.zeros((2, 3, 1)))
 
 
 def test_word_measure_rejects_non_symbols():
@@ -197,9 +201,10 @@ def test_ball_count_table_matches_ball_measure():
     M = 3_000
     center = orbit(system, path, 5 / 64, 11)
     rng = np.random.default_rng(6)
-    moves = rng.choice([-17, -16, -15, -9, -8, -7, 7, 8, 9, 15, 16, 17], size=(M, 11, 1))
-    moved = rng.random((M, 11, 1)) < 0.08
-    stack = ((np.round(center.points * 64) + np.where(moved, moves, 0)) % 64) / 64
+    moves = rng.choice([-17, -16, -15, -9, -8, -7, 7, 8, 9, 15, 16, 17], size=(M, 11))
+    moved = rng.random((M, 11)) < 0.08
+    rows = ((np.round(center.points * 64) + np.where(moved, moves, 0)) % 64) / 64
+    stack = np.ascontiguousarray(rows.T)
     mu = EmpiricalMeasure(system, path, stack)
     n_list, delta_list = [3, 5, 8], [0.125, 0.25]
     assert {match_slack(n, d) for n in n_list for d in delta_list} == {0, 1}
@@ -231,12 +236,12 @@ def test_shared_local_pass_matches_ball_measure(monkeypatch):
     M, steps = 3_000, 12
     center = orbit(system, path, 5 / 64, steps + 2)
     rng = np.random.default_rng(9)
-    grid = np.concatenate([rng.integers(0, 64, 2), np.round(center.points[:, 0] * 64).astype(np.int64)])
+    grid = np.concatenate([rng.integers(0, 64, 2), np.round(center.points * 64).astype(np.int64)])
     shifts = rng.integers(-2, 3, size=M)
     rows = np.stack([grid[2 - s : 2 - s + steps] for s in shifts])
     moves = rng.choice([-17, -16, -15, -9, -8, -7, 7, 8, 9, 15, 16, 17], size=(M, steps))
     moved = rng.random((M, steps)) < 0.06
-    stack = (((rows + np.where(moved, moves, 0)) % 64) / 64)[:, :, None]
+    stack = np.ascontiguousarray((((rows + np.where(moved, moves, 0)) % 64) / 64).T)
     mu = EmpiricalMeasure(system, path, stack)
     n_list, delta_list = [3, 5, 7, 9, 10], [0.125, 0.25]
     assert [match_slack(n, 0.25) for n in n_list] == [0, 1, 1, 2, 2]
@@ -287,7 +292,7 @@ def test_grid_partition_rejects_bad_mesh():
 
 def test_itinerary_doubling_is_binary_expansion():
     system = expanding_system((2,))
-    stack = np.array([[[0.3], [0.6], [0.2], [0.4]]])
+    stack = np.array([[0.3], [0.6], [0.2], [0.4]])
     labels = GridPartition(0.5).itinerary(system, stack, 4)
     assert labels.tolist() == [[0, 1, 0, 0]]
 
@@ -321,7 +326,7 @@ def test_smb_estimate_words_match_cylinder_mass():
 
 def test_smb_estimate_flags_empty_cell():
     system, path, _ = doubling_setup()
-    tiny = EmpiricalMeasure(system, path, orbit_batch(system, path, np.full((4, 1), 0.9), path.horizon))
+    tiny = EmpiricalMeasure(system, path, orbit_batch(system, path, np.full(4, 0.9), path.horizon))
     part = GridPartition(0.5)
     assert math.isnan(smb_estimate(tiny, 0.01, part, 6))
 

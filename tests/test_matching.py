@@ -35,12 +35,18 @@ from fkent.systems import (
     orbit_batch,
     sample_path,
     shift_system,
+    take_samples,
 )
 
 
 def torus_segment(points):
-    pts = np.asarray(points, dtype=float).reshape(-1, 1)
+    pts = np.asarray(points, dtype=float).reshape(-1)
     return OrbitSegment(pts.shape[0], points=pts)
+
+
+def sample_orbits(others, on_words):
+    """The orbits of a step-major circle stack or of a word matrix, one per sample."""
+    return list(others) if on_words else list(others.T)
 
 
 def word_segment(symbols, n=None):
@@ -214,46 +220,47 @@ def test_bowen_ball_batch_matches_pairwise():
     rng = np.random.default_rng(108)
     n = 6
     center = torus_segment(rng.random(n))
-    others = rng.random((64, n, 1))
+    others = rng.random((n, 64))
     for delta in (0.1, 0.3):
         members = bowen_ball_batch(center, others, delta)
-        for i in range(others.shape[0]):
-            other = OrbitSegment(n, points=others[i])
+        for i in range(others.shape[1]):
+            other = OrbitSegment(n, points=others[:, i])
             assert members[i] == (bowen_distance(center, other) < delta)
 
 
 def test_bowen_ball_batch_matches_reference_distance():
     # grid points (multiples of 1/64) put pair gaps exactly at delta = 1/8,
     # so open and closed balls differ; stacks run past n, and steps past n
-    # are perturbed too, so they must not count
+    # are perturbed too, so they must not count.  Stacks are step-major,
+    # (steps, samples).
     rng = np.random.default_rng(113)
     delta = 0.125
     shifts = np.array([-9, -8, -7, 7, 8, 9])
     differ = 0
-    for d in (1, 2):
+    for _ in range(2):
         for n in range(1, 21):
             steps = n + int(rng.integers(0, 4))
-            center = rng.integers(0, 64, size=(steps, d))
-            near = np.repeat(center[None], 40, axis=0)
-            for row in near:
+            center = rng.integers(0, 64, size=steps)
+            near = np.repeat(center[:, None], 40, axis=1)
+            for j in range(near.shape[1]):
                 for _ in range(int(rng.integers(0, 3))):
-                    row[rng.integers(0, steps), rng.integers(0, d)] += rng.choice(shifts)
-            far = rng.integers(0, 64, size=(10, steps, d))
-            others = (np.concatenate([near, far]) % 64) / 64.0
+                    near[rng.integers(0, steps), j] += rng.choice(shifts)
+            far = rng.integers(0, 64, size=(steps, 10))
+            others = (np.concatenate([near, far], axis=1) % 64) / 64.0
             seg = OrbitSegment(n, points=center[:n] / 64.0)
             for closed in (False, True):
                 members = bowen_ball_batch(seg, others, delta, closed=closed)
                 want = []
-                for row in others:
+                for row in others.T:
                     dist = bowen_distance(seg, OrbitSegment(n, points=row[:n]))
                     want.append(dist <= delta if closed else dist < delta)
                 assert members.tolist() == want
                 assert 0 < sum(want) < len(want)
             differ += int((bowen_ball_batch(seg, others, delta) != bowen_ball_batch(seg, others, delta, closed=True)).sum())
             # an empty batch, and one whose last step puts every row out
-            assert bowen_ball_batch(seg, others[:0], delta).shape == (0,)
-            last_out = np.repeat(center[None], 5, axis=0)
-            last_out[:, n - 1, 0] += 8
+            assert bowen_ball_batch(seg, others[:, :0], delta).shape == (0,)
+            last_out = np.repeat(center[:, None], 5, axis=1)
+            last_out[n - 1] += 8
             last_out = (last_out % 64) / 64.0
             assert not bowen_ball_batch(seg, last_out, delta).any()
             assert bowen_ball_batch(seg, last_out, delta, closed=True).all()
@@ -262,7 +269,7 @@ def test_bowen_ball_batch_matches_reference_distance():
 
 def test_ball_kernels_reject_short_torus_stacks():
     center = torus_segment([0.1, 0.2, 0.3, 0.4, 0.5])
-    others = np.full((3, 1, 1), 0.1)
+    others = np.full((1, 3), 0.1)
     for kernel in (bowen_ball_batch, fk_ball_batch):
         for delta in (0.1, 0.4):
             with pytest.raises(ValueError, match="orbit stack has 1 steps"):
@@ -273,11 +280,11 @@ def test_fk_ball_batch_matches_single_test():
     rng = np.random.default_rng(109)
     n = 9
     center = torus_segment(rng.random(n))
-    others = rng.random((128, n, 1))
+    others = rng.random((n, 128))
     for delta in (0.12, 0.34):
         members = fk_ball_batch(center, others, delta)
-        for i in range(others.shape[0]):
-            other = OrbitSegment(n, points=others[i])
+        for i in range(others.shape[1]):
+            other = OrbitSegment(n, points=others[:, i])
             assert members[i] == in_fk_ball(center, other, delta)
 
 
@@ -285,7 +292,7 @@ def test_fk_ball_contains_bowen_ball():
     rng = np.random.default_rng(110)
     for n, delta in [(8, 0.1), (12, 0.1), (10, 0.25)]:
         center = torus_segment(rng.random(n))
-        others = rng.random((256, n, 1))
+        others = rng.random((n, 256))
         bowen = bowen_ball_batch(center, others, delta)
         fk = fk_ball_batch(center, others, delta)
         assert (fk | ~bowen).all()
@@ -301,7 +308,7 @@ def test_fk_ball_equals_bowen_ball_at_zero_slack():
     grid = rng.integers(0, 64, size=n)
     near = (grid[None, :] + rng.integers(-9, 10, size=(300, n))) % 64
     far = rng.integers(0, 64, size=(200, n))
-    torus_others = (np.concatenate([near, far]) / 64.0)[:, :, None]
+    torus_others = np.ascontiguousarray((np.concatenate([near, far]) / 64.0).T)
     cases = [(torus_segment(grid / 64.0), torus_others, 0.125)]
     for length in (n + 2, n + 5):
         word = rng.integers(0, 2, size=length)
@@ -313,8 +320,9 @@ def test_fk_ball_equals_bowen_ball_at_zero_slack():
         for closed in (False, True):
             fk = fk_ball_batch(center, others, delta, closed=closed)
             bowen = bowen_ball_batch(center, others, delta, closed=closed)
-            want = np.empty(others.shape[0], dtype=bool)
-            for i, row in enumerate(others):
+            rows = sample_orbits(others, center.on_words)
+            want = np.empty(len(rows), dtype=bool)
+            for i, row in enumerate(rows):
                 if center.on_words:
                     other = OrbitSegment(n, word=row)
                 else:
@@ -335,7 +343,7 @@ def test_every_ball_contains_its_center():
     centers = [torus_segment([0.1, 0.3, 0.6, 0.2]), word_segment([0, 1, 1, 0, 1, 0], n=n)]
     assert match_slack(n, delta) == 0
     for center in centers:
-        others = (center.word if center.on_words else center.points)[None]
+        others = center.word[None] if center.on_words else center.points[:, None]
         for closed in (False, True):
             assert ball_batch(BOWEN, center, others, delta, closed=closed).tolist() == [True]
             assert ball_batch(FK, center, others, delta, closed=closed).tolist() == [True]
@@ -371,7 +379,7 @@ def test_zero_slack_fk_tables_never_run_the_fk_kernel(monkeypatch):
 
 def test_closed_ball_includes_boundary():
     center = torus_segment([0.0, 0.0])
-    others = np.array([[[0.2], [0.1]]])
+    others = np.array([[0.2], [0.1]])
     assert not bowen_ball_batch(center, others, 0.2)[0]
     assert bowen_ball_batch(center, others, 0.2, closed=True)[0]
 
@@ -440,11 +448,11 @@ def test_fk_ball_batch_matches_reference_lcs():
             if 1 <= match_slack(n, delta) <= 4:
                 break
         if not on_words:
-            base = rng.integers(0, 64, size=(n, 1))
-            jitter = rng.integers(-2, 3, size=(24, n, 1)) * (rng.random((24, n, 1)) < 0.4)
+            base = rng.integers(0, 64, size=n)
+            jitter = rng.integers(-2, 3, size=(24, n)) * (rng.random((24, n)) < 0.4)
             grid = (shuffled_copies(rng, base, 24, 3) + jitter) % 64
-            center = torus_segment(base[:, 0] / 64.0)
-            others = grid / 64.0
+            center = torus_segment(base / 64.0)
+            others = np.ascontiguousarray(grid.T / 64.0)
         else:
             length = n + int(rng.integers(0, 4))
             word = rng.integers(0, 2, size=length)
@@ -454,7 +462,7 @@ def test_fk_ball_batch_matches_reference_lcs():
         target = n - match_slack(n, delta)
         for closed in (False, True):
             got = fk_ball_batch(center, others, delta, closed=closed)
-            for i, row in enumerate(others):
+            for i, row in enumerate(sample_orbits(others, on_words)):
                 if on_words:
                     other = OrbitSegment(n, word=row)
                 else:
@@ -481,10 +489,11 @@ def test_stacked_centers_equal_per_center_calls():
     rng = np.random.default_rng(116)
     n, C, M = 8, 24, 120
     near, far = M - M // 4, M // 4
-    base = rng.integers(0, 64, size=(n + 2, 1))
-    jitter = rng.integers(-2, 3, size=(near, n + 2, 1)) * (rng.random((near, n + 2, 1)) < 0.3)
+    base = rng.integers(0, 64, size=n + 2)
+    jitter = rng.integers(-2, 3, size=(near, n + 2)) * (rng.random((near, n + 2)) < 0.3)
     copies = shuffled_copies(rng, base, near, 2) + jitter
-    torus_others = (np.concatenate([copies, rng.integers(0, 64, size=(far, n + 2, 1))]) % 64) / 64.0
+    torus_rows = np.concatenate([copies, rng.integers(0, 64, size=(far, n + 2))]) % 64
+    torus_others = np.ascontiguousarray(torus_rows.T / 64.0)
     word = rng.integers(0, 2, size=n + 3)
     flips = rng.random((near, n + 3)) < 0.04
     copies = np.where(flips, 1 - word, shuffled_copies(rng, word, near, 2))
@@ -493,25 +502,118 @@ def test_stacked_centers_equal_per_center_calls():
     radii = (0.125, 0.25, 0.375, 1.5)
     assert [match_slack(n, r) for r in radii[:3]] == [0, 1, 2] and match_slack(n, radii[3]) >= n
     assert C * M > matching.BLOCK_PAIRS
-    for others, field in ((torus_others, "points"), (word_others, "word")):
-        def segment(rows):
-            return OrbitSegment(n, **{field: rows})
+    for others, on_words in ((torus_others, False), (word_others, True)):
+        def segment(index):
+            orbits = take_samples(others, on_words, index)
+            return OrbitSegment(n, word=orbits) if on_words else OrbitSegment(n, points=orbits)
 
-        stack = segment(others[centers])
+        stack = segment(centers)
+        empty = take_samples(others, on_words, slice(0, 0))
         for kernel in (bowen_ball_batch, fk_ball_batch):
             for delta in radii:
                 for closed in (False, True):
                     got = kernel(stack, others, delta, closed=closed)
                     assert got.shape == (C, M)
                     for row, c in zip(got, centers):
-                        assert (row == kernel(segment(others[c]), others, delta, closed=closed)).all()
+                        assert (row == kernel(segment(c), others, delta, closed=closed)).all()
                     if delta < 1.0:
                         assert 0 < got.sum() < got.size
-                    one = kernel(segment(others[:1]), others, delta, closed=closed)
+                    one = kernel(segment(slice(0, 1)), others, delta, closed=closed)
                     assert one.shape == (1, M)
-                    assert (one[0] == kernel(segment(others[0]), others, delta, closed=closed)).all()
-                    assert kernel(stack, others[:0], delta, closed=closed).shape == (C, 0)
-                    assert kernel(segment(others[0]), others[:0], delta, closed=closed).shape == (0,)
+                    assert (one[0] == kernel(segment(0), others, delta, closed=closed)).all()
+                    assert kernel(stack, empty, delta, closed=closed).shape == (C, 0)
+                    assert kernel(segment(0), empty, delta, closed=closed).shape == (0,)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_torus_kernels_on_step_major_stacks_equal_pairwise(closed):
+    # the torus kernels read step-major (steps, M) stacks; each membership
+    # equals the pairwise reference on the sample's own orbit, for one
+    # center and for a stack of centers, at slack 0, 1 and 2: Bowen against
+    # bowen_distance, open FK against in_fk_ball, closed FK against a full
+    # match of the closed compatibility matrix.  Most samples are shuffled
+    # grid copies of one orbit, the rest random grid orbits, all carrying a
+    # step past n, so pairs tie with delta and off-diagonal matches decide
+    # FK membership.
+    rng = np.random.default_rng(117)
+    n, M, far = 16, 90, 30
+    base = rng.integers(0, 64, size=n + 1)
+    jitter = rng.integers(-2, 3, size=(M - far, n + 1)) * (rng.random((M - far, n + 1)) < 0.3)
+    copies = shuffled_copies(rng, base, M - far, 2) + jitter
+    rows = np.concatenate([copies, rng.integers(0, 64, size=(far, n + 1))]) % 64
+    others = np.ascontiguousarray(rows.T / 64.0)
+    centers = [3, 17, 40, 41, 88]
+    radii = (0.0625, 0.125, 0.1875)
+    assert [match_slack(n, r) for r in radii] == [0, 1, 2]
+    orbits = [OrbitSegment(n, points=others[:n, j]) for j in range(M)]
+
+    def reference(kind, a, b, delta):
+        if kind == BOWEN:
+            dist = bowen_distance(a, b)
+            return dist <= delta if closed else dist < delta
+        if not closed:
+            return in_fk_ball(a, b, delta)
+        return max_match_batch(pair_distance_matrix(a, b) <= delta)[0] >= match_target(n, delta)
+
+    stack = OrbitSegment(n, points=others[:, centers])
+    for kind, kernel in ((BOWEN, bowen_ball_batch), (FK, fk_ball_batch)):
+        for delta in radii:
+            got = kernel(stack, others, delta, closed=closed)
+            assert got.shape == (len(centers), M)
+            for row, c in zip(got, centers):
+                want = [reference(kind, orbits[c], b, delta) for b in orbits]
+                assert row.tolist() == want
+                one = kernel(OrbitSegment(n, points=others[:, c]), others, delta, closed=closed)
+                assert one.tolist() == want
+            assert 0 < got.sum() < got.size
+
+
+@pytest.mark.parametrize("on_words", [False, True], ids=["torus", "words"])
+def test_fk_members_read_every_n_from_one_recurrence(monkeypatch, on_words):
+    # _fk_members runs one match recurrence per radius at the longest n and
+    # reads each shorter n after its row n - 1; every cell must equal the FK
+    # kernel on the center's n-step prefix alone, which runs a recurrence
+    # of its own, as every cell did before.  One center and a stack of
+    # centers, open and closed balls, bands 1 and 2, and blocks that split
+    # the samples.
+    monkeypatch.setattr(matching, "BLOCK_PAIRS", 64)
+    rng = np.random.default_rng(118)
+    n_max, M, far = 12, 150, 40
+    if on_words:
+        word = rng.integers(0, 2, size=n_max + 3)
+        flips = rng.random((M - far, n_max + 3)) < 0.05
+        copies = np.where(flips, 1 - word, shuffled_copies(rng, word, M - far, 2))
+        others = np.concatenate([copies, rng.integers(0, 2, size=(far, n_max + 3))])
+    else:
+        base = rng.integers(0, 64, size=n_max)
+        jitter = rng.integers(-2, 3, size=(M - far, n_max)) * (rng.random((M - far, n_max)) < 0.3)
+        copies = shuffled_copies(rng, base, M - far, 2) + jitter
+        rows = np.concatenate([copies, rng.integers(0, 64, size=(far, n_max))]) % 64
+        others = np.ascontiguousarray(rows.T / 64.0)
+    cells = [(n, d) for n in (5, 7, 9, 12) for d in (0.125, 0.25) if match_slack(n, d) > 0]
+    assert {match_slack(n, d) for n, d in cells} == {1, 2} and len(cells) == 6
+
+    def segment(index, n):
+        orbits = take_samples(others, on_words, index)
+        return OrbitSegment(n, word=orbits) if on_words else OrbitSegment(n, points=orbits)
+
+    differ = 0
+    for index in (0, [0, 5, 9, 77]):
+        center = segment(index, n_max)
+        for closed in (False, True):
+            got = [np.zeros(center.stack_shape + (M,), dtype=bool) for _ in cells]
+            blocks = 0
+            for lo, hits in matching._fk_members(center, others, cells, closed):
+                blocks += 1
+                for out, hit in zip(got, hits):
+                    out[..., lo : lo + hit.shape[-1]] = hit
+            assert blocks > 1
+            for (n, d), out in zip(cells, got):
+                want = fk_ball_batch(segment(index, n), others, d, closed=closed)
+                assert (out == want).all()
+                assert 0 < out.sum() < out.size
+            differ += sum(int((a != b).any()) for a, b in zip(got, got[1:]))
+    assert differ > 0
 
 
 def test_max_match_batch_matches_reference_lcs():
@@ -538,7 +640,7 @@ def test_packed_masks_reject_more_than_64_steps():
         lcs_mismatch(np.zeros(65), np.zeros(65))
     rng = np.random.default_rng(115)
     center = torus_segment(rng.random(65))
-    others = rng.random((4, 65, 1))
+    others = rng.random((65, 4))
     assert match_slack(65, 0.05) > 0
     with pytest.raises(ValueError, match="at most 64"):
         fk_ball_batch(center, others, 0.05)
@@ -549,7 +651,7 @@ def test_packed_masks_reject_more_than_64_steps():
 
 _SYSTEM = expanding_system((2,))
 _PATH = OmegaPath([0, 0, 0, 0])
-_MEASURE = EmpiricalMeasure(_SYSTEM, _PATH, orbit_batch(_SYSTEM, _PATH, np.array([[0.1], [0.3], [0.7]]), 4))
+_MEASURE = EmpiricalMeasure(_SYSTEM, _PATH, orbit_batch(_SYSTEM, _PATH, np.array([0.1, 0.3, 0.7]), 4))
 _CENTER = orbit(_SYSTEM, _PATH, 0.3, 2)
 
 

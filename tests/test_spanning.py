@@ -28,13 +28,15 @@ from fkent.systems import (
     bernoulli_process,
     expanding_system,
     orbit_batch,
+    sample_axis,
     sample_path,
     shift_system,
+    take_samples,
 )
 
 
 def circle_candidates(k):
-    pts = (np.arange(k) / float(k)).reshape(-1, 1, 1)
+    pts = (np.arange(k) / float(k)).reshape(1, -1)
     return EmpiricalMeasure(expanding_system((2,)), OmegaPath([0]), pts)
 
 
@@ -179,16 +181,17 @@ def _clustered_measure(on_words: bool, M: int, rng) -> EmpiricalMeasure:
         return EmpiricalMeasure(system, path, np.where(flips, 1 - base[cluster], base[cluster]))
     system = expanding_system((2,))
     starts = (rng.random(5)[cluster] + rng.normal(0.0, 0.004, size=M)) % 1.0
-    return EmpiricalMeasure(system, path, orbit_batch(system, path, starts[:, None], 12))
+    return EmpiricalMeasure(system, path, orbit_batch(system, path, starts, 12))
 
 
 def _row_by_row_cover(kind, on_words, n, stack, eps):
     """One kernel call per center against the later points, mirrored."""
-    m = stack.shape[0]
+    m = stack.shape[sample_axis(on_words)]
     field = "word" if on_words else "points"
     cover = np.empty((m, m), dtype=bool)
     for i in range(m - 1):
-        inside = ball_batch(kind, OrbitSegment(n, **{field: stack[i]}), stack[i + 1 :], eps)
+        center = OrbitSegment(n, **{field: take_samples(stack, on_words, i)})
+        inside = ball_batch(kind, center, take_samples(stack, on_words, slice(i + 1, None)), eps)
         cover[i, i + 1 :] = inside
         cover[i + 1 :, i] = inside
     np.fill_diagonal(cover, True)
@@ -208,7 +211,7 @@ def test_cover_matrix_blocks_match_pairwise_reference(monkeypatch, on_words):
     measure = _clustered_measure(on_words, M, rng)
     stack = measure.orbit_stack(ball_steps(measure.system, n, eps))
     field = "word" if on_words else "points"
-    segments = [OrbitSegment(n, **{field: row}) for row in stack]
+    segments = [OrbitSegment(n, **{field: take_samples(stack, on_words, i)}) for i in range(M)]
     for kind in (BOWEN, FK):
         assert ball_kind(kind, n, eps) == kind
         cover = cover_matrix(kind, measure, n, eps, M * M)

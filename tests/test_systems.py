@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from fkent.local import sample_measure
+from fkent.spanning import torus_grid_candidates
 from fkent.systems import (
     DrivingProcess,
+    EmpiricalMeasure,
     InvariantViolation,
     OmegaPath,
     OrbitSegment,
@@ -73,15 +76,38 @@ def test_orbit_hand_values(factors, symbols, x, family, expected):
 
 
 def test_orbit_batch_matches_orbit():
-    system = expanding_system((2, 3))
+    # the step-major stack runs the same arithmetic as one orbit, element
+    # for element, so every column equals its orbit exactly
     path = OmegaPath([0, 1, 1, 0, 1, 0, 0])
     rng = np.random.default_rng(5)
-    xs = rng.random((40, 1))
-    stack = orbit_batch(system, path, xs, 6)
-    assert stack.shape == (40, 6, 1)
-    for i in (0, 7, 39):
-        seg = orbit(system, path, xs[i], 6)
-        assert np.allclose(stack[i], seg.points)
+    xs = rng.random(40)
+    for system in (expanding_system((2, 3)), tent_system((2, 3))):
+        stack = orbit_batch(system, path, xs, 6)
+        assert stack.shape == (6, 40)
+        for i in range(xs.size):
+            assert np.array_equal(stack[:, i], orbit(system, path, xs[i], 6).points)
+        with pytest.raises(ValueError, match="one coordinate"):
+            orbit(system, path, [0.1, 0.2], 3)
+        with pytest.raises(ValueError, match=r"\(M,\) array"):
+            orbit_batch(system, path, xs[:, None], 6)
+
+
+def test_circle_stacks_are_step_major():
+    # every builder of a circle orbit stack returns it 2-D, C-contiguous and
+    # step-major, (steps, M) float64, so each step of every orbit is one
+    # contiguous row for the ball kernels
+    system = expanding_system((2, 3))
+    path = sample_path(bernoulli_process((0.5, 0.5)), 9, 3)
+    grid = torus_grid_candidates(system, path, 8, 0.1, count_target=50)[0]
+    stacks = {
+        "orbit_batch": (orbit_batch(system, path, np.linspace(0.0, 0.9, 37), 7), (7, 37)),
+        "sample_measure": (sample_measure(system, path, 123, 3).orbits, (9, 123)),
+        "torus_grid_candidates": (grid.orbits, (8, grid.M)),
+    }
+    for name, (stack, shape) in stacks.items():
+        assert stack.shape == shape, name
+        assert stack.dtype == np.float64 and stack.flags.c_contiguous, name
+    assert grid.samples.shape == (grid.M,) and grid.M > 50
 
 
 def test_shift_orbit_keeps_full_word():
@@ -94,6 +120,24 @@ def test_shift_orbit_keeps_full_word():
     assert seg.word.dtype == word_dtype(system)
 
 
+def test_words_must_lie_in_the_alphabets_of_their_path_steps():
+    # shift (2, 3) along letters 0, 0 has alphabet 2 at both steps, so the
+    # symbol 2 lies in the space alphabet but outside this path's fiber
+    system = shift_system((2, 3))
+    path = OmegaPath([0, 0])
+    with pytest.raises(ValueError, match="alphabets of their path steps"):
+        EmpiricalMeasure(system, path, [[2, 2], [0, 1]])
+    with pytest.raises(ValueError, match="alphabets of their path steps"):
+        orbit(system, path, [0, 2], 1)
+    # past the horizon no step prescribes an alphabet: the space alphabet holds
+    assert EmpiricalMeasure(system, path, [[0, 1, 2]]).M == 1
+    mixed = OmegaPath([0, 1])
+    assert EmpiricalMeasure(system, mixed, [[1, 2], [0, 1]]).M == 2
+    assert list(orbit(system, mixed, [1, 2], 2).word) == [1, 2]
+    with pytest.raises(ValueError, match="alphabets of their path steps"):
+        EmpiricalMeasure(system, mixed, [[2, 2]])
+
+
 def test_word_dtype_is_smallest_unsigned_type():
     assert word_dtype(shift_system((2,))) == np.uint8
     assert word_dtype(shift_system((2, 256))) == np.uint8
@@ -103,10 +147,10 @@ def test_word_dtype_is_smallest_unsigned_type():
 
 
 def test_orbit_segment_prefix():
-    seg = OrbitSegment(4, points=np.arange(4.0).reshape(4, 1) / 4)
+    seg = OrbitSegment(4, points=np.arange(4.0) / 4)
     assert seg.prefix(4) is seg
     short = seg.prefix(2)
-    assert short.n == 2 and short.points.shape == (2, 1)
+    assert short.n == 2 and short.points.shape == (2,)
     word = OrbitSegment(4, word=np.array([0, 1, 1, 0]))
     assert word.prefix(2).n == 2
     assert list(word.prefix(2).word) == [0, 1, 1, 0]  # word storage is not cut
@@ -115,13 +159,14 @@ def test_orbit_segment_prefix():
 
 
 def test_orbit_segment_rejects_points_shorter_than_n():
-    # stored points must cover n steps, for one orbit and for a stack
+    # stored points must cover n steps, for one orbit and for a step-major
+    # stack of 3 orbits
     with pytest.raises(ValueError, match="shorter than the orbit length"):
-        OrbitSegment(4, points=np.zeros((2, 1)))
+        OrbitSegment(4, points=np.zeros(2))
     with pytest.raises(ValueError, match="shorter than the orbit length"):
-        OrbitSegment(4, points=np.zeros((3, 2, 1)))
-    assert OrbitSegment(4, points=np.zeros((4, 1))).stack_shape == ()
-    assert OrbitSegment(4, points=np.zeros((3, 6, 1))).stack_shape == (3,)
+        OrbitSegment(4, points=np.zeros((2, 3)))
+    assert OrbitSegment(4, points=np.zeros(4)).stack_shape == ()
+    assert OrbitSegment(4, points=np.zeros((6, 3))).stack_shape == (3,)
 
 
 def test_expansion_product_is_factor_product():
