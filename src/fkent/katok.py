@@ -22,7 +22,13 @@ disjoint, and greedy (heaviest class first) is provably the true minimum.
 A word measure is packed and sorted once (its prefix_index), however many
 (n, eps) cells read it: every cell's classes are runs of that one sort.
 That fast path handles million-sample runs; overlapping-ball instances
-fall back to a dense cover matrix guarded by a pair budget.
+fall back to dense cover matrices guarded by a pair budget.  A table
+builds every dense cover of one eps column in one call
+(`spanning.column_covers`): one pass over the center blocks gives all
+Bowen cells from each pair's count of leading steps below eps, and one
+more pass per 8 FK cells gives them one bit each, from one match
+recurrence per block that reads every n.  A single count is a one-cell
+column, so there is one dense path.
 
 `katok_path_entropy` computes the per-path quantity the fiber entropy
 averages (draw the path and measure, cover, fit per kind).  The experiment
@@ -40,7 +46,7 @@ import numpy as np
 from .matching import BOWEN, ball_kind, ball_steps, check_kinds, slack_band
 from .spanning import (
     EntropyEstimate,
-    cover_matrix,
+    column_covers,
     eps_slopes,
     greedy_cover,
     katok_horizon,
@@ -65,7 +71,8 @@ __all__ = [
     "validate_katok_counts",
 ]
 
-# dense cover matrices hold at most this many (center, sample) pairs
+# dense cover matrices hold at most this many (center, sample) pairs; a
+# dense column holds 2 bytes per pair (one packed byte, one bool cover)
 PAIR_BUDGET = 20_000_000
 
 
@@ -130,6 +137,47 @@ def _word_class_cover(
     return k, float(cum[k - 1] / M), centers
 
 
+def _column_counts(
+    measure: EmpiricalMeasure,
+    eps: float,
+    cells,
+    mass_threshold: float,
+    pair_budget: int,
+) -> dict[tuple[str, int], KatokCount]:
+    """Greedy cover counts of one eps column's (kernel, n) cells at one mass threshold.
+
+    Each cell names its ball by the kernel it runs (matching.ball_kind).
+    Above the fiber diameter every ball is the whole sample, one center
+    covers it.  Word Bowen cells take the word-class route; every other
+    cell is dense, and all of them come from one `column_covers` call,
+    each cover going to `greedy_cover`.
+    """
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    if not 0.0 < mass_threshold < 1.0:
+        raise ValueError("mass threshold must lie in (0, 1)")
+    if min(n for _, n in cells) < 1:
+        raise ValueError("n must be >= 1")
+    system = measure.system
+    measure.orbit_stack(max(ball_steps(system, n, eps) for _, n in cells))
+    M = measure.M
+    need = _covered_target(mass_threshold, M)
+    if eps > diameter(system.on_words):
+        return {cell: KatokCount(mass_threshold, 1, 1.0, np.zeros(1, dtype=np.int64)) for cell in cells}
+    counts: dict[tuple[str, int], KatokCount] = {}
+    dense = []
+    for cell in cells:
+        if system.on_words and cell[0] == BOWEN:
+            span = ball_steps(system, cell[1], eps)
+            counts[cell] = KatokCount(mass_threshold, *_word_class_cover(measure, span, need))
+        else:
+            dense.append(cell)
+    for cell, cover in column_covers(measure, eps, dense, pair_budget):
+        picks, total = greedy_cover(cover, need)
+        counts[cell] = KatokCount(mass_threshold, picks.size, total / M, picks)
+    return counts
+
+
 def katok_spanning_count(
     measure: EmpiricalMeasure,
     n: int,
@@ -143,29 +191,14 @@ def katok_spanning_count(
     Ball membership uses the open conventions of ball_measure, on the
     orbit stack of the measure's own system and path, which must hold
     the steps the ball reads (matching.ball_steps).  The general path
-    materializes the center-by-sample cover matrix, so M^2 must fit the
-    pair budget; shift systems with zero matching slack take the exact
-    word-class route instead and have no such cap.
+    materializes the center-by-sample cover matrix of this one cell
+    (`spanning.column_covers`), so M^2 must fit the pair budget; shift
+    systems with zero matching slack take the exact word-class route
+    instead and have no such cap.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if not 0.0 < mass_threshold < 1.0:
-        raise ValueError("mass threshold must lie in (0, 1)")
     check_kinds((kind,))
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    system = measure.system
-    span = ball_steps(system, n, eps)
-    measure.orbit_stack(span)
-    M = measure.M
-    need = _covered_target(mass_threshold, M)
-    if eps > diameter(system.on_words):
-        return KatokCount(mass_threshold, 1, 1.0, np.zeros(1, dtype=np.int64))
-    if system.on_words and ball_kind(kind, n, eps) == BOWEN:
-        return KatokCount(mass_threshold, *_word_class_cover(measure, span, need))
-    cover = cover_matrix(kind, measure, n, eps, pair_budget)
-    picks, total = greedy_cover(cover, need)
-    return KatokCount(mass_threshold, picks.size, total / M, picks)
+    cell = (ball_kind(kind, n, eps), n)
+    return _column_counts(measure, eps, [cell], mass_threshold, pair_budget)[cell]
 
 
 def validate_katok_counts(cells: dict[tuple[float, int], KatokCount], kind: str) -> None:
@@ -213,28 +246,25 @@ def katok_table(
     """All (eps, n) cover counts of each kind for one measure along its path, validated.
 
     kinds is a tuple of orbit metrics; the result maps each to its table,
-    built and validated in the order given.  Each cell is covered once
-    per kernel (matching.ball_kind): a kind whose ball runs the same
-    kernel as an earlier one shares that cover.  Every cell
-    reads the measure's own orbit stack, built once by sample_measure.
-    Every column covers mass threshold 1 - eps.
+    validated in the order given.  Each cell is covered once per kernel
+    (matching.ball_kind): a kind whose ball runs the same kernel as
+    another shares that cover.  Every eps column is covered in one go,
+    at mass threshold 1 - eps: its dense cells come from one
+    `spanning.column_covers` call.  Every cell reads the measure's own
+    orbit stack, built once by sample_measure.
     """
     n_window = sorted(set(int(n) for n in n_window))
     eps_list = sorted(set(float(e) for e in eps_list))
     if not n_window or not eps_list:
         raise ValueError("n and eps schedules must be nonempty")
     check_kinds(kinds)
+    columns = {}
+    for eps in eps_list:
+        cells = list(dict.fromkeys((ball_kind(kind, n, eps), n) for kind in kinds for n in n_window))
+        columns[eps] = _column_counts(measure, eps, cells, 1.0 - eps, pair_budget)
     tables: dict[str, dict[tuple[float, int], KatokCount]] = {}
-    covers: dict[tuple[str, float, int], KatokCount] = {}
     for kind in kinds:
-        cells: dict[tuple[float, int], KatokCount] = {}
-        for eps in eps_list:
-            threshold = 1.0 - eps
-            for n in n_window:
-                key = (ball_kind(kind, n, eps), eps, n)
-                if key not in covers:
-                    covers[key] = katok_spanning_count(measure, n, eps, threshold, key[0], pair_budget=pair_budget)
-                cells[(eps, n)] = covers[key]
+        cells = {(eps, n): columns[eps][(ball_kind(kind, n, eps), n)] for eps in eps_list for n in n_window}
         validate_katok_counts(cells, kind)
         tables[kind] = cells
     return tables

@@ -40,6 +40,7 @@ from .systems import (
     OrbitSegment,
     RandomSystemSpec,
     ResourceCapExceeded,
+    circle_gap,
     expansion_product,
     orbit_batch,
     sample_path,
@@ -49,7 +50,9 @@ from .systems import (
 from .matching import (
     BLOCK_PAIRS,
     BOWEN,
+    FK,
     KINDS,
+    _fk_members,
     ball_batch,
     ball_kind,
     ball_steps,
@@ -62,8 +65,8 @@ __all__ = [
     "CountEntry",
     "CountTable",
     "EntropyEstimate",
+    "column_covers",
     "count_table",
-    "cover_matrix",
     "entropy_from_counts",
     "eps_slopes",
     "fit_log_slope",
@@ -89,6 +92,13 @@ _SUBDIVISIONS = 4
 # the candidates one (n, eps) cell builds
 CANDIDATE_TARGET = 2000
 CANDIDATE_BUDGET = 200_000
+
+# rows of a packed cover matrix mirrored per block
+_MIRROR_ROWS = 256
+# (center, sample) pairs per block of the Bowen cover pass: its screen
+# builds one float and one bool per pair and no packed masks, so its
+# blocks are larger than the FK kernel's BLOCK_PAIRS
+_SCREEN_PAIRS = 16 * BLOCK_PAIRS
 
 
 def torus_grid_candidates(
@@ -224,45 +234,127 @@ def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float
     return len(kept), np.asarray(kept, dtype=np.int64)
 
 
-def cover_matrix(kind: str, measure: EmpiricalMeasure, n: int, eps: float, pair_budget: int) -> np.ndarray:
-    """(M, M) open-ball membership: row i is the time-n ball around sample i.
+def _center_blocks(m: int, pairs: int):
+    """(i0, i1) blocks of consecutive centers for an upper-triangle pass over m samples.
 
-    Every ball contains its own center (distance 0), whatever the threshold.
-    Ball membership is symmetric for both metrics, so only the upper
-    triangle is tested and the lower one mirrors it.  Consecutive centers
-    go to the kernel as one stack, as many as keep a call within
-    BLOCK_PAIRS pairs (at least one): the block starting at center i0 is
-    tested against every point after i0, and each center keeps the
-    columns after itself.  The M^2 pairs must fit the pair budget, and
-    the measure's orbit stack must hold the steps the ball reads.
+    The block starting at center i0 is tested against every sample after
+    i0, so it holds as many centers as keep that within `pairs` pairs,
+    at least one.
     """
-    stack = measure.orbit_stack(ball_steps(measure.system, n, eps))
+    i0 = 0
+    while i0 < m - 1:
+        i1 = min(m - 1, i0 + max(1, pairs // (m - i0 - 1)))
+        yield i0, i1
+        i0 = i1
+
+
+def _mirror(packed: np.ndarray, diagonal: int) -> None:
+    """Copy the upper triangle of a square byte matrix onto its lower one, in place.
+
+    Each entry below the diagonal must hold 0 or the value of its mirror
+    entry, so the elementwise max of the two is that value.  Rows go in
+    blocks of _MIRROR_ROWS, so no full-size transposed temporary is
+    built.  The diagonal is then set to `diagonal`.
+    """
+    m = packed.shape[0]
+    for r0 in range(0, m, _MIRROR_ROWS):
+        r1 = min(m, r0 + _MIRROR_ROWS)
+        left = packed[r0:r1, :r1]
+        np.maximum(left, packed[:r1, r0:r1].T, out=left)
+    np.fill_diagonal(packed, diagonal)
+
+
+def column_covers(measure: EmpiricalMeasure, eps: float, cells, pair_budget: int):
+    """Open-ball covers of the dense (kind, n) cells of one eps column, from packed passes.
+
+    Yields ((kind, n), cover) per cell, where cover is the (M, M) bool
+    membership matrix whose row i is the time-n ball of radius eps around
+    sample i.  Every ball contains its own center, and membership is
+    symmetric for both metrics, so each pass tests only the upper
+    triangle, in blocks of consecutive centers against the samples after
+    them, and mirrors it once.
+
+    A pass fills one packed (M, M) byte matrix.  Bowen cells (circle only:
+    a word Bowen ball is a prefix class) share one pass: each pair keeps
+    how many leading steps stay below eps, capped at the largest Bowen n,
+    and cell n reads `steps >= n`.  The pass screens every pair on step
+    n_min - 1 of the smallest Bowen n, where a failure puts the pair in no
+    cell, and runs the screen's survivors forward from step 0, dropping
+    a pair at its first gap of eps or more.  FK cells go in groups of at
+    most 8, one bit each; per center block one `matching._fk_members`
+    call builds one mask per radius at the group's longest n and reads
+    every n from one recurrence.
+
+    One byte matrix and one bool cover are allocated and reused by every
+    pass and cell, so the cover yielded is valid only until the next one
+    is.  The last cell of a pass is read in place, into the byte matrix,
+    so the bool cover is never written in a column whose passes hold one
+    cell each: a column holds at most 2 bytes per pair, a single cell 1.
+    M^2 must fit the pair budget, checked before any allocation, and the
+    measure's orbit stack must hold the steps the largest ball reads.
+    """
+    cells = list(cells)
+    if not cells:
+        return
+    on_words = measure.on_words
+    bowen_ns = sorted(n for kind, n in cells if kind == BOWEN)
+    fk_ns = sorted(n for kind, n in cells if kind != BOWEN)
+    if on_words and bowen_ns:
+        raise ValueError("word Bowen balls are prefix classes: cover them by class")
+    stack = measure.orbit_stack(max(ball_steps(measure.system, n, eps) for _, n in cells))
     m = measure.M
     if m * m > pair_budget:
         raise ResourceCapExceeded(
             f"cover matrix needs {m * m} pairs, budget {pair_budget}; "
             "lower the sample count or raise pair_budget"
         )
-    cover = np.zeros((m, m), dtype=bool)
-    i0 = 0
-    while i0 < m - 1:
-        i1 = min(m - 1, i0 + max(1, BLOCK_PAIRS // (m - i0 - 1)))
-        others = take_samples(stack, measure.on_words, slice(i0 + 1, None))
-        block = ball_batch(kind, _centers(stack, measure.on_words, n, slice(i0, i1)), others, eps)
-        # row k of the block is center i0 + k against points i0 + 1 on; it keeps the points after itself
-        inside = np.triu(block)
-        cover[i0:i1, i0 + 1 :] = inside
-        cover[i0 + 1 :, i0:i1] |= inside.T
-        i0 = i1
-    np.fill_diagonal(cover, True)
-    return cover
+    packed = np.zeros((m, m), dtype=np.uint8)
+    cover = np.empty((m, m), dtype=bool)
+    if bowen_ns:
+        top, screen = bowen_ns[-1], bowen_ns[0] - 1
+        for i0, i1 in _center_blocks(m, _SCREEN_PAIRS):
+            gap = circle_gap(stack[screen, i0 + 1 :], stack[screen, i0:i1, None])
+            rows, cols = np.divmod(np.flatnonzero(gap < eps), m - i0 - 1)
+            rows += i0
+            cols += i0 + 1
+            for t in range(top):
+                if t == screen:
+                    continue
+                fail = circle_gap(stack[t, cols], stack[t, rows]) >= eps
+                packed[rows[fail], cols[fail]] = t
+                rows, cols = rows[~fail], cols[~fail]
+            packed[rows, cols] = top
+        _mirror(packed, top)
+        for k, n in enumerate(bowen_ns):
+            out = cover if k + 1 < len(bowen_ns) else packed.view(bool)
+            np.greater_equal(packed, n, out=out)
+            yield (BOWEN, n), out
+    for g in range(0, len(fk_ns), 8):
+        group = fk_ns[g : g + 8]
+        packed.fill(0)
+        for i0, i1 in _center_blocks(m, BLOCK_PAIRS):
+            center = _centers(stack, on_words, group[-1], slice(i0, i1))
+            others = take_samples(stack, on_words, slice(i0 + 1, None))
+            for lo, hits in _fk_members(center, others, [(n, eps) for n in group]):
+                dst = packed[i0:i1, i0 + 1 + lo : i0 + 1 + lo + hits[0].shape[-1]]
+                for bit, hit in enumerate(hits):
+                    dst |= hit.view(np.uint8) << bit
+        _mirror(packed, (1 << len(group)) - 1)
+        for bit, n in enumerate(group):
+            out = cover.view(np.uint8) if bit + 1 < len(group) else packed
+            np.right_shift(packed, bit, out=out)
+            np.bitwise_and(out, 1, out=out)
+            yield (FK, n), out.view(bool)
 
 
 def greedy_cover(cover: np.ndarray, need: int) -> tuple[np.ndarray, int]:
     """Greedy picks of cover rows until at least `need` points are covered.
 
     Each pick is the row covering the most uncovered points, lowest index
-    on ties.  Returns the picks in order and the number of points covered.
+    on ties.  The cover must be symmetric, as ball membership is: the
+    gains a pick takes away are read from the rows of the points it
+    newly covers.  Returns the picks in order and the number of points
+    covered.
     """
     gains = cover.sum(axis=1).astype(np.int64)
     covered = np.zeros(cover.shape[1], dtype=bool)
@@ -275,7 +367,7 @@ def greedy_cover(cover: np.ndarray, need: int) -> tuple[np.ndarray, int]:
         newly = cover[i] & ~covered
         covered |= newly
         total += int(newly.sum())
-        gains -= cover[:, newly].sum(axis=1)
+        gains -= cover[newly].sum(axis=0)
         picks.append(i)
     return np.asarray(picks, dtype=np.int64), total
 

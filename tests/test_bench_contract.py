@@ -37,12 +37,14 @@ def test_traced_names_resolve_to_fkent_callables():
 
 
 def test_traced_worker_counts_both_ball_kernels(monkeypatch, tmp_path):
-    # one traced katok-dense run at smoke-test size, as bench/run.py spawns it
+    # one traced top-mixed run at smoke-test size, as bench/run.py spawns
+    # it: its separated scans call both public kernels (katok covers call
+    # neither, they read the private one-pass helpers)
     monkeypatch.syspath_prepend(str(BENCH))
     spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    experiment, _, toy = run.WORKLOADS["katok-dense"]
+    experiment, _, toy = run.WORKLOADS["top-mixed"]
     overrides = dict(toy, seed=1, workers=1, outdir=str(tmp_path))
     job = {"experiment": experiment, "overrides": overrides, "trace": True, "run": 0}
     proc = subprocess.run(

@@ -185,6 +185,57 @@ def test_katok_table_both_kinds_equals_single_kind_tables():
         assert any(both[FK][key].count != both[BOWEN][key].count for key in slack_cells)
 
 
+def _column_cases():
+    # (measure, n window, eps list): every column's cells from one builder
+    # call must equal one katok_spanning_count call per cell
+    words = shift_system((2, 2))
+    words_path = sample_path(bernoulli_process((0.5, 0.5)), 14, 5)
+    word_mu = sample_measure(words, words_path, 300, 6)
+    _, _, circle = doubling_measure(M=300, horizon=15, seed=5)
+    _, _, tiny_circle = doubling_measure(M=2, horizon=10, seed=5)
+    assert [match_slack(n, 0.25) for n in range(5, 14)] == [1, 1, 1, 1, 2, 2, 2, 2, 3]
+    assert [match_slack(n, 0.3) for n in range(4, 13)] == [1, 1, 1, 2, 2, 2, 2, 3, 3]
+    return [
+        pytest.param(circle, [4, 6, 8, 10], [0.1, 0.25], id="circle-mixed-bands"),
+        pytest.param(word_mu, [3, 4, 5, 6], [0.3], id="words-slack"),
+        # nine FK cells with slack in one column: two groups of bits
+        pytest.param(circle, list(range(5, 14)), [0.25], id="circle-nine-fk-cells"),
+        pytest.param(word_mu, list(range(4, 13)), [0.3], id="words-nine-fk-cells"),
+        # one symbol decides a step above radius 1/2; circle balls are the whole fiber
+        pytest.param(word_mu, [3, 4, 5], [0.6], id="words-above-half"),
+        pytest.param(circle, [4, 6], [0.6], id="circle-above-diameter"),
+        pytest.param(EmpiricalMeasure(circle.system, circle.omega, circle.orbits[:, :1]), [4, 6, 8], [0.25], id="circle-M1"),
+        pytest.param(tiny_circle, [4, 6, 8], [0.1, 0.25], id="circle-M2"),
+        pytest.param(EmpiricalMeasure(words, words_path, np.array([[0, 1] * 7])), [3, 4], [0.3], id="words-M1"),
+        pytest.param(EmpiricalMeasure(words, words_path, np.array([[0, 1] * 7, [0, 1, 1] * 4 + [0, 0]])), [3, 4], [0.3], id="words-M2"),
+    ]
+
+
+@pytest.mark.parametrize("mu, n_window, eps_list", _column_cases())
+def test_katok_table_column_equals_one_cell_at_a_time(mu, n_window, eps_list):
+    tables = katok_table(mu, n_window, eps_list, (BOWEN, FK))
+    for kind in (BOWEN, FK):
+        for eps in eps_list:
+            for n in n_window:
+                cell = katok_spanning_count(mu, n, eps, 1.0 - eps, kind)
+                shared = tables[kind][(eps, n)]
+                assert shared.count == cell.count, (kind, eps, n)
+                assert shared.covered_mass == cell.covered_mass, (kind, eps, n)
+                assert np.array_equal(shared.centers, cell.centers), (kind, eps, n)
+
+
+def test_pair_budget_gates_dense_table_columns():
+    # the table checks M^2 against the budget before it builds a cover,
+    # and a column with no dense cell (word balls at zero slack) needs none
+    _, _, mu = doubling_measure(M=200)
+    with pytest.raises(ResourceCapExceeded, match="cover matrix needs 40000 pairs, budget 100"):
+        katok_table(mu, [4, 6], [0.1], (BOWEN,), pair_budget=100)
+    words = sample_measure(shift_system((2, 2)), sample_path(bernoulli_process((0.5, 0.5)), 10, 3), 200, 3)
+    assert len(katok_table(words, [4, 5], [0.05], (BOWEN, FK), pair_budget=1)[FK]) == 2
+    with pytest.raises(ResourceCapExceeded, match="cover matrix needs 40000 pairs, budget 100"):
+        katok_table(words, [4, 5], [0.3], (FK,), pair_budget=100)
+
+
 def _cell_word_cover(words, span, need):
     """Reference word-class cover: one pack and one np.unique per cell."""
     M = words.shape[0]

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from fkent import matching, spanning
-from fkent.matching import BOWEN, FK, ball_batch, ball_kind, ball_steps, bowen_distance, in_fk_ball
+from fkent.matching import BOWEN, FK, ball_batch, ball_steps, bowen_distance, in_fk_ball, match_slack
 from fkent.spanning import (
     SEPARATED,
     CountEntry,
     CountTable,
     EntropyEstimate,
+    column_covers,
     count_table,
-    cover_matrix,
     entropy_from_counts,
     fit_log_slope,
     greedy_separated,
@@ -199,29 +199,41 @@ def _row_by_row_cover(kind, on_words, n, stack, eps):
 
 
 @pytest.mark.parametrize("on_words", [False, True], ids=["torus", "words"])
-def test_cover_matrix_blocks_match_pairwise_reference(monkeypatch, on_words):
-    # small blocks: the cover stacks 2 to 10 centers per call over M = 70
-    # points, and its last block is cut short at the last center (10 of
-    # the 15 centers its 10 columns allow); the FK kernel splits each
-    # stacked call into row blocks of its own
+def test_column_covers_match_pairwise_reference(monkeypatch, on_words):
+    # small blocks: the FK pass stacks 2 to 10 centers per block over
+    # M = 70 points, and its last block is cut short at the last center
+    # (10 of the 15 centers its 10 columns allow); each FK call splits its
+    # centers' samples into row blocks of its own, and the Bowen pass
+    # takes blocks of 300 pairs.  At eps = 0.25 the FK cells n = 4, 6, 8,
+    # 10 sit at bands 0, 1, 1, 2; the Bowen cells share one pass screened
+    # on step 3 (circle only: a word Bowen ball is a prefix class, which
+    # the builder refuses)
     monkeypatch.setattr(spanning, "BLOCK_PAIRS", 150)
+    monkeypatch.setattr(spanning, "_SCREEN_PAIRS", 300)
     monkeypatch.setattr(matching, "BLOCK_PAIRS", 32)
     rng = np.random.default_rng(31)
-    M, n, eps = 70, 6, 0.25
+    M, eps = 70, 0.25
     measure = _clustered_measure(on_words, M, rng)
-    stack = measure.orbit_stack(ball_steps(measure.system, n, eps))
+    cells = [(FK, n) for n in (4, 6, 8, 10)]
+    assert [match_slack(n, eps) for _, n in cells] == [0, 1, 1, 2]
+    if on_words:
+        with pytest.raises(ValueError, match="prefix class"):
+            next(column_covers(measure, eps, [(BOWEN, 4)], M * M))
+    else:
+        cells = [(BOWEN, n) for n in (4, 6, 10)] + cells
+    stack = measure.orbit_stack(ball_steps(measure.system, 10, eps))
     field = "word" if on_words else "points"
-    segments = [OrbitSegment(n, **{field: take_samples(stack, on_words, i)}) for i in range(M)]
-    for kind in (BOWEN, FK):
-        assert ball_kind(kind, n, eps) == kind
-        cover = cover_matrix(kind, measure, n, eps, M * M)
+    covers = {cell: cover.copy() for cell, cover in column_covers(measure, eps, cells, M * M)}
+    assert list(covers) == cells
+    for (kind, n), cover in covers.items():
+        segments = [OrbitSegment(n, **{field: take_samples(stack, on_words, i)}) for i in range(M)]
         want = np.ones((M, M), dtype=bool)
         for i in range(M):
             for j in range(M):
                 if i != j:
                     a, b = segments[i], segments[j]
                     want[i, j] = bowen_distance(a, b) < eps if kind == BOWEN else in_fk_ball(a, b, eps)
-        assert M < (cover.sum() - M) < M * (M - 1)
-        assert (cover == want).all()
+        assert M < (cover.sum() - M) < M * (M - 1), (kind, n)
+        assert (cover == want).all(), (kind, n)
         assert (cover == cover.T).all() and cover.diagonal().all()
         assert (cover == _row_by_row_cover(kind, on_words, n, stack, eps)).all()
