@@ -21,6 +21,15 @@ sized so the kept set lands near `count_target`, and slope fits consume the
 window-adjusted density log(count / window).  Shrinking the window scales
 the expected count linearly and leaves the growth rate in n untouched.
 
+The circle Bowen scan (`greedy_separated`) runs in rounds.  A candidate's
+closed ball reaches about _SUBDIVISIONS + 0.5 grid steps each way, so
+each round guesses the next block of keepers greedily from every
+candidate's ball against its next _GUESS_WINDOW candidates, checks the
+guessed keepers against each other, and kills the keepers up to the
+first wrong guess in one pass over (keeper, later sample) pairs,
+screened on the last step as the dense Bowen covers are.  The kept set
+is exactly that of a scan with one ball call per kept center.
+
 The fiber entropy is an average over driving paths of a per-path slope.
 `path_entropy` computes that per-path quantity (draw the path, count,
 fit); the experiment harness averages it over paths.
@@ -93,11 +102,18 @@ _SUBDIVISIONS = 4
 CANDIDATE_TARGET = 2000
 CANDIDATE_BUDGET = 200_000
 
+# later candidates each candidate's guess window holds in a circle Bowen
+# scan: a ball reaches about _SUBDIVISIONS + 0.5 grid steps each way, so
+# twice that holds a keeper's local kills where the ball runs wider
+# than the grid was sized for
+_GUESS_WINDOW = 2 * _SUBDIVISIONS
+
 # rows of a packed cover matrix mirrored per block
 _MIRROR_ROWS = 256
-# (center, sample) pairs per block of the Bowen cover pass: its screen
-# builds one float and one bool per pair and no packed masks, so its
-# blocks are larger than the FK kernel's BLOCK_PAIRS
+# (center, sample) pairs per block of the Bowen cover pass and per round
+# of the circle Bowen scan: their screen builds one float and one bool
+# per pair and no packed masks, so their blocks are larger than the FK
+# kernel's BLOCK_PAIRS
 _SCREEN_PAIRS = 16 * BLOCK_PAIRS
 
 
@@ -199,6 +215,17 @@ def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float
     than eps apart (Bowen) or fail the closed match target (FK); under that
     convention every Bowen kill is an FK kill and the FK count can never
     exceed the Bowen count on the same candidates.
+
+    The scan runs in rounds, each committing one or more keepers and
+    their kills.  A circle Bowen ball (also an FK ball at zero slack,
+    `ball_kind`) runs `_bowen_round`: it guesses a block of keepers from
+    each candidate's ball against the next _GUESS_WINDOW candidates,
+    checks the guessed keepers against each other, and kills the ones
+    before the first wrong guess in one screened pass.  Every other ball
+    runs the one-keeper round: the first live candidate is a keeper, and
+    one closed `ball_batch` call kills what its ball holds.  Once the
+    tail is mostly dead the live candidates are compacted; total copying
+    stays O(M).
     """
     check_kinds((kind,))
     if n < 1:
@@ -206,32 +233,137 @@ def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     on_words = candidates.on_words
+    rounds = not on_words and ball_kind(kind, n, eps) == BOWEN
     cur = candidates.orbit_stack(ball_steps(candidates.system, n, eps))
     idx = np.arange(candidates.M)
     dead = np.zeros(idx.size, dtype=bool)
-    kept: list[int] = []
+    window = None
+    kept: list[np.ndarray] = []
     p = 0
     while True:
         while p < idx.size and dead[p]:
             p += 1
         if p >= idx.size:
             break
-        kept.append(int(idx[p]))
-        center = _centers(cur, on_words, n, p)
-        dead[p] = True
-        if p + 1 < idx.size:
-            rest = take_samples(cur, on_words, slice(p + 1, None))
-            dead[p + 1 :] |= ball_batch(kind, center, rest, eps, closed=True)
-        # compact once the tail is mostly dead; total copying stays O(M)
-        tail = idx.size - p - 1
-        if tail > 64 and dead[p + 1 :].sum() > tail // 2:
+        if rounds:
+            if window is None:
+                window = _window_kills(cur, n, eps)
+            block, p = _bowen_round(cur, dead, window, p, n, eps)
+        else:
+            block = slice(p, p + 1)
+            center = _centers(cur, on_words, n, p)
+            p += 1
+            if p < idx.size:
+                rest = take_samples(cur, on_words, slice(p, None))
+                dead[p:] |= ball_batch(kind, center, rest, eps, closed=True)
+        kept.append(idx[block])
+        tail = idx.size - p
+        if tail > 64 and dead[p:].sum() > tail // 2:
             keep_mask = ~dead
-            keep_mask[: p + 1] = False
+            keep_mask[:p] = False
             cur = take_samples(cur, on_words, keep_mask)
             idx = idx[keep_mask]
             dead = np.zeros(idx.size, dtype=bool)
+            window = None
             p = 0
-    return len(kept), np.asarray(kept, dtype=np.int64)
+    kept_idx = np.concatenate(kept)
+    return kept_idx.size, kept_idx
+
+
+def _window_kills(stack: np.ndarray, n: int, eps: float) -> list[int]:
+    """Per sample i of a circle stack, a bitmask of the closed time-n ball's
+    members among the next _GUESS_WINDOW samples: bit k - 1 marks sample i + k."""
+    m = stack.shape[1]
+    bits = np.zeros(m, dtype=np.int64)
+    for k in range(1, min(_GUESS_WINDOW, m - 1) + 1):
+        inside = circle_gap(stack[:n, k:], stack[:n, :-k]).max(axis=0) <= eps
+        bits[:-k] |= inside.astype(np.int64) << (k - 1)
+    return bits.tolist()
+
+
+def _bowen_round(
+    stack: np.ndarray, dead: np.ndarray, window: list[int], p: int, n: int, eps: float
+) -> tuple[np.ndarray, int]:
+    """One round of the circle Bowen scan from its first live candidate p.
+
+    Guess: a greedy walk from p keeps every candidate that no committed
+    kill (`dead`) and no earlier block keeper's window kill (`window`,
+    from `_window_kills`) has removed, for at most as many keepers as
+    keep the round within _SCREEN_PAIRS (keeper, later sample) pairs.
+    Verify: as long as every earlier row agrees with the guess, a row
+    the walk drops is truly dead, and a guessed keeper is truly alive
+    unless an earlier block keeper's ball holds it.  So the first
+    guessed keeper inside an earlier one's ball (`_first_held`) is the
+    first wrong row, and the keepers before it are true ones; p itself
+    always is.  Commit: every row before `stop`, the first wrong row or
+    the first row the walk left undecided, is now decided, so `_screen`
+    tests the true keepers on step n - 1 against the samples from stop
+    on, the pairs with a live sample survive, and steps n - 2 down to 0
+    drop the pairs whose gap exceeds eps; once the survivors times the
+    steps left fit BLOCK_PAIRS, those steps are compared in one gather.
+    Marks the kills dead and returns the keepers' positions and stop,
+    where the next round starts.
+    """
+    m = dead.size
+    most = max(1, _SCREEN_PAIRS // max(1, m - p - 1))
+    span = min(m - p, most * (_GUESS_WINDOW + 1))
+    # bit r of known: row p + r is dead or killed by a guessed keeper
+    known = int.from_bytes(np.packbits(dead[p : p + span], bitorder="little").tobytes(), "little")
+    block = []
+    r = 0
+    while r < span and len(block) < most:
+        block.append(p + r)
+        known |= (1 | window[p + r] << 1) << r
+        r = (~known & (known + 1)).bit_length() - 1
+    keepers = np.asarray(block)
+    stop = p + min(r, span)
+    wrong = _first_held(stack, keepers, n, eps)
+    if wrong < keepers.size:
+        stop = int(keepers[wrong])
+        keepers = keepers[:wrong]
+    if stop == m:
+        return keepers, stop
+    rows, cols = _screen(stack, n - 1, keepers, stop, eps, closed=True)
+    live = ~dead[cols]
+    ctr, cols = keepers[rows[live]], cols[live]
+    t = n - 2
+    while t >= 0 and cols.size * (t + 1) > BLOCK_PAIRS:
+        inside = circle_gap(stack[t, cols], stack[t, ctr]) <= eps
+        ctr, cols = ctr[inside], cols[inside]
+        t -= 1
+    if t >= 0 and cols.size:
+        cols = cols[circle_gap(stack[: t + 1, cols], stack[: t + 1, ctr]).max(axis=0) <= eps]
+    dead[cols] = True
+    return keepers, stop
+
+
+def _first_held(stack: np.ndarray, keepers: np.ndarray, n: int, eps: float) -> int:
+    """Position in `keepers` (ascending samples of a circle stack) of the first
+    one inside the closed time-n ball of an earlier one, or len(keepers)."""
+    pts = stack[:n, keepers]
+    lo, hi = np.nonzero(circle_gap(pts[n - 1], pts[n - 1, :, None]) <= eps)
+    later = lo < hi
+    lo, hi = lo[later], hi[later]
+    if n > 1 and hi.size:
+        hi = hi[circle_gap(pts[: n - 1, hi], pts[: n - 1, lo]).max(axis=0) <= eps]
+    return int(hi.min()) if hi.size else keepers.size
+
+
+def _screen(stack: np.ndarray, step: int, centers, start: int, eps: float, closed: bool):
+    """(center, sample) pairs of a circle stack that pass the ball test on one step.
+
+    Tests every center (an index array or a slice of the samples)
+    against every sample from `start` on, at `step`: gap < eps, or
+    <= eps when closed.  Returns (k, j) for the passing pairs, k
+    indexing `centers` and j the stack's samples, in row-major order.
+    A Bowen ball is a conjunction over steps, so a pair that fails the
+    screen lies in no ball reading that step.
+    """
+    gap = circle_gap(stack[step, start:], stack[step, centers, None])
+    inside = gap <= eps if closed else gap < eps
+    k, j = np.divmod(np.flatnonzero(inside), stack.shape[1] - start)
+    j += start
+    return k, j
 
 
 def _center_blocks(m: int, pairs: int):
@@ -313,10 +445,8 @@ def column_covers(measure: EmpiricalMeasure, eps: float, cells, pair_budget: int
     if bowen_ns:
         top, screen = bowen_ns[-1], bowen_ns[0] - 1
         for i0, i1 in _center_blocks(m, _SCREEN_PAIRS):
-            gap = circle_gap(stack[screen, i0 + 1 :], stack[screen, i0:i1, None])
-            rows, cols = np.divmod(np.flatnonzero(gap < eps), m - i0 - 1)
+            rows, cols = _screen(stack, screen, slice(i0, i1), i0 + 1, eps, closed=False)
             rows += i0
-            cols += i0 + 1
             for t in range(top):
                 if t == screen:
                     continue
@@ -560,8 +690,11 @@ def count_table(
         raise ValueError("n must be >= 1")
     if eps_list[0] <= 0.0:
         raise ValueError("eps must be positive")
-    if path.horizon < n_list[-1] - 1:
-        raise ValueError(f"path horizon {path.horizon} < n - 1 = {n_list[-1] - 1}")
+    # a torus cell reads n orbit points, n - 1 steps of the path; a word
+    # cell reads ball_steps symbols, each prescribed by one path step
+    steps = katok_horizon(system, n_list, eps_list) - (0 if system.on_words else 1)
+    if path.horizon < steps:
+        raise ValueError(f"path horizon {path.horizon} < {steps}, the path steps the largest cell reads")
     check_kinds(metrics)
     entries: list[CountEntry] = []
     for n in n_list:

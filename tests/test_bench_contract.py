@@ -37,16 +37,18 @@ def test_traced_names_resolve_to_fkent_callables():
 
 
 def test_traced_worker_counts_both_ball_kernels(monkeypatch, tmp_path):
-    # one traced top-mixed run at smoke-test size, as bench/run.py spawns
-    # it: its separated scans call both public kernels (katok covers call
-    # neither, they read the private one-pass helpers)
+    # one traced word compare-top run at toy size, spawned as bench/run.py
+    # spawns a worker: its separated scans call both public kernels, the
+    # Bowen one on prefix classes.  Circle Bowen scans call neither (they
+    # run screened rounds inside spanning), and katok covers read the
+    # private one-pass helpers
     monkeypatch.syspath_prepend(str(BENCH))
     spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    experiment, _, toy = run.WORKLOADS["top-mixed"]
-    overrides = dict(toy, seed=1, workers=1, outdir=str(tmp_path))
-    job = {"experiment": experiment, "overrides": overrides, "trace": True, "run": 0}
+    words = dict(family="shift", m=[2, 2], p=[0.5, 0.5], n=[4, 5, 6], eps=[0.4, 0.25], paths=1)
+    overrides = dict(words, seed=1, workers=1, outdir=str(tmp_path))
+    job = {"experiment": "compare-top", "overrides": overrides, "trace": True, "run": 0}
     proc = subprocess.run(
         [sys.executable, str(BENCH / "worker.py"), json.dumps(job)],
         capture_output=True, text=True, timeout=120, env=run.child_env(str(ROOT / "src")),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fkent import matching, spanning
+from fkent.local import sample_measure
 from fkent.matching import BOWEN, FK, ball_batch, ball_steps, bowen_distance, in_fk_ball, match_slack
 from fkent.spanning import (
     SEPARATED,
@@ -32,6 +33,7 @@ from fkent.systems import (
     sample_path,
     shift_system,
     take_samples,
+    tent_system,
 )
 
 
@@ -237,3 +239,172 @@ def test_column_covers_match_pairwise_reference(monkeypatch, on_words):
         assert (cover == want).all(), (kind, n)
         assert (cover == cover.T).all() and cover.diagonal().all()
         assert (cover == _row_by_row_cover(kind, on_words, n, stack, eps)).all()
+
+
+def _per_center_scan(measure: EmpiricalMeasure, n: int, kind: str, eps: float) -> np.ndarray:
+    """The greedy scan spelled out: one closed ball_batch call per kept center."""
+    on_words = measure.on_words
+    stack = measure.orbit_stack(ball_steps(measure.system, n, eps))
+    field = "word" if on_words else "points"
+    dead = np.zeros(measure.M, dtype=bool)
+    kept = []
+    for i in range(measure.M):
+        if dead[i]:
+            continue
+        kept.append(i)
+        if i + 1 < measure.M:
+            center = OrbitSegment(n, **{field: take_samples(stack, on_words, i)})
+            rest = take_samples(stack, on_words, slice(i + 1, None))
+            dead[i + 1 :] |= ball_batch(kind, center, rest, eps, closed=True)
+    return np.asarray(kept, dtype=np.int64)
+
+
+def _assert_scan_matches(measure, n, kind, eps):
+    count, kept = greedy_separated(measure, n, kind, eps)
+    want = _per_center_scan(measure, n, kind, eps)
+    assert count == want.size, (n, kind, eps)
+    assert np.array_equal(kept, want), (n, kind, eps)
+    return count
+
+
+def _guess_outcomes(monkeypatch) -> list[bool]:
+    """Record, per circle Bowen round, whether its whole guessed block held."""
+    held: list[bool] = []
+    true_first_held = spanning._first_held
+
+    def recording(stack, keepers, n, eps):
+        wrong = true_first_held(stack, keepers, n, eps)
+        held.append(wrong == keepers.size)
+        return wrong
+
+    monkeypatch.setattr(spanning, "_first_held", recording)
+    return held
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_bowen_rounds_match_per_center_scan_on_expanding_grids(monkeypatch, seed):
+    # grid cells of the mixed (2, 3) system: every Bowen round guesses its
+    # keepers from the next _GUESS_WINDOW candidates, and on these grids
+    # no guessed block breaks; n = 2 at eps = 0.3 with a large target
+    # fills the whole circle (window 1.0), and FK at zero slack takes the
+    # same rounds
+    held = _guess_outcomes(monkeypatch)
+    system = expanding_system((2, 3))
+    path = sample_path(bernoulli_process((0.5, 0.5)), 14, seed)
+    windows = []
+    for n, eps, target in [(2, 0.3, 300), (6, 0.2, 150), (8, 0.1, 150), (10, 0.05, 120), (14, 0.2, 100)]:
+        cand, window = torus_grid_candidates(system, path, n, eps, count_target=target)
+        windows.append(window)
+        _assert_scan_matches(cand, n, BOWEN, eps)
+        if match_slack(n, eps) == 0:
+            _assert_scan_matches(cand, n, FK, eps)
+    assert windows[0] == 1.0 and max(windows[1:]) < 1.0
+    assert held and all(held)
+
+
+@pytest.mark.parametrize("factors", [(2, 3), (3,)])
+def test_bowen_rounds_stay_exact_where_guesses_fail(monkeypatch, factors):
+    # tent grids fold, so a far-off mirror point can lie inside a ball:
+    # guessed blocks break, and each round commits only up to its first
+    # wrong keeper
+    held = _guess_outcomes(monkeypatch)
+    system = tent_system(factors)
+    process = bernoulli_process((0.5, 0.5) if len(factors) == 2 else (1.0,))
+    path = sample_path(process, 12, 3)
+    for n, eps in [(6, 0.2), (8, 0.1), (12, 0.05)]:
+        cand, _ = torus_grid_candidates(system, path, n, eps, count_target=150)
+        _assert_scan_matches(cand, n, BOWEN, eps)
+    assert not all(held) and any(held)
+
+
+@pytest.mark.parametrize("family", [expanding_system((2, 3)), tent_system((2, 3))], ids=["expanding", "tent"])
+def test_bowen_rounds_match_per_center_scan_on_iid_draws(family):
+    # i.i.d. samples in random order: kills land anywhere in the tail, so
+    # the live candidates are compacted between rounds
+    path = sample_path(bernoulli_process((0.5, 0.5)), 10, 5)
+    for seed, (n, eps) in enumerate([(1, 0.01), (4, 0.05), (8, 0.2), (10, 0.1)]):
+        _assert_scan_matches(sample_measure(family, path, 600, seed), n, BOWEN, eps)
+
+
+@pytest.mark.parametrize("n, eps", [(1, 1 / 16), (2, 1 / 8), (3, 1 / 4)])
+def test_bowen_rounds_kill_at_exactly_eps(n, eps):
+    # 256 dyadic points under doubling: their orbits are exact, and the
+    # ball around a point reaches exactly 16 grid steps forward, further
+    # than the guess window, so the kill pass decides the boundary point.
+    # Closed balls keep every 17th point, 15 in all; just under eps every
+    # 16th
+    system = expanding_system((2,))
+    path = OmegaPath([0] * 3)
+    grid = EmpiricalMeasure(system, path, orbit_batch(system, path, np.arange(256) / 256.0, 3))
+    assert _assert_scan_matches(grid, n, BOWEN, eps) == 15
+    assert _assert_scan_matches(grid, n, BOWEN, eps * (1.0 - 1e-9)) == 16
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_bowen_rounds_verify_a_block_at_exactly_eps(n):
+    # the last candidate lies exactly eps from the first one, on step n - 1
+    # under doubling, and 10 candidates separated from both stand between
+    # them, more than the guess window holds: the walk guesses all 12 as
+    # one block, and only the verification against the first keeper's
+    # closed ball drops the last
+    eps = 1 / 16
+    system = expanding_system((2,))
+    path = OmegaPath([0] * 2)
+    starts = np.array([0.0, *(0.15 + 0.07 * np.arange(10)), eps / 2 ** (n - 1)])
+    cand = EmpiricalMeasure(system, path, orbit_batch(system, path, starts, 2))
+    assert _assert_scan_matches(cand, n, BOWEN, eps) == 11
+    assert _assert_scan_matches(cand, n, BOWEN, eps * (1.0 - 1e-9)) == 12
+
+
+def test_bowen_rounds_edge_cases():
+    system = expanding_system((2, 3))
+    path = sample_path(bernoulli_process((0.5, 0.5)), 6, 2)
+    one = sample_measure(system, path, 1, 0)
+    assert greedy_separated(one, 4, BOWEN, 0.1)[0] == 1
+    two = EmpiricalMeasure(system, path, orbit_batch(system, path, np.array([0.1, 0.1001]), 6))
+    assert _assert_scan_matches(two, 1, BOWEN, 0.01) == 1
+    assert _assert_scan_matches(two, 6, BOWEN, 1e-5) == 2
+    many = sample_measure(system, path, 300, 4)
+    for n in (1, 5):
+        _assert_scan_matches(many, n, BOWEN, 0.02)
+        # every circle gap is at most 0.5, so the first point kills the rest
+        assert _assert_scan_matches(many, n, BOWEN, 0.5) == 1
+        assert _assert_scan_matches(many, n, FK, 0.7) == 1
+
+
+@pytest.mark.parametrize("family", [expanding_system((2, 3)), tent_system((2, 3))], ids=["expanding", "tent"])
+def test_bowen_rounds_with_small_rounds(monkeypatch, family):
+    # a round holds as many keepers as _SCREEN_PAIRS pairs allow: at the
+    # grid size, rounds hold one keeper while more than half the grid lies
+    # ahead, then two, then three
+    committed: list[int] = []
+    true_round = spanning._bowen_round
+
+    def recording(*args):
+        keepers, stop = true_round(*args)
+        committed.append(keepers.size)
+        return keepers, stop
+
+    monkeypatch.setattr(spanning, "_bowen_round", recording)
+    path = sample_path(bernoulli_process((0.5, 0.5)), 10, 8)
+    for n, eps in [(6, 0.2), (10, 0.05)]:
+        cand, _ = torus_grid_candidates(family, path, n, eps, count_target=200)
+        monkeypatch.setattr(spanning, "_SCREEN_PAIRS", cand.M)
+        committed.clear()
+        _assert_scan_matches(cand, n, BOWEN, eps)
+        assert min(committed) >= 1 and max(committed[: len(committed) // 2]) <= 3
+        assert {1, 2, 3} <= set(committed)
+
+
+def test_count_table_checks_the_path_steps_its_cells_read():
+    # a word cell reads ball_steps symbols, one per path step: n = 6 at
+    # eps = 0.2 reads cylinder depth 3, so 8 of them.  A torus cell reads
+    # n orbit points, n - 1 path steps
+    words = shift_system((2, 2))
+    with pytest.raises(ValueError, match="path horizon 5 < 8"):
+        count_table(words, OmegaPath([0] * 5), [4, 5, 6], [0.2])
+    count_table(words, OmegaPath([0] * 8), [4, 5, 6], [0.2])
+    torus = expanding_system((2,))
+    with pytest.raises(ValueError, match="path horizon 6 < 7"):
+        count_table(torus, OmegaPath([0] * 6), [4, 6, 8], [0.2], count_target=50)
+    count_table(torus, OmegaPath([0] * 7), [4, 6, 8], [0.2], count_target=50)
