@@ -21,7 +21,8 @@ eps exactly when their leading symbols agree, so the defect coincides with
 the normalized common-subsequence mismatch of the two symbol words.
 
 Every match size comes from one bit-parallel recurrence: each row of a
-compatibility matrix is packed into a uint64 mask (so n, m <= 64) and the
+compatibility matrix is packed into one mask word, the narrowest unsigned
+type that holds its m columns (uint8 up to uint64, so n, m <= 64), and the
 bit-vector LCS update (Allison & Dix 1986; Hyyro 2004) advances the DP one
 row at a time across a whole batch.  Masks are step-major, (n, ...): the
 recurrence reads one contiguous plane of the batch per row.  No other
@@ -187,9 +188,9 @@ def pair_distance_matrix(a: OrbitSegment, b: OrbitSegment) -> np.ndarray:
 def max_match_batch(compat: np.ndarray) -> np.ndarray:
     """Maximum match sizes for a (B, n, m) stack of compatibility matrices.
 
-    Each row is packed into one uint64 mask over its m <= 64 columns, the
-    masks are laid out step-major, (n, B), and the stack runs through the
-    bit-parallel match recurrence.
+    Each row is packed into one mask over its m <= 64 columns, in the word
+    type `_bit_weights(m)` picks, the masks are laid out step-major,
+    (n, B), and the stack runs through the bit-parallel match recurrence.
     """
     compat = np.asarray(compat, dtype=bool)
     if compat.ndim == 2:
@@ -200,10 +201,16 @@ def max_match_batch(compat: np.ndarray) -> np.ndarray:
 
 
 def _bit_weights(m: int) -> np.ndarray:
-    """uint64 weights 1 << j for the m columns of a packed mask row."""
+    """Weights 1 << j for the m columns of a packed mask row.
+
+    They come in the narrowest unsigned type with at least m bits (uint8,
+    uint16, uint32 or uint64), the word every mask of m columns is packed
+    in: a narrower word moves fewer bytes through the recurrence.
+    """
     if m > MAX_MATCH_STEPS:
         raise ValueError(f"packed match masks hold at most {MAX_MATCH_STEPS} columns, got {m}")
-    return np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
+    word = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= m)
+    return np.left_shift(word(1), np.arange(m, dtype=word))
 
 
 def _match_sizes(pm: np.ndarray, cuts) -> list[np.ndarray]:
@@ -221,18 +228,20 @@ def _match_sizes(pm: np.ndarray, cuts) -> list[np.ndarray]:
     only move up, so the low bits of v evolve as they would with no
     columns above them: one run over the widest cut reads every narrower
     cut on its way, after its last row, and bits of pm at or above the
-    widest column are ignored.  At 64 columns the carry out of the top
-    bit is dropped by uint64 wraparound, which is what the mask does
-    below it.
+    widest column are ignored.  The word type is pm's.  u = v & pm[i] is
+    a submask of v, so v - u never borrows; the carry of v + u out of the
+    widest column is dropped by the mask, or, when the widest cut fills
+    the word, by wraparound at the word's full width.
     """
+    word = pm.dtype.type
     last = max(rows for rows, _ in cuts)
-    full = np.uint64((1 << max(cols for _, cols in cuts)) - 1)
-    v = np.full(pm.shape[1:], full, dtype=np.uint64)
+    full = word((1 << max(cols for _, cols in cuts)) - 1)
+    v = np.full(pm.shape[1:], full, dtype=pm.dtype)
     sizes: list[np.ndarray] = [None] * len(cuts)
     for i in range(last + 1):
         for k, (rows, cols) in enumerate(cuts):
             if rows == i:
-                low = v & np.uint64((1 << cols) - 1)
+                low = v & word((1 << cols) - 1)
                 sizes[k] = cols - np.bitwise_count(low).astype(np.int64)
         if i < last:
             u = v & pm[i]
@@ -439,17 +448,18 @@ def _band_masks(
     it, so row i of a mask is one contiguous plane.  Bit j of row i of a
     delta's mask is set when center step i and sample step j are within
     delta (at most delta when closed); cells off its band stay clear.
-    Each diagonal offset reads one slice of `others`, steps i0 + offset to
-    i1 + offset of every sample (a step-major (n', M) circle stack or an
-    (M, L) word matrix); on the torus its gaps are computed once and
-    thresholded for every delta whose band reaches it.
+    The masks are in the word `_bit_weights(n)` picks.  Each diagonal
+    offset reads one slice of `others`, steps i0 + offset to i1 + offset
+    of every sample (a step-major (n', M) circle stack or an (M, L) word
+    matrix); on the torus its gaps are computed once and thresholded for
+    every delta whose band reaches it.
     """
     n = center.n
     torus = not center.on_words
     lead = center.stack_shape
     weights = _bit_weights(n)
     shape = (n,) + lead + (others.shape[sample_axis(center.on_words)],)
-    masks = {d: np.zeros(shape, dtype=np.uint64) for d in bands}
+    masks = {d: np.zeros(shape, dtype=weights.dtype) for d in bands}
     reach = max(bands.values())
     if torus:
         # a stack axis on the samples broadcasts them against every center

@@ -633,6 +633,66 @@ def test_max_match_batch_matches_reference_lcs():
     assert max_match_batch(np.ones((64, 64), dtype=bool)).tolist() == [64]
 
 
+@pytest.mark.parametrize("m", [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64])
+def test_max_match_batch_at_word_width_boundaries(m):
+    # masks of m columns are packed in the narrowest unsigned word with m
+    # bits, so m = 8, 16, 32 and 64 fill their word and the carry out of
+    # the top column is dropped by wraparound, not by the mask
+    bits = matching._bit_weights(m).dtype.itemsize * 8
+    assert bits >= m > bits // 2
+    rng = np.random.default_rng(m)
+    for n in (1, m - 1, m, m + 1):
+        compat = rng.random((6, n, m)) < rng.uniform(0.05, 0.95, size=(6, 1, 1))
+        assert max_match_batch(compat).tolist() == [reference_match(c) for c in compat]
+    if m in (8, 16, 32):
+        # all true: every row carries out of the top bit
+        full = np.ones((3, m, m), dtype=bool)
+        full[1, :, -1] = False
+        full[2, ::2, ::3] = False
+        assert max_match_batch(full).tolist() == [reference_match(c) for c in full]
+        assert max_match_batch(full).tolist()[0] == m
+
+
+@pytest.mark.parametrize("on_words", [False, True], ids=["torus", "words"])
+def test_fk_members_read_narrower_words_from_a_wider_one(monkeypatch, on_words):
+    # a column whose longest n, 17, needs a uint32 mask reads the cells at
+    # n = 8 and 16, which fill a uint8 and a uint16 word on their own, and
+    # n = 9 and 17 just past them; each must equal fk_ball_batch on the
+    # center's n-step prefix, whose masks use that prefix's own word
+    monkeypatch.setattr(matching, "BLOCK_PAIRS", 64)
+    rng = np.random.default_rng(124)
+    n_max, M, far, delta = 17, 160, 40, 0.2
+    if on_words:
+        word = rng.integers(0, 2, size=n_max + 3)
+        flips = rng.random((M - far, n_max + 3)) < 0.03
+        copies = np.where(flips, 1 - word, shuffled_copies(rng, word, M - far, 2))
+        others = np.concatenate([copies, rng.integers(0, 2, size=(far, n_max + 3))])
+    else:
+        base = rng.integers(0, 64, size=n_max)
+        jitter = rng.integers(-2, 3, size=(M - far, n_max)) * (rng.random((M - far, n_max)) < 0.3)
+        copies = shuffled_copies(rng, base, M - far, 3) + jitter
+        rows = np.concatenate([copies, rng.integers(0, 64, size=(far, n_max))]) % 64
+        others = np.ascontiguousarray(rows.T / 64.0)
+    cells = [(n, delta) for n in (6, 8, 9, 16, 17)]
+    assert all(match_slack(n, delta) > 0 for n, _ in cells)
+
+    def segment(index, n):
+        orbits = take_samples(others, on_words, index)
+        return OrbitSegment(n, word=orbits) if on_words else OrbitSegment(n, points=orbits)
+
+    for index in (0, [0, 3, 120]):
+        center = segment(index, n_max)
+        for closed in (False, True):
+            got = [np.zeros(center.stack_shape + (M,), dtype=bool) for _ in cells]
+            for lo, hits in matching._fk_members(center, others, cells, closed):
+                for out, hit in zip(got, hits):
+                    out[..., lo : lo + hit.shape[-1]] = hit
+            for (n, d), out in zip(cells, got):
+                want = fk_ball_batch(segment(index, n), others, d, closed=closed)
+                assert (out == want).all()
+                assert 0 < out.sum() < out.size
+
+
 def test_packed_masks_reject_more_than_64_steps():
     with pytest.raises(ValueError, match="at most 64"):
         max_match_batch(np.ones((1, 3, 65), dtype=bool))

@@ -27,10 +27,31 @@ from fkent.systems import (
 )
 
 
+def mod_wrap(values):
+    """The np.mod reduction onto [0, 1) with the 1e-15 snap to 0."""
+    out = np.mod(values, 1.0)
+    out[out > 1.0 - 1e-15] = 0.0
+    return out
+
+
 def test_wrap_unit_half_open():
-    vals = wrap_unit(np.array([-0.25, 0.0, 0.5, 1.0, 1.75]))
-    assert np.allclose(vals, [0.75, 0.0, 0.5, 0.0, 0.75])
-    assert (vals < 1.0).all() and (vals >= 0.0).all()
+    # values - floor(values) equals the np.mod reference bit for bit, signed
+    # zeros included, on negatives, +-0, subnormals, values within 1e-15 of
+    # 1 (from either side of an integer), integers and 2^52 + 0.5; in place too
+    tiny = np.finfo(float).smallest_subnormal
+    edge = [-0.25, 0.0, -0.0, 0.5, 1.0, 1.75, -1.75, -3.0, 7.0, 2.0**52, -(2.0**52), 2.0**52 + 0.5]
+    edge += [tiny, -tiny, 1e-310, -1e-310, 1e-300, -1e-300]
+    edge += [1.0 - 2.0**-53, 1.0 - 5e-16, 1.0 - 2e-15, 3.0 - 4e-16, -1e-16, -5e-16, -2e-15, -2.0 - 1e-16]
+    rng = np.random.default_rng(3)
+    values = np.concatenate([edge, rng.normal(scale=10.0, size=2000), rng.normal(scale=1e12, size=200)])
+    want = mod_wrap(values)
+    got = wrap_unit(values)
+    assert got.tobytes() == want.tobytes()
+    inplace = values.copy()
+    assert wrap_unit(inplace, out=inplace) is inplace
+    assert inplace.tobytes() == want.tobytes()
+    assert (got < 1.0).all() and (got >= 0.0).all()
+    assert wrap_unit(np.array([-0.25, 0.0, 0.5, 1.0, 1.75])).tolist() == [0.75, 0.0, 0.5, 0.0, 0.75]
 
 
 @pytest.mark.parametrize(
@@ -90,6 +111,23 @@ def test_orbit_batch_matches_orbit():
             orbit(system, path, [0.1, 0.2], 3)
         with pytest.raises(ValueError, match=r"\(M,\) array"):
             orbit_batch(system, path, xs[:, None], 6)
+
+
+def test_orbit_batch_equals_a_reference_step_loop():
+    # the in-place floor-wrap steps reproduce the np.mod step loop bit for
+    # bit on both torus families, including starts at 0, 1/2, dyadics and
+    # just below 1, where the wrap and the tent's fold meet their edges
+    rng = np.random.default_rng(11)
+    path = OmegaPath(rng.integers(0, 2, size=30).tolist())
+    xs = np.concatenate([[0.0, 0.5, 0.25, 1.0 / 3.0, 1.0 - 2.0**-53, 1.0 - 1e-15], rng.random(3000)])
+    for system in (expanding_system((2, 3)), tent_system((2, 3))):
+        rows = [xs]
+        for i in range(30):
+            t = system.factors[path.symbol(i)] * rows[-1]
+            if system.family == "tent":
+                t = 1.0 - np.abs(1.0 - np.mod(t, 2.0))
+            rows.append(mod_wrap(t))
+        assert orbit_batch(system, path, xs, 31).tobytes() == np.array(rows).tobytes()
 
 
 def test_circle_stacks_are_step_major():
