@@ -64,18 +64,18 @@ def child_rng(master_seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def wrap_unit(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Reduce mod 1 onto [0, 1), snapping values within 1e-15 of 1 to 0.
+def wrap_unit(values: np.ndarray) -> np.ndarray:
+    """Reduce a float array mod 1 onto [0, 1) in place and return it,
+    snapping values within 1e-15 of 1 to 0.
 
     values - floor(values) equals np.mod(values, 1.0) bit for bit on every
     finite float: fmod is exact, and for negative values both round the
     same exact value 1 + fmod(values, 1) once.  It costs a fraction of
-    np.mod.  With `out`, which may be values itself, the result is
-    written there.
+    np.mod.
     """
-    out = np.subtract(values, np.floor(values), out=out)
-    out[out > 1.0 - _WRAP_TOL] = 0.0
-    return out
+    values -= np.floor(values)
+    values[values > 1.0 - _WRAP_TOL] = 0.0
+    return values
 
 
 def circle_gap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -293,14 +293,9 @@ def apply_fiber_map(system: RandomSystemSpec, symbol: int, x: np.ndarray, out: n
         raise ValueError("apply_fiber_map applies to torus families; shifts advance by suffix")
     t = np.multiply(system.factors[int(symbol)], x, out=out)
     if system.family == TENT:
-        half = np.multiply(0.5, t)
-        np.floor(half, out=half)
-        half *= 2.0
-        t -= half
-        np.subtract(1.0, t, out=t)
-        np.abs(t, out=t)
-        np.subtract(1.0, t, out=t)
-    return wrap_unit(t, out=t)
+        t -= 2.0 * np.floor(0.5 * t)
+        np.subtract(1.0, np.abs(1.0 - t), out=t)
+    return wrap_unit(t)
 
 
 @dataclass(frozen=True, eq=False)

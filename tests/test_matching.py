@@ -568,37 +568,53 @@ def test_torus_kernels_on_step_major_stacks_equal_pairwise(closed):
             assert 0 < got.sum() < got.size
 
 
-@pytest.mark.parametrize("on_words", [False, True], ids=["torus", "words"])
-def test_fk_members_read_every_n_from_one_recurrence(monkeypatch, on_words):
+# (seed, n_max, M, copies' permutation count, flip rate, stacked centers,
+# cells); the n_max = 17 column needs a uint32 mask and reads cells at
+# n = 8 and 16, which fill a uint8 and a uint16 word on their own, and
+# n = 9 and 17 just past them
+_EVERY_N = (
+    118, 12, 150, 2, 0.05, [0, 5, 9, 77],
+    [(5, 0.25), (7, 0.25), (9, 0.125), (9, 0.25), (12, 0.125), (12, 0.25)],
+)
+_ACROSS_WIDTHS = (124, 17, 160, 3, 0.03, [0, 3, 120], [(n, 0.2) for n in (6, 8, 9, 16, 17)])
+
+
+@pytest.mark.parametrize(
+    "on_words, case",
+    [(False, _EVERY_N), (True, _EVERY_N), (False, _ACROSS_WIDTHS), (True, _ACROSS_WIDTHS)],
+    ids=["torus", "words", "torus-n17", "words-n17"],
+)
+def test_fk_members_read_every_n_from_one_recurrence(monkeypatch, on_words, case):
     # _fk_members runs one match recurrence per radius at the longest n and
     # reads each shorter n after its row n - 1; every cell must equal the FK
     # kernel on the center's n-step prefix alone, which runs a recurrence
-    # of its own, as every cell did before.  One center and a stack of
-    # centers, open and closed balls, bands 1 and 2, and blocks that split
-    # the samples.
+    # of its own (with that prefix's own mask word), as every cell did
+    # before.  One center and a stack of centers, open and closed balls,
+    # two or more slack bands, and blocks that split the samples.
     monkeypatch.setattr(matching, "BLOCK_PAIRS", 64)
-    rng = np.random.default_rng(118)
-    n_max, M, far = 12, 150, 40
+    seed, n_max, M, shuffles, flip, stacked, cells = case
+    rng = np.random.default_rng(seed)
+    far = 40
     if on_words:
         word = rng.integers(0, 2, size=n_max + 3)
-        flips = rng.random((M - far, n_max + 3)) < 0.05
+        flips = rng.random((M - far, n_max + 3)) < flip
         copies = np.where(flips, 1 - word, shuffled_copies(rng, word, M - far, 2))
         others = np.concatenate([copies, rng.integers(0, 2, size=(far, n_max + 3))])
     else:
         base = rng.integers(0, 64, size=n_max)
         jitter = rng.integers(-2, 3, size=(M - far, n_max)) * (rng.random((M - far, n_max)) < 0.3)
-        copies = shuffled_copies(rng, base, M - far, 2) + jitter
+        copies = shuffled_copies(rng, base, M - far, shuffles) + jitter
         rows = np.concatenate([copies, rng.integers(0, 64, size=(far, n_max))]) % 64
         others = np.ascontiguousarray(rows.T / 64.0)
-    cells = [(n, d) for n in (5, 7, 9, 12) for d in (0.125, 0.25) if match_slack(n, d) > 0]
-    assert {match_slack(n, d) for n, d in cells} == {1, 2} and len(cells) == 6
+    bands = {match_slack(n, d) for n, d in cells}
+    assert min(bands) > 0 and len(bands) > 1
 
     def segment(index, n):
         orbits = take_samples(others, on_words, index)
         return OrbitSegment(n, word=orbits) if on_words else OrbitSegment(n, points=orbits)
 
     differ = 0
-    for index in (0, [0, 5, 9, 77]):
+    for index in (0, stacked):
         center = segment(index, n_max)
         for closed in (False, True):
             got = [np.zeros(center.stack_shape + (M,), dtype=bool) for _ in cells]
@@ -631,66 +647,22 @@ def test_max_match_batch_matches_reference_lcs():
     for compat in (full, dense):
         assert max_match_batch(compat).tolist() == [reference_match(c) for c in compat]
     assert max_match_batch(np.ones((64, 64), dtype=bool)).tolist() == [64]
-
-
-@pytest.mark.parametrize("m", [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64])
-def test_max_match_batch_at_word_width_boundaries(m):
     # masks of m columns are packed in the narrowest unsigned word with m
-    # bits, so m = 8, 16, 32 and 64 fill their word and the carry out of
-    # the top column is dropped by wraparound, not by the mask
-    bits = matching._bit_weights(m).dtype.itemsize * 8
-    assert bits >= m > bits // 2
-    rng = np.random.default_rng(m)
-    for n in (1, m - 1, m, m + 1):
-        compat = rng.random((6, n, m)) < rng.uniform(0.05, 0.95, size=(6, 1, 1))
-        assert max_match_batch(compat).tolist() == [reference_match(c) for c in compat]
-    if m in (8, 16, 32):
-        # all true: every row carries out of the top bit
+    # bits, so m = 8, 16, 32 and 64 fill their word and drop the carry out
+    # of the top column by wraparound, not by the mask; all-true stacks
+    # carry out of the top bit on every row
+    for m in (7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64):
+        bits = matching._bit_weights(m).dtype.itemsize * 8
+        assert bits >= m > bits // 2
+        for n in (1, m - 1, m, m + 1):
+            compat = rng.random((6, n, m)) < rng.uniform(0.05, 0.95, size=(6, 1, 1))
+            assert max_match_batch(compat).tolist() == [reference_match(c) for c in compat]
+    for m in (8, 16, 32):
         full = np.ones((3, m, m), dtype=bool)
         full[1, :, -1] = False
         full[2, ::2, ::3] = False
         assert max_match_batch(full).tolist() == [reference_match(c) for c in full]
         assert max_match_batch(full).tolist()[0] == m
-
-
-@pytest.mark.parametrize("on_words", [False, True], ids=["torus", "words"])
-def test_fk_members_read_narrower_words_from_a_wider_one(monkeypatch, on_words):
-    # a column whose longest n, 17, needs a uint32 mask reads the cells at
-    # n = 8 and 16, which fill a uint8 and a uint16 word on their own, and
-    # n = 9 and 17 just past them; each must equal fk_ball_batch on the
-    # center's n-step prefix, whose masks use that prefix's own word
-    monkeypatch.setattr(matching, "BLOCK_PAIRS", 64)
-    rng = np.random.default_rng(124)
-    n_max, M, far, delta = 17, 160, 40, 0.2
-    if on_words:
-        word = rng.integers(0, 2, size=n_max + 3)
-        flips = rng.random((M - far, n_max + 3)) < 0.03
-        copies = np.where(flips, 1 - word, shuffled_copies(rng, word, M - far, 2))
-        others = np.concatenate([copies, rng.integers(0, 2, size=(far, n_max + 3))])
-    else:
-        base = rng.integers(0, 64, size=n_max)
-        jitter = rng.integers(-2, 3, size=(M - far, n_max)) * (rng.random((M - far, n_max)) < 0.3)
-        copies = shuffled_copies(rng, base, M - far, 3) + jitter
-        rows = np.concatenate([copies, rng.integers(0, 64, size=(far, n_max))]) % 64
-        others = np.ascontiguousarray(rows.T / 64.0)
-    cells = [(n, delta) for n in (6, 8, 9, 16, 17)]
-    assert all(match_slack(n, delta) > 0 for n, _ in cells)
-
-    def segment(index, n):
-        orbits = take_samples(others, on_words, index)
-        return OrbitSegment(n, word=orbits) if on_words else OrbitSegment(n, points=orbits)
-
-    for index in (0, [0, 3, 120]):
-        center = segment(index, n_max)
-        for closed in (False, True):
-            got = [np.zeros(center.stack_shape + (M,), dtype=bool) for _ in cells]
-            for lo, hits in matching._fk_members(center, others, cells, closed):
-                for out, hit in zip(got, hits):
-                    out[..., lo : lo + hit.shape[-1]] = hit
-            for (n, d), out in zip(cells, got):
-                want = fk_ball_batch(segment(index, n), others, d, closed=closed)
-                assert (out == want).all()
-                assert 0 < out.sum() < out.size
 
 
 def test_packed_masks_reject_more_than_64_steps():
