@@ -19,7 +19,6 @@ from .systems import (
     bernoulli_process,
     child_rng,
     expanding_system,
-    markov_process,
     orbit,
     orbit_batch,
     sample_path,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .harness import EXPERIMENTS, ExperimentConfig, load_config, run_experiment
 from .matching import (
+    bowen_ball_batch,
     bowen_distance,
     brute_force_match,
     brute_force_match_matrix,
@@ -166,12 +167,28 @@ def _selftest() -> int:
         raise InvariantViolation(f"FK symmetry violated by {worst}")
     print("ok: FK symmetric and dominated by the synchronized metric on 200 pairs")
 
+    for trial in range(20):
+        n = int(rng.integers(1, 13))
+        # grid points put pair gaps exactly at delta, where open and closed balls differ
+        others = rng.integers(0, 16, size=(n + 1, 300)) / 16.0
+        picks = rng.choice(300, size=6, replace=False)
+        delta = int(rng.integers(1, 8)) / 16.0
+        orbits = [_segment(others[:n, j]) for j in range(300)]
+        dist = np.array([[bowen_distance(orbits[c], b) for b in orbits] for c in picks])
+        for closed in (False, True):
+            want = dist <= delta if closed else dist < delta
+            stacked = bowen_ball_batch(OrbitSegment(n, points=others[:, picks]), others, delta, closed=closed)
+            single = [bowen_ball_batch(orbits[c], others, delta, closed=closed) for c in picks]
+            if not (np.array_equal(stacked, want) and np.array_equal(single, want)):
+                raise InvariantViolation(f"Bowen ball kernel differs from bowen_distance on circle stack {trial}")
+    print("ok: Bowen ball kernel equals pairwise distances on 20 circle stacks")
+
     gap = abs(binomial_rate(10_000, 0.5) - stirling_rate(0.5))
     if gap > 1e-3:
         raise InvariantViolation(f"binomial rate off by {gap}")
     print("ok: binomial rate matches its limit at n = 10^4")
 
-    print("selftest passed (4 checks)")
+    print("selftest passed (5 checks)")
     return 0
 
 

@@ -51,7 +51,6 @@ from .systems import (
     bernoulli_process,
     child_rng,
     expanding_system,
-    markov_process,
     sample_path,
     shift_system,
     tent_system,
@@ -69,7 +68,6 @@ __all__ = [
 _BASE_STREAM = 7
 
 _FAMILIES = ("expanding", "tent", "shift")
-_LAWS = ("bernoulli", "markov")
 
 
 def _text(text: str) -> str:
@@ -90,10 +88,6 @@ def _floats(text: str) -> tuple[float, ...]:
         raise ValueError(f"must be a comma list of numbers, got {text!r}") from None
 
 
-def _rows(text: str) -> tuple[tuple[float, ...], ...]:
-    return tuple(_floats(chunk) for chunk in str(text).split(";") if chunk.strip() != "")
-
-
 def _option(default, section: str, parse, help: str, count: bool = False):
     """A config field with its INI section, value parser and flag help; a count must be >= 1."""
     return field(default=default, metadata={"section": section, "parse": parse, "help": help, "count": count})
@@ -111,9 +105,7 @@ class ExperimentConfig:
 
     family: str = _option("expanding", "system", _text, " | ".join(_FAMILIES))
     m: tuple[int, ...] = _option((2, 3), "system", _ints, "comma list of per-letter branch factors or alphabet sizes")
-    law: str = _option("bernoulli", "driving", _text, " | ".join(_LAWS))
-    p: tuple[float, ...] = _option((0.5, 0.5), "driving", _floats, "comma list of letter weights (bernoulli)")
-    rows: tuple[tuple[float, ...], ...] = _option((), "driving", _rows, "semicolon-separated transition rows (markov)")
+    p: tuple[float, ...] = _option((0.5, 0.5), "driving", _floats, "comma list of i.i.d. letter weights")
     n: tuple[int, ...] = _option((8, 10, 12, 14), "schedules", _ints, "comma list of time horizons")
     eps: tuple[float, ...] = _option((0.2, 0.1, 0.05), "schedules", _floats, "comma list of resolutions")
     delta: tuple[float, ...] = _option((0.2, 0.1), "schedules", _floats, "comma list of ball radii (local experiments)")
@@ -132,16 +124,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
-        if self.law not in _LAWS:
-            raise ValueError(f"law must be one of {_LAWS}, got {self.law!r}")
         if not self.m:
             raise ValueError("m is empty")
-        if self.law == "bernoulli":
-            if len(self.p) != len(self.m):
-                raise ValueError(f"p has {len(self.p)} weights for {len(self.m)} letters")
-        else:
-            if len(self.rows) != len(self.m) or any(len(r) != len(self.m) for r in self.rows):
-                raise ValueError("rows must form a square matrix matching m")
+        if len(self.p) != len(self.m):
+            raise ValueError(f"p has {len(self.p)} weights for {len(self.m)} letters")
         for label, sched in (("n", self.n), ("eps", self.eps), ("delta", self.delta)):
             if not sched:
                 raise ValueError(f"schedule {label} is empty")
@@ -166,9 +152,7 @@ class ExperimentConfig:
         return shift_system(self.m)
 
     def process(self):
-        if self.law == "bernoulli":
-            return bernoulli_process(self.p)
-        return markov_process(self.rows)
+        return bernoulli_process(self.p)
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()

@@ -201,6 +201,16 @@ class GridPartition:
         return labels
 
 
+def _check_base_word(center: OrbitSegment, steps: int) -> None:
+    """Reject a base word holding fewer symbols than the `steps` its balls read.
+
+    The word kernels count positions past either stored word as
+    agreement, so a short base word would match every sample there.
+    """
+    if center.on_words and center.word.shape[-1] < steps:
+        raise ValueError(f"base word holds {center.word.shape[-1]} symbols, the balls read {steps}")
+
+
 def ball_measure(
     measure: EmpiricalMeasure,
     center: OrbitSegment,
@@ -220,7 +230,9 @@ def ball_measure(
     check_kinds((kind,))
     if n < 1 or center.n < n:
         raise ValueError("center orbit shorter than the requested n")
-    stack = measure.orbit_stack(ball_steps(measure.system, n, delta))
+    steps = ball_steps(measure.system, n, delta)
+    _check_base_word(center, steps)
+    stack = measure.orbit_stack(steps)
     if delta > diameter(measure.on_words):
         return 1.0
     return int(ball_batch(kind, center.prefix(n), stack, delta).sum()) / measure.M
@@ -309,7 +321,9 @@ def _ball_count_table(
     slack_cells = [(n, d) for n, d in cells if ball_kind(FK, n, d) == FK] if FK in kinds else []
     fk = dict.fromkeys(slack_cells, 0)
 
-    stack = measure.orbit_stack(max(ball_steps(measure.system, n_max, d) for d in delta_list))
+    steps = max(ball_steps(measure.system, n_max, d) for d in delta_list)
+    _check_base_word(center, steps)
+    stack = measure.orbit_stack(steps)
     if measure.on_words:
         for n in n_list:
             ref = center.prefix(n)

@@ -41,9 +41,12 @@ time.  The same bound lets one mask per radius, built at the longest n
 and widest band, decide the FK ball of every shorter prefix and narrower
 band, and carries only move up, so one recurrence per radius reads the
 match size of every prefix on its way (`_fk_members`); that is how the
-local tables count all their FK cells in one pass.  The torus Bowen
-kernel screens every (center, orbit) pair on the last, most expanded step
-and compares the remaining steps only on the pairs that pass.
+local tables count all their FK cells in one pass.  Every circle Bowen
+ball test, the kernel's and those of `spanning`'s separated scan and
+dense covers, screens its (center, orbit) pairs on one step
+(`_bowen_screen`), the kernel on the last, most expanded one, and
+compares the other steps only on the pairs that pass, dropping them step
+by step until the rest fit one gather (`_bowen_confirm`).
 
 How the two metrics relate is decided here and nowhere else.  KINDS runs
 from the smaller ball to the larger: the Bowen ball lies inside the FK
@@ -524,6 +527,46 @@ def _check_torus_stack(center: OrbitSegment, others: np.ndarray) -> None:
         )
 
 
+def _bowen_screen(samples: np.ndarray, centers: np.ndarray, step: int, delta: float, closed: bool):
+    """(k, j) pairs of center k and sample j within delta at one step.
+
+    Both arguments are step-major circle stacks, (steps, M) samples and
+    (steps, C) centers; a pair passes at gap < delta, or <= delta when
+    closed.
+    The pairs come back in row-major order.  A Bowen ball is a
+    conjunction over steps, so a pair that fails the screen lies in no
+    ball reading that step.
+    """
+    gap = circle_gap(samples[step], centers[step, :, None])
+    inside = gap <= delta if closed else gap < delta
+    return np.divmod(np.flatnonzero(inside), samples.shape[1])
+
+
+def _bowen_confirm(
+    samples: np.ndarray, centers: np.ndarray, k: np.ndarray, j: np.ndarray, last: int, delta: float, closed: bool
+):
+    """The (k, j) pairs within delta at every step from `last` down to 0.
+
+    k indexes the columns of `centers` and j those of `samples`, both
+    step-major circle stacks as in `_bowen_screen`.  Steps are compared
+    one at a time, each keeping only the pairs it passes, while the
+    pairs times the steps left exceed BLOCK_PAIRS; the steps left are
+    then compared in one gather.  Late steps are the most expanded, so
+    they drop the most pairs and go first.
+    """
+    t = last
+    while t >= 0 and j.size * (t + 1) > BLOCK_PAIRS:
+        gap = circle_gap(samples[t, j], centers[t, k])
+        inside = gap <= delta if closed else gap < delta
+        k, j = k[inside], j[inside]
+        t -= 1
+    if t >= 0 and j.size:
+        gap = circle_gap(samples[: t + 1, j], centers[: t + 1, k]).max(axis=0)
+        inside = gap <= delta if closed else gap < delta
+        k, j = k[inside], j[inside]
+    return k, j
+
+
 def bowen_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed: bool = False) -> np.ndarray:
     """Membership of many orbits in the time-n Bowen ball around a center.
 
@@ -534,33 +577,21 @@ def bowen_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, clo
     `closed` switches to d <= delta (the complement of the strict
     separation test).
 
-    On the torus the last step, the most expanded one, screens every
-    (center, orbit) pair first on the contiguous row others[n - 1], into
-    a (C, M) screen for a stack, and only its survivors have their other
-    n - 1 steps compared: those steps are gathered column-wise into an
-    (n - 1, survivors) block and the gap max runs over its steps.
-    Membership is a conjunction over steps, so the screen changes no
-    result.  One center is compared with its survivors by broadcasting; a
-    stack splits each survivor into its center and orbit by divmod.
+    On the torus one center is a stack of one.  The last step, the most
+    expanded one, screens every (center, orbit) pair on the contiguous
+    row others[n - 1] (`_bowen_screen`), and only the pairs that pass
+    have steps n - 2 down to 0 compared (`_bowen_confirm`).  Membership
+    is a conjunction over steps, so the screen changes no result.
     """
     n = center.n
     if not center.on_words:
         _check_torus_stack(center, others)
-        points = center.points
-        last = circle_gap(others[n - 1], points[n - 1, ..., None])
-        inside = last <= delta if closed else last < delta
-        live = np.flatnonzero(inside)
-        if n > 1 and live.size:
-            if center.stack_shape:
-                # survivor (c, j) compares center c's steps with orbit j's
-                hit = np.divmod(live, others.shape[1])
-                live_rows, near = hit[1], points[: n - 1, hit[0]]
-            else:
-                hit = live_rows = live
-                near = points[: n - 1, None]
-            gaps = circle_gap(np.take(others[: n - 1], live_rows, axis=1), near).max(axis=0)
-            inside[hit] = gaps <= delta if closed else gaps < delta
-        return inside
+        points = center.points.reshape(center.points.shape[0], -1)
+        k, j = _bowen_screen(others, points, n - 1, delta, closed)
+        k, j = _bowen_confirm(others, points, k, j, n - 2, delta, closed)
+        inside = np.zeros((points.shape[1], others.shape[1]), dtype=bool)
+        inside[k, j] = True
+        return inside.reshape(center.stack_shape + others.shape[1:])
     word = center.word
     depth = _pair_depth(delta, closed)
     if depth == 0:

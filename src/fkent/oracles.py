@@ -98,10 +98,10 @@ def mismatch_entropy_budget(kappa: float, cells: int) -> float:
 def expected_entropy(system: RandomSystemSpec, process: DrivingProcess) -> OracleValue:
     """Exact fiber entropy of a built-in system under its driving law.
 
-    Sum over letters of (stationary weight) * log(factor): branch growth for
+    Sum over letters of (letter weight) * log(factor): branch growth for
     expanding/tent families, word growth for full shifts.
     """
-    weights = process.stationary()
+    weights = process.p
     if len(weights) != len(system.factors):
         raise ValueError("driving alphabet does not match system factors")
     if system.family in (EXPANDING, TENT):

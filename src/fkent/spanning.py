@@ -26,9 +26,11 @@ closed ball reaches about _SUBDIVISIONS + 0.5 grid steps each way, so
 each round guesses the next block of keepers greedily from every
 candidate's ball against its next _GUESS_WINDOW candidates, checks the
 guessed keepers against each other, and kills the keepers up to the
-first wrong guess in one pass over (keeper, later sample) pairs,
-screened on the last step as the dense Bowen covers are.  The kept set
-is exactly that of a scan with one ball call per kept center.
+first wrong guess in one pass over (keeper, later sample) pairs.  Both
+checks, and the dense Bowen covers' screen, run `matching`'s circle
+Bowen test (`_bowen_screen`, `_bowen_confirm`), the one the Bowen kernel
+runs.  The kept set is exactly that of a scan with one ball call per
+kept center.
 
 The fiber entropy is an average over driving paths of a per-path slope.
 `path_entropy` computes that per-path quantity (draw the path, count,
@@ -61,6 +63,8 @@ from .matching import (
     BOWEN,
     FK,
     KINDS,
+    _bowen_confirm,
+    _bowen_screen,
     _fk_members,
     ball_batch,
     ball_kind,
@@ -296,11 +300,10 @@ def _bowen_round(
     guessed keeper inside an earlier one's ball (`_first_held`) is the
     first wrong row, and the keepers before it are true ones; p itself
     always is.  Commit: every row before `stop`, the first wrong row or
-    the first row the walk left undecided, is now decided, so `_screen`
-    tests the true keepers on step n - 1 against the samples from stop
-    on, the pairs with a live sample survive, and steps n - 2 down to 0
-    drop the pairs whose gap exceeds eps; once the survivors times the
-    steps left fit BLOCK_PAIRS, those steps are compared in one gather.
+    the first row the walk left undecided, is now decided, so the true
+    keepers are screened on step n - 1 against the samples from stop on
+    (`matching._bowen_screen`), the pairs with a live sample survive,
+    and steps n - 2 down to 0 confirm them (`matching._bowen_confirm`).
     Marks the kills dead and returns the keepers' positions and stop,
     where the next round starts.
     """
@@ -323,47 +326,27 @@ def _bowen_round(
         keepers = keepers[:wrong]
     if stop == m:
         return keepers, stop
-    rows, cols = _screen(stack, n - 1, keepers, stop, eps, closed=True)
-    live = ~dead[cols]
-    ctr, cols = keepers[rows[live]], cols[live]
-    t = n - 2
-    while t >= 0 and cols.size * (t + 1) > BLOCK_PAIRS:
-        inside = circle_gap(stack[t, cols], stack[t, ctr]) <= eps
-        ctr, cols = ctr[inside], cols[inside]
-        t -= 1
-    if t >= 0 and cols.size:
-        cols = cols[circle_gap(stack[: t + 1, cols], stack[: t + 1, ctr]).max(axis=0) <= eps]
-    dead[cols] = True
+    k, j = _bowen_screen(stack[:, stop:], stack[:n, keepers], n - 1, eps, closed=True)
+    j += stop
+    live = ~dead[j]
+    _, j = _bowen_confirm(stack, stack, keepers[k[live]], j[live], n - 2, eps, closed=True)
+    dead[j] = True
     return keepers, stop
 
 
 def _first_held(stack: np.ndarray, keepers: np.ndarray, n: int, eps: float) -> int:
     """Position in `keepers` (ascending samples of a circle stack) of the first
-    one inside the closed time-n ball of an earlier one, or len(keepers)."""
-    pts = stack[:n, keepers]
-    lo, hi = np.nonzero(circle_gap(pts[n - 1], pts[n - 1, :, None]) <= eps)
-    later = lo < hi
-    lo, hi = lo[later], hi[later]
-    if n > 1 and hi.size:
-        hi = hi[circle_gap(pts[: n - 1, hi], pts[: n - 1, lo]).max(axis=0) <= eps]
-    return int(hi.min()) if hi.size else keepers.size
+    one inside the closed time-n ball of an earlier one, or len(keepers).
 
-
-def _screen(stack: np.ndarray, step: int, centers, start: int, eps: float, closed: bool):
-    """(center, sample) pairs of a circle stack that pass the ball test on one step.
-
-    Tests every center (an index array or a slice of the samples)
-    against every sample from `start` on, at `step`: gap < eps, or
-    <= eps when closed.  Returns (k, j) for the passing pairs, k
-    indexing `centers` and j the stack's samples, in row-major order.
-    A Bowen ball is a conjunction over steps, so a pair that fails the
-    screen lies in no ball reading that step.
+    The keepers are screened against each other on step n - 1, the
+    pairs of an earlier and a later keeper survive, and steps n - 2 down
+    to 0 confirm them.
     """
-    gap = circle_gap(stack[step, start:], stack[step, centers, None])
-    inside = gap <= eps if closed else gap < eps
-    k, j = np.divmod(np.flatnonzero(inside), stack.shape[1] - start)
-    j += start
-    return k, j
+    pts = stack[:n, keepers]
+    lo, hi = _bowen_screen(pts, pts, n - 1, eps, closed=True)
+    later = lo < hi
+    _, hi = _bowen_confirm(pts, pts, lo[later], hi[later], n - 2, eps, closed=True)
+    return int(hi.min()) if hi.size else keepers.size
 
 
 def _center_blocks(m: int, pairs: int):
@@ -410,9 +393,10 @@ def column_covers(measure: EmpiricalMeasure, eps: float, cells, pair_budget: int
     a word Bowen ball is a prefix class) share one pass: each pair keeps
     how many leading steps stay below eps, capped at the largest Bowen n,
     and cell n reads `steps >= n`.  The pass screens every pair on step
-    n_min - 1 of the smallest Bowen n, where a failure puts the pair in no
-    cell, and runs the screen's survivors forward from step 0, dropping
-    a pair at its first gap of eps or more.  FK cells go in groups of at
+    n_min - 1 of the smallest Bowen n (`matching._bowen_screen`, open),
+    where a failure puts the pair in no cell, and runs the screen's
+    survivors forward from step 0, dropping a pair at its first gap of
+    eps or more.  FK cells go in groups of at
     most 8, one bit each; per center block one `matching._fk_members`
     call builds one mask per radius at the group's longest n and reads
     every n from one recurrence.
@@ -445,8 +429,9 @@ def column_covers(measure: EmpiricalMeasure, eps: float, cells, pair_budget: int
     if bowen_ns:
         top, screen = bowen_ns[-1], bowen_ns[0] - 1
         for i0, i1 in _center_blocks(m, _SCREEN_PAIRS):
-            rows, cols = _screen(stack, screen, slice(i0, i1), i0 + 1, eps, closed=False)
+            rows, cols = _bowen_screen(stack[:, i0 + 1 :], stack[:, i0:i1], screen, eps, closed=False)
             rows += i0
+            cols += i0 + 1
             for t in range(top):
                 if t == screen:
                     continue

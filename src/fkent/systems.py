@@ -10,7 +10,7 @@ Built-in families keep their reference measure exactly invariant along every
 path: piecewise-linear expanding circle maps (x -> m*x mod 1) and integer
 slope tent maps preserve Lebesgue measure, and full shifts with per-letter
 alphabet sizes preserve the matching product of uniform distributions.
-Driving laws are Bernoulli or stationary Markov over a finite alphabet; no
+The driving law is Bernoulli (i.i.d. letters) over a finite alphabet; no
 abstract measurable-space machinery is modeled beyond that.
 
 The family fixes the fiber and its metric, and `on_words` is the one fact
@@ -141,63 +141,24 @@ class OmegaPath:
 
 @dataclass(frozen=True, eq=False)
 class DrivingProcess:
-    """Finite-alphabet driving law: Bernoulli weights or a Markov chain.
+    """Finite-alphabet Bernoulli driving law: i.i.d. letters with weights `p`."""
 
-    For the Markov law, `p` is the initial distribution and `rows` the
-    transition matrix; sampling starts from `p`, so choosing the stationary
-    vector keeps the symbol process stationary.
-    """
-
-    law: str
     p: np.ndarray
-    rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         p = np.asarray(self.p, dtype=float).reshape(-1)
         if p.size == 0 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("p must be a probability vector")
         object.__setattr__(self, "p", p)
-        if self.law == "bernoulli":
-            if self.rows is not None:
-                raise ValueError("bernoulli law takes no transition rows")
-        elif self.law == "markov":
-            rows = np.asarray(self.rows, dtype=float)
-            if rows.shape != (p.size, p.size):
-                raise ValueError("transition matrix shape mismatch")
-            if np.any(rows < 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9):
-                raise ValueError("transition rows must be stochastic")
-            object.__setattr__(self, "rows", rows)
-        else:
-            raise ValueError(f"unknown driving law: {self.law!r}")
 
     @property
     def alphabet_size(self) -> int:
         return int(self.p.size)
 
-    def stationary(self) -> np.ndarray:
-        """Stationary distribution (the Bernoulli weights, or the Markov
-        left eigenvector for eigenvalue 1, found by dense solve)."""
-        if self.law == "bernoulli":
-            return self.p.copy()
-        k = self.alphabet_size
-        a = np.vstack([self.rows.T - np.eye(k), np.ones(k)])
-        b = np.zeros(k + 1)
-        b[-1] = 1.0
-        pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-        pi = np.clip(pi, 0.0, None)
-        return pi / pi.sum()
-
 
 def bernoulli_process(p) -> DrivingProcess:
     """I.i.d. symbols with weight vector p."""
-    return DrivingProcess("bernoulli", p)
-
-
-def markov_process(rows) -> DrivingProcess:
-    """Markov symbols with the given transition rows, started from their stationary law."""
-    rows = np.asarray(rows, dtype=float)
-    probe = DrivingProcess("markov", np.full(len(rows), 1.0 / len(rows)), rows)
-    return DrivingProcess("markov", probe.stationary(), rows)
+    return DrivingProcess(p)
 
 
 def sample_path(process: DrivingProcess, length: int, seed: int) -> OmegaPath:
@@ -205,16 +166,7 @@ def sample_path(process: DrivingProcess, length: int, seed: int) -> OmegaPath:
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = child_rng(seed, 0)
-    k = process.alphabet_size
-    if process.law == "bernoulli":
-        symbols = rng.choice(k, size=length, p=process.p)
-    else:
-        cdf = np.cumsum(process.rows, axis=1)
-        draws = rng.random(length)
-        symbols = np.empty(length, dtype=np.int64)
-        symbols[0] = rng.choice(k, p=process.p)
-        for t in range(1, length):
-            symbols[t] = np.searchsorted(cdf[symbols[t - 1]], draws[t], side="right")
+    symbols = rng.choice(process.alphabet_size, size=length, p=process.p)
     return OmegaPath(np.asarray(symbols, dtype=np.int64), seed=int(seed))
 
 
@@ -311,9 +263,11 @@ class OrbitSegment:
     A stack of C orbits along the same path stores step-major (n, C)
     points, axis 0 the steps as for one orbit, or a (C, L) word matrix,
     axis 0 the orbits; `stack_shape` is (C,) either way.  Points may hold
-    more than n steps.  Only the batch ball kernels
-    (`matching.bowen_ball_batch`, `fk_ball_batch`) read stacks, as a block
-    of ball centers; every other consumer takes one orbit.
+    more than n steps.  Only `matching`'s ball tests read stacks, as a
+    block of ball centers: the batch kernels (`bowen_ball_batch`,
+    `fk_ball_batch`) and the FK pass `_fk_members` the dense covers call.
+    The circle Bowen test (`_bowen_screen`, `_bowen_confirm`) takes bare
+    step-major point stacks.  Every other consumer takes one orbit.
     """
 
     n: int

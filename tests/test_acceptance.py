@@ -48,7 +48,6 @@ family = expanding
 m = 2, 3
 
 [driving]
-law = bernoulli
 p = 0.5, 0.5
 
 [schedules]

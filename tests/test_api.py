@@ -48,7 +48,6 @@ REFERENCE_ORACLES = {
 UNSET_OPTIONS: dict[str, str] = {}
 # config fields kept although no caller sets them
 UNSET_FIELDS = {
-    "rows": "the transition matrix law = markov needs",
     "pair_budget": "the larger explicit budget exit code 4 asks for",
 }
 # submodules only: __init__.py imports names in order to re-export them

@@ -39,9 +39,10 @@ def test_traced_names_resolve_to_fkent_callables():
 def test_traced_worker_counts_both_ball_kernels(monkeypatch, tmp_path):
     # one traced word compare-top run at toy size, spawned as bench/run.py
     # spawns a worker: its separated scans call both public kernels, the
-    # Bowen one on prefix classes.  Circle Bowen scans call neither (they
-    # run screened rounds inside spanning), and katok covers read the
-    # private one-pass helpers
+    # Bowen one on prefix classes.  Circle Bowen scans and dense Bowen
+    # covers call neither: they run matching's private circle Bowen test
+    # (`_bowen_screen`, `_bowen_confirm`) directly, and dense FK covers
+    # the private one-pass `_fk_members`
     monkeypatch.syspath_prepend(str(BENCH))
     spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
     run = importlib.util.module_from_spec(spec)

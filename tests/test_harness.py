@@ -36,7 +36,6 @@ family = expanding
 m = 2
 
 [driving]
-law = bernoulli
 p = 1.0
 
 [schedules]
@@ -137,7 +136,6 @@ def test_fields_declare_section_parser_and_help():
     parse = {f.name: f.metadata["parse"] for f in dataclasses.fields(ExperimentConfig)}
     assert parse["m"]("2, 3") == (2, 3)
     assert parse["eps"]("0.2,0.1") == (0.2, 0.1)
-    assert parse["rows"]("0.9,0.1; 0.2,0.8") == ((0.9, 0.1), (0.2, 0.8))
     assert parse["M"]("4000") == 4000
     assert parse["outdir"](" out ") == "out"
 
@@ -156,10 +154,8 @@ def test_readme_ini_example_names_every_field(tmp_path):
     (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
     cfg = load_config(write_config(tmp_path, block))
     assert cfg.M == 100_000 and cfg.seed == 7
-    # rows only applies to law = markov, so the example names it on a commented line
-    keys = set(re.findall(r"^(?:# )?(\w+) =", block, flags=re.MULTILINE))
+    keys = set(re.findall(r"^(\w+) =", block, flags=re.MULTILINE))
     assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert re.search(r"^# rows =", block, flags=re.MULTILINE)
 
 
 def test_digest_tracks_content_not_formatting(tmp_path):
@@ -406,4 +402,4 @@ def test_cli_estimate_top_end_to_end(tmp_path, capsys):
 
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
-    assert capsys.readouterr().out.rstrip("\n").endswith("selftest passed (4 checks)")
+    assert capsys.readouterr().out.rstrip("\n").endswith("selftest passed (5 checks)")

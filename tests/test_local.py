@@ -137,6 +137,28 @@ def test_measure_consumers_reject_wrong_kind_path_or_length():
         local_entropy(mu_short, 0.01, [2, 3, 4], [0.1, 0.2], (BOWEN,))
 
 
+def test_local_tests_reject_base_words_shorter_than_the_ball_reads():
+    # on the binary shift a time-8 ball of radius 0.2 reads cylinder depth
+    # 3, so 10 symbols.  The word kernels count positions past the stored
+    # base word as agreement, so an 8-symbol base word would match every
+    # sample on the last 2 and lift the Bowen count at n = 8 from 25 to 83
+    system = shift_system((2,))
+    path = sample_path(bernoulli_process((1.0,)), 10, 3)
+    mu = sample_measure(system, path, 20_000, 3)
+    word = mu.samples[0]
+    full = local_entropy(mu, word, [4, 6, 8], [0.2], (BOWEN, FK))
+    assert [e.count for e in full[BOWEN].entries] == [330, 83, 25]
+    assert ball_measure(mu, orbit(system, path, word, 8), 8, 0.2, BOWEN) == 25 / 20_000
+    short = word[:8]
+    with pytest.raises(ValueError, match="base word holds 8 symbols, the balls read 10"):
+        local_entropy(mu, short, [4, 6, 8], [0.2], (BOWEN, FK))
+    for kind in (BOWEN, FK):
+        with pytest.raises(ValueError, match="base word holds 8 symbols, the balls read 10"):
+            ball_measure(mu, orbit(system, path, short, 8), 8, 0.2, kind)
+    # a shorter ball reads fewer symbols, so the short word serves it
+    assert ball_measure(mu, orbit(system, path, short, 6), 6, 0.2, BOWEN) == 83 / 20_000
+
+
 def test_empirical_measure_validation():
     system = expanding_system((2,))
     path = OmegaPath([0, 0])

@@ -228,14 +228,16 @@ def test_bowen_ball_batch_matches_pairwise():
             assert members[i] == (bowen_distance(center, other) < delta)
 
 
-def test_bowen_ball_batch_matches_reference_distance():
+def test_bowen_ball_batch_matches_reference_distance(monkeypatch):
     # grid points (multiples of 1/64) put pair gaps exactly at delta = 1/8,
     # so open and closed balls differ; stacks run past n, and steps past n
     # are perturbed too, so they must not count.  Stacks are step-major,
-    # (steps, samples).
+    # (steps, samples).  At BLOCK_PAIRS = 16 the confirm drops pairs step
+    # by step before its last gather; at the default it gathers at once.
     rng = np.random.default_rng(113)
     delta = 0.125
     shifts = np.array([-9, -8, -7, 7, 8, 9])
+    default = matching.BLOCK_PAIRS
     differ = 0
     for _ in range(2):
         for n in range(1, 21):
@@ -248,7 +250,8 @@ def test_bowen_ball_batch_matches_reference_distance():
             far = rng.integers(0, 64, size=(steps, 10))
             others = (np.concatenate([near, far], axis=1) % 64) / 64.0
             seg = OrbitSegment(n, points=center[:n] / 64.0)
-            for closed in (False, True):
+            for block, closed in ((default, False), (default, True), (16, False), (16, True)):
+                monkeypatch.setattr(matching, "BLOCK_PAIRS", block)
                 members = bowen_ball_batch(seg, others, delta, closed=closed)
                 want = []
                 for row in others.T:
@@ -526,7 +529,7 @@ def test_stacked_centers_equal_per_center_calls():
 
 
 @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
-def test_torus_kernels_on_step_major_stacks_equal_pairwise(closed):
+def test_torus_kernels_on_step_major_stacks_equal_pairwise(monkeypatch, closed):
     # the torus kernels read step-major (steps, M) stacks; each membership
     # equals the pairwise reference on the sample's own orbit, for one
     # center and for a stack of centers, at slack 0, 1 and 2: Bowen against
@@ -534,7 +537,8 @@ def test_torus_kernels_on_step_major_stacks_equal_pairwise(closed):
     # match of the closed compatibility matrix.  Most samples are shuffled
     # grid copies of one orbit, the rest random grid orbits, all carrying a
     # step past n, so pairs tie with delta and off-diagonal matches decide
-    # FK membership.
+    # FK membership.  The Bowen kernel runs at the default BLOCK_PAIRS and
+    # at 16, where its confirm drops pairs step by step.
     rng = np.random.default_rng(117)
     n, M, far = 16, 90, 30
     base = rng.integers(0, 64, size=n + 1)
@@ -556,7 +560,10 @@ def test_torus_kernels_on_step_major_stacks_equal_pairwise(closed):
         return max_match_batch(pair_distance_matrix(a, b) <= delta)[0] >= match_target(n, delta)
 
     stack = OrbitSegment(n, points=others[:, centers])
-    for kind, kernel in ((BOWEN, bowen_ball_batch), (FK, fk_ball_batch)):
+    default = matching.BLOCK_PAIRS
+    cases = ((BOWEN, bowen_ball_batch, default), (BOWEN, bowen_ball_batch, 16), (FK, fk_ball_batch, default))
+    for kind, kernel, block in cases:
+        monkeypatch.setattr(matching, "BLOCK_PAIRS", block)
         for delta in radii:
             got = kernel(stack, others, delta, closed=closed)
             assert got.shape == (len(centers), M)

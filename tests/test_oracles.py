@@ -14,7 +14,6 @@ from fkent.oracles import (
 from fkent.systems import (
     bernoulli_process,
     expanding_system,
-    markov_process,
     shift_system,
 )
 
@@ -55,14 +54,6 @@ def test_expected_entropy_hand_values():
 
     shift = shift_system((2, 2))
     assert expected_entropy(shift, proc).value == pytest.approx(math.log(2.0), abs=1e-15)
-
-
-def test_expected_entropy_markov_weighting():
-    # stationary law (2/3, 1/3) over factors (2, 4)
-    system = expanding_system((2, 4))
-    proc = markov_process([[0.9, 0.1], [0.2, 0.8]])
-    want = (2.0 / 3.0) * math.log(2.0) + (1.0 / 3.0) * math.log(4.0)
-    assert expected_entropy(system, proc).value == pytest.approx(want, abs=1e-12)
 
 
 def test_expected_entropy_rejects_mismatched_alphabet():

@@ -15,7 +15,6 @@ from fkent.systems import (
     cylinder_depth,
     expanding_system,
     expansion_product,
-    markov_process,
     orbit,
     orbit_batch,
     row_codes,
@@ -220,23 +219,16 @@ def test_omega_path_window_and_shift():
 
 
 def test_bernoulli_stationary_is_p():
+    # i.i.d. letters are stationary with law p, the weights the entropy
+    # oracle reads
     proc = bernoulli_process((0.25, 0.75))
-    assert np.allclose(proc.stationary(), [0.25, 0.75])
-
-
-def test_markov_stationary_hand_value():
-    # rows [[.9,.1],[.2,.8]]: pi = (2/3, 1/3) solves pi P = pi
-    proc = markov_process([[0.9, 0.1], [0.2, 0.8]])
-    pi = proc.stationary()
-    assert np.allclose(pi, [2.0 / 3.0, 1.0 / 3.0])
-    assert np.allclose(pi @ np.array([[0.9, 0.1], [0.2, 0.8]]), pi)
+    assert proc.p.tolist() == [0.25, 0.75] and proc.alphabet_size == 2
 
 
 def test_driving_process_rejects_bad_rows():
-    with pytest.raises(ValueError):
-        markov_process([[0.5, 0.2], [0.3, 0.7]])  # rows must sum to 1
-    with pytest.raises(ValueError):
-        bernoulli_process((0.4, 0.4))
+    for p in ((0.4, 0.4), (1.2, -0.2), ()):
+        with pytest.raises(ValueError, match="probability vector"):
+            bernoulli_process(p)
 
 
 def test_sample_path_deterministic_and_law_dependent():
@@ -249,14 +241,6 @@ def test_sample_path_deterministic_and_law_dependent():
     assert a.horizon == 12
     skew = sample_path(bernoulli_process((0.95, 0.05)), 400, 0)
     assert skew.symbols.mean() < 0.2  # heavy letter dominates
-
-
-def test_sample_path_markov_respects_support():
-    # letter 1 can never follow letter 1
-    proc = markov_process([[0.5, 0.5], [1.0, 0.0]])
-    path = sample_path(proc, 300, 9)
-    pairs = list(zip(path.symbols[:-1], path.symbols[1:]))
-    assert (1, 1) not in pairs
 
 
 def test_child_rng_streams_are_independent():
