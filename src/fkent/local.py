@@ -50,6 +50,7 @@ import numpy as np
 from .matching import (
     BOWEN,
     FK,
+    _check_base_word,
     _fk_members,
     ball_batch,
     ball_kind,
@@ -201,16 +202,6 @@ class GridPartition:
         return labels
 
 
-def _check_base_word(center: OrbitSegment, steps: int) -> None:
-    """Reject a base word holding fewer symbols than the `steps` its balls read.
-
-    The word kernels count positions past either stored word as
-    agreement, so a short base word would match every sample there.
-    """
-    if center.on_words and center.word.shape[-1] < steps:
-        raise ValueError(f"base word holds {center.word.shape[-1]} symbols, the balls read {steps}")
-
-
 def ball_measure(
     measure: EmpiricalMeasure,
     center: OrbitSegment,
@@ -230,9 +221,7 @@ def ball_measure(
     check_kinds((kind,))
     if n < 1 or center.n < n:
         raise ValueError("center orbit shorter than the requested n")
-    steps = ball_steps(measure.system, n, delta)
-    _check_base_word(center, steps)
-    stack = measure.orbit_stack(steps)
+    stack = measure.orbit_stack(ball_steps(measure.system, n, delta))
     if delta > diameter(measure.on_words):
         return 1.0
     return int(ball_batch(kind, center.prefix(n), stack, delta).sum()) / measure.M
@@ -305,11 +294,15 @@ def _ball_count_table(
     Torus Bowen counts for every n fall out of one forward pass over the
     sample orbits that keeps each row's worst gap so far and drops a row
     as soon as that gap reaches the largest delta, since it can enter no
-    ball after that.  The FK cells whose ball runs the FK kernel
-    (matching.ball_kind) share one pass over the diagonals per row block
-    (`matching._fk_members`): at the largest n, each diagonal's gaps are
-    computed once and thresholded into one packed mask per delta at its
-    widest band, and each n reads its prefix of that mask.  Every kind
+    ball after that.  The pass starts from the first step's gaps, with
+    no zero-filled worst array and no index array over all rows, takes
+    each later step's maximum in place into that step's gap array, and
+    gathers only the live rows once some row has dropped.  The FK cells
+    whose ball runs the FK kernel (matching.ball_kind) share one pass
+    over the diagonals per row block (`matching._fk_members`): at the
+    largest n, each diagonal's offsets |u - v| are formed once and
+    thresholded into one packed mask per delta at its widest band, and
+    each n reads its prefix of that mask.  Every kind
     reads each cell's count from its kernel's table, so zero-slack FK
     cells take the Bowen counts.
     """
@@ -330,15 +323,17 @@ def _ball_count_table(
             for d in delta_list:
                 bowen[(n, d)] = int(ball_batch(BOWEN, ref, stack, d).sum())
     else:
-        live = np.arange(measure.M)
-        worst = np.zeros(measure.M)
         for n in range(1, n_max + 1):
             row = stack[n - 1]
-            # gather the live samples only once some sample has dropped out
-            gap = circle_gap(row if live.size == row.size else row[live], center.points[n - 1])
-            worst = np.maximum(worst, gap)
-            keep = worst < delta_list[-1]
-            live, worst = live[keep], worst[keep]
+            if n == 1:
+                gap = circle_gap(row, center.points[0])
+            else:
+                # gather the live samples only once some sample has dropped out
+                gap = circle_gap(row if live.size == row.size else row[live], center.points[n - 1])
+                np.maximum(gap, worst, out=gap)
+            keep = gap < delta_list[-1]
+            live = np.flatnonzero(keep) if n == 1 else live[keep]
+            worst = gap[keep]
             if n in n_list:
                 for d in delta_list:
                     bowen[(n, d)] = int((worst < d).sum())

@@ -46,7 +46,12 @@ ball test, the kernel's and those of `spanning`'s separated scan and
 dense covers, screens its (center, orbit) pairs on one step
 (`_bowen_screen`), the kernel on the last, most expanded one, and
 compares the other steps only on the pairs that pass, dropping them step
-by step until the rest fit one gather (`_bowen_confirm`).
+by step until the rest fit one gather (`_bowen_confirm`).  Every circle
+ball test, of both kinds, decides closeness with `systems.circle_within`
+on |u - v|, which builds no gap array; `circle_gap` serves only
+`bowen_distance` and `pair_distance_matrix`, where the distance itself
+is the answer.  A word ball reads `_word_steps` symbols of the base word
+and of every sample, and both kernels refuse shorter words.
 
 How the two metrics relate is decided here and nowhere else.  KINDS runs
 from the smaller ball to the larger: the Bowen ball lies inside the FK
@@ -68,7 +73,9 @@ import numpy as np
 from .systems import (
     OrbitSegment,
     RandomSystemSpec,
+    circle_diff,
     circle_gap,
+    circle_within,
     cylinder_depth,
     diameter,
     sample_axis,
@@ -414,9 +421,12 @@ def ball_steps(system: RandomSystemSpec, n: int, eps: float) -> int:
     up to its cylinder depth past step n, and at least n of them; every
     path horizon, candidate length and stack check is sized by this rule.
     """
-    if not system.on_words:
-        return n
-    return n + max(_pair_depth(eps, False), 1) - 1
+    return _word_steps(n, eps, False) if system.on_words else n
+
+
+def _word_steps(n: int, delta: float, closed: bool) -> int:
+    """Symbols a time-n word ball of radius delta reads, of the base word and of every sample."""
+    return n + max(_pair_depth(delta, closed), 1) - 1
 
 
 def _word_diagonal(
@@ -426,19 +436,16 @@ def _word_diagonal(
 
     center_word is one word (L,) or a (C, L) stack, whose stack axis
     follows the steps.  A pair agrees when the suffixes agree on `depth`
-    symbols; positions past either stored word count as agreement by
-    convention.
+    symbols, so the center word must hold i1 + depth - 1 symbols and
+    every sample i1 + offset + depth - 1, at most the `_word_steps` the
+    kernels check.
     """
-    lu, lb = center_word.shape[-1], others.shape[1]
     lead = center_word.ndim - 1
     ok = np.ones((i1 - i0,) + center_word.shape[:-1] + (others.shape[0],), dtype=bool)
-    for t in range(depth):
-        ui = np.arange(i0 + t, i1 + t)
-        jj = ui + offset
-        sample = np.expand_dims(others.T[np.minimum(jj, lb - 1)], tuple(range(1, 1 + lead)))
-        center = np.moveaxis(center_word[..., np.minimum(ui, lu - 1)], -1, 0)[..., None]
-        past = ~((ui < lu) & (jj < lb))
-        ok &= (sample == center) | past.reshape((-1,) + (1,) * (lead + 1))
+    for t in range(i0, i0 + depth):
+        sample = np.expand_dims(others.T[t + offset : t + offset + i1 - i0], tuple(range(1, 1 + lead)))
+        center = np.moveaxis(center_word[..., t : t + i1 - i0], -1, 0)[..., None]
+        ok &= sample == center
     return ok
 
 
@@ -454,8 +461,9 @@ def _band_masks(
     The masks are in the word `_bit_weights(n)` picks.  Each diagonal
     offset reads one slice of `others`, steps i0 + offset to i1 + offset
     of every sample (a step-major (n', M) circle stack or an (M, L) word
-    matrix); on the torus its gaps are computed once and thresholded for
-    every delta whose band reaches it.
+    matrix); on the torus its offsets |u - v| are formed once and
+    thresholded (`systems.circle_within`) for every delta whose band
+    reaches it.
     """
     n = center.n
     torus = not center.on_words
@@ -472,12 +480,12 @@ def _band_masks(
         i0, i1 = max(0, -offset), min(n, n - offset)
         bits = weights[i0 + offset : i1 + offset].reshape((-1,) + (1,) * (len(lead) + 1))
         if torus:
-            gaps = circle_gap(samples[i0 + offset : i1 + offset], points[i0:i1])
+            diff = circle_diff(samples[i0 + offset : i1 + offset], points[i0:i1])
         for d, band in bands.items():
             if abs(offset) > band:
                 continue
             if torus:
-                ok = gaps <= d if closed else gaps < d
+                ok = circle_within(diff, d, closed)
             else:
                 depth = _pair_depth(d, closed)
                 ok = _word_diagonal(center.word, others, depth, i0, i1, offset)
@@ -519,12 +527,25 @@ def _fk_members(center: OrbitSegment, others: np.ndarray, cells, closed: bool = 
         yield lo, [sizes[cell] >= cell[0] - b for cell, b in zip(cells, slacks)]
 
 
-def _check_torus_stack(center: OrbitSegment, others: np.ndarray) -> None:
-    """Reject a torus orbit stack with fewer steps than the center orbit."""
-    if not center.on_words and others.shape[0] < center.n:
-        raise ValueError(
-            f"orbit stack has {others.shape[0]} steps, the center orbit {center.n}"
-        )
+def _check_stack(center: OrbitSegment, others: np.ndarray, steps: int) -> None:
+    """Reject an orbit stack holding fewer than the `steps` a ball reads.
+
+    Steps are the rows of a circle stack and the symbols of every word
+    of a word matrix: the axis other than `sample_axis`.
+    """
+    held = others.shape[1 - sample_axis(center.on_words)]
+    if held < steps:
+        raise ValueError(f"orbit stack has {held} steps, the ball reads {steps}")
+
+
+def _check_base_word(center: OrbitSegment, steps: int) -> None:
+    """Reject a base word holding fewer symbols than the `steps` its balls read.
+
+    A word ball compares every symbol it reads as stored, so a short base
+    word would have no symbol to compare there.
+    """
+    if center.on_words and center.word.shape[-1] < steps:
+        raise ValueError(f"base word holds {center.word.shape[-1]} symbols, the balls read {steps}")
 
 
 def _bowen_screen(samples: np.ndarray, centers: np.ndarray, step: int, delta: float, closed: bool):
@@ -532,13 +553,11 @@ def _bowen_screen(samples: np.ndarray, centers: np.ndarray, step: int, delta: fl
 
     Both arguments are step-major circle stacks, (steps, M) samples and
     (steps, C) centers; a pair passes at gap < delta, or <= delta when
-    closed.
-    The pairs come back in row-major order.  A Bowen ball is a
-    conjunction over steps, so a pair that fails the screen lies in no
-    ball reading that step.
+    closed (`systems.circle_within`).  The pairs come back in row-major
+    order.  A Bowen ball is a conjunction over steps, so a pair that
+    fails the screen lies in no ball reading that step.
     """
-    gap = circle_gap(samples[step], centers[step, :, None])
-    inside = gap <= delta if closed else gap < delta
+    inside = circle_within(circle_diff(samples[step], centers[step, :, None]), delta, closed)
     return np.divmod(np.flatnonzero(inside), samples.shape[1])
 
 
@@ -556,13 +575,12 @@ def _bowen_confirm(
     """
     t = last
     while t >= 0 and j.size * (t + 1) > BLOCK_PAIRS:
-        gap = circle_gap(samples[t, j], centers[t, k])
-        inside = gap <= delta if closed else gap < delta
-        k, j = k[inside], j[inside]
+        keep = np.flatnonzero(circle_within(circle_diff(samples[t].take(j), centers[t].take(k)), delta, closed))
+        k, j = k.take(keep), j.take(keep)
         t -= 1
     if t >= 0 and j.size:
-        gap = circle_gap(samples[: t + 1, j], centers[: t + 1, k]).max(axis=0)
-        inside = gap <= delta if closed else gap < delta
+        diff = circle_diff(samples[: t + 1].take(j, axis=1), centers[: t + 1].take(k, axis=1))
+        inside = circle_within(diff, delta, closed).all(axis=0)
         k, j = k[inside], j[inside]
     return k, j
 
@@ -575,7 +593,8 @@ def bowen_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, clo
     one orbit, giving an (M,) result, or a stack of C orbits, giving
     (C, M) with row c the ball around center c.  Open ball by default;
     `closed` switches to d <= delta (the complement of the strict
-    separation test).
+    separation test).  A word ball compares `_word_steps` symbols, and a
+    base word or a word matrix holding fewer raises ValueError.
 
     On the torus one center is a stack of one.  The last step, the most
     expanded one, screens every (center, orbit) pair on the contiguous
@@ -585,19 +604,20 @@ def bowen_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, clo
     """
     n = center.n
     if not center.on_words:
-        _check_torus_stack(center, others)
+        _check_stack(center, others, n)
         points = center.points.reshape(center.points.shape[0], -1)
         k, j = _bowen_screen(others, points, n - 1, delta, closed)
         k, j = _bowen_confirm(others, points, k, j, n - 2, delta, closed)
         inside = np.zeros((points.shape[1], others.shape[1]), dtype=bool)
         inside[k, j] = True
         return inside.reshape(center.stack_shape + others.shape[1:])
-    word = center.word
     depth = _pair_depth(delta, closed)
+    span = _word_steps(n, delta, closed)
+    _check_base_word(center, span)
+    _check_stack(center, others, span)
     if depth == 0:
         return np.ones(center.stack_shape + (others.shape[0],), dtype=bool)
-    span = min(n + depth - 1, word.shape[-1], others.shape[1])
-    return (others[:, :span] == word[..., None, :span]).all(axis=-1)
+    return (others[:, :span] == center.word[..., None, :span]).all(axis=-1)
 
 
 def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed: bool = False) -> np.ndarray:
@@ -613,8 +633,10 @@ def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed
     the strict separation relation, the one under which a full
     Bowen-ball inclusion survives boundary ties.
     """
-    _check_torus_stack(center, others)
     n = center.n
+    steps = _word_steps(n, delta, closed) if center.on_words else n
+    _check_base_word(center, steps)
+    _check_stack(center, others, steps)
     band = match_slack(n, delta)
     shape = center.stack_shape + (others.shape[sample_axis(center.on_words)],)
     if band >= n:

@@ -51,7 +51,8 @@ from .systems import (
     OrbitSegment,
     RandomSystemSpec,
     ResourceCapExceeded,
-    circle_gap,
+    circle_diff,
+    circle_within,
     expansion_product,
     orbit_batch,
     sample_path,
@@ -280,7 +281,7 @@ def _window_kills(stack: np.ndarray, n: int, eps: float) -> list[int]:
     m = stack.shape[1]
     bits = np.zeros(m, dtype=np.int64)
     for k in range(1, min(_GUESS_WINDOW, m - 1) + 1):
-        inside = circle_gap(stack[:n, k:], stack[:n, :-k]).max(axis=0) <= eps
+        inside = circle_within(circle_diff(stack[:n, k:], stack[:n, :-k]), eps, True).all(axis=0)
         bits[:-k] |= inside.astype(np.int64) << (k - 1)
     return bits.tolist()
 
@@ -435,9 +436,10 @@ def column_covers(measure: EmpiricalMeasure, eps: float, cells, pair_budget: int
             for t in range(top):
                 if t == screen:
                     continue
-                fail = circle_gap(stack[t, cols], stack[t, rows]) >= eps
-                packed[rows[fail], cols[fail]] = t
-                rows, cols = rows[~fail], cols[~fail]
+                inside = circle_within(circle_diff(stack[t].take(cols), stack[t].take(rows)), eps, False)
+                out, keep = np.flatnonzero(~inside), np.flatnonzero(inside)
+                packed[rows.take(out), cols.take(out)] = t
+                rows, cols = rows.take(keep), cols.take(keep)
             packed[rows, cols] = top
         _mirror(packed, top)
         for k, n in enumerate(bowen_ns):

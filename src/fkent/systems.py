@@ -32,7 +32,7 @@ and `take_samples` slices along it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 import math
 
 import numpy as np
@@ -78,11 +78,62 @@ def wrap_unit(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def circle_diff(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|u - v| elementwise, in one float buffer: the offset the arc distance folds."""
+    diff = np.asarray(np.subtract(u, v, dtype=float))
+    return np.abs(diff, out=diff)
+
+
 def circle_gap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Arc distance on the unit circle, elementwise, computed in one buffer."""
-    raw = np.asarray(np.subtract(u, v, dtype=float))
-    np.abs(raw, out=raw)
-    return np.minimum(raw, 1.0 - raw, out=raw)
+    """Arc distance on the unit circle, elementwise: min(a, 1 - a) for a = |u - v|.
+
+    Only callers that need the distance itself use it: `matching`'s
+    `bowen_distance` and `pair_distance_matrix`, and the running worst
+    gap of `local`'s Bowen table.  Every ball test decides closeness
+    with `circle_within`, which builds no gap array.
+    """
+    diff = circle_diff(u, v)
+    return np.minimum(diff, 1.0 - diff, out=diff)
+
+
+def circle_within(diff: np.ndarray, delta: float, closed: bool) -> np.ndarray:
+    """Arc distance <= delta (closed) or < delta (open), from diff = circle_diff(u, v).
+
+    Bit for bit `circle_gap(u, v) <= delta` (`< delta` when open), without
+    the gap array.  The gap of a = |u - v| is min(a, 1 - a) with 1 - a
+    rounded, so it passes when a does or when the rounded 1 - a does.
+    For a >= 1/2, 1 - a is exact (Sterbenz's lemma), and for a < 1/2 the
+    rounded 1 - a is at least 1/2.  So the far side passes exactly when
+    a >= hi, the smallest float of at least 1/2 whose exact 1 - hi passes
+    (`_far_bound`); from delta = 1/2 on, hi = 1/2 and every a passes one
+    side or the other.
+    """
+    near = diff <= delta if closed else diff < delta
+    near |= diff >= _far_bound(delta, closed)
+    return near
+
+
+# ball tests ask for the same few radii thousands of times per run
+@lru_cache(maxsize=64)
+def _far_bound(delta: float, closed: bool) -> float:
+    """The smallest float hi >= 1/2 with 1 - hi <= delta (< delta when open).
+
+    1 - hi is exact for every hi >= 1/2, so the float test decides the
+    exact one; the search starts at the rounded 1 - delta, at most an ulp
+    from the bound.
+    """
+    if not delta >= 0.0:
+        raise ValueError("delta must be nonnegative")
+
+    def passes(a: float) -> bool:
+        return 1.0 - a <= delta if closed else 1.0 - a < delta
+
+    hi = max(1.0 - float(delta), 0.5)
+    while not passes(hi):
+        hi = math.nextafter(hi, 2.0)
+    while hi > 0.5 and passes(math.nextafter(hi, 0.0)):
+        hi = math.nextafter(hi, 0.0)
+    return hi
 
 
 def diameter(on_words: bool) -> float:

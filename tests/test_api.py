@@ -274,6 +274,19 @@ def test_only_matching_names_the_slack_rule():
     assert deciders == []
 
 
+def test_only_systems_decides_circle_closeness():
+    # every circle ball test thresholds |u - v| with systems.circle_within,
+    # which builds no gap array; circle_gap stays where the distance itself
+    # is the answer, and a kernel that names it folds the gap by hand
+    assert "circle_gap" not in _named(_tree("spanning"))
+    callers = sorted(
+        node.name
+        for node in ast.walk(_tree("matching"))
+        if isinstance(node, ast.FunctionDef) and "circle_gap" in _named(node)
+    )
+    assert callers == ["bowen_distance", "pair_distance_matrix"]
+
+
 def test_measure_carries_system_and_path():
     # an EmpiricalMeasure holds its system and driving path, so a second
     # copy of either beside it could only disagree with the measure

@@ -24,18 +24,21 @@ from fkent.matching import (
     max_match_size,
     pair_distance_matrix,
 )
-from fkent.spanning import count_table, greedy_separated
+from fkent.spanning import column_covers, count_table, greedy_separated
 from fkent.systems import (
     EmpiricalMeasure,
     OmegaPath,
     OrbitSegment,
     bernoulli_process,
+    circle_diff,
+    circle_gap,
     expanding_system,
     orbit,
     orbit_batch,
     sample_path,
     shift_system,
     take_samples,
+    wrap_unit,
 )
 
 
@@ -279,6 +282,28 @@ def test_ball_kernels_reject_short_torus_stacks():
                 kernel(center, others, delta)
 
 
+def test_word_kernels_reject_words_shorter_than_the_ball_reads():
+    # on the binary shift a time-8 ball of radius 0.2 reads cylinder depth
+    # 3, so 10 symbols of the base word and of every sample.  Read as
+    # agreement, the 2 symbols past an 8-symbol base word would lift the
+    # Bowen count from 25 to 83, so both kernels refuse such a word, a
+    # stack of such centers and a sample matrix cut to 9 symbols
+    system = shift_system((2,))
+    path = sample_path(bernoulli_process((1.0,)), 10, 3)
+    mu = sample_measure(system, path, 20_000, 3)
+    word = mu.samples[0]
+    assert ball_steps(system, 8, 0.2) == 10 and match_slack(8, 0.2) == 1
+    assert int(bowen_ball_batch(word_segment(word, n=8), mu.orbits, 0.2).sum()) == 25
+    for kernel in (bowen_ball_batch, fk_ball_batch):
+        for short in (word_segment(word[:8]), OrbitSegment(8, word=mu.orbits[:3, :8])):
+            with pytest.raises(ValueError, match="base word holds 8 symbols, the balls read 10"):
+                kernel(short, mu.orbits, 0.2)
+        with pytest.raises(ValueError, match="orbit stack has 9 steps, the ball reads 10"):
+            kernel(word_segment(word, n=8), mu.orbits[:, :9], 0.2)
+        # the closed ball reads cylinder depth 2 at 0.25, so 9 symbols do
+        kernel(word_segment(word[:9], n=8), mu.orbits[:, :9], 0.25, closed=True)
+
+
 def test_fk_ball_batch_matches_single_test():
     rng = np.random.default_rng(109)
     n = 9
@@ -306,6 +331,9 @@ def test_fk_ball_equals_bowen_ball_at_zero_slack():
     # with a full-size match on the pairwise distance matrix.  Grid points
     # (multiples of 1/64) and dyadic cylinder radii put pairs exactly at
     # delta, so the open and closed conventions both get boundary ties.
+    # At delta = 1/8 a word ball reads 3 symbols past step n - 1 when open
+    # and 2 when closed, so the (n + 2)-symbol word serves the closed balls
+    # only, and both kernels refuse it the open ones.
     rng = np.random.default_rng(111)
     n = 8
     grid = rng.integers(0, 64, size=n)
@@ -321,6 +349,11 @@ def test_fk_ball_equals_bowen_ball_at_zero_slack():
     for center, others, delta in cases:
         assert match_target(n, delta) == n
         for closed in (False, True):
+            if center.on_words and center.word.size < n + (2 if closed else 3):
+                for kernel in (fk_ball_batch, bowen_ball_batch):
+                    with pytest.raises(ValueError, match="base word holds 10 symbols, the balls read 11"):
+                        kernel(center, others, delta, closed=closed)
+                continue
             fk = fk_ball_batch(center, others, delta, closed=closed)
             bowen = bowen_ball_batch(center, others, delta, closed=closed)
             rows = sample_orbits(others, center.on_words)
@@ -341,9 +374,11 @@ def test_fk_ball_equals_bowen_ball_at_zero_slack():
 def test_every_ball_contains_its_center():
     # at n * delta < 1e-9 the float nudge in match_target would ask for
     # n + 1 matches; the target is capped at n, so the identity matching
-    # keeps the center inside its FK ball as it is inside its Bowen ball
+    # keeps the center inside its FK ball as it is inside its Bowen ball;
+    # the word holds the 43 symbols such a ball reads
     n, delta = 4, 1e-12
-    centers = [torus_segment([0.1, 0.3, 0.6, 0.2]), word_segment([0, 1, 1, 0, 1, 0], n=n)]
+    word = np.resize([0, 1, 1, 0, 1, 0], ball_steps(shift_system((2,)), n, delta))
+    centers = [torus_segment([0.1, 0.3, 0.6, 0.2]), word_segment(word, n=n)]
     assert match_slack(n, delta) == 0
     for center in centers:
         others = center.word[None] if center.on_words else center.points[:, None]
@@ -457,7 +492,7 @@ def test_fk_ball_batch_matches_reference_lcs():
             center = torus_segment(base / 64.0)
             others = np.ascontiguousarray(grid.T / 64.0)
         else:
-            length = n + int(rng.integers(0, 4))
+            length = ball_steps(shift_system((2,)), n, delta) + int(rng.integers(0, 4))
             word = rng.integers(0, 2, size=length)
             flips = rng.random((24, length)) < 0.05
             others = np.where(flips, 1 - word, shuffled_copies(rng, word, 24, 3))
@@ -575,6 +610,124 @@ def test_torus_kernels_on_step_major_stacks_equal_pairwise(monkeypatch, closed):
             assert 0 < got.sum() < got.size
 
 
+def _far_offsets(delta):
+    """The floats within 2 ulps of 1 - delta: offsets |u - v| whose rounded
+    1 - |u - v| falls on either side of delta, where the closeness bound is."""
+    far = [1.0 - delta]
+    for _ in range(2):
+        far = [np.nextafter(far[0], 0.0)] + far + [np.nextafter(far[-1], 1.0)]
+    return np.array(far)
+
+
+def tied_stack(rng, base, count, delta):
+    """A step-major (steps, count) circle stack of copies of the orbit `base`.
+
+    The copies are shuffled a little (`shuffled_copies`), and then steps
+    are moved either way by delta or, as often, by one of
+    `_far_offsets(delta)`, drawn among the moves whose |u - v| lands on
+    the offset exactly; other steps are jittered within delta / 4 or
+    redrawn.  Each copy has its own tie rate (0, 5% or 20% of its steps),
+    so some copies tie on no step, and its own redraw rate (0, 10% or
+    30%).
+    """
+    rows = shuffled_copies(rng, base, count, 2)
+    pick = rng.random(rows.shape)
+    rate = rng.choice([0.0, 0.05, 0.2], size=(count, 1))
+    redraw = rng.choice([0.0, 0.1, 0.3], size=(count, 1))
+    far = _far_offsets(delta)
+    offsets = np.concatenate([np.full(far.size, delta), far])
+    moved = wrap_unit(rows[..., None] + np.concatenate([offsets, -offsets]))
+    exact = circle_diff(moved, rows[..., None]) == np.tile(offsets, 2)
+    # one exact move per step, drawn at random among them
+    choice = np.where(exact, rng.random(exact.shape), -1.0).argmax(axis=-1)[..., None]
+    tie = np.take_along_axis(moved, choice, axis=-1)[..., 0]
+    rows = np.where((pick < rate) & exact.any(axis=-1), tie, rows)
+    jitter = wrap_unit(rows + rng.uniform(-delta / 4, delta / 4, size=rows.shape))
+    rows = np.where((pick >= rate) & (pick < rate + 0.1), jitter, rows)
+    rows = np.where(pick > 1.0 - redraw, rng.random(rows.shape), rows)
+    return np.ascontiguousarray(rows.T)
+
+
+def _assert_ties(others, delta):
+    """Some sample steps sit at exactly delta from the first sample's, and
+    some at offsets within 2 ulps of 1 - delta, on both sides of delta."""
+    diff = circle_diff(others, others[:, :1])
+    gap = circle_gap(others, others[:, :1])
+    assert (gap == delta).any()
+    far = np.isin(diff, _far_offsets(delta))
+    assert (far & (gap < delta)).any() and (far & (gap > delta)).any()
+
+
+@pytest.mark.parametrize("delta, n", [(0.1, 12), (1 / 3, 6)], ids=["0.1", "1/3"])
+def test_circle_kernels_on_planted_ties_equal_the_oracles(monkeypatch, delta, n):
+    # pairs at exactly delta on every kernel path that decides circle
+    # closeness (screen, confirm, band masks); 1 - delta is inexact at both
+    # radii, so on the far side of 1/2 the rounded 1 - |u - v| decides.
+    # Both kernels, one center and a stack, open and closed: Bowen against
+    # bowen_distance (also at BLOCK_PAIRS = 16, where the confirm drops
+    # pairs step by step), open FK against in_fk_ball, closed FK against
+    # the plain-Python match DP on the closed compatibility matrix, at
+    # slack 1.
+    assert 1.0 - (1.0 - delta) != delta
+    assert match_slack(n, delta) == 1
+    rng = np.random.default_rng(131)
+    base = rng.random(n + 1)
+    others = np.concatenate([base[:, None], tied_stack(rng, base, 90, delta)], axis=1)
+    _assert_ties(others, delta)
+    orbits = [OrbitSegment(n, points=others[:n, j]) for j in range(others.shape[1])]
+
+    def reference(kind, a, b, closed):
+        if kind == BOWEN:
+            dist = bowen_distance(a, b)
+            return dist <= delta if closed else dist < delta
+        if not closed:
+            return in_fk_ball(a, b, delta)
+        return reference_match(pair_distance_matrix(a, b) <= delta) >= match_target(n, delta)
+
+    centers = [0, 1, 40, 77]
+    stack = OrbitSegment(n, points=others[:, centers])
+    default = matching.BLOCK_PAIRS
+    cases = ((BOWEN, bowen_ball_batch, default), (BOWEN, bowen_ball_batch, 16), (FK, fk_ball_batch, default))
+    for kind, kernel, block in cases:
+        monkeypatch.setattr(matching, "BLOCK_PAIRS", block)
+        got = {}
+        for closed in (False, True):
+            got[closed] = kernel(stack, others, delta, closed=closed)
+            for row, c in zip(got[closed], centers):
+                want = [reference(kind, orbits[c], b, closed) for b in orbits]
+                assert row.tolist() == want, (kind, closed, c)
+                one = kernel(OrbitSegment(n, points=others[:, c]), others, delta, closed=closed)
+                assert one.tolist() == want, (kind, closed, c)
+        # the ties decide some pairs, and neither ball is trivial
+        assert (got[False] != got[True]).any()
+        assert got[False].any() and not got[True].all()
+
+
+@pytest.mark.parametrize("delta", [0.1, 1 / 3], ids=["0.1", "1/3"])
+def test_column_covers_on_planted_ties_equal_the_oracles(delta):
+    # the dense covers' Bowen pass (screen, then its forward step pass) and
+    # FK pass (band masks) on samples with pairs at exactly delta, each
+    # cover against bowen_distance or in_fk_ball on every pair
+    rng = np.random.default_rng(132)
+    base = rng.random(13)
+    stack = tied_stack(rng, base, 60, delta)
+    _assert_ties(stack, delta)
+    measure = EmpiricalMeasure(expanding_system((2,)), OmegaPath([0] * 13), stack)
+    cells = [(BOWEN, 6), (BOWEN, 12), (FK, 8), (FK, 12)]
+    assert [match_slack(n, delta) for _, n in cells[2:]] == ([0, 1] if delta == 0.1 else [2, 3])
+    M = measure.M
+    for (kind, n), cover in column_covers(measure, delta, cells, M * M):
+        orbits = [OrbitSegment(n, points=stack[:n, j]) for j in range(M)]
+        want = np.ones((M, M), dtype=bool)
+        for i in range(M):
+            for j in range(M):
+                if i != j:
+                    a, b = orbits[i], orbits[j]
+                    want[i, j] = bowen_distance(a, b) < delta if kind == BOWEN else in_fk_ball(a, b, delta)
+        assert (cover == want).all(), (kind, n)
+        assert 0 < cover.sum() - M < M * (M - 1), (kind, n)
+
+
 # (seed, n_max, M, copies' permutation count, flip rate, stacked centers,
 # cells); the n_max = 17 column needs a uint32 mask and reads cells at
 # n = 8 and 16, which fill a uint8 and a uint16 word on their own, and
@@ -683,9 +836,10 @@ def test_packed_masks_reject_more_than_64_steps():
     assert match_slack(65, 0.05) > 0
     with pytest.raises(ValueError, match="at most 64"):
         fk_ball_batch(center, others, 0.05)
-    word = rng.integers(0, 2, size=65)
+    # a radius-1/2 word ball reads one symbol past its 65 steps
+    word = rng.integers(0, 2, size=66)
     with pytest.raises(ValueError, match="at most 64"):
-        fk_ball_batch(word_segment(word), word[None], 0.5)
+        fk_ball_batch(word_segment(word, n=65), word[None], 0.5)
 
 
 _SYSTEM = expanding_system((2,))

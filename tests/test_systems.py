@@ -11,7 +11,9 @@ from fkent.systems import (
     OrbitSegment,
     bernoulli_process,
     child_rng,
+    circle_diff,
     circle_gap,
+    circle_within,
     cylinder_depth,
     expanding_system,
     expansion_product,
@@ -64,6 +66,54 @@ def test_circle_gap(u, v, gap):
     got = circle_gap(np.array(u), np.array(v))
     assert got == pytest.approx(gap)
     assert got <= 0.5 + 1e-15
+
+
+def _ulps_around(value: float, count: int) -> list[float]:
+    """value and the `count` floats on either side of it."""
+    out = [value]
+    lo = hi = value
+    for _ in range(count):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.6])
+def test_circle_within_equals_the_gap_threshold(delta):
+    # circle_within decides closeness from a = |u - v| alone; it must agree
+    # bit for bit with circle_gap and a compare, open and closed, on random
+    # pairs, on ties at u +- delta (wrapped), at v = (u + 1 - delta) mod 1
+    # and its float neighbours, where the rounded 1 - a decides, and on
+    # u = a, v = 0 for the floats a around delta, 1/2 and 1 - delta
+    rng = np.random.default_rng(41)
+    u = rng.random(4000)
+    vs = [rng.random(u.size)]
+    for shift in (delta, -delta, 1.0 - delta):
+        v = wrap_unit(u + shift)
+        vs += [v, np.nextafter(v, 0.0), np.nextafter(v, 1.0)]
+    edges = np.array([a for mid in (delta, 0.5, 1.0 - delta) for a in _ulps_around(mid, 4) if 0.0 <= a < 1.0])
+    us = np.concatenate([np.tile(u, len(vs)), edges])
+    vs = np.concatenate(vs + [np.zeros(edges.size)])
+    gap = circle_gap(us, vs)
+    for closed in (False, True):
+        got = circle_within(circle_diff(us, vs), delta, closed)
+        assert got.dtype == bool
+        assert np.array_equal(got, gap <= delta if closed else gap < delta)
+    # a = delta itself ties on the near side; a tie on the far side, an
+    # exact 1 - a = delta, needs delta to be a multiple of 2^-53 (0.25 here),
+    # so elsewhere the floats around 1 - delta straddle the bound instead
+    a = circle_diff(us, vs)
+    tie = gap == delta
+    assert (tie & (a <= 0.5)).any() == (delta <= 0.5)
+    assert (tie & (a > 0.5)).any() == (delta == 0.25)
+
+
+@pytest.mark.parametrize("delta", [-0.1, float("nan")])
+def test_circle_within_rejects_radii_it_cannot_bound(delta):
+    # a negative radius bounds no ball, and the far bound's search from
+    # 1 - delta upward would never end at a NaN one
+    with pytest.raises(ValueError, match="nonnegative"):
+        circle_within(np.zeros(3), delta, True)
 
 
 @pytest.mark.parametrize(
