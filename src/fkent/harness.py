@@ -137,8 +137,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"n schedule exceeds {MAX_MATCH_STEPS}, the longest segment the packed match masks hold"
             )
-        if any(v <= 0.0 for v in self.eps) or any(v <= 0.0 for v in self.delta):
-            raise ValueError("eps and delta schedules must be positive")
+        if not all(0.0 < v < math.inf for v in (*self.eps, *self.delta)):
+            raise ValueError("eps and delta schedules must be positive and finite")
         for f in fields(self):
             v = getattr(self, f.name)
             if f.metadata["count"] and int(v) < 1:

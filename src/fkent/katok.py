@@ -30,6 +30,10 @@ more pass per 8 FK cells gives them one bit each, from one match
 recurrence per block that reads every n.  A single count is a one-cell
 column, so there is one dense path.
 
+Cover counts obey the count law of `matching.count_law_violations`, with
+every cell at window 1.0: a count may not rise along eps, nor fall along
+n within one slack band, by more than one count of greedy jitter.
+
 `katok_path_entropy` computes the per-path quantity the fiber entropy
 averages (draw the path and measure, cover, fit per kind).  The experiment
 harness averages it over paths; `katok_entropy` is one call of it, on one
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import BOWEN, ball_kind, ball_steps, check_kinds, slack_band
+from .matching import BOWEN, ball_kind, ball_steps, check_kinds, count_law_violations
 from .spanning import (
     EntropyEstimate,
     column_covers,
@@ -68,7 +72,6 @@ __all__ = [
     "table_slopes",
     "katok_path_entropy",
     "katok_entropy",
-    "validate_katok_counts",
 ]
 
 # dense cover matrices hold at most this many (center, sample) pairs; a
@@ -201,41 +204,6 @@ def katok_spanning_count(
     return _column_counts(measure, eps, [cell], mass_threshold, pair_budget)[cell]
 
 
-def validate_katok_counts(cells: dict[tuple[float, int], KatokCount], kind: str) -> None:
-    """Monotonicity checks on a (eps, n) table of counts, 1-count slack.
-
-    In n, counts may not drop by more than one (finite-sample jitter);
-    the check applies to Bowen always and to FK only across steps with
-    equal matching slack, where ball inclusion actually reverses.  In
-    eps, counts may not rise by more than one, both kinds: membership is
-    a distance threshold, nested in eps exactly.
-    """
-    eps_values = sorted({e for e, _ in cells})
-    n_values = sorted({n for _, n in cells})
-    for e in eps_values:
-        col = [cells[(e, n)].count for n in n_values]
-        for (n1, c1), (n2, c2) in zip(
-            zip(n_values, col), zip(n_values[1:], col[1:])
-        ):
-            if slack_band(kind, n1, e) != slack_band(kind, n2, e):
-                continue
-            if c2 < c1 - 1:
-                raise InvariantViolation(
-                    f"cover count fell from {c1} to {c2} between n={n1} and "
-                    f"n={n2} at eps={e} {kind}"
-                )
-    for n in n_values:
-        row = [cells[(e, n)].count for e in eps_values]
-        for (e1, c1), (e2, c2) in zip(
-            zip(eps_values, row), zip(eps_values[1:], row[1:])
-        ):
-            if c2 > c1 + 1:
-                raise InvariantViolation(
-                    f"cover count rose from {c1} to {c2} between eps={e1} and "
-                    f"eps={e2} at n={n} {kind}"
-                )
-
-
 def katok_table(
     measure: EmpiricalMeasure,
     n_window,
@@ -246,7 +214,9 @@ def katok_table(
     """All (eps, n) cover counts of each kind for one measure along its path, validated.
 
     kinds is a tuple of orbit metrics; the result maps each to its table,
-    validated in the order given.  Each cell is covered once per kernel
+    checked in the order given against the count law of cover counts
+    (matching.count_law_violations), every cell at window 1.0; a breach
+    raises InvariantViolation.  Each cell is covered once per kernel
     (matching.ball_kind): a kind whose ball runs the same kernel as
     another shares that cover.  Every eps column is covered in one go,
     at mass threshold 1 - eps: its dense cells come from one
@@ -265,7 +235,14 @@ def katok_table(
     tables: dict[str, dict[tuple[float, int], KatokCount]] = {}
     for kind in kinds:
         cells = {(eps, n): columns[eps][(ball_kind(kind, n, eps), n)] for eps in eps_list for n in n_window}
-        validate_katok_counts(cells, kind)
+        counts = {(n, eps): (cell.count, 1.0) for (eps, n), cell in cells.items()}
+        bad = count_law_violations(counts, kind, balls=False)
+        if bad:
+            a, b = bad[0]
+            raise InvariantViolation(
+                f"{kind} cover count {counts[a][0]} at (n, eps) = {a} and {counts[b][0]} at {b} "
+                f"break the count law"
+            )
         tables[kind] = cells
     return tables
 

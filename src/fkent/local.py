@@ -24,10 +24,12 @@ so fits skip flagged entries and the record keeps them visible.
 
 Ball conventions match the counting side: open balls for both kinds, and
 the FK ball is the single-threshold test (defect below delta with pair
-distances strictly below delta).  Bowen masses are nonincreasing in n and
-nondecreasing in delta, exactly, on a fixed sample.  FK masses are only
-nondecreasing in delta: when the matching slack floor(n*delta) jumps, an
-FK ball at n+1 can strictly contain new points, so no n-law is asserted.
+distances strictly below delta).  Every record obeys the count law of
+`matching.count_law_violations` for ball counts, exactly, on a fixed
+sample: masses are nondecreasing in delta, and nonincreasing in n within
+one slack band, which for Bowen is every n.  When the FK slack jumps, an
+FK ball at n+1 can strictly contain new points, so the n-law skips that
+step.
 
 The same slack jump breaks naive slope fits for FK tables.  An FK ball
 with slack b is roughly a union of order-n^(2b) Bowen-sized slivers (one
@@ -56,6 +58,7 @@ from .matching import (
     ball_kind,
     ball_steps,
     check_kinds,
+    count_law_violations,
     inclusion_violations,
     slack_band,
 )
@@ -256,7 +259,9 @@ class LocalEntropyRecord:
     value is the slope-style estimate: the fitted decay rate of
     log(count/M) against n at delta_used, the smallest delta whose
     largest-n entry has a nonzero count, with one intercept per
-    matching-slack band (plain least squares for Bowen tables).
+    matching-slack band (plain least squares for Bowen tables).  Its
+    counts obey the ball count law (matching.count_law_violations), or
+    construction raises InvariantViolation.
     """
 
     kind: str
@@ -270,16 +275,14 @@ class LocalEntropyRecord:
                 raise InvariantViolation("mixed metric kinds in one record")
             if not e.flagged and e.estimate < -1e-12:
                 raise InvariantViolation("negative local entropy entry")
-        by_n = sorted(self.entries, key=lambda e: (e.n, e.delta))
-        for a, b in zip(by_n, by_n[1:]):
-            if a.n == b.n and b.count < a.count:
-                raise InvariantViolation(
-                    f"{self.kind} ball count fell from delta={a.delta} to delta={b.delta} at n={a.n}"
-                )
-        by_delta = sorted(self.entries, key=lambda e: (e.delta, e.n))
-        for a, b in zip(by_delta, by_delta[1:]):
-            if self.kind == BOWEN and a.delta == b.delta and b.count > a.count:
-                raise InvariantViolation(f"Bowen ball count grew from n={a.n} to n={b.n}")
+        counts = {(e.n, e.delta): (e.count, 1.0) for e in self.entries}
+        bad = count_law_violations(counts, self.kind, balls=True)
+        if bad:
+            a, b = bad[0]
+            raise InvariantViolation(
+                f"{self.kind} ball count {counts[a][0]} at (n, delta) = {a} and {counts[b][0]} at {b} "
+                f"break the count law"
+            )
 
 
 def _ball_count_table(

@@ -60,6 +60,11 @@ zero slack only the identity matching reaches the target, so the FK ball
 is the Bowen ball: `ball_kind` names the kernel a ball test runs, and
 `ball_batch` and every table that reuses one kind's work for another key
 by it.  `slack_band` is the band a kind's fit stratifies by: 0 for Bowen.
+The same balls give the one count law all three tables obey
+(`count_law_violations`): a ball grows with the radius, and shrinks as
+n grows within one slack band, so ball counts follow it exactly and
+separated and cover counts move the other way, up to one count of
+greedy jitter, plus `_DENSITY_SLACK` between cells of different windows.
 """
 
 from __future__ import annotations
@@ -102,6 +107,7 @@ __all__ = [
     "ball_kind",
     "slack_band",
     "inclusion_violations",
+    "count_law_violations",
     "ball_steps",
     "in_fk_ball",
     "ball_batch",
@@ -115,6 +121,11 @@ __all__ = [
 BOWEN = "bowen"
 FK = "fk"
 KINDS = (BOWEN, FK)
+
+# relative allowance of the count law between separated or cover counts
+# of cells with different windows, on top of one count of greedy jitter:
+# each window's density count / window is a quasi-uniform estimate
+_DENSITY_SLACK = 0.05
 
 # columns of one packed match-mask row: the longest segment any match DP takes
 MAX_MATCH_STEPS = 64
@@ -326,6 +337,45 @@ def inclusion_violations(counts: dict, balls: bool) -> list[tuple[str, str, obje
             other = counts[large].get(cell)
             if other is not None and (other < count if balls else other > count):
                 bad.append((small, large, cell))
+    return bad
+
+
+def count_law_violations(cells: dict, kind: str, balls: bool) -> list[tuple[tuple, tuple]]:
+    """Neighbouring cells whose counts of one kind move against their balls.
+
+    cells maps (n, radius) to (count, window) on one sample.  At fixed n
+    the ball grows with the radius, and between consecutive n of equal
+    `slack_band` it shrinks as n grows: for Bowen at every n, for FK
+    because a match of size n + 1 - b keeps at least n - b pairs on its
+    first n steps.  A ball count (balls=True) follows the ball exactly.
+    A separated or cover count moves the other way, up to one count of
+    greedy jitter, and between cells of different windows it compares
+    densities count / window with the relative _DENSITY_SLACK on top.
+    Returns (a, b) for every breach between neighbours a and b, in axis
+    order: along the radius per n first, then along n per radius.
+    """
+    ns = sorted({n for n, _ in cells})
+    radii = sorted({r for _, r in cells})
+
+    def breach(small, large):
+        (cs, ws), (cl, wl) = cells[small], cells[large]
+        if balls:
+            return cl < cs
+        if ws == wl:
+            return cl > cs + 1
+        return (cl - 1) / wl * (1.0 - _DENSITY_SLACK) > cs / ws
+
+    bad = []
+    for n in ns:
+        row = [(n, r) for r in radii if (n, r) in cells]
+        bad += [(a, b) for a, b in zip(row, row[1:]) if breach(a, b)]
+    for r in radii:
+        col = [(n, r) for n in ns if (n, r) in cells]
+        bad += [
+            (a, b)
+            for a, b in zip(col, col[1:])
+            if slack_band(kind, a[0], r) == slack_band(kind, b[0], r) and breach(b, a)
+        ]
     return bad
 
 

@@ -20,6 +20,10 @@ Each (n, eps) cell therefore counts inside a subinterval window [0, w)
 sized so the kept set lands near `count_target`, and slope fits consume the
 window-adjusted density log(count / window).  Shrinking the window scales
 the expected count linearly and leaves the growth rate in n untouched.
+`CountTable.validate` holds each metric's counts to the count law of
+`matching.count_law_violations` for separated counts: within one window
+a count moves against its ball by at most one count of greedy jitter,
+and densities of different windows get a relative slack on top.
 
 The circle Bowen scan (`greedy_separated`) runs in rounds.  A candidate's
 closed ball reaches about _SUBDIVISIONS + 0.5 grid steps each way, so
@@ -71,6 +75,7 @@ from .matching import (
     ball_kind,
     ball_steps,
     check_kinds,
+    count_law_violations,
     inclusion_violations,
 )
 
@@ -93,10 +98,6 @@ __all__ = [
 ]
 
 SEPARATED = "greedy-separated"
-
-# Multiplicative slack of CountTable.validate's density laws in n and eps,
-# applied to every comparison on top of one count of jitter.
-_DENSITY_SLACK = 0.05
 
 # torus_grid_candidates lays _SUBDIVISIONS + 0.5 grid steps per ball
 # radius, which keeps the mesh well under the eps/2 density counts need.
@@ -516,48 +517,29 @@ class CountTable:
         return sorted({getattr(e, field_name) for e in self.entries})
 
     def validate(self) -> None:
-        """Asserts the count laws on densities, count / window.
+        """Asserts every count is at least 1 and obeys the count laws.
 
-        Along n a density may not fall, and along eps (ascending) it may
-        not rise, by more than one count of greedy-boundary jitter plus
-        the multiplicative _DENSITY_SLACK.  Both allowances apply to every
-        comparison, within one window or across windows (word tables all
-        share window 1.0).  The growth-in-n law is asserted for the Bowen
-        metric only: the FK match target is quantized, so when n*eps
-        crosses an integer the FK balls jump in size and FK counts can
-        genuinely dip before the exponential growth resumes.  Within one
-        (n, eps, window) cell the FK count may not exceed the Bowen count,
-        with no slack.  Raises InvariantViolation on failure.
+        Each metric's densities count / window obey
+        matching.count_law_violations as separated counts: they may not
+        rise along eps, nor fall along n within one slack band, by more
+        than one count of greedy jitter, and cells of different windows
+        get the relative density slack on top.  Within one (n, eps,
+        window) cell the FK count may not exceed the Bowen count, with
+        no slack.  Raises InvariantViolation on failure.
         """
         for e in self.entries:
             if e.count < 1:
                 raise InvariantViolation(f"count below 1 at {e}")
-        def dens(e: CountEntry, drop: int = 0) -> float:
-            return max(e.count - drop, 0) / e.window
-        ns = self.axis("n")
-        eps_axis = self.axis("eps")
         metrics = self.axis("metric")
         for metric in metrics:
-            for eps in eps_axis:
-                if metric != BOWEN:
-                    continue
-                col = [self.lookup(n, eps, metric) for n in ns]
-                col = [e for e in col if e is not None]
-                for a, b in zip(col, col[1:]):
-                    if dens(b) < dens(a, drop=1) * (1.0 - _DENSITY_SLACK):
-                        raise InvariantViolation(
-                            f"count density fell from n={a.n} to n={b.n} "
-                            f"at eps={eps} {metric}"
-                        )
-            for n in ns:
-                row = [self.lookup(n, eps, metric) for eps in eps_axis]
-                row = [e for e in row if e is not None]
-                for a, b in zip(row, row[1:]):  # eps ascending
-                    if dens(b, drop=1) * (1.0 - _DENSITY_SLACK) > dens(a):
-                        raise InvariantViolation(
-                            f"count density rose from eps={a.eps} to eps={b.eps} "
-                            f"at n={n} {metric}"
-                        )
+            cells = {(e.n, e.eps): (e.count, e.window) for e in self.entries if e.metric == metric}
+            bad = count_law_violations(cells, metric, balls=False)
+            if bad:
+                a, b = bad[0]
+                raise InvariantViolation(
+                    f"{metric} count {cells[a][0]} at (n, eps) = {a} and {cells[b][0]} at {b} "
+                    f"break the count law"
+                )
         # larger balls separate fewer candidates, compared within one window
         counts = {
             metric: {(e.n, e.eps, e.window): e.count for e in self.entries if e.metric == metric}

@@ -198,7 +198,7 @@ class DrivingProcess:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.p, dtype=float).reshape(-1)
-        if p.size == 0 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        if p.size == 0 or not np.isfinite(p).all() or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("p must be a probability vector")
         object.__setattr__(self, "p", p)
 

@@ -110,6 +110,10 @@ def test_validate_rejects_bad_fields():
         ExperimentConfig(m=(2, 3), p=(1.0,)).validate()
     with pytest.raises(ValueError, match="eps"):
         ExperimentConfig(eps=()).validate()
+    # non-finite radii are usage errors, not overflows deep in a kernel
+    for bad in ({"eps": (math.inf,)}, {"eps": (0.1, math.nan)}, {"delta": (math.nan,)}):
+        with pytest.raises(ValueError, match="eps and delta schedules must be positive and finite"):
+            ExperimentConfig(**bad).validate()
     with pytest.raises(ValueError, match="workers"):
         ExperimentConfig(workers=0).validate()
     with pytest.raises(ValueError, match="n schedule exceeds 64"):

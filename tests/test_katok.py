@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fkent import systems
+from fkent import katok, systems
 from fkent.katok import (
     KatokCount,
     _word_class_cover,
@@ -12,10 +12,9 @@ from fkent.katok import (
     katok_spanning_count,
     katok_table,
     table_slopes,
-    validate_katok_counts,
 )
 from fkent.local import sample_measure
-from fkent.matching import BOWEN, FK, bowen_ball_batch, match_slack, match_target
+from fkent.matching import BOWEN, FK, bowen_ball_batch, count_law_violations, match_slack, match_target
 from fkent.systems import (
     EmpiricalMeasure,
     InvariantViolation,
@@ -336,37 +335,41 @@ def test_table_slopes_order():
         assert rms < 0.2
 
 
-def test_validate_accepts_real_table_and_rejects_doctored():
+def test_validate_accepts_real_table_and_rejects_doctored(monkeypatch):
     system, path, mu = doubling_measure()
     cells = katok_table(mu, [4, 6], [0.2, 0.1], (BOWEN,))[BOWEN]
-    validate_katok_counts(cells, BOWEN)
+    counts = {(n, eps): (cell.count, 1.0) for (eps, n), cell in cells.items()}
+    assert count_law_violations(counts, BOWEN, balls=False) == []
 
-    def fake(eps, count):
-        return KatokCount(mass_threshold=1 - eps, count=count, covered_mass=1.0, centers=np.arange(count))
+    # katok_table raises on a column whose n = 6 cover is doctored to one ball
+    column_counts = katok._column_counts
+
+    def doctored(measure, eps, cells, mass_threshold, pair_budget):
+        out = column_counts(measure, eps, cells, mass_threshold, pair_budget)
+        out[(BOWEN, 6)] = KatokCount(mass_threshold, 1, 1.0, np.zeros(1, dtype=np.int64))
+        return out
+
+    monkeypatch.setattr(katok, "_column_counts", doctored)
+    with pytest.raises(InvariantViolation, match=r"bowen cover count \d+ at \(n, eps\) = \(4, 0.1\) and 1 at \(6, 0.1\)"):
+        katok_table(mu, [4, 6], [0.2, 0.1], (BOWEN,))
 
     # counts must not fall as n grows (beyond greedy jitter of one)
-    bad_n = {(0.1, 4): fake(0.1, 40), (0.1, 6): fake(0.1, 10)}
-    with pytest.raises(InvariantViolation):
-        validate_katok_counts(bad_n, BOWEN)
+    bad_n = {(4, 0.1): (40, 1.0), (6, 0.1): (10, 1.0)}
+    assert count_law_violations(bad_n, BOWEN, balls=False) == [((4, 0.1), (6, 0.1))]
     # counts must not grow as eps grows
-    bad_eps = {(0.1, 4): fake(0.1, 10), (0.2, 4): fake(0.2, 40)}
-    with pytest.raises(InvariantViolation):
-        validate_katok_counts(bad_eps, BOWEN)
+    bad_eps = {(4, 0.1): (10, 1.0), (4, 0.2): (40, 1.0)}
+    assert count_law_violations(bad_eps, BOWEN, balls=False) == [((4, 0.1), (4, 0.2))]
 
 
 def test_validate_fk_skips_band_jump_steps():
     # slack jumps between n=8 (band 0) and n=12 (band 1) at eps=0.1, so a
     # dip there is legal for FK but the equal-band step 12 -> 14 is not
-    def fake(count):
-        return KatokCount(mass_threshold=0.9, count=count, covered_mass=1.0, centers=np.arange(count))
-
-    dip_at_jump = {(0.1, 8): fake(100), (0.1, 12): fake(30), (0.1, 14): fake(50)}
-    validate_katok_counts(dip_at_jump, FK)
+    dip_at_jump = {(8, 0.1): (100, 1.0), (12, 0.1): (30, 1.0), (14, 0.1): (50, 1.0)}
+    assert count_law_violations(dip_at_jump, FK, balls=False) == []
     bands = {n: n - match_target(n, 0.1) for n in (8, 12, 14)}
     assert bands == {8: 0, 12: 1, 14: 1}
-    dip_in_band = {(0.1, 8): fake(100), (0.1, 12): fake(30), (0.1, 14): fake(10)}
-    with pytest.raises(InvariantViolation):
-        validate_katok_counts(dip_in_band, FK)
+    dip_in_band = {(8, 0.1): (100, 1.0), (12, 0.1): (30, 1.0), (14, 0.1): (10, 1.0)}
+    assert count_law_violations(dip_in_band, FK, balls=False) == [((12, 0.1), (14, 0.1))]
 
 
 def test_katok_count_validation():

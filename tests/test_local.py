@@ -411,9 +411,20 @@ def test_local_record_rejects_count_falling_in_delta(kind):
     # a ball count is nondecreasing in delta for both kinds, exactly, on a
     # fixed sample; a record whose count falls as delta grows is corrupt
     low = LocalEntry(n=6, delta=0.1, kind=kind, count=40, M=1000)
-    with pytest.raises(InvariantViolation, match="fell from delta=0.1 to delta=0.2 at n=6"):
+    with pytest.raises(InvariantViolation, match=rf"{kind} ball count 40 at \(n, delta\) = \(6, 0.1\) and 30 at \(6, 0.2\)"):
         LocalEntropyRecord(kind, (low, LocalEntry(n=6, delta=0.2, kind=kind, count=30, M=1000)), 0.5, 0.1)
     LocalEntropyRecord(kind, (low, LocalEntry(n=6, delta=0.2, kind=kind, count=40, M=1000)), 0.5, 0.1)
+
+
+def test_local_record_rejects_fk_count_rising_in_band():
+    # at delta = 0.1 the FK band is 0 at n = 8 and 1 at n = 12 and 14: the
+    # ball at n = 14 lies inside the one at n = 12, not inside the one at 8
+    def record(counts):
+        return LocalEntropyRecord(FK, tuple(LocalEntry(n, 0.1, FK, c, 1000) for n, c in counts.items()), 0.5, 0.1)
+
+    record({8: 30, 12: 40, 14: 40})
+    with pytest.raises(InvariantViolation, match=r"fk ball count 40 at \(n, delta\) = \(12, 0.1\) and 41 at \(14, 0.1\)"):
+        record({8: 30, 12: 40, 14: 41})
 
 
 def test_local_entropy_preflight_rejects_small_budget():

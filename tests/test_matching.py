@@ -768,6 +768,15 @@ def test_fk_members_read_every_n_from_one_recurrence(monkeypatch, on_words, case
         others = np.ascontiguousarray(rows.T / 64.0)
     bands = {match_slack(n, d) for n, d in cells}
     assert min(bands) > 0 and len(bands) > 1
+    # (shorter, longer) cell pairs of one radius and one slack band: a match
+    # of size n + 1 - b keeps at least n - b pairs on its first n steps
+    nested = [
+        (i, k)
+        for i, (n, d) in enumerate(cells)
+        for k, (m, e) in enumerate(cells)
+        if e == d and n < m and match_slack(n, d) == match_slack(m, e)
+    ]
+    assert nested
 
     def segment(index, n):
         orbits = take_samples(others, on_words, index)
@@ -788,6 +797,8 @@ def test_fk_members_read_every_n_from_one_recurrence(monkeypatch, on_words, case
                 want = fk_ball_batch(segment(index, n), others, d, closed=closed)
                 assert (out == want).all()
                 assert 0 < out.sum() < out.size
+            for i, k in nested:
+                assert not (got[k] & ~got[i]).any(), (cells[i], cells[k])
             differ += sum(int((a != b).any()) for a, b in zip(got, got[1:]))
     assert differ > 0
 

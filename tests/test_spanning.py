@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,33 @@ def test_count_table_rejects_fk_count_above_bowen():
     with pytest.raises(InvariantViolation, match="fk count 65 exceeds bowen count 64 at n=6 eps=0.1"):
         table(1.0).validate()
     table(0.5).validate()
+
+
+@pytest.mark.parametrize(
+    "metric, cells, breach",
+    [
+        # within one window a 3% dip along n, or rise along eps, is more
+        # than one count of greedy jitter; one count is not
+        (BOWEN, {(4, 0.1): (100, 1.0), (6, 0.1): (97, 1.0)}, ((4, 0.1), (6, 0.1))),
+        (BOWEN, {(4, 0.1): (100, 1.0), (4, 0.2): (103, 1.0)}, ((4, 0.1), (4, 0.2))),
+        (BOWEN, {(4, 0.1): (100, 1.0), (6, 0.1): (99, 1.0)}, None),
+        # across windows the density slack still allows the 3% dip
+        (BOWEN, {(4, 0.1): (50, 0.5), (6, 0.1): (97, 1.0)}, None),
+        # FK at eps = 0.1 is in band 0 at n = 8 and band 1 at n = 12 and 14:
+        # densities may dip across the band jump, not within the band
+        (FK, {(8, 0.1): (100, 1.0), (12, 0.1): (30, 0.5), (14, 0.1): (40, 0.5)}, None),
+        (FK, {(8, 0.1): (100, 1.0), (12, 0.1): (30, 0.5), (14, 0.1): (10, 0.25)}, ((12, 0.1), (14, 0.1))),
+    ],
+)
+def test_count_table_validate_applies_the_count_law(metric, cells, breach):
+    table = CountTable(tuple(CountEntry(n, e, metric, SEPARATED, c, w, 1000) for (n, e), (c, w) in cells.items()))
+    if breach is None:
+        table.validate()
+        return
+    a, b = breach
+    want = f"{metric} count {cells[a][0]} at (n, eps) = {a} and {cells[b][0]} at {b}"
+    with pytest.raises(InvariantViolation, match=re.escape(want)):
+        table.validate()
 
 
 def test_count_table_doubling_slope_near_log2():

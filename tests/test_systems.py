@@ -276,7 +276,7 @@ def test_bernoulli_stationary_is_p():
 
 
 def test_driving_process_rejects_bad_rows():
-    for p in ((0.4, 0.4), (1.2, -0.2), ()):
+    for p in ((0.4, 0.4), (1.2, -0.2), (), (float("nan"), 1.0), (float("inf"), 1.0)):
         with pytest.raises(ValueError, match="probability vector"):
             bernoulli_process(p)
 
