@@ -35,7 +35,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -212,6 +211,9 @@ def _effective_workers(cfg: ExperimentConfig, tasks: int) -> int:
 def _ordered_map(fn, payloads, workers: int) -> list:
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    # imported here, so single-worker runs never pay for the pool module
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads, chunksize=1))
 

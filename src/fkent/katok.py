@@ -19,7 +19,7 @@ and the driving path of its samples.
 Counts from shift systems with zero matching slack collapse to weighted
 word-class counting: every ball is exactly one prefix class, classes are
 disjoint, and greedy (heaviest class first) is provably the true minimum.
-A word measure is packed and sorted once (its prefix_index), however many
+A word measure's rows are sorted once (its prefix_index), however many
 (n, eps) cells read it: every cell's classes are runs of that one sort.
 That fast path handles million-sample runs; overlapping-ball instances
 fall back to dense cover matrices guarded by a pair budget.  A table
@@ -122,9 +122,9 @@ def _word_class_cover(
     minimum: any cover reaching the mass with k classes is dominated by
     the k heaviest ones.
 
-    The classes are runs of the measure's prefix_index, the one pack and
-    one sort of its word matrix that every cell reads: a run ends
-    wherever the next sorted row shares fewer than span symbols.
+    The classes are runs of the measure's prefix_index, the one sort of
+    its word rows that every cell reads: a run ends wherever the next
+    sorted row shares fewer than span symbols.
     """
     order, shared = measure.prefix_index
     M = order.size
@@ -132,7 +132,9 @@ def _word_class_cover(
     sizes = np.diff(starts, append=M)
     first_index = np.minimum.reduceat(order, starts)
     # heaviest first, lowest first member on ties: first members are
-    # distinct and row_codes caps M at 2^31, so one int64 key orders both
+    # distinct and below M, so one int64 key orders both while M^2 fits
+    if M > 2**31:
+        raise ValueError(f"word-class covers handle at most 2^31 samples, got {M}")
     picks = np.argsort((M - sizes) * M + first_index)
     cum = np.cumsum(sizes[picks])
     k = int(np.searchsorted(cum, need, side="left")) + 1

@@ -150,11 +150,11 @@ def sample_measure(system: RandomSystemSpec, omega: OmegaPath, M: int, seed: int
 class GridPartition:
     """Finite partition of the fiber with cell diameter <= mesh.
 
-    The system handed to itinerary picks the cells.  Circle families use
-    arcs of length 1/ceil(1/mesh), so the diameter of a cell is at most
-    the mesh.  Shifts
-    use cylinder sets of the smallest depth whose diameter 2^-depth is
-    <= mesh; mesh >= 1 yields the one-cell partition.
+    Circle families use arcs of length 1/ceil(1/mesh), so the diameter
+    of a cell is at most the mesh; itinerary labels them.  Shifts use
+    cylinder sets of the smallest depth whose diameter 2^-depth is
+    <= mesh, read as symbol windows (`smb_estimate`); mesh >= 1 yields
+    the one-cell partition.
     """
 
     mesh: float
@@ -173,26 +173,12 @@ class GridPartition:
             return 0
         return max(1, int(math.ceil(-math.log2(self.mesh) - 1e-12)))
 
-    def itinerary(self, system: RandomSystemSpec, stack: np.ndarray, n: int) -> np.ndarray:
-        """Cell labels of the first n orbit points for a whole stack, as (M, n).
+    def itinerary(self, stack: np.ndarray, n: int) -> np.ndarray:
+        """Arc labels of the first n orbit points of a circle stack, as (M, n).
 
-        stack is a step-major (n', M) circle stack with n' >= n, or an
-        (M, L) word matrix with L >= n + depth - 1.  Labels are ints,
-        unique per cell.
+        stack is a step-major (n', M) circle stack with n' >= n.  Labels
+        are ints, unique per arc.
         """
-        if system.on_words:
-            m = self.depth
-            if m == 0:
-                return np.zeros((stack.shape[0], n), dtype=np.int64)
-            if stack.shape[1] < n + m - 1:
-                raise ValueError(
-                    f"words of length {stack.shape[1]} too short for n={n} at depth {m}"
-                )
-            base = system.space_alphabet
-            labels = np.zeros((stack.shape[0], n), dtype=np.int64)
-            for j in range(m):
-                labels = labels * base + stack[:, j : j + n]
-            return labels
         if stack.ndim != 2 or stack.shape[0] < n:
             raise ValueError("orbit stack too short for the requested n")
         # one step at a time, so no temporary is larger than one row of the stack
@@ -440,8 +426,11 @@ def smb_estimate(
     """-(1/n) log of the empirical mass of the dynamical partition cell.
 
     The time-n cell of x is the set of points whose itinerary through the
-    partition agrees with x's for n steps; membership is computed by
-    comparing label rows.  Returns NaN when no sample lands in the cell
+    partition agrees with x's for n steps.  On the circle membership is
+    computed by comparing arc label rows.  On words the depth-m cylinder
+    labels of n steps agree exactly when the first n + m - 1 symbols do,
+    so those symbols are compared as stored; at depth 0 the one cell
+    holds every sample.  Returns NaN when no sample lands in the cell
     (flagged, same convention as ball counts).
     """
     if n < 1:
@@ -450,10 +439,14 @@ def smb_estimate(
     stack = measure.orbit_stack(n)
     center = orbit(system, measure.omega, x, n)
     if system.on_words:
-        ref = partition.itinerary(system, center.word[None, :], n)[0]
+        span = n + partition.depth - 1 if partition.depth else 0
+        measure.orbit_stack(span)
+        _check_base_word(center, span)
+        inside = (stack[:, :span] == center.word[:span]).all(axis=1)
     else:
-        ref = partition.itinerary(system, center.points[:, None], n)[0]
-    count = int((partition.itinerary(system, stack, n) == ref[None, :]).all(axis=1).sum())
+        ref = partition.itinerary(center.points[:, None], n)[0]
+        inside = (partition.itinerary(stack, n) == ref).all(axis=1)
+    count = int(inside.sum())
     if count == 0:
         return math.nan
     return -math.log(count / measure.M) / n + 0.0

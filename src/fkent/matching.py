@@ -379,24 +379,25 @@ def count_law_violations(cells: dict, kind: str, balls: bool) -> list[tuple[tupl
     return bad
 
 
-def _bisect_fk(dist: np.ndarray, diameter: float, tol: float):
-    """Vectorized bisection on g(eps) = defect(eps) - eps for (B, n, n) stacks."""
-    bsz, n, _ = dist.shape
-    lo = np.zeros(bsz)
-    hi = np.full(bsz, diameter + tol)
+def _bisect_fk(dist: np.ndarray, diameter: float, tol: float) -> tuple[float, float, float]:
+    """Bisection on g(eps) = defect(eps) - eps for one (n, n) distance matrix.
+
+    Returns (value, witness eps, witness defect).
+    """
+    n = dist.shape[0]
+    lo, hi = 0.0, diameter + tol
     steps = max(1, math.ceil(math.log2((diameter + tol) / tol)))
     for _ in range(steps):
-        if np.all(hi - lo <= tol):
+        if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        k = max_match_batch(dist < mid[:, None, None])
-        defect = 1.0 - k / n
-        below = defect < mid
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-    k = max_match_batch(dist < hi[:, None, None])
-    defect = 1.0 - k / n
-    return np.minimum(hi, diameter), hi, defect
+        defect = 1.0 - int(max_match_batch(dist < mid)[0]) / n
+        if defect < mid:
+            hi = mid
+        else:
+            lo = mid
+    defect = 1.0 - int(max_match_batch(dist < hi)[0]) / n
+    return min(hi, diameter), hi, defect
 
 
 def fk_distance(a: OrbitSegment, b: OrbitSegment, tol: float = 1e-6) -> FkDistance:
@@ -409,8 +410,8 @@ def fk_distance(a: OrbitSegment, b: OrbitSegment, tol: float = 1e-6) -> FkDistan
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     dist = pair_distance_matrix(a, b)
-    values, w_eps, w_def = _bisect_fk(dist[None], diameter(a.on_words), tol)
-    return FkDistance(float(values[0]), tol, float(w_eps[0]), float(w_def[0]))
+    value, w_eps, w_def = _bisect_fk(dist, diameter(a.on_words), tol)
+    return FkDistance(value, tol, w_eps, w_def)
 
 
 def lcs_mismatch(u, v) -> float:

@@ -60,6 +60,8 @@ def binomial_rate(n: int, eps: float) -> float:
     """(1/n) log C(n, floor(n*eps)); converges to stirling_rate(eps)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError("eps must lie in [0, 1]")
     return log_binomial(n, int(math.floor(n * eps))) / n
 
 

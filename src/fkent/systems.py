@@ -479,9 +479,9 @@ class EmpiricalMeasure:
     prescribes (`factor_along`), checked before the cast, so the cast
     never wraps.  samples reads the points back as (M,) or (M, L).  Set
     membership is always estimated as count/M, so M >= 1 is required up
-    front.  A word measure packs and sorts its word matrix once, the
-    first time a cover reads its prefix_index; every prefix length then
-    reads its classes from that one sort.
+    front.  A word measure sorts its word rows once, the first time a
+    cover reads its prefix_index; every prefix length then reads its
+    classes from that one sort.
     """
 
     system: RandomSystemSpec
@@ -532,19 +532,20 @@ class EmpiricalMeasure:
     def prefix_index(self) -> tuple[np.ndarray, np.ndarray]:
         """(order, shared): a word measure's rows sorted once, for every prefix length.
 
-        order sorts the rows by row_codes, which keeps their lexicographic
-        order, so for every span <= L the rows sharing a span-prefix form
-        one contiguous run of order.  shared[t] is the number of leading
-        symbols sorted row t + 1 shares with sorted row t (L when the rows
-        are equal), so a span-prefix run ends after sorted row t exactly
-        when shared[t] < span.  shared holds only 0..L, so it is stored in
+        order sorts the rows lexicographically, column 0 first, with
+        np.lexsort on the symbols themselves, so for every span <= L the
+        rows sharing a span-prefix form one contiguous run of order.
+        shared[t] is the number of leading symbols sorted row t + 1
+        shares with sorted row t (L when the rows are equal), so a
+        span-prefix run ends after sorted row t exactly when
+        shared[t] < span.  shared holds only 0..L, so it is stored in
         the smallest unsigned type that fits L.  It is compared in blocks
         of _INDEX_BLOCK sorted rows, so no sorted copy of the whole matrix
         is held.
         """
         words = self.orbits
         M, L = words.shape
-        order = np.argsort(row_codes(words))
+        order = np.lexsort(words.T[::-1])
         shared = np.empty(M - 1, dtype=np.min_scalar_type(L))
         # column L is a sentinel that always differs, so equal rows share L
         differ = np.ones((min(_INDEX_BLOCK, M - 1), L + 1), dtype=bool)
@@ -570,64 +571,3 @@ def expansion_product(system: RandomSystemSpec, path: OmegaPath, n: int) -> floa
     if n == 1:
         return 1.0
     return float(np.prod(system.factor_along(path, n - 1), dtype=float))
-
-
-_CODE_LIMIT = 2**62
-
-
-def row_codes(labels: np.ndarray) -> np.ndarray:
-    """Collapse (M, k) label rows to int64 codes, equal iff rows equal.
-
-    Labels must be nonnegative integers that fit int64.  Codes also keep
-    the lexicographic order of the rows (column 0 most significant).
-
-    Column j has radix r_j = max(labels[:, j]) + 1.  With cap = 2^62 // M,
-    the columns are walked in blocks, each the longest run of consecutive
-    columns whose radix product stays <= cap, and a block packs in mixed
-    radix by Horner's rule over its columns (block * r_t + labels[:, t]),
-    so no int64 copy of the labels is made: the only int64 arrays are the
-    (M,) block and codes.  Blocks combine as codes * size + block;
-    before a combine whose code range would pass 2^62, the codes are
-    re-ranked through np.unique, which leaves at most M distinct values.
-    A column whose radix alone passes cap is re-ranked on its own (at most
-    M values).  So every factor product is at most M * cap <= 2^62 and no
-    step overflows int64; small alphabets take one block and no sort.
-    """
-    labels = np.asarray(labels)
-    if labels.ndim != 2 or labels.shape[1] < 1:
-        raise ValueError("row_codes expects a nonempty 2-d label array")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError(f"row_codes expects integer labels, got {labels.dtype}")
-    M, k = labels.shape
-    if M == 0:
-        return np.zeros(0, dtype=np.int64)
-    if M * M > _CODE_LIMIT:
-        raise ValueError(f"row_codes handles at most 2^31 rows, got {M}")
-    if int(labels.min()) < 0:
-        raise ValueError("row_codes expects nonnegative labels")
-    radix = [int(r) + 1 for r in labels.max(axis=0)]
-    if max(radix) > 2**63:
-        raise ValueError("row_codes labels must fit int64")
-    cap = _CODE_LIMIT // M
-    codes, bound = np.zeros(M, dtype=np.int64), 1
-    i = 0
-    while i < k:
-        if radix[i] > cap:
-            values, block = np.unique(labels[:, i], return_inverse=True)
-            size, i = values.size, i + 1
-        else:
-            j, size = i + 1, radix[i]
-            while j < k and size * radix[j] <= cap:
-                size *= radix[j]
-                j += 1
-            block = labels[:, i].astype(np.int64)
-            for t in range(i + 1, j):
-                block *= radix[t]
-                np.add(block, labels[:, t], out=block, dtype=np.int64)
-            i = j
-        if bound * size > _CODE_LIMIT:
-            values, codes = np.unique(codes, return_inverse=True)
-            bound = values.size
-        codes = codes * size + block
-        bound *= size
-    return codes

@@ -336,6 +336,13 @@ def test_cli_oracle_missing_flag(capsys):
     assert "--eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["inf", "nan", "2", "-0.5"])
+def test_cli_binomial_rate_rejects_eps_outside_unit_interval(eps, capsys):
+    assert main(["oracle", "binomial-rate", "--n", "8", "--eps", eps]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: eps must lie in [0, 1]"]
+
+
 def test_cli_bad_override(tmp_path, capsys):
     path = write_config(tmp_path, TINY.format(out=tmp_path / "out"))
     assert main(["compare-top", "--config", path, "--M", "many"]) == 2

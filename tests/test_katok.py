@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fkent import katok, systems
+from fkent import katok
 from fkent.katok import (
     KatokCount,
     _word_class_cover,
@@ -25,7 +25,6 @@ from fkent.systems import (
     circle_gap,
     expanding_system,
     orbit_batch,
-    row_codes,
     sample_path,
     shift_system,
 )
@@ -236,10 +235,9 @@ def test_pair_budget_gates_dense_table_columns():
 
 
 def _cell_word_cover(words, span, need):
-    """Reference word-class cover: one pack and one np.unique per cell."""
+    """Reference word-class cover: one np.unique of the prefix rows per cell."""
     M = words.shape[0]
-    codes = row_codes(words[:, :span])
-    _, inverse, sizes = np.unique(codes, return_inverse=True, return_counts=True)
+    _, inverse, sizes = np.unique(words[:, :span], axis=0, return_inverse=True, return_counts=True)
     first_index = np.full(sizes.size, M, dtype=np.int64)
     np.minimum.at(first_index, inverse, np.arange(M, dtype=np.int64))
     order = np.lexsort((first_index, -sizes))
@@ -256,7 +254,12 @@ def _word_cover_inputs():
     binary[:40] = [0, 1, 1, 0, 1, 0]
     binary[40:80] = [1, 0, 0, 1, 0, 1]
     ternary = rng.integers(0, 3, size=(2000, 7))
-    # 130 binary columns: row_codes re-ranks before its second and third blocks
+    # 300 letters are stored as uint16 symbols
+    wide_alphabet = rng.integers(0, 300, size=(500, 3))
+    wide_alphabet[100:180] = wide_alphabet[7]
+    wide_alphabet[200:260, :2] = wide_alphabet[9, :2]
+    # 130 binary columns, more than any int64 code of a row could hold;
+    # rows 50 and 51 differ only in the first column
     wide = rng.integers(0, 2, size=(60, 130))
     wide[10] = wide[3]
     wide[51] = wide[50]
@@ -264,7 +267,8 @@ def _word_cover_inputs():
     return [
         pytest.param(binary, 2, id="binary-duplicates"),
         pytest.param(ternary, 3, id="ternary"),
-        pytest.param(wide, 2, id="re-rank"),
+        pytest.param(wide_alphabet, 300, id="uint16"),
+        pytest.param(wide, 2, id="130-columns"),
         pytest.param(np.array([[1, 0, 1]]), 2, id="one-row"),
         pytest.param(np.array([[1, 0, 1], [1, 1, 0]]), 2, id="two-rows"),
     ]
@@ -289,22 +293,22 @@ def test_word_class_cover_from_shared_index_equals_cell_sort(words, alphabet):
 
 
 def test_katok_table_packs_word_measure_once(monkeypatch):
-    # five n-cells of two kinds read one pack and one sort of the words
+    # five n-cells of two kinds read one sort of the word rows
     system = shift_system((2, 2))
     n_window, eps_list = [4, 5, 6, 7, 8], [0.05]
     path = sample_path(bernoulli_process((0.5, 0.5)), katok_horizon(system, n_window, eps_list), 3)
     mu = sample_measure(system, path, 2000, 3)
     calls = []
-    pack = systems.row_codes
+    lexsort = np.lexsort
 
-    def counting_row_codes(labels):
-        calls.append(labels.shape)
-        return pack(labels)
+    def counting_lexsort(keys):
+        calls.append(np.shape(keys))
+        return lexsort(keys)
 
-    monkeypatch.setattr(systems, "row_codes", counting_row_codes)
+    monkeypatch.setattr(np, "lexsort", counting_lexsort)
     tables = katok_table(mu, n_window, eps_list, (BOWEN, FK))
     assert len(tables[BOWEN]) == 5
-    assert calls == [mu.orbits.shape]
+    assert calls == [mu.orbits.shape[::-1]]
 
 
 def test_fk_needs_fewer_covers_at_coarse_eps():

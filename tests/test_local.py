@@ -315,7 +315,7 @@ def test_grid_partition_rejects_bad_mesh():
 def test_itinerary_doubling_is_binary_expansion():
     system = expanding_system((2,))
     stack = np.array([[0.3], [0.6], [0.2], [0.4]])
-    labels = GridPartition(0.5).itinerary(system, stack, 4)
+    labels = GridPartition(0.5).itinerary(stack, 4)
     assert labels.tolist() == [[0, 1, 0, 0]]
 
 
@@ -344,6 +344,40 @@ def test_smb_estimate_words_match_cylinder_mass():
     p = 2.0**-n
     sd = math.sqrt((1 - p) / (p * mu.M)) / n
     assert abs(est - math.log(2.0)) <= 3 * sd
+
+
+def test_smb_estimate_words_flag_empty_cell_at_wide_alphabet():
+    # 256 letters at depth 9: a cell is a window of 9 symbols, more than an
+    # int64 code of 8 bits a symbol holds.  Every sample differs from the
+    # center in symbol 0, so the center's time-2 cell holds no sample
+    system = shift_system((256,))
+    path = sample_path(bernoulli_process((1.0,)), 12, 3)
+    words = np.random.default_rng(5).integers(1, 256, size=(10, 12))
+    mu = EmpiricalMeasure(system, path, words)
+    center = words[0].copy()
+    center[0] = 0
+    assert GridPartition(2**-9).depth == 9
+    assert math.isnan(smb_estimate(mu, center, GridPartition(2**-9), 2))
+
+
+def test_smb_estimate_words_at_depth_zero_count_every_sample():
+    system = shift_system((2, 2))
+    path = sample_path(bernoulli_process((0.5, 0.5)), 8, 3)
+    mu = sample_measure(system, path, 50, 3)
+    assert smb_estimate(mu, np.zeros(8, dtype=np.int64), GridPartition(1.0), 5) == 0.0
+
+
+def test_smb_estimate_words_reject_short_span():
+    # depth 3 at n = 6 reads 8 symbols of every word
+    system = shift_system((2, 2))
+    path = sample_path(bernoulli_process((0.5, 0.5)), 7, 3)
+    mu = sample_measure(system, path, 50, 3)
+    with pytest.raises(ValueError, match="8 needed"):
+        smb_estimate(mu, np.zeros(7, dtype=np.int64), GridPartition(0.2), 6)
+    path = sample_path(bernoulli_process((0.5, 0.5)), 9, 3)
+    mu = sample_measure(system, path, 50, 3)
+    with pytest.raises(ValueError, match="base word holds 7 symbols"):
+        smb_estimate(mu, np.zeros(7, dtype=np.int64), GridPartition(0.2), 6)
 
 
 def test_smb_estimate_flags_empty_cell():

@@ -19,7 +19,6 @@ from fkent.systems import (
     expansion_product,
     orbit,
     orbit_batch,
-    row_codes,
     sample_path,
     shift_system,
     tent_system,
@@ -299,99 +298,6 @@ def test_child_rng_streams_are_independent():
     c = child_rng(7, 1).random(4)
     assert np.allclose(a, b)
     assert not np.allclose(a, c)
-
-
-def _row_code_inputs():
-    rng = np.random.default_rng(11)
-    small = rng.integers(0, [3, 5, 2, 7, 4], size=(60, 5))
-    # radix 2^63 per column: every column is re-ranked on its own
-    huge = rng.integers(2**63 - 3, 2**63 - 1, size=(60, 4), endpoint=True)
-    # 130 binary columns pack as blocks of 56, 56 and 18 (2^56 <= 2^62 / 60),
-    # and the codes are re-ranked before the second and third blocks join;
-    # rows 50 and 51 differ only in the first column, which an overflow loses
-    wide = rng.integers(0, 2, size=(60, 130))
-    wide[51] = wide[50]
-    wide[51, 0] ^= 1
-    # rows 5 and 20 share the 12-column prefix but not the whole word
-    words = rng.integers(0, 2, size=(60, 20))
-    words[20, :12] = words[5, :12]
-    words[20, 12:] = 1 - words[5, 12:]
-    tiny = rng.integers(0, 256, size=(60, 9)).astype(np.uint8)
-    for labels in (small, huge, wide, words, tiny):
-        labels[10] = labels[3]
-        labels[42] = labels[3]
-    return [
-        pytest.param(small, id="small"),
-        pytest.param(huge, id="int64-max"),
-        pytest.param(wide, id="re-rank"),
-        pytest.param(np.array([[7, 0, 2**40]]), id="one-row"),
-        pytest.param(words[:, :12], id="column-slice"),
-        pytest.param(tiny, id="uint8"),
-    ]
-
-
-def test_row_codes_collapse_equal_rows_only():
-    rng = np.random.default_rng(11)
-    labels = rng.integers(0, 3, size=(60, 5))
-    labels[10] = labels[3]
-    labels[42] = labels[3]
-    codes = row_codes(labels)
-    assert codes.shape == (60,)
-    assert codes[10] == codes[3] == codes[42]
-    same = codes[:, None] == codes[None, :]
-    truth = (labels[:, None, :] == labels[None, :, :]).all(axis=2)
-    assert (same == truth).all()
-
-
-@pytest.mark.parametrize("labels", _row_code_inputs())
-def test_row_codes_collapse_equal_rows_and_keep_order(labels):
-    M = labels.shape[0]
-    codes = row_codes(labels)
-    assert codes.shape == (M,) and codes.dtype == np.int64
-    if M > 42:
-        assert codes[10] == codes[3] == codes[42]
-    same = codes[:, None] == codes[None, :]
-    truth = (labels[:, None, :] == labels[None, :, :]).all(axis=2)
-    assert (same == truth).all()
-    # codes keep the lexicographic row order, column 0 most significant
-    order = np.lexsort(labels.T[::-1])
-    assert (np.diff(codes[order]) >= 0).all()
-
-
-@pytest.mark.parametrize(
-    "alphabet, shape",
-    [(2, (500, 40)), (4, (500, 70)), (256, (300, 9)), (2, (60, 130))],
-    ids=["binary", "multi-block", "full-byte", "re-rank"],
-)
-def test_row_codes_of_uint8_equal_codes_of_int64_cast(alphabet, shape):
-    labels = np.random.default_rng(13).integers(0, alphabet, size=shape).astype(np.uint8)
-    labels[7] = labels[2]
-    codes = row_codes(labels)
-    assert np.array_equal(codes, row_codes(labels.astype(np.int64)))
-    assert codes[7] == codes[2]
-
-
-def test_row_codes_pack_one_block_as_mixed_radix_matmul():
-    # one block packs by Horner's rule; its codes are the mixed-radix
-    # place-value sum, bit for bit
-    labels = np.random.default_rng(17).integers(0, 3, size=(400, 12)).astype(np.uint8)
-    labels[0] = 2  # every column has radix 3
-    place = 3 ** np.arange(11, -1, -1, dtype=np.int64)
-    assert np.array_equal(row_codes(labels), labels.astype(np.int64) @ place)
-
-
-@pytest.mark.parametrize(
-    "labels",
-    [
-        np.array([[-1, 0], [0, -1]]),
-        np.array([[1.5, 0], [1.7, 0]]),
-        np.array([[2**63, 0], [0, 0]], dtype=np.uint64),
-    ],
-    ids=["negative", "float", "past-int64"],
-)
-def test_row_codes_reject_labels_it_cannot_code(labels):
-    with pytest.raises(ValueError):
-        row_codes(labels)
 
 
 def test_system_validation_errors():
