@@ -17,13 +17,17 @@ import numpy as np
 
 from .harness import EXPERIMENTS, ExperimentConfig, load_config, run_experiment
 from .matching import (
+    FK,
     bowen_ball_batch,
     bowen_distance,
     brute_force_match,
     brute_force_match_matrix,
+    fk_ball_batch,
     fk_distance,
+    in_fk_ball,
     max_match_batch,
     max_match_size,
+    slack_band,
 )
 from .oracles import (
     binomial_rate,
@@ -183,12 +187,36 @@ def _selftest() -> int:
                 raise InvariantViolation(f"Bowen ball kernel differs from bowen_distance on circle stack {trial}")
     print("ok: Bowen ball kernel equals pairwise distances on 20 circle stacks")
 
+    M = 40_000
+    for trial in range(8):
+        n = int(rng.integers(4, 13))
+        delta = float(rng.choice([k / 16 for k in range(1, 6) if slack_band(FK, n, k / 16) in (1, 2)]))
+        # samples lag 8 grid centers by 0 or 1 steps with a few steps nudged by
+        # 1/16, so balls at slack 1-2 hold some and miss others, and gaps fall
+        # exactly at delta; M samples span several recurrence chunks both for
+        # one center and for the stack
+        base = rng.integers(0, 16, size=(n + 1, 8))
+        grid = base[np.arange(n)[:, None] + rng.integers(0, 2, size=M), rng.integers(0, 8, size=M)]
+        nudge = rng.integers(-1, 2, size=grid.shape) * (rng.random(grid.shape) < 0.15)
+        others = (grid + nudge) % 16 / 16.0
+        centers = base[:n] / 16.0
+        for closed in (False, True):
+            for stack in (centers[:, 0], centers):
+                got = fk_ball_batch(_segment(stack), others, delta, closed=closed).reshape(-1, M)
+                # up to 24 pairs inside the balls and 24 outside
+                inside, outside = np.flatnonzero(got), np.flatnonzero(~got)
+                picks = [rng.choice(f, size=min(24, f.size), replace=False) for f in (inside, outside)]
+                for c, j in zip(*np.divmod(np.concatenate(picks), M)):
+                    if got[c, j] != in_fk_ball(_segment(centers[:, c]), _segment(others[:, j]), delta, closed=closed):
+                        raise InvariantViolation(f"FK ball kernel differs from in_fk_ball on circle stack {trial}")
+    print("ok: FK ball kernel equals in_fk_ball on 8 circle stacks of 40,000 samples")
+
     gap = abs(binomial_rate(10_000, 0.5) - stirling_rate(0.5))
     if gap > 1e-3:
         raise InvariantViolation(f"binomial rate off by {gap}")
     print("ok: binomial rate matches its limit at n = 10^4")
 
-    print("selftest passed (5 checks)")
+    print("selftest passed (6 checks)")
     return 0
 
 

@@ -25,15 +25,19 @@ compatibility matrix is packed into one mask word, the narrowest unsigned
 type that holds its m columns (uint8 up to uint64, so n, m <= 64), and the
 bit-vector LCS update (Allison & Dix 1986; Hyyro 2004) advances the DP one
 row at a time across a whole batch.  Masks are step-major, (n, ...): the
-recurrence reads one contiguous plane of the batch per row.  No other
-match DP exists.
+recurrence reads one plane of the batch per row, and masks no row to
+its widest column, since carries only move up.  No other match DP
+exists.
 
 Batch kernels evaluate one center, or a stack of C centers, against many
 orbits at once: a center without a stack axis gives an (M,) membership
-row, a stack of C centers a (C, M) matrix, and one call builds
-temporaries for at most BLOCK_PAIRS (center, orbit) pairs at a time.  The
-orbits are a step-major (n', M) circle stack or an (M, L) word matrix
-(`systems.sample_axis`).  The FK kernel exploits that a match of size k
+row, a stack of C centers a (C, M) matrix, and one call builds its float
+and bool temporaries for at most BLOCK_PAIRS (center, orbit) pairs at a
+time.  The FK kernel's packed mask planes are the exception: they hold
+one chunk of _CHUNK_PAIRS pairs, 8 blocks, which one match recurrence
+runs over, because a DP row is a few numpy calls whose overhead swamps
+the arithmetic on one block.  The orbits are a step-major (n', M)
+circle stack or an (M, L) word matrix (`systems.sample_axis`).  The FK kernel exploits that a match of size k
 never displaces an index by more than n - k, so a ball test at threshold
 delta only needs the diagonal band of width match_slack(n, delta) =
 n - match_target(n, delta): its masks are built one diagonal slice at a
@@ -129,11 +133,16 @@ _DENSITY_SLACK = 0.05
 
 # columns of one packed match-mask row: the longest segment any match DP takes
 MAX_MATCH_STEPS = 64
-# (center, orbit) pairs one kernel call builds temporaries for: FK row
-# blocks and dense cover blocks are sized by it, which keeps the mask-build
-# temporaries cache-resident and of one size, so the allocator reuses them
-# instead of mapping and faulting in fresh pages for every block
+# (center, orbit) pairs one kernel call builds float and bool temporaries
+# for: FK mask blocks and dense cover blocks are sized by it, which keeps
+# the mask-build temporaries cache-resident and of one size, so the
+# allocator reuses them instead of mapping and faulting in fresh pages for
+# every block
 BLOCK_PAIRS = 2048
+# (center, orbit) pairs one FK match recurrence runs over: the packed
+# planes of a chunk hold _CHUNK_PAIRS // BLOCK_PAIRS mask blocks, so each
+# DP row is a few numpy calls on one wide plane, not on every block
+_CHUNK_PAIRS = 8 * BLOCK_PAIRS
 
 
 @dataclass(frozen=True)
@@ -218,7 +227,7 @@ def max_match_batch(compat: np.ndarray) -> np.ndarray:
         compat = compat[None]
     _, n, m = compat.shape
     pm = np.ascontiguousarray(np.bitwise_or.reduce(compat * _bit_weights(m), axis=2).T)
-    return _match_sizes(pm, [(n, m)])[0]
+    return _match_sizes(pm, [(n, m)])[0].astype(np.int64)
 
 
 def _bit_weights(m: int) -> np.ndarray:
@@ -238,9 +247,9 @@ def _match_sizes(pm: np.ndarray, cuts) -> list[np.ndarray]:
     """Maximum match sizes from a step-major (n, ...) stack of packed row masks.
 
     Bit j of pm[i] marks row i compatible with column j, and pm[i] is one
-    contiguous plane over the batch.  For each (rows, cols) in cuts the
-    result holds, shaped pm.shape[1:], the match size of the first rows
-    rows against the columns below cols.  The bit-vector LCS recurrence
+    plane over the batch.  For each (rows, cols) in cuts the result
+    holds, shaped pm.shape[1:], the match size of the first rows rows
+    against the columns below cols.  The bit-vector LCS recurrence
     (Allison & Dix 1986; Hyyro 2004) advances the match DP one row in a
     few word operations: the zero bits of v mark the columns where the DP
     value steps up, so the match size is cols - popcount(v) over the
@@ -248,25 +257,28 @@ def _match_sizes(pm: np.ndarray, cuts) -> list[np.ndarray]:
     so it holds for any boolean compatibility matrix.  Carries and borrows
     only move up, so the low bits of v evolve as they would with no
     columns above them: one run over the widest cut reads every narrower
-    cut on its way, after its last row, and bits of pm at or above the
-    widest column are ignored.  The word type is pm's.  u = v & pm[i] is
-    a submask of v, so v - u never borrows; the carry of v + u out of the
-    widest column is dropped by the mask, or, when the widest cut fills
-    the word, by wraparound at the word's full width.
+    cut on its way, after its last row, through v & low_cols_bits, and
+    bits of pm at or above the widest column, and the carries v + u sends
+    there or out of the word, never reach a bit that is read.  So no row
+    masks v to the widest cut.  The word type is pm's, and u = v & pm[i]
+    is a submask of v, so v - u never borrows.  Each row runs in place on
+    three planes, and the sizes come as uint8 (at most 64), so a run
+    over a wide batch builds few and small temporaries.
     """
     word = pm.dtype.type
     last = max(rows for rows, _ in cuts)
-    full = word((1 << max(cols for _, cols in cuts)) - 1)
-    v = np.full(pm.shape[1:], full, dtype=pm.dtype)
+    v = np.full(pm.shape[1:], np.iinfo(word).max, dtype=pm.dtype)
+    u, minus = np.empty_like(v), np.empty_like(v)
     sizes: list[np.ndarray] = [None] * len(cuts)
     for i in range(last + 1):
         for k, (rows, cols) in enumerate(cuts):
             if rows == i:
-                low = v & word((1 << cols) - 1)
-                sizes[k] = cols - np.bitwise_count(low).astype(np.int64)
+                sizes[k] = cols - np.bitwise_count(v & word((1 << cols) - 1))
         if i < last:
-            u = v & pm[i]
-            v = ((v + u) | (v - u)) & full
+            np.bitwise_and(v, pm[i], out=u)
+            np.subtract(v, u, out=minus)
+            np.add(v, u, out=v)
+            np.bitwise_or(v, minus, out=v)
     return sizes
 
 
@@ -501,33 +513,36 @@ def _word_diagonal(
 
 
 def _band_masks(
-    center: OrbitSegment, others: np.ndarray, bands: dict[float, int], closed: bool
-) -> dict[float, np.ndarray]:
-    """Step-major (n, ..., M) packed match masks over the band |i - j| <= bands[delta], per delta.
+    center: OrbitSegment, others: np.ndarray, bands: dict[float, int], closed: bool, masks: dict[float, np.ndarray]
+) -> None:
+    """Fill step-major (n, ..., M) packed match masks over the band |i - j| <= bands[delta], per delta.
 
-    Axis 0 is the center's step i and the center's stack shape follows
-    it, so row i of a mask is one contiguous plane.  Bit j of row i of a
-    delta's mask is set when center step i and sample step j are within
-    delta (at most delta when closed); cells off its band stay clear.
-    The masks are in the word `_bit_weights(n)` picks.  Each diagonal
-    offset reads one slice of `others`, steps i0 + offset to i1 + offset
-    of every sample (a step-major (n', M) circle stack or an (M, L) word
-    matrix); on the torus its offsets |u - v| are formed once and
-    thresholded (`systems.circle_within`) for every delta whose band
-    reaches it.
+    masks maps each delta to the array its mask is written into, shaped
+    (n,) + the center's stack shape + (M,) for the M samples of `others`
+    (a step-major (n', M) circle stack or an (M, L) word matrix); it may
+    be a column slice of a wider plane, and is overwritten whole.  Axis
+    0 is the center's step i, so row i of a mask is one plane.  Bit j of
+    row i of a delta's mask is set when center step i and sample step j
+    are within delta (at most delta when closed); cells off its band
+    stay clear.  The masks are in the word `_bit_weights(n)` picks.
+    Each diagonal offset reads one slice of `others`, steps i0 + offset
+    to i1 + offset of every sample, so the temporaries are sized by the
+    M samples of one call; on the torus its offsets |u - v| are formed
+    once and thresholded (`systems.circle_within`) for every delta whose
+    band reaches it.
     """
     n = center.n
     torus = not center.on_words
     lead = center.stack_shape
     weights = _bit_weights(n)
-    shape = (n,) + lead + (others.shape[sample_axis(center.on_words)],)
-    masks = {d: np.zeros(shape, dtype=weights.dtype) for d in bands}
     reach = max(bands.values())
     if torus:
         # a stack axis on the samples broadcasts them against every center
         samples = np.expand_dims(others, tuple(range(1, 1 + len(lead))))
         points = center.points[..., None]
-    for offset in range(-reach, reach + 1):
+    # the main diagonal comes first and covers every row of every band, so
+    # it writes each mask whole and the other offsets OR into it
+    for offset in sorted(range(-reach, reach + 1), key=abs):
         i0, i1 = max(0, -offset), min(n, n - offset)
         bits = weights[i0 + offset : i1 + offset].reshape((-1,) + (1,) * (len(lead) + 1))
         if torus:
@@ -540,25 +555,31 @@ def _band_masks(
             else:
                 depth = _pair_depth(d, closed)
                 ok = _word_diagonal(center.word, others, depth, i0, i1, offset)
-            masks[d][i0:i1] |= ok * bits
-    return masks
+            if offset:
+                masks[d][i0:i1] |= ok * bits
+            else:
+                np.multiply(ok, bits, out=masks[d])
 
 
 def _fk_members(center: OrbitSegment, others: np.ndarray, cells, closed: bool = False):
-    """FK ball membership for (n, delta) cells with positive slack, block by block.
+    """FK ball membership for (n, delta) cells with positive slack, chunk by chunk.
 
-    Yields (lo, hits) per block of samples starting at sample lo, where
+    Yields (lo, hits) per chunk of samples starting at sample lo, where
     hits lists one bool array per cell in the order given, shaped like
-    the center's stack followed by the block's samples.  A block holds
-    BLOCK_PAIRS // C samples for a stack of C centers (at least one),
-    sliced along the samples' axis (`systems.take_samples`).  The center
-    orbit covers the longest n.  Per block each delta gets one packed
-    mask at the center's length and its widest band, all built from one
-    pass over the diagonals, and one match recurrence per delta runs to
-    its longest n, reading the size of each shorter n's leading n x n
-    block after row n - 1 (`_match_sizes`); each n tests it against the
-    target n - match_slack(n, delta).  Bits in a wider band cannot change
-    the test: a match of size at least n - b pairs no index with one more
+    the center's stack followed by the chunk's samples.  The center
+    orbit covers the longest n.  Each delta gets one packed mask plane
+    at the center's length and its widest band, allocated once per call
+    and reused by every chunk.  Masks are built in blocks of
+    BLOCK_PAIRS // C samples for a stack of C centers (at least one, so
+    an empty stack needs no case of its own), sliced along the samples'
+    axis (`systems.take_samples`), all deltas from one pass over the
+    diagonals (`_band_masks`), each block into its column slice of the
+    planes.  A chunk holds _CHUNK_PAIRS // BLOCK_PAIRS blocks, and one
+    match recurrence per delta runs over the whole chunk to its longest
+    n, reading the size of each shorter n's leading n x n block after
+    row n - 1 (`_match_sizes`); each n tests it against the target
+    n - match_slack(n, delta).  Bits in a wider band cannot change the
+    test: a match of size at least n - b pairs no index with one more
     than b steps away.
     """
     slacks = [match_slack(n, d) for n, d in cells]
@@ -566,16 +587,25 @@ def _fk_members(center: OrbitSegment, others: np.ndarray, cells, closed: bool = 
     for (_, d), b in zip(cells, slacks):
         widest[d] = min(max(widest.get(d, 0), b), center.n - 1)
     lengths = {d: sorted({n for n, e in cells if e == d}) for d in widest}
+    targets = {(n, d): n - b for (n, d), b in zip(cells, slacks)}
     on_words = center.on_words
-    rows = max(1, BLOCK_PAIRS // math.prod(center.stack_shape))
-    for lo in range(0, others.shape[sample_axis(on_words)], rows):
-        masks = _band_masks(center, take_samples(others, on_words, slice(lo, lo + rows)), widest, closed)
-        sizes = {
-            (n, d): size
+    total = others.shape[sample_axis(on_words)]
+    rows = max(1, BLOCK_PAIRS // max(1, math.prod(center.stack_shape)))
+    chunk = rows * (_CHUNK_PAIRS // BLOCK_PAIRS)
+    shape = (center.n,) + center.stack_shape + (min(chunk, total),)
+    planes = {d: np.empty(shape, dtype=_bit_weights(center.n).dtype) for d in widest}
+    for lo in range(0, total, chunk):
+        width = min(chunk, total - lo)
+        for b0 in range(0, width, rows):
+            b1 = min(b0 + rows, width)
+            block = take_samples(others, on_words, slice(lo + b0, lo + b1))
+            _band_masks(center, block, widest, closed, {d: p[..., b0:b1] for d, p in planes.items()})
+        hits = {
+            (n, d): size >= targets[n, d]
             for d, ns in lengths.items()
-            for n, size in zip(ns, _match_sizes(masks[d], [(n, n) for n in ns]))
+            for n, size in zip(ns, _match_sizes(planes[d][..., :width], [(n, n) for n in ns]))
         }
-        yield lo, [sizes[cell] >= cell[0] - b for cell, b in zip(cells, slacks)]
+        yield lo, [hits[cell] for cell in cells]
 
 
 def _check_stack(center: OrbitSegment, others: np.ndarray, steps: int) -> None:
@@ -714,6 +744,15 @@ def ball_batch(kind: str, center: OrbitSegment, others: np.ndarray, eps: float, 
     raise ValueError(f"unknown orbit metric: {kind!r}")
 
 
-def in_fk_ball(center: OrbitSegment, other: OrbitSegment, delta: float) -> bool:
-    """Single-pair FK ball test: defect(delta) < delta."""
-    return max_match_size(center, other, delta) >= match_target(center.n, delta)
+def in_fk_ball(center: OrbitSegment, other: OrbitSegment, delta: float, closed: bool = False) -> bool:
+    """Single-pair FK ball test: defect(delta) < delta.
+
+    With `closed`, matched pairs are allowed at distance exactly delta,
+    as in `fk_ball_batch`.
+    """
+    if closed:
+        _check_pair(center, other)
+        size = int(max_match_batch(pair_distance_matrix(center, other) <= delta)[0])
+    else:
+        size = max_match_size(center, other, delta)
+    return size >= match_target(center.n, delta)

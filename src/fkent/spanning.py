@@ -401,7 +401,7 @@ def column_covers(measure: EmpiricalMeasure, eps: float, cells, pair_budget: int
     eps or more.  FK cells go in groups of at
     most 8, one bit each; per center block one `matching._fk_members`
     call builds one mask per radius at the group's longest n and reads
-    every n from one recurrence.
+    every n from one recurrence per chunk of samples.
 
     One byte matrix and one bool cover are allocated and reused by every
     pass and cell, so the cover yielded is valid only until the next one

@@ -41,7 +41,6 @@ CALLERS = [
 # definitions kept although only unit tests call them: each is the
 # independent reference another definition is checked against
 REFERENCE_ORACLES = {
-    "in_fk_ball": "tests compare the batch FK ball kernel against this single-pair test",
     "mismatch_entropy_budget": "the FK-vs-Bowen comparison reports this bound beside each gap",
 }
 # parameters with a default kept although no caller sets them

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from fkent.systems import (
     expanding_system,
     orbit,
     orbit_batch,
+    sample_axis,
     sample_path,
     shift_system,
     take_samples,
@@ -590,9 +593,7 @@ def test_torus_kernels_on_step_major_stacks_equal_pairwise(monkeypatch, closed):
         if kind == BOWEN:
             dist = bowen_distance(a, b)
             return dist <= delta if closed else dist < delta
-        if not closed:
-            return in_fk_ball(a, b, delta)
-        return max_match_batch(pair_distance_matrix(a, b) <= delta)[0] >= match_target(n, delta)
+        return in_fk_ball(a, b, delta, closed=closed)
 
     stack = OrbitSegment(n, points=others[:, centers])
     default = matching.BLOCK_PAIRS
@@ -750,8 +751,18 @@ def test_fk_members_read_every_n_from_one_recurrence(monkeypatch, on_words, case
     # kernel on the center's n-step prefix alone, which runs a recurrence
     # of its own (with that prefix's own mask word), as every cell did
     # before.  One center and a stack of centers, open and closed balls,
-    # two or more slack bands, and blocks that split the samples.
+    # two or more slack bands, and chunks of two mask blocks each that
+    # split the samples, the last chunk and its last block partial.
     monkeypatch.setattr(matching, "BLOCK_PAIRS", 64)
+    monkeypatch.setattr(matching, "_CHUNK_PAIRS", 128)
+    band_masks = matching._band_masks
+    blocks = []
+
+    def counted(center, block, *args):
+        blocks.append(block.shape[sample_axis(on_words)])
+        return band_masks(center, block, *args)
+
+    monkeypatch.setattr(matching, "_band_masks", counted)
     seed, n_max, M, shuffles, flip, stacked, cells = case
     rng = np.random.default_rng(seed)
     far = 40
@@ -787,12 +798,20 @@ def test_fk_members_read_every_n_from_one_recurrence(monkeypatch, on_words, case
         center = segment(index, n_max)
         for closed in (False, True):
             got = [np.zeros(center.stack_shape + (M,), dtype=bool) for _ in cells]
-            blocks = 0
+            rows = 64 // math.prod(center.stack_shape)
+            chunks = []
+            blocks.clear()
             for lo, hits in matching._fk_members(center, others, cells, closed):
-                blocks += 1
+                chunks.append((hits[0].shape[-1], blocks[:]))
+                blocks.clear()
                 for out, hit in zip(got, hits):
                     out[..., lo : lo + hit.shape[-1]] = hit
-            assert blocks > 1
+            # the mask blocks of one chunk fill it; the last chunk and block are partial
+            assert len(chunks) >= 2 and max(len(widths) for _, widths in chunks) >= 2
+            assert all(width == sum(widths) for width, widths in chunks)
+            assert sum(width for width, _ in chunks) == M
+            assert chunks[-1][0] < chunks[0][0] == 2 * rows
+            assert chunks[-1][1][-1] < rows
             for (n, d), out in zip(cells, got):
                 want = fk_ball_batch(segment(index, n), others, d, closed=closed)
                 assert (out == want).all()
@@ -834,6 +853,57 @@ def test_max_match_batch_matches_reference_lcs():
         full[2, ::2, ::3] = False
         assert max_match_batch(full).tolist() == [reference_match(c) for c in full]
         assert max_match_batch(full).tolist()[0] == m
+
+
+@pytest.mark.parametrize("word", [np.uint8, np.uint16, np.uint32, np.uint64])
+def test_match_sizes_read_every_cut_with_no_row_mask(word):
+    # _match_sizes masks no DP row to its widest cut: the masks here carry
+    # set bits at and above the widest cut, and a widest cut that fills
+    # the word wraps the carry out of the top bit.  Every cut must equal the
+    # plain O(n * m) match DP on the unpacked leading rows x cols block.
+    rng = np.random.default_rng(np.iinfo(word).bits)
+    bits = np.iinfo(word).bits
+    shifts = np.arange(bits, dtype=word)
+    for widest in (bits // 2 + 1, bits - 1, bits):
+        n = widest + 2
+
+        def draw():
+            return rng.integers(0, np.iinfo(word).max, size=(n, 2), dtype=word, endpoint=True)
+
+        # sparse, even and dense batch entries, one of them all ones
+        pm = np.stack([draw() & draw(), draw(), draw() | draw()], axis=1)
+        pm[:, 2, 1] = np.iinfo(word).max
+        assert widest == bits or (pm >> word(widest)).any()
+        compat = (pm[..., None] >> shifts) & word(1) == 1
+        cuts = [(n, widest), (n - 3, widest), (widest // 2, widest - 2), (n, 3), (0, 5)]
+        sizes = matching._match_sizes(pm, cuts)
+        for (rows, cols), size in zip(cuts, sizes):
+            assert size.shape == pm.shape[1:]
+            want = [reference_match(c[:rows, :cols]) for c in np.moveaxis(compat, 0, -2).reshape(-1, n, bits)]
+            assert size.ravel().tolist() == want, (word, widest, rows, cols)
+
+
+def test_fk_ball_batch_on_empty_stacks():
+    # a stack of zero centers gives a (0, M) result, as the Bowen kernel's
+    # does, and zero samples an empty row per center, on either fiber
+    rng = np.random.default_rng(29)
+    n, delta = 6, 0.3
+    assert 0 < match_slack(n, delta) < n
+    circle = rng.random((n, 50))
+    words = rng.integers(0, 2, size=(50, n + 2)).astype(np.uint8)
+    for on_words, others in ((False, circle), (True, words)):
+        def segment(index):
+            stack = take_samples(others, on_words, index)
+            return OrbitSegment(n, word=stack) if on_words else OrbitSegment(n, points=stack)
+
+        none, empty = segment(slice(0, 0)), take_samples(others, on_words, slice(0, 0))
+        for closed in (False, True):
+            got = fk_ball_batch(none, others, delta, closed=closed)
+            assert got.shape == bowen_ball_batch(none, others, delta, closed=closed).shape == (0, 50)
+            for center in (segment(0), segment([1, 2])):
+                got = fk_ball_batch(center, empty, delta, closed=closed)
+                assert got.shape == bowen_ball_batch(center, empty, delta, closed=closed).shape
+                assert got.shape == center.stack_shape + (0,)
 
 
 def test_packed_masks_reject_more_than_64_steps():
