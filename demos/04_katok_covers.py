@@ -31,7 +31,7 @@ for n in (4, 6, 8):
     rough = 0.9 / (0.1 * 2.0 ** (2 - n))
     print(f"{n:<4d} {cell.count:<6d} {cell.covered_mass:.4f}    {rough:.0f}")
 
-cells = katok_table(mu, [4, 6, 8], [0.1], ("bowen",), pair_budget=10**8)["bowen"]
+cells = katok_table(mu, [4, 6, 8], [0.1], pair_budget=10**8)["bowen"]
 fit = table_slopes(cells)
 print(f"slope {fit.value:.4f} (rms {fit.residuals[0]:.3f}), expected {math.log(2):.4f}")
 

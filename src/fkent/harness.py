@@ -1,16 +1,17 @@
 """Experiment orchestration: config files, seeding, workers, reports.
 
 One ExperimentConfig drives every experiment.  Every experiment is a
-comparison: it runs one estimator under both orbit metrics on the same
-schedules and reports the FK minus Bowen gap.  Each config field is
-declared once, in ExperimentConfig, with its default, INI section, value
-parser and flag help; the INI keys, the CLI flags and their help all come
-from those declarations.  Configs load from INI files checked against
-them (unknown sections or keys are errors, so typos fail loudly) and
-command-line overrides are applied on top.  Reports are
-a JSON document plus one CSV per experiment; CSV comment lines (prefixed
-'#') carry the timestamp and version so the body stays byte-reproducible
-for a fixed config, including across worker counts.
+comparison: it runs one estimator, whose tables count every orbit metric
+in KINDS on the same schedules, and reports the FK minus Bowen gap.
+Each config field is declared once, in ExperimentConfig, with its
+default, INI section, value parser and flag help; the INI keys, the CLI
+flags and their help all come from those declarations.  Configs load
+from INI files checked against them (unknown sections or keys are
+errors, so typos fail loudly) and command-line overrides are applied on
+top.  Reports are a JSON document plus one CSV per experiment; CSV
+comment lines (prefixed '#') carry the timestamp and version so the body
+stays byte-reproducible for a fixed config, including across worker
+counts.
 
 Worker tasks recompute their own measure (which holds the samples'
 orbit stack) from seeds carried in the payload.  Top and katok runs have
@@ -24,6 +25,8 @@ contiguous group of base points (one group per worker), which builds the
 measure once.  That trades a little redundant work for results that
 cannot depend on scheduling: every task is a pure function of (config,
 seed, its paths or base points), and reduction happens in task order.
+Each runner returns the worker count it chose, which the report's meta
+records.
 """
 
 from __future__ import annotations
@@ -290,7 +293,7 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
 def _top_task(payload) -> dict:
     cfg, seed = payload
     table, fits = path_entropy(
-        cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, KINDS, cfg.candidate_target, cfg.candidate_budget
+        cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, cfg.candidate_target, cfg.candidate_budget
     )
     return {"seed": seed, "entries": list(table.entries), "fits": fits}
 
@@ -298,14 +301,12 @@ def _top_task(payload) -> dict:
 def _local_task(payload) -> list[dict]:
     cfg, path, points = payload
     measure = sample_measure(cfg.system(), path, cfg.M, path.seed)
-    return [{"x": np.asarray(x), "records": local_entropy(measure, x, cfg.n, cfg.delta, KINDS)} for x in points]
+    return [{"x": np.asarray(x), "records": local_entropy(measure, x, cfg.n, cfg.delta)} for x in points]
 
 
 def _katok_task(payload) -> dict:
     cfg, seed = payload
-    cells, fits = katok_path_entropy(
-        cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, cfg.M, KINDS, cfg.pair_budget
-    )
+    cells, fits = katok_path_entropy(cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, cfg.M, cfg.pair_budget)
     return {"seed": seed, "cells": cells, "fits": fits}
 
 
@@ -319,7 +320,7 @@ def _gap(estimates: dict, key: str) -> dict:
     return {key: gaps, "mean": float(np.mean(gaps)), "max_abs": float(np.max(np.abs(gaps)))}
 
 
-def _run_top(cfg: ExperimentConfig) -> tuple[dict, dict]:
+def _run_top(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
     seeds = [int(s) for s in path_seeds(cfg.seed, cfg.paths)]
     workers = _effective_workers(cfg, len(seeds))
     results = _ordered_map(_top_task, [(cfg, s) for s in seeds], workers)
@@ -353,10 +354,10 @@ def _run_top(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "header": ["omega_seed", "n", "eps", "metric", "estimator", "count", "window", "candidates"],
         "rows": rows,
     }
-    return report, csv_payload
+    return report, csv_payload, workers
 
 
-def _run_local(cfg: ExperimentConfig) -> tuple[dict, dict]:
+def _run_local(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
     system = cfg.system()
     path_seed = int(path_seeds(cfg.seed, 1)[0])
     path = sample_path(cfg.process(), katok_horizon(system, cfg.n, cfg.delta), path_seed)
@@ -402,10 +403,10 @@ def _run_local(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "header": ["omega_seed", "x", "n", "delta", "kind", "ball_count", "M", "estimate", "flagged"],
         "rows": rows,
     }
-    return report, csv_payload
+    return report, csv_payload, workers
 
 
-def _run_katok(cfg: ExperimentConfig) -> tuple[dict, dict]:
+def _run_katok(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
     seeds = [int(s) for s in path_seeds(cfg.seed, cfg.paths)]
     workers = _effective_workers(cfg, len(seeds))
     results = _ordered_map(_katok_task, [(cfg, s) for s in seeds], workers)
@@ -445,7 +446,7 @@ def _run_katok(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "header": ["omega_seed", "n", "eps", "mass_threshold", "kind", "count", "covered_mass"],
         "rows": rows,
     }
-    return report, csv_payload
+    return report, csv_payload, workers
 
 
 EXPERIMENTS = {"compare-top": _run_top, "compare-local": _run_local, "compare-katok": _run_katok}
@@ -457,7 +458,7 @@ def run_experiment(experiment: str, cfg: ExperimentConfig) -> dict:
         raise ValueError(f"unknown experiment {experiment!r}")
     cfg.validate()
     started = time.time()
-    results, csv_payload = EXPERIMENTS[experiment](cfg)
+    results, csv_payload, workers = EXPERIMENTS[experiment](cfg)
 
     os.makedirs(cfg.outdir, exist_ok=True)
     csv_path = os.path.join(cfg.outdir, csv_payload["name"])
@@ -472,9 +473,7 @@ def run_experiment(experiment: str, cfg: ExperimentConfig) -> dict:
             "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "elapsed_s": round(time.time() - started, 3),
             "config_digest": cfg.digest(),
-            "workers_used": _effective_workers(
-                cfg, cfg.base_points if experiment == "compare-local" else cfg.paths
-            ),
+            "workers_used": workers,
         },
         "files": {"csv": csv_path},
     }

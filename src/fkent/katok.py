@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import BOWEN, ball_kind, ball_steps, check_kinds, count_law_violations
+from .matching import BOWEN, KINDS, ball_kind, ball_steps, check_count_law, check_kinds
 from .spanning import (
     EntropyEstimate,
     column_covers,
@@ -55,6 +55,7 @@ from .spanning import (
     greedy_cover,
     katok_horizon,
     path_seeds,
+    sorted_schedule,
 )
 from .systems import (
     InvariantViolation,
@@ -155,14 +156,11 @@ def _column_counts(
     Above the fiber diameter every ball is the whole sample, one center
     covers it.  Word Bowen cells take the word-class route; every other
     cell is dense, and all of them come from one `column_covers` call,
-    each cover going to `greedy_cover`.
+    each cover going to `greedy_cover`.  The caller checks the
+    schedule (spanning.sorted_schedule).
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     if not 0.0 < mass_threshold < 1.0:
         raise ValueError("mass threshold must lie in (0, 1)")
-    if min(n for _, n in cells) < 1:
-        raise ValueError("n must be >= 1")
     system = measure.system
     measure.orbit_stack(max(ball_steps(system, n, eps) for _, n in cells))
     M = measure.M
@@ -202,6 +200,7 @@ def katok_spanning_count(
     instead and have no such cap.
     """
     check_kinds((kind,))
+    [n], [eps] = sorted_schedule([n], [eps])
     cell = (ball_kind(kind, n, eps), n)
     return _column_counts(measure, eps, [cell], mass_threshold, pair_budget)[cell]
 
@@ -210,41 +209,29 @@ def katok_table(
     measure: EmpiricalMeasure,
     n_window,
     eps_list,
-    kinds,
     pair_budget: int = PAIR_BUDGET,
 ) -> dict[str, dict[tuple[float, int], KatokCount]]:
-    """All (eps, n) cover counts of each kind for one measure along its path, validated.
+    """All (eps, n) cover counts of every kind in KINDS for one measure along its path, validated.
 
-    kinds is a tuple of orbit metrics; the result maps each to its table,
-    checked in the order given against the count law of cover counts
-    (matching.count_law_violations), every cell at window 1.0; a breach
-    raises InvariantViolation.  Each cell is covered once per kernel
-    (matching.ball_kind): a kind whose ball runs the same kernel as
-    another shares that cover.  Every eps column is covered in one go,
-    at mass threshold 1 - eps: its dense cells come from one
+    The result maps each kind to its table, checked in KINDS order against
+    the count law of cover counts (matching.count_law_violations), every
+    cell at window 1.0; a breach raises InvariantViolation.  Each cell is
+    covered once per kernel (matching.ball_kind), so a zero-slack FK cell
+    shares the Bowen cover.  Every eps column is covered in one go, at
+    mass threshold 1 - eps: its dense cells come from one
     `spanning.column_covers` call.  Every cell reads the measure's own
     orbit stack, built once by sample_measure.
     """
-    n_window = sorted(set(int(n) for n in n_window))
-    eps_list = sorted(set(float(e) for e in eps_list))
-    if not n_window or not eps_list:
-        raise ValueError("n and eps schedules must be nonempty")
-    check_kinds(kinds)
+    n_window, eps_list = sorted_schedule(n_window, eps_list)
     columns = {}
     for eps in eps_list:
-        cells = list(dict.fromkeys((ball_kind(kind, n, eps), n) for kind in kinds for n in n_window))
+        cells = list(dict.fromkeys((ball_kind(kind, n, eps), n) for kind in KINDS for n in n_window))
         columns[eps] = _column_counts(measure, eps, cells, 1.0 - eps, pair_budget)
     tables: dict[str, dict[tuple[float, int], KatokCount]] = {}
-    for kind in kinds:
+    for kind in KINDS:
         cells = {(eps, n): columns[eps][(ball_kind(kind, n, eps), n)] for eps in eps_list for n in n_window}
         counts = {(n, eps): (cell.count, 1.0) for (eps, n), cell in cells.items()}
-        bad = count_law_violations(counts, kind, balls=False)
-        if bad:
-            a, b = bad[0]
-            raise InvariantViolation(
-                f"{kind} cover count {counts[a][0]} at (n, eps) = {a} and {counts[b][0]} at {b} "
-                f"break the count law"
-            )
+        check_count_law(counts, kind, balls=False, noun="cover count")
         tables[kind] = cells
     return tables
 
@@ -261,19 +248,19 @@ def katok_path_entropy(
     n_window,
     eps_list,
     M: int,
-    kinds,
     pair_budget: int,
 ) -> tuple[dict[str, dict[tuple[float, int], KatokCount]], dict[str, EntropyEstimate]]:
-    """One driving path's cover tables and each kind's entropy estimate.
+    """One driving path's cover tables and the entropy estimate of each kind in KINDS.
 
     The path is drawn from `seed` at the schedules' horizon and the
-    measure from the same seed; katok_table covers it once for all kinds,
-    at mass threshold 1 - eps, and table_slopes fits each kind's table.
+    measure from the same seed; katok_table covers it once for every
+    kind, at mass threshold 1 - eps, and table_slopes fits each kind's
+    table.
     """
     path = sample_path(process, katok_horizon(system, n_window, eps_list), seed)
     measure = sample_measure(system, path, M, seed)
-    cells = katok_table(measure, n_window, eps_list, kinds, pair_budget=pair_budget)
-    return cells, {kind: table_slopes(cells[kind]) for kind in kinds}
+    cells = katok_table(measure, n_window, eps_list, pair_budget=pair_budget)
+    return cells, {kind: table_slopes(cells[kind]) for kind in KINDS}
 
 
 def katok_entropy(
@@ -291,7 +278,8 @@ def katok_entropy(
     1 - eps; the value is the slope at the smallest eps.  The path and
     its measure come from the first of path_seeds(master_seed), so this
     is path 0 of a compare-katok run; averaging over paths is the
-    harness's job.
+    harness's job.  An unknown kind raises ValueError before any work.
     """
+    check_kinds((kind,))
     seed = path_seeds(master_seed, 1)[0]
-    return katok_path_entropy(system, process, seed, n_window, eps_list, M, (kind,), PAIR_BUDGET)[1][kind]
+    return katok_path_entropy(system, process, seed, n_window, eps_list, M, PAIR_BUDGET)[1][kind]

@@ -52,17 +52,18 @@ import numpy as np
 from .matching import (
     BOWEN,
     FK,
+    KINDS,
     _check_base_word,
     _fk_members,
     ball_batch,
     ball_kind,
     ball_steps,
+    check_count_law,
     check_kinds,
-    count_law_violations,
     inclusion_violations,
     slack_band,
 )
-from .spanning import fit_log_slope
+from .spanning import fit_log_slope, sorted_schedule
 from .systems import (
     EmpiricalMeasure,
     InvariantViolation,
@@ -262,24 +263,18 @@ class LocalEntropyRecord:
             if not e.flagged and e.estimate < -1e-12:
                 raise InvariantViolation("negative local entropy entry")
         counts = {(e.n, e.delta): (e.count, 1.0) for e in self.entries}
-        bad = count_law_violations(counts, self.kind, balls=True)
-        if bad:
-            a, b = bad[0]
-            raise InvariantViolation(
-                f"{self.kind} ball count {counts[a][0]} at (n, delta) = {a} and {counts[b][0]} at {b} "
-                f"break the count law"
-            )
+        check_count_law(counts, self.kind, balls=True, noun="ball count")
 
 
 def _ball_count_table(
     measure: EmpiricalMeasure,
     center: OrbitSegment,
-    n_list,
-    delta_list,
-    kinds,
+    n_list: list[int],
+    delta_list: list[float],
 ) -> dict[str, dict[tuple[int, float], int]]:
-    """Ball counts of every kind for the whole (n, delta) schedule in one sample pass.
+    """Ball counts of every kind in KINDS for the whole (n, delta) schedule in one sample pass.
 
+    n_list and delta_list come sorted, from spanning.sorted_schedule.
     Torus Bowen counts for every n fall out of one forward pass over the
     sample orbits that keeps each row's worst gap so far and drops a row
     as soon as that gap reaches the largest delta, since it can enter no
@@ -295,12 +290,10 @@ def _ball_count_table(
     reads each cell's count from its kernel's table, so zero-slack FK
     cells take the Bowen counts.
     """
-    n_list = sorted(n_list)
-    delta_list = sorted(delta_list)
     n_max = n_list[-1]
     cells = [(n, d) for n in n_list for d in delta_list]
     bowen = dict.fromkeys(cells, 0)
-    slack_cells = [(n, d) for n, d in cells if ball_kind(FK, n, d) == FK] if FK in kinds else []
+    slack_cells = [(n, d) for n, d in cells if ball_kind(FK, n, d) == FK]
     fk = dict.fromkeys(slack_cells, 0)
 
     steps = max(ball_steps(measure.system, n_max, d) for d in delta_list)
@@ -331,7 +324,7 @@ def _ball_count_table(
             for cell, hit in zip(slack_cells, hits):
                 fk[cell] += int(hit.sum())
     counts = {BOWEN: bowen, FK: fk}
-    return {kind: {c: counts[ball_kind(kind, *c)][c] for c in cells} for kind in kinds}
+    return {kind: {c: counts[ball_kind(kind, *c)][c] for c in cells} for kind in KINDS}
 
 
 def _local_record(
@@ -378,35 +371,25 @@ def local_entropy(
     x,
     n_list,
     delta_list,
-    kinds,
 ) -> dict[str, LocalEntropyRecord]:
-    """Fill the (n, delta) local entropy table of each kind for one base point.
+    """Fill the (n, delta) local entropy table of every kind in KINDS for one base point.
 
-    kinds is a tuple of orbit metrics; the result maps each to its record.
-    One sample pass counts every kind (see _ball_count_table).  Each kind
-    is then preflighted in the order given: a count below 10 at the
-    largest n and largest delta means M is too small for the schedule and
-    raises.  Zero counts inside the table are flagged entries, not errors.
+    The result maps each kind to its record.  One sample pass counts
+    every kind (see _ball_count_table).  Each kind is then preflighted in
+    KINDS order: a count below 10 at the largest n and largest delta
+    means M is too small for the schedule and raises.  Zero counts inside
+    the table are flagged entries, not errors.
 
     The base point's orbit runs along the measure's own system and path,
     and the counts read the measure's orbit stack, so a stack shorter
     than the largest n raises ValueError.  Entries take M from the
-    measure.  The Bowen ball lies inside the FK ball, so with both kinds
-    an FK count below the Bowen count in any cell raises
-    InvariantViolation (matching.inclusion_violations).
+    measure.  The Bowen ball lies inside the FK ball, so an FK count
+    below the Bowen count in any cell raises InvariantViolation
+    (matching.inclusion_violations).
     """
-    n_list = sorted(set(int(n) for n in n_list))
-    delta_list = sorted(set(float(d) for d in delta_list))
-    if not n_list or not delta_list:
-        raise ValueError("n and delta schedules must be nonempty")
-    if n_list[0] < 1:
-        raise ValueError("n schedule must be positive")
-    if delta_list[0] <= 0.0:
-        raise ValueError("delta schedule must be positive")
-    check_kinds(kinds)
-
+    n_list, delta_list = sorted_schedule(n_list, delta_list)
     center = orbit(measure.system, measure.omega, x, n_list[-1])
-    tables = _ball_count_table(measure, center, n_list, delta_list, kinds)
+    tables = _ball_count_table(measure, center, n_list, delta_list)
     bad = inclusion_violations(tables, balls=True)
     if bad:
         small, large, cell = bad[0]
@@ -414,7 +397,7 @@ def local_entropy(
             f"{large} ball count {tables[large][cell]} fell below the {small} ball count "
             f"{tables[small][cell]} at (n, delta) = {cell}"
         )
-    return {kind: _local_record(kind, tables[kind], n_list, delta_list, measure.M) for kind in kinds}
+    return {kind: _local_record(kind, tables[kind], n_list, delta_list, measure.M) for kind in KINDS}
 
 
 def smb_estimate(

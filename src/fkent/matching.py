@@ -80,6 +80,7 @@ import math
 import numpy as np
 
 from .systems import (
+    InvariantViolation,
     OrbitSegment,
     RandomSystemSpec,
     circle_diff,
@@ -112,6 +113,7 @@ __all__ = [
     "slack_band",
     "inclusion_violations",
     "count_law_violations",
+    "check_count_law",
     "ball_steps",
     "in_fk_ball",
     "ball_batch",
@@ -389,6 +391,22 @@ def count_law_violations(cells: dict, kind: str, balls: bool) -> list[tuple[tupl
             if slack_band(kind, a[0], r) == slack_band(kind, b[0], r) and breach(b, a)
         ]
     return bad
+
+
+def check_count_law(cells: dict, kind: str, balls: bool, noun: str) -> None:
+    """Raise InvariantViolation at the first breach of count_law_violations.
+
+    noun names the counts in the message ("count", "cover count" or
+    "ball count").  The message calls the radius delta for ball counts
+    and eps for separated and cover counts, as their tables do.
+    """
+    bad = count_law_violations(cells, kind, balls)
+    if bad:
+        a, b = bad[0]
+        radius = "delta" if balls else "eps"
+        raise InvariantViolation(
+            f"{kind} {noun} {cells[a][0]} at (n, {radius}) = {a} and {cells[b][0]} at {b} break the count law"
+        )
 
 
 def _bisect_fk(dist: np.ndarray, diameter: float, tol: float) -> tuple[float, float, float]:

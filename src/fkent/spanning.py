@@ -74,8 +74,8 @@ from .matching import (
     ball_batch,
     ball_kind,
     ball_steps,
+    check_count_law,
     check_kinds,
-    count_law_violations,
     inclusion_violations,
 )
 
@@ -533,13 +533,7 @@ class CountTable:
         metrics = self.axis("metric")
         for metric in metrics:
             cells = {(e.n, e.eps): (e.count, e.window) for e in self.entries if e.metric == metric}
-            bad = count_law_violations(cells, metric, balls=False)
-            if bad:
-                a, b = bad[0]
-                raise InvariantViolation(
-                    f"{metric} count {cells[a][0]} at (n, eps) = {a} and {cells[b][0]} at {b} "
-                    f"break the count law"
-                )
+            check_count_law(cells, metric, balls=False, noun="count")
         # larger balls separate fewer candidates, compared within one window
         counts = {
             metric: {(e.n, e.eps, e.window): e.count for e in self.entries if e.metric == metric}
@@ -624,15 +618,34 @@ def entropy_from_counts(table: CountTable, metric: str = BOWEN) -> EntropyEstima
     )
 
 
+def sorted_schedule(n_list, radii) -> tuple[list[int], list[float]]:
+    """The n and radius schedules sorted and deduplicated, checked.
+
+    Both must be nonempty, every n at least 1 and every radius positive;
+    otherwise ValueError.  Every table builder, and a single katok count,
+    reads its schedule through this.
+    """
+    n_list = sorted(set(int(n) for n in n_list))
+    radii = sorted(set(float(r) for r in radii))
+    if not n_list or not radii:
+        raise ValueError("n and radius schedules must be nonempty")
+    if n_list[0] < 1:
+        raise ValueError(f"n must be >= 1, got {n_list[0]}")
+    if radii[0] <= 0.0:
+        raise ValueError(f"radius must be positive, got {radii[0]}")
+    return n_list, radii
+
+
 def katok_horizon(system: RandomSystemSpec, n_window, eps_list) -> int:
     """Path length covering every (n, eps) cell of the schedules.
 
     The path runs as many steps as the largest-n ball of the smallest
     radius reads (matching.ball_steps).  Every per-path routine sizes its
-    path with this rule.
+    path with this rule, so it checks the schedules (sorted_schedule)
+    before any path is drawn.
     """
-    n_max = max(int(n) for n in n_window)
-    return max(ball_steps(system, n_max, float(e)) for e in eps_list)
+    n_window, eps_list = sorted_schedule(n_window, eps_list)
+    return max(ball_steps(system, n_window[-1], e) for e in eps_list)
 
 
 def count_table(
@@ -640,31 +653,23 @@ def count_table(
     path: OmegaPath,
     n_list,
     eps_list,
-    metrics=KINDS,
     count_target: int = CANDIDATE_TARGET,
     budget: int = CANDIDATE_BUDGET,
 ) -> CountTable:
-    """Greedy separated counts for every (n, eps, metric) cell, validated.
+    """Greedy separated counts for every (n, eps) cell of every metric in KINDS, validated.
 
     Each cell builds its own windowed grid or word enumeration; within a
-    cell all metrics see identical candidates, which is what makes the
+    cell every metric sees identical candidates, which is what makes the
     cross-metric inequalities exact.  Metrics whose balls run the same
-    kernel (matching.ball_kind) share one scan per cell.
+    kernel (matching.ball_kind) share one scan per cell, so a zero-slack
+    FK cell takes the Bowen count.
     """
-    n_list = sorted(set(int(n) for n in n_list))
-    eps_list = sorted(set(float(e) for e in eps_list))
-    if not n_list or not eps_list:
-        raise ValueError("empty schedule")
-    if n_list[0] < 1:
-        raise ValueError("n must be >= 1")
-    if eps_list[0] <= 0.0:
-        raise ValueError("eps must be positive")
+    n_list, eps_list = sorted_schedule(n_list, eps_list)
     # a torus cell reads n orbit points, n - 1 steps of the path; a word
     # cell reads ball_steps symbols, each prescribed by one path step
     steps = katok_horizon(system, n_list, eps_list) - (0 if system.on_words else 1)
     if path.horizon < steps:
         raise ValueError(f"path horizon {path.horizon} < {steps}, the path steps the largest cell reads")
-    check_kinds(metrics)
     entries: list[CountEntry] = []
     for n in n_list:
         for eps in eps_list:
@@ -673,7 +678,7 @@ def count_table(
             else:
                 cell, window = torus_grid_candidates(system, path, n, eps, count_target=count_target, budget=budget)
             counts: dict[str, int] = {}
-            for metric in metrics:
+            for metric in KINDS:
                 kernel = ball_kind(metric, n, eps)
                 if kernel not in counts:
                     counts[kernel] = greedy_separated(cell, n, kernel, eps)[0]
@@ -689,18 +694,17 @@ def path_entropy(
     seed: int,
     n_list,
     eps_list,
-    metrics,
     count_target: int,
     budget: int,
 ) -> tuple[CountTable, dict[str, EntropyEstimate]]:
-    """One driving path's count table and its entropy estimate per metric.
+    """One driving path's count table and the entropy estimate of each metric in KINDS.
 
     The path is drawn from `seed` at the schedules' horizon; each metric's
     estimate is entropy_from_counts on the shared table.
     """
     path = sample_path(process, katok_horizon(system, n_list, eps_list), seed)
-    table = count_table(system, path, n_list, eps_list, metrics, count_target, budget)
-    return table, {metric: entropy_from_counts(table, metric) for metric in metrics}
+    table = count_table(system, path, n_list, eps_list, count_target, budget)
+    return table, {metric: entropy_from_counts(table, metric) for metric in KINDS}
 
 
 _PATH_STREAM = 11  # fixed stream tag separating path seeds from other draws

@@ -273,7 +273,7 @@ def test_library_averagers_match_harness(tmp_path):
         system, process = cfg.system(), cfg.process()
         katok = run_experiment("compare-katok", cfg)["results"]["estimates"]
         fits = [
-            katok_path_entropy(system, process, seed, cfg.n, cfg.eps, cfg.M, KINDS, cfg.pair_budget)[1]
+            katok_path_entropy(system, process, seed, cfg.n, cfg.eps, cfg.M, cfg.pair_budget)[1]
             for seed in path_seeds(cfg.seed, cfg.paths)
         ]
         for metric in KINDS:

@@ -14,7 +14,7 @@ from fkent.katok import (
     table_slopes,
 )
 from fkent.local import sample_measure
-from fkent.matching import BOWEN, FK, bowen_ball_batch, count_law_violations, match_slack, match_target
+from fkent.matching import BOWEN, FK, KINDS, bowen_ball_batch, count_law_violations, match_slack, match_target
 from fkent.systems import (
     EmpiricalMeasure,
     InvariantViolation,
@@ -155,10 +155,11 @@ def test_fk_band_zero_equals_bowen_counts():
         assert b.count == f.count
 
 
-def test_katok_table_both_kinds_equals_single_kind_tables():
+def test_katok_table_both_kinds_equal_single_kind_counts():
     # one table call serves both kinds: a zero-slack FK cell is the Bowen
-    # cell, on the word-class path and on the dense path
-    # alike, while cells with slack still get their own FK covers
+    # cell, on the word-class path and on the dense path alike, while
+    # cells with slack still get their own FK covers; every cell of each
+    # kind equals that kind's one-cell count
     words = shift_system((2, 2))
     words_path = sample_path(bernoulli_process((0.5, 0.5)), 6, 4)
     words_mu = sample_measure(words, words_path, 400, 4)
@@ -169,16 +170,16 @@ def test_katok_table_both_kinds_equals_single_kind_tables():
     ]
     for system, path, mu, n_window, eps_list, bands in cases:
         assert [[match_slack(n, e) for n in n_window] for e in eps_list] == bands
-        both = katok_table(mu, n_window, eps_list, (BOWEN, FK))
-        assert list(both) == [BOWEN, FK]
-        for kind in (BOWEN, FK):
-            single = katok_table(mu, n_window, eps_list, (kind,))[kind]
-            assert both[kind].keys() == single.keys()
-            for key, cell in single.items():
-                shared = both[kind][key]
+        both = katok_table(mu, n_window, eps_list)
+        for kind in KINDS:
+            assert list(both[kind]) == [(e, n) for e in eps_list for n in n_window]
+            for (eps, n), shared in both[kind].items():
+                cell = katok_spanning_count(mu, n, eps, 1.0 - eps, kind)
                 assert shared.count == cell.count
                 assert shared.covered_mass == cell.covered_mass
                 assert np.array_equal(shared.centers, cell.centers)
+        zero_slack = [(e, n) for e in eps_list for n in n_window if match_slack(n, e) == 0]
+        assert all(both[FK][key] is both[BOWEN][key] for key in zero_slack)
         slack_cells = [(e, n) for e in eps_list for n in n_window if match_slack(n, e) > 0]
         assert any(both[FK][key].count != both[BOWEN][key].count for key in slack_cells)
 
@@ -211,8 +212,8 @@ def _column_cases():
 
 @pytest.mark.parametrize("mu, n_window, eps_list", _column_cases())
 def test_katok_table_column_equals_one_cell_at_a_time(mu, n_window, eps_list):
-    tables = katok_table(mu, n_window, eps_list, (BOWEN, FK))
-    for kind in (BOWEN, FK):
+    tables = katok_table(mu, n_window, eps_list)
+    for kind in KINDS:
         for eps in eps_list:
             for n in n_window:
                 cell = katok_spanning_count(mu, n, eps, 1.0 - eps, kind)
@@ -227,11 +228,11 @@ def test_pair_budget_gates_dense_table_columns():
     # and a column with no dense cell (word balls at zero slack) needs none
     _, _, mu = doubling_measure(M=200)
     with pytest.raises(ResourceCapExceeded, match="cover matrix needs 40000 pairs, budget 100"):
-        katok_table(mu, [4, 6], [0.1], (BOWEN,), pair_budget=100)
+        katok_table(mu, [4, 6], [0.1], pair_budget=100)
     words = sample_measure(shift_system((2, 2)), sample_path(bernoulli_process((0.5, 0.5)), 10, 3), 200, 3)
-    assert len(katok_table(words, [4, 5], [0.05], (BOWEN, FK), pair_budget=1)[FK]) == 2
+    assert len(katok_table(words, [4, 5], [0.05], pair_budget=1)[FK]) == 2
     with pytest.raises(ResourceCapExceeded, match="cover matrix needs 40000 pairs, budget 100"):
-        katok_table(words, [4, 5], [0.3], (FK,), pair_budget=100)
+        katok_table(words, [4, 5], [0.3], pair_budget=100)
 
 
 def _cell_word_cover(words, span, need):
@@ -306,7 +307,7 @@ def test_katok_table_packs_word_measure_once(monkeypatch):
         return lexsort(keys)
 
     monkeypatch.setattr(np, "lexsort", counting_lexsort)
-    tables = katok_table(mu, n_window, eps_list, (BOWEN, FK))
+    tables = katok_table(mu, n_window, eps_list)
     assert len(tables[BOWEN]) == 5
     assert calls == [mu.orbits.shape[::-1]]
 
@@ -330,7 +331,7 @@ def test_katok_table_and_entropy_doubling():
 
 def test_table_slopes_order():
     system, path, mu = doubling_measure()
-    cells = katok_table(mu, [4, 6, 8], [0.2, 0.1], (BOWEN,))[BOWEN]
+    cells = katok_table(mu, [4, 6, 8], [0.2, 0.1])[BOWEN]
     fit = table_slopes(cells)
     assert len(fit.slopes) == len(fit.residuals) == 2
     assert fit.value == fit.slopes[0]
@@ -341,7 +342,7 @@ def test_table_slopes_order():
 
 def test_validate_accepts_real_table_and_rejects_doctored(monkeypatch):
     system, path, mu = doubling_measure()
-    cells = katok_table(mu, [4, 6], [0.2, 0.1], (BOWEN,))[BOWEN]
+    cells = katok_table(mu, [4, 6], [0.2, 0.1])[BOWEN]
     counts = {(n, eps): (cell.count, 1.0) for (eps, n), cell in cells.items()}
     assert count_law_violations(counts, BOWEN, balls=False) == []
 
@@ -355,7 +356,7 @@ def test_validate_accepts_real_table_and_rejects_doctored(monkeypatch):
 
     monkeypatch.setattr(katok, "_column_counts", doctored)
     with pytest.raises(InvariantViolation, match=r"bowen cover count \d+ at \(n, eps\) = \(4, 0.1\) and 1 at \(6, 0.1\)"):
-        katok_table(mu, [4, 6], [0.2, 0.1], (BOWEN,))
+        katok_table(mu, [4, 6], [0.2, 0.1])
 
     # counts must not fall as n grows (beyond greedy jitter of one)
     bad_n = {(4, 0.1): (40, 1.0), (6, 0.1): (10, 1.0)}
@@ -388,7 +389,7 @@ def test_katok_entropy_validation():
     proc = bernoulli_process((1.0,))
     with pytest.raises(ValueError):
         katok_entropy(system, proc, [4], [0.1], 100, BOWEN)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="schedules must be nonempty"):
         katok_entropy(system, proc, [4, 6], [], 100, BOWEN)
     _, _, mu = doubling_measure(M=100)
     with pytest.raises(ValueError):

@@ -134,7 +134,7 @@ def test_measure_consumers_reject_wrong_kind_path_or_length():
     short = sample_path(bernoulli_process((1.0,)), 3, 1)
     mu_short = sample_measure(doubling, short, 20_000, 1)
     with pytest.raises(ValueError, match="steps"):
-        local_entropy(mu_short, 0.01, [2, 3, 4], [0.1, 0.2], (BOWEN,))
+        local_entropy(mu_short, 0.01, [2, 3, 4], [0.1, 0.2])
 
 
 def test_local_tests_reject_base_words_shorter_than_the_ball_reads():
@@ -146,12 +146,12 @@ def test_local_tests_reject_base_words_shorter_than_the_ball_reads():
     path = sample_path(bernoulli_process((1.0,)), 10, 3)
     mu = sample_measure(system, path, 20_000, 3)
     word = mu.samples[0]
-    full = local_entropy(mu, word, [4, 6, 8], [0.2], (BOWEN, FK))
+    full = local_entropy(mu, word, [4, 6, 8], [0.2])
     assert [e.count for e in full[BOWEN].entries] == [330, 83, 25]
     assert ball_measure(mu, orbit(system, path, word, 8), 8, 0.2, BOWEN) == 25 / 20_000
     short = word[:8]
     with pytest.raises(ValueError, match="base word holds 8 symbols, the balls read 10"):
-        local_entropy(mu, short, [4, 6, 8], [0.2], (BOWEN, FK))
+        local_entropy(mu, short, [4, 6, 8], [0.2])
     for kind in (BOWEN, FK):
         with pytest.raises(ValueError, match="base word holds 8 symbols, the balls read 10"):
             ball_measure(mu, orbit(system, path, short, 8), 8, 0.2, kind)
@@ -231,8 +231,7 @@ def test_ball_count_table_matches_ball_measure():
     n_list, delta_list = [3, 5, 8], [0.125, 0.25]
     assert {match_slack(n, d) for n in n_list for d in delta_list} == {0, 1}
     tables = {}
-    for kind in (BOWEN, FK):
-        rec = local_entropy(mu, 5 / 64, n_list, delta_list, (kind,))[kind]
+    for kind, rec in local_entropy(mu, 5 / 64, n_list, delta_list).items():
         for e in rec.entries:
             mass = ball_measure(mu, center.prefix(e.n), e.n, e.delta, kind)
             assert e.count == round(mass * M)
@@ -268,8 +267,7 @@ def test_shared_local_pass_matches_ball_measure(monkeypatch):
     n_list, delta_list = [3, 5, 7, 9, 10], [0.125, 0.25]
     assert [match_slack(n, 0.25) for n in n_list] == [0, 1, 1, 2, 2]
     assert [match_slack(n, 0.125) for n in n_list] == [0, 0, 0, 1, 1]
-    records = local_entropy(mu, 5 / 64, n_list, delta_list, (BOWEN, FK))
-    assert list(records) == [BOWEN, FK]
+    records = local_entropy(mu, 5 / 64, n_list, delta_list)
     tables = {}
     for kind, rec in records.items():
         assert rec.kind == kind
@@ -398,15 +396,15 @@ def test_local_entropy_rejects_fk_count_below_bowen(monkeypatch):
         tables[FK][(6, 0.2)] = tables[BOWEN][(6, 0.2)] - 1
         return tables
 
-    assert local_entropy(mu, 0.3, [4, 6, 8], [0.2, 0.1], (BOWEN, FK))
+    assert local_entropy(mu, 0.3, [4, 6, 8], [0.2, 0.1])
     monkeypatch.setattr(local, "_ball_count_table", doctored)
     with pytest.raises(InvariantViolation, match=r"fk ball count \d+ fell below the bowen ball count"):
-        local_entropy(mu, 0.3, [4, 6, 8], [0.2, 0.1], (BOWEN, FK))
+        local_entropy(mu, 0.3, [4, 6, 8], [0.2, 0.1])
 
 
 def test_local_entropy_record_shape_and_value():
     system, path, mu = doubling_setup(M=150_000)
-    rec = local_entropy(mu, 0.3, [4, 6, 8, 10], [0.2, 0.1], (BOWEN,))[BOWEN]
+    rec = local_entropy(mu, 0.3, [4, 6, 8, 10], [0.2, 0.1])[BOWEN]
     assert rec.kind == BOWEN
     assert {(e.n, e.delta) for e in rec.entries} == {(n, d) for n in (4, 6, 8, 10) for d in (0.1, 0.2)}
     assert rec.delta_used in (0.1, 0.2)
@@ -420,8 +418,8 @@ def test_local_entropy_record_shape_and_value():
 
 def test_local_entropy_fk_close_to_bowen_with_band_fit():
     system, path, mu = doubling_setup(M=200_000)
-    bowen = local_entropy(mu, 0.3, [4, 6, 8, 10, 12], [0.1], (BOWEN,))[BOWEN]
-    fk = local_entropy(mu, 0.3, [4, 6, 8, 10, 12], [0.1], (FK,))[FK]
+    records = local_entropy(mu, 0.3, [4, 6, 8, 10, 12], [0.1])
+    bowen, fk = records[BOWEN], records[FK]
     # slack bands 0 and 1 both appear in this window
     bands = {n - match_target(n, 0.1) for n in (4, 6, 8, 10, 12)}
     assert bands == {0, 1}
@@ -464,7 +462,7 @@ def test_local_record_rejects_fk_count_rising_in_band():
 def test_local_entropy_preflight_rejects_small_budget():
     system, path, _ = doubling_setup(M=50)
     with pytest.raises(ValueError, match="raise M"):
-        local_entropy(sample_measure(system, path, 50, 0), 0.3, [4, 6], [0.1], (BOWEN,))
+        local_entropy(sample_measure(system, path, 50, 0), 0.3, [4, 6], [0.1])
 
 
 def test_stratified_slope_removes_band_offsets():
@@ -498,5 +496,5 @@ def test_tent_local_entropy_near_log2():
     system = tent_system((2,))
     path = sample_path(bernoulli_process((1.0,)), 10, 5)
     mu = sample_measure(system, path, 150_000, 5)
-    rec = local_entropy(mu, 0.37, [4, 6, 8, 10], [0.1], (BOWEN,))[BOWEN]
+    rec = local_entropy(mu, 0.37, [4, 6, 8, 10], [0.1])[BOWEN]
     assert rec.value == pytest.approx(math.log(2.0), abs=0.12)

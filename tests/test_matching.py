@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fkent import matching
-from fkent.katok import katok_spanning_count, katok_table
+from fkent import katok, matching, spanning
+from fkent.katok import katok_entropy, katok_spanning_count, katok_table
 from fkent.local import ball_measure, local_entropy, sample_measure
 from fkent.matching import (
     BOWEN,
     FK,
+    KINDS,
     ball_batch,
     ball_steps,
     bowen_ball_batch,
@@ -393,28 +394,26 @@ def test_every_ball_contains_its_center():
 
 
 def test_zero_slack_fk_tables_never_run_the_fk_kernel(monkeypatch):
-    # a zero-slack FK ball is the Bowen ball (ball_kind), so FK-only
-    # tables and masses take the Bowen kernel's answers without calling
-    # the FK kernel at all
+    # a zero-slack FK ball is the Bowen ball (ball_kind), so the FK cells
+    # of a full table, and FK masses, take the Bowen kernel's answers
+    # without calling the FK kernel at all
     system = expanding_system((2,))
     path = sample_path(bernoulli_process((1.0,)), 10, 2)
     mu = sample_measure(system, path, 300, 2)
     center = orbit(system, path, 0.3, 8)
     ns, eps = [4, 6, 8], 0.1
     assert all(match_slack(n, eps) == 0 for n in ns)
-    bowen_counts = count_table(system, path, ns, [eps], metrics=(BOWEN,), count_target=200)
-    bowen_covers = katok_table(mu, ns, [eps], (BOWEN,))[BOWEN]
     bowen_mass = ball_measure(mu, center, 8, eps, BOWEN)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("fk_ball_batch ran on a zero-slack cell")
+        raise AssertionError("the FK kernel ran on a zero-slack cell")
 
     monkeypatch.setattr(matching, "fk_ball_batch", refuse)
-    fk_counts = count_table(system, path, ns, [eps], metrics=(FK,), count_target=200)
-    assert [e.count for e in fk_counts.entries] == [e.count for e in bowen_counts.entries]
-    assert {e.metric for e in fk_counts.entries} == {FK}
-    fk_covers = katok_table(mu, ns, [eps], (FK,))[FK]
-    assert {k: c.count for k, c in fk_covers.items()} == {k: c.count for k, c in bowen_covers.items()}
+    monkeypatch.setattr(spanning, "_fk_members", refuse)
+    counts = count_table(system, path, ns, [eps], count_target=200)
+    assert [counts.lookup(n, eps, FK).count for n in ns] == [counts.lookup(n, eps, BOWEN).count for n in ns]
+    covers = katok_table(mu, ns, [eps])
+    assert all(covers[FK][key] is cell for key, cell in covers[BOWEN].items())
     assert ball_measure(mu, center, 8, eps, FK) == bowen_mass
 
 
@@ -933,23 +932,36 @@ _CENTER = orbit(_SYSTEM, _PATH, 0.3, 2)
     "call",
     [
         lambda: greedy_separated(_MEASURE, 2, "hamming", 0.1),
-        lambda: count_table(_SYSTEM, _PATH, [2], [0.1], metrics=("hamming",)),
         lambda: katok_spanning_count(_MEASURE, 2, 0.1, 0.9, "hamming"),
-        lambda: katok_table(_MEASURE, [2], [0.1], ("hamming",)),
+        lambda: katok_entropy(_SYSTEM, bernoulli_process((1.0,)), [2, 3], [0.1], 20, "hamming"),
         lambda: ball_measure(_MEASURE, _CENTER, 2, 0.1, "hamming"),
-        lambda: local_entropy(_MEASURE, 0.3, [2], [0.1], ("hamming",)),
         lambda: ball_batch("hamming", _CENTER, _MEASURE.orbits, 0.1),
     ],
     ids=[
         "greedy_separated",
-        "count_table",
         "katok_spanning_count",
-        "katok_table",
+        "katok_entropy",
         "ball_measure",
-        "local_entropy",
         "ball_batch",
     ],
 )
-def test_unknown_orbit_metric_is_rejected(call):
+def test_unknown_orbit_metric_is_rejected(call, monkeypatch):
+    # every single-kind entry point refuses an unknown kind before any
+    # work: katok_entropy draws no measure for it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a measure was drawn for an unknown kind")
+
+    monkeypatch.setattr(katok, "sample_measure", refuse)
     with pytest.raises(ValueError, match="unknown orbit metric"):
         call()
+
+
+def test_every_table_counts_every_kind():
+    # the table builders take no kind selection: each returns one result
+    # per orbit metric, in KINDS order
+    path = sample_path(bernoulli_process((1.0,)), 6, 3)
+    mu = sample_measure(_SYSTEM, path, 400, 3)
+    table = count_table(_SYSTEM, path, [2, 3], [0.2], count_target=20)
+    assert tuple(dict.fromkeys(e.metric for e in table.entries)) == KINDS
+    assert tuple(local_entropy(mu, 0.3, [2, 3], [0.2])) == KINDS
+    assert tuple(katok_table(mu, [2, 3], [0.2])) == KINDS

@@ -162,7 +162,7 @@ def test_count_table_validate_applies_the_count_law(metric, cells, breach):
 def test_count_table_doubling_slope_near_log2():
     system = expanding_system((2,))
     path = sample_path(bernoulli_process((1.0,)), 12, 3)
-    table = count_table(system, path, [6, 8, 10], [0.1], metrics=(BOWEN,), count_target=500)
+    table = count_table(system, path, [6, 8, 10], [0.1], count_target=500)
     est = entropy_from_counts(table, BOWEN)
     assert est.value == pytest.approx(math.log(2.0), abs=0.1)
 
@@ -196,7 +196,7 @@ def test_path_entropy_on_word_systems():
     system = shift_system((2, 2))
     proc = bernoulli_process((0.5, 0.5))
     for seed in path_seeds(0, 2):
-        _, fits = path_entropy(system, proc, seed, [3, 4, 5], [0.4], (BOWEN,), 2000, 200_000)
+        _, fits = path_entropy(system, proc, seed, [3, 4, 5], [0.4], 2000, 200_000)
         assert fits[BOWEN].value == pytest.approx(math.log(2.0), abs=1e-12)
 
 
