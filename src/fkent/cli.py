@@ -35,7 +35,14 @@ from .oracles import (
     match_count_bound,
     stirling_rate,
 )
-from .systems import InvariantViolation, OrbitSegment, ResourceCapExceeded
+from .systems import (
+    EmpiricalMeasure,
+    InvariantViolation,
+    OmegaPath,
+    OrbitSegment,
+    ResourceCapExceeded,
+    shift_system,
+)
 
 __all__ = ["main"]
 
@@ -216,7 +223,21 @@ def _selftest() -> int:
         raise InvariantViolation(f"binomial rate off by {gap}")
     print("ok: binomial rate matches its limit at n = 10^4")
 
-    print("selftest passed (6 checks)")
+    # 3-bit symbols pack 5 columns per key, so 12 columns fill 3 keys,
+    # the last one short; a quarter of the rows repeat earlier ones
+    system = shift_system((2, 3, 5))
+    path = OmegaPath(rng.integers(0, 3, size=12))
+    words = rng.integers(0, system.factor_along(path, 12), size=(4000, 12))
+    words[3000:] = words[rng.integers(0, 3000, size=1000)]
+    order, shared = EmpiricalMeasure(system, path, words).prefix_index
+    want = np.lexsort(words.T[::-1])
+    ranked = words[want]
+    differ = np.concatenate([ranked[1:] != ranked[:-1], np.ones((3999, 1), dtype=bool)], axis=1)
+    if not (np.array_equal(order, want) and np.array_equal(shared, differ.argmax(axis=1))):
+        raise InvariantViolation("word prefix index differs from np.lexsort on the symbols")
+    print("ok: word prefix index equals np.lexsort on 4,000 mixed-alphabet words")
+
+    print("selftest passed (7 checks)")
     return 0
 
 

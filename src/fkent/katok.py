@@ -19,8 +19,10 @@ and the driving path of its samples.
 Counts from shift systems with zero matching slack collapse to weighted
 word-class counting: every ball is exactly one prefix class, classes are
 disjoint, and greedy (heaviest class first) is provably the true minimum.
-A word measure's rows are sorted once (its prefix_index), however many
-(n, eps) cells read it: every cell's classes are runs of that one sort.
+A word measure's rows are sorted once (its prefix_index, one lexsort of
+the rows packed into 16-bit keys for alphabets of up to 256 letters),
+however many (n, eps) cells read it: every cell's classes are runs of
+that one sort (`EmpiricalMeasure.prefix_classes`).
 That fast path handles million-sample runs; overlapping-ball instances
 fall back to dense cover matrices guarded by a pair budget.  A table
 builds every dense cover of one eps column in one call
@@ -123,24 +125,30 @@ def _word_class_cover(
     minimum: any cover reaching the mass with k classes is dominated by
     the k heaviest ones.
 
-    The classes are runs of the measure's prefix_index, the one sort of
-    its word rows that every cell reads: a run ends wherever the next
-    sorted row shares fewer than span symbols.
+    The classes are the measure's prefix_classes, runs of the one sort
+    of its word rows that every cell reads.  The pick order (heaviest
+    class, then lowest first member) is one int64 key per class: first
+    members are distinct and below M, so the key orders both while M^2
+    fits, which is checked before any work.  The per-class arrays are
+    built in place: the key overwrites the run starts, and the
+    cumulative sizes overwrite the key.
     """
-    order, shared = measure.prefix_index
-    M = order.size
-    starts = np.concatenate(([0], np.flatnonzero(shared < span) + 1))
-    sizes = np.diff(starts, append=M)
-    first_index = np.minimum.reduceat(order, starts)
-    # heaviest first, lowest first member on ties: first members are
-    # distinct and below M, so one int64 key orders both while M^2 fits
+    M = measure.M
     if M > 2**31:
         raise ValueError(f"word-class covers handle at most 2^31 samples, got {M}")
-    picks = np.argsort((M - sizes) * M + first_index)
-    cum = np.cumsum(sizes[picks])
+    starts, first_index = measure.prefix_classes(span)
+    sizes = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
+    sizes[-1] = M - starts[-1]
+    key = np.subtract(M, sizes, out=starts)
+    key *= M
+    key += first_index
+    picks = np.argsort(key)
+    # picks are in range, so mode="clip" changes nothing; it lets take
+    # write into key without the copy mode="raise" buffers its output in
+    cum = np.cumsum(sizes.take(picks, out=key, mode="clip"), out=key)
     k = int(np.searchsorted(cum, need, side="left")) + 1
-    centers = first_index[picks[:k]]
-    return k, float(cum[k - 1] / M), centers
+    return k, float(cum[k - 1] / M), first_index[picks[:k]]
 
 
 def _column_counts(

@@ -18,8 +18,15 @@ Candidate ensembles for expanding torus systems would need about
 count requires, which overruns any fixed budget once the horizon grows.
 Each (n, eps) cell therefore counts inside a subinterval window [0, w)
 sized so the kept set lands near `count_target`, and slope fits consume the
-window-adjusted density log(count / window).  Shrinking the window scales
-the expected count linearly and leaves the growth rate in n untouched.
+window-adjusted density log(count / window).  For balls that are small
+intervals, as Bowen balls on the expanding family are, shrinking the
+window scales the expected count linearly and leaves the growth rate in
+n untouched.  FK balls are not local: they also hold points whose orbits
+match the center's under a time shift, anywhere on the circle.  A set
+separated inside a window is separated on the circle, and a maximal set
+on the circle, cut by a tiling of windows, is at most the sum of their
+counts, so FK count / window estimates an upper bound on the circle's
+count, tight only where the balls stay local.
 `CountTable.validate` holds each metric's counts to the count law of
 `matching.count_law_violations` for separated counts: within one window
 a count moves against its ball by at most one count of greedy jitter,
@@ -34,7 +41,8 @@ first wrong guess in one pass over (keeper, later sample) pairs.  Both
 checks, and the dense Bowen covers' screen, run `matching`'s circle
 Bowen test (`_bowen_screen`, `_bowen_confirm`), the one the Bowen kernel
 runs.  The kept set is exactly that of a scan with one ball call per
-kept center.
+kept center.  A word scan whose ball is the Bowen ball reads prefix
+classes and tests no ball (`greedy_separated`).
 
 The fiber entropy is an average over driving paths of a per-path slope.
 `path_entropy` computes that per-path quantity (draw the path, count,
@@ -71,6 +79,8 @@ from .matching import (
     _bowen_confirm,
     _bowen_screen,
     _fk_members,
+    _pair_depth,
+    _word_steps,
     ball_batch,
     ball_kind,
     ball_steps,
@@ -222,15 +232,22 @@ def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float
     convention every Bowen kill is an FK kill and the FK count can never
     exceed the Bowen count on the same candidates.
 
-    The scan runs in rounds, each committing one or more keepers and
-    their kills.  A circle Bowen ball (also an FK ball at zero slack,
-    `ball_kind`) runs `_bowen_round`: it guesses a block of keepers from
-    each candidate's ball against the next _GUESS_WINDOW candidates,
-    checks the guessed keepers against each other, and kills the ones
-    before the first wrong guess in one screened pass.  Every other ball
-    runs the one-keeper round: the first live candidate is a keeper, and
-    one closed `ball_batch` call kills what its ball holds.  Once the
-    tail is mostly dead the live candidates are compacted; total copying
+    A ball that runs the Bowen kernel (`ball_kind`: Bowen, or FK at zero
+    slack) on words is the prefix class of the closed span
+    (`matching._word_steps`), or every word when the closed depth is 0,
+    as at eps >= 1.  Classes are disjoint, so the kept set is the lowest
+    index of every class, read from the runs of the measure's
+    prefix_index with no ball test.
+
+    Every other scan runs in rounds, each committing one or more keepers
+    and their kills.  A circle ball that runs the Bowen kernel runs
+    `_bowen_round`: it guesses a block of keepers from each candidate's
+    ball against the next _GUESS_WINDOW candidates, checks the guessed
+    keepers against each other, and kills the ones before the first
+    wrong guess in one screened pass.  An FK ball with slack runs the
+    one-keeper round: the first live candidate is a keeper, and one
+    closed `ball_batch` call kills what its ball holds.  Once the tail
+    is mostly dead the live candidates are compacted; total copying
     stays O(M).
     """
     check_kinds((kind,))
@@ -239,8 +256,12 @@ def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     on_words = candidates.on_words
-    rounds = not on_words and ball_kind(kind, n, eps) == BOWEN
+    rounds = ball_kind(kind, n, eps) == BOWEN
     cur = candidates.orbit_stack(ball_steps(candidates.system, n, eps))
+    if on_words and rounds:
+        span = _word_steps(n, eps, True) if _pair_depth(eps, True) else 0
+        kept_idx = np.sort(candidates.prefix_classes(span)[1])
+        return kept_idx.size, kept_idx
     idx = np.arange(candidates.M)
     dead = np.zeros(idx.size, dtype=bool)
     window = None

@@ -458,7 +458,8 @@ def take_samples(stack: np.ndarray, on_words: bool, index) -> np.ndarray:
     return stack[index] if on_words else stack[:, index]
 
 
-# sorted word rows compared per block when EmpiricalMeasure.prefix_index is built
+# word rows packed, and sorted rows compared, per block when
+# EmpiricalMeasure.prefix_index is built
 _INDEX_BLOCK = 4096
 
 
@@ -480,8 +481,8 @@ class EmpiricalMeasure:
     never wraps.  samples reads the points back as (M,) or (M, L).  Set
     membership is always estimated as count/M, so M >= 1 is required up
     front.  A word measure sorts its word rows once, the first time a
-    cover reads its prefix_index; every prefix length then reads its
-    classes from that one sort.
+    cover or a separated scan reads its prefix_index; every prefix
+    length then reads its classes from that one sort (prefix_classes).
     """
 
     system: RandomSystemSpec
@@ -532,29 +533,83 @@ class EmpiricalMeasure:
     def prefix_index(self) -> tuple[np.ndarray, np.ndarray]:
         """(order, shared): a word measure's rows sorted once, for every prefix length.
 
-        order sorts the rows lexicographically, column 0 first, with
-        np.lexsort on the symbols themselves, so for every span <= L the
-        rows sharing a span-prefix form one contiguous run of order.
-        shared[t] is the number of leading symbols sorted row t + 1
-        shares with sorted row t (L when the rows are equal), so a
-        span-prefix run ends after sorted row t exactly when
-        shared[t] < span.  shared holds only 0..L, so it is stored in
-        the smallest unsigned type that fits L.  It is compared in blocks
-        of _INDEX_BLOCK sorted rows, so no sorted copy of the whole matrix
-        is held.
+        order sorts the rows lexicographically, column 0 first, stably,
+        so for every span <= L the rows sharing a span-prefix form one
+        contiguous run of order.  shared[t] is the number of leading
+        symbols sorted row t + 1 shares with sorted row t (L when the
+        rows are equal), so a span-prefix run ends after sorted row t
+        exactly when shared[t] < span.  shared holds only 0..L, so it is
+        stored in the smallest unsigned type that fits L.
+
+        The rows are sorted as packed keys (`_packed_keys`), which compare
+        as the symbols do, so one stable np.lexsort of the keys gives the
+        symbols' order; on uint16 keys each of its passes is a radix
+        sort.  The first column two sorted rows differ in is read from
+        the XOR of their keys: the first key that differs, and the
+        highest bit set in it.  It is read in blocks of _INDEX_BLOCK
+        sorted rows, so no sorted copy of the keys is held.
         """
-        words = self.orbits
-        M, L = words.shape
-        order = np.lexsort(words.T[::-1])
+        keys, bits, per = _packed_keys(self.orbits, self.system.space_alphabet)
+        K, M = keys.shape
+        L = self.orbits.shape[1]
+        order = np.lexsort(keys[::-1])
         shared = np.empty(M - 1, dtype=np.min_scalar_type(L))
-        # column L is a sentinel that always differs, so equal rows share L
-        differ = np.ones((min(_INDEX_BLOCK, M - 1), L + 1), dtype=bool)
+        # a key's first column, plus the column of its XOR's highest set
+        # bit; a key whose XOR is 0 reads L, so the minimum over keys is
+        # the first differing column
+        col = np.arange(0, K * per, per)[:, None]
         for lo in range(0, M - 1, _INDEX_BLOCK):
             hi = min(lo + _INDEX_BLOCK, M - 1)
-            block = np.take(words, order[lo : hi + 1], axis=0)
-            np.not_equal(block[1:], block[:-1], out=differ[: hi - lo, :L])
-            shared[lo:hi] = differ[: hi - lo].argmax(axis=1)
+            block = keys.take(order[lo : hi + 1], axis=1)
+            flip = block[:, 1:] ^ block[:, :-1]
+            at = col
+            if per > 1:
+                # only uint16 keys hold several columns, and float32 holds
+                # them exactly, so frexp's exponent is the bit length
+                at = col + (per - 1) - (np.frexp(flip.astype(np.float32))[1] - 1) // bits
+            shared[lo:hi] = np.where(flip != 0, at, L).min(axis=0)
         return order, shared
+
+    def prefix_classes(self, span: int) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, first): the classes of words sharing their first span symbols.
+
+        Class c is the run of prefix_index's order from sorted position
+        starts[c] to the next start, and first[c] is its lowest sample
+        index.  Both are int64 arrays, ascending in the classes' word
+        order; span 0 gives one class.
+        """
+        order, shared = self.prefix_index
+        begins = np.empty(order.size, dtype=bool)
+        begins[0] = True
+        np.less(shared, span, out=begins[1:])
+        starts = np.flatnonzero(begins)
+        return starts, np.minimum.reduceat(order, starts)
+
+
+def _packed_keys(words: np.ndarray, alphabet: int) -> tuple[np.ndarray, int, int]:
+    """(keys, bits, per): (M, L) word rows packed into (K, M) unsigned keys.
+
+    Each symbol takes bits = the bit length of alphabet - 1 (at least 1),
+    and a key, of the wider of uint16 and the words' dtype, holds
+    per = key bits // bits columns, so no key can overflow.  Column
+    k * per + j sits at bit bits * (per - 1 - j) of key k; a short last
+    key is zero past column L - 1.  Rows are packed in blocks of
+    _INDEX_BLOCK.
+    """
+    M, L = words.shape
+    bits = max(1, (alphabet - 1).bit_length())
+    key_dtype = np.promote_types(np.uint16, words.dtype)
+    per = 8 * key_dtype.itemsize // bits
+    K = -(-L // per)
+    shifts = (bits * (per - 1 - np.arange(L) % per)).astype(key_dtype)[:, None]
+    spread = np.zeros((K * per, min(_INDEX_BLOCK, M)), dtype=key_dtype)
+    keys = np.empty((K, M), dtype=key_dtype)
+    for lo in range(0, M, _INDEX_BLOCK):
+        block = words[lo : lo + _INDEX_BLOCK].T
+        width = block.shape[1]
+        np.left_shift(block, shifts, out=spread[:L, :width])
+        np.bitwise_or.reduce(spread[:, :width].reshape(K, per, width), axis=1, out=keys[:, lo : lo + width])
+    return keys, bits, per
 
 
 def expansion_product(system: RandomSystemSpec, path: OmegaPath, n: int) -> float:

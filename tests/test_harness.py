@@ -413,4 +413,4 @@ def test_cli_estimate_top_end_to_end(tmp_path, capsys):
 
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
-    assert capsys.readouterr().out.rstrip("\n").endswith("selftest passed (6 checks)")
+    assert capsys.readouterr().out.rstrip("\n").endswith("selftest passed (7 checks)")

@@ -293,8 +293,27 @@ def test_word_class_cover_from_shared_index_equals_cell_sort(words, alphabet):
     assert mu.prefix_index is mu.prefix_index
 
 
+def test_word_class_cover_refuses_oversize_measure_before_any_work():
+    # the pick key holds M^2, so a measure over 2^31 samples fails on its
+    # size alone, before its classes are read
+    class Oversize:
+        M = 2**31 + 1
+
+        def prefix_classes(self, span):
+            raise AssertionError("classes read before the size check")
+
+        @property
+        def prefix_index(self):
+            raise AssertionError("rows sorted before the size check")
+
+    with pytest.raises(ValueError, match=r"at most 2\^31 samples, got 2147483649"):
+        _word_class_cover(Oversize(), 4, 1)
+
+
 def test_katok_table_packs_word_measure_once(monkeypatch):
-    # five n-cells of two kinds read one sort of the word rows
+    # five n-cells of two kinds read one sort of the word rows, made on
+    # packed keys: binary symbols take one bit each, so the 12 columns
+    # fit one uint16 key per row
     system = shift_system((2, 2))
     n_window, eps_list = [4, 5, 6, 7, 8], [0.05]
     path = sample_path(bernoulli_process((0.5, 0.5)), katok_horizon(system, n_window, eps_list), 3)
@@ -309,7 +328,8 @@ def test_katok_table_packs_word_measure_once(monkeypatch):
     monkeypatch.setattr(np, "lexsort", counting_lexsort)
     tables = katok_table(mu, n_window, eps_list)
     assert len(tables[BOWEN]) == 5
-    assert calls == [mu.orbits.shape[::-1]]
+    assert mu.orbits.shape == (2000, 12)
+    assert calls == [(1, 2000)]
 
 
 def test_fk_needs_fewer_covers_at_coarse_eps():

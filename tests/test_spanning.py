@@ -6,7 +6,7 @@ import pytest
 
 from fkent import matching, spanning
 from fkent.local import sample_measure
-from fkent.matching import BOWEN, FK, ball_batch, ball_steps, bowen_distance, in_fk_ball, match_slack
+from fkent.matching import BOWEN, FK, ball_batch, ball_kind, ball_steps, bowen_distance, in_fk_ball, match_slack
 from fkent.spanning import (
     SEPARATED,
     CountEntry,
@@ -293,6 +293,44 @@ def _assert_scan_matches(measure, n, kind, eps):
     assert count == want.size, (n, kind, eps)
     assert np.array_equal(kept, want), (n, kind, eps)
     return count
+
+
+@pytest.mark.parametrize("factors", [(2,), (2, 3)], ids=["binary", "mixed"])
+def test_word_separated_sets_read_prefix_classes(monkeypatch, factors):
+    # a word ball at zero slack is a prefix class, so the kept set is the
+    # first member of every class and no ball is tested; exact powers of
+    # two drop the closed depth by one, eps >= 1 keeps one word, and FK
+    # balls with slack stay on the one-keeper scan
+    calls = []
+    true_ball_batch = spanning.ball_batch
+
+    def counting(kind, *args, **kwargs):
+        calls.append(kind)
+        return true_ball_batch(kind, *args, **kwargs)
+
+    monkeypatch.setattr(spanning, "ball_batch", counting)
+    system = shift_system(factors)
+    path = sample_path(bernoulli_process((0.5, 0.5) if len(factors) == 2 else (1.0,)), 10, 4)
+    sampled = sample_measure(system, path, 600, 2).orbits.copy()
+    sampled[100:150] = sampled[3]
+    sampled[200:260, :5] = sampled[7, :5]
+    sampled = EmpiricalMeasure(system, path, sampled)
+    cells = [(1, 0.3), (3, 0.25), (4, 0.2), (2, 0.5), (5, 0.1), (3, 1.0), (2, 1.5), (6, 0.25), (8, 0.3)]
+    for n, eps in cells:
+        measures = [sampled]
+        if n <= 4:
+            measures.append(word_candidates(system, path, n, eps)[0])
+        for measure in measures:
+            for kind in (BOWEN, FK):
+                calls.clear()
+                count = _assert_scan_matches(measure, n, kind, eps)
+                if ball_kind(kind, n, eps) == BOWEN:
+                    assert calls == [], (n, kind, eps)
+                else:
+                    assert calls and set(calls) == {FK}, (n, kind, eps)
+                if eps >= 1.0:
+                    assert count == 1
+    assert match_slack(6, 0.25) == 1 and match_slack(8, 0.3) == 2
 
 
 def _guess_outcomes(monkeypatch) -> list[bool]:

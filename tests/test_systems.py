@@ -222,6 +222,67 @@ def test_words_must_lie_in_the_alphabets_of_their_path_steps():
         EmpiricalMeasure(system, mixed, [[2, 2]])
 
 
+def _lexsort_index(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """prefix_index spelled out: np.lexsort on the raw symbols, and each
+    sorted row's first column that differs from the row before (L if none)."""
+    M, L = words.shape
+    order = np.lexsort(words.T[::-1])
+    ranked = words[order]
+    differ = np.concatenate([ranked[1:] != ranked[:-1], np.ones((M - 1, 1), dtype=bool)], axis=1)
+    return order, differ.argmax(axis=1)
+
+
+def _prefix_index_cases():
+    rng = np.random.default_rng(23)
+    mixed = OmegaPath([0, 1, 1, 0, 1, 0, 0, 1, 1])
+    radices = shift_system((2, 3)).factor_along(mixed, 9)
+    # symbols of at most 2 bits: 8 columns per uint16 key, 2 keys a row
+    words = rng.integers(0, radices, size=(3000, 9))
+    words[1000:1400] = words[rng.integers(0, 1000, size=400)]
+    # 4 symbols past the horizon, checked against the space alphabet
+    longer = rng.integers(0, 3, size=(2000, 13))
+    longer[:, :9] = rng.integers(0, radices, size=(2000, 9))
+    longer[600:900] = longer[5]
+    # 5 letters take 3 bits: 5 columns per key, the last key holds 2
+    five = rng.integers(0, 5, size=(2500, 12))
+    five[100:300, :7] = five[9, :7]
+    # 300 letters are stored as uint16 symbols, one column per key
+    wide_alphabet = rng.integers(0, 300, size=(500, 3))
+    wide_alphabet[100:180] = wide_alphabet[7]
+    wide_alphabet[200:260, :2] = wide_alphabet[9, :2]
+    # 130 binary columns fill 9 uint16 keys; rows 50 and 51 differ only
+    # in the first column, rows 52 and 53 only in the last
+    wide = rng.integers(0, 2, size=(60, 130))
+    wide[10] = wide[3]
+    wide[51] = wide[50]
+    wide[51, 0] ^= 1
+    wide[53] = wide[52]
+    wide[53, -1] ^= 1
+    return [
+        pytest.param((2, 3), mixed, words, id="mixed-duplicates"),
+        pytest.param((2, 3), mixed, longer, id="past-horizon"),
+        pytest.param((5,), OmegaPath([0]), five, id="three-bit"),
+        pytest.param((300,), OmegaPath([0]), wide_alphabet, id="uint16"),
+        pytest.param((2,), OmegaPath([0]), wide, id="130-columns"),
+        pytest.param((1,), OmegaPath([0]), np.zeros((40, 4), dtype=int), id="one-letter"),
+        pytest.param((2,), OmegaPath([0]), np.array([[1, 0, 1]]), id="one-row"),
+        pytest.param((2,), OmegaPath([0]), np.array([[1, 0, 1], [1, 0, 1]]), id="two-equal-rows"),
+        pytest.param((2,), OmegaPath([0]), np.array([[1, 1, 0], [1, 0, 1]]), id="two-rows"),
+    ]
+
+
+@pytest.mark.parametrize("factors, path, words", _prefix_index_cases())
+def test_prefix_index_equals_lexsort_on_symbols(factors, path, words):
+    # packed keys sort as the symbols do, stably, and their XOR gives the
+    # first differing column
+    mu = EmpiricalMeasure(shift_system(factors), path, words)
+    order, shared = mu.prefix_index
+    want_order, want_shared = _lexsort_index(words)
+    assert np.array_equal(order, want_order)
+    assert np.array_equal(shared, want_shared)
+    assert shared.dtype == np.min_scalar_type(words.shape[1])
+
+
 def test_word_dtype_is_smallest_unsigned_type():
     assert word_dtype(shift_system((2,))) == np.uint8
     assert word_dtype(shift_system((2, 256))) == np.uint8
