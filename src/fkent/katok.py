@@ -19,10 +19,9 @@ and the driving path of its samples.
 Counts from shift systems with zero matching slack collapse to weighted
 word-class counting: every ball is exactly one prefix class, classes are
 disjoint, and greedy (heaviest class first) is provably the true minimum.
-A word measure's rows are sorted once (its prefix_index, one lexsort of
-the rows packed into 16-bit keys for alphabets of up to 256 letters),
+A word measure's rows are sorted once, on packed keys (its prefix_index),
 however many (n, eps) cells read it: every cell's classes are runs of
-that one sort (`EmpiricalMeasure.prefix_classes`).
+that one sort.
 That fast path handles million-sample runs; overlapping-ball instances
 fall back to dense cover matrices guarded by a pair budget.  A table
 builds every dense cover of one eps column in one call
@@ -125,13 +124,10 @@ def _word_class_cover(
     minimum: any cover reaching the mass with k classes is dominated by
     the k heaviest ones.
 
-    The classes are the measure's prefix_classes, runs of the one sort
-    of its word rows that every cell reads.  The pick order (heaviest
-    class, then lowest first member) is one int64 key per class: first
-    members are distinct and below M, so the key orders both while M^2
-    fits, which is checked before any work.  The per-class arrays are
-    built in place: the key overwrites the run starts, and the
-    cumulative sizes overwrite the key.
+    The classes are the measure's prefix_classes.  The pick order is one
+    int64 key per class, (M - size) * M + first member, which holds while
+    M^2 fits (checked before any work); it overwrites the run starts, and
+    the cumulative sizes overwrite it.
     """
     M = measure.M
     if M > 2**31:
@@ -144,8 +140,7 @@ def _word_class_cover(
     key *= M
     key += first_index
     picks = np.argsort(key)
-    # picks are in range, so mode="clip" changes nothing; it lets take
-    # write into key without the copy mode="raise" buffers its output in
+    # mode="raise" would buffer a copy; picks are in range anyway
     cum = np.cumsum(sizes.take(picks, out=key, mode="clip"), out=key)
     k = int(np.searchsorted(cum, need, side="left")) + 1
     return k, float(cum[k - 1] / M), first_index[picks[:k]]

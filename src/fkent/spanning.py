@@ -18,15 +18,11 @@ Candidate ensembles for expanding torus systems would need about
 count requires, which overruns any fixed budget once the horizon grows.
 Each (n, eps) cell therefore counts inside a subinterval window [0, w)
 sized so the kept set lands near `count_target`, and slope fits consume the
-window-adjusted density log(count / window).  For balls that are small
-intervals, as Bowen balls on the expanding family are, shrinking the
-window scales the expected count linearly and leaves the growth rate in
-n untouched.  FK balls are not local: they also hold points whose orbits
-match the center's under a time shift, anywhere on the circle.  A set
-separated inside a window is separated on the circle, and a maximal set
-on the circle, cut by a tiling of windows, is at most the sum of their
-counts, so FK count / window estimates an upper bound on the circle's
-count, tight only where the balls stay local.
+window-adjusted density log(count / window).  Where balls are small
+intervals (Bowen balls on the expanding family), shrinking the window
+leaves the growth rate in n untouched.  FK balls are not local, since
+time-shifted matches lie anywhere on the circle, so FK count / window
+is only an upper bound on the circle's count.
 `CountTable.validate` holds each metric's counts to the count law of
 `matching.count_law_violations` for separated counts: within one window
 a count moves against its ball by at most one count of greedy jitter,
@@ -41,8 +37,7 @@ first wrong guess in one pass over (keeper, later sample) pairs.  Both
 checks, and the dense Bowen covers' screen, run `matching`'s circle
 Bowen test (`_bowen_screen`, `_bowen_confirm`), the one the Bowen kernel
 runs.  The kept set is exactly that of a scan with one ball call per
-kept center.  A word scan whose ball is the Bowen ball reads prefix
-classes and tests no ball (`greedy_separated`).
+kept center.
 
 The fiber entropy is an average over driving paths of a per-path slope.
 `path_entropy` computes that per-path quantity (draw the path, count,
@@ -232,15 +227,10 @@ def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float
     convention every Bowen kill is an FK kill and the FK count can never
     exceed the Bowen count on the same candidates.
 
-    A ball that runs the Bowen kernel (`ball_kind`: Bowen, or FK at zero
-    slack) on words is the prefix class of the closed span
-    (`matching._word_steps`), or every word when the closed depth is 0,
-    as at eps >= 1.  Classes are disjoint, so the kept set is the lowest
-    index of every class, read from the runs of the measure's
-    prefix_index with no ball test.
-
-    Every other scan runs in rounds, each committing one or more keepers
-    and their kills.  A circle ball that runs the Bowen kernel runs
+    A word ball that runs the Bowen kernel (`ball_kind`) is the prefix
+    class of the closed span (every word at closed depth 0), so the kept
+    set is the lowest index of every class, with no ball test.  Every
+    other scan runs in rounds.  A circle Bowen-kernel ball runs
     `_bowen_round`: it guesses a block of keepers from each candidate's
     ball against the next _GUESS_WINDOW candidates, checks the guessed
     keepers against each other, and kills the ones before the first

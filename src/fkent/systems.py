@@ -541,22 +541,17 @@ class EmpiricalMeasure:
         exactly when shared[t] < span.  shared holds only 0..L, so it is
         stored in the smallest unsigned type that fits L.
 
-        The rows are sorted as packed keys (`_packed_keys`), which compare
-        as the symbols do, so one stable np.lexsort of the keys gives the
-        symbols' order; on uint16 keys each of its passes is a radix
-        sort.  The first column two sorted rows differ in is read from
-        the XOR of their keys: the first key that differs, and the
-        highest bit set in it.  It is read in blocks of _INDEX_BLOCK
-        sorted rows, so no sorted copy of the keys is held.
+        One stable np.lexsort of the packed keys (`_packed_keys`, a radix
+        sort on uint16) gives the symbols' order, and shared is read from
+        the XOR of consecutive sorted keys, in blocks of _INDEX_BLOCK.
         """
         keys, bits, per = _packed_keys(self.orbits, self.system.space_alphabet)
         K, M = keys.shape
         L = self.orbits.shape[1]
         order = np.lexsort(keys[::-1])
         shared = np.empty(M - 1, dtype=np.min_scalar_type(L))
-        # a key's first column, plus the column of its XOR's highest set
-        # bit; a key whose XOR is 0 reads L, so the minimum over keys is
-        # the first differing column
+        # per key: its first column plus that of its XOR's highest bit, or
+        # L for a zero XOR; the minimum over keys is the first difference
         col = np.arange(0, K * per, per)[:, None]
         for lo in range(0, M - 1, _INDEX_BLOCK):
             hi = min(lo + _INDEX_BLOCK, M - 1)
@@ -565,19 +560,15 @@ class EmpiricalMeasure:
             at = col
             if per > 1:
                 # only uint16 keys hold several columns, and float32 holds
-                # them exactly, so frexp's exponent is the bit length
+                # them exactly: frexp's exponent is the bit length
                 at = col + (per - 1) - (np.frexp(flip.astype(np.float32))[1] - 1) // bits
             shared[lo:hi] = np.where(flip != 0, at, L).min(axis=0)
         return order, shared
 
     def prefix_classes(self, span: int) -> tuple[np.ndarray, np.ndarray]:
-        """(starts, first): the classes of words sharing their first span symbols.
-
-        Class c is the run of prefix_index's order from sorted position
-        starts[c] to the next start, and first[c] is its lowest sample
-        index.  Both are int64 arrays, ascending in the classes' word
-        order; span 0 gives one class.
-        """
+        """(starts, first): int64 start in prefix_index's order, and lowest
+        sample index, of each class of words sharing span leading symbols
+        (one class at span 0)."""
         order, shared = self.prefix_index
         begins = np.empty(order.size, dtype=bool)
         begins[0] = True
@@ -589,12 +580,10 @@ class EmpiricalMeasure:
 def _packed_keys(words: np.ndarray, alphabet: int) -> tuple[np.ndarray, int, int]:
     """(keys, bits, per): (M, L) word rows packed into (K, M) unsigned keys.
 
-    Each symbol takes bits = the bit length of alphabet - 1 (at least 1),
-    and a key, of the wider of uint16 and the words' dtype, holds
-    per = key bits // bits columns, so no key can overflow.  Column
-    k * per + j sits at bit bits * (per - 1 - j) of key k; a short last
-    key is zero past column L - 1.  Rows are packed in blocks of
-    _INDEX_BLOCK.
+    A symbol takes bits = the bit length of alphabet - 1, and a key (the
+    wider of uint16 and the words' dtype) per = key bits // bits columns,
+    column k * per + j at bit bits * (per - 1 - j) of key k, so no key
+    overflows and keys compare as the symbols do.
     """
     M, L = words.shape
     bits = max(1, (alphabet - 1).bit_length())
