@@ -23,8 +23,8 @@ print("separated-orbit counts along one driving path")
 print("n    eps    bowen    fk")
 for n in n_list:
     for eps in eps_list:
-        cb = table.lookup(n, eps, "bowen").count
-        cf = table.lookup(n, eps, "fk").count
+        cb = table.cells[("bowen", n, eps)].count
+        cf = table.cells[("fk", n, eps)].count
         print(f"{n:<4d} {eps:<6g} {cb:<8d} {cf}")
 
 print()

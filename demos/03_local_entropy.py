@@ -29,7 +29,7 @@ for n in (2, 4, 6, 8):
     print(f"{n:<4d} {mb:<11.6f} {exact:<11.6f} {mf:.6f}")
 
 print()
-records = local_entropy(mu, x, [4, 6, 8, 10], [0.2, 0.1])
-for kind, rec in records.items():
-    print(f"{kind} local entropy at x: {rec.value:.4f}")
+_, fits = local_entropy(mu, x, [4, 6, 8, 10], [0.2, 0.1])
+for kind, fit in fits.items():
+    print(f"{kind} local entropy at x: {fit.value:.4f}")
 print(f"expected:                {math.log(2):.4f}")

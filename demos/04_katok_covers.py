@@ -31,8 +31,8 @@ for n in (4, 6, 8):
     rough = 0.9 / (0.1 * 2.0 ** (2 - n))
     print(f"{n:<4d} {cell.count:<6d} {cell.covered_mass:.4f}    {rough:.0f}")
 
-cells = katok_table(mu, [4, 6, 8], [0.1], pair_budget=10**8)["bowen"]
-fit = table_slopes(cells)
+table = katok_table(mu, [4, 6, 8], [0.1], pair_budget=10**8)
+fit = table_slopes(table, "bowen")
 print(f"slope {fit.value:.4f} (rms {fit.residuals[0]:.3f}), expected {math.log(2):.4f}")
 
 print()

@@ -36,7 +36,7 @@ from .matching import (
 )
 from .oracles import OracleValue, expected_entropy, match_count_bound, stirling_rate
 from .spanning import (
-    CountTable,
+    CellTable,
     EntropyEstimate,
     count_table,
     entropy_from_counts,
@@ -45,7 +45,6 @@ from .spanning import (
 from .local import (
     EmpiricalMeasure,
     GridPartition,
-    LocalEntropyRecord,
     ball_measure,
     local_entropy,
     sample_measure,

@@ -105,7 +105,8 @@ def _print_report(report: dict) -> None:
         orc = results["oracle"]
         print(f"oracle[{orc['derivation']}]: {orc['value']:.4f}")
     gap = results["gap"]
-    print(f"gap fk-bowen: mean {gap['mean']:.4f} max|.| {gap['max_abs']:.4f}")
+    vacuous = "vacuous: no fk value fits a slack band above 0" if gap["vacuous"] else "not vacuous"
+    print(f"gap fk-bowen: mean {gap['mean']:.4f} max|.| {gap['max_abs']:.4f} ({vacuous})")
     print(f"wrote {report['files']['csv']} {report['files']['report']}")
 
 

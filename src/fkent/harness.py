@@ -295,29 +295,43 @@ def _top_task(payload) -> dict:
     table, fits = path_entropy(
         cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, cfg.candidate_target, cfg.candidate_budget
     )
-    return {"seed": seed, "entries": list(table.entries), "fits": fits}
+    return {"seed": seed, "table": table, "fits": fits}
 
 
 def _local_task(payload) -> list[dict]:
     cfg, path, points = payload
     measure = sample_measure(cfg.system(), path, cfg.M, path.seed)
-    return [{"x": np.asarray(x), "records": local_entropy(measure, x, cfg.n, cfg.delta)} for x in points]
+    out = []
+    for x in points:
+        table, fits = local_entropy(measure, x, cfg.n, cfg.delta)
+        out.append({"x": np.asarray(x), "table": table, "fits": fits})
+    return out
 
 
 def _katok_task(payload) -> dict:
     cfg, seed = payload
-    cells, fits = katok_path_entropy(cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, cfg.M, cfg.pair_budget)
-    return {"seed": seed, "cells": cells, "fits": fits}
+    table, fits = katok_path_entropy(cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, cfg.M, cfg.pair_budget)
+    return {"seed": seed, "table": table, "fits": fits}
 
 
 # ---------------------------------------------------------------------------
 # experiment runners
 
 
-def _gap(estimates: dict, key: str) -> dict:
-    """FK minus Bowen over the per-path or per-point values stored under key."""
+def _gap(estimates: dict, key: str, results: list[dict]) -> dict:
+    """FK minus Bowen over the per-path or per-point values stored under key.
+
+    It is vacuous when no FK value the gap averages drew its slope on a
+    slack band above 0 (EntropyEstimate.banded): there every fitted FK
+    ball is the Bowen ball, or alone in its band.
+    """
     gaps = [f - b for f, b in zip(estimates[FK][key], estimates[BOWEN][key])]
-    return {key: gaps, "mean": float(np.mean(gaps)), "max_abs": float(np.max(np.abs(gaps)))}
+    return {
+        key: gaps,
+        "mean": float(np.mean(gaps)),
+        "max_abs": float(np.max(np.abs(gaps))),
+        "vacuous": not any(res["fits"][FK].banded for res in results),
+    }
 
 
 def _run_top(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
@@ -327,8 +341,9 @@ def _run_top(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
 
     rows = []
     for res in results:
-        for e in res["entries"]:
-            rows.append((res["seed"], e.n, e.eps, e.metric, e.estimator, e.count, e.window, e.candidates))
+        table = res["table"]
+        for (metric, n, eps), c in table.cells.items():
+            rows.append((res["seed"], n, eps, metric, table.estimator, c.count, c.scale, c.samples))
 
     estimates = {}
     for metric in KINDS:
@@ -347,7 +362,7 @@ def _run_top(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
         "estimates": estimates,
         "oracle": {"value": oracle.value, "derivation": oracle.derivation},
         "path_seeds": seeds,
-        "gap": _gap(estimates, "per_path"),
+        "gap": _gap(estimates, "per_path", results),
     }
     csv_payload = {
         "name": "counts.csv",
@@ -372,23 +387,19 @@ def _run_local(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
     alphabet = system.space_alphabet if system.on_words else 0
     for res in results:
         label = _point_label(res["x"], system.on_words, alphabet)
-        for kind in KINDS:
-            rec = res["records"][kind]
-            for e in rec.entries:
-                rows.append((path_seed, label, e.n, e.delta, kind, e.count, e.M, e.estimate, e.flagged))
+        for (kind, n, delta), c in res["table"].cells.items():
+            rows.append((path_seed, label, n, delta, kind, c.count, c.samples, c.estimate(n), c.count == 0))
 
     estimates = {}
     for kind in KINDS:
-        values = [res["records"][kind].value for res in results]
+        values = [res["fits"][kind].value for res in results]
         mean, stderr = _mean_stderr(values)
         estimates[kind] = {
             "mean": mean,
             "stderr": stderr,
             "per_point": values,
-            "delta_used": [res["records"][kind].delta_used for res in results],
-            "flagged_cells": int(
-                sum(e.flagged for res in results for e in res["records"][kind].entries)
-            ),
+            "delta_used": [res["fits"][kind].radius for res in results],
+            "flagged_cells": sum(c.count == 0 for res in results for c in res["table"].of(kind).values()),
         }
     report = {
         "estimates": estimates,
@@ -396,7 +407,7 @@ def _run_local(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
         "base_points": [
             _point_label(res["x"], system.on_words, alphabet) for res in results
         ],
-        "gap": _gap(estimates, "per_point"),
+        "gap": _gap(estimates, "per_point", results),
     }
     csv_payload = {
         "name": "local.csv",
@@ -411,35 +422,26 @@ def _run_katok(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
     workers = _effective_workers(cfg, len(seeds))
     results = _ordered_map(_katok_task, [(cfg, s) for s in seeds], workers)
 
-    eps_sorted = sorted(set(cfg.eps))
-    n_sorted = sorted(set(cfg.n))
     rows = []
     for res in results:
-        for kind in KINDS:
-            for eps in eps_sorted:
-                for n in n_sorted:
-                    cell = res["cells"][kind][(eps, n)]
-                    rows.append(
-                        (res["seed"], n, eps, cell.mass_threshold, kind, cell.count, cell.covered_mass)
-                    )
+        for (kind, n, eps), c in res["table"].cells.items():
+            rows.append((res["seed"], n, eps, c.cover.mass_threshold, kind, c.count, c.cover.covered_mass))
 
     estimates = {}
     for kind in KINDS:
-        slopes = np.asarray([res["fits"][kind].slopes for res in results])
-        per_eps = slopes.mean(axis=0)
-        per_path = slopes[:, 0]
-        mean, stderr = _mean_stderr([float(v) for v in per_path])
+        fits = [res["fits"][kind] for res in results]
+        per_path = [est.value for est in fits]
+        mean, stderr = _mean_stderr(per_path)
         estimates[kind] = {
             "mean": mean,
             "stderr": stderr,
-            "per_path": [float(v) for v in per_path],
-            "slopes_per_eps": [float(v) for v in per_eps],
-            "eps_order": eps_sorted,
+            "per_path": per_path,
+            "slopes_per_eps": [float(v) for v in np.mean([est.slopes for est in fits], axis=0)],
+            "eps_order": list(fits[0].radii),
         }
     # greedy covers need not follow ball inclusion: breaches are counted, not raised
-    counts = [{k: {c: v.count for c, v in res["cells"][k].items()} for k in KINDS} for res in results]
-    gap = _gap(estimates, "per_path")
-    gap["cells_fk_above_bowen"] = sum(len(inclusion_violations(c, balls=False)) for c in counts)
+    gap = _gap(estimates, "per_path", results)
+    gap["cells_fk_above_bowen"] = sum(len(inclusion_violations(res["table"].counts(), balls=False)) for res in results)
     report = {"estimates": estimates, "path_seeds": seeds, "gap": gap}
     csv_payload = {
         "name": "katok.csv",

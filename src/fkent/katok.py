@@ -31,9 +31,12 @@ more pass per 8 FK cells gives them one bit each, from one match
 recurrence per block that reads every n.  A single count is a one-cell
 column, so there is one dense path.
 
-Cover counts obey the count law of `matching.count_law_violations`, with
-every cell at window 1.0: a count may not rise along eps, nor fall along
-n within one slack band, by more than one count of greedy jitter.
+A table (`katok_table`) is a `spanning.CellTable` of cover counts, each
+cell at scale 1.0 with its cover's certificate (`KatokCount`).  It holds
+them to the count law of `matching.count_law_violations`: a count may
+not rise along eps, nor fall along n within one slack band, by more than
+one count of greedy jitter.  `table_slopes` fits it with the one banded
+fit, `spanning.entropy_from_counts`.
 
 `katok_path_entropy` computes the per-path quantity the fiber entropy
 averages (draw the path and measure, cover, fit per kind).  The experiment
@@ -44,26 +47,24 @@ path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import BOWEN, KINDS, ball_kind, ball_steps, check_count_law, check_kinds
+from .matching import BOWEN, KINDS, ball_kind, ball_steps, check_kinds
 from .spanning import (
+    COVER,
+    Cell,
+    CellTable,
     EntropyEstimate,
+    KatokCount,
     column_covers,
-    eps_slopes,
+    entropy_from_counts,
     greedy_cover,
     katok_horizon,
     path_seeds,
     sorted_schedule,
 )
-from .systems import (
-    InvariantViolation,
-    RandomSystemSpec,
-    diameter,
-    sample_path,
-)
+from .systems import RandomSystemSpec, diameter, sample_path
 from .local import EmpiricalMeasure, sample_measure
 
 __all__ = [
@@ -79,33 +80,6 @@ __all__ = [
 # dense cover matrices hold at most this many (center, sample) pairs; a
 # dense column holds 2 bytes per pair (one packed byte, one bool cover)
 PAIR_BUDGET = 20_000_000
-
-
-@dataclass(frozen=True)
-class KatokCount:
-    """Greedy almost-cover certificate for one (n, eps) cell.
-
-    centers holds the chosen sample indices in pick order; covered_mass is
-    the fraction of samples inside the union of their balls, never below
-    the mass threshold.
-    """
-
-    mass_threshold: float
-    count: int
-    covered_mass: float
-    centers: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise InvariantViolation("a cover needs at least one ball")
-        if self.count != len(self.centers):
-            raise InvariantViolation("count must equal the number of centers")
-        if self.covered_mass + 1e-12 < self.mass_threshold:
-            raise InvariantViolation(
-                f"covered mass {self.covered_mass} below threshold {self.mass_threshold}"
-            )
-        if self.covered_mass > 1.0 + 1e-12:
-            raise InvariantViolation("covered mass above 1")
 
 
 def _covered_target(mass_threshold: float, M: int) -> int:
@@ -213,15 +187,16 @@ def katok_table(
     n_window,
     eps_list,
     pair_budget: int = PAIR_BUDGET,
-) -> dict[str, dict[tuple[float, int], KatokCount]]:
-    """All (eps, n) cover counts of every kind in KINDS for one measure along its path, validated.
+) -> CellTable:
+    """All cover counts of every kind in KINDS for one measure along its path, validated.
 
-    The result maps each kind to its table, checked in KINDS order against
-    the count law of cover counts (matching.count_law_violations), every
-    cell at window 1.0; a breach raises InvariantViolation.  Each cell is
-    covered once per kernel (matching.ball_kind), so a zero-slack FK cell
-    shares the Bowen cover.  Every eps column is covered in one go, at
-    mass threshold 1 - eps: its dense cells come from one
+    The cells go in (kind, eps, n) order, each holding its cover's
+    certificate; the table checks them against the count law of cover
+    counts (matching.count_law_violations), every cell at window 1.0,
+    and a breach raises InvariantViolation.  Each cell is covered once
+    per kernel (matching.ball_kind), so a zero-slack FK cell shares the
+    Bowen cover.  Every eps column is covered in one go, at mass
+    threshold 1 - eps: its dense cells come from one
     `spanning.column_covers` call.  Every cell reads the measure's own
     orbit stack, built once by sample_measure.
     """
@@ -230,18 +205,18 @@ def katok_table(
     for eps in eps_list:
         cells = list(dict.fromkeys((ball_kind(kind, n, eps), n) for kind in KINDS for n in n_window))
         columns[eps] = _column_counts(measure, eps, cells, 1.0 - eps, pair_budget)
-    tables: dict[str, dict[tuple[float, int], KatokCount]] = {}
+    table: dict[tuple[str, int, float], Cell] = {}
     for kind in KINDS:
-        cells = {(eps, n): columns[eps][(ball_kind(kind, n, eps), n)] for eps in eps_list for n in n_window}
-        counts = {(n, eps): (cell.count, 1.0) for (eps, n), cell in cells.items()}
-        check_count_law(counts, kind, balls=False, noun="cover count")
-        tables[kind] = cells
-    return tables
+        for eps in eps_list:
+            for n in n_window:
+                cover = columns[eps][(ball_kind(kind, n, eps), n)]
+                table[(kind, n, eps)] = Cell(cover.count, 1.0, measure.M, cover)
+    return CellTable(COVER, table)
 
 
-def table_slopes(cells: dict[tuple[float, int], KatokCount]) -> EntropyEstimate:
-    """Per-eps slope of log count against n, eps ascending, valued at the smallest eps."""
-    return eps_slopes({key: math.log(cell.count) for key, cell in cells.items()})
+def table_slopes(table: CellTable, kind: str) -> EntropyEstimate:
+    """One kind's per-eps slopes of log cover count against n (`spanning.entropy_from_counts`)."""
+    return entropy_from_counts(table, kind)
 
 
 def katok_path_entropy(
@@ -252,18 +227,17 @@ def katok_path_entropy(
     eps_list,
     M: int,
     pair_budget: int,
-) -> tuple[dict[str, dict[tuple[float, int], KatokCount]], dict[str, EntropyEstimate]]:
-    """One driving path's cover tables and the entropy estimate of each kind in KINDS.
+) -> tuple[CellTable, dict[str, EntropyEstimate]]:
+    """One driving path's cover table and the entropy estimate of each kind in KINDS.
 
     The path is drawn from `seed` at the schedules' horizon and the
     measure from the same seed; katok_table covers it once for every
-    kind, at mass threshold 1 - eps, and table_slopes fits each kind's
-    table.
+    kind, at mass threshold 1 - eps, and table_slopes fits each kind.
     """
     path = sample_path(process, katok_horizon(system, n_window, eps_list), seed)
     measure = sample_measure(system, path, M, seed)
-    cells = katok_table(measure, n_window, eps_list, pair_budget=pair_budget)
-    return cells, {kind: table_slopes(cells[kind]) for kind in KINDS}
+    table = katok_table(measure, n_window, eps_list, pair_budget=pair_budget)
+    return table, {kind: table_slopes(table, kind) for kind in KINDS}
 
 
 def katok_entropy(

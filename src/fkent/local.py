@@ -20,11 +20,12 @@ as an O(1/n) bias; the slope cancels it.
 
 Zero-count entries are flagged rather than infinite.  An empirical count
 of zero at fixed M says the ball is smaller than about 1/M, nothing more,
-so fits skip flagged entries and the record keeps them visible.
+so fits skip flagged entries and the table keeps them visible.
 
 Ball conventions match the counting side: open balls for both kinds, and
 the FK ball is the single-threshold test (defect below delta with pair
-distances strictly below delta).  Every record obeys the count law of
+distances strictly below delta).  Every table (a `spanning.CellTable`
+of ball counts, each at scale M) obeys the count law of
 `matching.count_law_violations` for ball counts, exactly, on a fixed
 sample: masses are nondecreasing in delta, and nonincreasing in n within
 one slack band, which for Bowen is every n.  When the FK slack jumps, an
@@ -35,7 +36,8 @@ The same slack jump breaks naive slope fits for FK tables.  An FK ball
 with slack b is roughly a union of order-n^(2b) Bowen-sized slivers (one
 per near-diagonal matching pattern), so log mass shifts by the log of
 that pattern count exactly where the schedule crosses a slack boundary.
-The slack per (n, delta) cell is known in advance, so the fit here
+The slack per (n, delta) cell is known in advance, so the fit
+(`spanning.entropy_from_counts`, the one every estimator's table takes)
 regresses log mass on n with one intercept per slack value: intercepts
 absorb the pattern-count factors, the shared slope keeps the decay rate.
 With a single slack value (always true for Bowen) this is ordinary least
@@ -58,12 +60,10 @@ from .matching import (
     ball_batch,
     ball_kind,
     ball_steps,
-    check_count_law,
     check_kinds,
     inclusion_violations,
-    slack_band,
 )
-from .spanning import fit_log_slope, sorted_schedule
+from .spanning import BALLS, Cell, CellTable, EntropyEstimate, entropy_from_counts, sorted_schedule
 from .systems import (
     EmpiricalMeasure,
     InvariantViolation,
@@ -81,8 +81,6 @@ from .systems import (
 __all__ = [
     "EmpiricalMeasure",
     "GridPartition",
-    "LocalEntry",
-    "LocalEntropyRecord",
     "reference_points",
     "sample_measure",
     "ball_measure",
@@ -217,55 +215,6 @@ def ball_measure(
     return int(ball_batch(kind, center.prefix(n), stack, delta).sum()) / measure.M
 
 
-@dataclass(frozen=True)
-class LocalEntry:
-    """One (n, delta) cell of a local entropy table."""
-
-    n: int
-    delta: float
-    kind: str
-    count: int
-    M: int
-
-    @property
-    def flagged(self) -> bool:
-        return self.count == 0
-
-    @property
-    def estimate(self) -> float:
-        if self.flagged:
-            return math.nan
-        return -math.log(self.count / self.M) / self.n
-
-
-@dataclass
-class LocalEntropyRecord:
-    """Local entropy table for one base point along one path.
-
-    entries covers the full (n, delta) schedule, flagged cells included.
-    value is the slope-style estimate: the fitted decay rate of
-    log(count/M) against n at delta_used, the smallest delta whose
-    largest-n entry has a nonzero count, with one intercept per
-    matching-slack band (plain least squares for Bowen tables).  Its
-    counts obey the ball count law (matching.count_law_violations), or
-    construction raises InvariantViolation.
-    """
-
-    kind: str
-    entries: tuple[LocalEntry, ...]
-    value: float
-    delta_used: float
-
-    def __post_init__(self) -> None:
-        for e in self.entries:
-            if e.kind != self.kind:
-                raise InvariantViolation("mixed metric kinds in one record")
-            if not e.flagged and e.estimate < -1e-12:
-                raise InvariantViolation("negative local entropy entry")
-        counts = {(e.n, e.delta): (e.count, 1.0) for e in self.entries}
-        check_count_law(counts, self.kind, balls=True, noun="ball count")
-
-
 def _ball_count_table(
     measure: EmpiricalMeasure,
     center: OrbitSegment,
@@ -327,65 +276,26 @@ def _ball_count_table(
     return {kind: {c: counts[ball_kind(kind, *c)][c] for c in cells} for kind in KINDS}
 
 
-def _local_record(
-    kind: str,
-    counts: dict[tuple[int, float], int],
-    n_list: list[int],
-    delta_list: list[float],
-    M: int,
-) -> LocalEntropyRecord:
-    """Preflight one kind's counts (see local_entropy) and fit its record."""
-    top = counts[(n_list[-1], delta_list[-1])]
-    if top < 10:
-        raise ValueError(
-            f"sample budget too small: count {top} < 10 at n={n_list[-1]}, delta={delta_list[-1]}; "
-            f"raise M above {10 * M // max(top, 1)}"
-        )
-
-    entries = tuple(
-        LocalEntry(n, d, kind, counts[(n, d)], M)
-        for n in n_list
-        for d in delta_list
-    )
-
-    delta_used = math.nan
-    value = math.nan
-    for d in delta_list:
-        if counts[(n_list[-1], d)] > 0:
-            delta_used = d
-            break
-    if not math.isnan(delta_used):
-        xs = [n for n in n_list if counts[(n, delta_used)] > 0]
-        ys = [math.log(counts[(n, delta_used)] / M) for n in xs]
-        if len(xs) >= 2:
-            bands = [slack_band(kind, n, delta_used) for n in xs]
-            value = -fit_log_slope(xs, ys, bands)[0]
-        else:
-            value = -ys[0] / xs[0]
-
-    return LocalEntropyRecord(kind=kind, entries=entries, value=value, delta_used=delta_used)
-
-
 def local_entropy(
     measure: EmpiricalMeasure,
     x,
     n_list,
     delta_list,
-) -> dict[str, LocalEntropyRecord]:
-    """Fill the (n, delta) local entropy table of every kind in KINDS for one base point.
+) -> tuple[CellTable, dict[str, EntropyEstimate]]:
+    """One base point's (n, delta) ball count table of every kind in KINDS, and each kind's fit.
 
-    The result maps each kind to its record.  One sample pass counts
-    every kind (see _ball_count_table).  Each kind is then preflighted in
-    KINDS order: a count below 10 at the largest n and largest delta
-    means M is too small for the schedule and raises.  Zero counts inside
-    the table are flagged entries, not errors.
+    One sample pass counts every kind (see _ball_count_table).  Each
+    kind is then preflighted in KINDS order: a count below 10 at the
+    largest n and largest delta means M is too small for the schedule
+    and raises ValueError.  Zero counts inside the table are flagged
+    entries, not errors; the fit (spanning.entropy_from_counts) skips
+    them.  Cells go in (kind, n, delta) order, each at scale M.
 
     The base point's orbit runs along the measure's own system and path,
     and the counts read the measure's orbit stack, so a stack shorter
-    than the largest n raises ValueError.  Entries take M from the
-    measure.  The Bowen ball lies inside the FK ball, so an FK count
-    below the Bowen count in any cell raises InvariantViolation
-    (matching.inclusion_violations).
+    than the largest n raises ValueError.  The Bowen ball lies inside
+    the FK ball, so an FK count below the Bowen count in any cell raises
+    InvariantViolation (matching.inclusion_violations).
     """
     n_list, delta_list = sorted_schedule(n_list, delta_list)
     center = orbit(measure.system, measure.omega, x, n_list[-1])
@@ -397,7 +307,18 @@ def local_entropy(
             f"{large} ball count {tables[large][cell]} fell below the {small} ball count "
             f"{tables[small][cell]} at (n, delta) = {cell}"
         )
-    return {kind: _local_record(kind, tables[kind], n_list, delta_list, measure.M) for kind in KINDS}
+    M = measure.M
+    top = (n_list[-1], delta_list[-1])
+    for kind in KINDS:
+        if tables[kind][top] < 10:
+            raise ValueError(
+                f"sample budget too small: count {tables[kind][top]} < 10 at n={top[0]}, delta={top[1]}; "
+                f"raise M above {10 * M // max(tables[kind][top], 1)}"
+            )
+    table = CellTable(
+        BALLS, {(kind, n, d): Cell(count, M, M, None) for kind in KINDS for (n, d), count in tables[kind].items()}
+    )
+    return table, {kind: entropy_from_counts(table, kind) for kind in KINDS}
 
 
 def smb_estimate(

@@ -511,22 +511,20 @@ def _word_steps(n: int, delta: float, closed: bool) -> int:
 
 
 def _word_diagonal(
-    center_word: np.ndarray, others: np.ndarray, depth: int, i0: int, i1: int, offset: int
+    samples: np.ndarray, centers: np.ndarray, depth: int, i0: int, i1: int, offset: int
 ) -> np.ndarray:
     """Step-major (i1 - i0, ..., M) agreement of center steps i with sample steps i + offset.
 
-    center_word is one word (L,) or a (C, L) stack, whose stack axis
-    follows the steps.  A pair agrees when the suffixes agree on `depth`
-    symbols, so the center word must hold i1 + depth - 1 symbols and
-    every sample i1 + offset + depth - 1, at most the `_word_steps` the
-    kernels check.
+    samples is the step-major view of the (M, L) sample words and centers
+    that of one center word (L,) or a (C, L) stack, shaped to broadcast
+    against each other (`_band_masks` builds both once).  A pair agrees
+    when the suffixes agree on `depth` symbols, so the center word must
+    hold i1 + depth - 1 symbols and every sample i1 + offset + depth - 1,
+    at most the `_word_steps` the kernels check.
     """
-    lead = center_word.ndim - 1
-    ok = np.ones((i1 - i0,) + center_word.shape[:-1] + (others.shape[0],), dtype=bool)
+    ok = np.ones((i1 - i0,) + centers.shape[1:-1] + samples.shape[-1:], dtype=bool)
     for t in range(i0, i0 + depth):
-        sample = np.expand_dims(others.T[t + offset : t + offset + i1 - i0], tuple(range(1, 1 + lead)))
-        center = np.moveaxis(center_word[..., t : t + i1 - i0], -1, 0)[..., None]
-        ok &= sample == center
+        ok &= samples[t + offset : t + offset + i1 - i0] == centers[t : t + i1 - i0]
     return ok
 
 
@@ -554,10 +552,14 @@ def _band_masks(
     lead = center.stack_shape
     weights = _bit_weights(n)
     reach = max(bands.values())
+    # step-major views: a stack axis on the samples broadcasts them
+    # against every center, a sample axis on the centers against every sample
     if torus:
-        # a stack axis on the samples broadcasts them against every center
         samples = np.expand_dims(others, tuple(range(1, 1 + len(lead))))
         points = center.points[..., None]
+    else:
+        samples = np.expand_dims(others.T, tuple(range(1, 1 + len(lead))))
+        points = np.moveaxis(center.word, -1, 0)[..., None]
     # the main diagonal comes first and covers every row of every band, so
     # it writes each mask whole and the other offsets OR into it
     for offset in sorted(range(-reach, reach + 1), key=abs):
@@ -572,7 +574,7 @@ def _band_masks(
                 ok = circle_within(diff, d, closed)
             else:
                 depth = _pair_depth(d, closed)
-                ok = _word_diagonal(center.word, others, depth, i0, i1, offset)
+                ok = _word_diagonal(samples, points, depth, i0, i1, offset)
             if offset:
                 masks[d][i0:i1] |= ok * bits
             else:

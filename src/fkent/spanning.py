@@ -23,10 +23,16 @@ intervals (Bowen balls on the expanding family), shrinking the window
 leaves the growth rate in n untouched.  FK balls are not local, since
 time-shifted matches lie anywhere on the circle, so FK count / window
 is only an upper bound on the circle's count.
-`CountTable.validate` holds each metric's counts to the count law of
-`matching.count_law_violations` for separated counts: within one window
-a count moves against its ball by at most one count of greedy jitter,
-and densities of different windows get a relative slack on top.
+
+All three estimators, separated counts here, covers in `katok` and ball
+counts in `local`, fill one table type: a `CellTable` of `Cell`s keyed
+(kind, n, radius), each count with the scale its log is read against
+(the window, 1.0 for a cover, M for a ball count).  The table validates
+itself on construction, each estimator's counts against the count law
+of `matching.count_law_violations`, and one fit reads every table:
+`entropy_from_counts`, per radius the slope of log(count / scale)
+against n with one intercept per `matching.slack_band`, valued at the
+smallest radius whose largest-n count is above 0.
 
 The circle Bowen scan (`greedy_separated`) runs in rounds.  A candidate's
 closed ball reaches about _SUBDIVISIONS + 0.5 grid steps each way, so
@@ -82,17 +88,20 @@ from .matching import (
     check_count_law,
     check_kinds,
     inclusion_violations,
+    slack_band,
 )
 
 __all__ = [
+    "BALLS",
+    "COVER",
     "SEPARATED",
-    "CountEntry",
-    "CountTable",
+    "Cell",
+    "CellTable",
     "EntropyEstimate",
+    "KatokCount",
     "column_covers",
     "count_table",
     "entropy_from_counts",
-    "eps_slopes",
     "fit_log_slope",
     "greedy_cover",
     "greedy_separated",
@@ -102,7 +111,10 @@ __all__ = [
     "word_candidates",
 ]
 
+# what a CellTable's counts are
 SEPARATED = "greedy-separated"
+COVER = "greedy-cover"
+BALLS = "ball-count"
 
 # torus_grid_candidates lays _SUBDIVISIONS + 0.5 grid steps per ball
 # radius, which keeps the mesh well under the eps/2 density counts need.
@@ -502,77 +514,125 @@ def greedy_cover(cover: np.ndarray, need: int) -> tuple[np.ndarray, int]:
 
 
 @dataclass(frozen=True)
-class CountEntry:
-    n: int
-    eps: float
-    metric: str
-    estimator: str
+class KatokCount:
+    """Greedy almost-cover certificate for one (n, eps) cell.
+
+    centers holds the chosen sample indices in pick order; covered_mass is
+    the fraction of samples inside the union of their balls, never below
+    the mass threshold.
+    """
+
+    mass_threshold: float
     count: int
-    window: float
-    candidates: int
+    covered_mass: float
+    centers: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise InvariantViolation("a cover needs at least one ball")
+        if self.count != len(self.centers):
+            raise InvariantViolation("count must equal the number of centers")
+        if self.covered_mass + 1e-12 < self.mass_threshold:
+            raise InvariantViolation(
+                f"covered mass {self.covered_mass} below threshold {self.mass_threshold}"
+            )
+        if self.covered_mass > 1.0 + 1e-12:
+            raise InvariantViolation("covered mass above 1")
 
 
 @dataclass(frozen=True, eq=False)
-class CountTable:
-    """(n, eps, metric) -> greedy separated count, plus its window."""
+class Cell:
+    """One count of a CellTable, with what its CSV row needs.
 
-    entries: tuple[CountEntry, ...]
+    The fit reads the count against scale: the window of a separated
+    count, 1.0 for a cover and M for a ball count.  samples is how many
+    candidates or sample points the count was taken on, and cover is the
+    certificate of a cover count (None for the other two).
+    """
 
-    def lookup(self, n: int, eps: float, metric: str) -> CountEntry | None:
-        for e in self.entries:
-            if e.n == n and e.eps == eps and e.metric == metric:
-                return e
-        return None
+    count: int
+    scale: float
+    samples: int
+    cover: KatokCount | None
 
-    def axis(self, field_name: str) -> list:
-        return sorted({getattr(e, field_name) for e in self.entries})
-
-    def validate(self) -> None:
-        """Asserts every count is at least 1 and obeys the count laws.
-
-        Each metric's densities count / window obey
-        matching.count_law_violations as separated counts: they may not
-        rise along eps, nor fall along n within one slack band, by more
-        than one count of greedy jitter, and cells of different windows
-        get the relative density slack on top.  Within one (n, eps,
-        window) cell the FK count may not exceed the Bowen count, with
-        no slack.  Raises InvariantViolation on failure.
-        """
-        for e in self.entries:
-            if e.count < 1:
-                raise InvariantViolation(f"count below 1 at {e}")
-        metrics = self.axis("metric")
-        for metric in metrics:
-            cells = {(e.n, e.eps): (e.count, e.window) for e in self.entries if e.metric == metric}
-            check_count_law(cells, metric, balls=False, noun="count")
-        # larger balls separate fewer candidates, compared within one window
-        counts = {
-            metric: {(e.n, e.eps, e.window): e.count for e in self.entries if e.metric == metric}
-            for metric in metrics
-        }
-        bad = inclusion_violations(counts, balls=False)
-        if bad:
-            small, large, cell = bad[0]
-            raise InvariantViolation(
-                f"{large} count {counts[large][cell]} exceeds {small} count "
-                f"{counts[small][cell]} at n={cell[0]} eps={cell[1]}"
-            )
+    def estimate(self, n: int) -> float:
+        """-log(count / scale) / n, a time-n ball count's single-entry entropy; NaN at count 0."""
+        return -math.log(self.count / self.scale) / n if self.count else math.nan
 
 
-def fit_log_slope(ns, ys, bands=None) -> tuple[float, float]:
+# what matching.check_count_law calls each estimator's counts
+_NOUNS = {SEPARATED: "count", COVER: "cover count", BALLS: "ball count"}
+
+
+@dataclass(frozen=True, eq=False)
+class CellTable:
+    """(kind, n, radius) -> Cell for one estimator on one sample, validated on construction.
+
+    estimator is SEPARATED, COVER or BALLS.  Every builder fills the
+    whole (n, radius) grid of every kind in KINDS, in the order of the
+    rows its CSV writes.  Separated and cover counts are at least 1, and
+    ball counts are at most M, so no entry estimate -log(count / M) / n
+    is negative.  Each kind's counts obey matching.count_law_violations,
+    as ball counts or as separated and cover counts: a separated count
+    within one window moves against its ball by at most one count of
+    greedy jitter, and densities count / window of different windows get
+    a relative slack on top.  Within one (n, eps, window) cell a
+    separated FK count may not exceed the Bowen count, with no slack.
+    Raises InvariantViolation on failure.
+    """
+
+    estimator: str
+    cells: dict[tuple[str, int, float], Cell]
+
+    def __post_init__(self) -> None:
+        balls = self.estimator == BALLS
+        for (kind, n, radius), cell in self.cells.items():
+            if balls:
+                if cell.estimate(n) < -1e-12:
+                    raise InvariantViolation("negative local entropy entry")
+            elif cell.count < 1:
+                raise InvariantViolation(f"count below 1 at {(kind, n, radius)}")
+        counts = self.counts()
+        for kind in counts:
+            law = {(n, r): (c.count, c.scale) for (n, r), c in self.of(kind).items()}
+            check_count_law(law, kind, balls, _NOUNS[self.estimator])
+        if self.estimator == SEPARATED:
+            # larger balls separate fewer candidates, compared within one window
+            bad = inclusion_violations(counts, balls=False)
+            if bad:
+                small, large, cell = bad[0]
+                raise InvariantViolation(
+                    f"{large} count {counts[large][cell]} exceeds {small} count "
+                    f"{counts[small][cell]} at n={cell[0]} eps={cell[1]}"
+                )
+
+    def of(self, kind: str) -> dict[tuple[int, float], Cell]:
+        """One kind's cells, keyed (n, radius)."""
+        return {(n, r): cell for (k, n, r), cell in self.cells.items() if k == kind}
+
+    def counts(self) -> dict[str, dict[tuple[int, float, float], int]]:
+        """Counts per kind keyed (n, radius, scale), so matching.inclusion_violations
+        compares kinds only within one scale."""
+        out: dict[str, dict[tuple[int, float, float], int]] = {}
+        for (kind, n, r), cell in self.cells.items():
+            out.setdefault(kind, {})[(n, r, cell.scale)] = cell.count
+        return out
+
+
+def fit_log_slope(ns, ys, bands) -> tuple[float, float]:
     """Least-squares slope of ys against ns, one intercept per band value.
 
     Pooled within-group least squares: cells sharing a band (matching
     slack) value form a group with its own intercept, and the slope is
     common.  A group with a single point pins its intercept and adds
-    nothing to the slope.  Without bands all points form one group, which
-    is plain least squares.  Returns (slope, within-group residual rms).
+    nothing to the slope; with one band this is plain least squares.
+    Returns (slope, within-group residual rms).
     """
     x = np.asarray(ns, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ValueError("need at least two points to fit")
-    groups = [slice(None)] if bands is None else [np.asarray(bands) == b for b in np.unique(bands)]
+    groups = [np.asarray(bands) == b for b in np.unique(bands)]
     num = 0.0
     den = 0.0
     for g in groups:
@@ -593,40 +653,76 @@ def fit_log_slope(ns, ys, bands=None) -> tuple[float, float]:
 class EntropyEstimate:
     """Entropy slope with its convergence diagnostics.
 
-    The per-eps slopes, eps ascending, stand in for the radius limit;
-    value is the slope at the smallest eps.
+    The per-radius slopes, radii ascending, stand in for the radius
+    limit; a radius with no slope has NaN there and in its residual.
+    value is the slope at radii[used].  banded says whether that slope
+    drew on a group of two or more n in one slack band above 0, the
+    cells where an FK ball differs from the Bowen ball.
     """
 
+    radii: tuple[float, ...]
     slopes: tuple[float, ...]
     residuals: tuple[float, ...]
+    used: int
+    banded: bool
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(r) for r in self.residuals):
+        if not all(math.isfinite(r) for s, r in zip(self.slopes, self.residuals) if not math.isnan(s)):
             raise InvariantViolation("non-finite fit residual")
 
     @property
     def value(self) -> float:
-        return self.slopes[0]
+        return self.slopes[self.used]
+
+    @property
+    def radius(self) -> float:
+        return self.radii[self.used]
 
 
-def eps_slopes(log_sizes: dict[tuple[float, int], float]) -> EntropyEstimate:
-    """Per-eps slope of log size against n, eps ascending, from {(eps, n): log size}."""
-    fits = []
-    for eps in sorted({eps for eps, _ in log_sizes}):
-        ns = sorted(n for e, n in log_sizes if e == eps)
-        fits.append(fit_log_slope(ns, [log_sizes[(eps, n)] for n in ns]))
-    return EntropyEstimate(slopes=tuple(slope for slope, _ in fits), residuals=tuple(rms for _, rms in fits))
+def entropy_from_counts(table: CellTable, kind: str) -> EntropyEstimate:
+    """One kind's entropy: per radius, the banded slope of its log counts against n.
 
-
-def entropy_from_counts(table: CountTable, metric: str = BOWEN) -> EntropyEstimate:
-    """Per-eps slope of window-adjusted log counts over the table's n axis."""
-    if len(table.axis("n")) < 3:
+    Per radius, the cells with count > 0 are fitted by fit_log_slope,
+    grouped by matching.slack_band, on log(count / scale); ball counts,
+    whose log falls as n grows, negate the slope.  The value is read at
+    the smallest radius whose largest-n count is > 0, which is the
+    smallest radius for separated and cover counts (never 0).  A radius
+    whose cells leave no band group with two n gets a NaN slope; at the
+    value radius that raises ValueError.  A separated fit needs at least
+    3 n values.
+    """
+    cells = table.of(kind)
+    if not cells:
+        raise ValueError(f"the table holds no {kind!r} counts")
+    ns = sorted({n for n, _ in cells})
+    radii = sorted({r for _, r in cells})
+    if table.estimator == SEPARATED and len(ns) < 3:
         raise ValueError("need at least 3 n values in the window")
-    if metric not in table.axis("metric"):
-        raise ValueError(f"the table holds no {metric!r} counts")
-    return eps_slopes(
-        {(e.eps, e.n): math.log(e.count) - math.log(e.window) for e in table.entries if e.metric == metric}
-    )
+    used = next((i for i, r in enumerate(radii) if cells[(ns[-1], r)].count > 0), None)
+    if used is None:
+        raise ValueError(f"every {kind} count at n={ns[-1]} is 0")
+    balls = table.estimator == BALLS
+    slopes, residuals = [], []
+    for i, r in enumerate(radii):
+        xs = [n for n in ns if cells[(n, r)].count > 0]
+        # ball logs were always read as log(count / M), the others as
+        # log count - log scale: the two round differently
+        ys = [
+            math.log(c.count / c.scale) if balls else math.log(c.count) - math.log(c.scale)
+            for c in (cells[(n, r)] for n in xs)
+        ]
+        bands = [slack_band(kind, n, r) for n in xs]
+        if i == used:
+            banded = any(b > 0 and bands.count(b) >= 2 for b in bands)
+        try:
+            slope, rms = fit_log_slope(xs, ys, bands)
+        except ValueError:
+            if i == used:
+                raise
+            slope, rms = math.nan, math.nan
+        slopes.append(-slope if balls else slope)
+        residuals.append(rms)
+    return EntropyEstimate(tuple(radii), tuple(slopes), tuple(residuals), used, banded)
 
 
 def sorted_schedule(n_list, radii) -> tuple[list[int], list[float]]:
@@ -666,14 +762,14 @@ def count_table(
     eps_list,
     count_target: int = CANDIDATE_TARGET,
     budget: int = CANDIDATE_BUDGET,
-) -> CountTable:
+) -> CellTable:
     """Greedy separated counts for every (n, eps) cell of every metric in KINDS, validated.
 
     Each cell builds its own windowed grid or word enumeration; within a
     cell every metric sees identical candidates, which is what makes the
     cross-metric inequalities exact.  Metrics whose balls run the same
     kernel (matching.ball_kind) share one scan per cell, so a zero-slack
-    FK cell takes the Bowen count.
+    FK cell takes the Bowen count.  Cells go in (n, eps, metric) order.
     """
     n_list, eps_list = sorted_schedule(n_list, eps_list)
     # a torus cell reads n orbit points, n - 1 steps of the path; a word
@@ -681,22 +777,20 @@ def count_table(
     steps = katok_horizon(system, n_list, eps_list) - (0 if system.on_words else 1)
     if path.horizon < steps:
         raise ValueError(f"path horizon {path.horizon} < {steps}, the path steps the largest cell reads")
-    entries: list[CountEntry] = []
+    cells: dict[tuple[str, int, float], Cell] = {}
     for n in n_list:
         for eps in eps_list:
             if system.on_words:
-                cell, window = word_candidates(system, path, n, eps, budget=budget)
+                measure, window = word_candidates(system, path, n, eps, budget=budget)
             else:
-                cell, window = torus_grid_candidates(system, path, n, eps, count_target=count_target, budget=budget)
+                measure, window = torus_grid_candidates(system, path, n, eps, count_target=count_target, budget=budget)
             counts: dict[str, int] = {}
             for metric in KINDS:
                 kernel = ball_kind(metric, n, eps)
                 if kernel not in counts:
-                    counts[kernel] = greedy_separated(cell, n, kernel, eps)[0]
-                entries.append(CountEntry(n, eps, metric, SEPARATED, counts[kernel], window, cell.M))
-    table = CountTable(tuple(entries))
-    table.validate()
-    return table
+                    counts[kernel] = greedy_separated(measure, n, kernel, eps)[0]
+                cells[(metric, n, eps)] = Cell(counts[kernel], window, measure.M, None)
+    return CellTable(SEPARATED, cells)
 
 
 def path_entropy(
@@ -707,7 +801,7 @@ def path_entropy(
     eps_list,
     count_target: int,
     budget: int,
-) -> tuple[CountTable, dict[str, EntropyEstimate]]:
+) -> tuple[CellTable, dict[str, EntropyEstimate]]:
     """One driving path's count table and the entropy estimate of each metric in KINDS.
 
     The path is drawn from `seed` at the schedules' horizon; each metric's

@@ -273,6 +273,18 @@ def test_only_matching_names_the_slack_rule():
     assert deciders == []
 
 
+def test_only_spanning_names_the_slope_fit():
+    # every table is fitted by spanning.entropy_from_counts, one banded
+    # fit for every estimator; a module that names fit_log_slope fits a
+    # table of its own
+    fitters = [
+        f"fkent.{name}"
+        for name in MODULES + ["__init__"]
+        if name != "spanning" and "fit_log_slope" in _named(_tree(name))
+    ]
+    assert fitters == []
+
+
 def test_only_systems_decides_circle_closeness():
     # every circle ball test thresholds |u - v| with systems.circle_within,
     # which builds no gap array; circle_gap stays where the distance itself

@@ -295,6 +295,7 @@ def test_compare_local_gap_zero_on_band_zero(tmp_path):
     report = run_experiment("compare-local", cfg)
     gap = report["results"]["gap"]
     assert gap["max_abs"] == 0.0
+    assert gap["vacuous"] is True
     estimates = report["results"]["estimates"]
     for kind in (BOWEN, FK):
         assert estimates[kind]["delta_used"] == [0.1, 0.1]
@@ -313,6 +314,42 @@ def test_compare_local_gap_zero_on_band_zero(tmp_path):
             assert fk == bowen
         else:
             assert fk >= bowen
+
+
+def test_gap_not_vacuous_where_fk_fits_a_slack_band(tmp_path, capsys):
+    # at delta = 0.2 the FK bands of n = 4..12 are 0, 1, 1, 1, 2: the FK
+    # value pools the band-1 group, so the comparison can show something
+    assert [match_slack(n, 0.2) for n in (4, 6, 8, 10, 12)] == [0, 1, 1, 1, 2]
+    path = write_config(tmp_path, TINY.format(out=tmp_path / "out"))
+    flags = ["--n", "4,6,8,10,12", "--delta", "0.2", "--M", "200000", "--base-points", "2"]
+    assert main(["compare-local", "--config", path, *flags]) == 0
+    assert "(not vacuous)" in capsys.readouterr().out
+    with open(tmp_path / "out" / "report.json") as fh:
+        results = json.load(fh)["results"]
+    assert results["gap"]["vacuous"] is False
+    assert results["estimates"][FK]["delta_used"] == [0.2, 0.2]
+    # the default delta schedule reads the value at 0.1, all band 0
+    assert main(["compare-local", "--config", path, "--M", "20000"]) == 0
+    assert "(vacuous: no fk value fits a slack band above 0)" in capsys.readouterr().out
+
+
+def test_degenerate_radius_reports_null_slope(tmp_path):
+    # at eps = 0.25 the FK bands of n = 4, 5, 9 are 0, 1, 2, no group of two
+    # n: that FK slope is null in report.json, and the value, read at
+    # eps = 0.1 (all band 0), stands
+    assert [match_slack(n, 0.25) for n in (4, 5, 9)] == [0, 1, 2]
+    cfg = load_config(
+        write_config(tmp_path, TINY.format(out=tmp_path / "out")),
+        {"n": (4, 5, 9), "eps": (0.25, 0.1), "M": 300, "paths": 1},
+    )
+    run_experiment("compare-katok", cfg)
+    with open(tmp_path / "out" / "report.json") as fh:
+        results = json.load(fh)["results"]
+    fk, bowen = results["estimates"][FK], results["estimates"][BOWEN]
+    assert fk["eps_order"] == [0.1, 0.25]
+    assert fk["slopes_per_eps"][1] is None and fk["slopes_per_eps"][0] == fk["mean"]
+    assert all(isinstance(v, float) for v in bowen["slopes_per_eps"])
+    assert results["gap"]["vacuous"] is True
 
 
 def test_run_experiment_rejects_unknown_name():

@@ -15,6 +15,7 @@ from fkent.katok import (
 )
 from fkent.local import sample_measure
 from fkent.matching import BOWEN, FK, KINDS, bowen_ball_batch, count_law_violations, match_slack, match_target
+from fkent.spanning import fit_log_slope
 from fkent.systems import (
     EmpiricalMeasure,
     InvariantViolation,
@@ -171,17 +172,17 @@ def test_katok_table_both_kinds_equal_single_kind_counts():
     for system, path, mu, n_window, eps_list, bands in cases:
         assert [[match_slack(n, e) for n in n_window] for e in eps_list] == bands
         both = katok_table(mu, n_window, eps_list)
-        for kind in KINDS:
-            assert list(both[kind]) == [(e, n) for e in eps_list for n in n_window]
-            for (eps, n), shared in both[kind].items():
-                cell = katok_spanning_count(mu, n, eps, 1.0 - eps, kind)
-                assert shared.count == cell.count
-                assert shared.covered_mass == cell.covered_mass
-                assert np.array_equal(shared.centers, cell.centers)
-        zero_slack = [(e, n) for e in eps_list for n in n_window if match_slack(n, e) == 0]
-        assert all(both[FK][key] is both[BOWEN][key] for key in zero_slack)
-        slack_cells = [(e, n) for e in eps_list for n in n_window if match_slack(n, e) > 0]
-        assert any(both[FK][key].count != both[BOWEN][key].count for key in slack_cells)
+        assert list(both.cells) == [(kind, n, e) for kind in KINDS for e in eps_list for n in n_window]
+        for (kind, n, eps), shared in both.cells.items():
+            cell = katok_spanning_count(mu, n, eps, 1.0 - eps, kind)
+            assert shared.count == shared.cover.count == cell.count
+            assert (shared.scale, shared.samples) == (1.0, mu.M)
+            assert shared.cover.covered_mass == cell.covered_mass
+            assert np.array_equal(shared.cover.centers, cell.centers)
+        zero_slack = [(n, e) for e in eps_list for n in n_window if match_slack(n, e) == 0]
+        assert all(both.cells[(FK, *key)].cover is both.cells[(BOWEN, *key)].cover for key in zero_slack)
+        slack_cells = [(n, e) for e in eps_list for n in n_window if match_slack(n, e) > 0]
+        assert any(both.cells[(FK, *key)].count != both.cells[(BOWEN, *key)].count for key in slack_cells)
 
 
 def _column_cases():
@@ -212,12 +213,12 @@ def _column_cases():
 
 @pytest.mark.parametrize("mu, n_window, eps_list", _column_cases())
 def test_katok_table_column_equals_one_cell_at_a_time(mu, n_window, eps_list):
-    tables = katok_table(mu, n_window, eps_list)
+    table = katok_table(mu, n_window, eps_list)
     for kind in KINDS:
         for eps in eps_list:
             for n in n_window:
                 cell = katok_spanning_count(mu, n, eps, 1.0 - eps, kind)
-                shared = tables[kind][(eps, n)]
+                shared = table.cells[(kind, n, eps)].cover
                 assert shared.count == cell.count, (kind, eps, n)
                 assert shared.covered_mass == cell.covered_mass, (kind, eps, n)
                 assert np.array_equal(shared.centers, cell.centers), (kind, eps, n)
@@ -230,7 +231,7 @@ def test_pair_budget_gates_dense_table_columns():
     with pytest.raises(ResourceCapExceeded, match="cover matrix needs 40000 pairs, budget 100"):
         katok_table(mu, [4, 6], [0.1], pair_budget=100)
     words = sample_measure(shift_system((2, 2)), sample_path(bernoulli_process((0.5, 0.5)), 10, 3), 200, 3)
-    assert len(katok_table(words, [4, 5], [0.05], pair_budget=1)[FK]) == 2
+    assert len(katok_table(words, [4, 5], [0.05], pair_budget=1).of(FK)) == 2
     with pytest.raises(ResourceCapExceeded, match="cover matrix needs 40000 pairs, budget 100"):
         katok_table(words, [4, 5], [0.3], pair_budget=100)
 
@@ -327,7 +328,7 @@ def test_katok_table_packs_word_measure_once(monkeypatch):
 
     monkeypatch.setattr(np, "lexsort", counting_lexsort)
     tables = katok_table(mu, n_window, eps_list)
-    assert len(tables[BOWEN]) == 5
+    assert len(tables.of(BOWEN)) == 5
     assert mu.orbits.shape == (2000, 12)
     assert calls == [(1, 2000)]
 
@@ -351,19 +352,30 @@ def test_katok_table_and_entropy_doubling():
 
 def test_table_slopes_order():
     system, path, mu = doubling_measure()
-    cells = katok_table(mu, [4, 6, 8], [0.2, 0.1])[BOWEN]
-    fit = table_slopes(cells)
+    table = katok_table(mu, [4, 6, 8], [0.2, 0.1])
+    fit = table_slopes(table, BOWEN)
     assert len(fit.slopes) == len(fit.residuals) == 2
+    assert fit.radii == (0.1, 0.2)
     assert fit.value == fit.slopes[0]
     for slope, rms in zip(fit.slopes, fit.residuals):
         assert slope == pytest.approx(math.log(2.0), abs=0.15)
         assert rms < 0.2
+    # at eps = 0.25 the FK bands of n = 4..10 are 0, 1, 1, 2: the FK
+    # slope there is the banded fit, with its own intercept per band
+    ns = [4, 6, 8, 10]
+    table = katok_table(mu, ns, [0.1, 0.25])
+    bands = [match_slack(n, 0.25) for n in ns]
+    assert bands == [0, 1, 1, 2]
+    ys = [math.log(table.cells[(FK, n, 0.25)].count) for n in ns]
+    fit = table_slopes(table, FK)
+    assert (fit.slopes[1], fit.residuals[1]) == fit_log_slope(ns, ys, bands)
+    assert fit.value == fit.slopes[0] and fit.radius == 0.1 and not fit.banded
 
 
 def test_validate_accepts_real_table_and_rejects_doctored(monkeypatch):
     system, path, mu = doubling_measure()
-    cells = katok_table(mu, [4, 6], [0.2, 0.1])[BOWEN]
-    counts = {(n, eps): (cell.count, 1.0) for (eps, n), cell in cells.items()}
+    cells = katok_table(mu, [4, 6], [0.2, 0.1]).of(BOWEN)
+    counts = {key: (cell.count, cell.scale) for key, cell in cells.items()}
     assert count_law_violations(counts, BOWEN, balls=False) == []
 
     # katok_table raises on a column whose n = 6 cover is doctored to one ball

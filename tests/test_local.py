@@ -8,8 +8,6 @@ from fkent import local, matching
 from fkent.local import (
     EmpiricalMeasure,
     GridPartition,
-    LocalEntropyRecord,
-    LocalEntry,
     ball_measure,
     local_entropy,
     reference_points,
@@ -17,7 +15,7 @@ from fkent.local import (
     smb_estimate,
 )
 from fkent.matching import BOWEN, FK, match_slack, match_target
-from fkent.spanning import fit_log_slope
+from fkent.spanning import BALLS, Cell, CellTable, entropy_from_counts, fit_log_slope
 from fkent.systems import (
     InvariantViolation,
     OmegaPath,
@@ -146,8 +144,8 @@ def test_local_tests_reject_base_words_shorter_than_the_ball_reads():
     path = sample_path(bernoulli_process((1.0,)), 10, 3)
     mu = sample_measure(system, path, 20_000, 3)
     word = mu.samples[0]
-    full = local_entropy(mu, word, [4, 6, 8], [0.2])
-    assert [e.count for e in full[BOWEN].entries] == [330, 83, 25]
+    full, _ = local_entropy(mu, word, [4, 6, 8], [0.2])
+    assert [c.count for c in full.of(BOWEN).values()] == [330, 83, 25]
     assert ball_measure(mu, orbit(system, path, word, 8), 8, 0.2, BOWEN) == 25 / 20_000
     short = word[:8]
     with pytest.raises(ValueError, match="base word holds 8 symbols, the balls read 10"):
@@ -230,12 +228,11 @@ def test_ball_count_table_matches_ball_measure():
     mu = EmpiricalMeasure(system, path, stack)
     n_list, delta_list = [3, 5, 8], [0.125, 0.25]
     assert {match_slack(n, d) for n in n_list for d in delta_list} == {0, 1}
-    tables = {}
-    for kind, rec in local_entropy(mu, 5 / 64, n_list, delta_list).items():
-        for e in rec.entries:
-            mass = ball_measure(mu, center.prefix(e.n), e.n, e.delta, kind)
-            assert e.count == round(mass * M)
-        tables[kind] = {(e.n, e.delta): e.count for e in rec.entries}
+    table, _ = local_entropy(mu, 5 / 64, n_list, delta_list)
+    for (kind, n, delta), c in table.cells.items():
+        mass = ball_measure(mu, center.prefix(n), n, delta, kind)
+        assert c.count == round(mass * M)
+    tables = {kind: {key: c.count for key, c in table.of(kind).items()} for kind in (BOWEN, FK)}
     assert min(tables[BOWEN].values()) > 0
     assert tables[FK][(8, 0.25)] > tables[BOWEN][(8, 0.25)]
     assert tables[FK][(8, 0.125)] == tables[BOWEN][(8, 0.125)]
@@ -267,14 +264,12 @@ def test_shared_local_pass_matches_ball_measure(monkeypatch):
     n_list, delta_list = [3, 5, 7, 9, 10], [0.125, 0.25]
     assert [match_slack(n, 0.25) for n in n_list] == [0, 1, 1, 2, 2]
     assert [match_slack(n, 0.125) for n in n_list] == [0, 0, 0, 1, 1]
-    records = local_entropy(mu, 5 / 64, n_list, delta_list)
-    tables = {}
-    for kind, rec in records.items():
-        assert rec.kind == kind
-        for e in rec.entries:
-            mass = ball_measure(mu, center.prefix(e.n), e.n, e.delta, kind)
-            assert e.count == round(mass * M)
-        tables[kind] = {(e.n, e.delta): e.count for e in rec.entries}
+    table, fits = local_entropy(mu, 5 / 64, n_list, delta_list)
+    assert list(fits) == [BOWEN, FK]
+    for (kind, n, delta), c in table.cells.items():
+        mass = ball_measure(mu, center.prefix(n), n, delta, kind)
+        assert c.count == round(mass * M)
+    tables = {kind: {key: c.count for key, c in table.of(kind).items()} for kind in (BOWEN, FK)}
     assert min(tables[BOWEN].values()) > 0
     for n, d in tables[FK]:
         if match_slack(n, d) == 0:
@@ -404,13 +399,15 @@ def test_local_entropy_rejects_fk_count_below_bowen(monkeypatch):
 
 def test_local_entropy_record_shape_and_value():
     system, path, mu = doubling_setup(M=150_000)
-    rec = local_entropy(mu, 0.3, [4, 6, 8, 10], [0.2, 0.1])[BOWEN]
-    assert rec.kind == BOWEN
-    assert {(e.n, e.delta) for e in rec.entries} == {(n, d) for n in (4, 6, 8, 10) for d in (0.1, 0.2)}
-    assert rec.delta_used in (0.1, 0.2)
+    table, fits = local_entropy(mu, 0.3, [4, 6, 8, 10], [0.2, 0.1])
+    assert table.estimator == BALLS
+    assert set(table.of(BOWEN)) == {(n, d) for n in (4, 6, 8, 10) for d in (0.1, 0.2)}
+    assert all(c.scale == c.samples == mu.M for c in table.cells.values())
+    rec = fits[BOWEN]
+    assert rec.radius in (0.1, 0.2)
     assert rec.value == pytest.approx(math.log(2.0), abs=0.08)
     # counts fall monotonically in n at fixed delta for synchronized balls
-    by_cell = {(e.n, e.delta): e.count for e in rec.entries}
+    by_cell = {key: c.count for key, c in table.of(BOWEN).items()}
     for delta in (0.1, 0.2):
         counts = [by_cell[(n, delta)] for n in (4, 6, 8, 10)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
@@ -418,41 +415,50 @@ def test_local_entropy_record_shape_and_value():
 
 def test_local_entropy_fk_close_to_bowen_with_band_fit():
     system, path, mu = doubling_setup(M=200_000)
-    records = local_entropy(mu, 0.3, [4, 6, 8, 10, 12], [0.1])
-    bowen, fk = records[BOWEN], records[FK]
+    table, fits = local_entropy(mu, 0.3, [4, 6, 8, 10, 12], [0.1])
+    bowen, fk = fits[BOWEN], fits[FK]
     # slack bands 0 and 1 both appear in this window
     bands = {n - match_target(n, 0.1) for n in (4, 6, 8, 10, 12)}
     assert bands == {0, 1}
     assert abs(fk.value - bowen.value) <= 0.1
-    for b, f in zip(bowen.entries, fk.entries):
-        assert (f.n, f.delta) == (b.n, b.delta)
-        assert f.count >= b.count
+    assert list(table.of(FK)) == list(table.of(BOWEN))
+    for key, b in table.of(BOWEN).items():
+        assert table.cells[(FK, *key)].count >= b.count
 
 
 def test_local_entry_flags_zero_count():
-    entry = LocalEntry(n=6, delta=0.05, kind=BOWEN, count=0, M=1000)
-    assert entry.flagged
-    assert math.isnan(entry.estimate)
-    live = LocalEntry(n=4, delta=0.1, kind=BOWEN, count=25, M=1000)
-    assert not live.flagged
-    assert live.estimate == pytest.approx(-math.log(25 / 1000) / 4)
+    entry = Cell(0, 1000, 1000, None)
+    assert math.isnan(entry.estimate(6))
+    live = Cell(25, 1000, 1000, None)
+    assert live.estimate(4) == pytest.approx(-math.log(25 / 1000) / 4)
+    # a flagged cell is kept, and the fit skips it: at delta 0.1 the
+    # largest n holds no sample, so the value is read at delta 0.2
+    counts = {(4, 0.1): 25, (6, 0.1): 10, (8, 0.1): 0, (4, 0.2): 100, (6, 0.2): 40, (8, 0.2): 16}
+    table = CellTable(BALLS, {(BOWEN, n, d): Cell(c, 1000, 1000, None) for (n, d), c in counts.items()})
+    fit = entropy_from_counts(table, BOWEN)
+    assert fit.radius == 0.2
+    assert fit.slopes[0] == pytest.approx(math.log(25 / 10) / 2)
+    with pytest.raises(InvariantViolation, match="negative local entropy entry"):
+        CellTable(BALLS, {(BOWEN, 4, 0.1): Cell(1001, 1000, 1000, None)})
 
 
 @pytest.mark.parametrize("kind", [BOWEN, FK])
 def test_local_record_rejects_count_falling_in_delta(kind):
     # a ball count is nondecreasing in delta for both kinds, exactly, on a
-    # fixed sample; a record whose count falls as delta grows is corrupt
-    low = LocalEntry(n=6, delta=0.1, kind=kind, count=40, M=1000)
+    # fixed sample; a table whose count falls as delta grows is corrupt
+    def table(high):
+        return CellTable(BALLS, {(kind, 6, 0.1): Cell(40, 1000, 1000, None), (kind, 6, 0.2): Cell(high, 1000, 1000, None)})
+
     with pytest.raises(InvariantViolation, match=rf"{kind} ball count 40 at \(n, delta\) = \(6, 0.1\) and 30 at \(6, 0.2\)"):
-        LocalEntropyRecord(kind, (low, LocalEntry(n=6, delta=0.2, kind=kind, count=30, M=1000)), 0.5, 0.1)
-    LocalEntropyRecord(kind, (low, LocalEntry(n=6, delta=0.2, kind=kind, count=40, M=1000)), 0.5, 0.1)
+        table(30)
+    table(40)
 
 
 def test_local_record_rejects_fk_count_rising_in_band():
     # at delta = 0.1 the FK band is 0 at n = 8 and 1 at n = 12 and 14: the
     # ball at n = 14 lies inside the one at n = 12, not inside the one at 8
     def record(counts):
-        return LocalEntropyRecord(FK, tuple(LocalEntry(n, 0.1, FK, c, 1000) for n, c in counts.items()), 0.5, 0.1)
+        return CellTable(BALLS, {(FK, n, 0.1): Cell(c, 1000, 1000, None) for n, c in counts.items()})
 
     record({8: 30, 12: 40, 14: 40})
     with pytest.raises(InvariantViolation, match=r"fk ball count 40 at \(n, delta\) = \(12, 0.1\) and 41 at \(14, 0.1\)"):
@@ -496,5 +502,5 @@ def test_tent_local_entropy_near_log2():
     system = tent_system((2,))
     path = sample_path(bernoulli_process((1.0,)), 10, 5)
     mu = sample_measure(system, path, 150_000, 5)
-    rec = local_entropy(mu, 0.37, [4, 6, 8, 10], [0.1])[BOWEN]
+    rec = local_entropy(mu, 0.37, [4, 6, 8, 10], [0.1])[1][BOWEN]
     assert rec.value == pytest.approx(math.log(2.0), abs=0.12)

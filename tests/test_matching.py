@@ -411,9 +411,9 @@ def test_zero_slack_fk_tables_never_run_the_fk_kernel(monkeypatch):
     monkeypatch.setattr(matching, "fk_ball_batch", refuse)
     monkeypatch.setattr(spanning, "_fk_members", refuse)
     counts = count_table(system, path, ns, [eps], count_target=200)
-    assert [counts.lookup(n, eps, FK).count for n in ns] == [counts.lookup(n, eps, BOWEN).count for n in ns]
+    assert [counts.cells[(FK, n, eps)].count for n in ns] == [counts.cells[(BOWEN, n, eps)].count for n in ns]
     covers = katok_table(mu, ns, [eps])
-    assert all(covers[FK][key] is cell for key, cell in covers[BOWEN].items())
+    assert all(covers.cells[(FK, n, eps)].cover is covers.cells[(BOWEN, n, eps)].cover for n in ns)
     assert ball_measure(mu, center, 8, eps, FK) == bowen_mass
 
 
@@ -957,11 +957,11 @@ def test_unknown_orbit_metric_is_rejected(call, monkeypatch):
 
 
 def test_every_table_counts_every_kind():
-    # the table builders take no kind selection: each returns one result
-    # per orbit metric, in KINDS order
+    # the table builders take no kind selection: each table holds cells of
+    # every orbit metric, in KINDS order, and local_entropy fits each
     path = sample_path(bernoulli_process((1.0,)), 6, 3)
     mu = sample_measure(_SYSTEM, path, 400, 3)
-    table = count_table(_SYSTEM, path, [2, 3], [0.2], count_target=20)
-    assert tuple(dict.fromkeys(e.metric for e in table.entries)) == KINDS
-    assert tuple(local_entropy(mu, 0.3, [2, 3], [0.2])) == KINDS
-    assert tuple(katok_table(mu, [2, 3], [0.2])) == KINDS
+    local, fits = local_entropy(mu, 0.3, [2, 3], [0.2])
+    for table in (count_table(_SYSTEM, path, [2, 3], [0.2], count_target=20), local, katok_table(mu, [2, 3], [0.2])):
+        assert tuple(dict.fromkeys(kind for kind, _, _ in table.cells)) == KINDS
+    assert tuple(fits) == KINDS

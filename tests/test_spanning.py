@@ -6,11 +6,24 @@ import pytest
 
 from fkent import matching, spanning
 from fkent.local import sample_measure
-from fkent.matching import BOWEN, FK, ball_batch, ball_kind, ball_steps, bowen_distance, in_fk_ball, match_slack
+from fkent.matching import (
+    BOWEN,
+    FK,
+    ball_batch,
+    ball_kind,
+    ball_steps,
+    bowen_distance,
+    in_fk_ball,
+    inclusion_violations,
+    match_slack,
+    slack_band,
+)
 from fkent.spanning import (
+    BALLS,
+    COVER,
     SEPARATED,
-    CountEntry,
-    CountTable,
+    Cell,
+    CellTable,
     EntropyEstimate,
     column_covers,
     count_table,
@@ -93,43 +106,53 @@ def test_fit_log_slope_recovers_line():
     ns = [4, 6, 8, 10]
     slope_true, intercept_true = 0.7, -1.3
     ys = [intercept_true + slope_true * n for n in ns]
-    slope, rms = fit_log_slope(ns, ys)
+    slope, rms = fit_log_slope(ns, ys, [0] * len(ns))
     assert slope == pytest.approx(slope_true, abs=1e-12)
     assert rms == pytest.approx(0.0, abs=1e-12)
 
 
 def test_entropy_estimate_invariants():
-    est = EntropyEstimate(slopes=(0.5, 0.6), residuals=(0.0, 0.0))
-    assert est.value == 0.5
+    est = EntropyEstimate(radii=(0.1, 0.2), slopes=(0.5, 0.6), residuals=(0.0, 0.0), used=0, banded=False)
+    assert (est.value, est.radius) == (0.5, 0.1)
+    assert EntropyEstimate((0.1, 0.2), (0.5, 0.6), (0.0, 0.0), 1, False).value == 0.6
     with pytest.raises(InvariantViolation):
-        EntropyEstimate(slopes=(0.5,), residuals=(math.nan,))
+        EntropyEstimate((0.1,), (0.5,), (math.nan,), 0, False)
+    # a radius with no slope has no residual either
+    EntropyEstimate((0.1, 0.2), (0.5, math.nan), (0.0, math.nan), 0, False)
 
 
 def test_count_table_metric_inequality_and_lookup():
     system = expanding_system((2,))
     path = sample_path(bernoulli_process((1.0,)), 10, 2)
     table = count_table(system, path, [4, 6, 8], [0.2, 0.1], count_target=300)
+    assert table.estimator == SEPARATED
     for n in (4, 6, 8):
         for eps in (0.2, 0.1):
-            bowen = table.lookup(n, eps, BOWEN)
-            fk = table.lookup(n, eps, FK)
+            bowen = table.cells.get((BOWEN, n, eps))
+            fk = table.cells.get((FK, n, eps))
             assert bowen is not None and fk is not None
             assert fk.count <= bowen.count
-            assert bowen.candidates >= bowen.count >= 1
-    assert table.lookup(5, 0.2, BOWEN) is None
-    table.validate()
+            assert bowen.samples >= bowen.count >= 1
+            assert fk.scale == bowen.scale and fk.cover is None
+    assert (BOWEN, 5, 0.2) not in table.cells
+    assert len(table.cells) == 12
+    CellTable(SEPARATED, dict(table.cells))
 
 
 def test_count_table_rejects_fk_count_above_bowen():
     # larger FK balls separate fewer candidates, compared within one window
     def table(fk_window):
-        entries = [CountEntry(n, 0.1, BOWEN, SEPARATED, 2**n, 1.0, 1000) for n in (4, 6, 8)]
-        entries += [CountEntry(n, 0.1, FK, SEPARATED, 2**n + (n == 6), fk_window, 1000) for n in (4, 6, 8)]
-        return CountTable(tuple(entries))
+        cells = {(BOWEN, n, 0.1): Cell(2**n, 1.0, 1000, None) for n in (4, 6, 8)}
+        cells |= {(FK, n, 0.1): Cell(2**n + (n == 6), fk_window, 1000, None) for n in (4, 6, 8)}
+        return CellTable(SEPARATED, cells)
 
     with pytest.raises(InvariantViolation, match="fk count 65 exceeds bowen count 64 at n=6 eps=0.1"):
-        table(1.0).validate()
-    table(0.5).validate()
+        table(1.0)
+    table(0.5)
+    # greedy covers need not follow ball inclusion: a cover table holds the
+    # breach, and the compare-katok gap block counts it
+    covers = CellTable(COVER, {key: Cell(c.count, 1.0, 1000, None) for key, c in table(0.5).cells.items()})
+    assert inclusion_violations(covers.counts(), balls=False) == [(BOWEN, FK, (6, 0.1, 1.0))]
 
 
 @pytest.mark.parametrize(
@@ -149,14 +172,16 @@ def test_count_table_rejects_fk_count_above_bowen():
     ],
 )
 def test_count_table_validate_applies_the_count_law(metric, cells, breach):
-    table = CountTable(tuple(CountEntry(n, e, metric, SEPARATED, c, w, 1000) for (n, e), (c, w) in cells.items()))
+    def table():
+        return CellTable(SEPARATED, {(metric, n, e): Cell(c, w, 1000, None) for (n, e), (c, w) in cells.items()})
+
     if breach is None:
-        table.validate()
+        table()
         return
     a, b = breach
     want = f"{metric} count {cells[a][0]} at (n, eps) = {a} and {cells[b][0]} at {b}"
     with pytest.raises(InvariantViolation, match=re.escape(want)):
-        table.validate()
+        table()
 
 
 def test_count_table_doubling_slope_near_log2():
@@ -168,17 +193,68 @@ def test_count_table_doubling_slope_near_log2():
 
 
 def test_entropy_from_counts_needs_three_points():
-    entries = tuple(
-        CountEntry(n=n, eps=0.1, metric=BOWEN, estimator=SEPARATED, count=2**n, window=1.0, candidates=1000)
-        for n in (4, 6)
-    )
-    with pytest.raises(ValueError):
-        entropy_from_counts(CountTable(entries=entries))
+    cells = {(BOWEN, n, 0.1): Cell(2**n, 1.0, 1000, None) for n in (4, 6)}
+    with pytest.raises(ValueError, match="need at least 3 n values"):
+        entropy_from_counts(CellTable(SEPARATED, cells), BOWEN)
+    # a cover or ball fit needs two n only
+    assert entropy_from_counts(CellTable(COVER, cells), BOWEN).value == pytest.approx(math.log(2.0))
     # three n values, but none of them counted under the asked metric
-    entries += (CountEntry(n=8, eps=0.1, metric=BOWEN, estimator=SEPARATED, count=256, window=1.0, candidates=1000),)
-    assert entropy_from_counts(CountTable(entries=entries)).value == pytest.approx(math.log(2.0))
+    cells[(BOWEN, 8, 0.1)] = Cell(256, 1.0, 1000, None)
+    assert entropy_from_counts(CellTable(SEPARATED, cells), BOWEN).value == pytest.approx(math.log(2.0))
     with pytest.raises(ValueError, match="no 'fk' counts"):
-        entropy_from_counts(CountTable(entries=entries), FK)
+        entropy_from_counts(CellTable(SEPARATED, cells), FK)
+
+
+def test_fk_top_slopes_fit_each_slack_band():
+    # on the binary shift at eps = 0.2 the FK bands of n = 4..8 are
+    # 0, 0, 1, 1, 1: the FK slope pools the two groups, each with its own
+    # intercept, and differs from one line through every cell
+    system = shift_system((2,))
+    ns, eps = [4, 5, 6, 7, 8], 0.2
+    path = sample_path(bernoulli_process((1.0,)), ball_steps(system, ns[-1], eps), 3)
+    table = count_table(system, path, ns, [eps])
+    bands = [slack_band(FK, n, eps) for n in ns]
+    assert bands == [0, 0, 1, 1, 1]
+    cells = [table.cells[(FK, n, eps)] for n in ns]
+    ys = [math.log(c.count) - math.log(c.scale) for c in cells]
+    fit = entropy_from_counts(table, FK)
+    assert (fit.slopes[0], fit.residuals[0]) == fit_log_slope(ns, ys, bands)
+    assert fit.slopes[0] != pytest.approx(fit_log_slope(ns, ys, [0] * len(ns))[0])
+    assert fit.banded
+    bowen = entropy_from_counts(table, BOWEN)
+    assert bowen.value == pytest.approx(math.log(2.0), abs=1e-12) and not bowen.banded
+
+
+def _two_radius_table(estimator, counts):
+    """A table of both kinds over n = 4, 5, 9 at eps 0.1 (every FK band 0) and
+    0.25 (FK bands 0, 1, 2), from {(n, radius): count}, the same for both kinds."""
+    assert [slack_band(FK, n, 0.25) for n in (4, 5, 9)] == [0, 1, 2]
+    scale = 10_000 if estimator == BALLS else 1.0
+    return CellTable(
+        estimator, {(kind, n, r): Cell(c, scale, 10_000, None) for kind in (BOWEN, FK) for (n, r), c in counts.items()}
+    )
+
+
+def test_degenerate_radius_has_no_slope_unless_it_holds_the_value():
+    # FK cells at eps 0.25 are each alone in their band: no slope there,
+    # and the value, read at eps 0.1, stands; Bowen fits both radii
+    counts = {(n, r): 2**n // (1 if r == 0.1 else 4) for n in (4, 5, 9) for r in (0.1, 0.25)}
+    fit = entropy_from_counts(_two_radius_table(COVER, counts), FK)
+    assert math.isnan(fit.slopes[1]) and math.isnan(fit.residuals[1])
+    assert fit.radius == 0.1 and fit.value == pytest.approx(math.log(2.0))
+    assert not fit.banded
+    bowen = entropy_from_counts(_two_radius_table(COVER, counts), BOWEN)
+    assert bowen.slopes == pytest.approx((math.log(2.0), math.log(2.0)))
+    # ball counts read the value at the smallest radius whose largest-n
+    # count is above 0: with n = 9 empty at 0.1, that is the degenerate 0.25
+    balls = {(n, r): (2**12 >> n) * (1 if r == 0.1 else 4) for n in (4, 5, 9) for r in (0.1, 0.25)}
+    balls[(9, 0.1)] = 0
+    table = _two_radius_table(BALLS, balls)
+    with pytest.raises(ValueError, match="degenerate fit"):
+        entropy_from_counts(table, FK)
+    assert entropy_from_counts(table, BOWEN).radius == 0.25
+    with pytest.raises(ValueError, match="degenerate fit"):
+        entropy_from_counts(_two_radius_table(COVER, {k: v for k, v in counts.items() if k[1] == 0.25}), FK)
 
 
 def test_path_seeds_deterministic_and_distinct():
