@@ -47,6 +47,7 @@ path.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +57,6 @@ from .spanning import (
     Cell,
     CellTable,
     EntropyEstimate,
-    KatokCount,
     column_covers,
     entropy_from_counts,
     greedy_cover,
@@ -64,7 +64,7 @@ from .spanning import (
     path_seeds,
     sorted_schedule,
 )
-from .systems import RandomSystemSpec, diameter, sample_path
+from .systems import InvariantViolation, RandomSystemSpec, diameter, sample_path
 from .local import EmpiricalMeasure, sample_measure
 
 __all__ = [
@@ -80,6 +80,33 @@ __all__ = [
 # dense cover matrices hold at most this many (center, sample) pairs; a
 # dense column holds 2 bytes per pair (one packed byte, one bool cover)
 PAIR_BUDGET = 20_000_000
+
+
+@dataclass(frozen=True)
+class KatokCount:
+    """Greedy almost-cover certificate for one (n, eps) cell.
+
+    centers holds the chosen sample indices in pick order; covered_mass is
+    the fraction of samples inside the union of their balls, never below
+    the mass threshold.
+    """
+
+    mass_threshold: float
+    count: int
+    covered_mass: float
+    centers: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise InvariantViolation("a cover needs at least one ball")
+        if self.count != len(self.centers):
+            raise InvariantViolation("count must equal the number of centers")
+        if self.covered_mass + 1e-12 < self.mass_threshold:
+            raise InvariantViolation(
+                f"covered mass {self.covered_mass} below threshold {self.mass_threshold}"
+            )
+        if self.covered_mass > 1.0 + 1e-12:
+            raise InvariantViolation("covered mass above 1")
 
 
 def _covered_target(mass_threshold: float, M: int) -> int:

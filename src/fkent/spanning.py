@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -91,6 +92,9 @@ from .matching import (
     slack_band,
 )
 
+if TYPE_CHECKING:
+    from .katok import KatokCount
+
 __all__ = [
     "BALLS",
     "COVER",
@@ -98,7 +102,6 @@ __all__ = [
     "Cell",
     "CellTable",
     "EntropyEstimate",
-    "KatokCount",
     "column_covers",
     "count_table",
     "entropy_from_counts",
@@ -511,33 +514,6 @@ def greedy_cover(cover: np.ndarray, need: int) -> tuple[np.ndarray, int]:
         gains -= cover[newly].sum(axis=0)
         picks.append(i)
     return np.asarray(picks, dtype=np.int64), total
-
-
-@dataclass(frozen=True)
-class KatokCount:
-    """Greedy almost-cover certificate for one (n, eps) cell.
-
-    centers holds the chosen sample indices in pick order; covered_mass is
-    the fraction of samples inside the union of their balls, never below
-    the mass threshold.
-    """
-
-    mass_threshold: float
-    count: int
-    covered_mass: float
-    centers: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise InvariantViolation("a cover needs at least one ball")
-        if self.count != len(self.centers):
-            raise InvariantViolation("count must equal the number of centers")
-        if self.covered_mass + 1e-12 < self.mass_threshold:
-            raise InvariantViolation(
-                f"covered mass {self.covered_mass} below threshold {self.mass_threshold}"
-            )
-        if self.covered_mass > 1.0 + 1e-12:
-            raise InvariantViolation("covered mass above 1")
 
 
 @dataclass(frozen=True, eq=False)
