@@ -15,8 +15,8 @@ counts.
 
 Worker tasks recompute their own measure (which holds the samples'
 orbit stack) from seeds carried in the payload.  Top and katok runs have
-one task per path, and each task only maps the config onto its
-estimator's per-path routine (`spanning.path_entropy`,
+one task per path seed (`_per_path`), and each task only maps the config
+onto its estimator's per-path routine (`spanning.path_entropy`,
 `katok.katok_path_entropy`), which draws the path too.  Averaging over
 paths happens here and nowhere else: the library's `katok_entropy` is
 path 0 of a compare-katok run.  Local runs draw their one path here,
@@ -27,6 +27,15 @@ cannot depend on scheduling: every task is a pure function of (config,
 seed, its paths or base points), and reduction happens in task order.
 Each runner returns the worker count it chose, which the report's meta
 records.
+
+Every experiment reports each kind in one estimate block of the same
+keys (`_estimates`), over paths or base points and named after the
+radius its CSV uses: the mean and its standard error, the value, the
+radius it was read at, and every slope and fit residual per path or
+point, the radius order, and the count of flagged cells.  The FK/Bowen
+inclusion is enforced where the tables are built (`spanning.CellTable`);
+compare-katok only counts its breaches, since greedy covers need not
+follow it.
 """
 
 from __future__ import annotations
@@ -290,12 +299,10 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
 # worker tasks (top level so process pools can import them)
 
 
-def _top_task(payload) -> dict:
-    cfg, seed = payload
-    table, fits = path_entropy(
-        cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, cfg.candidate_target, cfg.candidate_budget
-    )
-    return {"seed": seed, "table": table, "fits": fits}
+def _path_task(payload) -> dict:
+    cfg, seed, estimator, budgets = payload
+    table, fits = estimator(cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, *budgets)
+    return {"table": table, "fits": fits}
 
 
 def _local_task(payload) -> list[dict]:
@@ -306,12 +313,6 @@ def _local_task(payload) -> list[dict]:
         table, fits = local_entropy(measure, x, cfg.n, cfg.delta)
         out.append({"x": np.asarray(x), "table": table, "fits": fits})
     return out
-
-
-def _katok_task(payload) -> dict:
-    cfg, seed = payload
-    table, fits = katok_path_entropy(cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, cfg.M, cfg.pair_budget)
-    return {"seed": seed, "table": table, "fits": fits}
 
 
 # ---------------------------------------------------------------------------
@@ -334,29 +335,50 @@ def _gap(estimates: dict, key: str, results: list[dict]) -> dict:
     }
 
 
-def _run_top(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
-    seeds = [int(s) for s in path_seeds(cfg.seed, cfg.paths)]
-    workers = _effective_workers(cfg, len(seeds))
-    results = _ordered_map(_top_task, [(cfg, s) for s in seeds], workers)
+def _estimates(results: list[dict], over: str, radius: str) -> dict:
+    """Each kind's estimate block over the per-path or per-point results.
 
-    rows = []
-    for res in results:
-        table = res["table"]
-        for (metric, n, eps), c in table.cells.items():
-            rows.append((res["seed"], n, eps, metric, table.estimator, c.count, c.scale, c.samples))
-
+    over is "path" or "point" and radius "eps" or "delta", as in each
+    CSV.  Every block holds the mean value with its standard error, the
+    values per path or point, the radius order of the slopes, the radius
+    each value was read at, every slope and fit residual per path or
+    point, and the number of zero-count (flagged) cells.
+    """
     estimates = {}
-    for metric in KINDS:
-        fits = [res["fits"][metric] for res in results]
-        per_path = [est.value for est in fits]
-        mean, stderr = _mean_stderr(per_path)
-        estimates[metric] = {
+    for kind in KINDS:
+        fits = [res["fits"][kind] for res in results]
+        values = [est.value for est in fits]
+        mean, stderr = _mean_stderr(values)
+        estimates[kind] = {
             "mean": mean,
             "stderr": stderr,
-            "per_path": per_path,
-            "slopes_per_path": [list(est.slopes) for est in fits],
-            "fit_rms_per_path": [list(est.residuals) for est in fits],
+            f"per_{over}": values,
+            f"{radius}_order": list(fits[0].radii),
+            f"{radius}_used": [est.radius for est in fits],
+            f"slopes_per_{over}": [list(est.slopes) for est in fits],
+            f"fit_rms_per_{over}": [list(est.residuals) for est in fits],
+            "flagged_cells": sum(c.count == 0 for res in results for c in res["table"].of(kind).values()),
         }
+    return estimates
+
+
+def _per_path(cfg: ExperimentConfig, estimator, *budgets) -> tuple[list[int], list[dict], int]:
+    """The path seeds, the per-path estimator's result per path in seed order, and the worker count."""
+    seeds = [int(s) for s in path_seeds(cfg.seed, cfg.paths)]
+    workers = _effective_workers(cfg, len(seeds))
+    return seeds, _ordered_map(_path_task, [(cfg, s, estimator, budgets) for s in seeds], workers), workers
+
+
+def _run_top(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
+    seeds, results, workers = _per_path(cfg, path_entropy, cfg.candidate_target, cfg.candidate_budget)
+
+    rows = [
+        (seed, n, eps, metric, res["table"].estimator, c.count, c.scale, c.samples)
+        for seed, res in zip(seeds, results)
+        for (metric, n, eps), c in res["table"].cells.items()
+    ]
+
+    estimates = _estimates(results, "path", "eps")
     oracle = expected_entropy(cfg.system(), cfg.process())
     report = {
         "estimates": estimates,
@@ -383,30 +405,19 @@ def _run_local(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
     payloads = [(cfg, path, points) for points in groups]
     results = [res for group in _ordered_map(_local_task, payloads, workers) for res in group]
 
-    rows = []
     alphabet = system.space_alphabet if system.on_words else 0
-    for res in results:
-        label = _point_label(res["x"], system.on_words, alphabet)
-        for (kind, n, delta), c in res["table"].cells.items():
-            rows.append((path_seed, label, n, delta, kind, c.count, c.samples, c.estimate(n), c.count == 0))
+    labels = [_point_label(res["x"], system.on_words, alphabet) for res in results]
+    rows = [
+        (path_seed, label, n, delta, kind, c.count, c.samples, c.estimate(n), c.count == 0)
+        for label, res in zip(labels, results)
+        for (kind, n, delta), c in res["table"].cells.items()
+    ]
 
-    estimates = {}
-    for kind in KINDS:
-        values = [res["fits"][kind].value for res in results]
-        mean, stderr = _mean_stderr(values)
-        estimates[kind] = {
-            "mean": mean,
-            "stderr": stderr,
-            "per_point": values,
-            "delta_used": [res["fits"][kind].radius for res in results],
-            "flagged_cells": sum(c.count == 0 for res in results for c in res["table"].of(kind).values()),
-        }
+    estimates = _estimates(results, "point", "delta")
     report = {
         "estimates": estimates,
         "omega_seed": path_seed,
-        "base_points": [
-            _point_label(res["x"], system.on_words, alphabet) for res in results
-        ],
+        "base_points": labels,
         "gap": _gap(estimates, "per_point", results),
     }
     csv_payload = {
@@ -418,27 +429,15 @@ def _run_local(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
 
 
 def _run_katok(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
-    seeds = [int(s) for s in path_seeds(cfg.seed, cfg.paths)]
-    workers = _effective_workers(cfg, len(seeds))
-    results = _ordered_map(_katok_task, [(cfg, s) for s in seeds], workers)
+    seeds, results, workers = _per_path(cfg, katok_path_entropy, cfg.M, cfg.pair_budget)
 
-    rows = []
-    for res in results:
-        for (kind, n, eps), c in res["table"].cells.items():
-            rows.append((res["seed"], n, eps, c.cover.mass_threshold, kind, c.count, c.cover.covered_mass))
+    rows = [
+        (seed, n, eps, c.cover.mass_threshold, kind, c.count, c.cover.covered_mass)
+        for seed, res in zip(seeds, results)
+        for (kind, n, eps), c in res["table"].cells.items()
+    ]
 
-    estimates = {}
-    for kind in KINDS:
-        fits = [res["fits"][kind] for res in results]
-        per_path = [est.value for est in fits]
-        mean, stderr = _mean_stderr(per_path)
-        estimates[kind] = {
-            "mean": mean,
-            "stderr": stderr,
-            "per_path": per_path,
-            "slopes_per_eps": [float(v) for v in np.mean([est.slopes for est in fits], axis=0)],
-            "eps_order": list(fits[0].radii),
-        }
+    estimates = _estimates(results, "path", "eps")
     # greedy covers need not follow ball inclusion: breaches are counted, not raised
     gap = _gap(estimates, "per_path", results)
     gap["cells_fk_above_bowen"] = sum(len(inclusion_violations(res["table"].counts(), balls=False)) for res in results)

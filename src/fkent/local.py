@@ -25,7 +25,9 @@ so fits skip flagged entries and the table keeps them visible.
 Ball conventions match the counting side: open balls for both kinds, and
 the FK ball is the single-threshold test (defect below delta with pair
 distances strictly below delta).  Every table (a `spanning.CellTable`
-of ball counts, each at scale M) obeys the count law of
+of ball counts, each at scale M) checks itself on construction: the FK
+ball contains the Bowen ball, so no FK count falls below the Bowen
+count, and each kind obeys the count law of
 `matching.count_law_violations` for ball counts, exactly, on a fixed
 sample: masses are nondecreasing in delta, and nonincreasing in n within
 one slack band, which for Bowen is every n.  When the FK slack jumps, an
@@ -61,12 +63,10 @@ from .matching import (
     ball_kind,
     ball_steps,
     check_kinds,
-    inclusion_violations,
 )
 from .spanning import BALLS, Cell, CellTable, EntropyEstimate, entropy_from_counts, sorted_schedule
 from .systems import (
     EmpiricalMeasure,
-    InvariantViolation,
     OmegaPath,
     OrbitSegment,
     RandomSystemSpec,
@@ -293,20 +293,14 @@ def local_entropy(
 
     The base point's orbit runs along the measure's own system and path,
     and the counts read the measure's orbit stack, so a stack shorter
-    than the largest n raises ValueError.  The Bowen ball lies inside
-    the FK ball, so an FK count below the Bowen count in any cell raises
-    InvariantViolation (matching.inclusion_violations).
+    than the largest n raises ValueError.  The table itself
+    (spanning.CellTable) raises InvariantViolation where an FK count
+    falls below the Bowen count, since the Bowen ball lies inside the FK
+    ball, or where a count breaks the count law.
     """
     n_list, delta_list = sorted_schedule(n_list, delta_list)
     center = orbit(measure.system, measure.omega, x, n_list[-1])
     tables = _ball_count_table(measure, center, n_list, delta_list)
-    bad = inclusion_violations(tables, balls=True)
-    if bad:
-        small, large, cell = bad[0]
-        raise InvariantViolation(
-            f"{large} ball count {tables[large][cell]} fell below the {small} ball count "
-            f"{tables[small][cell]} at (n, delta) = {cell}"
-        )
     M = measure.M
     top = (n_list[-1], delta_list[-1])
     for kind in KINDS:

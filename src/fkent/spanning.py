@@ -28,8 +28,9 @@ All three estimators, separated counts here, covers in `katok` and ball
 counts in `local`, fill one table type: a `CellTable` of `Cell`s keyed
 (kind, n, radius), each count with the scale its log is read against
 (the window, 1.0 for a cover, M for a ball count).  The table validates
-itself on construction, each estimator's counts against the count law
-of `matching.count_law_violations`, and one fit reads every table:
+itself on construction, separated and ball counts against the ball
+inclusion Bowen ⊆ FK, every estimator's counts against the count law of
+`matching.count_law_violations`, and one fit reads every table:
 `entropy_from_counts`, per radius the slope of log(count / scale)
 against n with one intercept per `matching.slack_band`, valued at the
 smallest radius whose largest-n count is above 0.
@@ -536,7 +537,7 @@ class Cell:
         return -math.log(self.count / self.scale) / n if self.count else math.nan
 
 
-# what matching.check_count_law calls each estimator's counts
+# what breach messages call each estimator's counts
 _NOUNS = {SEPARATED: "count", COVER: "cover count", BALLS: "ball count"}
 
 
@@ -548,13 +549,17 @@ class CellTable:
     whole (n, radius) grid of every kind in KINDS, in the order of the
     rows its CSV writes.  Separated and cover counts are at least 1, and
     ball counts are at most M, so no entry estimate -log(count / M) / n
-    is negative.  Each kind's counts obey matching.count_law_violations,
-    as ball counts or as separated and cover counts: a separated count
-    within one window moves against its ball by at most one count of
-    greedy jitter, and densities count / window of different windows get
-    a relative slack on top.  Within one (n, eps, window) cell a
-    separated FK count may not exceed the Bowen count, with no slack.
-    Raises InvariantViolation on failure.
+    is negative.  The Bowen ball lies inside the FK ball, so within one
+    (n, radius, scale) cell an FK ball count may not fall below the
+    Bowen count, and a separated FK count may not exceed it, with no
+    slack (matching.inclusion_violations); greedy covers need not follow
+    the inclusion, so cover tables keep their breaches, which the
+    compare-katok gap block counts.  Each kind's counts then obey
+    matching.count_law_violations, as ball counts or as separated and
+    cover counts: a separated count within one window moves against its
+    ball by at most one count of greedy jitter, and densities count /
+    window of different windows get a relative slack on top.  Raises
+    InvariantViolation on failure, the inclusion check first.
     """
 
     estimator: str
@@ -569,18 +574,18 @@ class CellTable:
             elif cell.count < 1:
                 raise InvariantViolation(f"count below 1 at {(kind, n, radius)}")
         counts = self.counts()
+        noun = _NOUNS[self.estimator]
+        bad = inclusion_violations(counts, balls) if self.estimator != COVER else []
+        if bad:
+            small, large, cell = bad[0]
+            side = "fell below" if balls else "exceeds"
+            raise InvariantViolation(
+                f"{large} {noun} {counts[large][cell]} {side} the {small} {noun} {counts[small][cell]} "
+                f"at (n, {'delta' if balls else 'eps'}) = {cell[:2]}"
+            )
         for kind in counts:
             law = {(n, r): (c.count, c.scale) for (n, r), c in self.of(kind).items()}
-            check_count_law(law, kind, balls, _NOUNS[self.estimator])
-        if self.estimator == SEPARATED:
-            # larger balls separate fewer candidates, compared within one window
-            bad = inclusion_violations(counts, balls=False)
-            if bad:
-                small, large, cell = bad[0]
-                raise InvariantViolation(
-                    f"{large} count {counts[large][cell]} exceeds {small} count "
-                    f"{counts[small][cell]} at n={cell[0]} eps={cell[1]}"
-                )
+            check_count_law(law, kind, balls, noun)
 
     def of(self, kind: str) -> dict[tuple[int, float], Cell]:
         """One kind's cells, keyed (n, radius)."""

@@ -285,6 +285,21 @@ def test_only_spanning_names_the_slope_fit():
     assert fitters == []
 
 
+def test_only_the_cell_table_and_the_katok_gap_name_the_inclusion_check():
+    # matching defines the check, CellTable raises on every separated and
+    # ball-count inclusion breach, and the compare-katok gap block counts
+    # the cover breaches; any other module that names inclusion_violations
+    # checks a table of its own
+    checkers = [
+        name
+        for name in MODULES + ["__init__"]
+        if name != "matching" and "inclusion_violations" in _named(_tree(name))
+    ]
+    defined = {node.name for node in ast.walk(_tree("matching")) if isinstance(node, ast.FunctionDef)}
+    assert "inclusion_violations" in defined
+    assert sorted(checkers) == ["harness", "spanning"]
+
+
 def test_only_systems_decides_circle_closeness():
     # every circle ball test thresholds |u - v| with systems.circle_within,
     # which builds no gap array; circle_gap stays where the distance itself

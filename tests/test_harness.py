@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from fkent.cli import _build_parser, main
-from fkent.katok import katok_entropy, katok_path_entropy
+from fkent.katok import katok_entropy, katok_horizon, katok_path_entropy
+from fkent.local import local_entropy, reference_points, sample_measure
 from fkent.matching import BOWEN, FK, KINDS, match_slack
 from fkent.harness import (
+    _BASE_STREAM,
     EXPERIMENTS,
     ExperimentConfig,
     _effective_workers,
@@ -21,7 +23,7 @@ from fkent.harness import (
     run_experiment,
 )
 from fkent.spanning import path_seeds
-from fkent.systems import InvariantViolation
+from fkent.systems import InvariantViolation, child_rng, sample_path
 
 
 def write_config(tmp_path, text):
@@ -277,8 +279,7 @@ def test_library_averagers_match_harness(tmp_path):
             for seed in path_seeds(cfg.seed, cfg.paths)
         ]
         for metric in KINDS:
-            mean = np.mean([fit[metric].slopes for fit in fits], axis=0)
-            assert tuple(mean) == pytest.approx(tuple(katok[metric]["slopes_per_eps"]), abs=1e-12)
+            assert katok[metric]["slopes_per_path"] == [list(fit[metric].slopes) for fit in fits]
             one = katok_entropy(system, process, cfg.n, cfg.eps, cfg.M, metric, master_seed=cfg.seed)
             assert one.slopes == fits[0][metric].slopes
 
@@ -347,9 +348,77 @@ def test_degenerate_radius_reports_null_slope(tmp_path):
         results = json.load(fh)["results"]
     fk, bowen = results["estimates"][FK], results["estimates"][BOWEN]
     assert fk["eps_order"] == [0.1, 0.25]
-    assert fk["slopes_per_eps"][1] is None and fk["slopes_per_eps"][0] == fk["mean"]
-    assert all(isinstance(v, float) for v in bowen["slopes_per_eps"])
+    assert fk["slopes_per_path"][0][1] is None and fk["slopes_per_path"][0][0] == fk["mean"]
+    assert all(isinstance(v, float) for v in bowen["slopes_per_path"][0])
     assert results["gap"]["vacuous"] is True
+
+
+# one toy run of every experiment on the circle and on the shift
+TOY_RUNS = [
+    ("compare-top", {"paths": 2, "M": 1000, "candidate_target": 200, "candidate_budget": 8000}),
+    ("compare-top", dict(SHIFT, paths=2)),
+    ("compare-katok", {"M": 300}),
+    ("compare-katok", dict(SHIFT, M=300)),
+    ("compare-local", {"M": 20_000}),
+    ("compare-local", dict(SHIFT, M=20_000)),
+]
+
+PATH_KEYS = {
+    "mean", "stderr", "per_path", "eps_order", "eps_used", "slopes_per_path", "fit_rms_per_path", "flagged_cells"
+}
+POINT_KEYS = {
+    "mean", "stderr", "per_point", "delta_order", "delta_used", "slopes_per_point", "fit_rms_per_point",
+    "flagged_cells",
+}
+
+
+@pytest.fixture(scope="module", params=TOY_RUNS, ids=lambda run: f"{run[0]}-{run[1].get('family', 'expanding')}")
+def toy_run(request, tmp_path_factory):
+    experiment, overrides = request.param
+    tmp = tmp_path_factory.mktemp("toy")
+    cfg = load_config(write_config(tmp, TINY.format(out=tmp / "out")), dict(overrides, workers=1))
+    return experiment, cfg, run_experiment(experiment, cfg)["results"]
+
+
+def nulled(values):
+    return [None if math.isnan(v) else v for v in values]
+
+
+def test_every_report_writes_one_estimate_block(toy_run):
+    # every kind of every experiment reports the same block, over paths
+    # or base points, and every slope and fit residual per path or point
+    experiment, cfg, results = toy_run
+    local = experiment == "compare-local"
+    over, radius, count = ("point", "delta", cfg.base_points) if local else ("path", "eps", cfg.paths)
+    for kind in KINDS:
+        block = results["estimates"][kind]
+        assert set(block) == (POINT_KEYS if local else PATH_KEYS)
+        assert block[f"{radius}_order"] == sorted(getattr(cfg, radius))
+        assert len(block[f"per_{over}"]) == len(block[f"slopes_per_{over}"]) == count
+        assert all(len(s) == len(block[f"{radius}_order"]) for s in block[f"fit_rms_per_{over}"])
+        assert block[f"per_{over}"] == [
+            s[block[f"{radius}_order"].index(r)] for s, r in zip(block[f"slopes_per_{over}"], block[f"{radius}_used"])
+        ]
+        if not local:
+            assert block["flagged_cells"] == 0
+    if local:
+        system = cfg.system()
+        path = sample_path(cfg.process(), katok_horizon(system, cfg.n, cfg.delta), path_seeds(cfg.seed, 1)[0])
+        base = reference_points(system, path, cfg.base_points, child_rng(cfg.seed, _BASE_STREAM))
+        measure = sample_measure(system, path, cfg.M, path.seed)
+        for i, x in enumerate(base):
+            fits = local_entropy(measure, x, cfg.n, cfg.delta)[1]
+            for kind in KINDS:
+                assert results["estimates"][kind]["slopes_per_point"][i] == nulled(fits[kind].slopes)
+
+
+def test_readme_names_every_estimate_key(toy_run):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    outputs = readme[readme.index("### Outputs") : readme.index("### Exit codes")]
+    named = set(re.findall(r"`(\w+)`", outputs))
+    _, _, results = toy_run
+    unnamed = {key for block in results["estimates"].values() for key in block} - named
+    assert unnamed == set()
 
 
 def test_run_experiment_rejects_unknown_name():

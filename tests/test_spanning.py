@@ -146,13 +146,28 @@ def test_count_table_rejects_fk_count_above_bowen():
         cells |= {(FK, n, 0.1): Cell(2**n + (n == 6), fk_window, 1000, None) for n in (4, 6, 8)}
         return CellTable(SEPARATED, cells)
 
-    with pytest.raises(InvariantViolation, match="fk count 65 exceeds bowen count 64 at n=6 eps=0.1"):
+    with pytest.raises(InvariantViolation, match=re.escape("fk count 65 exceeds the bowen count 64 at (n, eps) = (6, 0.1)")):
         table(1.0)
     table(0.5)
     # greedy covers need not follow ball inclusion: a cover table holds the
     # breach, and the compare-katok gap block counts it
     covers = CellTable(COVER, {key: Cell(c.count, 1.0, 1000, None) for key, c in table(0.5).cells.items()})
     assert inclusion_violations(covers.counts(), balls=False) == [(BOWEN, FK, (6, 0.1, 1.0))]
+
+
+def test_ball_table_rejects_fk_count_below_bowen():
+    # the FK ball contains the Bowen ball, so a ball-count table built by
+    # hand with a smaller FK count raises, before its count law is read
+    def table(dip):
+        cells = {(BOWEN, n, 0.2): Cell(1000 >> n, 1000, 1000, None) for n in (4, 6, 8)}
+        cells |= {(FK, n, 0.2): Cell((1000 >> n) - dip * (n == 6), 1000, 1000, None) for n in (4, 6, 8)}
+        return CellTable(BALLS, cells)
+
+    table(0)
+    with pytest.raises(
+        InvariantViolation, match=re.escape("fk ball count 14 fell below the bowen ball count 15 at (n, delta) = (6, 0.2)")
+    ):
+        table(1)
 
 
 @pytest.mark.parametrize(
