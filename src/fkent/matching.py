@@ -520,11 +520,20 @@ def _word_diagonal(
     against each other (`_band_masks` builds both once).  A pair agrees
     when the suffixes agree on `depth` symbols, so the center word must
     hold i1 + depth - 1 symbols and every sample i1 + offset + depth - 1,
-    at most the `_word_steps` the kernels check.
+    at most the `_word_steps` the kernels check.  The diagonal's symbol
+    pairs are compared once, over i1 - i0 + depth - 1 steps, and each row
+    ANDs `depth` consecutive steps of that comparison.
     """
-    ok = np.ones((i1 - i0,) + centers.shape[1:-1] + samples.shape[-1:], dtype=bool)
-    for t in range(i0, i0 + depth):
-        ok &= samples[t + offset : t + offset + i1 - i0] == centers[t : t + i1 - i0]
+    rows = i1 - i0
+    if depth == 0:
+        # depth 0: every pair lies within the radius
+        return np.ones((rows,) + centers.shape[1:-1] + samples.shape[-1:], dtype=bool)
+    eq = samples[i0 + offset : i1 + offset + depth - 1] == centers[i0 : i1 + depth - 1]
+    if depth == 1:
+        return eq
+    ok = eq[:rows] & eq[1 : rows + 1]
+    for t in range(2, depth):
+        ok &= eq[t : t + rows]
     return ok
 
 
