@@ -577,11 +577,11 @@ class CellTable:
         noun = _NOUNS[self.estimator]
         bad = inclusion_violations(counts, balls) if self.estimator != COVER else []
         if bad:
-            small, large, cell = bad[0]
+            small, large, key = bad[0]
             side = "fell below" if balls else "exceeds"
             raise InvariantViolation(
-                f"{large} {noun} {counts[large][cell]} {side} the {small} {noun} {counts[small][cell]} "
-                f"at (n, {'delta' if balls else 'eps'}) = {cell[:2]}"
+                f"{large} {noun} {counts[large][key]} {side} the {small} {noun} {counts[small][key]} "
+                f"at (n, {'delta' if balls else 'eps'}) = {key[:2]}"
             )
         for kind in counts:
             law = {(n, r): (c.count, c.scale) for (n, r), c in self.of(kind).items()}

@@ -146,7 +146,8 @@ def test_count_table_rejects_fk_count_above_bowen():
         cells |= {(FK, n, 0.1): Cell(2**n + (n == 6), fk_window, 1000, None) for n in (4, 6, 8)}
         return CellTable(SEPARATED, cells)
 
-    with pytest.raises(InvariantViolation, match=re.escape("fk count 65 exceeds the bowen count 64 at (n, eps) = (6, 0.1)")):
+    message = "fk count 65 exceeds the bowen count 64 at (n, eps) = (6, 0.1)"
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
         table(1.0)
     table(0.5)
     # greedy covers need not follow ball inclusion: a cover table holds the
@@ -155,19 +156,19 @@ def test_count_table_rejects_fk_count_above_bowen():
     assert inclusion_violations(covers.counts(), balls=False) == [(BOWEN, FK, (6, 0.1, 1.0))]
 
 
-def test_ball_table_rejects_fk_count_below_bowen():
+@pytest.mark.parametrize("fk_count", [14, 2])
+def test_ball_table_rejects_fk_count_below_bowen(fk_count):
     # the FK ball contains the Bowen ball, so a ball-count table built by
-    # hand with a smaller FK count raises, before its count law is read
-    def table(dip):
-        cells = {(BOWEN, n, 0.2): Cell(1000 >> n, 1000, 1000, None) for n in (4, 6, 8)}
-        cells |= {(FK, n, 0.2): Cell((1000 >> n) - dip * (n == 6), 1000, 1000, None) for n in (4, 6, 8)}
-        return CellTable(BALLS, cells)
-
-    table(0)
-    with pytest.raises(
-        InvariantViolation, match=re.escape("fk ball count 14 fell below the bowen ball count 15 at (n, delta) = (6, 0.2)")
-    ):
-        table(1)
+    # hand with a smaller FK count raises; at 2 the FK count also rises
+    # from n = 6 to n = 8 within slack band 1, and inclusion is checked first
+    assert match_slack(6, 0.2) == match_slack(8, 0.2) == 1
+    bowen = {4: 62, 6: 15, 8: 3}
+    cells = {(BOWEN, n, 0.2): Cell(c, 1000, 1000, None) for n, c in bowen.items()}
+    CellTable(BALLS, cells | {(FK, n, 0.2): Cell(c, 1000, 1000, None) for n, c in bowen.items()})
+    cells |= {(FK, n, 0.2): Cell(fk_count if n == 6 else c, 1000, 1000, None) for n, c in bowen.items()}
+    message = f"fk ball count {fk_count} fell below the bowen ball count 15 at (n, delta) = (6, 0.2)"
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        CellTable(BALLS, cells)
 
 
 @pytest.mark.parametrize(
