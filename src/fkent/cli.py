@@ -10,6 +10,7 @@ print a short summary; `oracle` prints a single closed-form value;
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 
@@ -181,16 +182,17 @@ def _selftest() -> int:
 
     for trial in range(20):
         n = int(rng.integers(1, 13))
-        # grid points put pair gaps exactly at delta, where open and closed balls differ
+        # grid points put pair gaps exactly at delta, which the ball at delta
+        # leaves out and the ball at the next float radius holds
         others = rng.integers(0, 16, size=(n + 1, 300)) / 16.0
         picks = rng.choice(300, size=6, replace=False)
         delta = int(rng.integers(1, 8)) / 16.0
         orbits = [_segment(others[:n, j]) for j in range(300)]
         dist = np.array([[bowen_distance(orbits[c], b) for b in orbits] for c in picks])
-        for closed in (False, True):
-            want = dist <= delta if closed else dist < delta
-            stacked = bowen_ball_batch(OrbitSegment(n, points=others[:, picks]), others, delta, closed=closed)
-            single = [bowen_ball_batch(orbits[c], others, delta, closed=closed) for c in picks]
+        for radius in (delta, math.nextafter(delta, math.inf)):
+            want = dist < radius
+            stacked = bowen_ball_batch(OrbitSegment(n, points=others[:, picks]), others, radius)
+            single = [bowen_ball_batch(orbits[c], others, radius) for c in picks]
             if not (np.array_equal(stacked, want) and np.array_equal(single, want)):
                 raise InvariantViolation(f"Bowen ball kernel differs from bowen_distance on circle stack {trial}")
     print("ok: Bowen ball kernel equals pairwise distances on 20 circle stacks")
@@ -208,14 +210,14 @@ def _selftest() -> int:
         nudge = rng.integers(-1, 2, size=grid.shape) * (rng.random(grid.shape) < 0.15)
         others = (grid + nudge) % 16 / 16.0
         centers = base[:n] / 16.0
-        for closed in (False, True):
+        for radius in (delta, math.nextafter(delta, math.inf)):
             for stack in (centers[:, 0], centers):
-                got = fk_ball_batch(_segment(stack), others, delta, closed=closed).reshape(-1, M)
+                got = fk_ball_batch(_segment(stack), others, radius).reshape(-1, M)
                 # up to 24 pairs inside the balls and 24 outside
                 inside, outside = np.flatnonzero(got), np.flatnonzero(~got)
                 picks = [rng.choice(f, size=min(24, f.size), replace=False) for f in (inside, outside)]
                 for c, j in zip(*np.divmod(np.concatenate(picks), M)):
-                    if got[c, j] != in_fk_ball(_segment(centers[:, c]), _segment(others[:, j]), delta, closed=closed):
+                    if got[c, j] != in_fk_ball(_segment(centers[:, c]), _segment(others[:, j]), radius):
                         raise InvariantViolation(f"FK ball kernel differs from in_fk_ball on circle stack {trial}")
     print("ok: FK ball kernel equals in_fk_ball on 8 circle stacks of 40,000 samples")
 

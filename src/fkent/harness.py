@@ -370,6 +370,8 @@ def _per_path(cfg: ExperimentConfig, estimator, *budgets) -> tuple[list[int], li
 
 
 def _run_top(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
+    # a config the oracle refuses fails before any path is scanned
+    oracle = expected_entropy(cfg.system(), cfg.process())
     seeds, results, workers = _per_path(cfg, path_entropy, cfg.candidate_target, cfg.candidate_budget)
 
     rows = [
@@ -379,7 +381,6 @@ def _run_top(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
     ]
 
     estimates = _estimates(results, "path", "eps")
-    oracle = expected_entropy(cfg.system(), cfg.process())
     report = {
         "estimates": estimates,
         "oracle": {"value": oracle.value, "derivation": oracle.derivation},

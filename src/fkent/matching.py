@@ -306,6 +306,13 @@ def match_target(n: int, delta: float) -> int:
     for n + 1 matches once n * delta < 1e-9, so the target is capped at n,
     the identity matching every point has with itself, and the slack is
     never negative.
+
+    The separated scan reads the closed ball of radius delta as the
+    strict ball at nextafter(delta) (`spanning.greedy_separated`).  The
+    target is the same at both radii except where its floor steps: one
+    float radius per (n, k) with 1 <= k < n <= 64, within 30 ulps of
+    (n - k + 1e-9) / n, 2016 radii in all.  No config, test, demo or
+    bench uses one of them.
     """
     return min(n, int(math.floor(n * (1.0 - delta) + 1e-9)) + 1)
 
@@ -487,27 +494,19 @@ def brute_force_match(a: OrbitSegment, b: OrbitSegment, eps: float) -> int:
 # batch kernels: one center orbit, or a stack of them, against many orbits
 # ---------------------------------------------------------------------------
 
-def _pair_depth(delta: float, closed: bool) -> int:
-    """Cylinder agreement depth that decides d(pair) < delta (or <= delta when closed)."""
-    depth = cylinder_depth(delta)
-    if closed and depth >= 1 and 2.0 ** (-(depth - 1)) == delta:
-        depth -= 1
-    return depth
-
-
 def ball_steps(system: RandomSystemSpec, n: int, eps: float) -> int:
-    """Orbit steps an open time-n ball of radius eps reads on the system's fiber.
+    """Orbit steps a time-n ball of radius eps reads on the system's fiber.
 
     A torus ball reads its n orbit points.  A word ball reads the symbols
     up to its cylinder depth past step n, and at least n of them; every
     path horizon, candidate length and stack check is sized by this rule.
     """
-    return _word_steps(n, eps, False) if system.on_words else n
+    return _word_steps(n, eps) if system.on_words else n
 
 
-def _word_steps(n: int, delta: float, closed: bool) -> int:
+def _word_steps(n: int, delta: float) -> int:
     """Symbols a time-n word ball of radius delta reads, of the base word and of every sample."""
-    return n + max(_pair_depth(delta, closed), 1) - 1
+    return n + max(cylinder_depth(delta), 1) - 1
 
 
 def _word_diagonal(
@@ -538,7 +537,7 @@ def _word_diagonal(
 
 
 def _band_masks(
-    center: OrbitSegment, others: np.ndarray, bands: dict[float, int], closed: bool, masks: dict[float, np.ndarray]
+    center: OrbitSegment, others: np.ndarray, bands: dict[float, int], masks: dict[float, np.ndarray]
 ) -> None:
     """Fill step-major (n, ..., M) packed match masks over the band |i - j| <= bands[delta], per delta.
 
@@ -548,8 +547,8 @@ def _band_masks(
     be a column slice of a wider plane, and is overwritten whole.  Axis
     0 is the center's step i, so row i of a mask is one plane.  Bit j of
     row i of a delta's mask is set when center step i and sample step j
-    are within delta (at most delta when closed); cells off its band
-    stay clear.  The masks are in the word `_bit_weights(n)` picks.
+    are within delta; cells off its band stay clear.  The masks are in
+    the word `_bit_weights(n)` picks.
     Each diagonal offset reads one slice of `others`, steps i0 + offset
     to i1 + offset of every sample, so the temporaries are sized by the
     M samples of one call; on the torus its offsets |u - v| are formed
@@ -580,17 +579,16 @@ def _band_masks(
             if abs(offset) > band:
                 continue
             if torus:
-                ok = circle_within(diff, d, closed)
+                ok = circle_within(diff, d)
             else:
-                depth = _pair_depth(d, closed)
-                ok = _word_diagonal(samples, points, depth, i0, i1, offset)
+                ok = _word_diagonal(samples, points, cylinder_depth(d), i0, i1, offset)
             if offset:
                 masks[d][i0:i1] |= ok * bits
             else:
                 np.multiply(ok, bits, out=masks[d])
 
 
-def _fk_members(center: OrbitSegment, others: np.ndarray, cells, closed: bool = False):
+def _fk_members(center: OrbitSegment, others: np.ndarray, cells):
     """FK ball membership for (n, delta) cells with positive slack, chunk by chunk.
 
     Yields (lo, hits) per chunk of samples starting at sample lo, where
@@ -628,7 +626,7 @@ def _fk_members(center: OrbitSegment, others: np.ndarray, cells, closed: bool = 
         for b0 in range(0, width, rows):
             b1 = min(b0 + rows, width)
             block = take_samples(others, on_words, slice(lo + b0, lo + b1))
-            _band_masks(center, block, widest, closed, {d: p[..., b0:b1] for d, p in planes.items()})
+            _band_masks(center, block, widest, {d: p[..., b0:b1] for d, p in planes.items()})
         hits = {
             (n, d): size >= targets[n, d]
             for d, ns in lengths.items()
@@ -658,21 +656,21 @@ def _check_base_word(center: OrbitSegment, steps: int) -> None:
         raise ValueError(f"base word holds {center.word.shape[-1]} symbols, the balls read {steps}")
 
 
-def _bowen_screen(samples: np.ndarray, centers: np.ndarray, step: int, delta: float, closed: bool):
+def _bowen_screen(samples: np.ndarray, centers: np.ndarray, step: int, delta: float):
     """(k, j) pairs of center k and sample j within delta at one step.
 
     Both arguments are step-major circle stacks, (steps, M) samples and
-    (steps, C) centers; a pair passes at gap < delta, or <= delta when
-    closed (`systems.circle_within`).  The pairs come back in row-major
-    order.  A Bowen ball is a conjunction over steps, so a pair that
-    fails the screen lies in no ball reading that step.
+    (steps, C) centers; a pair passes at gap < delta
+    (`systems.circle_within`).  The pairs come back in row-major order.
+    A Bowen ball is a conjunction over steps, so a pair that fails the
+    screen lies in no ball reading that step.
     """
-    inside = circle_within(circle_diff(samples[step], centers[step, :, None]), delta, closed)
+    inside = circle_within(circle_diff(samples[step], centers[step, :, None]), delta)
     return np.divmod(np.flatnonzero(inside), samples.shape[1])
 
 
 def _bowen_confirm(
-    samples: np.ndarray, centers: np.ndarray, k: np.ndarray, j: np.ndarray, last: int, delta: float, closed: bool
+    samples: np.ndarray, centers: np.ndarray, k: np.ndarray, j: np.ndarray, last: int, delta: float
 ):
     """The (k, j) pairs within delta at every step from `last` down to 0.
 
@@ -685,26 +683,25 @@ def _bowen_confirm(
     """
     t = last
     while t >= 0 and j.size * (t + 1) > BLOCK_PAIRS:
-        keep = np.flatnonzero(circle_within(circle_diff(samples[t].take(j), centers[t].take(k)), delta, closed))
+        keep = np.flatnonzero(circle_within(circle_diff(samples[t].take(j), centers[t].take(k)), delta))
         k, j = k.take(keep), j.take(keep)
         t -= 1
     if t >= 0 and j.size:
         diff = circle_diff(samples[: t + 1].take(j, axis=1), centers[: t + 1].take(k, axis=1))
-        inside = circle_within(diff, delta, closed).all(axis=0)
+        inside = circle_within(diff, delta).all(axis=0)
         k, j = k[inside], j[inside]
     return k, j
 
 
-def bowen_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed: bool = False) -> np.ndarray:
+def bowen_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float) -> np.ndarray:
     """Membership of many orbits in the time-n Bowen ball around a center.
 
     `others` is a step-major (n', M) orbit stack with n' >= n for torus
     systems, or an (M, L) word matrix for shift systems.  The center is
     one orbit, giving an (M,) result, or a stack of C orbits, giving
-    (C, M) with row c the ball around center c.  Open ball by default;
-    `closed` switches to d <= delta (the complement of the strict
-    separation test).  A word ball compares `_word_steps` symbols, and a
-    base word or a word matrix holding fewer raises ValueError.
+    (C, M) with row c the ball around center c, the open ball d < delta.
+    A word ball compares `_word_steps` symbols, and a base word or a
+    word matrix holding fewer raises ValueError.
 
     On the torus one center is a stack of one.  The last step, the most
     expanded one, screens every (center, orbit) pair on the contiguous
@@ -716,21 +713,20 @@ def bowen_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, clo
     if not center.on_words:
         _check_stack(center, others, n)
         points = center.points.reshape(center.points.shape[0], -1)
-        k, j = _bowen_screen(others, points, n - 1, delta, closed)
-        k, j = _bowen_confirm(others, points, k, j, n - 2, delta, closed)
+        k, j = _bowen_screen(others, points, n - 1, delta)
+        k, j = _bowen_confirm(others, points, k, j, n - 2, delta)
         inside = np.zeros((points.shape[1], others.shape[1]), dtype=bool)
         inside[k, j] = True
         return inside.reshape(center.stack_shape + others.shape[1:])
-    depth = _pair_depth(delta, closed)
-    span = _word_steps(n, delta, closed)
+    span = _word_steps(n, delta)
     _check_base_word(center, span)
     _check_stack(center, others, span)
-    if depth == 0:
+    if cylinder_depth(delta) == 0:
         return np.ones(center.stack_shape + (others.shape[0],), dtype=bool)
     return (others[:, :span] == center.word[..., None, :span]).all(axis=-1)
 
 
-def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed: bool = False) -> np.ndarray:
+def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float) -> np.ndarray:
     """FK ball test defect(delta) < delta for a batch.
 
     Arguments and result shapes are those of `bowen_ball_batch`: one
@@ -738,13 +734,10 @@ def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed
     masks go through the bit recurrence, and a match of size n - band
     decides the test; at band 0 that is the banded DP on the main
     diagonal alone (`ball_batch` sends such balls to the Bowen kernel
-    instead, see `ball_kind`).  With `closed`, matched pairs are allowed
-    at distance exactly delta.  The complement of the closed variant is
-    the strict separation relation, the one under which a full
-    Bowen-ball inclusion survives boundary ties.
+    instead, see `ball_kind`).
     """
     n = center.n
-    steps = _word_steps(n, delta, closed) if center.on_words else n
+    steps = _word_steps(n, delta) if center.on_words else n
     _check_base_word(center, steps)
     _check_stack(center, others, steps)
     band = match_slack(n, delta)
@@ -752,12 +745,12 @@ def fk_ball_batch(center: OrbitSegment, others: np.ndarray, delta: float, closed
     if band >= n:
         return np.ones(shape, dtype=bool)
     inside = np.empty(shape, dtype=bool)
-    for lo, (hit,) in _fk_members(center, others, [(n, delta)], closed):
+    for lo, (hit,) in _fk_members(center, others, [(n, delta)]):
         inside[..., lo : lo + hit.shape[-1]] = hit
     return inside
 
 
-def ball_batch(kind: str, center: OrbitSegment, others: np.ndarray, eps: float, closed: bool = False) -> np.ndarray:
+def ball_batch(kind: str, center: OrbitSegment, others: np.ndarray, eps: float) -> np.ndarray:
     """Membership of many orbits in the time-n ball of the given metric kind.
 
     The center may be one orbit or a stack of them, with the kernels'
@@ -767,21 +760,12 @@ def ball_batch(kind: str, center: OrbitSegment, others: np.ndarray, eps: float, 
     """
     kernel = ball_kind(kind, center.n, eps)
     if kernel == BOWEN:
-        return bowen_ball_batch(center, others, eps, closed=closed)
+        return bowen_ball_batch(center, others, eps)
     if kernel == FK:
-        return fk_ball_batch(center, others, eps, closed=closed)
+        return fk_ball_batch(center, others, eps)
     raise ValueError(f"unknown orbit metric: {kind!r}")
 
 
-def in_fk_ball(center: OrbitSegment, other: OrbitSegment, delta: float, closed: bool = False) -> bool:
-    """Single-pair FK ball test: defect(delta) < delta.
-
-    With `closed`, matched pairs are allowed at distance exactly delta,
-    as in `fk_ball_batch`.
-    """
-    if closed:
-        _check_pair(center, other)
-        size = int(max_match_batch(pair_distance_matrix(center, other) <= delta)[0])
-    else:
-        size = max_match_size(center, other, delta)
-    return size >= match_target(center.n, delta)
+def in_fk_ball(center: OrbitSegment, other: OrbitSegment, delta: float) -> bool:
+    """Single-pair FK ball test: defect(delta) < delta."""
+    return max_match_size(center, other, delta) >= match_target(center.n, delta)

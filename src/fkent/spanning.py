@@ -36,8 +36,8 @@ against n with one intercept per `matching.slack_band`, valued at the
 smallest radius whose largest-n count is above 0.
 
 The circle Bowen scan (`greedy_separated`) runs in rounds.  A candidate's
-closed ball reaches about _SUBDIVISIONS + 0.5 grid steps each way, so
-each round guesses the next block of keepers greedily from every
+ball reaches about _SUBDIVISIONS + 0.5 grid steps each way, so each
+round guesses the next block of keepers greedily from every
 candidate's ball against its next _GUESS_WINDOW candidates, checks the
 guessed keepers against each other, and kills the keepers up to the
 first wrong guess in one pass over (keeper, later sample) pairs.  Both
@@ -68,6 +68,7 @@ from .systems import (
     ResourceCapExceeded,
     circle_diff,
     circle_within,
+    cylinder_depth,
     expansion_product,
     orbit_batch,
     sample_path,
@@ -82,7 +83,6 @@ from .matching import (
     _bowen_confirm,
     _bowen_screen,
     _fk_members,
-    _pair_depth,
     _word_steps,
     ball_batch,
     ball_kind,
@@ -238,21 +238,28 @@ def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float
     therefore also eps-covers the candidates.  Returns the count and the
     kept original indices, ascending.
 
-    Killing uses closed-threshold balls so kept points are pairwise farther
-    than eps apart (Bowen) or fail the closed match target (FK); under that
-    convention every Bowen kill is an FK kill and the FK count can never
-    exceed the Bowen count on the same candidates.
+    Killing reads the closed ball of radius eps, so kept points are
+    pairwise farther than eps apart (Bowen) or miss the match target with
+    pairs at distance at most eps (FK).  Its complement is the strict
+    separation relation, the one under which a full Bowen-ball inclusion
+    survives boundary ties: every Bowen kill is an FK kill, and the FK
+    count can never exceed the Bowen count on the same candidates.
+    Every ball test is strict, so the scan asks for the open ball at
+    `reach`, the next float above eps: a float distance is at most eps
+    exactly when it is below reach.  The kernel choice (`ball_kind`)
+    stays keyed by eps; `matching.match_target` names the few radii
+    where the target at reach differs.
 
     A word ball that runs the Bowen kernel (`ball_kind`) is the prefix
-    class of the closed span (every word at closed depth 0), so the kept
-    set is the lowest index of every class, with no ball test.  Every
+    class of the span at reach (every word at cylinder depth 0), so the
+    kept set is the lowest index of every class, with no ball test.  Every
     other scan runs in rounds.  A circle Bowen-kernel ball runs
     `_bowen_round`: it guesses a block of keepers from each candidate's
     ball against the next _GUESS_WINDOW candidates, checks the guessed
     keepers against each other, and kills the ones before the first
     wrong guess in one screened pass.  An FK ball with slack runs the
     one-keeper round: the first live candidate is a keeper, and one
-    closed `ball_batch` call kills what its ball holds.  Once the tail
+    `ball_batch` call at reach kills what its ball holds.  Once the tail
     is mostly dead the live candidates are compacted; total copying
     stays O(M).
     """
@@ -261,11 +268,14 @@ def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float
         raise ValueError("n must be >= 1")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    # a float d is at most eps exactly when it is below the next float
+    # above eps, so the strict ball at reach is the closed ball at eps
+    reach = math.nextafter(eps, math.inf)
     on_words = candidates.on_words
     rounds = ball_kind(kind, n, eps) == BOWEN
     cur = candidates.orbit_stack(ball_steps(candidates.system, n, eps))
     if on_words and rounds:
-        span = _word_steps(n, eps, True) if _pair_depth(eps, True) else 0
+        span = _word_steps(n, reach) if cylinder_depth(reach) else 0
         kept_idx = np.sort(candidates.prefix_classes(span)[1])
         return kept_idx.size, kept_idx
     idx = np.arange(candidates.M)
@@ -280,15 +290,15 @@ def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float
             break
         if rounds:
             if window is None:
-                window = _window_kills(cur, n, eps)
-            block, p = _bowen_round(cur, dead, window, p, n, eps)
+                window = _window_kills(cur, n, reach)
+            block, p = _bowen_round(cur, dead, window, p, n, reach)
         else:
             block = slice(p, p + 1)
             center = _centers(cur, on_words, n, p)
             p += 1
             if p < idx.size:
                 rest = take_samples(cur, on_words, slice(p, None))
-                dead[p:] |= ball_batch(kind, center, rest, eps, closed=True)
+                dead[p:] |= ball_batch(kind, center, rest, reach)
         kept.append(idx[block])
         tail = idx.size - p
         if tail > 64 and dead[p:].sum() > tail // 2:
@@ -304,12 +314,12 @@ def greedy_separated(candidates: EmpiricalMeasure, n: int, kind: str, eps: float
 
 
 def _window_kills(stack: np.ndarray, n: int, eps: float) -> list[int]:
-    """Per sample i of a circle stack, a bitmask of the closed time-n ball's
-    members among the next _GUESS_WINDOW samples: bit k - 1 marks sample i + k."""
+    """Per sample i of a circle stack, a bitmask of the time-n ball's members
+    among the next _GUESS_WINDOW samples: bit k - 1 marks sample i + k."""
     m = stack.shape[1]
     bits = np.zeros(m, dtype=np.int64)
     for k in range(1, min(_GUESS_WINDOW, m - 1) + 1):
-        inside = circle_within(circle_diff(stack[:n, k:], stack[:n, :-k]), eps, True).all(axis=0)
+        inside = circle_within(circle_diff(stack[:n, k:], stack[:n, :-k]), eps).all(axis=0)
         bits[:-k] |= inside.astype(np.int64) << (k - 1)
     return bits.tolist()
 
@@ -355,26 +365,26 @@ def _bowen_round(
         keepers = keepers[:wrong]
     if stop == m:
         return keepers, stop
-    k, j = _bowen_screen(stack[:, stop:], stack[:n, keepers], n - 1, eps, closed=True)
+    k, j = _bowen_screen(stack[:, stop:], stack[:n, keepers], n - 1, eps)
     j += stop
     live = ~dead[j]
-    _, j = _bowen_confirm(stack, stack, keepers[k[live]], j[live], n - 2, eps, closed=True)
+    _, j = _bowen_confirm(stack, stack, keepers[k[live]], j[live], n - 2, eps)
     dead[j] = True
     return keepers, stop
 
 
 def _first_held(stack: np.ndarray, keepers: np.ndarray, n: int, eps: float) -> int:
     """Position in `keepers` (ascending samples of a circle stack) of the first
-    one inside the closed time-n ball of an earlier one, or len(keepers).
+    one inside the time-n ball of an earlier one, or len(keepers).
 
     The keepers are screened against each other on step n - 1, the
     pairs of an earlier and a later keeper survive, and steps n - 2 down
     to 0 confirm them.
     """
     pts = stack[:n, keepers]
-    lo, hi = _bowen_screen(pts, pts, n - 1, eps, closed=True)
+    lo, hi = _bowen_screen(pts, pts, n - 1, eps)
     later = lo < hi
-    _, hi = _bowen_confirm(pts, pts, lo[later], hi[later], n - 2, eps, closed=True)
+    _, hi = _bowen_confirm(pts, pts, lo[later], hi[later], n - 2, eps)
     return int(hi.min()) if hi.size else keepers.size
 
 
@@ -422,7 +432,7 @@ def column_covers(measure: EmpiricalMeasure, eps: float, cells, pair_budget: int
     a word Bowen ball is a prefix class) share one pass: each pair keeps
     how many leading steps stay below eps, capped at the largest Bowen n,
     and cell n reads `steps >= n`.  The pass screens every pair on step
-    n_min - 1 of the smallest Bowen n (`matching._bowen_screen`, open),
+    n_min - 1 of the smallest Bowen n (`matching._bowen_screen`),
     where a failure puts the pair in no cell, and runs the screen's
     survivors forward from step 0, dropping a pair at its first gap of
     eps or more.  FK cells go in groups of at
@@ -458,13 +468,13 @@ def column_covers(measure: EmpiricalMeasure, eps: float, cells, pair_budget: int
     if bowen_ns:
         top, screen = bowen_ns[-1], bowen_ns[0] - 1
         for i0, i1 in _center_blocks(m, _SCREEN_PAIRS):
-            rows, cols = _bowen_screen(stack[:, i0 + 1 :], stack[:, i0:i1], screen, eps, closed=False)
+            rows, cols = _bowen_screen(stack[:, i0 + 1 :], stack[:, i0:i1], screen, eps)
             rows += i0
             cols += i0 + 1
             for t in range(top):
                 if t == screen:
                     continue
-                inside = circle_within(circle_diff(stack[t].take(cols), stack[t].take(rows)), eps, False)
+                inside = circle_within(circle_diff(stack[t].take(cols), stack[t].take(rows)), eps)
                 out, keep = np.flatnonzero(~inside), np.flatnonzero(inside)
                 packed[rows.take(out), cols.take(out)] = t
                 rows, cols = rows.take(keep), cols.take(keep)

@@ -96,27 +96,27 @@ def circle_gap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.minimum(diff, 1.0 - diff, out=diff)
 
 
-def circle_within(diff: np.ndarray, delta: float, closed: bool) -> np.ndarray:
-    """Arc distance <= delta (closed) or < delta (open), from diff = circle_diff(u, v).
+def circle_within(diff: np.ndarray, delta: float) -> np.ndarray:
+    """Arc distance < delta, from diff = circle_diff(u, v).
 
-    Bit for bit `circle_gap(u, v) <= delta` (`< delta` when open), without
-    the gap array.  The gap of a = |u - v| is min(a, 1 - a) with 1 - a
-    rounded, so it passes when a does or when the rounded 1 - a does.
-    For a >= 1/2, 1 - a is exact (Sterbenz's lemma), and for a < 1/2 the
-    rounded 1 - a is at least 1/2.  So the far side passes exactly when
-    a >= hi, the smallest float of at least 1/2 whose exact 1 - hi passes
-    (`_far_bound`); from delta = 1/2 on, hi = 1/2 and every a passes one
-    side or the other.
+    Bit for bit `circle_gap(u, v) < delta`, without the gap array.  The
+    gap of a = |u - v| is min(a, 1 - a) with 1 - a rounded, so it passes
+    when a does or when the rounded 1 - a does.  For a >= 1/2, 1 - a is
+    exact (Sterbenz's lemma), and for a < 1/2 the rounded 1 - a is at
+    least 1/2.  So the far side passes exactly when a >= hi, the
+    smallest float of at least 1/2 whose exact 1 - hi passes
+    (`_far_bound`); for every delta > 1/2, hi = 1/2 and every a passes
+    one side or the other.
     """
-    near = diff <= delta if closed else diff < delta
-    near |= diff >= _far_bound(delta, closed)
+    near = diff < delta
+    near |= diff >= _far_bound(delta)
     return near
 
 
 # ball tests ask for the same few radii thousands of times per run
 @lru_cache(maxsize=64)
-def _far_bound(delta: float, closed: bool) -> float:
-    """The smallest float hi >= 1/2 with 1 - hi <= delta (< delta when open).
+def _far_bound(delta: float) -> float:
+    """The smallest float hi >= 1/2 with 1 - hi < delta.
 
     1 - hi is exact for every hi >= 1/2, so the float test decides the
     exact one; the search starts at the rounded 1 - delta, at most an ulp
@@ -124,14 +124,10 @@ def _far_bound(delta: float, closed: bool) -> float:
     """
     if not delta >= 0.0:
         raise ValueError("delta must be nonnegative")
-
-    def passes(a: float) -> bool:
-        return 1.0 - a <= delta if closed else 1.0 - a < delta
-
     hi = max(1.0 - float(delta), 0.5)
-    while not passes(hi):
+    while not 1.0 - hi < delta:
         hi = math.nextafter(hi, 2.0)
-    while hi > 0.5 and passes(math.nextafter(hi, 0.0)):
+    while hi > 0.5 and 1.0 - math.nextafter(hi, 0.0) < delta:
         hi = math.nextafter(hi, 0.0)
     return hi
 

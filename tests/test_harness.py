@@ -466,6 +466,25 @@ def test_cli_missing_config(capsys):
     assert main(["compare-top", "--config", "/nonexistent/run.ini"]) == 2
 
 
+def test_compare_top_refuses_a_config_without_oracle_before_any_scan(tmp_path, capsys, monkeypatch):
+    # an expanding factor of 1 has no entropy oracle; compare-top says so
+    # before it scans a single path, not after scanning every one
+    calls = []
+
+    def scan(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a path was scanned before the oracle check")
+
+    monkeypatch.setattr("fkent.harness.path_entropy", scan)
+    text = TINY.replace("m = 2", "m = 1, 2").replace("p = 1.0", "p = 0.5, 0.5")
+    path = write_config(tmp_path, text.format(out=tmp_path / "out"))
+    with pytest.raises(ValueError, match="expanding factors >= 2"):
+        run_experiment("compare-top", load_config(path))
+    assert main(["compare-top", "--config", path]) == 2
+    assert "expanding factors >= 2" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_cli_maps_invariant_violation(tmp_path, capsys, monkeypatch):
     import fkent.cli as cli_module
 

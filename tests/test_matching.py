@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,14 +29,17 @@ from fkent.matching import (
     max_match_size,
     pair_distance_matrix,
 )
+from fkent.harness import ExperimentConfig
 from fkent.spanning import column_covers, count_table, greedy_separated
 from fkent.systems import (
+    _far_bound,
     EmpiricalMeasure,
     OmegaPath,
     OrbitSegment,
     bernoulli_process,
     circle_diff,
     circle_gap,
+    cylinder_depth,
     expanding_system,
     orbit,
     orbit_batch,
@@ -98,6 +103,69 @@ def shuffled_copies(rng, base, count, edits):
 )
 def test_match_target(n, delta, target):
     assert match_target(n, delta) == target
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# radii the acceptance checks (0.3 to 0.05) and the demos (0.3 to 0.03) run
+_CHECK_AND_DEMO_RADII = (0.3, 0.25, 0.2, 0.1, 0.05, 0.03)
+
+
+def _radii_in_use(monkeypatch) -> set[float]:
+    """Every radius of the config defaults, the bench workloads, the acceptance checks and the demos."""
+    cfg = ExperimentConfig()
+    radii = {*cfg.eps, *cfg.delta, *_CHECK_AND_DEMO_RADII}
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    for _, *sizes in run.WORKLOADS.values():
+        for overrides in sizes:
+            radii.update(overrides.get("eps", ()), overrides.get("delta", ()))
+    return radii
+
+
+def test_the_next_float_radius_is_the_closed_ball(monkeypatch):
+    # the separated scan reads the closed ball of radius d as the strict
+    # ball at nextafter(d).  On floats that is exact for the circle's far
+    # bound and the cylinder depth, and for the FK match target at every
+    # radius of a grid and every radius a run uses
+    grid = {k / 1000 for k in range(1, 1001)} | {k / 2**j for j in range(11) for k in range(1, 2**j + 1)}
+    grid |= {k / q for q in (3, 7, 9, 11, 13, 17, 19, 23) for k in range(1, q + 1)} | {1.5, 2.0}
+    radii = _radii_in_use(monkeypatch)
+    assert {0.2, 0.1, 0.05, 0.25} <= radii
+    for d in sorted(grid | radii):
+        up = math.nextafter(d, math.inf)
+        hi = _far_bound(up)
+        assert hi >= 0.5 and 1.0 - hi <= d, d
+        assert hi == 0.5 or 1.0 - math.nextafter(hi, 0.0) > d, d
+        t = cylinder_depth(up)
+        assert 2.0**-t <= d and (t == 0 or 2.0 ** -(t - 1) > d), d
+        for n in range(1, 65):
+            assert match_target(n, up) == match_target(n, d), (n, d)
+
+
+def test_match_target_steps_once_near_each_integer_product():
+    # the target's floor steps between some float d and nextafter(d) once
+    # per (n, k) with 1 <= k < n <= 64, within 30 ulps of (n - k + 1e-9) / n,
+    # and nowhere else there: 2016 radii, as match_target's docstring says.
+    # n = 3, k = 2 steps at 0.33333333366666673
+    d = 0.33333333366666673
+    assert (match_target(3, d), match_target(3, math.nextafter(d, math.inf))) == (3, 2)
+    steps = 0
+    for n in range(2, 65):
+        for k in range(1, n):
+            mid = (n - k + 1e-9) / n
+            d = mid - 31 * math.ulp(mid)
+            found = []
+            for _ in range(62):
+                up = math.nextafter(d, math.inf)
+                if match_target(n, up) != match_target(n, d):
+                    found.append(d)
+                d = up
+            assert len(found) == 1, (n, k)
+            steps += len(found)
+    assert steps == 2016
 
 
 @pytest.mark.parametrize("eps", [2.0, 1.5, 1.0, 0.75, 0.5, 0.3, 0.25, 0.2, 0.125, 0.1, 2.0**-10])
@@ -237,12 +305,14 @@ def test_bowen_ball_batch_matches_pairwise():
 
 def test_bowen_ball_batch_matches_reference_distance(monkeypatch):
     # grid points (multiples of 1/64) put pair gaps exactly at delta = 1/8,
-    # so open and closed balls differ; stacks run past n, and steps past n
+    # so the balls at delta and at the next float radius differ; stacks
+    # run past n, and steps past n
     # are perturbed too, so they must not count.  Stacks are step-major,
     # (steps, samples).  At BLOCK_PAIRS = 16 the confirm drops pairs step
     # by step before its last gather; at the default it gathers at once.
     rng = np.random.default_rng(113)
     delta = 0.125
+    above = math.nextafter(delta, math.inf)
     shifts = np.array([-9, -8, -7, 7, 8, 9])
     default = matching.BLOCK_PAIRS
     differ = 0
@@ -257,23 +327,23 @@ def test_bowen_ball_batch_matches_reference_distance(monkeypatch):
             far = rng.integers(0, 64, size=(steps, 10))
             others = (np.concatenate([near, far], axis=1) % 64) / 64.0
             seg = OrbitSegment(n, points=center[:n] / 64.0)
-            for block, closed in ((default, False), (default, True), (16, False), (16, True)):
+            for block, radius in ((default, delta), (default, above), (16, delta), (16, above)):
                 monkeypatch.setattr(matching, "BLOCK_PAIRS", block)
-                members = bowen_ball_batch(seg, others, delta, closed=closed)
+                members = bowen_ball_batch(seg, others, radius)
                 want = []
                 for row in others.T:
                     dist = bowen_distance(seg, OrbitSegment(n, points=row[:n]))
-                    want.append(dist <= delta if closed else dist < delta)
+                    want.append(dist < radius)
                 assert members.tolist() == want
                 assert 0 < sum(want) < len(want)
-            differ += int((bowen_ball_batch(seg, others, delta) != bowen_ball_batch(seg, others, delta, closed=True)).sum())
+            differ += int((bowen_ball_batch(seg, others, delta) != bowen_ball_batch(seg, others, above)).sum())
             # an empty batch, and one whose last step puts every row out
             assert bowen_ball_batch(seg, others[:, :0], delta).shape == (0,)
             last_out = np.repeat(center[:, None], 5, axis=1)
             last_out[n - 1] += 8
             last_out = (last_out % 64) / 64.0
             assert not bowen_ball_batch(seg, last_out, delta).any()
-            assert bowen_ball_batch(seg, last_out, delta, closed=True).all()
+            assert bowen_ball_batch(seg, last_out, above).all()
     assert differ > 0
 
 
@@ -304,8 +374,8 @@ def test_word_kernels_reject_words_shorter_than_the_ball_reads():
                 kernel(short, mu.orbits, 0.2)
         with pytest.raises(ValueError, match="orbit stack has 9 steps, the ball reads 10"):
             kernel(word_segment(word, n=8), mu.orbits[:, :9], 0.2)
-        # the closed ball reads cylinder depth 2 at 0.25, so 9 symbols do
-        kernel(word_segment(word[:9], n=8), mu.orbits[:, :9], 0.25, closed=True)
+        # the ball just above 0.25 reads cylinder depth 2, so 9 symbols do
+        kernel(word_segment(word[:9], n=8), mu.orbits[:, :9], math.nextafter(0.25, math.inf))
 
 
 def test_fk_ball_batch_matches_single_test():
@@ -334,10 +404,10 @@ def test_fk_ball_equals_bowen_ball_at_zero_slack():
     # match target n forces the identity matching; both kernels must agree
     # with a full-size match on the pairwise distance matrix.  Grid points
     # (multiples of 1/64) and dyadic cylinder radii put pairs exactly at
-    # delta, so the open and closed conventions both get boundary ties.
-    # At delta = 1/8 a word ball reads 3 symbols past step n - 1 when open
-    # and 2 when closed, so the (n + 2)-symbol word serves the closed balls
-    # only, and both kernels refuse it the open ones.
+    # delta, so the balls at delta and at the next float radius both get
+    # boundary ties.  At delta = 1/8 a word ball reads 3 symbols past step
+    # n - 1, and 2 at the next float radius, so the (n + 2)-symbol word
+    # serves the larger radius only, and both kernels refuse it at delta.
     rng = np.random.default_rng(111)
     n = 8
     grid = rng.integers(0, 64, size=n)
@@ -352,14 +422,14 @@ def test_fk_ball_equals_bowen_ball_at_zero_slack():
         cases.append((word_segment(word, n=n), others, 0.125))
     for center, others, delta in cases:
         assert match_target(n, delta) == n
-        for closed in (False, True):
-            if center.on_words and center.word.size < n + (2 if closed else 3):
+        for radius in (delta, math.nextafter(delta, math.inf)):
+            if center.on_words and center.word.size < n + (3 if radius == delta else 2):
                 for kernel in (fk_ball_batch, bowen_ball_batch):
                     with pytest.raises(ValueError, match="base word holds 10 symbols, the balls read 11"):
-                        kernel(center, others, delta, closed=closed)
+                        kernel(center, others, radius)
                 continue
-            fk = fk_ball_batch(center, others, delta, closed=closed)
-            bowen = bowen_ball_batch(center, others, delta, closed=closed)
+            fk = fk_ball_batch(center, others, radius)
+            bowen = bowen_ball_batch(center, others, radius)
             rows = sample_orbits(others, center.on_words)
             want = np.empty(len(rows), dtype=bool)
             for i, row in enumerate(rows):
@@ -368,8 +438,7 @@ def test_fk_ball_equals_bowen_ball_at_zero_slack():
                 else:
                     other = OrbitSegment(n, points=row)
                 dist = pair_distance_matrix(center, other)
-                compat = dist <= delta if closed else dist < delta
-                want[i] = max_match_batch(compat)[0] >= n
+                want[i] = max_match_batch(dist < radius)[0] >= n
             assert 0 < want.sum() < want.size
             assert (fk == want).all()
             assert (bowen == want).all()
@@ -386,10 +455,10 @@ def test_every_ball_contains_its_center():
     assert match_slack(n, delta) == 0
     for center in centers:
         others = center.word[None] if center.on_words else center.points[:, None]
-        for closed in (False, True):
-            assert ball_batch(BOWEN, center, others, delta, closed=closed).tolist() == [True]
-            assert ball_batch(FK, center, others, delta, closed=closed).tolist() == [True]
-            assert fk_ball_batch(center, others, delta, closed=closed).tolist() == [True]
+        for radius in (delta, math.nextafter(delta, math.inf)):
+            assert ball_batch(BOWEN, center, others, radius).tolist() == [True]
+            assert ball_batch(FK, center, others, radius).tolist() == [True]
+            assert fk_ball_batch(center, others, radius).tolist() == [True]
         assert in_fk_ball(center, center, delta)
 
 
@@ -418,10 +487,11 @@ def test_zero_slack_fk_tables_never_run_the_fk_kernel(monkeypatch):
 
 
 def test_closed_ball_includes_boundary():
+    # the closed ball of radius 0.2 is the strict ball at the next float radius
     center = torus_segment([0.0, 0.0])
     others = np.array([[0.2], [0.1]])
     assert not bowen_ball_batch(center, others, 0.2)[0]
-    assert bowen_ball_batch(center, others, 0.2, closed=True)[0]
+    assert bowen_ball_batch(center, others, math.nextafter(0.2, math.inf))[0]
 
 
 def test_word_ball_batch_prefix_semantics():
@@ -469,7 +539,8 @@ def test_fk_ball_batch_matches_reference_lcs():
     # matrix, at bands 1-4 and n up to 40.  Samples are center orbits with a
     # few steps moved, so off-diagonal matches decide membership; torus
     # points and radii sit on the 1/64 grid and cylinder radii are dyadic,
-    # so pairs land exactly on delta and the open/closed conventions differ.
+    # so pairs land exactly on delta and the balls at delta and at the next
+    # float radius differ.
     # Cylinder radii above 1/2 make the pair test symbol equality.
     rng = np.random.default_rng(113)
     slots = [
@@ -499,9 +570,9 @@ def test_fk_ball_batch_matches_reference_lcs():
             flips = rng.random((24, length)) < 0.05
             others = np.where(flips, 1 - word, shuffled_copies(rng, word, 24, 3))
             center = word_segment(word, n=n)
-        target = n - match_slack(n, delta)
-        for closed in (False, True):
-            got = fk_ball_batch(center, others, delta, closed=closed)
+        for radius in (delta, math.nextafter(delta, math.inf)):
+            target = n - match_slack(n, radius)
+            got = fk_ball_batch(center, others, radius)
             for i, row in enumerate(sample_orbits(others, on_words)):
                 if on_words:
                     other = OrbitSegment(n, word=row)
@@ -509,8 +580,7 @@ def test_fk_ball_batch_matches_reference_lcs():
                     other = OrbitSegment(n, points=row)
                 dist = pair_distance_matrix(center, other)
                 ties += int((dist == delta).sum())
-                compat = dist <= delta if closed else dist < delta
-                assert got[i] == (reference_match(compat) >= target)
+                assert got[i] == (reference_match(dist < radius) >= target)
             members += int(got.sum())
         checked[trial % 3] += 1
     assert all(count >= 15 for count in checked)
@@ -520,7 +590,8 @@ def test_fk_ball_batch_matches_reference_lcs():
 
 def test_stacked_centers_equal_per_center_calls():
     # row c of a call on a stack of centers is the call on center c alone,
-    # for both kernels on torus and word stacks, open and closed balls, and
+    # for both kernels on torus and word stacks, at each radius and the next
+    # float radius, and
     # FK at band 0, bands 1-2 and band >= n.  C x M exceeds BLOCK_PAIRS, so
     # the stacked FK call splits its rows across blocks while each
     # single-center call runs one.  Centers are sample rows, so they carry
@@ -551,27 +622,28 @@ def test_stacked_centers_equal_per_center_calls():
         empty = take_samples(others, on_words, slice(0, 0))
         for kernel in (bowen_ball_batch, fk_ball_batch):
             for delta in radii:
-                for closed in (False, True):
-                    got = kernel(stack, others, delta, closed=closed)
+                for radius in (delta, math.nextafter(delta, math.inf)):
+                    got = kernel(stack, others, radius)
                     assert got.shape == (C, M)
                     for row, c in zip(got, centers):
-                        assert (row == kernel(segment(c), others, delta, closed=closed)).all()
+                        assert (row == kernel(segment(c), others, radius)).all()
                     if delta < 1.0:
                         assert 0 < got.sum() < got.size
-                    one = kernel(segment(slice(0, 1)), others, delta, closed=closed)
+                    one = kernel(segment(slice(0, 1)), others, radius)
                     assert one.shape == (1, M)
-                    assert (one[0] == kernel(segment(0), others, delta, closed=closed)).all()
-                    assert kernel(stack, empty, delta, closed=closed).shape == (C, 0)
-                    assert kernel(segment(0), empty, delta, closed=closed).shape == (0,)
+                    assert (one[0] == kernel(segment(0), others, radius)).all()
+                    assert kernel(stack, empty, radius).shape == (C, 0)
+                    assert kernel(segment(0), empty, radius).shape == (0,)
 
 
-@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
-def test_torus_kernels_on_step_major_stacks_equal_pairwise(monkeypatch, closed):
-    # the torus kernels read step-major (steps, M) stacks; each membership
-    # equals the pairwise reference on the sample's own orbit, for one
-    # center and for a stack of centers, at slack 0, 1 and 2: Bowen against
-    # bowen_distance, open FK against in_fk_ball, closed FK against a full
-    # match of the closed compatibility matrix.  Most samples are shuffled
+# "closed": at the next float radius, whose strict ball is the closed ball at delta
+@pytest.mark.parametrize("above", [False, True], ids=["open", "closed"])
+def test_torus_kernels_on_step_major_stacks_equal_pairwise(monkeypatch, above):
+    # the torus kernels read step-major (steps, M) stacks, at each radius
+    # or at the next float radius; each membership equals the pairwise
+    # reference on the sample's own orbit, for one center and for a stack
+    # of centers, at slack 0, 1 and 2: Bowen against bowen_distance, FK
+    # against in_fk_ball.  Most samples are shuffled
     # grid copies of one orbit, the rest random grid orbits, all carrying a
     # step past n, so pairs tie with delta and off-diagonal matches decide
     # FK membership.  The Bowen kernel runs at the default BLOCK_PAIRS and
@@ -585,27 +657,28 @@ def test_torus_kernels_on_step_major_stacks_equal_pairwise(monkeypatch, closed):
     others = np.ascontiguousarray(rows.T / 64.0)
     centers = [3, 17, 40, 41, 88]
     radii = (0.0625, 0.125, 0.1875)
+    if above:
+        radii = tuple(math.nextafter(r, math.inf) for r in radii)
     assert [match_slack(n, r) for r in radii] == [0, 1, 2]
     orbits = [OrbitSegment(n, points=others[:n, j]) for j in range(M)]
 
-    def reference(kind, a, b, delta):
+    def reference(kind, a, b, radius):
         if kind == BOWEN:
-            dist = bowen_distance(a, b)
-            return dist <= delta if closed else dist < delta
-        return in_fk_ball(a, b, delta, closed=closed)
+            return bowen_distance(a, b) < radius
+        return in_fk_ball(a, b, radius)
 
     stack = OrbitSegment(n, points=others[:, centers])
     default = matching.BLOCK_PAIRS
     cases = ((BOWEN, bowen_ball_batch, default), (BOWEN, bowen_ball_batch, 16), (FK, fk_ball_batch, default))
     for kind, kernel, block in cases:
         monkeypatch.setattr(matching, "BLOCK_PAIRS", block)
-        for delta in radii:
-            got = kernel(stack, others, delta, closed=closed)
+        for radius in radii:
+            got = kernel(stack, others, radius)
             assert got.shape == (len(centers), M)
             for row, c in zip(got, centers):
-                want = [reference(kind, orbits[c], b, delta) for b in orbits]
+                want = [reference(kind, orbits[c], b, radius) for b in orbits]
                 assert row.tolist() == want
-                one = kernel(OrbitSegment(n, points=others[:, c]), others, delta, closed=closed)
+                one = kernel(OrbitSegment(n, points=others[:, c]), others, radius)
                 assert one.tolist() == want
             assert 0 < got.sum() < got.size
 
@@ -663,26 +736,26 @@ def test_circle_kernels_on_planted_ties_equal_the_oracles(monkeypatch, delta, n)
     # pairs at exactly delta on every kernel path that decides circle
     # closeness (screen, confirm, band masks); 1 - delta is inexact at both
     # radii, so on the far side of 1/2 the rounded 1 - |u - v| decides.
-    # Both kernels, one center and a stack, open and closed: Bowen against
-    # bowen_distance (also at BLOCK_PAIRS = 16, where the confirm drops
-    # pairs step by step), open FK against in_fk_ball, closed FK against
-    # the plain-Python match DP on the closed compatibility matrix, at
-    # slack 1.
+    # Both kernels, one center and a stack, at delta and at the next float
+    # radius: Bowen against bowen_distance (also at BLOCK_PAIRS = 16, where
+    # the confirm drops pairs step by step), FK at delta against
+    # in_fk_ball, FK at the next float radius against the plain-Python
+    # match DP on its compatibility matrix, at slack 1.
     assert 1.0 - (1.0 - delta) != delta
     assert match_slack(n, delta) == 1
+    above = math.nextafter(delta, math.inf)
     rng = np.random.default_rng(131)
     base = rng.random(n + 1)
     others = np.concatenate([base[:, None], tied_stack(rng, base, 90, delta)], axis=1)
     _assert_ties(others, delta)
     orbits = [OrbitSegment(n, points=others[:n, j]) for j in range(others.shape[1])]
 
-    def reference(kind, a, b, closed):
+    def reference(kind, a, b, radius):
         if kind == BOWEN:
-            dist = bowen_distance(a, b)
-            return dist <= delta if closed else dist < delta
-        if not closed:
+            return bowen_distance(a, b) < radius
+        if radius == delta:
             return in_fk_ball(a, b, delta)
-        return reference_match(pair_distance_matrix(a, b) <= delta) >= match_target(n, delta)
+        return reference_match(pair_distance_matrix(a, b) < radius) >= match_target(n, radius)
 
     centers = [0, 1, 40, 77]
     stack = OrbitSegment(n, points=others[:, centers])
@@ -691,16 +764,16 @@ def test_circle_kernels_on_planted_ties_equal_the_oracles(monkeypatch, delta, n)
     for kind, kernel, block in cases:
         monkeypatch.setattr(matching, "BLOCK_PAIRS", block)
         got = {}
-        for closed in (False, True):
-            got[closed] = kernel(stack, others, delta, closed=closed)
-            for row, c in zip(got[closed], centers):
-                want = [reference(kind, orbits[c], b, closed) for b in orbits]
-                assert row.tolist() == want, (kind, closed, c)
-                one = kernel(OrbitSegment(n, points=others[:, c]), others, delta, closed=closed)
-                assert one.tolist() == want, (kind, closed, c)
+        for radius in (delta, above):
+            got[radius] = kernel(stack, others, radius)
+            for row, c in zip(got[radius], centers):
+                want = [reference(kind, orbits[c], b, radius) for b in orbits]
+                assert row.tolist() == want, (kind, radius, c)
+                one = kernel(OrbitSegment(n, points=others[:, c]), others, radius)
+                assert one.tolist() == want, (kind, radius, c)
         # the ties decide some pairs, and neither ball is trivial
-        assert (got[False] != got[True]).any()
-        assert got[False].any() and not got[True].all()
+        assert (got[delta] != got[above]).any()
+        assert got[delta].any() and not got[above].all()
 
 
 @pytest.mark.parametrize("delta", [0.1, 1 / 3], ids=["0.1", "1/3"])
@@ -749,7 +822,8 @@ def test_fk_members_read_every_n_from_one_recurrence(monkeypatch, on_words, case
     # reads each shorter n after its row n - 1; every cell must equal the FK
     # kernel on the center's n-step prefix alone, which runs a recurrence
     # of its own (with that prefix's own mask word), as every cell did
-    # before.  One center and a stack of centers, open and closed balls,
+    # before.  One center and a stack of centers, the cells' radii and the
+    # next float radii,
     # two or more slack bands, and chunks of two mask blocks each that
     # split the samples, the last chunk and its last block partial.
     monkeypatch.setattr(matching, "BLOCK_PAIRS", 64)
@@ -792,15 +866,17 @@ def test_fk_members_read_every_n_from_one_recurrence(monkeypatch, on_words, case
         orbits = take_samples(others, on_words, index)
         return OrbitSegment(n, word=orbits) if on_words else OrbitSegment(n, points=orbits)
 
+    above = [(n, math.nextafter(d, math.inf)) for n, d in cells]
+    assert [match_slack(n, d) for n, d in above] == [match_slack(n, d) for n, d in cells]
     differ = 0
     for index in (0, stacked):
         center = segment(index, n_max)
-        for closed in (False, True):
-            got = [np.zeros(center.stack_shape + (M,), dtype=bool) for _ in cells]
+        for radii in (cells, above):
+            got = [np.zeros(center.stack_shape + (M,), dtype=bool) for _ in radii]
             rows = 64 // math.prod(center.stack_shape)
             chunks = []
             blocks.clear()
-            for lo, hits in matching._fk_members(center, others, cells, closed):
+            for lo, hits in matching._fk_members(center, others, radii):
                 chunks.append((hits[0].shape[-1], blocks[:]))
                 blocks.clear()
                 for out, hit in zip(got, hits):
@@ -811,8 +887,8 @@ def test_fk_members_read_every_n_from_one_recurrence(monkeypatch, on_words, case
             assert sum(width for width, _ in chunks) == M
             assert chunks[-1][0] < chunks[0][0] == 2 * rows
             assert chunks[-1][1][-1] < rows
-            for (n, d), out in zip(cells, got):
-                want = fk_ball_batch(segment(index, n), others, d, closed=closed)
+            for (n, d), out in zip(radii, got):
+                want = fk_ball_batch(segment(index, n), others, d)
                 assert (out == want).all()
                 assert 0 < out.sum() < out.size
             for i, k in nested:
@@ -896,12 +972,12 @@ def test_fk_ball_batch_on_empty_stacks():
             return OrbitSegment(n, word=stack) if on_words else OrbitSegment(n, points=stack)
 
         none, empty = segment(slice(0, 0)), take_samples(others, on_words, slice(0, 0))
-        for closed in (False, True):
-            got = fk_ball_batch(none, others, delta, closed=closed)
-            assert got.shape == bowen_ball_batch(none, others, delta, closed=closed).shape == (0, 50)
+        for radius in (delta, math.nextafter(delta, math.inf)):
+            got = fk_ball_batch(none, others, radius)
+            assert got.shape == bowen_ball_batch(none, others, radius).shape == (0, 50)
             for center in (segment(0), segment([1, 2])):
-                got = fk_ball_batch(center, empty, delta, closed=closed)
-                assert got.shape == bowen_ball_batch(center, empty, delta, closed=closed).shape
+                got = fk_ball_batch(center, empty, radius)
+                assert got.shape == bowen_ball_batch(center, empty, radius).shape
                 assert got.shape == center.stack_shape + (0,)
 
 

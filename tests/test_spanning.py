@@ -66,8 +66,8 @@ def test_separated_scan_circle_hand_value():
 
 def test_separated_kill_is_closed():
     # 4 equispaced points, neighbor gap exactly 0.25: boundary pairs are
-    # killed (closed rule), leaving the antipodal pair; just under the
-    # gap everything survives
+    # killed (the scan reads the closed ball), leaving the antipodal pair;
+    # just under the gap everything survives
     count, kept = greedy_separated(circle_candidates(4), 1, BOWEN, 0.25)
     assert count == 2
     assert np.allclose(circle_candidates(4).samples[kept].ravel(), [0.0, 0.5])
@@ -79,8 +79,8 @@ def test_separated_kill_is_closed():
 def test_shift_separated_counts_grow_like_words(n):
     # open balls at eps = 0.4 and 0.5 read cylinder depth 2, so the
     # enumeration holds the 2^(n+1) words of n + 1 symbols; at eps = 0.25
-    # they read depth 3, 2^(n+2) words.  Killing is closed, and at a
-    # power-of-two eps the closed depth is one less, so eps = 0.4
+    # they read depth 3, 2^(n+2) words.  Killing reads the closed ball, and
+    # at a power-of-two eps its depth is one less, so eps = 0.4
     # separates every word and 0.5 and 0.25 keep half of them
     system = shift_system((2, 2))
     path = sample_path(bernoulli_process((0.5, 0.5)), 10, 1)
@@ -362,7 +362,8 @@ def test_column_covers_match_pairwise_reference(monkeypatch, on_words):
 
 
 def _per_center_scan(measure: EmpiricalMeasure, n: int, kind: str, eps: float) -> np.ndarray:
-    """The greedy scan spelled out: one closed ball_batch call per kept center."""
+    """The greedy scan spelled out: one ball_batch call per kept center, at
+    the next float radius, whose strict ball is the closed ball of radius eps."""
     on_words = measure.on_words
     stack = measure.orbit_stack(ball_steps(measure.system, n, eps))
     field = "word" if on_words else "points"
@@ -375,7 +376,7 @@ def _per_center_scan(measure: EmpiricalMeasure, n: int, kind: str, eps: float) -
         if i + 1 < measure.M:
             center = OrbitSegment(n, **{field: take_samples(stack, on_words, i)})
             rest = take_samples(stack, on_words, slice(i + 1, None))
-            dead[i + 1 :] |= ball_batch(kind, center, rest, eps, closed=True)
+            dead[i + 1 :] |= ball_batch(kind, center, rest, math.nextafter(eps, math.inf))
     return np.asarray(kept, dtype=np.int64)
 
 
@@ -391,8 +392,8 @@ def _assert_scan_matches(measure, n, kind, eps):
 def test_word_separated_sets_read_prefix_classes(monkeypatch, factors):
     # a word ball at zero slack is a prefix class, so the kept set is the
     # first member of every class and no ball is tested; exact powers of
-    # two drop the closed depth by one, eps >= 1 keeps one word, and FK
-    # balls with slack stay on the one-keeper scan
+    # two drop the closed ball's depth by one, eps >= 1 keeps one word, and
+    # FK balls with slack stay on the one-keeper scan
     calls = []
     true_ball_batch = spanning.ball_batch
 
@@ -504,7 +505,7 @@ def test_bowen_rounds_verify_a_block_at_exactly_eps(n):
     # under doubling, and 10 candidates separated from both stand between
     # them, more than the guess window holds: the walk guesses all 12 as
     # one block, and only the verification against the first keeper's
-    # closed ball drops the last
+    # closed ball (the strict ball at the next float radius) drops the last
     eps = 1 / 16
     system = expanding_system((2,))
     path = OmegaPath([0] * 2)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -80,10 +82,11 @@ def _ulps_around(value: float, count: int) -> list[float]:
 @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.6])
 def test_circle_within_equals_the_gap_threshold(delta):
     # circle_within decides closeness from a = |u - v| alone; it must agree
-    # bit for bit with circle_gap and a compare, open and closed, on random
-    # pairs, on ties at u +- delta (wrapped), at v = (u + 1 - delta) mod 1
-    # and its float neighbours, where the rounded 1 - a decides, and on
-    # u = a, v = 0 for the floats a around delta, 1/2 and 1 - delta
+    # bit for bit with circle_gap and a compare, at delta (gap < delta) and
+    # at the next float radius (gap <= delta), on random pairs, on ties at
+    # u +- delta (wrapped), at v = (u + 1 - delta) mod 1 and its float
+    # neighbours, where the rounded 1 - a decides, and on u = a, v = 0 for
+    # the floats a around delta, 1/2 and 1 - delta
     rng = np.random.default_rng(41)
     u = rng.random(4000)
     vs = [rng.random(u.size)]
@@ -94,10 +97,11 @@ def test_circle_within_equals_the_gap_threshold(delta):
     us = np.concatenate([np.tile(u, len(vs)), edges])
     vs = np.concatenate(vs + [np.zeros(edges.size)])
     gap = circle_gap(us, vs)
-    for closed in (False, True):
-        got = circle_within(circle_diff(us, vs), delta, closed)
+    for radius in (delta, math.nextafter(delta, math.inf)):
+        got = circle_within(circle_diff(us, vs), radius)
         assert got.dtype == bool
-        assert np.array_equal(got, gap <= delta if closed else gap < delta)
+        assert np.array_equal(got, gap < radius)
+    assert np.array_equal(circle_within(circle_diff(us, vs), math.nextafter(delta, math.inf)), gap <= delta)
     # a = delta itself ties on the near side; a tie on the far side, an
     # exact 1 - a = delta, needs delta to be a multiple of 2^-53 (0.25 here),
     # so elsewhere the floats around 1 - delta straddle the bound instead
@@ -112,7 +116,7 @@ def test_circle_within_rejects_radii_it_cannot_bound(delta):
     # a negative radius bounds no ball, and the far bound's search from
     # 1 - delta upward would never end at a NaN one
     with pytest.raises(ValueError, match="nonnegative"):
-        circle_within(np.zeros(3), delta, True)
+        circle_within(np.zeros(3), delta)
 
 
 @pytest.mark.parametrize(
