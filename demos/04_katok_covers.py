@@ -13,8 +13,9 @@ a million samples.
 
 import math
 
-from fkent.katok import katok_entropy, katok_spanning_count, katok_table, table_slopes
+from fkent.katok import katok_spanning_count, katok_table, table_slopes
 from fkent.local import sample_measure
+from fkent.spanning import katok_horizon, path_seeds
 from fkent.systems import bernoulli_process, expanding_system, sample_path, shift_system
 
 system = expanding_system((2,))
@@ -39,5 +40,8 @@ print()
 print("full 2-shift, word fast path at M = 10^6")
 sh = shift_system((2, 2))
 sh_proc = bernoulli_process((0.5, 0.5))
-est = katok_entropy(sh, sh_proc, [8, 10, 12], [0.05], 1_000_000, "bowen", master_seed=13)
+seed = path_seeds(13, 1)[0]
+sh_path = sample_path(sh_proc, katok_horizon(sh, [8, 10, 12], [0.05]), seed)
+sh_table = katok_table(sample_measure(sh, sh_path, 1_000_000, seed), [8, 10, 12], [0.05])
+est = table_slopes(sh_table, "bowen")
 print(f"katok slope {est.value:.4f}, expected {math.log(2):.4f}")

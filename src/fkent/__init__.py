@@ -50,5 +50,5 @@ from .local import (
     sample_measure,
     smb_estimate,
 )
-from .katok import KatokCount, katok_entropy, katok_spanning_count
+from .katok import KatokCount, katok_spanning_count
 from .harness import ExperimentConfig, load_config, run_experiment

@@ -14,19 +14,19 @@ stays byte-reproducible for a fixed config, including across worker
 counts.
 
 Worker tasks recompute their own measure (which holds the samples'
-orbit stack) from seeds carried in the payload.  Top and katok runs have
-one task per path seed (`_per_path`), and each task only maps the config
-onto its estimator's per-path routine (`spanning.path_entropy`,
-`katok.katok_path_entropy`), which draws the path too.  Averaging over
-paths happens here and nowhere else: the library's `katok_entropy` is
-path 0 of a compare-katok run.  Local runs draw their one path here,
-since the base points are drawn along it, and have one task per
-contiguous group of base points (one group per worker), which builds the
-measure once.  That trades a little redundant work for results that
-cannot depend on scheduling: every task is a pure function of (config,
-seed, its paths or base points), and reduction happens in task order.
-Each runner returns the worker count it chose, which the report's meta
-records.
+orbit stack) from seeds carried in the payload.  Driving paths are drawn
+here and nowhere else, and averaged here alone.  Top and katok runs have
+one task per path seed (`_per_path`): the task draws the path at the
+schedules' horizon, builds its table with the estimator's table builder
+(`spanning.count_table`, or `katok.katok_table` on the path's measure)
+and fits every kind with `spanning.entropy_from_counts`.  Local runs
+draw their one path too, since the base points are drawn along it, and
+have one task per contiguous group of base points (one group per
+worker), which builds the measure once.  That trades a little
+redundant work for results that cannot depend on scheduling: every
+task is a pure function of (config, seed, its paths or base points),
+and reduction happens in task order.  Each runner returns the worker
+count it chose, which the report's meta records.
 
 Every experiment reports each kind in one estimate block of the same
 keys (`_estimates`), over paths or base points and named after the
@@ -52,11 +52,11 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .katok import PAIR_BUDGET, katok_horizon, katok_path_entropy
+from .katok import PAIR_BUDGET, katok_table
 from .local import local_entropy, reference_points, sample_measure
 from .matching import BOWEN, FK, KINDS, MAX_MATCH_STEPS, inclusion_violations
 from .oracles import expected_entropy
-from .spanning import CANDIDATE_BUDGET, CANDIDATE_TARGET, path_entropy, path_seeds
+from .spanning import CANDIDATE_BUDGET, CANDIDATE_TARGET, count_table, entropy_from_counts, katok_horizon, path_seeds
 from .systems import (
     RandomSystemSpec,
     bernoulli_process,
@@ -300,9 +300,19 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
 
 
 def _path_task(payload) -> dict:
-    cfg, seed, estimator, budgets = payload
-    table, fits = estimator(cfg.system(), cfg.process(), seed, cfg.n, cfg.eps, *budgets)
-    return {"table": table, "fits": fits}
+    """One path's table from build(cfg, path), and every kind's fit of it."""
+    cfg, seed, build = payload
+    path = sample_path(cfg.process(), katok_horizon(cfg.system(), cfg.n, cfg.eps), seed)
+    table = build(cfg, path)
+    return {"table": table, "fits": {kind: entropy_from_counts(table, kind) for kind in KINDS}}
+
+
+def _top_table(cfg: ExperimentConfig, path):
+    return count_table(cfg.system(), path, cfg.n, cfg.eps, cfg.candidate_target, cfg.candidate_budget)
+
+
+def _katok_table(cfg: ExperimentConfig, path):
+    return katok_table(sample_measure(cfg.system(), path, cfg.M, path.seed), cfg.n, cfg.eps, cfg.pair_budget)
 
 
 def _local_task(payload) -> list[dict]:
@@ -362,17 +372,17 @@ def _estimates(results: list[dict], over: str, radius: str) -> dict:
     return estimates
 
 
-def _per_path(cfg: ExperimentConfig, estimator, *budgets) -> tuple[list[int], list[dict], int]:
-    """The path seeds, the per-path estimator's result per path in seed order, and the worker count."""
+def _per_path(cfg: ExperimentConfig, build) -> tuple[list[int], list[dict], int]:
+    """The path seeds, each path's table and fits (`_path_task`) in seed order, and the worker count."""
     seeds = [int(s) for s in path_seeds(cfg.seed, cfg.paths)]
     workers = _effective_workers(cfg, len(seeds))
-    return seeds, _ordered_map(_path_task, [(cfg, s, estimator, budgets) for s in seeds], workers), workers
+    return seeds, _ordered_map(_path_task, [(cfg, s, build) for s in seeds], workers), workers
 
 
 def _run_top(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
     # a config the oracle refuses fails before any path is scanned
     oracle = expected_entropy(cfg.system(), cfg.process())
-    seeds, results, workers = _per_path(cfg, path_entropy, cfg.candidate_target, cfg.candidate_budget)
+    seeds, results, workers = _per_path(cfg, _top_table)
 
     rows = [
         (seed, n, eps, metric, res["table"].estimator, c.count, c.scale, c.samples)
@@ -430,7 +440,7 @@ def _run_local(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
 
 
 def _run_katok(cfg: ExperimentConfig) -> tuple[dict, dict, int]:
-    seeds, results, workers = _per_path(cfg, katok_path_entropy, cfg.M, cfg.pair_budget)
+    seeds, results, workers = _per_path(cfg, _katok_table)
 
     rows = [
         (seed, n, eps, c.cover.mass_threshold, kind, c.count, c.cover.covered_mass)

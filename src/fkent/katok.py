@@ -38,10 +38,8 @@ not rise along eps, nor fall along n within one slack band, by more than
 one count of greedy jitter.  `table_slopes` fits it with the one banded
 fit, `spanning.entropy_from_counts`.
 
-`katok_path_entropy` computes the per-path quantity the fiber entropy
-averages (draw the path and measure, cover, fit per kind).  The experiment
-harness averages it over paths; `katok_entropy` is one call of it, on one
-path.
+The experiment harness draws each driving path and its measure, builds
+its `katok_table`, fits it and averages over paths.
 """
 
 from __future__ import annotations
@@ -60,21 +58,16 @@ from .spanning import (
     column_covers,
     entropy_from_counts,
     greedy_cover,
-    katok_horizon,
-    path_seeds,
     sorted_schedule,
 )
-from .systems import InvariantViolation, RandomSystemSpec, diameter, sample_path
-from .local import EmpiricalMeasure, sample_measure
+from .systems import InvariantViolation, diameter
+from .local import EmpiricalMeasure
 
 __all__ = [
     "KatokCount",
     "katok_spanning_count",
-    "katok_horizon",
     "katok_table",
     "table_slopes",
-    "katok_path_entropy",
-    "katok_entropy",
 ]
 
 # dense cover matrices hold at most this many (center, sample) pairs; a
@@ -244,46 +237,3 @@ def katok_table(
 def table_slopes(table: CellTable, kind: str) -> EntropyEstimate:
     """One kind's per-eps slopes of log cover count against n (`spanning.entropy_from_counts`)."""
     return entropy_from_counts(table, kind)
-
-
-def katok_path_entropy(
-    system: RandomSystemSpec,
-    process,
-    seed: int,
-    n_window,
-    eps_list,
-    M: int,
-    pair_budget: int,
-) -> tuple[CellTable, dict[str, EntropyEstimate]]:
-    """One driving path's cover table and the entropy estimate of each kind in KINDS.
-
-    The path is drawn from `seed` at the schedules' horizon and the
-    measure from the same seed; katok_table covers it once for every
-    kind, at mass threshold 1 - eps, and table_slopes fits each kind.
-    """
-    path = sample_path(process, katok_horizon(system, n_window, eps_list), seed)
-    measure = sample_measure(system, path, M, seed)
-    table = katok_table(measure, n_window, eps_list, pair_budget=pair_budget)
-    return table, {kind: table_slopes(table, kind) for kind in KINDS}
-
-
-def katok_entropy(
-    system: RandomSystemSpec,
-    process,
-    n_window,
-    eps_list,
-    M: int,
-    kind: str,
-    master_seed: int = 0,
-) -> EntropyEstimate:
-    """Entropy from the growth of almost-cover counts in n, on one driving path.
-
-    Per eps, the slope of log count against n, with mass threshold
-    1 - eps; the value is the slope at the smallest eps.  The path and
-    its measure come from the first of path_seeds(master_seed), so this
-    is path 0 of a compare-katok run; averaging over paths is the
-    harness's job.  An unknown kind raises ValueError before any work.
-    """
-    check_kinds((kind,))
-    seed = path_seeds(master_seed, 1)[0]
-    return katok_path_entropy(system, process, seed, n_window, eps_list, M, PAIR_BUDGET)[1][kind]

@@ -21,7 +21,6 @@ __all__ = [
     "stirling_rate",
     "log_binomial",
     "binomial_rate",
-    "mismatch_entropy_budget",
     "expected_entropy",
 ]
 
@@ -76,25 +75,6 @@ def stirling_rate(eps: float) -> float:
     if eps in (0.0, 1.0):
         return 0.0
     return -(1.0 - eps) * math.log(1.0 - eps) - eps * math.log(eps)
-
-
-def mismatch_entropy_budget(kappa: float, cells: int) -> float:
-    """Entropy overhead of tolerating a kappa fraction of mismatched steps.
-
-    2*kappa*log(cells) - 4*kappa*log(kappa) - 4*(1-kappa)*log(1-kappa) in
-    nats, for a partition with `cells` elements; tends to 0 as kappa -> 0.
-    """
-    if cells < 1:
-        raise ValueError("cells must be >= 1")
-    if not 0.0 <= kappa < 1.0:
-        raise ValueError("kappa must lie in [0, 1)")
-    if kappa == 0.0:
-        return 0.0
-    return (
-        2.0 * kappa * math.log(cells)
-        - 4.0 * kappa * math.log(kappa)
-        - 4.0 * (1.0 - kappa) * math.log(1.0 - kappa)
-    )
 
 
 def expected_entropy(system: RandomSystemSpec, process: DrivingProcess) -> OracleValue:

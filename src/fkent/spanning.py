@@ -47,8 +47,8 @@ runs.  The kept set is exactly that of a scan with one ball call per
 kept center.
 
 The fiber entropy is an average over driving paths of a per-path slope.
-`path_entropy` computes that per-path quantity (draw the path, count,
-fit); the experiment harness averages it over paths.
+The experiment harness draws each path, counts it with `count_table`,
+fits it and averages over paths.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from .systems import (
     cylinder_depth,
     expansion_product,
     orbit_batch,
-    sample_path,
     take_samples,
     word_dtype,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "fit_log_slope",
     "greedy_cover",
     "greedy_separated",
-    "path_entropy",
     "path_seeds",
     "torus_grid_candidates",
     "word_candidates",
@@ -741,8 +739,8 @@ def katok_horizon(system: RandomSystemSpec, n_window, eps_list) -> int:
     """Path length covering every (n, eps) cell of the schedules.
 
     The path runs as many steps as the largest-n ball of the smallest
-    radius reads (matching.ball_steps).  Every per-path routine sizes its
-    path with this rule, so it checks the schedules (sorted_schedule)
+    radius reads (matching.ball_steps).  The harness sizes every path it
+    draws with this rule, so it checks the schedules (sorted_schedule)
     before any path is drawn.
     """
     n_window, eps_list = sorted_schedule(n_window, eps_list)
@@ -785,25 +783,6 @@ def count_table(
                     counts[kernel] = greedy_separated(measure, n, kernel, eps)[0]
                 cells[(metric, n, eps)] = Cell(counts[kernel], window, measure.M, None)
     return CellTable(SEPARATED, cells)
-
-
-def path_entropy(
-    system: RandomSystemSpec,
-    process,
-    seed: int,
-    n_list,
-    eps_list,
-    count_target: int,
-    budget: int,
-) -> tuple[CellTable, dict[str, EntropyEstimate]]:
-    """One driving path's count table and the entropy estimate of each metric in KINDS.
-
-    The path is drawn from `seed` at the schedules' horizon; each metric's
-    estimate is entropy_from_counts on the shared table.
-    """
-    path = sample_path(process, katok_horizon(system, n_list, eps_list), seed)
-    table = count_table(system, path, n_list, eps_list, count_target, budget)
-    return table, {metric: entropy_from_counts(table, metric) for metric in KINDS}
 
 
 _PATH_STREAM = 11  # fixed stream tag separating path seeds from other draws

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fkent.cli import main
-from fkent.katok import katok_entropy, katok_horizon, katok_spanning_count, katok_table
+from fkent.katok import katok_spanning_count, katok_table
 from fkent.harness import ExperimentConfig, run_experiment
 from fkent.local import GridPartition, sample_measure, smb_estimate
 from fkent.matching import (
@@ -29,6 +29,7 @@ from fkent.matching import (
     max_match_size,
 )
 from fkent.oracles import binomial_rate, match_count_bound, stirling_rate
+from fkent.spanning import katok_horizon
 from fkent.systems import (
     OrbitSegment,
     bernoulli_process,
@@ -240,12 +241,22 @@ def test_5_smb_cell_mass(capsys):
     announce(capsys, "check 5/9 cell-mass entropy", ok, f"estimate {est:.5f} dev {dev:.5f} band {band:.5f} {elapsed:.0f}s")
 
 
-def test_6_katok_counts(capsys):
+def test_6_katok_counts(capsys, tmp_path):
     t0 = time.time()
     sh, proc = word_family()
-    slopes = {}
-    for kind in (BOWEN, FK):
-        slopes[kind] = katok_entropy(sh, proc, [8, 9, 10, 11, 12], [0.05], 1_000_000, kind, master_seed=13).value
+    cfg = ExperimentConfig(
+        family="shift",
+        m=(2, 2),
+        p=(0.5, 0.5),
+        n=(8, 9, 10, 11, 12),
+        eps=(0.05,),
+        M=1_000_000,
+        paths=1,
+        seed=13,
+        outdir=str(tmp_path),
+    )
+    est = run_experiment("compare-katok", cfg)["results"]["estimates"]
+    slopes = {kind: est[kind]["per_path"][0] for kind in (BOWEN, FK)}
 
     # greedy count equals the exact optimum on word systems, where time-n
     # balls are disjoint prefix classes and the optimum takes them

@@ -40,9 +40,7 @@ CALLERS = [
 # test_every_exemption_is_needed fails on a stale or needless entry.
 # definitions kept although only unit tests call them: each is the
 # independent reference another definition is checked against
-REFERENCE_ORACLES = {
-    "mismatch_entropy_budget": "the FK-vs-Bowen comparison reports this bound beside each gap",
-}
+REFERENCE_ORACLES: dict[str, str] = {}
 # parameters with a default kept although no caller sets them
 UNSET_OPTIONS: dict[str, str] = {}
 # config fields kept although no caller sets them
@@ -298,6 +296,18 @@ def test_only_the_cell_table_and_the_katok_gap_name_the_inclusion_check():
     defined = {node.name for node in ast.walk(_tree("matching")) if isinstance(node, ast.FunctionDef)}
     assert "inclusion_violations" in defined
     assert sorted(checkers) == ["harness", "spanning"]
+
+
+def test_only_the_harness_draws_paths():
+    # the fiber entropy averages per-path slopes over driving paths, and
+    # the harness draws every path it averages; a module that names the
+    # path draw or the path seeds draws a path of its own
+    drawers = [
+        name
+        for name in MODULES + ["__init__"]
+        if _named(_tree(name)) & {"sample_path", "path_seeds"}
+    ]
+    assert sorted(drawers) == ["__init__", "harness"]
 
 
 def test_only_systems_decides_circle_closeness():

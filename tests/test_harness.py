@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fkent.cli import _build_parser, main
-from fkent.katok import katok_entropy, katok_horizon, katok_path_entropy
+from fkent.katok import katok_table
 from fkent.local import local_entropy, reference_points, sample_measure
 from fkent.matching import BOWEN, FK, KINDS, match_slack
 from fkent.harness import (
@@ -22,7 +22,7 @@ from fkent.harness import (
     load_config,
     run_experiment,
 )
-from fkent.spanning import path_seeds
+from fkent.spanning import count_table, entropy_from_counts, katok_horizon, path_seeds
 from fkent.systems import InvariantViolation, child_rng, sample_path
 
 
@@ -265,23 +265,33 @@ def test_csv_bodies_identical_across_worker_counts(tmp_path, monkeypatch, experi
 
 
 def test_library_averagers_match_harness(tmp_path):
-    # the harness averages the per-path routine over paths, and the
-    # library's katok_entropy is path 0 of the same run
+    # the harness averages over paths the fits of the tables that the
+    # library's table builders give on each path it draws
     for overrides in ({"M": 300}, dict(SHIFT, M=400)):
         cfg = load_config(
             write_config(tmp_path, TINY.format(out=tmp_path / "out")), dict(overrides, workers=1)
         )
         assert cfg.paths == 2
-        system, process = cfg.system(), cfg.process()
-        katok = run_experiment("compare-katok", cfg)["results"]["estimates"]
-        fits = [
-            katok_path_entropy(system, process, seed, cfg.n, cfg.eps, cfg.M, cfg.pair_budget)[1]
+        system = cfg.system()
+        paths = [
+            sample_path(cfg.process(), katok_horizon(system, cfg.n, cfg.eps), seed)
             for seed in path_seeds(cfg.seed, cfg.paths)
         ]
-        for metric in KINDS:
-            assert katok[metric]["slopes_per_path"] == [list(fit[metric].slopes) for fit in fits]
-            one = katok_entropy(system, process, cfg.n, cfg.eps, cfg.M, metric, master_seed=cfg.seed)
-            assert one.slopes == fits[0][metric].slopes
+        tables = {
+            "compare-top": [
+                count_table(system, path, cfg.n, cfg.eps, cfg.candidate_target, cfg.candidate_budget)
+                for path in paths
+            ],
+            "compare-katok": [
+                katok_table(sample_measure(system, path, cfg.M, path.seed), cfg.n, cfg.eps, cfg.pair_budget)
+                for path in paths
+            ],
+        }
+        for experiment, per_path in tables.items():
+            estimates = run_experiment(experiment, cfg)["results"]["estimates"]
+            for kind in KINDS:
+                fits = [entropy_from_counts(table, kind) for table in per_path]
+                assert estimates[kind]["slopes_per_path"] == [list(fit.slopes) for fit in fits]
 
 
 def test_compare_local_gap_zero_on_band_zero(tmp_path):
@@ -475,7 +485,7 @@ def test_compare_top_refuses_a_config_without_oracle_before_any_scan(tmp_path, c
         calls.append(args)
         raise AssertionError("a path was scanned before the oracle check")
 
-    monkeypatch.setattr("fkent.harness.path_entropy", scan)
+    monkeypatch.setattr("fkent.harness.count_table", scan)
     text = TINY.replace("m = 2", "m = 1, 2").replace("p = 1.0", "p = 0.5, 0.5")
     path = write_config(tmp_path, text.format(out=tmp_path / "out"))
     with pytest.raises(ValueError, match="expanding factors >= 2"):

@@ -7,15 +7,13 @@ from fkent import katok
 from fkent.katok import (
     KatokCount,
     _word_class_cover,
-    katok_entropy,
-    katok_horizon,
     katok_spanning_count,
     katok_table,
     table_slopes,
 )
 from fkent.local import sample_measure
 from fkent.matching import BOWEN, FK, KINDS, bowen_ball_batch, count_law_violations, match_slack, match_target
-from fkent.spanning import fit_log_slope
+from fkent.spanning import fit_log_slope, katok_horizon, path_seeds
 from fkent.systems import (
     EmpiricalMeasure,
     InvariantViolation,
@@ -342,11 +340,14 @@ def test_fk_needs_fewer_covers_at_coarse_eps():
 
 
 def test_katok_table_and_entropy_doubling():
+    # path 0 of a compare-katok run with master seed 2
     system = expanding_system((2,))
-    proc = bernoulli_process((1.0,))
-    est = katok_entropy(system, proc, [4, 6, 8], [0.1], 3000, BOWEN, master_seed=2)
+    seed = path_seeds(2, 1)[0]
+    path = sample_path(bernoulli_process((1.0,)), katok_horizon(system, [4, 6, 8], [0.1]), seed)
+    table = katok_table(sample_measure(system, path, 3000, seed), [4, 6, 8], [0.1])
+    est = table_slopes(table, BOWEN)
     assert est.value == pytest.approx(math.log(2.0), abs=0.1)
-    est_fk = katok_entropy(system, proc, [4, 6, 8], [0.1], 3000, FK, master_seed=2)
+    est_fk = table_slopes(table, FK)
     assert est_fk.value == est.value  # every cell is band 0
 
 
@@ -417,12 +418,10 @@ def test_katok_count_validation():
 
 
 def test_katok_entropy_validation():
-    system = expanding_system((2,))
-    proc = bernoulli_process((1.0,))
-    with pytest.raises(ValueError):
-        katok_entropy(system, proc, [4], [0.1], 100, BOWEN)
-    with pytest.raises(ValueError, match="schedules must be nonempty"):
-        katok_entropy(system, proc, [4, 6], [], 100, BOWEN)
     _, _, mu = doubling_measure(M=100)
+    with pytest.raises(ValueError):
+        table_slopes(katok_table(mu, [4], [0.1]), BOWEN)
+    with pytest.raises(ValueError, match="schedules must be nonempty"):
+        katok_table(mu, [4, 6], [])
     with pytest.raises(ValueError):
         katok_spanning_count(mu, 4, 0.1, 1.5, BOWEN)

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fkent import katok, matching, spanning
-from fkent.katok import katok_entropy, katok_spanning_count, katok_table
+from fkent import matching, spanning
+from fkent.katok import katok_spanning_count, katok_table
 from fkent.local import ball_measure, local_entropy, sample_measure
 from fkent.matching import (
     BOWEN,
@@ -1009,25 +1009,18 @@ _CENTER = orbit(_SYSTEM, _PATH, 0.3, 2)
     [
         lambda: greedy_separated(_MEASURE, 2, "hamming", 0.1),
         lambda: katok_spanning_count(_MEASURE, 2, 0.1, 0.9, "hamming"),
-        lambda: katok_entropy(_SYSTEM, bernoulli_process((1.0,)), [2, 3], [0.1], 20, "hamming"),
         lambda: ball_measure(_MEASURE, _CENTER, 2, 0.1, "hamming"),
         lambda: ball_batch("hamming", _CENTER, _MEASURE.orbits, 0.1),
     ],
     ids=[
         "greedy_separated",
         "katok_spanning_count",
-        "katok_entropy",
         "ball_measure",
         "ball_batch",
     ],
 )
-def test_unknown_orbit_metric_is_rejected(call, monkeypatch):
-    # every single-kind entry point refuses an unknown kind before any
-    # work: katok_entropy draws no measure for it
-    def refuse(*args, **kwargs):
-        raise AssertionError("a measure was drawn for an unknown kind")
-
-    monkeypatch.setattr(katok, "sample_measure", refuse)
+def test_unknown_orbit_metric_is_rejected(call):
+    # every single-kind entry point refuses an unknown kind
     with pytest.raises(ValueError, match="unknown orbit metric"):
         call()
 

@@ -8,7 +8,6 @@ from fkent.oracles import (
     expected_entropy,
     log_binomial,
     match_count_bound,
-    mismatch_entropy_budget,
     stirling_rate,
 )
 from fkent.systems import (
@@ -59,12 +58,6 @@ def test_expected_entropy_hand_values():
 def test_expected_entropy_rejects_mismatched_alphabet():
     with pytest.raises(ValueError):
         expected_entropy(expanding_system((2, 3)), bernoulli_process((1.0,)))
-
-
-def test_mismatch_budget_properties():
-    # vanishes with kappa and grows with the cell count
-    assert mismatch_entropy_budget(1e-12, 2) == pytest.approx(0.0, abs=1e-9)
-    assert mismatch_entropy_budget(0.05, 8) > mismatch_entropy_budget(0.05, 2)
 
 
 def test_oracle_value_validation():

@@ -30,7 +30,7 @@ from fkent.spanning import (
     entropy_from_counts,
     fit_log_slope,
     greedy_separated,
-    path_entropy,
+    katok_horizon,
     path_seeds,
     torus_grid_candidates,
     word_candidates,
@@ -288,8 +288,9 @@ def test_path_entropy_on_word_systems():
     system = shift_system((2, 2))
     proc = bernoulli_process((0.5, 0.5))
     for seed in path_seeds(0, 2):
-        _, fits = path_entropy(system, proc, seed, [3, 4, 5], [0.4], 2000, 200_000)
-        assert fits[BOWEN].value == pytest.approx(math.log(2.0), abs=1e-12)
+        path = sample_path(proc, katok_horizon(system, [3, 4, 5], [0.4]), seed)
+        table = count_table(system, path, [3, 4, 5], [0.4], 2000, 200_000)
+        assert entropy_from_counts(table, BOWEN).value == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def _clustered_measure(on_words: bool, M: int, rng) -> EmpiricalMeasure:
